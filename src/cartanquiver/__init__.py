@@ -25,7 +25,7 @@ from .cartan import (
     validate_cartan,
     validate_orientation,
 )
-from .exactlinalg import FpMatrix, Subspace, gaussian_binomial
+from .exactlinalg import Subspace, gaussian_binomial
 from .hmod import (
     HModule,
     StructureMatrices,

@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from . import cartan, flagvar, gendecomp, hmod, homext, reduction
+from . import exactlinalg as la
 from .cartan import RankVector, euler_form
 from .errors import (
     BudgetExceeded,
@@ -49,6 +49,7 @@ def _load(args) -> tuple:
         k = args.k
     if getattr(args, "p", None):
         p = args.p
+    la.check_prime(p)
     return datum, k, p, echo
 
 
@@ -188,7 +189,6 @@ def cmd_bundle_check(args) -> int:
     brseq = _parse_brseq(args.brseq)
     primes = _parse_primes(args.primes) if args.primes else (2, 3)
     k_max = args.kmax or max(k, 2)
-    rows = []
 
     def check_level(level: int):
         search = homext.find_rigid(datum, level, p, r, trials=args.trials,
@@ -202,12 +202,7 @@ def cmd_bundle_check(args) -> int:
                 "rows": list(report.rows),
                 "ok_for_rigid": report.ok_for_rigid}
 
-    levels = range(2, k_max + 1)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(check_level, levels))
-    else:
-        rows = [check_level(level) for level in levels]
+    rows = [check_level(level) for level in range(2, k_max + 1)]
     _emit(args, {"command": "bundle-check", "config": echo,
                  "seed": args.seed, "rank": list(r),
                  "primes": list(primes), "report": rows})
@@ -226,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True,
                         help="Cartan datum config file (JSON or TOML)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--output", help="write the JSON report here")
         if with_k:
             sp.add_argument("--k", type=int, default=0,

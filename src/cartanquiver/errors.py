@@ -66,6 +66,10 @@ class NotPrime(ValidationError):
     pass
 
 
+class ModulusTooLarge(ValidationError):
+    """The prime exceeds the bound up to which int64 arithmetic is exact."""
+
+
 class NonIntegerCoefficient(CartanQuiverError):
     """Interpolation produced non-integer coefficients at the degree bound."""
 

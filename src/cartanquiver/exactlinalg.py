@@ -19,12 +19,23 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InternalCheckError,
+    ModulusTooLarge,
     NonIntegerCoefficient,
     NotPrime,
     OverdeterminedMismatch,
 )
 
 _PRIME_CACHE: set[int] = set()
+
+# Matrix products are reduced mod p before they enter another product
+# (multiplying by a quotient section, whose columns are unit vectors, only
+# selects columns), so the largest intermediate value is an inner product
+# of n terms below p, at most n (p-1)^2.  The longest inner product the
+# library forms runs over one axis of a dense int64 array (at most the
+# unknowns of a Hom system); the bound is chosen for n = 2^32, where one
+# dense row already takes 32 GiB.  MAX_PRIME is the largest prime with
+# (p-1)^2 < 2^31, so n (p-1)^2 < 2^63 and int64 arithmetic stays exact.
+MAX_PRIME = 46337
 
 
 def stable_seed(obj) -> int:
@@ -46,9 +57,18 @@ def rng_from(seed) -> np.random.Generator:
 
 
 def check_prime(p: int) -> int:
-    """Return p if it is prime, raise NotPrime otherwise."""
+    """Return p if it is a supported prime.
+
+    Raises ModulusTooLarge above MAX_PRIME = 46337, the largest prime with
+    n (p-1)^2 < 2^63 for inner products of length n = 2^32 (see the note at
+    MAX_PRIME), and NotPrime for a non-prime modulus.
+    """
     if p in _PRIME_CACHE:
         return p
+    if p > MAX_PRIME:
+        raise ModulusTooLarge(
+            f"modulus {p} exceeds the supported bound {MAX_PRIME}: int64 "
+            f"products mod p are exact only up to it")
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise NotPrime(f"modulus {p} is not prime")
     _PRIME_CACHE.add(p)
@@ -69,10 +89,6 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
-
-
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
 
 
 def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -201,66 +217,6 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
         raise InternalCheckError("solve: substitution check failed")
     part = x[:, 0] if single else x
     return part, kernel_basis_matrix(a, p)
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """A matrix over F_p.  Entries live in {0,...,p-1}; p is checked prime."""
-
-    p: int
-    array: np.ndarray
-
-    def __post_init__(self):
-        check_prime(self.p)
-        arr = asmatrix(self.array, self.p)
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, FpMatrix):
-            if other.p != self.p:
-                raise DimensionMismatch("mixed moduli")
-            return other.array
-        return asmatrix(other, self.p)
-
-    def __matmul__(self, other) -> "FpMatrix":
-        return FpMatrix(self.p, (self.array @ self._coerce(other)) % self.p)
-
-    def __add__(self, other) -> "FpMatrix":
-        return FpMatrix(self.p, (self.array + self._coerce(other)) % self.p)
-
-    def __sub__(self, other) -> "FpMatrix":
-        return FpMatrix(self.p, (self.array - self._coerce(other)) % self.p)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return self.p == other.p and np.array_equal(self.array, other.array)
-
-    def __hash__(self):
-        return hash((self.p, self.array.shape, self.array.tobytes()))
-
-    def rref(self) -> tuple["FpMatrix", int, tuple[int, ...]]:
-        r, rk, piv = rref(self.array, self.p)
-        return FpMatrix(self.p, r), rk, piv
-
-    def rank(self) -> int:
-        return rank(self.array, self.p)
-
-    def kernel(self) -> "Subspace":
-        return Subspace.from_rows(kernel_basis_matrix(self.array, self.p),
-                                  self.cols, self.p)
-
-    def image(self) -> "Subspace":
-        return Subspace.from_rows(self.array.T, self.rows, self.p)
 
 
 @dataclass(frozen=True)

@@ -636,7 +636,8 @@ class _CentralCoordinates:
 
     def operator_to_ring(self, g: np.ndarray) -> np.ndarray:
         """Ring matrix of an operator commuting with eps; verified."""
-        conj = (self.basis_inv @ (g % self.p) @ self.basis) % self.p
+        conj = ((self.basis_inv @ (g % self.p)) % self.p
+                @ self.basis) % self.p
         ring = np.zeros((self.m, self.m, self.k), dtype=np.int64)
         for s in range(self.m):
             col = conj[:, s * self.k]

@@ -2,10 +2,18 @@
 
 Explicit modules are split with Fitting's lemma: for an endomorphism phi,
 M = ker(phi^N) + im(phi^N) is a direct decomposition, so any phi that is
-neither nilpotent nor invertible splits M.  Indecomposability is certified
-either by an exhaustive scan for idempotents in End(M) (when p^dim End is
-within budget) or, Monte Carlo, by failing to split along the End basis
-and a batch of random endomorphisms with scalar shifts.
+neither nilpotent nor invertible splits M.  A split is searched in three
+steps, each run only when the one before it has not decided:
+
+1. Fitting splits along the End(M) basis elements, shifted by scalars.
+2. When p^dim End(M) is within the idempotent budget, an exhaustive scan
+   of End(M) for a proper idempotent.  M decomposes exactly when one
+   exists, so the completed scan is final: a split, or an exhaustive
+   certificate of indecomposability.
+3. Only past that budget, Fitting splits along `trials` random
+   endomorphisms with shifts; when none splits, indecomposability is
+   Monte Carlo.  `trials` therefore matters only when p^dim End(M)
+   exceeds the budget.
 
 The canonical decomposition of a rank vector is found by decomposing
 sampled (or, for small parameter spaces, all) modules of that rank and
@@ -81,13 +89,14 @@ def _structure_constants(basis: homext.HomBasis, p: int) -> np.ndarray:
     return table
 
 
-def _scan_idempotents(m: HModule, basis: homext.HomBasis,
-                      budget: int) -> tuple[Optional[tuple], bool]:
-    """(proper idempotent or None, scan_completed)."""
+def _scan_idempotents(m: HModule, basis: homext.HomBasis
+                      ) -> Optional[tuple]:
+    """Split along a proper idempotent of End(M), or None if there is none.
+
+    Visits all p^dim elements of End(M); the caller bounds that number.
+    """
     p = m.p
     dim = basis.dim
-    if dim == 0 or p ** dim > budget:
-        return None, False
     table = _structure_constants(basis, p)
     id_coords = basis.coords_of(homext.identity_hom(m))
     total = p ** dim
@@ -100,6 +109,8 @@ def _scan_idempotents(m: HModule, basis: homext.HomBasis,
         for t in range(dim):
             rest, dig = np.divmod(rest, p)
             digits[:, t] = dig
+        # dim^2 terms, each below p^3: under 2^63 for dim <= 304 when
+        # p <= la.MAX_PRIME, and no budget admits a scan of p^305 points
         squares = np.einsum("na,nb,abc->nc", digits, digits, table) % p
         hits = np.all(squares == digits, axis=1)
         for idx in np.nonzero(hits)[0]:
@@ -107,32 +118,44 @@ def _scan_idempotents(m: HModule, basis: homext.HomBasis,
             if not x.any() or np.array_equal(x, id_coords):
                 continue
             e = basis.element_from_coeffs(x)
-            return _idempotent_split(m, e), True
-    return None, True
+            return _idempotent_split(m, e)
+    return None
 
 
-def _find_split(m: HModule, seed, trials: int, idempotent_budget: int):
-    """Returns (split or None, certainty_of_a_negative_answer)."""
+def _fitting_search(m: HModule, candidates, shifts) -> Optional[tuple]:
+    """First Fitting split among the shifted candidates, in order."""
     p = m.p
-    basis = homext.hom_space(m, m)
-    candidates = list(basis.elements)
-    rng = la.rng_from(seed)
-    for _ in range(trials):
-        coeffs = rng.integers(0, p, size=basis.dim)
-        candidates.append(basis.element_from_coeffs(coeffs))
-    shifts = range(p) if p <= 7 else [0] + list(
-        la.rng_from((seed, "shift")).integers(1, p, size=7))
     for f in candidates:
         for lam in shifts:
             shifted = tuple((fi - lam * la.identity(m.dims[i])) % p
                             for i, fi in enumerate(f))
             split = _fitting_split(m, shifted)
             if split is not None:
-                return split, EXHAUSTIVE
-    split, completed = _scan_idempotents(m, basis, idempotent_budget)
+                return split
+    return None
+
+
+def _find_split(m: HModule, seed, trials: int, idempotent_budget: int):
+    """Returns (split or None, certainty_of_a_negative_answer).
+
+    The three steps of the module docstring: basis Fitting splits, then
+    the idempotent scan when p^dim End(M) <= idempotent_budget, else the
+    random Fitting trials.
+    """
+    p = m.p
+    basis = homext.hom_space(m, m)
+    shifts = range(p) if p <= 7 else [0] + list(
+        la.rng_from((seed, "shift")).integers(1, p, size=7))
+    split = _fitting_search(m, basis.elements, shifts)
     if split is not None:
         return split, EXHAUSTIVE
-    return None, EXHAUSTIVE if completed else MONTE_CARLO
+    if p ** basis.dim <= idempotent_budget:
+        return _scan_idempotents(m, basis), EXHAUSTIVE
+    rng = la.rng_from(seed)
+    randoms = (basis.element_from_coeffs(rng.integers(0, p, size=basis.dim))
+               for _ in range(trials))
+    split = _fitting_search(m, randoms, shifts)
+    return split, EXHAUSTIVE if split is not None else MONTE_CARLO
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +171,16 @@ def is_indecomposable(m: HModule, seed=0,
                       trials: int = DEFAULT_SPLIT_TRIALS,
                       idempotent_budget: int = DEFAULT_IDEMPOTENT_BUDGET
                       ) -> IndecomposabilityResult:
-    """Zero modules count as decomposable (empty sum)."""
+    """Decide whether M is indecomposable; zero modules count as
+    decomposable (empty sum).
+
+    A split is searched along the End(M) basis first, then by the
+    exhaustive idempotent scan when p^dim End(M) <= idempotent_budget, and
+    only past that budget along `trials` random endomorphisms.  Within the
+    budget a positive answer is exhaustive; past it, a positive answer is
+    Monte Carlo.  A negative answer is always exhaustive (it exhibits a
+    split).
+    """
     if m.total_dim() == 0:
         return IndecomposabilityResult(False, EXHAUSTIVE)
     split, certainty = _find_split(m, seed, trials, idempotent_budget)
@@ -178,8 +210,12 @@ def krull_schmidt(m: HModule, seed=0,
                   verify: bool = True) -> KrullSchmidtResult:
     """Split M into indecomposables and group them up to isomorphism.
 
-    The rebuilt direct sum is checked against M (invariant); certainty is
-    the weakest certificate among the returned parts.
+    Each piece is split as in `is_indecomposable`: along the End basis,
+    then by the idempotent scan when p^dim End <= idempotent_budget, and
+    only past that budget along `trials` random endomorphisms, so `trials`
+    matters only for pieces whose scan is over budget.  The rebuilt direct
+    sum is checked against M (invariant); certainty is the weakest
+    certificate among the returned parts.
     """
     pieces: list[HModule] = []
     certainty = EXHAUSTIVE

@@ -203,13 +203,6 @@ def rank_vector(m: HModule) -> RankVector:
 
 # --- free modules and standard form ----------------------------------------
 
-def _jordan_block(size: int) -> np.ndarray:
-    j = la.zeros(size, size)
-    for t in range(size - 1):
-        j[t + 1, t] = 1
-    return j
-
-
 def _standard_loop(order: int, r: int) -> np.ndarray:
     e = la.zeros(order * r, order * r)
     for s in range(r):
@@ -269,8 +262,9 @@ def normalize(m: HModule) -> tuple[HModule, tuple[np.ndarray, ...]]:
             raise InternalCheckError("normalize: generator sweep not a basis")
         ts.append(t_mat)
     tinv = [la.inv(t, m.p) if t.size else t.reshape(0, 0) for t in ts]
-    eps = [(tinv[i] @ m.eps[i] @ ts[i]) % m.p for i in range(m.n)]
-    arrows = {key: tuple((tinv[key[0]] @ a @ ts[key[1]]) % m.p for a in mats)
+    eps = [((tinv[i] @ m.eps[i]) % m.p @ ts[i]) % m.p for i in range(m.n)]
+    arrows = {key: tuple(((tinv[key[0]] @ a) % m.p @ ts[key[1]]) % m.p
+                         for a in mats)
               for key, mats in m.arrows.items()}
     std = make_module(m.datum, m.k, m.p, eps, arrows, standard_form=True)
     return std, tuple(ts)
@@ -516,10 +510,10 @@ def sub_quotient(m: HModule, subspaces) -> SubQuotient:
         return subs[i].coordinates_rows(img.T).T
 
     def descend(mat, i, j):
-        out = (qmaps[i][0] @ mat @ qmaps[j][1]) % m.p
-        if ((qmaps[i][0] @ mat @ bases[j]) % m.p).any():
+        head = (qmaps[i][0] @ mat) % m.p
+        if ((head @ bases[j]) % m.p).any():
             raise InternalCheckError("quotient map not well defined")
-        return out
+        return (head @ qmaps[j][1]) % m.p
 
     sub_eps = [restrict(m.eps[i], i, i) for i in range(m.n)]
     quot_eps = [descend(m.eps[i], i, i) for i in range(m.n)]

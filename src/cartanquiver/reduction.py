@@ -80,10 +80,6 @@ def _low_coords(m: HModule, i: int) -> list[int]:
     return [s * order + t for s in range(r) for t in range(new_order)]
 
 
-def reduce_module(m: HModule) -> HModule:
-    return reduce(m).module
-
-
 def lift(s: StructureMatrices) -> HModule:
     """Reinterpret level-(k-1) structure entries at level k.
 
@@ -102,11 +98,6 @@ def lift(s: StructureMatrices) -> HModule:
         mats[(i, j)] = padded
     lifted = hmod.structure_from_arrays(datum, k_new, p, s.rank, mats)
     return hmod.from_structure_matrices(lifted)
-
-
-def lift_module(m: HModule) -> HModule:
-    """Lift an explicit locally free module one level up via its structure."""
-    return lift(hmod.to_structure_matrices(m))
 
 
 def module_at_level(m: HModule, k_new: int) -> HModule:

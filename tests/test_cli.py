@@ -54,6 +54,19 @@ def test_bad_symmetrizer_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["6", "46349", "2147483647"])
+def test_unsupported_modulus_exits_2(config_path, capsys, p):
+    assert run(["algebra-check", "--config", config_path, "--p", p]) == 2
+    assert "modulus" in capsys.readouterr().err
+
+
+def test_threads_option_removed(config_path, capsys):
+    with pytest.raises(SystemExit):
+        run(["bundle-check", "--config", config_path, "--rank", "1,1",
+             "--brseq", "1,0;0,1", "--threads", "2"])
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_rigid_and_flag_count_and_reduce(config_path, tmp_path):
     module_path = tmp_path / "rigid.json"
     out = tmp_path / "r.json"

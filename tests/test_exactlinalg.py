@@ -4,6 +4,7 @@ import pytest
 from cartanquiver import exactlinalg as la
 from cartanquiver.errors import (
     DimensionMismatch,
+    ModulusTooLarge,
     NonIntegerCoefficient,
     NotPrime,
     OverdeterminedMismatch,
@@ -17,6 +18,15 @@ def test_check_prime():
         la.check_prime(6)
     with pytest.raises(NotPrime):
         la.check_prime(1)
+
+
+def test_check_prime_modulus_bound():
+    # the largest prime with (p-1)^2 < 2^31, and the next prime above it
+    assert la.check_prime(la.MAX_PRIME) == la.MAX_PRIME == 46337
+    assert (la.MAX_PRIME - 1) ** 2 * 2 ** 32 < 2 ** 63
+    for p in (46349, 2147483647, 4294967311):
+        with pytest.raises(ModulusTooLarge):
+            la.check_prime(p)
 
 
 def test_rref_identity_and_zero():

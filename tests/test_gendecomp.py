@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from cartanquiver import gendecomp, hmod
+from cartanquiver import gendecomp, hmod, homext
 from cartanquiver.cartan import RankVector
 
 from conftest import n_module
@@ -70,6 +72,80 @@ class TestIndecomposability:
     def test_zero_not_indecomposable(self, a2):
         assert not gendecomp.is_indecomposable(
             hmod.free_module(a2, 1, 2, (0, 0)))
+
+
+def _has_proper_idempotent(m):
+    """Brute force: square every element of End(M) with compose."""
+    basis = homext.hom_space(m, m)
+    one = homext.identity_hom(m)
+    for coeffs in itertools.product(range(m.p), repeat=basis.dim):
+        e = basis.element_from_coeffs(coeffs)
+        if not any(ei.any() for ei in e):
+            continue
+        if all(np.array_equal(ei, oi) for ei, oi in zip(e, one)):
+            continue
+        square = homext.compose(e, e, m.p)
+        if all(np.array_equal(si, ei) for si, ei in zip(square, e)):
+            return True
+    return False
+
+
+# (datum fixture, k, p, rank): every structure point is visited
+ORACLE_SPACES = [("a2", 1, 2, (1, 1)), ("a2", 1, 2, (2, 1)),
+                 ("a2", 2, 2, (1, 1)), ("a2", 2, 2, (2, 1)),
+                 ("a2", 1, 3, (2, 1)), ("b2", 1, 2, (1, 1)),
+                 ("b2", 1, 2, (2, 1)), ("b2", 1, 2, (1, 2)),
+                 ("b2", 2, 2, (1, 1)), ("kronecker", 1, 2, (1, 1)),
+                 ("kronecker", 1, 2, (2, 1)), ("kronecker", 1, 2, (1, 2))]
+ORACLE_IDS = [f"{name}-k{k}-p{p}-r{r[0]}{r[1]}"
+              for name, k, p, r in ORACLE_SPACES]
+
+
+class TestSplittingOracle:
+    """Every structure point of small spaces, against brute force."""
+
+    @pytest.mark.parametrize("name,k,p,r", ORACLE_SPACES, ids=ORACLE_IDS)
+    def test_against_idempotent_brute_force(self, request, name, k, p, r):
+        datum = request.getfixturevalue(name)
+        for t, s in enumerate(hmod.iter_structure_matrices(datum, k, p, r)):
+            m = hmod.from_structure_matrices(s)
+            decomposable = _has_proper_idempotent(m)
+            # the scan alone, since basis Fitting splits may decide first
+            scan = gendecomp._scan_idempotents(m, homext.hom_space(m, m))
+            assert (scan is not None) == decomposable
+            res = gendecomp.is_indecomposable(m, seed=t)
+            assert bool(res) == (not decomposable)
+            assert res.certainty == gendecomp.EXHAUSTIVE
+            ks = gendecomp.krull_schmidt(m, seed=t)
+            assert ks.certainty == gendecomp.EXHAUSTIVE
+            assert tuple(map(sum, zip(*ks.rank_multiset()))) == r
+            assert (ks.summand_count() > 1) == decomposable
+            for part, _ in ks.parts:
+                assert not _has_proper_idempotent(part)
+
+    @pytest.mark.parametrize("name,k,p,r", ORACLE_SPACES, ids=ORACLE_IDS)
+    def test_over_budget_path(self, request, name, k, p, r):
+        # budget 1 skips the scan: splits stay exhaustive, while a negative
+        # answer rests on the random trials alone
+        datum = request.getfixturevalue(name)
+        for t, s in enumerate(hmod.iter_structure_matrices(datum, k, p, r)):
+            m = hmod.from_structure_matrices(s)
+            res = gendecomp.is_indecomposable(m, seed=t, idempotent_budget=1)
+            assert bool(res) == (not _has_proper_idempotent(m))
+            assert res.certainty == (gendecomp.MONTE_CARLO if res
+                                     else gendecomp.EXHAUSTIVE)
+
+    def test_over_budget_local_end(self, b2):
+        # E_1 at k=1: End = F_p[x]/(x^2), indecomposable with dim End = 2
+        m = hmod.free_module(b2, 1, 2, (1, 0))
+        assert homext.hom_space(m, m).dim == 2
+        assert gendecomp.is_indecomposable(m).certainty == \
+            gendecomp.EXHAUSTIVE
+        res = gendecomp.is_indecomposable(m, idempotent_budget=1)
+        assert res and res.certainty == gendecomp.MONTE_CARLO
+        ks = gendecomp.krull_schmidt(m, idempotent_budget=1)
+        assert ks.rank_multiset() == ((1, 0),)
+        assert ks.certainty == gendecomp.MONTE_CARLO
 
 
 class TestExtGeneric:

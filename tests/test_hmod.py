@@ -7,6 +7,7 @@ from cartanquiver import exactlinalg as la
 from cartanquiver import hmod
 from cartanquiver.cartan import RankVector
 from cartanquiver.errors import (
+    ModulusTooLarge,
     NotInvariant,
     NotLocallyFree,
     RelationBrokenAtPrime,
@@ -222,6 +223,62 @@ class TestNormalize:
         from cartanquiver import homext
 
         assert homext.are_isomorphic(std, m).isomorphic
+
+
+class TestModulusBound:
+    @pytest.mark.parametrize("p", [2147483647, 3037000493, 4294967311])
+    def test_large_primes_refused(self, a2, p):
+        zero = np.zeros((1, 1), dtype=np.int64)
+        with pytest.raises(ModulusTooLarge):
+            hmod.make_module(a2, 1, p, [zero, zero], {})
+        with pytest.raises(ValidationError):
+            hmod.free_module(a2, 2, p, (1, 1))
+
+    def test_reduce_mod_p_refuses_large_prime(self, a2):
+        with pytest.raises(ModulusTooLarge):
+            hmod.reduce_mod_p(n_module(a2, 2, 5), 46349)
+
+    def test_largest_prime_hom_space_exact(self, b2):
+        from cartanquiver import homext
+
+        p = la.MAX_PRIME
+        m = hmod.random_locally_free(b2, 2, p, (2, 1), seed=3)
+        rng = np.random.default_rng(4)
+        ts = []
+        for d in m.dims:
+            while True:
+                t = rng.integers(p - 50, p, size=(d, d))
+                if la.is_invertible(t, p):
+                    ts.append(t)
+                    break
+        tinv = [la.inv(t, p) for t in ts]
+
+        def conj(x, i, j):
+            # Python-integer arithmetic: exact for any p
+            return (tinv[i].astype(object) @ x.astype(object)
+                    @ ts[j].astype(object)) % p
+
+        scrambled = hmod.make_module(
+            b2, 2, p, [conj(m.eps[i], i, i).astype(np.int64)
+                       for i in range(m.n)],
+            {key: [conj(a, *key).astype(np.int64) for a in mats]
+             for key, mats in m.arrows.items()})
+        end_m = homext.hom_space(m, m)
+        end_s = homext.hom_space(scrambled, scrambled)
+        assert end_s.dim == end_m.dim >= 1
+        for f in end_s.elements:
+            for i in range(scrambled.n):
+                fi = f[i].astype(object)
+                lhs = fi @ scrambled.eps[i].astype(object)
+                rhs = scrambled.eps[i].astype(object) @ fi
+                assert not ((lhs - rhs) % p).any()
+            for (i, j), mats in scrambled.arrows.items():
+                for a in mats:
+                    lhs = f[i].astype(object) @ a.astype(object)
+                    rhs = a.astype(object) @ f[j].astype(object)
+                    assert not ((lhs - rhs) % p).any()
+        iso = homext.are_isomorphic(m, scrambled)
+        assert iso.isomorphic and iso.certain
 
 
 class TestLift:
