@@ -5,7 +5,10 @@ Enumeration works per vertex first: the free rank-e submodules of a free
 module over F_p[x]/(x^m) are generated directly from ring-echelon charts
 (pivot rows carry the identity, rows between pivots are constrained to
 higher x-degree), which hits every eps-invariant free-restriction subspace
-exactly once; arrow closure is then filtered across vertices.  Flags of
+exactly once.  The charts of a vertex are built as one stacked array and
+reduced by one batched elimination into a cached candidate table; one
+backtracking search, which iterates or counts, then tests a block of
+candidates at a time for arrow closure across vertices.  Flags of
 length l are translated into single submodules of the repetitive module
 over the tensor algebra with the path algebra of a linear quiver on l-1
 vertices; that translation also provides tangent spaces (one Hom solve)
@@ -48,66 +51,83 @@ DEFAULT_VERTEX_CANDIDATE_BUDGET = 10 ** 7
 
 # --- free submodules of one truncated polynomial column ----------------------
 
-def _chart_free_positions(pivots: tuple[int, ...], r: int, e: int
-                          ) -> list[tuple[int, int, int]]:
-    """(row, col, min_degree) for the free ring entries of a chart."""
+def _chart_patterns(m_order: int, r: int, e: int, p: int):
+    """Per pivot pattern, in chart order: (pivots, slots, charts).  Row q off
+    the pivots has a free entry in every column, of degree >= 1 in the
+    columns whose pivot lies below q.  A chart's index within its pattern,
+    written in base p, lists these free coefficients (row, col, degree) as
+    `slots` orders them, least significant first."""
+    if e < 0 or e > r:
+        return []
     out = []
-    for q in range(r):
-        if q in pivots:
-            continue
-        t = sum(1 for piv in pivots if piv < q)
-        for col in range(e):
-            out.append((q, col, 0 if col < t else 1))
+    for pivots in itertools.combinations(range(r), e):
+        free = [(q, col, 0 if pivots[col] < q else 1)
+                for q in range(r) if q not in pivots for col in range(e)]
+        slots = [(q, col, t) for q, col, mind in reversed(free)
+                 for t in range(mind, m_order)]
+        out.append((pivots, slots, p ** len(slots)))
     return out
 
 
 def chart_count(m_order: int, r: int, e: int, p: int) -> int:
     """Number of free rank-e submodules of a free rank-r column."""
-    total = 0
-    for pivots in itertools.combinations(range(r), e):
-        exp = 0
-        for _, _, min_deg in _chart_free_positions(pivots, r, e):
-            exp += m_order - min_deg
-        total += p ** exp
-    return total
+    return sum(size for _, _, size in _chart_patterns(m_order, r, e, p))
+
+
+def _chart_block(m_order: int, r: int, e: int, p: int, start: int,
+                  stop: int) -> np.ndarray:
+    """Charts start, ..., stop - 1 (in chart order) as ring matrices, one
+    (r, e, m_order) coefficient array per chart."""
+    out = np.zeros((stop - start, r, e, m_order), dtype=np.int64)
+    offset = 0
+    for pivots, slots, size in _chart_patterns(m_order, r, e, p):
+        lo, hi = max(start, offset), min(stop, offset + size)
+        if lo < hi:
+            part = out[lo - start:hi - start]
+            for col, piv in enumerate(pivots):
+                part[:, piv, col, 0] = 1
+            code = np.arange(lo - offset, hi - offset, dtype=np.int64)
+            for row, col, t in slots:
+                part[:, row, col, t] = code % p
+                code //= p
+        offset += size
+    return out
 
 
 def iter_ring_charts(m_order: int, r: int, e: int, p: int
                      ) -> Iterator[np.ndarray]:
     """All ring matrices (r x e x m_order coefficient arrays) whose column
     spans run over the free rank-e submodules, one matrix per submodule."""
-    if e < 0 or e > r:
-        return
-    if e == 0:
-        yield np.zeros((r, 0, m_order), dtype=np.int64)
-        return
-    for pivots in itertools.combinations(range(r), e):
-        positions = _chart_free_positions(pivots, r, e)
-        ranges = [range(p ** (m_order - mind)) for _, _, mind in positions]
-        for codes in itertools.product(*ranges):
-            mat = np.zeros((r, e, m_order), dtype=np.int64)
-            for col, piv in enumerate(pivots):
-                mat[piv, col, 0] = 1
-            for (row, col, mind), code in zip(positions, codes):
-                for t in range(mind, m_order):
-                    code, digit = divmod(code, p)
-                    mat[row, col, t] = digit
-            yield mat
+    count = chart_count(m_order, r, e, p)
+    step = _block_size(m_order, r, e)
+    for start in range(0, count, step):
+        yield from _chart_block(m_order, r, e, p, start,
+                                min(count, start + step))
+
+
+def _chart_rows(charts: np.ndarray, m_order: int) -> np.ndarray:
+    """Row matrices of a stack of ring matrices: ring column `col` shifted
+    by eps^shift is row col*m + shift, and its coefficient of degree `deg`
+    in generator s sits at column s*m + deg + shift (generator-major)."""
+    n, r, e, _ = charts.shape
+    col, shift, s, deg = (g.ravel() for g in np.meshgrid(
+        np.arange(e), np.arange(m_order), np.arange(r), np.arange(m_order),
+        indexing="ij"))
+    keep = deg + shift < m_order
+    col, shift, s, deg = col[keep], shift[keep], s[keep], deg[keep]
+    rows = np.zeros((n, e * m_order, r * m_order), dtype=np.int64)
+    rows[:, col * m_order + shift, s * m_order + deg + shift] = \
+        charts[:, s, col, deg]
+    return rows
 
 
 def ring_matrix_to_subspace(ring_mat: np.ndarray, m_order: int, r: int,
                             p: int) -> Subspace:
     """K-span of the ring columns and all their eps-shifts inside the
     generator-major standard basis of a free rank-r column."""
-    e = ring_mat.shape[1]
-    rows = la.zeros(e * m_order, r * m_order)
-    for col in range(e):
-        for shift in range(m_order):
-            vec = rows[col * m_order + shift]
-            for s in range(r):
-                for deg in range(m_order - shift):
-                    vec[s * m_order + deg + shift] = ring_mat[s, col, deg]
-    return Subspace.from_rows(rows, r * m_order, p)
+    charts = np.asarray(ring_mat, dtype=np.int64)[None]
+    return Subspace.from_rows(_chart_rows(charts, m_order)[0],
+                              r * m_order, p)
 
 
 def free_submodule_subspace(m: HModule, vertex: int,
@@ -128,21 +148,84 @@ def free_submodule_subspace(m: HModule, vertex: int,
     return ring_matrix_to_subspace(ring_mat, order, r, m.p)
 
 
-_CANDIDATE_CACHE_LIMIT = 20000
+# --- per-vertex candidate tables ----------------------------------------------
+
+_CANDIDATE_CACHE_LIMIT = 20000   # charts of the largest key kept as a table
+_CANDIDATE_CACHE_SIZE = 256      # keys kept; a `count` bench pass uses 116
+_BLOCK_CELLS = 1 << 17           # int64 cells of row matrices per block
 
 
-@functools.lru_cache(maxsize=None)
+def _block_size(m_order: int, r: int, e: int) -> int:
+    """Charts per block: about _BLOCK_CELLS cells of row matrices."""
+    return max(1, _BLOCK_CELLS // max(1, e * r * m_order * m_order))
+
+
+@dataclass(frozen=True, eq=False)
+class _CandidateTable:
+    """Candidate submodules of one (m_order, r, e, p) key, or a block of
+    them, in chart order: read-only RREF bases (N, e*m, r*m) and their
+    pivot columns (N, e*m)."""
+
+    p: int
+    ambient: int
+    basis: np.ndarray
+    pivots: np.ndarray
+
+    def __len__(self) -> int:
+        return self.basis.shape[0]
+
+    def block(self, start: int, stop: int) -> "_CandidateTable":
+        return _CandidateTable(self.p, self.ambient, self.basis[start:stop],
+                               self.pivots[start:stop])
+
+    def subspace(self, t: int) -> Subspace:
+        """Candidate t as a Subspace viewing the table."""
+        return Subspace(self.p, self.ambient, self.basis[t],
+                        tuple(self.pivots[t].tolist()))
+
+
+def _new_table(m_order: int, r: int, e: int, p: int, start: int,
+               stop: int) -> _CandidateTable:
+    """Charts start, ..., stop - 1 as a table: each block of charts is
+    reduced by one batched elimination into preallocated arrays, and every
+    chart must have full rank e*m (it spans a free submodule)."""
+    d = e * m_order
+    basis = np.empty((stop - start, d, r * m_order), dtype=np.int64)
+    pivots = np.empty((stop - start, d), dtype=np.int64)
+    step = _block_size(m_order, r, e)
+    for lo in range(start, stop, step):
+        hi = min(stop, lo + step)
+        rows = _chart_rows(_chart_block(m_order, r, e, p, lo, hi), m_order)
+        reduced, ranks, piv = la.rref_stack(rows, p)
+        if (ranks != d).any():
+            raise InternalCheckError(
+                "a ring-echelon chart does not span a free submodule")
+        basis[lo - start:hi - start] = reduced
+        pivots[lo - start:hi - start] = piv
+    basis.setflags(write=False)
+    pivots.setflags(write=False)
+    return _CandidateTable(p, r * m_order, basis, pivots)
+
+
+@functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
 def _vertex_candidates(m_order: int, r: int, e: int, p: int
-                       ) -> tuple[Subspace, ...]:
-    return tuple(ring_matrix_to_subspace(mat, m_order, r, p)
-                 for mat in iter_ring_charts(m_order, r, e, p))
+                       ) -> _CandidateTable:
+    return _new_table(m_order, r, e, p, 0, chart_count(m_order, r, e, p))
 
 
-def _vertex_candidate_stream(m_order: int, r: int, e: int, p: int):
-    if chart_count(m_order, r, e, p) <= _CANDIDATE_CACHE_LIMIT:
-        return iter(_vertex_candidates(m_order, r, e, p))
-    return (ring_matrix_to_subspace(mat, m_order, r, p)
-            for mat in iter_ring_charts(m_order, r, e, p))
+def _candidate_blocks(m_order: int, r: int, e: int, p: int
+                      ) -> Iterator[_CandidateTable]:
+    """The candidates of one key in chart order, a block at a time: views
+    of the cached table, or (over _CANDIDATE_CACHE_LIMIT charts) blocks
+    built as they are reached and never cached."""
+    count = chart_count(m_order, r, e, p)
+    step = _block_size(m_order, r, e)
+    table = (_vertex_candidates(m_order, r, e, p)
+             if count <= _CANDIDATE_CACHE_LIMIT else None)
+    for start in range(0, count, step):
+        stop = min(count, start + step)
+        yield (table.block(start, stop) if table is not None
+               else _new_table(m_order, r, e, p, start, stop))
 
 
 # --- submodule and flag enumeration ------------------------------------------
@@ -169,6 +252,71 @@ def _check_budgets(m: HModule, rank, e, max_candidates, override_budget):
                 f"pass override_budget=True to proceed")
 
 
+def _reducer(u: Subspace) -> np.ndarray:
+    """Matrix R with v @ R = v - v[:, pivots] @ basis mod p: the residue of
+    row vectors modulo u, as one product."""
+    out = la.identity(u.ambient)
+    rows = list(u.pivots)
+    out[rows] = (out[rows] - u.basis) % u.p
+    return out
+
+
+def _closed(block: _CandidateTable, v: int, tests, chosen: dict
+            ) -> np.ndarray:
+    """Mask of the candidates at vertex v closed under the given arrows to
+    chosen vertices, by one residue computation per arrow for the block."""
+    p = block.p
+    ok = np.ones(len(block), dtype=bool)
+    for i, j, a in tests:
+        if i == v:
+            # image of the chosen U_j against every candidate U_i:
+            # img - img[:, P] @ B
+            img = (chosen[j].basis @ a.T) % p
+            coeff = img[:, block.pivots].transpose(1, 0, 2)
+            resid = (img - coeff @ block.basis) % p
+        else:
+            # image of every candidate U_j against the chosen U_i
+            resid = (block.basis @ ((a.T @ _reducer(chosen[i])) % p)) % p
+        ok &= ~resid.any(axis=(1, 2))
+    return ok
+
+
+def _closure_search(m: HModule, rank: RankVector, e: RankVector,
+                    order: Sequence[int], count: bool):
+    """Backtracking over the candidates of the vertices in `order`, a block
+    at a time: each block is tested at once against the active arrows to
+    the vertices already chosen.  Yields the closed tuples (one subspace per
+    vertex of m) in chart order, or with count=True, for each block of the
+    last vertex, the number of closed tuples it completes."""
+    active = _active_arrows(m, rank, e)
+    levels = []
+    placed: set[int] = set()
+    for v in order:
+        placed.add(v)
+        tests = [(i, j, a) for i, j, a in active
+                 if v in (i, j) and {i, j} <= placed]
+        levels.append((v, (m.loop_order(v), rank[v], e[v], m.p), tests))
+    chosen: dict[int, Subspace] = {}
+
+    def extend(idx: int):
+        v, key, tests = levels[idx]
+        last = idx + 1 == len(levels)
+        for block in _candidate_blocks(*key):
+            ok = _closed(block, v, tests, chosen)
+            if last and count:
+                yield int(np.count_nonzero(ok))
+                continue
+            for t in np.flatnonzero(ok):
+                chosen[v] = block.subspace(t)
+                if last:
+                    yield tuple(chosen[u] for u in range(m.n))
+                else:
+                    yield from extend(idx + 1)
+        chosen.pop(v, None)
+
+    yield from extend(0)
+
+
 def iter_locally_free_submodules(
         m: HModule, e, max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
         override_budget: bool = False) -> Iterator[tuple[Subspace, ...]]:
@@ -187,30 +335,7 @@ def iter_locally_free_submodules(
                         for i, sub in enumerate(tup))
         return
     _check_budgets(m, rank, e, max_candidates, override_budget)
-    active = _active_arrows(m, rank, e)
-    arrows_by_vertex: dict[int, list] = {i: [] for i in range(m.n)}
-    for i, j, a in active:
-        arrows_by_vertex[max(i, j)].append((i, j, a))
-    chosen: list[Subspace] = []
-
-    def extend(idx: int):
-        if idx == m.n:
-            yield tuple(chosen)
-            return
-        for cand in _vertex_candidate_stream(
-                m.loop_order(idx), rank[idx], e[idx], m.p):
-            chosen.append(cand)
-            ok = True
-            for i, j, a in arrows_by_vertex[idx]:
-                image = (a @ chosen[j].basis.T).T
-                if not chosen[i].contains_rows(image):
-                    ok = False
-                    break
-            if ok:
-                yield from extend(idx + 1)
-            chosen.pop()
-
-    yield from extend(0)
+    yield from _closure_search(m, rank, e, range(m.n), count=False)
 
 
 def enumerate_locally_free_submodules(
@@ -224,49 +349,29 @@ def count_locally_free_submodules(
         m: HModule, e, max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
         override_budget: bool = False) -> int:
     """Grassmannian point count with the unconstrained vertices counted in
-    closed form; only vertices touched by an active arrow are enumerated."""
+    closed form; only vertices touched by an active arrow are enumerated,
+    streamed keys first (built once), then by ascending candidate count, so
+    the last vertex, tested a block at a time, has the most candidates."""
     rank = hmod.rank_vector(m)
     e = RankVector(e)
     if not (e <= rank):
         raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
     std = m if m.standard_form else hmod.normalize(m)[0]
-    active = _active_arrows(std, rank, e)
-    coupled = {v for (i, j, _) in active for v in (i, j)}
+    counts = [chart_count(std.loop_order(i), rank[i], e[i], std.p)
+              for i in range(std.n)]
+    coupled = {v for (i, j, _) in _active_arrows(std, rank, e)
+               for v in (i, j)}
     free_factor = 1
     for i in range(std.n):
         if i not in coupled:
-            free_factor *= chart_count(std.loop_order(i), rank[i], e[i],
-                                       std.p)
+            free_factor *= counts[i]
     if not coupled:
         return free_factor
     _check_budgets(std, rank, e, max_candidates, override_budget)
-    arrows_by_vertex: dict[int, list] = {i: [] for i in range(std.n)}
-    for i, j, a in active:
-        arrows_by_vertex[max(i, j)].append((i, j, a))
-    order = sorted(coupled)
-    chosen: dict[int, Subspace] = {}
-
-    def count_from(idx: int) -> int:
-        if idx == len(order):
-            return 1
-        v = order[idx]
-        total = 0
-        for cand in _vertex_candidate_stream(
-                std.loop_order(v), rank[v], e[v], std.p):
-            chosen[v] = cand
-            ok = True
-            for i, j, a in arrows_by_vertex[v]:
-                if i in chosen and j in chosen:
-                    image = (a @ chosen[j].basis.T).T
-                    if not chosen[i].contains_rows(image):
-                        ok = False
-                        break
-            if ok:
-                total += count_from(idx + 1)
-            del chosen[v]
-        return total
-
-    return free_factor * count_from(0)
+    order = sorted(coupled, key=lambda v: (
+        counts[v] <= _CANDIDATE_CACHE_LIMIT, counts[v], v))
+    return free_factor * sum(_closure_search(std, rank, e, order,
+                                             count=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,13 +471,12 @@ def _iter_layer_chains(m: HModule, seq, max_candidates, override_budget):
     top_rank = hmod.rank_vector(m) - seq[-1]
     for tup in iter_locally_free_submodules(
             m, top_rank, max_candidates, override_budget):
-        sq = hmod.sub_quotient(m, tup)
-        inner = sq.sub
+        inner, sub_basis = hmod.submodule(m, tup)
         for chain in _iter_layer_chains(inner, seq[:-1], max_candidates,
                                         override_budget):
             lifted = [tuple(
                 Subspace.from_rows(
-                    (layer[i].basis @ sq.sub_basis[i].T) % m.p,
+                    (layer[i].basis @ sub_basis[i].T) % m.p,
                     m.dims[i], m.p)
                 for i in range(m.n)) for layer in chain]
             yield lifted + [tup]
@@ -394,8 +498,7 @@ def point_count(m: HModule, brseq, **kwargs) -> int:
     total = 0
     top_rank = rank - seq[-1]
     for tup in iter_locally_free_submodules(m, top_rank, **kwargs):
-        total += point_count(hmod.sub_quotient(m, tup).sub, seq[:-1],
-                             **kwargs)
+        total += point_count(hmod.submodule(m, tup)[0], seq[:-1], **kwargs)
     return total
 
 

@@ -234,8 +234,8 @@ def krull_schmidt(m: HModule, seed=0,
             pieces.append(cur)
             continue
         ims, kers = split
-        stack.append(hmod.sub_quotient(cur, ims).sub)
-        stack.append(hmod.sub_quotient(cur, kers).sub)
+        stack.append(hmod.submodule(cur, ims)[0])
+        stack.append(hmod.submodule(cur, kers)[0])
     groups: list[list[HModule]] = []
     for piece in pieces:
         for group in groups:

@@ -486,8 +486,10 @@ class SubQuotient:
     quot_section: tuple[np.ndarray, ...]     # sections of the projections
 
 
-def sub_quotient(m: HModule, subspaces) -> SubQuotient:
-    """Restrict and quotient along per-vertex invariant subspaces.
+def submodule(m: HModule, subspaces
+              ) -> tuple[HModule, tuple[np.ndarray, ...]]:
+    """Restrict to per-vertex invariant subspaces: the submodule and, per
+    vertex, the basis of U_i as the columns of a matrix.
 
     Raises NotInvariant when some loop or arrow does not preserve the
     given subspaces.
@@ -502,12 +504,27 @@ def sub_quotient(m: HModule, subspaces) -> SubQuotient:
         image = (mat @ subs[j].basis.T).T
         if not subs[i].contains_rows(image):
             raise NotInvariant(f"{label} does not preserve the subspace")
-    bases = [u.basis.T.copy() for u in subs]
-    qmaps = [la.quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
+    bases = tuple(_frozen(u.basis.T) for u in subs)
 
     def restrict(mat, i, j):
         img = (mat @ bases[j]) % m.p
         return subs[i].coordinates_rows(img.T).T
+
+    sub_eps = [restrict(m.eps[i], i, i) for i in range(m.n)]
+    sub_arrows = {key: [restrict(a, *key) for a in mats]
+                  for key, mats in m.arrows.items()}
+    return make_module(m.datum, m.k, m.p, sub_eps, sub_arrows), bases
+
+
+def sub_quotient(m: HModule, subspaces) -> SubQuotient:
+    """Restrict and quotient along per-vertex invariant subspaces.
+
+    Raises NotInvariant when some loop or arrow does not preserve the
+    given subspaces.
+    """
+    subs = list(subspaces)
+    sub, bases = submodule(m, subs)
+    qmaps = [la.quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
 
     def descend(mat, i, j):
         head = (qmaps[i][0] @ mat) % m.p
@@ -515,17 +532,12 @@ def sub_quotient(m: HModule, subspaces) -> SubQuotient:
             raise InternalCheckError("quotient map not well defined")
         return (head @ qmaps[j][1]) % m.p
 
-    sub_eps = [restrict(m.eps[i], i, i) for i in range(m.n)]
     quot_eps = [descend(m.eps[i], i, i) for i in range(m.n)]
-    sub_arrows = {}
-    quot_arrows = {}
-    for (i, j), mats in m.arrows.items():
-        sub_arrows[(i, j)] = [restrict(a, i, j) for a in mats]
-        quot_arrows[(i, j)] = [descend(a, i, j) for a in mats]
-    sub = make_module(m.datum, m.k, m.p, sub_eps, sub_arrows)
+    quot_arrows = {key: [descend(a, *key) for a in mats]
+                   for key, mats in m.arrows.items()}
     quot = make_module(m.datum, m.k, m.p, quot_eps, quot_arrows)
-    return SubQuotient(sub, tuple(_frozen(b) for b in bases),
-                       quot, tuple(_frozen(q[0]) for q in qmaps),
+    return SubQuotient(sub, bases, quot,
+                       tuple(_frozen(q[0]) for q in qmaps),
                        tuple(_frozen(q[1]) for q in qmaps))
 
 

@@ -53,6 +53,20 @@ def one_vertex():
         cartan.validate_cartan([[2]], [1]), [])
 
 
+@pytest.fixture(scope="session")
+def a3():
+    """Linear three-vertex A-type datum."""
+    c = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    return make_datum(c, [1, 1, 1], [(0, 1), (1, 2)])
+
+
+@pytest.fixture(scope="session")
+def b3():
+    """Three-vertex chain with the mixed symmetrizer diag(2, 2, 1)."""
+    c = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+    return make_datum(c, [2, 2, 1], [(0, 1), (1, 2)])
+
+
 def golden_module(datum, k, p):
     """Rank (1, 1) module whose arrow acts by the loop: the standard
     example of a non-zero map dying under reduction (k = 2)."""

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanquiver import exactlinalg as la
 from cartanquiver.errors import (
@@ -52,6 +54,54 @@ def test_rref_idempotent():
             r1, rank1, piv1 = la.rref(a, p)
             r2, rank2, piv2 = la.rref(r1, p)
             assert np.array_equal(r1, r2) and rank1 == rank2 and piv1 == piv2
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(p, stack): a few matrices over F_p, biased to zeros, ones and -1,
+    with a dependent last row in some draws."""
+    p = draw(st.sampled_from([2, 3, 7, 46337]))
+    n = draw(st.integers(0, 5))
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1),
+                      st.integers(0, p - 1))
+    flat = draw(st.lists(entry, min_size=n * rows * cols,
+                         max_size=n * rows * cols))
+    stack = np.array(flat, dtype=np.int64).reshape(n, rows, cols)
+    if rows > 1 and draw(st.booleans()):
+        c = draw(st.integers(1, p - 1))
+        stack[:, -1] = (c * stack[:, 0] + stack[:, -2]) % p
+    return p, stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_stacks())
+def test_rref_stack_matches_rref(case):
+    p, stack = case
+    before = stack.copy()
+    reduced, ranks, pivots = la.rref_stack(stack, p)
+    assert np.array_equal(stack, before)
+    assert reduced.shape == stack.shape
+    assert pivots.shape == stack.shape[:2]
+    for b in range(stack.shape[0]):
+        r, rank, piv = la.rref(stack[b], p)
+        assert np.array_equal(reduced[b], r)
+        assert ranks[b] == rank
+        assert tuple(pivots[b, :rank].tolist()) == piv
+        assert (pivots[b, rank:] == -1).all()
+
+
+def test_rref_stack_exact_at_largest_prime():
+    p = la.MAX_PRIME
+    stack = np.full((3, 4, 5), p - 1, dtype=np.int64)
+    stack[1] = np.arange(20).reshape(4, 5) * (p // 7)
+    stack[2, :, :4] = (p - 1) * la.identity(4)
+    reduced, ranks, _ = la.rref_stack(stack, p)
+    for b in range(3):
+        r, rank, _ = la.rref(stack[b], p)
+        assert np.array_equal(reduced[b], r) and ranks[b] == rank
+    assert list(ranks) == [1, 2, 4]
 
 
 def test_kernel_rank_nullity():

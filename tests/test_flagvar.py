@@ -9,6 +9,7 @@ from cartanquiver.cartan import RankVector, euler_form, flag_dimension
 from cartanquiver.errors import (
     BudgetExceeded,
     FlagNotInReduction,
+    InternalCheckError,
     NonIntegerCoefficient,
     NotEnoughPrimes,
     OverdeterminedMismatch,
@@ -54,6 +55,235 @@ class TestChartEnumeration:
             assert sub.dim == 2
             image = (m.eps[0] @ sub.basis.T).T
             assert sub.contains_rows(image)
+
+
+def reference_charts(m_order, r, e, p):
+    """The per-chart fill loop: one ring matrix at a time, in chart order
+    (pivot patterns in combination order, free coefficients by row, column
+    and then degree, lowest degree least significant)."""
+    if e == 0:
+        yield np.zeros((r, 0, m_order), dtype=np.int64)
+        return
+    for pivots in itertools.combinations(range(r), e):
+        positions = []
+        for q in range(r):
+            if q in pivots:
+                continue
+            below = sum(1 for piv in pivots if piv < q)
+            for col in range(e):
+                positions.append((q, col, 0 if col < below else 1))
+        ranges = [range(p ** (m_order - mind)) for _, _, mind in positions]
+        for codes in itertools.product(*ranges):
+            mat = np.zeros((r, e, m_order), dtype=np.int64)
+            for col, piv in enumerate(pivots):
+                mat[piv, col, 0] = 1
+            for (row, col, mind), code in zip(positions, codes):
+                for t in range(mind, m_order):
+                    code, digit = divmod(code, p)
+                    mat[row, col, t] = digit
+            yield mat
+
+
+def reference_subspace(ring_mat, m_order, r, p):
+    """Span of the ring columns and their eps-shifts, filled entry by entry
+    and reduced by la.rref."""
+    e = ring_mat.shape[1]
+    rows = la.zeros(e * m_order, r * m_order)
+    for col in range(e):
+        for shift in range(m_order):
+            vec = rows[col * m_order + shift]
+            for s in range(r):
+                for deg in range(m_order - shift):
+                    vec[s * m_order + deg + shift] = ring_mat[s, col, deg]
+    return la.Subspace.from_rows(rows, r * m_order, p)
+
+
+TABLE_KEYS = [(m_order, r, e, p)
+              for m_order in range(1, 5) for r in range(4)
+              for e in range(r + 1) for p in (2, 3, 5)
+              if flagvar.chart_count(m_order, r, e, p) <= 2000]
+
+
+class TestCandidateTables:
+    def test_tables_match_per_chart_reference(self):
+        for key in TABLE_KEYS:
+            m_order, r, e, p = key
+            charts = list(reference_charts(*key))
+            assert len(charts) == flagvar.chart_count(*key), key
+            produced = list(flagvar.iter_ring_charts(*key))
+            assert len(produced) == len(charts), key
+            for want, got in zip(charts, produced):
+                assert np.array_equal(want, got), key
+            table = flagvar._vertex_candidates(*key)
+            assert len(table) == len(charts), key
+            for t, mat in enumerate(charts):
+                want = reference_subspace(mat, m_order, r, p)
+                got = table.subspace(t)
+                assert got == want, key
+                assert np.array_equal(got.basis, want.basis), key
+                assert got.pivots == want.pivots, key
+                assert got.basis.dtype == want.basis.dtype, key
+                assert hash(got) == hash(want), key
+
+    def test_table_is_read_only(self):
+        table = flagvar._vertex_candidates(2, 2, 1, 3)
+        sub = table.subspace(0)
+        for arr in (table.basis, table.pivots, sub.basis):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_cache_is_bounded(self):
+        size = flagvar._CANDIDATE_CACHE_SIZE
+        assert size >= 128
+        assert flagvar._vertex_candidates.cache_info().maxsize == size
+        primes = [q for q in range(2, 10 ** 4)
+                  if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+        assert len(primes) > size + 10
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            for q in primes[:size + 10]:
+                assert len(flagvar._vertex_candidates(1, 1, 1, q)) == 1
+                info = flagvar._vertex_candidates.cache_info()
+                assert info.currsize <= size
+            assert info.currsize == size
+        finally:
+            flagvar._vertex_candidates.cache_clear()
+
+    def test_cache_clear_leaves_no_enumeration_state(self, a2):
+        # the candidate tables are the only cache: no other cached callable
+        # lives in the module, and a cleared cache is rebuilt key by key
+        cached = [name for name, obj in vars(flagvar).items()
+                  if hasattr(obj, "cache_info")]
+        assert cached == ["_vertex_candidates"]
+        m = n_module(a2, 2, 3)
+        flagvar._vertex_candidates.cache_clear()
+        first = flagvar.enumerate_locally_free_submodules(m, (1, 1))
+        misses = flagvar._vertex_candidates.cache_info().misses
+        assert misses == 1          # both vertices share the key (2, 2, 1, 3)
+        flagvar._vertex_candidates.cache_clear()
+        assert flagvar._vertex_candidates.cache_info().currsize == 0
+        again = flagvar.enumerate_locally_free_submodules(m, (1, 1))
+        assert flagvar._vertex_candidates.cache_info().misses == misses
+        assert again == first
+
+    def test_rank_check(self, monkeypatch):
+        original = la.rref_stack
+
+        def short_rank(rows, p):
+            reduced, ranks, pivots = original(rows, p)
+            return reduced, ranks - 1, pivots
+
+        monkeypatch.setattr(la, "rref_stack", short_rank)
+        with pytest.raises(InternalCheckError):
+            flagvar._new_table(2, 2, 1, 3, 0, 4)
+
+
+def brute_force_submodules(m, e):
+    """Every product of per-vertex charts (reference fill loop), filtered by
+    arrow closure with Subspace.contains_rows, in product order."""
+    per_vertex = []
+    for v in range(m.n):
+        order = m.loop_order(v)
+        r = m.dims[v] // order
+        per_vertex.append([reference_subspace(mat, order, r, m.p)
+                           for mat in reference_charts(order, r, e[v], m.p)])
+    out = []
+    for tup in itertools.product(*per_vertex):
+        if all(tup[i].contains_rows((a @ tup[j].basis.T).T)
+               for (i, j), mats in m.arrows.items() for a in mats):
+            out.append(tup)
+    return out
+
+
+def _search_cases(datum, ranks, ks=(1, 2), ps=(2, 3), samples=2):
+    for k in ks:
+        for p in ps:
+            for r in ranks:
+                for t in range(samples):
+                    m = hmod.random_locally_free(datum, k, p, r,
+                                                 seed=(40, k, p, t) + r)
+                    for e in itertools.product(*(range(x + 1) for x in r)):
+                        yield m, e
+
+
+class TestClosureSearchOracle:
+    @pytest.mark.parametrize("name", ["a2", "b2", "b2_rev", "kronecker"])
+    def test_two_vertex_modules(self, request, name):
+        datum = request.getfixturevalue(name)
+        ranks = [(2, 1), (1, 2), (2, 2)]
+        ps = (2, 3) if name != "b2" else (2,)
+        for m, e in _search_cases(datum, ranks, ps=ps):
+            want = brute_force_submodules(m, e)
+            got = flagvar.enumerate_locally_free_submodules(m, e)
+            assert got == want, (m.dims, e)
+            assert flagvar.count_locally_free_submodules(m, e) == len(want)
+
+    def test_three_vertex_modules(self, a3):
+        for m, e in _search_cases(a3, [(1, 1, 1), (1, 2, 1), (2, 1, 1)],
+                                  ps=(2,)):
+            want = brute_force_submodules(m, e)
+            got = flagvar.enumerate_locally_free_submodules(m, e)
+            assert got == want, (m.dims, e)
+            assert flagvar.count_locally_free_submodules(m, e) == len(want)
+
+
+class TestStreamedCandidates:
+    """Keys over the cache limit are streamed block by block, never cached,
+    with the same order, counts and flags as the cached tables."""
+
+    @pytest.mark.parametrize("cells", [1, 40, None])
+    def test_streamed_matches_cached(self, a2, b2, monkeypatch, cells):
+        cases = [(n_module(a2, 2, 3), (1, 1), [(1, 1), (1, 1)]),
+                 (rigid_module(b2, 2, 2, (2, 1), seed=5), (1, 1),
+                  [(1, 0), (1, 1)]),
+                 (rigid_module(a2, 2, 2, (2, 1), seed=6), (1, 0),
+                  [(1, 0), (1, 0), (0, 1)])]
+        cached = []
+        for m, e, brseq in cases:
+            cached.append((flagvar.enumerate_locally_free_submodules(m, e),
+                           flagvar.count_locally_free_submodules(m, e),
+                           [f.layers for f in flagvar.enumerate_flags(
+                               m, brseq)],
+                           flagvar.point_count(m, brseq)))
+        monkeypatch.setattr(flagvar, "_CANDIDATE_CACHE_LIMIT", 1)
+        if cells is not None:
+            monkeypatch.setattr(flagvar, "_BLOCK_CELLS", cells)
+        flagvar._vertex_candidates.cache_clear()
+        for (m, e, brseq), want in zip(cases, cached):
+            got = (flagvar.enumerate_locally_free_submodules(m, e),
+                   flagvar.count_locally_free_submodules(m, e),
+                   [f.layers for f in flagvar.enumerate_flags(m, brseq)],
+                   flagvar.point_count(m, brseq))
+            assert got == want
+        # only the single-chart keys (zero and full layers) were cached
+        info = flagvar._vertex_candidates.cache_info()
+        assert info.currsize == info.misses
+        for key in [(2, 2, 1, 3), (4, 2, 1, 2), (2, 2, 1, 2)]:
+            assert flagvar.chart_count(*key) > 1
+            before = flagvar._vertex_candidates.cache_info().misses
+            blocks = list(flagvar._candidate_blocks(*key))
+            assert flagvar._vertex_candidates.cache_info().misses == before
+            assert sum(len(b) for b in blocks) == flagvar.chart_count(*key)
+        flagvar._vertex_candidates.cache_clear()
+
+    def test_early_stop_builds_one_block(self, monkeypatch):
+        built = []
+        original = flagvar._chart_block
+
+        def counting(m_order, r, e, p, start, stop):
+            built.append(stop - start)
+            return original(m_order, r, e, p, start, stop)
+
+        monkeypatch.setattr(flagvar, "_CANDIDATE_CACHE_LIMIT", 1)
+        monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
+        monkeypatch.setattr(flagvar, "_chart_block", counting)
+        key = (2, 2, 1, 3)
+        step = flagvar._block_size(2, 2, 1)
+        assert step < flagvar.chart_count(*key)
+        stream = flagvar._candidate_blocks(*key)
+        first = next(stream)
+        stream.close()
+        assert len(first) == step and built == [step]
 
 
 class TestSubmoduleEnumeration:

@@ -185,6 +185,60 @@ class TestDirectSumSubQuotient:
                     == hmod.rank_vector(m) - RankVector((1, 0)))
 
 
+def generated_submodule(m, rng, gens=1):
+    """The smallest invariant subspaces containing random vectors: a few
+    random vectors per vertex, closed under every loop and arrow."""
+    subs = [Subspace.from_rows(rng.integers(0, m.p, size=(gens, d)), d, m.p)
+            for d in m.dims]
+    while True:
+        grown = list(subs)
+        for _, mat, i, j in m.maps_with_labels():
+            image = (mat @ subs[j].basis.T).T % m.p
+            grown[i] = grown[i] + Subspace.from_rows(image, m.dims[i], m.p)
+        if grown == subs:
+            return subs
+        subs = grown
+
+
+class TestSubmodule:
+    def test_matches_sub_quotient(self, a2, b2, kronecker):
+        rng = np.random.default_rng(11)
+        for datum in (a2, b2, kronecker):
+            for t in range(4):
+                m = hmod.random_locally_free(datum, 2, 3, (2, 1),
+                                             seed=(12, t))
+                u = generated_submodule(m, rng, gens=1 + t % 2)
+                sub, bases = hmod.submodule(m, u)
+                sq = hmod.sub_quotient(m, u)
+                assert hmod.modules_equal(sub, sq.sub)
+                assert sub.dims == tuple(x.dim for x in u)
+                for i in range(m.n):
+                    assert np.array_equal(bases[i], sq.sub_basis[i])
+                    assert np.array_equal(bases[i], u[i].basis.T)
+                    assert not bases[i].flags.writeable
+
+    def test_not_invariant(self, a2):
+        m = n_module(a2, 1, 2)
+        u = (Subspace.from_rows([[0, 1]], 2, 2),
+             Subspace.from_rows([[0, 1]], 2, 2))
+        with pytest.raises(NotInvariant):
+            hmod.submodule(m, u)
+        rng = np.random.default_rng(13)
+        refused = 0
+        for t in range(10):
+            u = [Subspace.from_rows(rng.integers(0, 2, size=(1, d)), d, 2)
+                 for d in m.dims]
+            if all(u[i].contains_rows((mat @ u[j].basis.T).T)
+                   for _, mat, i, j in m.maps_with_labels()):
+                continue
+            with pytest.raises(NotInvariant):
+                hmod.submodule(m, u)
+            with pytest.raises(NotInvariant):
+                hmod.sub_quotient(m, u)
+            refused += 1
+        assert refused
+
+
 class TestEpsilonCentrality:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_blocks_commute_and_vanish(self, a2, b2, kronecker, k):

@@ -12,21 +12,6 @@ import pytest
 from cartanquiver import cartan, flagvar, gendecomp, hmod, homext, reduction
 from cartanquiver.cartan import RankVector, euler_form, flag_dimension
 
-from conftest import make_datum
-
-
-@pytest.fixture(scope="session")
-def a3():
-    c = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
-    return make_datum(c, [1, 1, 1], [(0, 1), (1, 2)])
-
-
-@pytest.fixture(scope="session")
-def b3():
-    # mixed symmetrizer diag(2, 2, 1)
-    c = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
-    return make_datum(c, [2, 2, 1], [(0, 1), (1, 2)])
-
 
 INTERVALS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
              (1, 1, 1)]
