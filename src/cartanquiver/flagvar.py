@@ -439,20 +439,61 @@ class FlagOfSubmodules:
         }
 
 
-def iter_flags(m: HModule, brseq,
-               max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
-               override_budget: bool = False) -> Iterator[FlagOfSubmodules]:
-    """Stream flags depth first: the top proper layer runs over the
-    Grassmannian, the rest recurses inside that submodule.  Every yielded
-    flag is validated."""
+def _checked_seq(m: HModule, brseq) -> Optional[tuple[RankVector, ...]]:
+    """brseq as rank vectors, or None when it does not sum to the rank of m."""
     seq = tuple(RankVector(r) for r in brseq)
     if not seq:
         raise LengthMismatch("brseq must be non-empty")
     rank = hmod.rank_vector(m)
     if tuple(sum(r[i] for r in seq) for i in range(m.n)) != tuple(rank):
+        return None
+    return seq
+
+
+def _layer_chains(m: HModule, seq, max_candidates, override_budget,
+                  count: bool):
+    """Depth first over the flags of m with subquotient ranks seq (which
+    sum to the rank of m): the top proper layer runs over the Grassmannian,
+    the rest recurses inside that submodule.  Yields each flag's layers,
+    bottom first, or with count=True, numbers of flags that sum to the
+    total; a two-step sequence is counted in closed form where it can be."""
+    if len(seq) == 1:
+        yield 1 if count else []
         return
-    for layers in _iter_layer_chains(m, seq, max_candidates,
-                                     override_budget):
+    top_rank = sum(seq[1:-1], seq[0])
+    if len(seq) == 2 and count:
+        yield count_locally_free_submodules(m, top_rank, max_candidates,
+                                            override_budget)
+        return
+    for tup in iter_locally_free_submodules(m, top_rank, max_candidates,
+                                            override_budget):
+        if len(seq) == 2:
+            yield [tup]
+            continue
+        inner, sub_basis = hmod.submodule(m, tup)
+        for chain in _layer_chains(inner, seq[:-1], max_candidates,
+                                   override_budget, count):
+            if count:
+                yield chain
+                continue
+            lifted = [tuple(
+                Subspace.from_rows(
+                    (layer[i].basis @ sub_basis[i].T) % m.p,
+                    m.dims[i], m.p)
+                for i in range(m.n)) for layer in chain]
+            yield lifted + [tup]
+
+
+def iter_flags(m: HModule, brseq,
+               max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
+               override_budget: bool = False) -> Iterator[FlagOfSubmodules]:
+    """Stream flags depth first (see `_layer_chains`).  Every yielded flag
+    is validated."""
+    seq = _checked_seq(m, brseq)
+    if seq is None:
+        return
+    for layers in _layer_chains(m, seq, max_candidates, override_budget,
+                                count=False):
         flag = FlagOfSubmodules(m, seq, tuple(layers))
         flag.validate()
         yield flag
@@ -464,42 +505,16 @@ def enumerate_flags(m: HModule, brseq,
     return list(iter_flags(m, brseq, max_candidates, override_budget))
 
 
-def _iter_layer_chains(m: HModule, seq, max_candidates, override_budget):
-    if len(seq) == 1:
-        yield []
-        return
-    top_rank = hmod.rank_vector(m) - seq[-1]
-    for tup in iter_locally_free_submodules(
-            m, top_rank, max_candidates, override_budget):
-        inner, sub_basis = hmod.submodule(m, tup)
-        for chain in _iter_layer_chains(inner, seq[:-1], max_candidates,
-                                        override_budget):
-            lifted = [tuple(
-                Subspace.from_rows(
-                    (layer[i].basis @ sub_basis[i].T) % m.p,
-                    m.dims[i], m.p)
-                for i in range(m.n)) for layer in chain]
-            yield lifted + [tup]
-
-
-def point_count(m: HModule, brseq, **kwargs) -> int:
-    """Number of flags; the two-step case avoids materializing the points
-    and counts unconstrained vertices in closed form."""
-    seq = tuple(RankVector(r) for r in brseq)
-    if not seq:
-        raise LengthMismatch("brseq must be non-empty")
-    rank = hmod.rank_vector(m)
-    if tuple(sum(r[i] for r in seq) for i in range(m.n)) != tuple(rank):
+def point_count(m: HModule, brseq,
+                max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
+                override_budget: bool = False) -> int:
+    """Number of flags, by the recursion of `iter_flags`; its innermost
+    two-step sequence is counted without enumerating the points."""
+    seq = _checked_seq(m, brseq)
+    if seq is None:
         return 0
-    if len(seq) == 1:
-        return 1
-    if len(seq) == 2:
-        return count_locally_free_submodules(m, seq[0], **kwargs)
-    total = 0
-    top_rank = rank - seq[-1]
-    for tup in iter_locally_free_submodules(m, top_rank, **kwargs):
-        total += point_count(hmod.submodule(m, tup)[0], seq[:-1], **kwargs)
-    return total
+    return sum(_layer_chains(m, seq, max_candidates, override_budget,
+                             count=True))
 
 
 # --- tensor modules over the linear-quiver extension --------------------------
@@ -508,10 +523,12 @@ def point_count(m: HModule, brseq, **kwargs) -> int:
 class TensorModule:
     """A module over the level-k algebra tensored with the path algebra of
     the linear quiver 1 -> 2 -> ... -> (l-1): slot modules plus verified
-    connector homomorphisms."""
+    connector homomorphisms.  To homext it is a module on the vertices
+    (slot t, vertex i), at index t*n + i of `dims`."""
 
     slots: tuple[HModule, ...]
     connectors: tuple[tuple[np.ndarray, ...], ...]
+    dims: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.slots:
@@ -525,10 +542,24 @@ class TensorModule:
             raise ShapeMismatch("need one connector between adjacent slots")
         for t, mu in enumerate(self.connectors):
             homext.check_homomorphism(self.slots[t], self.slots[t + 1], mu)
+        object.__setattr__(self, "dims", tuple(
+            d for slot in self.slots for d in slot.dims))
 
     @property
-    def l(self) -> int:
-        return len(self.slots) + 1
+    def p(self) -> int:
+        return self.slots[0].p
+
+    def maps_with_labels(self):
+        """Each slot's loops and arrows, then the connectors (t, i) ->
+        (t+1, i), as (label, matrix, target vertex, source vertex)."""
+        n = self.slots[0].n
+        out = [(f"{label} in slot {t + 1}", mat, t * n + i, t * n + j)
+               for t, slot in enumerate(self.slots)
+               for label, mat, i, j in slot.maps_with_labels()]
+        out.extend((f"mu_{t + 1}->{t + 2} at vertex {i + 1}", mu[i],
+                    (t + 1) * n + i, t * n + i)
+                   for t, mu in enumerate(self.connectors) for i in range(n))
+        return out
 
 
 def repetitive_module(m: HModule, l: int) -> TensorModule:
@@ -540,85 +571,16 @@ def repetitive_module(m: HModule, l: int) -> TensorModule:
     return TensorModule(slots, connectors)
 
 
-def hom_tensor(x: TensorModule, y: TensorModule):
-    """Basis of Hom between tensor modules: slotwise intertwiners plus the
-    commuting squares with the connectors, solved as one kernel."""
+def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
+    """Basis of Hom between tensor modules: one kernel of the slot
+    intertwiners and the commuting squares with the connectors, solved and
+    re-checked like `homext.hom_space`."""
     if len(x.slots) != len(y.slots):
         raise ShapeMismatch("tensor modules of different length")
     if (x.slots[0].datum, x.slots[0].k, x.slots[0].p) != (
             y.slots[0].datum, y.slots[0].k, y.slots[0].p):
         raise ShapeMismatch("tensor modules over different algebras")
-    slots = len(x.slots)
-    offsets = []
-    total = 0
-    for t in range(slots):
-        off_t = []
-        for i in range(x.slots[t].n):
-            off_t.append(total)
-            total += y.slots[t].dims[i] * x.slots[t].dims[i]
-        offsets.append(off_t)
-    blocks = []
-    for t in range(slots):
-        blocks.extend(homext.intertwiner_rows(
-            x.slots[t], y.slots[t], offsets[t], total))
-    p = x.slots[0].p
-    for t in range(slots - 1):
-        mx = x.connectors[t]
-        my = y.connectors[t]
-        for i in range(x.slots[t].n):
-            h = y.slots[t + 1].dims[i] * x.slots[t].dims[i]
-            if h == 0:
-                continue
-            block = np.zeros((h, total), dtype=np.int64)
-            w_next = y.slots[t + 1].dims[i] * x.slots[t + 1].dims[i]
-            if w_next:
-                block[:, offsets[t + 1][i]:offsets[t + 1][i] + w_next] = \
-                    np.kron(la.identity(y.slots[t + 1].dims[i]), mx[i].T)
-            w_cur = y.slots[t].dims[i] * x.slots[t].dims[i]
-            if w_cur:
-                block[:, offsets[t][i]:offsets[t][i] + w_cur] = (
-                    block[:, offsets[t][i]:offsets[t][i] + w_cur]
-                    - np.kron(my[i], la.identity(x.slots[t].dims[i]))) % p
-            blocks.append(block % p)
-    if total == 0:
-        return TensorHomBasis((), 0)
-    system = (np.concatenate(blocks, axis=0) if blocks
-              else la.zeros(0, total))
-    basis, _ = la.kernel_basis_and_support(system, p)
-    elements = []
-    for row in basis:
-        element = []
-        for t in range(slots):
-            fs = []
-            for i in range(x.slots[t].n):
-                h = y.slots[t].dims[i] * x.slots[t].dims[i]
-                off = offsets[t][i]
-                fs.append(row[off:off + h].reshape(
-                    y.slots[t].dims[i], x.slots[t].dims[i]))
-            element.append(tuple(fs))
-        elements.append(tuple(element))
-    for element in elements:
-        _check_tensor_hom(x, y, element)
-    return TensorHomBasis(tuple(elements), len(elements))
-
-
-@dataclass(frozen=True, eq=False)
-class TensorHomBasis:
-    elements: tuple
-    dim: int
-
-
-def _check_tensor_hom(x: TensorModule, y: TensorModule, element):
-    p = x.slots[0].p
-    for t, f in enumerate(element):
-        if not homext.is_homomorphism(x.slots[t], y.slots[t], f):
-            raise InternalCheckError("hom_tensor: slot map not a hom")
-    for t in range(len(x.slots) - 1):
-        for i in range(x.slots[t].n):
-            lhs = (element[t + 1][i] @ x.connectors[t][i]) % p
-            rhs = (y.connectors[t][i] @ element[t][i]) % p
-            if (lhs != rhs).any():
-                raise InternalCheckError("hom_tensor: square does not commute")
+    return homext._hom_basis(x, y)
 
 
 def _flag_tensor_modules(m: HModule, flag: FlagOfSubmodules
@@ -756,11 +718,6 @@ class _CentralCoordinates:
             raise InternalCheckError(
                 "operator does not commute with the central nilpotent")
         return ring
-
-    def vectors_to_ring(self, rows: np.ndarray) -> np.ndarray:
-        """Each row of K-coordinates becomes an (m, k) ring vector."""
-        coords = (self.basis_inv @ (rows.T % self.p)) % self.p
-        return coords.T.reshape(-1, self.m, self.k)
 
     def ring_columns_to_rows(self, ring_mat: np.ndarray) -> np.ndarray:
         """K-row-vectors spanning the column span of a ring matrix."""

@@ -83,9 +83,6 @@ class HModule:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def arrow(self, i: int, j: int, g: int) -> np.ndarray:
-        return self.arrows[(i, j)][g]
-
     def maps_with_labels(self):
         """All structure maps as (label, matrix, target vertex, source vertex)."""
         out = [(f"eps_{i + 1}", self.eps[i], i, i) for i in range(self.n)]

@@ -1,15 +1,14 @@
 """Hom spaces by exact linear solve, Ext^1 via the Euler form, rigidity.
 
-Hom(M, N) is the kernel of the intertwiner system
-
-    f_i @ Eps^M_i == Eps^N_i @ f_i          (loops)
-    f_i @ A^M     == A^N @ f_j              (arrows j -> i)
-
-solved exactly over F_p.  For locally free modules the Euler form computes
-dim Hom - dim Ext^1 on rank vectors, and by projective dimension <= 1 there
-is nothing above Ext^1; Ext^1 is therefore obtained from one Hom solve and
-never from an explicit resolution.  Non-locally-free inputs are rejected
-where Ext is involved.
+Hom(M, N) is the kernel of one relation system, solved exactly over F_p:
+each structure map j -> i listed by `maps_with_labels()`, with matrix X
+on M and Y on N, gives f_i @ X == Y @ f_j.  A module lists its loops
+(i == j) and arrows; a tensor module lists those of each slot and then
+the connectors (t, i) -> (t+1, i).  For locally free modules the Euler
+form computes dim Hom - dim Ext^1 on rank vectors, and by projective
+dimension <= 1 there is nothing above Ext^1; Ext^1 is therefore obtained
+from one Hom solve and never from an explicit resolution.
+Non-locally-free inputs are rejected where Ext is involved.
 """
 
 from __future__ import annotations
@@ -40,56 +39,43 @@ def _check_pair(m: HModule, n: HModule):
         raise DatumMismatch("Hom requires the same datum, k and p")
 
 
-def _right_mul(rows: int, b: np.ndarray) -> np.ndarray:
-    # row-major vec: f |-> f @ b  is  I_rows (x) b^T
-    return np.kron(la.identity(rows), b.T)
+def _relations(m, n) -> list:
+    """The structure maps of m and n in pairs: (label, X, Y, i, j) for the
+    relation f_i @ X == Y @ f_j of a map j -> i."""
+    return [(label, x, y, i, j) for (label, x, i, j), (_, y, _, _)
+            in zip(m.maps_with_labels(), n.maps_with_labels())]
 
 
-def _left_mul(c: np.ndarray, cols: int) -> np.ndarray:
-    # row-major vec: f |-> c @ f  is  c (x) I_cols
-    return np.kron(c, la.identity(cols))
-
-
-def intertwiner_rows(m: HModule, n: HModule, offsets: list[int],
+def intertwiner_rows(m, n, offsets: list[int],
                      total: int) -> list[np.ndarray]:
     """Equation blocks for Hom(m, n) against a global unknown layout.
 
     offsets[i] is the start of vec(f_i) inside a width-`total` unknown
-    vector; each returned array is one block of equations.
+    vector; each returned array is the block of one structure map.
     """
-    p = m.p
     rows = []
-    for i in range(m.n):
-        if m.dims[i] == 0 or n.dims[i] == 0:
+    for _, x, y, i, j in _relations(m, n):
+        height = n.dims[i] * m.dims[j]
+        if height == 0:
             continue
-        block = np.zeros((n.dims[i] * m.dims[i], total), dtype=np.int64)
-        u = n.dims[i] * m.dims[i]
-        block[:, offsets[i]:offsets[i] + u] = (
-            _right_mul(n.dims[i], m.eps[i]) - _left_mul(n.eps[i], m.dims[i])
-        ) % p
-        rows.append(block)
-    for (i, j), mats_m in m.arrows.items():
-        mats_n = n.arrows[(i, j)]
-        for g in range(len(mats_m)):
-            if n.dims[i] * m.dims[j] == 0:
-                continue
-            block = np.zeros((n.dims[i] * m.dims[j], total), dtype=np.int64)
-            if m.dims[i]:
-                ui = n.dims[i] * m.dims[i]
-                block[:, offsets[i]:offsets[i] + ui] = _right_mul(
-                    n.dims[i], mats_m[g])
-            if n.dims[j]:
-                uj = n.dims[j] * m.dims[j]
-                block[:, offsets[j]:offsets[j] + uj] = (
-                    block[:, offsets[j]:offsets[j] + uj]
-                    - _left_mul(mats_n[g], m.dims[j])) % m.p
-            rows.append(block % p)
+        block = np.zeros((height, total), dtype=np.int64)
+        # row-major vec: f |-> f @ x is I (x) x^T, f |-> y @ f is y (x) I
+        ui = n.dims[i] * m.dims[i]
+        if ui:
+            block[:, offsets[i]:offsets[i] + ui] = np.kron(
+                la.identity(n.dims[i]), x.T)
+        uj = n.dims[j] * m.dims[j]
+        if uj:
+            block[:, offsets[j]:offsets[j] + uj] -= np.kron(
+                y, la.identity(m.dims[j]))
+        rows.append(block % m.p)
     return rows
 
 
 @dataclass(frozen=True, eq=False)
 class HomBasis:
-    """A basis of Hom(source, target); elements are per-vertex matrix tuples."""
+    """A basis of Hom(source, target); elements are per-vertex matrix tuples
+    (for tensor modules, vertex (t, i) at index t*n + i)."""
 
     source: HModule
     target: HModule
@@ -113,23 +99,24 @@ class HomBasis:
         return vec[list(self.support)]
 
 
-def _layout(m: HModule, n: HModule) -> tuple[list[int], int]:
+def _layout(m, n) -> tuple[list[int], int]:
     offsets = []
     total = 0
-    for i in range(m.n):
+    for dm, dn in zip(m.dims, n.dims):
         offsets.append(total)
-        total += n.dims[i] * m.dims[i]
+        total += dn * dm
     return offsets, total
 
 
-def _unflatten(m: HModule, n: HModule, vec: np.ndarray
-               ) -> tuple[np.ndarray, ...]:
-    offsets, total = _layout(m, n)
+def _unflatten(m, n, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-vertex matrices of a flat vector, or for a stack of vectors,
+    per-vertex stacks of matrices."""
     out = []
-    for i in range(m.n):
-        u = n.dims[i] * m.dims[i]
-        out.append(vec[offsets[i]:offsets[i] + u].reshape(
-            n.dims[i], m.dims[i]))
+    pos = 0
+    for dm, dn in zip(m.dims, n.dims):
+        out.append(vec[..., pos:pos + dn * dm].reshape(
+            vec.shape[:-1] + (dn, dm)))
+        pos += dn * dm
     return tuple(out)
 
 
@@ -138,22 +125,23 @@ def _flatten(m: HModule, n: HModule, f) -> np.ndarray:
                            for fi in f])
 
 
+def _failed_relation(relations, f, p: int) -> Optional[str]:
+    """Label of the first relation that f breaks, or None; f may hold
+    per-vertex stacks of matrices, which are checked all at once."""
+    for label, x, y, i, j in relations:
+        if ((f[i] @ x - y @ f[j]) % p).any():
+            return label
+    return None
+
+
 def is_homomorphism(m: HModule, n: HModule, f) -> bool:
-    p = m.p
-    for i in range(m.n):
-        if ((f[i] @ m.eps[i] - n.eps[i] @ f[i]) % p).any():
-            return False
-    for (i, j), mats_m in m.arrows.items():
-        mats_n = n.arrows[(i, j)]
-        for g in range(len(mats_m)):
-            if ((f[i] @ mats_m[g] - mats_n[g] @ f[j]) % p).any():
-                return False
-    return True
+    return _failed_relation(_relations(m, n), f, m.p) is None
 
 
-def hom_space(m: HModule, n: HModule) -> HomBasis:
-    """Basis of Hom(m, n); every basis element is re-checked by substitution."""
-    _check_pair(m, n)
+def _hom_basis(m, n) -> HomBasis:
+    """Kernel of the relation system of m and n.  All basis elements are
+    re-checked by substitution into every relation; the modules only need
+    `p`, `dims` and `maps_with_labels()`."""
     offsets, total = _layout(m, n)
     blocks = intertwiner_rows(m, n, offsets, total)
     if total == 0:
@@ -161,11 +149,18 @@ def hom_space(m: HModule, n: HModule) -> HomBasis:
     system = (np.concatenate(blocks, axis=0) if blocks
               else la.zeros(0, total))
     basis, support = la.kernel_basis_and_support(system, m.p)
+    label = _failed_relation(_relations(m, n), _unflatten(m, n, basis), m.p)
+    if label is not None:
+        raise InternalCheckError(
+            f"Hom basis element breaks the relation of {label}")
     elements = tuple(_unflatten(m, n, row) for row in basis)
-    for f in elements:
-        if not is_homomorphism(m, n, f):
-            raise InternalCheckError("hom_space: substitution check failed")
     return HomBasis(m, n, elements, basis, support)
+
+
+def hom_space(m: HModule, n: HModule) -> HomBasis:
+    """Basis of Hom(m, n); every basis element is re-checked by substitution."""
+    _check_pair(m, n)
+    return _hom_basis(m, n)
 
 
 def compose(f, g, p: int) -> tuple[np.ndarray, ...]:

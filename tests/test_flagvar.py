@@ -379,11 +379,53 @@ class TestFactorizedCounting:
                 == flagvar.chart_count(2, 2, 1, 3)
                 * flagvar.chart_count(2, 1, 1, 3))
 
-    def test_point_count_matches_enumeration_three_layers(self, a2):
-        m = n_module(a2, 1, 2)
-        brseq = [(1, 1), (0, 1), (1, 0)]
-        assert flagvar.point_count(m, brseq) == len(
-            flagvar.enumerate_flags(m, brseq))
+    def test_point_count_matches_enumeration_three_layers(self, a2, b2,
+                                                          a3):
+        # three- and four-step sequences, zero parts included
+        cases = [
+            (n_module(a2, 1, 2), [[(1, 1), (0, 1), (1, 0)],
+                                  [(1, 0), (1, 0), (0, 1), (0, 1)],
+                                  [(0, 1), (1, 0), (0, 1), (1, 0)]]),
+            (n_module(a2, 2, 2), [[(1, 0), (0, 1), (1, 1)],
+                                  [(1, 0), (0, 1), (1, 0), (0, 1)]]),
+            (rigid_module(b2, 2, 2, (1, 2)), [[(1, 0), (0, 1), (0, 1)],
+                                              [(0, 1), (0, 1), (1, 0)],
+                                              [(1, 0), (0, 0), (0, 1),
+                                               (0, 1)]]),
+            (hmod.random_locally_free(b2, 1, 2, (2, 2), seed=6),
+             [[(1, 0), (1, 2), (0, 0)], [(1, 0), (1, 0), (0, 1), (0, 1)],
+              [(1, 0), (0, 1), (1, 0), (0, 1)]]),
+            (hmod.random_locally_free(a3, 1, 2, (1, 2, 1), seed=5),
+             [[(1, 0, 0), (0, 1, 0), (0, 1, 1)],
+              [(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)]]),
+            (hmod.random_locally_free(a3, 2, 2, (1, 2, 1), seed=5),
+             [[(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)]]),
+        ]
+        counts = []
+        for m, seqs in cases:
+            for brseq in seqs:
+                counts.append(flagvar.point_count(m, brseq))
+                assert counts[-1] == len(flagvar.enumerate_flags(m, brseq))
+        assert sum(1 for c in counts if c > 1) >= 10
+
+    def test_flag_budget_guardrail(self, no_arrows):
+        m = hmod.free_module(no_arrows, 1, 2, (2, 1))
+        brseq = [(1, 0), (0, 1), (1, 0)]
+        with pytest.raises(BudgetExceeded):
+            flagvar.point_count(m, brseq, max_candidates=1)
+        with pytest.raises(BudgetExceeded):
+            next(flagvar.iter_flags(m, brseq, max_candidates=1))
+        count = flagvar.point_count(m, brseq, max_candidates=1,
+                                    override_budget=True)
+        assert count == len(list(flagvar.iter_flags(
+            m, brseq, max_candidates=1, override_budget=True)))
+        assert count == flagvar.closed_form_flag_count_no_arrows(
+            no_arrows, 1, 2, brseq)
+
+    def test_point_count_rejects_unknown_keywords(self, a2):
+        with pytest.raises(TypeError):
+            flagvar.point_count(n_module(a2, 1, 2), [(1, 1), (1, 1)],
+                                bogus=1)
 
 
 class TestFlagEnumeration:
@@ -467,6 +509,119 @@ class TestTensorModules:
         x = flagvar.TensorModule((m,), ())
         y = flagvar.TensorModule((n,), ())
         assert flagvar.hom_tensor(x, y).dim == homext.hom_space(m, n).dim
+
+
+def reference_hom_tensor(x, y):
+    """The slotwise assembly of the tensor Hom system: the intertwiner
+    blocks of each slot pair, then one np.kron block per connector square
+    f_(t+1, i) @ mu^x_i == mu^y_i @ f_(t, i).  Returns the system and the
+    flat offsets of the f_(t, i)."""
+    slots = len(x.slots)
+    offsets = []
+    total = 0
+    for t in range(slots):
+        off_t = []
+        for i in range(x.slots[t].n):
+            off_t.append(total)
+            total += y.slots[t].dims[i] * x.slots[t].dims[i]
+        offsets.append(off_t)
+    blocks = []
+    for t in range(slots):
+        blocks.extend(homext.intertwiner_rows(
+            x.slots[t], y.slots[t], offsets[t], total))
+    p = x.slots[0].p
+    for t in range(slots - 1):
+        mx = x.connectors[t]
+        my = y.connectors[t]
+        for i in range(x.slots[t].n):
+            h = y.slots[t + 1].dims[i] * x.slots[t].dims[i]
+            if h == 0:
+                continue
+            block = np.zeros((h, total), dtype=np.int64)
+            w_next = y.slots[t + 1].dims[i] * x.slots[t + 1].dims[i]
+            if w_next:
+                block[:, offsets[t + 1][i]:offsets[t + 1][i] + w_next] = \
+                    np.kron(la.identity(y.slots[t + 1].dims[i]), mx[i].T)
+            w_cur = y.slots[t].dims[i] * x.slots[t].dims[i]
+            if w_cur:
+                block[:, offsets[t][i]:offsets[t][i] + w_cur] = (
+                    block[:, offsets[t][i]:offsets[t][i] + w_cur]
+                    - np.kron(my[i], la.identity(x.slots[t].dims[i]))) % p
+            blocks.append(block % p)
+    system = (np.concatenate(blocks, axis=0) if blocks
+              else la.zeros(0, total))
+    return system, [off for off_t in offsets for off in off_t]
+
+
+def _row_space(rows, p):
+    reduced, rank, _ = la.rref(rows, p)
+    return reduced[:rank]
+
+
+def _oracle_tensor_pairs(a2, b2, a3):
+    """Tensor pairs of flags with 2, 3 and 4 steps, their mod-eps
+    reductions, and repetitive modules."""
+    cases = [
+        (n_module(a2, 2, 2), [[(1, 1), (1, 1)], [(1, 0), (0, 1), (1, 1)],
+                              [(1, 0), (0, 1), (1, 0), (0, 1)]]),
+        (hmod.random_locally_free(b2, 2, 2, (2, 2), seed=6),
+         [[(1, 1), (1, 1)], [(1, 0), (0, 1), (1, 1)],
+          [(1, 0), (0, 1), (1, 0), (0, 1)]]),
+        (hmod.random_locally_free(a3, 2, 2, (1, 2, 1), seed=5),
+         [[(1, 0, 0), (0, 2, 1)], [(1, 0, 0), (0, 1, 0), (0, 1, 1)],
+          [(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)]]),
+    ]
+    pairs = []
+    for m, seqs in cases:
+        for brseq in seqs:
+            flags = list(itertools.islice(flagvar.iter_flags(m, brseq), 3))
+            assert flags
+            for flag in flags:
+                x, y = flagvar._flag_tensor_modules(m, flag)
+                pairs.append((x, y))
+                pairs.append((flagvar._mod_epsilon_tensor(x),
+                              flagvar._mod_epsilon_tensor(y)))
+        for l in (2, 3, 4):
+            rep = flagvar.repetitive_module(m, l)
+            pairs.append((rep, rep))
+    return pairs
+
+
+class TestTensorHomOracles:
+    def test_matches_reference_assembly(self, a2, b2, a3):
+        pairs = _oracle_tensor_pairs(a2, b2, a3)
+        for x, y in pairs:
+            p = x.p
+            system, offsets = reference_hom_tensor(x, y)
+            blocks = homext.intertwiner_rows(x, y, offsets,
+                                             system.shape[1])
+            assert sum(b.shape[0] for b in blocks) == system.shape[0]
+            basis = flagvar.hom_tensor(x, y)
+            want = la.kernel_basis_matrix(system, p)
+            assert basis.dim == want.shape[0]
+            if basis.dim:
+                assert np.array_equal(_row_space(basis.vec_basis, p),
+                                      _row_space(want, p))
+
+    def test_substitution_check_covers_connectors(self, a2, monkeypatch):
+        m = hmod.random_locally_free(a2, 2, 3, (1, 1), seed=1)
+        rep = flagvar.repetitive_module(m, 3)
+        # identity on the first slot, zero on the second: both slot maps
+        # are homomorphisms, the connector square does not commute
+        ident = homext.identity_hom(m)
+        zero = tuple(0 * f for f in ident)
+        assert homext.is_homomorphism(m, m, ident)
+        assert homext.is_homomorphism(m, m, zero)
+        bad = np.concatenate([f.reshape(-1) for f in ident + zero])
+        original = la.kernel_basis_and_support
+
+        def with_bad_row(a, p):
+            basis, support = original(a, p)
+            return np.vstack([basis, bad]), support
+
+        monkeypatch.setattr(la, "kernel_basis_and_support", with_bad_row)
+        with pytest.raises(InternalCheckError, match="mu_1->2"):
+            flagvar.hom_tensor(rep, rep)
 
 
 class TestTangent:

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanquiver import exactlinalg as la
-from cartanquiver import hmod, homext
+from cartanquiver import flagvar, hmod, homext
 from cartanquiver.cartan import RankVector, euler_form
 from cartanquiver.errors import DatumMismatch, NotLocallyFree
 
@@ -218,3 +222,114 @@ class TestParameterEstimate:
         est = homext.parameter_estimate(kronecker, 2, p, (1, 1))
         assert est.exhaustive and est.value == 2
         assert est.experimental
+
+
+# --- brute force over F_2 and F_3 ---------------------------------------------
+
+MAX_UNKNOWNS = 12
+
+
+def _unknowns(datum, k, ranks_x, ranks_y):
+    """Number of Hom unknowns between locally free slot modules."""
+    return sum((k * d) ** 2 * a * b
+               for rx, ry in zip(ranks_x, ranks_y)
+               for d, a, b in zip(datum.d, rx, ry))
+
+
+def _small_cases(data, slots):
+    """(datum index, k, source ranks, target ranks) with at most
+    MAX_UNKNOWNS unknowns; one rank vector per slot."""
+    ranks = list(itertools.product(range(3), repeat=2))
+    out = []
+    for idx, datum in enumerate(data):
+        for k in (1, 2):
+            for rx in itertools.product(ranks, repeat=slots):
+                for ry in itertools.product(ranks, repeat=slots):
+                    if _unknowns(datum, k, rx, ry) <= MAX_UNKNOWNS:
+                        out.append((idx, k, rx, ry))
+    return out
+
+
+def _explicit_relations(xs, ys, cx, cy):
+    """(X, Y, a, b) meaning f_a @ X == Y @ f_b, written out from the loops,
+    the arrows and the connectors of slot modules xs, ys (vertex (t, i) of
+    slot t is a = t*n + i)."""
+    n = xs[0].n
+    out = []
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        for i in range(n):
+            out.append((x.eps[i], y.eps[i], t * n + i, t * n + i))
+        for (i, j), mats in x.arrows.items():
+            for g, mat in enumerate(mats):
+                out.append((mat, y.arrows[(i, j)][g], t * n + i, t * n + j))
+    for t, (mx, my) in enumerate(zip(cx, cy)):
+        for i in range(n):
+            out.append((mx[i], my[i], (t + 1) * n + i, t * n + i))
+    return out
+
+
+def _brute_force_count(p, dims_x, dims_y, relations):
+    """Number of per-vertex matrix tuples f (f_a of shape dims_y[a] x
+    dims_x[a]) satisfying every relation, by enumerating all of them."""
+    sizes = [dy * dx for dx, dy in zip(dims_x, dims_y)]
+    width = sum(sizes)
+    powers = p ** np.arange(width, dtype=np.int64)
+    total = 0
+    step = 1 << 14
+    for start in range(0, p ** width, step):
+        codes = np.arange(start, min(p ** width, start + step),
+                          dtype=np.int64)
+        digits = (codes[:, None] // powers) % p
+        fs = []
+        pos = 0
+        for dx, dy, size in zip(dims_x, dims_y, sizes):
+            fs.append(digits[:, pos:pos + size].reshape(len(codes), dy, dx))
+            pos += size
+        ok = np.ones(len(codes), dtype=bool)
+        for x, y, a, b in relations:
+            ok &= ~((fs[a] @ x - y @ fs[b]) % p).any(axis=(1, 2))
+        total += int(np.count_nonzero(ok))
+    return total
+
+
+def _random_hom(data, source, target):
+    basis = homext.hom_space(source, target)
+    coeffs = data.draw(st.lists(st.integers(0, source.p - 1),
+                                min_size=basis.dim, max_size=basis.dim))
+    return basis.element_from_coeffs(coeffs)
+
+
+class TestHomBruteForce:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_module_hom_count(self, a2, b2, kronecker, data):
+        datums = (a2, b2, kronecker)
+        idx, k, (rm,), (rn,) = data.draw(st.sampled_from(
+            _small_cases(datums, 1)))
+        p = data.draw(st.sampled_from((2, 3)))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        m = hmod.random_locally_free(datums[idx], k, p, rm, seed=(seed, 0))
+        n = hmod.random_locally_free(datums[idx], k, p, rn, seed=(seed, 1))
+        count = _brute_force_count(p, m.dims, n.dims,
+                                   _explicit_relations((m,), (n,), (), ()))
+        assert p ** homext.hom_space(m, n).dim == count
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_two_slot_tensor_hom_count(self, a2, b2, kronecker, data):
+        datums = (a2, b2, kronecker)
+        idx, k, rx, ry = data.draw(st.sampled_from(_small_cases(datums, 2)))
+        p = data.draw(st.sampled_from((2, 3)))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        xs = [hmod.random_locally_free(datums[idx], k, p, r, seed=(seed, t))
+              for t, r in enumerate(rx)]
+        ys = [hmod.random_locally_free(datums[idx], k, p, r,
+                                       seed=(seed, 2 + t))
+              for t, r in enumerate(ry)]
+        cx = (_random_hom(data, *xs),)
+        cy = (_random_hom(data, *ys),)
+        x = flagvar.TensorModule(tuple(xs), cx)
+        y = flagvar.TensorModule(tuple(ys), cy)
+        count = _brute_force_count(p, x.dims, y.dims,
+                                   _explicit_relations(xs, ys, cx, cy))
+        assert p ** flagvar.hom_tensor(x, y).dim == count
