@@ -322,14 +322,20 @@ def iter_locally_free_submodules(
         override_budget: bool = False) -> Iterator[tuple[Subspace, ...]]:
     """Stream every tuple of per-vertex free submodules of rank e closed
     under all arrows, exactly once each (charts are disjoint)."""
-    rank = hmod.rank_vector(m)
+    yield from _iter_submodules(m, hmod.rank_vector(m), e, max_candidates,
+                                override_budget)
+
+
+def _iter_submodules(m: HModule, rank: RankVector, e, max_candidates,
+                     override_budget) -> Iterator[tuple[Subspace, ...]]:
+    """`iter_locally_free_submodules` for a module of known rank."""
     e = RankVector(e)
     if not (e <= rank):
         raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
     std, ts = (m, None) if m.standard_form else hmod.normalize(m)
     if ts is not None:
-        for tup in iter_locally_free_submodules(std, e, max_candidates,
-                                                override_budget):
+        for tup in _iter_submodules(std, rank, e, max_candidates,
+                                    override_budget):
             yield tuple(Subspace.from_rows((sub.basis @ ts[i].T) % m.p,
                                            m.dims[i], m.p)
                         for i, sub in enumerate(tup))
@@ -352,7 +358,13 @@ def count_locally_free_submodules(
     closed form; only vertices touched by an active arrow are enumerated,
     streamed keys first (built once), then by ascending candidate count, so
     the last vertex, tested a block at a time, has the most candidates."""
-    rank = hmod.rank_vector(m)
+    return _count_submodules(m, hmod.rank_vector(m), e, max_candidates,
+                             override_budget)
+
+
+def _count_submodules(m: HModule, rank: RankVector, e, max_candidates,
+                      override_budget) -> int:
+    """`count_locally_free_submodules` for a module of known rank."""
     e = RankVector(e)
     if not (e <= rank):
         raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
@@ -396,11 +408,16 @@ class FlagOfSubmodules:
         return tuple(out)
 
     def validate(self) -> None:
+        self._check(hmod.rank_vector(self.module))
+
+    def _check(self, rank: RankVector) -> None:
+        """`validate` against the rank of the module, computed once by
+        callers that check many flags of one module."""
         m = self.module
         if len(self.layers) != self.length - 1:
             raise ShapeMismatch("layer count does not match brseq length")
         if tuple(sum(r[i] for r in self.brseq) for i in range(m.n)) != tuple(
-                hmod.rank_vector(m)):
+                rank):
             raise ShapeMismatch("brseq does not sum to the ambient rank")
         partial = self.layer_ranks()
         prev: Optional[tuple[Subspace, ...]] = None
@@ -439,15 +456,16 @@ class FlagOfSubmodules:
         }
 
 
-def _checked_seq(m: HModule, brseq) -> Optional[tuple[RankVector, ...]]:
-    """brseq as rank vectors, or None when it does not sum to the rank of m."""
+def _checked_seq(m: HModule, brseq):
+    """brseq as rank vectors and the rank of m, or None when brseq does not
+    sum to it."""
     seq = tuple(RankVector(r) for r in brseq)
     if not seq:
         raise LengthMismatch("brseq must be non-empty")
     rank = hmod.rank_vector(m)
     if tuple(sum(r[i] for r in seq) for i in range(m.n)) != tuple(rank):
         return None
-    return seq
+    return seq, rank
 
 
 def _layer_chains(m: HModule, seq, max_candidates, override_budget,
@@ -461,12 +479,13 @@ def _layer_chains(m: HModule, seq, max_candidates, override_budget,
         yield 1 if count else []
         return
     top_rank = sum(seq[1:-1], seq[0])
+    rank = top_rank + seq[-1]
     if len(seq) == 2 and count:
-        yield count_locally_free_submodules(m, top_rank, max_candidates,
-                                            override_budget)
+        yield _count_submodules(m, rank, top_rank, max_candidates,
+                                override_budget)
         return
-    for tup in iter_locally_free_submodules(m, top_rank, max_candidates,
-                                            override_budget):
+    for tup in _iter_submodules(m, rank, top_rank, max_candidates,
+                                override_budget):
         if len(seq) == 2:
             yield [tup]
             continue
@@ -489,13 +508,14 @@ def iter_flags(m: HModule, brseq,
                override_budget: bool = False) -> Iterator[FlagOfSubmodules]:
     """Stream flags depth first (see `_layer_chains`).  Every yielded flag
     is validated."""
-    seq = _checked_seq(m, brseq)
-    if seq is None:
+    checked = _checked_seq(m, brseq)
+    if checked is None:
         return
+    seq, rank = checked
     for layers in _layer_chains(m, seq, max_candidates, override_budget,
                                 count=False):
         flag = FlagOfSubmodules(m, seq, tuple(layers))
-        flag.validate()
+        flag._check(rank)
         yield flag
 
 
@@ -510,10 +530,10 @@ def point_count(m: HModule, brseq,
                 override_budget: bool = False) -> int:
     """Number of flags, by the recursion of `iter_flags`; its innermost
     two-step sequence is counted without enumerating the points."""
-    seq = _checked_seq(m, brseq)
-    if seq is None:
+    checked = _checked_seq(m, brseq)
+    if checked is None:
         return 0
-    return sum(_layer_chains(m, seq, max_candidates, override_budget,
+    return sum(_layer_chains(m, checked[0], max_candidates, override_budget,
                              count=True))
 
 
@@ -629,25 +649,34 @@ def reduce_flag(m: HModule, flag: FlagOfSubmodules) -> FlagOfSubmodules:
     """Image of a flag under the projections onto M / eps^(k-1) M."""
     if m.k < 2:
         raise KTooSmall("flag reduction needs k >= 2")
-    red = reduction.reduce(m)
-    layers = tuple(
-        tuple(Subspace.from_rows((layer[i].basis @ red.projections[i].T)
-                                 % m.p, red.module.dims[i], m.p)
-              for i in range(m.n))
-        for layer in flag.layers)
-    out = FlagOfSubmodules(red.module, flag.brseq, layers)
+    out = _reduced_flag(reduction.reduce(m), flag)
     out.validate()
     return out
 
 
-# ring-coefficient matrices: arrays (..., k) of ascending eps-degree
+def _reduced_flag(red: reduction.Reduction,
+                  flag: FlagOfSubmodules) -> FlagOfSubmodules:
+    """The layers of a flag projected by a reduction; not validated."""
+    mbar = red.module
+    p = mbar.p
+    layers = tuple(
+        tuple(Subspace.from_rows((layer[i].basis @ red.projections[i].T) % p,
+                                 mbar.dims[i], p)
+              for i in range(mbar.n))
+        for layer in flag.layers)
+    return FlagOfSubmodules(mbar, flag.brseq, layers)
+
+
+# ring-coefficient matrices: arrays (..., rows, cols, k) of ascending
+# eps-degree, stacked along any leading axes
 
 def _rmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     k = a.shape[-1]
-    out = np.zeros((a.shape[0], b.shape[1], k), dtype=np.int64)
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    out = np.zeros(lead + (a.shape[-3], b.shape[-2], k), dtype=np.int64)
     for ta in range(k):
         for tb in range(k - ta):
-            out[:, :, ta + tb] += a[:, :, ta] @ b[:, :, tb]
+            out[..., ta + tb] += a[..., ta] @ b[..., tb]
     return out % p
 
 
@@ -671,6 +700,13 @@ def _rinv(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _shift_tensor(k: int) -> np.ndarray:
+    """(k, k*k) 0/1 matrix whose row tau, read as a k x k matrix [a, b],
+    has its ones where a == b + tau: multiplying eps^tau into place."""
+    tau, a, b = np.ogrid[:k, :k, :k]
+    return (a == b + tau).astype(np.int64).reshape(k, k * k)
+
+
 class _CentralCoordinates:
     """Coordinates of a space that is free over F_p[eps]/(eps^k), given the
     nilpotent matrix of eps; converts vectors and eps-commuting operators to
@@ -687,49 +723,40 @@ class _CentralCoordinates:
         gens = [c for c in range(self.dim) if c not in image.pivots]
         if len(gens) != self.m:
             raise NotLocallyFree("space is not free over the center")
-        cols = []
-        for s in gens:
-            v = la.zeros(self.dim, 1)
-            v[s, 0] = 1
-            for _ in range(k):
-                cols.append(v[:, 0].copy())
-                v = (eps_total @ v) % p
-        self.basis = np.stack(cols, axis=1)       # column (s*k + t)
+        sweep = [la.identity(self.dim)[:, gens]]
+        for _ in range(k - 1):
+            sweep.append((eps_total @ sweep[-1]) % p)
+        # column s*k + t is eps^t applied to generator s
+        self.basis = np.stack(sweep, axis=2).reshape(self.dim, self.m * k)
         if la.rank(self.basis, p) != self.dim:
             raise NotLocallyFree("eps sweep did not produce a basis")
         self.basis_inv = la.inv(self.basis, p)
 
-    def operator_to_ring(self, g: np.ndarray) -> np.ndarray:
-        """Ring matrix of an operator commuting with eps; verified."""
-        conj = ((self.basis_inv @ (g % self.p)) % self.p
-                @ self.basis) % self.p
-        ring = np.zeros((self.m, self.m, self.k), dtype=np.int64)
-        for s in range(self.m):
-            col = conj[:, s * self.k]
-            ring[:, s, :] = col.reshape(self.m, self.k)
-        rebuilt = np.zeros_like(conj)
-        for sp in range(self.m):
-            for s in range(self.m):
-                for tau in range(self.k):
-                    for t in range(self.k - tau):
-                        rebuilt[sp * self.k + tau + t, s * self.k + t] = \
-                            ring[sp, s, tau]
-        if ((rebuilt - conj) % self.p).any():
+    def operator_to_ring(self, ops: np.ndarray) -> np.ndarray:
+        """Ring matrices (..., m, m, k) of a stack of operators (..., dim,
+        dim) commuting with eps: entry [s', s, tau] is the eps^tau
+        coefficient of generator s' in the image of generator s.  Every
+        operator is rebuilt from its ring matrix and compared."""
+        p, m, k = self.p, self.m, self.k
+        conj = ((self.basis_inv @ (ops % p)) % p @ self.basis) % p
+        lead = conj.shape[:-2]
+        ring = np.swapaxes(conj[..., ::k].reshape(lead + (m, k, m)), -1, -2)
+        # eps^tau v_s lands at row s'*k + tau + t of column s*k + t
+        rebuilt = (ring @ _shift_tensor(k)).reshape(lead + (m, m, k, k))
+        rebuilt = np.swapaxes(rebuilt, -3, -2).reshape(conj.shape)
+        if ((rebuilt - conj) % p).any():
             raise InternalCheckError(
                 "operator does not commute with the central nilpotent")
         return ring
 
     def ring_columns_to_rows(self, ring_mat: np.ndarray) -> np.ndarray:
-        """K-row-vectors spanning the column span of a ring matrix."""
+        """K-row-vectors spanning the column span of a ring matrix: row
+        col*k + shift is eps^shift times ring column col."""
+        k = self.k
         z = ring_mat.shape[1]
-        rows = la.zeros(z * self.k, self.dim)
-        for col in range(z):
-            for shift in range(self.k):
-                vec = np.zeros((self.m, self.k), dtype=np.int64)
-                vec[:, shift:] = ring_mat[:, col, :self.k - shift]
-                rows[col * self.k + shift] = (
-                    self.basis @ vec.reshape(-1)) % self.p
-        return rows
+        vecs = (ring_mat @ _shift_tensor(k)).reshape(self.m, z, k, k)
+        vecs = vecs.transpose(1, 3, 0, 2).reshape(z * k, self.dim)
+        return (vecs @ self.basis.T) % self.p
 
 
 def _total_blocks(mods: Sequence[HModule]) -> tuple[dict, int]:
@@ -743,53 +770,132 @@ def _total_blocks(mods: Sequence[HModule]) -> tuple[dict, int]:
     return offsets, pos
 
 
-def _algebra_generators(mods: Sequence[HModule], offsets: dict,
-                        total: int) -> list[np.ndarray]:
-    """Matrices generating the action on the direct sum of the slots of a
-    repetitive chain: slot and vertex idempotents, loops, arrows, and the
-    identity connectors from each slot into the next."""
-    gens = []
-    slots = len(mods)
-    n = mods[0].n
+def _algebra_generators(m: HModule, slots: int, offsets: dict,
+                        total: int) -> np.ndarray:
+    """Stack of matrices generating the action on the direct sum of the
+    slots of the repetitive chain of m: slot and vertex idempotents, loops,
+    arrows, and the identity connectors from each slot into the next."""
+    n = m.n
+    arrows = [(key, a) for key in sorted(m.arrows) for a in m.arrows[key]]
+    first_arrow = slots + 2 * n
+    first_connector = first_arrow + len(arrows)
+    gens = np.zeros((first_connector + slots - 1, total, total),
+                    dtype=np.int64)
+    block = {(t, i): slice(offsets[(t, i)], offsets[(t, i)] + m.dims[i])
+             for t in range(slots) for i in range(n)}
     for t in range(slots):
-        out = la.zeros(total, total)
         for i in range(n):
-            off = offsets[(t, i)]
-            out[off:off + mods[t].dims[i], off:off + mods[t].dims[i]] = \
-                la.identity(mods[t].dims[i])
-        gens.append(out)
-    for i in range(n):
-        out = la.zeros(total, total)
-        for t in range(slots):
-            off = offsets[(t, i)]
-            out[off:off + mods[t].dims[i], off:off + mods[t].dims[i]] = \
-                la.identity(mods[t].dims[i])
-        gens.append(out)
-    for i in range(n):
-        out = la.zeros(total, total)
-        for t in range(slots):
-            off = offsets[(t, i)]
-            out[off:off + mods[t].dims[i], off:off + mods[t].dims[i]] = \
-                mods[t].eps[i]
-        gens.append(out)
-    keys = sorted(mods[0].arrows)
-    for key in keys:
-        for g in range(len(mods[0].arrows[key])):
-            out = la.zeros(total, total)
-            for t in range(slots):
-                a = mods[t].arrows[key][g]
-                out[offsets[(t, key[0])]:offsets[(t, key[0])] + a.shape[0],
-                    offsets[(t, key[1])]:offsets[(t, key[1])] + a.shape[1]] \
-                    = a
-            gens.append(out)
-    for t in range(slots - 1):
-        out = la.zeros(total, total)
-        for i in range(n):
-            d = mods[t].dims[i]
-            out[offsets[(t + 1, i)]:offsets[(t + 1, i)] + d,
-                offsets[(t, i)]:offsets[(t, i)] + d] = la.identity(d)
-        gens.append(out)
+            b = block[(t, i)]
+            gens[t, b, b] = la.identity(m.dims[i])
+            gens[slots + i, b, b] = la.identity(m.dims[i])
+            gens[slots + n + i, b, b] = m.eps[i]
+            if t + 1 < slots:
+                gens[first_connector + t, block[(t + 1, i)], b] = \
+                    la.identity(m.dims[i])
+        for g, ((i, j), a) in enumerate(arrows, start=first_arrow):
+            gens[g, block[(t, i)], block[(t, j)]] = a
     return gens
+
+
+@dataclass(frozen=True, eq=False)
+class _LiftSystem:
+    """Lifts of a non-zero base chain to level k: the ring chart of the
+    chain over the center of the repetitive chain module, the identity on
+    `pivot_rows` and `sbar` (top degree zero) on `other_rows`, and the
+    affine system `system @ x == rhs` in the top-degree coefficients of the
+    other rows that cuts out the invariant lifts."""
+
+    coords: _CentralCoordinates
+    offsets: dict
+    sbar: np.ndarray
+    pivot_rows: list
+    other_rows: list
+    system: np.ndarray
+    rhs: np.ndarray
+
+
+def _lift_system(m: HModule, red: reduction.Reduction,
+                 base: FlagOfSubmodules) -> Optional[_LiftSystem]:
+    """The lift system of a base flag with at least two steps, or None when
+    its chain is zero."""
+    mbar = red.module
+    slots = base.length - 1
+    p = m.p
+    k = m.k
+    offsets, total = _total_blocks([m] * slots)
+    eps_blocks = hmod.epsilon_blocks(m)
+    eps_total = la.zeros(total, total)
+    for t in range(slots):
+        for i in range(m.n):
+            off = offsets[(t, i)]
+            eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
+                eps_blocks[i]
+    coords = _CentralCoordinates(eps_total, k, p)
+
+    # the base chain as one subspace of the reduced total space
+    bar_offsets, bar_total = _total_blocks([mbar] * slots)
+    base_rows = [la.zeros(0, bar_total)]
+    rho_total = la.zeros(bar_total, total)
+    for t in range(slots):
+        for i in range(m.n):
+            sub = base.layers[t][i]
+            bar = slice(bar_offsets[(t, i)],
+                        bar_offsets[(t, i)] + mbar.dims[i])
+            rows = la.zeros(sub.dim, bar_total)
+            rows[:, bar] = sub.basis
+            base_rows.append(rows)
+            rho_total[bar, offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
+                red.projections[i]
+    base_rows = np.concatenate(base_rows)
+    z_total = base_rows.shape[0] // (k - 1)
+    tbar = (rho_total @ _degree_truncated_basis(coords, k - 1)) % p
+    if la.rank(tbar, p) != bar_total:
+        raise InternalCheckError("reduced central basis is degenerate")
+    tbar_inv = la.inv(tbar, p)
+    if z_total == 0:
+        return None
+
+    ring_rows = ((base_rows @ tbar_inv.T) % p).reshape(-1, coords.m, k - 1)
+    # ring generators: the rows whose degree-0 parts are independent of
+    # those before them
+    _, _, independent = la.rref(ring_rows[:, :, 0].T, p)
+    if len(independent) < z_total:
+        raise FlagNotInReduction("base chain is not free over the center")
+    amat = ring_rows[list(independent[:z_total])].transpose(1, 0, 2)
+    _, _, piv = la.rref(amat[:, :, 0].T, p)
+    pivot_rows = list(piv)
+    other_rows = [q for q in range(coords.m) if q not in pivot_rows]
+    norm = _rinv(amat[pivot_rows], p)
+    amat = _rmul(amat, norm, p)
+    if not np.array_equal(amat[pivot_rows], _rid(z_total, k - 1)):
+        raise InternalCheckError("chart normalization failed")
+    sbar = np.zeros((len(other_rows), z_total, k), dtype=np.int64)
+    sbar[:, :, :k - 1] = amat[other_rows]
+
+    # invariance of the lifted chart under every generator at once
+    rings = coords.operator_to_ring(
+        _algebra_generators(m, slots, offsets, total))
+    pm = rings[:, pivot_rows][:, :, pivot_rows]
+    qm = rings[:, pivot_rows][:, :, other_rows]
+    rm = rings[:, other_rows][:, :, pivot_rows]
+    tm = rings[:, other_rows][:, :, other_rows]
+    resid = (rm + _rmul(tm, sbar, p) - _rmul(sbar, pm, p)
+             - _rmul(sbar, _rmul(qm, sbar, p), p)) % p
+    if resid[..., :k - 1].any():
+        raise FlagNotInReduction(
+            "base chain is not invariant under the algebra action")
+    rhs = ((-resid[..., k - 1]) % p).reshape(-1)
+    # the top-degree residual of each generator is affine in the unknown
+    # X: (tm - s0 qm) X - X (pm + qm s0), row-major vec
+    s0 = sbar[:, :, 0]
+    left = (tm[..., 0] - s0 @ qm[..., 0]) % p
+    right = (pm[..., 0] + qm[..., 0] @ s0) % p
+    width = len(other_rows) * z_total
+    system = ((la.left_product_matrix(left, z_total)
+               - la.right_product_matrix(right, len(other_rows))) % p
+              ).reshape(rhs.shape[0], width)
+    return _LiftSystem(coords, offsets, sbar, pivot_rows, other_rows,
+                       system, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -845,58 +951,22 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
         raise FlagNotInReduction(
             "base flag does not live in the reduction of the module")
     try:
-        base.validate()
+        rank_bar = hmod.rank_vector(mbar)
+        base._check(rank_bar)
     except ValidationError as exc:
         raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
     seq = tuple(RankVector(r) for r in base.brseq)
-    l = len(seq)
     expected = _fiber_expected_dimension(mbar, base)
-    if l < 2:
+    if len(seq) < 2:
         flag = FlagOfSubmodules(m, seq, ())
         return FiberOfReduction(base, False, 0, expected, flag,
                                 _builder=lambda coeffs: flag,
                                 _kernel=la.zeros(0, 0))
-    slots = l - 1
+    slots = len(seq) - 1
     p = m.p
     k = m.k
-    top_mods = [m] * slots
-    offsets, total = _total_blocks(top_mods)
-    eps_blocks = hmod.epsilon_blocks(m)
-    eps_total = la.zeros(total, total)
-    for t in range(slots):
-        for i in range(m.n):
-            off = offsets[(t, i)]
-            eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
-                eps_blocks[i]
-    gens = _algebra_generators(top_mods, offsets, total)
-    coords = _CentralCoordinates(eps_total, k, p)
-
-    # the base chain as one subspace of the reduced total space
-    bar_mods = [mbar] * slots
-    bar_offsets, bar_total = _total_blocks(bar_mods)
-    base_rows = []
-    for t in range(slots):
-        for i in range(m.n):
-            sub = base.layers[t][i]
-            for row in sub.basis:
-                full = la.zeros(1, bar_total)
-                off = bar_offsets[(t, i)]
-                full[0, off:off + mbar.dims[i]] = row
-                base_rows.append(full[0])
-    z_total = len(base_rows) // (k - 1) if base_rows else 0
-    rho_total = la.zeros(bar_total, total)
-    for t in range(slots):
-        for i in range(m.n):
-            rho_total[bar_offsets[(t, i)]:bar_offsets[(t, i)]
-                      + mbar.dims[i],
-                      offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
-                red.projections[i]
-    tbar = (rho_total @ _degree_truncated_basis(coords, k - 1)) % p
-    if la.rank(tbar, p) != bar_total:
-        raise InternalCheckError("reduced central basis is degenerate")
-    tbar_inv = la.inv(tbar, p)
-
-    if z_total == 0:
+    lift = _lift_system(m, red, base)
+    if lift is None:
         zero_layers = tuple(
             tuple(Subspace.zero(m.dims[i], p) for i in range(m.n))
             for _ in range(slots))
@@ -905,61 +975,7 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
         return FiberOfReduction(base, False, 0, expected, flag,
                                 _builder=lambda coeffs: flag,
                                 _kernel=la.zeros(0, 0))
-
-    ring_rows = []
-    for row in base_rows:
-        coeff = (tbar_inv @ row) % p
-        ring_rows.append(coeff.reshape(coords.m, k - 1))
-    # pick ring generators: residually independent rows
-    amat = np.zeros((coords.m, z_total, k - 1), dtype=np.int64)
-    residuals = la.zeros(0, coords.m)
-    picked = 0
-    for vec in ring_rows:
-        if picked == z_total:
-            break
-        trial = np.concatenate([residuals, vec[:, 0].reshape(1, -1)])
-        if la.rank(trial, p) > residuals.shape[0]:
-            residuals = trial
-            amat[:, picked, :] = vec
-            picked += 1
-    if picked != z_total:
-        raise FlagNotInReduction("base chain is not free over the center")
-    _, _, piv = la.rref(amat[:, :, 0].T, p)
-    pivot_rows = list(piv)
-    other_rows = [q for q in range(coords.m) if q not in pivot_rows]
-    norm = _rinv(amat[pivot_rows][:, :, :], p)
-    amat = _rmul(amat, norm, p)
-    if not np.array_equal(amat[pivot_rows], _rid(z_total, k - 1)):
-        raise InternalCheckError("chart normalization failed")
-    sbar = np.zeros((len(other_rows), z_total, k), dtype=np.int64)
-    sbar[:, :, :k - 1] = amat[other_rows]
-
-    unknowns = len(other_rows) * z_total
-    eq_blocks = []
-    rhs_parts = []
-    s0 = sbar[:, :, 0]
-    for gmat in gens:
-        ring = coords.operator_to_ring(gmat)
-        pm = ring[pivot_rows][:, pivot_rows]
-        qm = ring[pivot_rows][:, other_rows]
-        rm = ring[other_rows][:, pivot_rows]
-        tm = ring[other_rows][:, other_rows]
-        resid = (rm + _rmul(tm, sbar, p) - _rmul(sbar, pm, p)
-                 - _rmul(sbar, _rmul(qm, sbar, p), p)) % p
-        if resid[:, :, :k - 1].any():
-            raise FlagNotInReduction(
-                "base chain is not invariant under the algebra action")
-        rhs_parts.append((-resid[:, :, k - 1]) % p)
-        left = (tm[:, :, 0] - s0 @ qm[:, :, 0]) % p
-        right = (pm[:, :, 0] + qm[:, :, 0] @ s0) % p
-        block = (np.kron(left, la.identity(z_total))
-                 - np.kron(la.identity(len(other_rows)), right.T)) % p
-        eq_blocks.append(block)
-    system = (np.concatenate(eq_blocks, axis=0) if eq_blocks
-              else la.zeros(0, unknowns))
-    rhs = (np.concatenate([r.reshape(-1) for r in rhs_parts])
-           if rhs_parts else la.zeros(1, 0)[0])
-    solution = la.solve(system, rhs, p)
+    solution = la.solve(lift.system, lift.rhs, p)
     if solution is None:
         return FiberOfReduction(base, True, None, expected)
     particular_vec, kernel = solution
@@ -969,36 +985,35 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
             f"fiber dimension {dimension} does not match the Hom-space "
             f"cross-check {expected}")
 
-    block_slices = {}
-    for t in range(slots):
-        for i in range(m.n):
-            off = offsets[(t, i)]
-            block_slices[(t, i)] = slice(off, off + m.dims[i])
+    rank = hmod.rank_vector(m)
+    coords, sbar = lift.coords, lift.sbar
+    z_total = sbar.shape[1]
+    chart = np.zeros((coords.m, z_total, k), dtype=np.int64)
+    chart[lift.pivot_rows] = _rid(z_total, k)
+    block_slices = [(i, slice(lift.offsets[(t, i)],
+                              lift.offsets[(t, i)] + m.dims[i]))
+                    for t in range(slots) for i in range(m.n)]
 
     def build(coeffs: np.ndarray) -> FlagOfSubmodules:
         vec = (particular_vec + (coeffs @ kernel if dimension else 0)) % p
         stilde = sbar.copy()
         stilde[:, :, k - 1] = (stilde[:, :, k - 1]
-                               + vec.reshape(len(other_rows), z_total)) % p
-        full = np.zeros((coords.m, z_total, k), dtype=np.int64)
-        full[pivot_rows] = _rid(z_total, k)[:, :, :]
-        full[other_rows] = stilde
+                               + vec.reshape(len(lift.other_rows), z_total)
+                               ) % p
+        full = chart.copy()
+        full[lift.other_rows] = stilde
         rows = coords.ring_columns_to_rows(full)
-        layers = []
-        for t in range(slots):
-            layer = []
-            for i in range(m.n):
-                sub_rows = rows[:, block_slices[(t, i)]]
-                layer.append(Subspace.from_rows(sub_rows, m.dims[i], p))
-            layers.append(tuple(layer))
-        flag = FlagOfSubmodules(m, seq, tuple(layers))
-        flag.validate()
+        subs = [Subspace.from_rows(rows[:, cols], m.dims[i], p)
+                for i, cols in block_slices]
+        flag = FlagOfSubmodules(m, seq, tuple(
+            tuple(subs[t * m.n:(t + 1) * m.n]) for t in range(slots)))
+        flag._check(rank)
         return flag
 
     particular = build(np.zeros(dimension, dtype=np.int64))
-    back = reduce_flag(m, particular)
-    if any(back.layers[t][i] != base.layers[t][i]
-           for t in range(slots) for i in range(m.n)):
+    back = _reduced_flag(red, particular)
+    back._check(rank_bar)
+    if back.layers != base.layers:
         raise InternalCheckError("fiber solution does not reduce to base")
     return FiberOfReduction(base, False, dimension, expected, particular,
                             _builder=build, _kernel=kernel)

@@ -59,15 +59,11 @@ def intertwiner_rows(m, n, offsets: list[int],
         if height == 0:
             continue
         block = np.zeros((height, total), dtype=np.int64)
-        # row-major vec: f |-> f @ x is I (x) x^T, f |-> y @ f is y (x) I
-        ui = n.dims[i] * m.dims[i]
-        if ui:
-            block[:, offsets[i]:offsets[i] + ui] = np.kron(
-                la.identity(n.dims[i]), x.T)
-        uj = n.dims[j] * m.dims[j]
-        if uj:
-            block[:, offsets[j]:offsets[j] + uj] -= np.kron(
-                y, la.identity(m.dims[j]))
+        # row-major vec of f_i @ x - y @ f_j, by the unknowns f_i and f_j
+        block[:, offsets[i]:offsets[i] + n.dims[i] * m.dims[i]] = \
+            la.right_product_matrix(x, n.dims[i])
+        block[:, offsets[j]:offsets[j] + n.dims[j] * m.dims[j]] -= \
+            la.left_product_matrix(y, m.dims[j])
         rows.append(block % m.p)
     return rows
 

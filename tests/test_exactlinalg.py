@@ -134,6 +134,74 @@ def test_solve_verified_by_substitution():
             assert np.array_equal((a @ part) % p, b)
 
 
+@st.composite
+def linear_systems(draw):
+    """(p, a, b) over F_2 or F_3 with at most 10 unknowns; b is a @ x for
+    a random x in some draws, so that consistent systems are common."""
+    p = draw(st.sampled_from([2, 3]))
+    unknowns = draw(st.integers(0, 10))
+    rows = draw(st.integers(0, 6))
+    entries = st.integers(0, p - 1)
+    a = np.array(draw(st.lists(entries, min_size=rows * unknowns,
+                               max_size=rows * unknowns)),
+                 dtype=np.int64).reshape(rows, unknowns)
+    if draw(st.booleans()):
+        x = np.array(draw(st.lists(entries, min_size=unknowns,
+                                   max_size=unknowns)), dtype=np.int64)
+        b = (a @ x) % p
+    else:
+        b = np.array(draw(st.lists(entries, min_size=rows, max_size=rows)),
+                     dtype=np.int64)
+    return p, a, b
+
+
+def _all_vectors(p, width):
+    """Every vector of F_p^width, one per row, in base-p order."""
+    codes = np.arange(p ** width, dtype=np.int64)
+    return (codes[:, None] // p ** np.arange(width, dtype=np.int64)) % p
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_matches_brute_force(case):
+    p, a, b = case
+    unknowns = a.shape[1]
+    xs = _all_vectors(p, unknowns)
+    solutions = xs[~((xs @ a.T - b) % p).any(axis=1)]
+    result = la.solve(a, b, p)
+    if len(solutions) == 0:
+        assert result is None
+        return
+    part, kernel = result
+    assert part.shape == (unknowns,) and kernel.shape[1] == unknowns
+    spanned = (part + _all_vectors(p, kernel.shape[0]) @ kernel) % p
+    weights = p ** np.arange(unknowns, dtype=np.int64)
+    got = np.sort(spanned @ weights)
+    assert np.array_equal(got, np.sort(solutions @ weights))
+    assert len(np.unique(got)) == len(got)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_matrices_match_kron(seed):
+    rng = np.random.default_rng(seed)
+    lead = (2, 3)[:seed % 3]
+    r, s, c = rng.integers(0, 4, size=3)
+    a = rng.integers(0, 7, size=lead + (r, s))
+    b = rng.integers(0, 7, size=lead + (s, c))
+    left = la.left_product_matrix(a, c)
+    right = la.right_product_matrix(b, r)
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(left[idx], np.kron(a[idx], la.identity(c)))
+        assert np.array_equal(right[idx],
+                              np.kron(la.identity(r), b[idx].T))
+        x = rng.integers(0, 7, size=(s, c))
+        assert np.array_equal(left[idx] @ x.reshape(-1),
+                              (a[idx] @ x).reshape(-1))
+        y = rng.integers(0, 7, size=(r, s))
+        assert np.array_equal(right[idx] @ y.reshape(-1),
+                              (y @ b[idx]).reshape(-1))
+
+
 def test_inv():
     rng = np.random.default_rng(5)
     p = 7

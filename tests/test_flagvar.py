@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -14,6 +15,7 @@ from cartanquiver.errors import (
     NotEnoughPrimes,
     OverdeterminedMismatch,
     RankTooLarge,
+    ShapeMismatch,
     ValidationError,
 )
 
@@ -801,6 +803,332 @@ class TestFiberOfReduction:
             assert not fib.empty and fib.dimension == d
             total += fib.point_count()
         assert total == flagvar.point_count(m, brseq)
+
+
+def reference_rmul(a, b, p):
+    """Ring-matrix product of two (rows, cols, k) arrays, one pair of
+    degrees at a time."""
+    k = a.shape[-1]
+    out = np.zeros((a.shape[0], b.shape[1], k), dtype=np.int64)
+    for ta in range(k):
+        for tb in range(k - ta):
+            out[:, :, ta + tb] += a[:, :, ta] @ b[:, :, tb]
+    return out % p
+
+
+def reference_operator_to_ring(coords, g):
+    """One operator: its ring matrix read off the generator columns, then
+    rebuilt entry by entry and compared with the conjugated operator."""
+    p, m, k = coords.p, coords.m, coords.k
+    conj = ((coords.basis_inv @ (g % p)) % p @ coords.basis) % p
+    ring = np.zeros((m, m, k), dtype=np.int64)
+    for s in range(m):
+        ring[:, s, :] = conj[:, s * k].reshape(m, k)
+    rebuilt = np.zeros_like(conj)
+    for sp in range(m):
+        for s in range(m):
+            for tau in range(k):
+                for t in range(k - tau):
+                    rebuilt[sp * k + tau + t, s * k + t] = ring[sp, s, tau]
+    if ((rebuilt - conj) % p).any():
+        raise InternalCheckError("operator does not commute")
+    return ring
+
+
+def reference_generators(m, slots, offsets, total):
+    """The generators of the repetitive chain action, one matrix each."""
+    def blk(t, i):
+        return slice(offsets[(t, i)], offsets[(t, i)] + m.dims[i])
+
+    gens = []
+    for t in range(slots):
+        out = la.zeros(total, total)
+        for i in range(m.n):
+            out[blk(t, i), blk(t, i)] = la.identity(m.dims[i])
+        gens.append(out)
+    for mats in ([la.identity(d) for d in m.dims], m.eps):
+        for i in range(m.n):
+            out = la.zeros(total, total)
+            for t in range(slots):
+                out[blk(t, i), blk(t, i)] = mats[i]
+            gens.append(out)
+    for key in sorted(m.arrows):
+        for a in m.arrows[key]:
+            out = la.zeros(total, total)
+            for t in range(slots):
+                out[blk(t, key[0]), blk(t, key[1])] = a
+            gens.append(out)
+    for t in range(slots - 1):
+        out = la.zeros(total, total)
+        for i in range(m.n):
+            out[blk(t + 1, i), blk(t, i)] = la.identity(m.dims[i])
+        gens.append(out)
+    return gens
+
+
+def reference_lift_system(m, base):
+    """The fiber system assembled one generator at a time: looped ring
+    conversion, (rows, cols, k) ring products and one np.kron block per
+    generator.  Returns (system, rhs), or None for a zero chain."""
+    red = reduction.reduce(m)
+    mbar = red.module
+    slots = base.length - 1
+    p, k = m.p, m.k
+    offsets, total = flagvar._total_blocks([m] * slots)
+    eps_blocks = hmod.epsilon_blocks(m)
+    eps_total = la.zeros(total, total)
+    for t in range(slots):
+        for i in range(m.n):
+            off = offsets[(t, i)]
+            eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
+                eps_blocks[i]
+    coords = flagvar._CentralCoordinates(eps_total, k, p)
+    bar_offsets, bar_total = flagvar._total_blocks([mbar] * slots)
+    base_rows = []
+    rho_total = la.zeros(bar_total, total)
+    for t in range(slots):
+        for i in range(m.n):
+            off = bar_offsets[(t, i)]
+            for row in base.layers[t][i].basis:
+                full = la.zeros(1, bar_total)
+                full[0, off:off + mbar.dims[i]] = row
+                base_rows.append(full[0])
+            rho_total[off:off + mbar.dims[i],
+                      offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
+                red.projections[i]
+    z_total = len(base_rows) // (k - 1)
+    tbar = (rho_total @ flagvar._degree_truncated_basis(coords, k - 1)) % p
+    tbar_inv = la.inv(tbar, p)
+    if z_total == 0:
+        return None
+    amat = np.zeros((coords.m, z_total, k - 1), dtype=np.int64)
+    residuals = la.zeros(0, coords.m)
+    picked = 0
+    for row in base_rows:
+        vec = ((tbar_inv @ row) % p).reshape(coords.m, k - 1)
+        if picked == z_total:
+            break
+        trial = np.concatenate([residuals, vec[:, 0].reshape(1, -1)])
+        if la.rank(trial, p) > residuals.shape[0]:
+            residuals = trial
+            amat[:, picked, :] = vec
+            picked += 1
+    if picked != z_total:
+        raise FlagNotInReduction("base chain is not free over the center")
+    _, _, piv = la.rref(amat[:, :, 0].T, p)
+    pivot_rows = list(piv)
+    other_rows = [q for q in range(coords.m) if q not in pivot_rows]
+    amat = reference_rmul(amat, flagvar._rinv(amat[pivot_rows], p), p)
+    sbar = np.zeros((len(other_rows), z_total, k), dtype=np.int64)
+    sbar[:, :, :k - 1] = amat[other_rows]
+    s0 = sbar[:, :, 0]
+    blocks, rhs = [], []
+    for gmat in reference_generators(m, slots, offsets, total):
+        ring = reference_operator_to_ring(coords, gmat)
+        pm = ring[pivot_rows][:, pivot_rows]
+        qm = ring[pivot_rows][:, other_rows]
+        rm = ring[other_rows][:, pivot_rows]
+        tm = ring[other_rows][:, other_rows]
+        resid = (rm + reference_rmul(tm, sbar, p)
+                 - reference_rmul(sbar, pm, p)
+                 - reference_rmul(sbar, reference_rmul(qm, sbar, p), p)) % p
+        if resid[:, :, :k - 1].any():
+            raise FlagNotInReduction("base chain is not invariant")
+        rhs.append(((-resid[:, :, k - 1]) % p).reshape(-1))
+        left = (tm[:, :, 0] - s0 @ qm[:, :, 0]) % p
+        right = (pm[:, :, 0] + qm[:, :, 0] @ s0) % p
+        blocks.append((np.kron(left, la.identity(z_total))
+                       - np.kron(la.identity(len(other_rows)), right.T))
+                      % p)
+    return np.concatenate(blocks), np.concatenate(rhs)
+
+
+def _lift_cases(a2, b2, a3, kronecker):
+    """(m, base): A2, B2, A3 and Kronecker modules at k = 2 and 3 over their
+    first base flags of 2- and 3-step sequences, and the N-module, whose
+    level-3 fibers include empty ones."""
+    specs = [
+        (a2, (2, 1), [[(1, 0), (1, 1)], [(1, 0), (1, 0), (0, 1)]]),
+        (b2, (2, 1), [[(1, 1), (1, 0)], [(0, 1), (1, 0), (1, 0)]]),
+        (kronecker, (1, 1), [[(1, 0), (0, 1)], [(0, 1), (1, 0)]]),
+        (a3, (1, 1, 1), [[(1, 0, 0), (0, 1, 1)],
+                         [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]),
+    ]
+    cases = []
+    for datum, r, seqs in specs:
+        for k in (2, 3):
+            m = hmod.random_locally_free(datum, k, 2, r, seed=(41, k))
+            mods = [(m, seqs)]
+            if datum is a2:
+                mods.append((n_module(a2, k, 2), [[(1, 1), (1, 1)]]))
+            for mod, mod_seqs in mods:
+                bar = reduction.reduce(mod).module
+                for brseq in mod_seqs:
+                    for base in itertools.islice(
+                            flagvar.iter_flags(bar, brseq), 6):
+                        cases.append((mod, base))
+    return cases
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except FlagNotInReduction as exc:
+        return type(exc)
+
+
+def _assert_same_system(m, base):
+    """The stacked system equals the reference; returns what the fiber
+    is: "zero chain", "not in reduction", "empty" or "affine"."""
+    want = _outcome(reference_lift_system, m, base)
+    lift = _outcome(flagvar._lift_system, m, reduction.reduce(m), base)
+    if want is None or want is FlagNotInReduction:
+        assert lift is want
+        return "zero chain" if want is None else "not in reduction"
+    system, rhs = want
+    assert lift.system.shape == system.shape
+    assert np.array_equal(lift.system, system)
+    assert np.array_equal(lift.rhs, rhs)
+    return "empty" if la.solve(system, rhs, m.p) is None else "affine"
+
+
+class TestFiberAssembly:
+    def test_matches_per_generator_reference(self, a2, b2, a3, kronecker):
+        cases = _lift_cases(a2, b2, a3, kronecker)
+        kinds = collections.Counter(_assert_same_system(m, base)
+                                    for m, base in cases)
+        assert {base.length for _, base in cases} == {2, 3}
+        assert kinds["empty"] > 0 and kinds["affine"] > 20
+
+    def test_matches_reference_at_largest_prime(self, a2):
+        p = la.MAX_PRIME
+        m = hmod.random_locally_free(a2, 2, p, (2, 1), seed=3)
+        bar = reduction.reduce(m).module
+        seen = 0
+        for brseq in ([(1, 0), (1, 1)], [(1, 0), (1, 0), (0, 1)]):
+            for base in itertools.islice(flagvar.iter_flags(bar, brseq), 3):
+                assert _assert_same_system(m, base) == "affine"
+                fib = flagvar.fiber_of_reduction(m, base)
+                assert not fib.empty
+                assert fib.dimension == fib.expected_dimension
+                seen += 1
+        assert seen == 6
+
+    def test_generator_stack_matches_reference(self, b2):
+        m = hmod.random_locally_free(b2, 2, 3, (2, 1), seed=4)
+        for slots in (1, 2, 3):
+            offsets, total = flagvar._total_blocks([m] * slots)
+            stack = flagvar._algebra_generators(m, slots, offsets, total)
+            want = reference_generators(m, slots, offsets, total)
+            assert stack.shape == (len(want), total, total)
+            assert all(np.array_equal(g, w) for g, w in zip(stack, want))
+
+    def test_operator_to_ring_checks_every_operator(self, b2):
+        m = hmod.random_locally_free(b2, 3, 3, (2, 1), seed=4)
+        offsets, total = flagvar._total_blocks([m, m])
+        eps_total = la.zeros(total, total)
+        for (t, i), off in offsets.items():
+            eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
+                hmod.epsilon_blocks(m)[i]
+        coords = flagvar._CentralCoordinates(eps_total, 3, 3)
+        gens = flagvar._algebra_generators(m, 2, offsets, total)
+        rings = coords.operator_to_ring(gens)
+        for g, ring in zip(gens, rings):
+            assert np.array_equal(ring, reference_operator_to_ring(coords, g))
+        # one unit matrix that does not commute with eps, anywhere in the
+        # stack, fails the whole stack
+        bad = la.zeros(total, total)
+        bad[0, 1] = 1
+        assert ((bad @ eps_total - eps_total @ bad) % 3).any()
+        for at in (0, len(gens) // 2, len(gens)):
+            stack = np.insert(gens, at, bad, axis=0)
+            with pytest.raises(InternalCheckError, match="commute"):
+                coords.operator_to_ring(stack)
+
+
+def _fiber_case(a2):
+    m = rigid_module(a2, 2, 2, (2, 1), seed=8)
+    bar = reduction.reduce(m).module
+    return m, flagvar.enumerate_flags(bar, [(1, 0), (1, 0), (0, 1)])
+
+
+class TestFiberChecks:
+    """Each check of fiber_of_reduction raises once its input is broken."""
+
+    def test_unbroken(self, a2):
+        m, bases = _fiber_case(a2)
+        assert all(not flagvar.fiber_of_reduction(m, b).empty for b in bases)
+
+    def test_invariance_below_top_degree(self, a2, monkeypatch):
+        m, bases = _fiber_case(a2)
+        original = flagvar._CentralCoordinates.operator_to_ring
+
+        def shifted(self, ops):
+            rings = original(self, ops).copy()
+            rings[-1, :, :, 0] = (rings[-1, :, :, 0] + 1) % self.p
+            return rings
+
+        monkeypatch.setattr(flagvar._CentralCoordinates, "operator_to_ring",
+                            shifted)
+        with pytest.raises(FlagNotInReduction, match="invariant"):
+            flagvar.fiber_of_reduction(m, bases[0])
+
+    def test_chart_normalization(self, a2, monkeypatch):
+        m, bases = _fiber_case(a2)
+        monkeypatch.setattr(flagvar, "_rinv", lambda a, p: 0 * a)
+        with pytest.raises(InternalCheckError, match="normalization"):
+            flagvar.fiber_of_reduction(m, bases[0])
+
+    def test_hom_cross_check(self, a2, monkeypatch):
+        m, bases = _fiber_case(a2)
+        original = flagvar._fiber_expected_dimension
+        monkeypatch.setattr(flagvar, "_fiber_expected_dimension",
+                            lambda mbar, base: original(mbar, base) + 1)
+        with pytest.raises(InternalCheckError, match="cross-check"):
+            flagvar.fiber_of_reduction(m, bases[0])
+
+    def test_invalid_base_rejected(self, a2):
+        m, bases = _fiber_case(a2)
+        bar = bases[0].module
+        full = tuple(la.Subspace.full(d, bar.p) for d in bar.dims)
+        broken = flagvar.FlagOfSubmodules(bar, bases[0].brseq,
+                                          (full,) + bases[0].layers[1:])
+        with pytest.raises(FlagNotInReduction, match="base flag invalid"):
+            flagvar.fiber_of_reduction(m, broken)
+
+    def test_built_flags_validated(self, a2, monkeypatch):
+        m, bases = _fiber_case(a2)
+        fib = flagvar.fiber_of_reduction(m, bases[0])
+
+        def zero_rows(self, ring_mat):
+            return la.zeros(ring_mat.shape[1] * self.k, self.dim)
+
+        monkeypatch.setattr(flagvar._CentralCoordinates,
+                            "ring_columns_to_rows", zero_rows)
+        with pytest.raises(ValidationError):
+            fib.flag_at(np.zeros(fib.dimension, dtype=np.int64))
+        with pytest.raises(ValidationError):
+            flagvar.fiber_of_reduction(m, bases[0])
+
+    def test_reduced_particular_validated(self, a2, monkeypatch):
+        m, bases = _fiber_case(a2)
+        bar = bases[0].module
+        monkeypatch.setattr(flagvar, "_reduced_flag",
+                            lambda red, flag: flagvar.FlagOfSubmodules(
+                                bar, flag.brseq, ()))
+        with pytest.raises(ShapeMismatch, match="layer count"):
+            flagvar.fiber_of_reduction(m, bases[0])
+
+    def test_particular_reduces_to_base(self, a2, monkeypatch):
+        m, bases = _fiber_case(a2)
+        assert len(bases) > 1
+        other = flagvar.reduce_flag(
+            m, flagvar.fiber_of_reduction(m, bases[1]).particular)
+        assert other.layers != bases[0].layers
+        monkeypatch.setattr(flagvar, "_reduced_flag",
+                            lambda red, flag: other)
+        with pytest.raises(InternalCheckError, match="reduce to base"):
+            flagvar.fiber_of_reduction(m, bases[0])
 
 
 class TestBundleRatio:

@@ -333,3 +333,74 @@ class TestHomBruteForce:
         count = _brute_force_count(p, x.dims, y.dims,
                                    _explicit_relations(xs, ys, cx, cy))
         assert p ** flagvar.hom_tensor(x, y).dim == count
+
+
+def reference_intertwiner_rows(m, n, offsets, total):
+    """The relation blocks assembled with np.kron against identities."""
+    rows = []
+    for _, x, y, i, j in homext._relations(m, n):
+        height = n.dims[i] * m.dims[j]
+        if height == 0:
+            continue
+        block = np.zeros((height, total), dtype=np.int64)
+        ui = n.dims[i] * m.dims[i]
+        if ui:
+            block[:, offsets[i]:offsets[i] + ui] = np.kron(
+                la.identity(n.dims[i]), x.T)
+        uj = n.dims[j] * m.dims[j]
+        if uj:
+            block[:, offsets[j]:offsets[j] + uj] -= np.kron(
+                y, la.identity(m.dims[j]))
+        rows.append(block % m.p)
+    return rows
+
+
+class _ListedMaps:
+    """What the Hom assembly reads of a module: p, dims and the labelled
+    structure maps."""
+
+    def __init__(self, p, dims, maps):
+        self.p = p
+        self.dims = tuple(dims)
+        self._maps = maps
+
+    def maps_with_labels(self):
+        return self._maps
+
+
+@st.composite
+def relation_pairs(draw):
+    """Two listed modules on up to three vertices (dimension 0 allowed)
+    with up to five paired maps between random vertices."""
+    p = draw(st.sampled_from([2, 3, 7, la.MAX_PRIME]))
+    n_vertices = draw(st.integers(1, 3))
+    dims = st.lists(st.integers(0, 3), min_size=n_vertices,
+                    max_size=n_vertices)
+    dm, dn = draw(dims), draw(dims)
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(entry, min_size=rows * cols,
+                             max_size=rows * cols))
+        return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+    m_maps, n_maps = [], []
+    for g in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, n_vertices - 1))
+        j = draw(st.integers(0, n_vertices - 1))
+        m_maps.append((f"map {g}", matrix(dm[i], dm[j]), i, j))
+        n_maps.append((f"map {g}", matrix(dn[i], dn[j]), i, j))
+    return _ListedMaps(p, dm, m_maps), _ListedMaps(p, dn, n_maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_pairs())
+def test_intertwiner_rows_match_kron_reference(pair):
+    m, n = pair
+    offsets, total = homext._layout(m, n)
+    got = homext.intertwiner_rows(m, n, offsets, total)
+    want = reference_intertwiner_rows(m, n, offsets, total)
+    assert len(got) == len(want)
+    for block, ref in zip(got, want):
+        assert block.shape == ref.shape
+        assert np.array_equal(block, ref)
