@@ -106,9 +106,6 @@ class CartanDatum:
             raise ValidationError("datum has no orientation attached")
         return sorted(self.omega)
 
-    def with_orientation(self, omega) -> "CartanDatum":
-        return validate_orientation(self, omega)
-
 
 def validate_cartan(c, d) -> CartanDatum:
     """Check the axioms of a symmetrizable Cartan matrix with symmetrizer."""
@@ -197,9 +194,6 @@ class Quiver:
     n: int
     loop_orders: tuple[int, ...]
     arrows: tuple[tuple[int, int, int], ...]   # (target i, source j, copy g)
-
-    def arrow_count(self) -> int:
-        return len(self.arrows)
 
 
 def build_quiver(datum: CartanDatum, k: int) -> Quiver:

@@ -3,16 +3,15 @@
 Matrices are numpy int64 arrays with entries in {0, ..., p-1}; they act on
 column vectors.  Subspaces are stored through their unique reduced
 row-echelon basis, so two equal subspaces always compare (and hash) equal.
-The module also provides echelon-form subspace enumeration, Gaussian
-binomials and exact Lagrange interpolation over the integers.
+The module also provides Gaussian binomials and exact Lagrange
+interpolation over the integers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -228,11 +227,6 @@ def inv(a: np.ndarray, p: int) -> np.ndarray:
     return r[:, n:]
 
 
-def is_invertible(a: np.ndarray, p: int) -> bool:
-    n = a.shape[0]
-    return a.shape == (n, n) and rank(a, p) == n
-
-
 def kernel_basis_and_support(a: np.ndarray, p: int
                              ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Kernel basis rows plus the free columns where they read off as
@@ -253,11 +247,6 @@ def kernel_basis_and_support(a: np.ndarray, p: int
 def kernel_basis_matrix(a: np.ndarray, p: int) -> np.ndarray:
     """Rows span the right kernel {x : a @ x == 0 mod p}."""
     return kernel_basis_and_support(a, p)[0]
-
-
-def kernel_basis(a: np.ndarray, p: int) -> "Subspace":
-    """Right kernel as a canonical subspace."""
-    return Subspace.from_rows(kernel_basis_matrix(a, p), a.shape[1], p)
 
 
 def image(a: np.ndarray, p: int) -> "Subspace":
@@ -368,17 +357,6 @@ class Subspace:
         return Subspace.from_rows(
             np.concatenate([self.basis, other.basis]), self.ambient, self.p)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        # x = a @ U = b @ V; solve for (a, b) in the kernel of [U^T | -V^T].
-        self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient, self.p)
-        stacked = np.concatenate([self.basis.T, (-other.basis.T) % self.p],
-                                 axis=1)
-        ker = kernel_basis_matrix(stacked, self.p)
-        vecs = (ker[:, :self.dim] @ self.basis) % self.p
-        return Subspace.from_rows(vecs, self.ambient, self.p)
-
     def _check(self, other: "Subspace"):
         if self.p != other.p or self.ambient != other.ambient:
             raise DimensionMismatch("subspaces live in different spaces")
@@ -420,41 +398,6 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
         den *= q ** (t + 1) - 1
     assert num % den == 0
     return num // den
-
-
-def enumerate_subspaces(ambient: int, d: int, p: int,
-                        shard: Optional[tuple[int, int]] = None
-                        ) -> Iterator[Subspace]:
-    """Yield every d-dimensional subspace of F_p^n exactly once.
-
-    Subspaces are produced directly in RREF: one pivot-column pattern at a
-    time, with the free entries (right of each pivot, off the other pivot
-    columns) running over F_p.  `shard=(s, w)` keeps only every w-th pivot
-    pattern starting at s, which splits the stream into independent chunks.
-    """
-    check_prime(p)
-    if d < 0 or d > ambient:
-        return
-    if d == 0:
-        if shard is None or shard[0] == 0:
-            yield Subspace.zero(ambient, p)
-        return
-    for idx, pivots in enumerate(itertools.combinations(range(ambient), d)):
-        if shard is not None and idx % shard[1] != shard[0]:
-            continue
-        free_pos = [(row, c) for row in range(d)
-                    for c in range(pivots[row] + 1, ambient)
-                    if c not in pivots]
-        base = zeros(d, ambient)
-        for row, c in enumerate(pivots):
-            base[row, c] = 1
-        for values in itertools.product(range(p), repeat=len(free_pos)):
-            m = base.copy()
-            for (row, c), v in zip(free_pos, values):
-                m[row, c] = v
-            b = m.copy()
-            b.setflags(write=False)
-            yield Subspace(p, ambient, b, tuple(pivots))
 
 
 def lagrange_interpolate(points: Sequence[tuple[int, int]],

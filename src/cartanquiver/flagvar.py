@@ -31,7 +31,6 @@ from . import reduction
 from .cartan import CartanDatum, RankVector, flag_dimension
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     FlagNotInReduction,
     InternalCheckError,
     KTooSmall,
@@ -606,32 +605,21 @@ def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
 def _flag_tensor_modules(m: HModule, flag: FlagOfSubmodules
                          ) -> tuple[TensorModule, TensorModule]:
     """The embedded chain iota(U) and the quotient chain M^(l)/iota(U)."""
-    subs = []
-    sub_bases = []
-    quots = []
-    quot_maps = []
-    for layer in flag.layers:
-        sq = hmod.sub_quotient(m, layer)
-        subs.append(sq.sub)
-        sub_bases.append(sq.sub_basis)
-        quots.append(sq.quot)
-        quot_maps.append((sq.quot_proj, sq.quot_section))
+    sqs = [hmod.sub_quotient(m, layer) for layer in flag.layers]
     incl = []
-    for t in range(len(subs) - 1):
+    for t in range(len(sqs) - 1):
         mats = []
         for i in range(m.n):
             coords = flag.layers[t + 1][i].coordinates_rows(
-                sub_bases[t][i].T)
+                sqs[t].sub_basis[i].T)
             mats.append(coords.T)
         incl.append(tuple(mats))
-    quot_conn = []
-    for t in range(len(quots) - 1):
-        proj_next = quot_maps[t + 1][0]
-        sect_cur = quot_maps[t][1]
-        quot_conn.append(tuple((proj_next[i] @ sect_cur[i]) % m.p
-                               for i in range(m.n)))
-    return (TensorModule(tuple(subs), tuple(incl)),
-            TensorModule(tuple(quots), tuple(quot_conn)))
+    ident = homext.identity_hom(m)
+    quot_conn = tuple(sqs[t + 1].quotient.induced(sqs[t].quotient, ident)
+                      for t in range(len(sqs) - 1))
+    return (TensorModule(tuple(sq.sub for sq in sqs), tuple(incl)),
+            TensorModule(tuple(sq.quotient.module for sq in sqs),
+                         quot_conn))
 
 
 def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
@@ -654,7 +642,7 @@ def reduce_flag(m: HModule, flag: FlagOfSubmodules) -> FlagOfSubmodules:
     return out
 
 
-def _reduced_flag(red: reduction.Reduction,
+def _reduced_flag(red: hmod.Quotient,
                   flag: FlagOfSubmodules) -> FlagOfSubmodules:
     """The layers of a flag projected by a reduction; not validated."""
     mbar = red.module
@@ -716,20 +704,9 @@ class _CentralCoordinates:
         self.k = k
         self.p = p
         self.dim = eps_total.shape[0]
-        if self.dim % k != 0:
-            raise NotLocallyFree("space is not free over the center")
         self.m = self.dim // k
-        image = Subspace.from_rows(eps_total.T, self.dim, p)
-        gens = [c for c in range(self.dim) if c not in image.pivots]
-        if len(gens) != self.m:
-            raise NotLocallyFree("space is not free over the center")
-        sweep = [la.identity(self.dim)[:, gens]]
-        for _ in range(k - 1):
-            sweep.append((eps_total @ sweep[-1]) % p)
         # column s*k + t is eps^t applied to generator s
-        self.basis = np.stack(sweep, axis=2).reshape(self.dim, self.m * k)
-        if la.rank(self.basis, p) != self.dim:
-            raise NotLocallyFree("eps sweep did not produce a basis")
+        self.basis = hmod.free_basis(eps_total, k, p)
         self.basis_inv = la.inv(self.basis, p)
 
     def operator_to_ring(self, ops: np.ndarray) -> np.ndarray:
@@ -814,7 +791,7 @@ class _LiftSystem:
     rhs: np.ndarray
 
 
-def _lift_system(m: HModule, red: reduction.Reduction,
+def _lift_system(m: HModule, red: hmod.Quotient,
                  base: FlagOfSubmodules) -> Optional[_LiftSystem]:
     """The lift system of a base flag with at least two steps, or None when
     its chain is zero."""
@@ -1037,37 +1014,15 @@ def _fiber_expected_dimension(mbar: HModule, base: FlagOfSubmodules) -> int:
     return hom_tensor(x1, y1).dim
 
 
-def _mod_epsilon(mod: HModule) -> tuple[HModule, tuple, tuple]:
-    """Quotient by the image of the central nilpotent: the level-1 shadow."""
-    p = mod.p
-    blocks = hmod.epsilon_blocks(mod)
-    subs = [Subspace.from_rows(blocks[i].T, mod.dims[i], p)
-            for i in range(mod.n)]
-    qmaps = [la.quotient_map(mod.dims[i], subs[i]) for i in range(mod.n)]
-    eps = [(qmaps[i][0] @ mod.eps[i] @ qmaps[i][1]) % p
-           for i in range(mod.n)]
-    arrows = {key: [(qmaps[key[0]][0] @ a @ qmaps[key[1]][1]) % p
-                    for a in mats]
-              for key, mats in mod.arrows.items()}
-    out = hmod.make_module(mod.datum, 1, p, eps, arrows)
-    return out, tuple(q for q, _ in qmaps), tuple(s for _, s in qmaps)
-
-
 def _mod_epsilon_tensor(x: TensorModule) -> TensorModule:
-    reduced = []
-    maps = []
-    for slot in x.slots:
-        out, proj, sect = _mod_epsilon(slot)
-        reduced.append(out)
-        maps.append((proj, sect))
-    connectors = []
-    for t, mu in enumerate(x.connectors):
-        proj_next = maps[t + 1][0]
-        sect_cur = maps[t][1]
-        connectors.append(tuple(
-            (proj_next[i] @ mu[i] @ sect_cur[i]) % x.slots[0].p
-            for i in range(x.slots[0].n)))
-    return TensorModule(tuple(reduced), tuple(connectors))
+    """The level-1 shadow: each slot modulo the image of the central
+    nilpotent, with the induced connectors."""
+    quots = [hmod.quotient(slot, [la.image(b, slot.p)
+                                  for b in hmod.epsilon_blocks(slot)], 1)
+             for slot in x.slots]
+    connectors = tuple(quots[t + 1].induced(quots[t], mu)
+                       for t, mu in enumerate(x.connectors))
+    return TensorModule(tuple(q.module for q in quots), connectors)
 
 
 # --- point counting across primes ---------------------------------------------

@@ -25,7 +25,7 @@ which is the (H2) relation in normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .exactlinalg import Subspace
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -142,21 +141,6 @@ def validate_module(m: HModule) -> None:
                 raise RelationH2Violated(i, j, g)
 
 
-def violations(m: HModule) -> list[str]:
-    """Collect human-readable relation violations instead of raising."""
-    out = []
-    for i in range(m.n):
-        if la.matpow(m.eps[i], m.loop_order(i), m.p).any():
-            out.append(f"(H1) fails at vertex {i + 1}")
-    for (i, j), mats in m.arrows.items():
-        left = la.matpow(m.eps[i], m.datum.f(j, i), m.p)
-        right = la.matpow(m.eps[j], m.datum.f(i, j), m.p)
-        for g, a in enumerate(mats):
-            if ((left @ a - a @ right) % m.p).any():
-                out.append(f"(H2) fails for arrow ({i + 1},{j + 1})#{g + 1}")
-    return out
-
-
 # --- local freeness ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -216,17 +200,26 @@ def free_module(datum: CartanDatum, k: int, p: int, r) -> HModule:
     eps = [_standard_loop(k * datum.d[i], r[i]) for i in range(datum.n)]
     mod = make_module(datum, k, p, eps, {}, standard_form=True,
                       validate=False)
-    lift = _canonical_lift(mod)
-    return HModule(datum, k, p, mod.dims, mod.eps, mod.arrows, lift=lift,
-                   standard_form=True)
+    return with_canonical_lift(mod)
 
 
-def _canonical_lift(m: HModule) -> dict:
-    return {
-        "eps": tuple(np.array(e) for e in m.eps),
-        "arrows": {key: tuple(np.array(a) for a in mats)
-                   for key, mats in m.arrows.items()},
-    }
+def free_basis(nil: np.ndarray, order: int, p: int) -> np.ndarray:
+    """Basis of a space that is free over F_p[x]/(x^order), x acting by
+    the nilpotent `nil`: the generators are the coordinates off the pivots
+    of its image, and column s*order + t is nil^t applied to generator s.
+
+    Raises NotLocallyFree when these columns are not a basis.
+    """
+    dim = nil.shape[0]
+    pivots = set(la.image(nil, p).pivots)
+    gens = [c for c in range(dim) if c not in pivots]
+    sweep = [la.identity(dim)[:, gens]]
+    for _ in range(order - 1):
+        sweep.append((nil @ sweep[-1]) % p)
+    basis = np.stack(sweep, axis=2).reshape(dim, len(gens) * order)
+    if basis.shape[1] != dim or la.rank(basis, p) != dim:
+        raise NotLocallyFree("generator sweep is not a basis")
+    return basis
 
 
 def normalize(m: HModule) -> tuple[HModule, tuple[np.ndarray, ...]]:
@@ -238,26 +231,7 @@ def normalize(m: HModule) -> tuple[HModule, tuple[np.ndarray, ...]]:
     """
     if not is_locally_free(m):
         raise NotLocallyFree("cannot normalize a non-free loop action")
-    ts = []
-    for i in range(m.n):
-        order = m.loop_order(i)
-        r = m.dims[i] // order
-        if r == 0:
-            ts.append(la.identity(0))
-            continue
-        img = Subspace.from_rows(m.eps[i].T, m.dims[i], m.p)
-        gen_coords = [c for c in range(m.dims[i]) if c not in img.pivots]
-        cols = []
-        for s in gen_coords:
-            v = la.zeros(m.dims[i], 1)
-            v[s, 0] = 1
-            for t in range(order):
-                cols.append(v[:, 0].copy())
-                v = (m.eps[i] @ v) % m.p
-        t_mat = np.stack(cols, axis=1)
-        if la.rank(t_mat, m.p) != m.dims[i]:
-            raise InternalCheckError("normalize: generator sweep not a basis")
-        ts.append(t_mat)
+    ts = [free_basis(m.eps[i], m.loop_order(i), m.p) for i in range(m.n)]
     tinv = [la.inv(t, m.p) if t.size else t.reshape(0, 0) for t in ts]
     eps = [((tinv[i] @ m.eps[i]) % m.p @ ts[i]) % m.p for i in range(m.n)]
     arrows = {key: tuple(((tinv[key[0]] @ a) % m.p @ ts[key[1]]) % m.p
@@ -297,9 +271,6 @@ class StructureMatrices:
     p: int
     rank: RankVector
     mats: dict[tuple[int, int], np.ndarray]
-
-    def parameter_count(self) -> int:
-        return sum(m.size for m in self.mats.values())
 
 
 def structure_parameter_count(datum: CartanDatum, k: int, r) -> int:
@@ -375,9 +346,7 @@ def from_structure_matrices(s: StructureMatrices) -> HModule:
             mats.append(a)
         arrows[(i, j)] = mats
     mod = make_module(datum, k, p, eps, arrows, standard_form=True)
-    lift = _canonical_lift(mod)
-    return HModule(datum, k, p, mod.dims, mod.eps, mod.arrows, lift=lift,
-                   standard_form=True)
+    return with_canonical_lift(mod)
 
 
 def to_structure_matrices(m: HModule) -> StructureMatrices:
@@ -475,12 +444,63 @@ def _same_algebra(a: HModule, b: HModule):
 
 
 @dataclass(frozen=True, eq=False)
+class Quotient:
+    """A quotient module M/U with, per vertex, the projection M_i -> M_i/U_i
+    and a section of it; the quotient coordinates are the coordinates off
+    the pivots of U_i."""
+
+    module: HModule
+    projections: tuple[np.ndarray, ...]
+    sections: tuple[np.ndarray, ...]
+
+    def induced(self, source: "Quotient", f) -> tuple[np.ndarray, ...]:
+        """Per vertex, the map source.module -> self.module induced by f_i
+        from the module `source` quotients to the one this quotients:
+        proj_i @ f_i @ sect_i, checked to vanish on the source kernel."""
+        p = self.module.p
+        out = []
+        for proj, fi, src_proj, src_sect in zip(
+                self.projections, f, source.projections, source.sections):
+            head = (proj @ fi) % p
+            fbar = (head @ src_sect) % p
+            if ((fbar @ src_proj - head) % p).any():
+                raise InternalCheckError("induced map not well defined")
+            out.append(fbar)
+        return tuple(out)
+
+
+def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:
+    """M/U along per-vertex subspaces U_i, validated at level k (by default
+    the level of m).
+
+    Raises NotInvariant when some loop or arrow does not descend to the
+    quotient.
+    """
+    subs = list(subspaces)
+    if len(subs) != m.n:
+        raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
+    qmaps = [la.quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
+
+    def descend(mat, i, j):
+        head = (qmaps[i][0] @ mat) % m.p
+        if ((head @ subs[j].basis.T) % m.p).any():
+            raise NotInvariant(
+                f"a map {j + 1} -> {i + 1} does not descend to the quotient")
+        return (head @ qmaps[j][1]) % m.p
+
+    eps = [descend(m.eps[i], i, i) for i in range(m.n)]
+    arrows = {key: [descend(a, *key) for a in mats]
+              for key, mats in m.arrows.items()}
+    mod = make_module(m.datum, m.k if k is None else k, m.p, eps, arrows)
+    return Quotient(mod, tuple(_frozen(q) for q, _ in qmaps),
+                    tuple(_frozen(s) for _, s in qmaps))
+
+
+@dataclass(frozen=True, eq=False)
 class SubQuotient:
     sub: HModule
     sub_basis: tuple[np.ndarray, ...]        # columns: basis of U_i in M_i
-    quot: HModule
-    quot_proj: tuple[np.ndarray, ...]        # projections M_i -> M_i/U_i
-    quot_section: tuple[np.ndarray, ...]     # sections of the projections
+    quotient: Quotient
 
 
 def submodule(m: HModule, subspaces
@@ -521,21 +541,7 @@ def sub_quotient(m: HModule, subspaces) -> SubQuotient:
     """
     subs = list(subspaces)
     sub, bases = submodule(m, subs)
-    qmaps = [la.quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
-
-    def descend(mat, i, j):
-        head = (qmaps[i][0] @ mat) % m.p
-        if ((head @ bases[j]) % m.p).any():
-            raise InternalCheckError("quotient map not well defined")
-        return (head @ qmaps[j][1]) % m.p
-
-    quot_eps = [descend(m.eps[i], i, i) for i in range(m.n)]
-    quot_arrows = {key: [descend(a, *key) for a in mats]
-                   for key, mats in m.arrows.items()}
-    quot = make_module(m.datum, m.k, m.p, quot_eps, quot_arrows)
-    return SubQuotient(sub, bases, quot,
-                       tuple(_frozen(q[0]) for q in qmaps),
-                       tuple(_frozen(q[1]) for q in qmaps))
+    return SubQuotient(sub, bases, quotient(m, subs))
 
 
 # --- the central nilpotent and integer lifts ---------------------------------
@@ -563,22 +569,21 @@ def reduce_mod_p(m: HModule, p_new: int) -> HModule:
     except ValidationError as exc:
         raise RelationBrokenAtPrime(
             f"integer lift violates relations mod {p_new}: {exc}") from exc
-    return HModule(m.datum, m.k, p_new, mod.dims, mod.eps, mod.arrows,
-                   lift=_canonical_lift_from(m.lift), standard_form=m.standard_form)
+    return replace(mod, lift=_canonical_lift(m.lift["eps"],
+                                             m.lift["arrows"]))
 
 
-def _canonical_lift_from(lift: dict) -> dict:
+def _canonical_lift(eps, arrows) -> dict:
     return {
-        "eps": tuple(np.array(e) for e in lift["eps"]),
+        "eps": tuple(np.array(e) for e in eps),
         "arrows": {key: tuple(np.array(a) for a in mats)
-                   for key, mats in lift["arrows"].items()},
+                   for key, mats in arrows.items()},
     }
 
 
 def with_canonical_lift(m: HModule) -> HModule:
     """Attach the entrywise lift {0..p-1} -> Z (valid for 0/1-style data)."""
-    return HModule(m.datum, m.k, m.p, m.dims, m.eps, m.arrows,
-                   lift=_canonical_lift(m), standard_form=m.standard_form)
+    return replace(m, lift=_canonical_lift(m.eps, m.arrows))
 
 
 # --- serialization ------------------------------------------------------------

@@ -14,7 +14,8 @@ shorter truncated polynomial ring are reinterpreted over the longer one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from . import exactlinalg as la
@@ -23,7 +24,6 @@ from .cartan import CartanDatum, RankVector
 from .errors import (
     KTooSmall,
     InternalCheckError,
-    NotAHomomorphism,
     NotLocallyFree,
     NotNested,
     ValidationError,
@@ -32,31 +32,13 @@ from .exactlinalg import Subspace
 from .hmod import HModule, StructureMatrices
 
 
-@dataclass(frozen=True, eq=False)
-class Reduction:
-    """A reduced module together with the per-vertex projections M_i -> M_i
-    and sections picking the chosen complement of eps^(k-1) M_i."""
-
-    module: HModule
-    projections: tuple[np.ndarray, ...]
-    sections: tuple[np.ndarray, ...]
-
-
-def reduce(m: HModule) -> Reduction:
+def reduce(m: HModule) -> hmod.Quotient:
     """Quotient by eps^(k-1) M, re-validated over the level-(k-1) algebra."""
     if m.k < 2:
         raise KTooSmall("reduction needs k >= 2")
-    p = m.p
-    subs = []
-    for i in range(m.n):
-        power = la.matpow(m.eps[i], (m.k - 1) * m.datum.d[i], p)
-        subs.append(Subspace.from_rows(power.T, m.dims[i], p))
-    qmaps = [la.quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
-    projs = tuple(q for q, _ in qmaps)
-    sects = tuple(s for _, s in qmaps)
-    eps = [(projs[i] @ m.eps[i] @ sects[i]) % p for i in range(m.n)]
-    arrows = {key: [(projs[key[0]] @ a @ sects[key[1]]) % p for a in mats]
-              for key, mats in m.arrows.items()}
+    powers = [la.matpow(m.eps[i], (m.k - 1) * m.datum.d[i], m.p)
+              for i in range(m.n)]
+    red = hmod.quotient(m, [la.image(x, m.p) for x in powers], m.k - 1)
     standard = m.standard_form and hmod.is_locally_free(m)
     lift = None
     if standard and m.has_lift():
@@ -68,9 +50,8 @@ def reduce(m: HModule) -> Reduction:
                                   for a in mats)
                        for key, mats in m.lift["arrows"].items()},
         }
-    reduced = hmod.make_module(m.datum, m.k - 1, p, eps, arrows,
-                               lift=lift, standard_form=standard)
-    return Reduction(reduced, projs, sects)
+    return replace(red, module=replace(red.module, lift=lift,
+                                       standard_form=standard))
 
 
 def _low_coords(m: HModule, i: int) -> list[int]:
@@ -187,14 +168,7 @@ def reduce_hom(m: HModule, n: HModule, f) -> tuple[np.ndarray, ...]:
     f = homext.check_homomorphism(m, n, f)
     red_m = reduce(m)
     red_n = reduce(n)
-    p = m.p
-    fbar = tuple((red_n.projections[i] @ f[i] @ red_m.sections[i]) % p
-                 for i in range(m.n))
-    for i in range(m.n):
-        lhs = (fbar[i] @ red_m.projections[i]) % p
-        rhs = (red_n.projections[i] @ f[i]) % p
-        if (lhs != rhs).any():
-            raise InternalCheckError("reduce_hom: induced map ill defined")
+    fbar = red_n.induced(red_m, f)
     if not homext.is_homomorphism(red_m.module, red_n.module, fbar):
         raise InternalCheckError("reduce_hom: image is not a homomorphism")
     return fbar
