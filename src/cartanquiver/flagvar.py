@@ -93,58 +93,10 @@ def _chart_block(m_order: int, r: int, e: int, p: int, start: int,
     return out
 
 
-def iter_ring_charts(m_order: int, r: int, e: int, p: int
-                     ) -> Iterator[np.ndarray]:
-    """All ring matrices (r x e x m_order coefficient arrays) whose column
-    spans run over the free rank-e submodules, one matrix per submodule."""
-    count = chart_count(m_order, r, e, p)
-    step = _block_size(m_order, r, e)
-    for start in range(0, count, step):
-        yield from _chart_block(m_order, r, e, p, start,
-                                min(count, start + step))
-
-
 def _chart_rows(charts: np.ndarray, m_order: int) -> np.ndarray:
-    """Row matrices of a stack of ring matrices: ring column `col` shifted
-    by eps^shift is row col*m + shift, and its coefficient of degree `deg`
-    in generator s sits at column s*m + deg + shift (generator-major)."""
-    n, r, e, _ = charts.shape
-    col, shift, s, deg = (g.ravel() for g in np.meshgrid(
-        np.arange(e), np.arange(m_order), np.arange(r), np.arange(m_order),
-        indexing="ij"))
-    keep = deg + shift < m_order
-    col, shift, s, deg = col[keep], shift[keep], s[keep], deg[keep]
-    rows = np.zeros((n, e * m_order, r * m_order), dtype=np.int64)
-    rows[:, col * m_order + shift, s * m_order + deg + shift] = \
-        charts[:, s, col, deg]
-    return rows
-
-
-def ring_matrix_to_subspace(ring_mat: np.ndarray, m_order: int, r: int,
-                            p: int) -> Subspace:
-    """K-span of the ring columns and all their eps-shifts inside the
-    generator-major standard basis of a free rank-r column."""
-    charts = np.asarray(ring_mat, dtype=np.int64)[None]
-    return Subspace.from_rows(_chart_rows(charts, m_order)[0],
-                              r * m_order, p)
-
-
-def free_submodule_subspace(m: HModule, vertex: int,
-                            ring_mat) -> Subspace:
-    """Subspace of M_vertex spanned by explicit ring columns (standard form)."""
-    if not m.standard_form:
-        raise ShapeMismatch("module must be in standard loop form")
-    order = m.loop_order(vertex)
-    r = m.dims[vertex] // order
-    ring_mat = np.asarray(ring_mat, dtype=np.int64) % m.p
-    if ring_mat.ndim == 2:
-        padded = np.zeros(ring_mat.shape + (order,), dtype=np.int64)
-        padded[:, :, 0] = ring_mat
-        ring_mat = padded
-    if ring_mat.shape[0] != r or ring_mat.shape[2] != order:
-        raise ShapeMismatch(f"ring matrix shape {ring_mat.shape} does not "
-                            f"match rank {r}, order {order}")
-    return ring_matrix_to_subspace(ring_mat, order, r, m.p)
+    """Row matrices of a stack of ring matrices: row col*m + shift is
+    eps^shift times ring column col, in generator-major coordinates."""
+    return np.swapaxes(hmod.ring_to_matrix(charts, m_order, m_order), -1, -2)
 
 
 # --- per-vertex candidate tables ----------------------------------------------
@@ -688,13 +640,6 @@ def _rinv(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _shift_tensor(k: int) -> np.ndarray:
-    """(k, k*k) 0/1 matrix whose row tau, read as a k x k matrix [a, b],
-    has its ones where a == b + tau: multiplying eps^tau into place."""
-    tau, a, b = np.ogrid[:k, :k, :k]
-    return (a == b + tau).astype(np.int64).reshape(k, k * k)
-
-
 class _CentralCoordinates:
     """Coordinates of a space that is free over F_p[eps]/(eps^k), given the
     nilpotent matrix of eps; converts vectors and eps-commuting operators to
@@ -714,14 +659,10 @@ class _CentralCoordinates:
         dim) commuting with eps: entry [s', s, tau] is the eps^tau
         coefficient of generator s' in the image of generator s.  Every
         operator is rebuilt from its ring matrix and compared."""
-        p, m, k = self.p, self.m, self.k
+        p, k = self.p, self.k
         conj = ((self.basis_inv @ (ops % p)) % p @ self.basis) % p
-        lead = conj.shape[:-2]
-        ring = np.swapaxes(conj[..., ::k].reshape(lead + (m, k, m)), -1, -2)
-        # eps^tau v_s lands at row s'*k + tau + t of column s*k + t
-        rebuilt = (ring @ _shift_tensor(k)).reshape(lead + (m, m, k, k))
-        rebuilt = np.swapaxes(rebuilt, -3, -2).reshape(conj.shape)
-        if ((rebuilt - conj) % p).any():
+        ring = hmod.matrix_to_ring(conj, k, k)
+        if ((hmod.ring_to_matrix(ring, k, k) - conj) % p).any():
             raise InternalCheckError(
                 "operator does not commute with the central nilpotent")
         return ring
@@ -729,11 +670,8 @@ class _CentralCoordinates:
     def ring_columns_to_rows(self, ring_mat: np.ndarray) -> np.ndarray:
         """K-row-vectors spanning the column span of a ring matrix: row
         col*k + shift is eps^shift times ring column col."""
-        k = self.k
-        z = ring_mat.shape[1]
-        vecs = (ring_mat @ _shift_tensor(k)).reshape(self.m, z, k, k)
-        vecs = vecs.transpose(1, 3, 0, 2).reshape(z * k, self.dim)
-        return (vecs @ self.basis.T) % self.p
+        cols = hmod.ring_to_matrix(ring_mat, self.k, self.k)
+        return (cols.T @ self.basis.T) % self.p
 
 
 def _total_blocks(mods: Sequence[HModule]) -> tuple[dict, int]:
@@ -825,7 +763,8 @@ def _lift_system(m: HModule, red: hmod.Quotient,
                 red.projections[i]
     base_rows = np.concatenate(base_rows)
     z_total = base_rows.shape[0] // (k - 1)
-    tbar = (rho_total @ _degree_truncated_basis(coords, k - 1)) % p
+    low = [s * k + t for s in range(coords.m) for t in range(k - 1)]
+    tbar = (rho_total @ coords.basis[:, low]) % p
     if la.rank(tbar, p) != bar_total:
         raise InternalCheckError("reduced central basis is degenerate")
     tbar_inv = la.inv(tbar, p)
@@ -896,13 +835,6 @@ class FiberOfReduction:
         if coeffs.shape != (self.dimension,):
             raise ShapeMismatch(f"need {self.dimension} coefficients")
         return self._builder(coeffs)
-
-    def enumerate_points(self) -> Iterator[FlagOfSubmodules]:
-        if self.empty:
-            return
-        p = self.base.module.p
-        for codes in itertools.product(range(p), repeat=self.dimension):
-            yield self.flag_at(np.asarray(codes, dtype=np.int64))
 
     def point_count(self) -> int:
         if self.empty:
@@ -994,13 +926,6 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
         raise InternalCheckError("fiber solution does not reduce to base")
     return FiberOfReduction(base, False, dimension, expected, particular,
                             _builder=build, _kernel=kernel)
-
-
-def _degree_truncated_basis(coords: _CentralCoordinates,
-                            k_new: int) -> np.ndarray:
-    """Columns eps^t v_s of the central basis with t < k_new."""
-    keep = [s * coords.k + t for s in range(coords.m) for t in range(k_new)]
-    return coords.basis[:, keep]
 
 
 def _fiber_expected_dimension(mbar: HModule, base: FlagOfSubmodules) -> int:

@@ -20,7 +20,8 @@ twists follow from the rewriting rule
 
     alpha^(g) eps_j^(a*f_ij + t)  =  eps_i^(a*f_ji) alpha^(g) eps_j^t,
 
-which is the (H2) relation in normal form.
+which is the (H2) relation in normal form.  ring_to_matrix and
+matrix_to_ring convert between ring entries and generator-major matrices.
 """
 
 from __future__ import annotations
@@ -113,11 +114,22 @@ def make_module(datum: CartanDatum, k: int, p: int, eps, arrows,
                 f"pair ({i + 1},{j + 1}) needs {g_count} arrow matrices")
         arr[(i, j)] = tuple(
             _frozen(np.asarray(a, dtype=np.int64) % p) for a in mats)
+    _check_pairs(arrows or {}, arr, "arrow matrices")
     mod = HModule(datum, k, p, dims, eps_t, arr, lift=lift,
                   standard_form=standard_form)
     if validate:
         validate_module(mod)
     return mod
+
+
+def _check_pairs(given: dict, pairs: dict, what: str) -> None:
+    """Raise ShapeMismatch for keys of `given` that are not keys of
+    `pairs`, the oriented pairs."""
+    extra = given.keys() - pairs.keys()
+    if extra:
+        names = ", ".join(f"({i + 1},{j + 1})" for i, j in sorted(extra))
+        raise ShapeMismatch(
+            f"{what} given for {names}, not an oriented pair")
 
 
 def validate_module(m: HModule) -> None:
@@ -291,6 +303,7 @@ def structure_from_arrays(datum: CartanDatum, k: int, p: int, r,
                           mats) -> StructureMatrices:
     r = RankVector(r)
     shapes = _structure_shapes(datum, k, r)
+    _check_pairs(mats, shapes, "structure matrix")
     out = {}
     for key, shape in shapes.items():
         m = np.asarray(mats.get(key, np.zeros(shape)), dtype=np.int64)
@@ -308,6 +321,47 @@ def structure_from_arrays(datum: CartanDatum, k: int, p: int, r,
     return StructureMatrices(datum, k, p, r, out)
 
 
+def ring_to_matrix(ring, mi: int, mj: int, fij: int = 1,
+                   fji: int = 1) -> np.ndarray:
+    """Generator-major matrices (..., r_i*mi, r_j*mj) of a stack of ring
+    matrices (..., r_i, r_j*fij, mi).
+
+    Entry [s, u*fij + t] is the coefficient list (ascending eps_i-degree)
+    of the image of eps_j^t g_u; higher powers of eps_j follow the
+    rewriting rule, eps_j^(a*fij + t) g_u going to eps_i^(a*fji) times the
+    image of eps_j^t g_u.  With fij = fji = 1 the input is a matrix over
+    F_p[eps]/(eps^m), an operator that commutes with the loop.
+    """
+    ring = np.asarray(ring, dtype=np.int64)
+    lead = ring.shape[:-3]
+    ri, rj = ring.shape[-3], ring.shape[-2] // fij
+    n = len(lead)
+    # (..., r_i, degree, r_j, twist)
+    src = ring.reshape(lead + (ri, rj, fij, mi)).transpose(
+        tuple(range(n)) + (n, n + 3, n + 1, n + 2))
+    out = np.zeros(lead + (ri, mi, rj, mj), dtype=np.int64)
+    for a, tau in enumerate(range(0, mj, fij)):
+        shift = a * fji
+        if shift >= mi:
+            break
+        width = min(fij, mj - tau)
+        out[..., shift:, :, tau:tau + width] = src[..., :mi - shift, :, :width]
+    return out.reshape(lead + (ri * mi, rj * mj))
+
+
+def matrix_to_ring(mat, mi: int, mj: int, fij: int = 1) -> np.ndarray:
+    """Ring matrices (..., r_i, r_j*fij, mi) read off the columns
+    eps_j^t g_u (t < fij) of generator-major matrices (..., r_i*mi,
+    r_j*mj); the inverse of ring_to_matrix on its image."""
+    mat = np.asarray(mat, dtype=np.int64)
+    lead = mat.shape[:-2]
+    ri, rj = mat.shape[-2] // mi, mat.shape[-1] // mj
+    n = len(lead)
+    cols = mat.reshape(lead + (ri, mi, rj, mj))[..., :fij]
+    return cols.transpose(tuple(range(n)) + (n, n + 2, n + 3, n + 1)
+                          ).reshape(lead + (ri, rj * fij, mi))
+
+
 def from_structure_matrices(s: StructureMatrices) -> HModule:
     """Expand structure matrices to explicit loop/arrow matrices.
 
@@ -317,34 +371,20 @@ def from_structure_matrices(s: StructureMatrices) -> HModule:
     the canonical integer lift of its entries.
     """
     datum, k, p, r = s.datum, s.k, s.p, s.rank
-    dims = r.dims(datum, k)
     eps = [_standard_loop(k * datum.d[i], r[i]) for i in range(datum.n)]
     arrows = {}
     for (i, j), u_mat in s.mats.items():
         mi, mj = k * datum.d[i], k * datum.d[j]
-        fij, fji = datum.f(i, j), datum.f(j, i)
-        gij = datum.g(i, j)
+        fij, gij = datum.f(i, j), datum.g(i, j)
         if u_mat.shape[2] != mi:
             raise EntryDegreeOverflow(
                 f"entries for ({i + 1},{j + 1}) must be truncated at "
                 f"degree {mi}")
-        mats = []
-        for g in range(gij):
-            a = la.zeros(dims[i], dims[j])
-            for u in range(r[j]):
-                for tau in range(mj):
-                    shift_steps, t = divmod(tau, fij)
-                    col = (u * gij + g) * fij + t
-                    target_shift = shift_steps * fji
-                    if target_shift >= mi:
-                        continue
-                    for srow in range(r[i]):
-                        coeffs = u_mat[srow, col]
-                        hi = mi - target_shift
-                        a[srow * mi + target_shift:srow * mi + mi,
-                          u * mj + tau] = coeffs[:hi]
-            mats.append(a)
-        arrows[(i, j)] = mats
+        # column (u*g_ij + g)*f_ij + t of copy g -> ring column u*f_ij + t
+        rings = u_mat.reshape(r[i], r[j], gij, fij, mi).transpose(
+            2, 0, 1, 3, 4).reshape(gij, r[i], r[j] * fij, mi)
+        arrows[(i, j)] = list(ring_to_matrix(rings, mi, mj, fij,
+                                             datum.f(j, i)))
     mod = make_module(datum, k, p, eps, arrows, standard_form=True)
     return with_canonical_lift(mod)
 
@@ -357,18 +397,11 @@ def to_structure_matrices(m: HModule) -> StructureMatrices:
     out = {}
     for (i, j), mats in m.arrows.items():
         mi, mj = m.loop_order(i), m.loop_order(j)
-        fij = m.datum.f(i, j)
-        gij = m.datum.g(i, j)
-        u_mat = np.zeros((r[i], abs(m.datum.c[i][j]) * r[j], mi),
-                         dtype=np.int64)
-        for g, a in enumerate(mats):
-            for u in range(r[j]):
-                for t in range(fij):
-                    col = (u * gij + g) * fij + t
-                    column = a[:, u * mj + t]
-                    for srow in range(r[i]):
-                        u_mat[srow, col] = column[srow * mi:(srow + 1) * mi]
-        out[(i, j)] = _frozen(u_mat)
+        fij, gij = m.datum.f(i, j), m.datum.g(i, j)
+        rings = matrix_to_ring(np.stack(mats), mi, mj, fij).reshape(
+            gij, r[i], r[j], fij, mi)
+        out[(i, j)] = _frozen(rings.transpose(1, 2, 0, 3, 4).reshape(
+            r[i], r[j] * gij * fij, mi))
     return StructureMatrices(m.datum, m.k, m.p, r, out)
 
 

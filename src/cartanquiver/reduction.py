@@ -42,7 +42,11 @@ def reduce(m: HModule) -> hmod.Quotient:
     standard = m.standard_form and hmod.is_locally_free(m)
     lift = None
     if standard and m.has_lift():
-        idx = [_low_coords(m, i) for i in range(m.n)]
+        # coordinates s*order + t of loop degree t < (k-1)*c_i
+        idx = [[s * m.loop_order(i) + t
+                for s in range(m.dims[i] // m.loop_order(i))
+                for t in range((m.k - 1) * m.datum.d[i])]
+               for i in range(m.n)]
         lift = {
             "eps": tuple(m.lift["eps"][i][np.ix_(idx[i], idx[i])]
                          for i in range(m.n)),
@@ -54,31 +58,13 @@ def reduce(m: HModule) -> hmod.Quotient:
                                        standard_form=standard))
 
 
-def _low_coords(m: HModule, i: int) -> list[int]:
-    order = m.loop_order(i)
-    new_order = (m.k - 1) * m.datum.d[i]
-    r = m.dims[i] // order
-    return [s * order + t for s in range(r) for t in range(new_order)]
-
-
 def lift(s: StructureMatrices) -> HModule:
     """Reinterpret level-(k-1) structure entries at level k.
 
     Coefficient lists are zero-padded from (k-1)*c_i to k*c_i; reducing the
     lift recovers the module the entries defined at level k-1.
     """
-    datum, k_new, p = s.datum, s.k + 1, s.p
-    mats = {}
-    for (i, j), arr in s.mats.items():
-        old_len = s.k * datum.d[i]
-        new_len = k_new * datum.d[i]
-        if arr.shape[2] != old_len:
-            raise ValidationError("structure entries have wrong truncation")
-        padded = np.zeros(arr.shape[:2] + (new_len,), dtype=np.int64)
-        padded[:, :, :old_len] = arr
-        mats[(i, j)] = padded
-    lifted = hmod.structure_from_arrays(datum, k_new, p, s.rank, mats)
-    return hmod.from_structure_matrices(lifted)
+    return _at_level(s, s.k + 1)
 
 
 def module_at_level(m: HModule, k_new: int) -> HModule:
@@ -89,17 +75,23 @@ def module_at_level(m: HModule, k_new: int) -> HModule:
     """
     if k_new < 1:
         raise KTooSmall(f"level must be >= 1, got {k_new}")
-    s = hmod.to_structure_matrices(m)
-    datum = m.datum
+    return _at_level(hmod.to_structure_matrices(m), k_new)
+
+
+def _at_level(s: StructureMatrices, k_new: int) -> HModule:
+    """The module of s's coefficient lists cut or zero-padded to level
+    k_new."""
     mats = {}
     for (i, j), arr in s.mats.items():
-        new_len = k_new * datum.d[i]
-        resized = np.zeros(arr.shape[:2] + (new_len,), dtype=np.int64)
-        keep = min(new_len, arr.shape[2])
+        if arr.shape[2] != s.k * s.datum.d[i]:
+            raise ValidationError("structure entries have wrong truncation")
+        resized = np.zeros(arr.shape[:2] + (k_new * s.datum.d[i],),
+                           dtype=np.int64)
+        keep = min(resized.shape[2], arr.shape[2])
         resized[:, :, :keep] = arr[:, :, :keep]
         mats[(i, j)] = resized
-    out = hmod.structure_from_arrays(datum, k_new, m.p, s.rank, mats)
-    return hmod.from_structure_matrices(out)
+    return hmod.from_structure_matrices(
+        hmod.structure_from_arrays(s.datum, k_new, s.p, s.rank, mats))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +144,10 @@ def generator_span(m: HModule, e) -> tuple[Subspace, ...]:
     """Per-vertex span of the first e_i generators (all loop degrees) of a
     standard-form module."""
     e = RankVector(e)
-    out = []
-    for i in range(m.n):
-        order = m.loop_order(i)
-        rows = la.zeros(e[i] * order, m.dims[i])
-        for s in range(e[i]):
-            for t in range(order):
-                rows[s * order + t, s * order + t] = 1
-        out.append(Subspace.from_rows(rows, m.dims[i], m.p))
-    return tuple(out)
+    return tuple(
+        Subspace.from_rows(la.identity(m.dims[i])[:e[i] * m.loop_order(i)],
+                           m.dims[i], m.p)
+        for i in range(m.n))
 
 
 def reduce_hom(m: HModule, n: HModule, f) -> tuple[np.ndarray, ...]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cartanquiver import cartan, hmod
+from cartanquiver import exactlinalg as la
 
 
 def make_datum(c, d, omega):
@@ -90,14 +91,14 @@ def n_module(datum, k, p):
 def line_submodule(module, vertex, a_coeffs):
     """span((1, a)) inside a free rank-2 column at the vertex; a is given
     by its coefficient list."""
-    from cartanquiver import flagvar
-
     order = module.loop_order(vertex)
+    assert module.standard_form and module.dims[vertex] == 2 * order
     ring = np.zeros((2, 1, order), dtype=np.int64)
     ring[0, 0, 0] = 1
     a_coeffs = list(a_coeffs)
     ring[1, 0, :len(a_coeffs)] = a_coeffs
-    return flagvar.free_submodule_subspace(module, vertex, ring)
+    columns = hmod.ring_to_matrix(ring % module.p, order, order)
+    return la.Subspace.from_rows(columns.T, 2 * order, module.p)
 
 
 SMALL_RANKS = [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2),

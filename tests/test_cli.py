@@ -96,6 +96,27 @@ def test_rigid_and_flag_count_and_reduce(config_path, tmp_path):
     assert read_json(reduced)["k"] == 1
 
 
+@pytest.mark.parametrize("form", ["structure", "arrows"])
+def test_reduce_rejects_key_outside_orientation(config_path, tmp_path,
+                                                capsys, form):
+    # the config orients 1 -> 2; a "2,1" entry must not load as zero
+    if form == "structure":
+        module = {"k": 2, "p": 5, "rank": [1, 1],
+                  "structure": {"2,1": [[[0, 1]]]}}
+    else:
+        module = {"k": 2, "p": 5, "dims": [2, 2],
+                  "eps": [[[0, 0], [1, 0]]] * 2,
+                  "arrows": {"2,1": [[[0, 0], [1, 0]]]}}
+    module_path = tmp_path / "swapped.json"
+    module_path.write_text(json.dumps(module))
+    reduced = tmp_path / "reduced.json"
+    assert run(["reduce", "--config", config_path,
+                "--module", str(module_path), "--to-k", "1",
+                "--module-out", str(reduced)]) == 2
+    assert "(2,1)" in capsys.readouterr().err
+    assert not reduced.exists()
+
+
 def test_empty_brseq_rejected(config_path, tmp_path):
     module_path = tmp_path / "rigid.json"
     run(["rigid", "--config", config_path, "--rank", "1,1",

@@ -1,0 +1,107 @@
+"""Every top-level function and class of the library, and every public
+method or property of such a class, has a caller.
+
+A name counts as called when it is referenced in `src/cartanquiver`
+outside its own definition (as a name or as an attribute), imported by the
+package `__init__`, named in a benchmark script `perfbench/*.py`, or listed
+in ALLOWED with the reason it stays.
+"""
+
+import ast
+import collections
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cartanquiver"
+
+ALLOWED = {
+    "flagvar.BundleRatioReport.all_ok":
+        "the report's public verdict, counterpart of ok_for_rigid",
+    "flagvar.FiberOfReduction.flag_at":
+        "the public parametrisation of a fiber's points by coefficients",
+}
+
+
+def _references(node) -> collections.Counter:
+    out = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def _definitions(tree):
+    """(qualified suffix, name, node) of the top-level functions and
+    classes and of the public methods and properties of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")):
+                    yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def uncalled(modules: dict, init_source: str, bench_text: str,
+             allowed=()) -> list:
+    """Qualified names (module.name) of the definitions in `modules`
+    (module name -> source) that nothing calls."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    total = collections.Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse(init_source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    out = []
+    for module, tree in sorted(trees.items()):
+        for suffix, name, node in _definitions(tree):
+            qualified = f"{module}.{suffix}"
+            if (total[name] > _references(node)[name]
+                    or name in exported
+                    or re.search(rf"\b{re.escape(name)}\b", bench_text)
+                    or qualified in allowed):
+                continue
+            out.append(qualified)
+    return sorted(out)
+
+
+def test_guard_sees_uncalled_names():
+    modules = {
+        "a": ("def used():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def exported():\n    pass\n"
+              "def benched():\n    pass\n"
+              "def allowed():\n    pass\n"
+              "class Report:\n"
+              "    @property\n    def ok(self):\n        return used()\n"
+              "    def dead(self):\n        return self.dead()\n"
+              "    def _private(self):\n        pass\n"),
+        "b": "from .a import Report\nx = Report().ok\n",
+    }
+    found = uncalled(modules, "from .a import exported\n",
+                     "wrap('a.benched')\n", {"a.allowed"})
+    assert found == ["a.Report.dead", "a.recursive"]
+
+
+def test_allowlist_names_exist():
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    for qualified in ALLOWED:
+        module, *path = qualified.split(".")
+        names = {suffix for suffix, _, _ in
+                 _definitions(ast.parse(modules[module]))}
+        assert ".".join(path) in names, qualified
+
+
+def test_every_definition_has_a_caller():
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")
+               if p.name != "__init__.py"}
+    bench = "\n".join(p.read_text()
+                      for p in sorted((ROOT / "perfbench").glob("*.py")))
+    found = uncalled(modules, (SRC / "__init__.py").read_text(), bench,
+                     ALLOWED)
+    assert found == []

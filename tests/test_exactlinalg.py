@@ -274,6 +274,79 @@ class TestSubspace:
             u.coordinates_rows(np.array([0, 0, 1]))
 
 
+def brute_span(rows, p):
+    """All F_p-combinations of the rows, as a set of tuples."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return {tuple(((np.asarray(c, dtype=np.int64) @ rows) % p).tolist())
+            for c in itertools.product(range(p), repeat=rows.shape[0])}
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two row sets over F_2 or F_3 in an ambient space of dimension <= 4,
+    each of at most 3 rows, and one extra vector."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    entry = st.integers(0, p - 1)
+
+    def rows():
+        count = draw(st.integers(0, 3))
+        flat = draw(st.lists(entry, min_size=count * n, max_size=count * n))
+        return np.array(flat, dtype=np.int64).reshape(count, n)
+
+    vec = np.array(draw(st.lists(entry, min_size=n, max_size=n)),
+                   dtype=np.int64)
+    return p, n, rows(), rows(), vec
+
+
+class TestSubspaceBruteForce:
+    """Subspace operations against span enumeration over F_2 and F_3."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(subspace_pairs())
+    def test_sum_and_containment(self, case):
+        p, n, a, b, _ = case
+        u = la.Subspace.from_rows(a, n, p)
+        v = la.Subspace.from_rows(b, n, p)
+        span_u, span_v = brute_span(a, p), brute_span(b, p)
+        assert brute_span(u.basis, p) == span_u
+        assert len(span_u) == p ** u.dim
+        total = {tuple((np.add(x, y) % p).tolist())
+                 for x in span_u for y in span_v}
+        assert brute_span((u + v).basis, p) == total
+        assert u.contains(v) == (span_v <= span_u)
+        assert u.contains_rows(b) == (span_v <= span_u)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subspace_pairs())
+    def test_coordinates_rows(self, case):
+        p, n, a, _, vec = case
+        u = la.Subspace.from_rows(a, n, p)
+        span_u = brute_span(a, p)
+        assert u.contains_rows(vec) == (tuple(vec.tolist()) in span_u)
+        for x in span_u:
+            coords = u.coordinates_rows(np.array(x))
+            assert coords.shape == (1, u.dim)
+            assert np.array_equal((coords @ u.basis) % p, [x])
+        if tuple(vec.tolist()) not in span_u:
+            with pytest.raises(DimensionMismatch):
+                u.coordinates_rows(vec)
+            with pytest.raises(DimensionMismatch):
+                u.coordinates_rows(np.stack([np.zeros(n, np.int64), vec]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(subspace_pairs())
+    def test_quotient_map(self, case):
+        p, n, a, _, _ = case
+        u = la.Subspace.from_rows(a, n, p)
+        q, sec = la.quotient_map(n, u)
+        assert q.shape == (n - u.dim, n) and sec.shape == (n, n - u.dim)
+        assert np.array_equal((q @ sec) % p, la.identity(n - u.dim))
+        kernel = {x for x in itertools.product(range(p), repeat=n)
+                  if not ((q @ np.array(x)) % p).any()}
+        assert kernel == brute_span(a, p)
+
+
 def test_image():
     a = np.array([[1, 2], [2, 4], [0, 0]])
     img = la.image(a, 5)

@@ -32,6 +32,18 @@ def rigid_module(datum, k, p, r, seed=0):
     return res.module
 
 
+def ring_charts(m_order, r, e, p):
+    """All charts of one key, in chart order, as ring matrices."""
+    return list(flagvar._chart_block(m_order, r, e, p, 0,
+                                     flagvar.chart_count(m_order, r, e, p)))
+
+
+def chart_subspace(ring_mat, m_order, r, p):
+    """K-span of the ring columns and all their eps-shifts."""
+    rows = hmod.ring_to_matrix(ring_mat, m_order, m_order).T
+    return la.Subspace.from_rows(rows, r * m_order, p)
+
+
 class TestChartEnumeration:
     @pytest.mark.parametrize("m_order,r,e,p", [
         (1, 2, 1, 2), (2, 2, 1, 2), (2, 2, 1, 3), (3, 2, 1, 2),
@@ -40,20 +52,20 @@ class TestChartEnumeration:
     def test_chart_count_matches_closed_form(self, m_order, r, e, p):
         # free rank-e submodules of a rank-r column: classical Grassmannian
         # times p^((m-1) e (r-e))
-        produced = sum(1 for _ in flagvar.iter_ring_charts(m_order, r, e, p))
+        produced = len(ring_charts(m_order, r, e, p))
         closed = (la.gaussian_binomial(r, e, p)
                   * p ** ((m_order - 1) * e * (r - e)))
         assert produced == closed == flagvar.chart_count(m_order, r, e, p)
 
     def test_charts_distinct_as_subspaces(self):
-        subs = [flagvar.ring_matrix_to_subspace(mat, 2, 2, 2)
-                for mat in flagvar.iter_ring_charts(2, 2, 1, 2)]
+        subs = [chart_subspace(mat, 2, 2, 2)
+                for mat in ring_charts(2, 2, 1, 2)]
         assert len(subs) == len(set(subs))
 
     def test_subspaces_are_free(self, a2):
         m = hmod.free_module(a2, 2, 3, (2, 0))
-        for mat in flagvar.iter_ring_charts(2, 2, 1, 3):
-            sub = flagvar.ring_matrix_to_subspace(mat, 2, 2, 3)
+        for mat in ring_charts(2, 2, 1, 3):
+            sub = chart_subspace(mat, 2, 2, 3)
             assert sub.dim == 2
             image = (m.eps[0] @ sub.basis.T).T
             assert sub.contains_rows(image)
@@ -112,7 +124,7 @@ class TestCandidateTables:
             m_order, r, e, p = key
             charts = list(reference_charts(*key))
             assert len(charts) == flagvar.chart_count(*key), key
-            produced = list(flagvar.iter_ring_charts(*key))
+            produced = ring_charts(*key)
             assert len(produced) == len(charts), key
             for want, got in zip(charts, produced):
                 assert np.array_equal(want, got), key
@@ -749,7 +761,8 @@ class TestFiberOfReduction:
         base.validate()
         fib = flagvar.fiber_of_reduction(n3, base)
         assert not fib.empty and fib.dimension == 2
-        for flag in fib.enumerate_points():
+        for codes in itertools.product(range(2), repeat=fib.dimension):
+            flag = fib.flag_at(np.asarray(codes, dtype=np.int64))
             image = flagvar.reduce_flag(n3, flag)
             assert image.layers == base.layers
 
@@ -897,7 +910,8 @@ def reference_lift_system(m, base):
                       offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
                 red.projections[i]
     z_total = len(base_rows) // (k - 1)
-    tbar = (rho_total @ flagvar._degree_truncated_basis(coords, k - 1)) % p
+    low = [s * k + t for s in range(coords.m) for t in range(k - 1)]
+    tbar = (rho_total @ coords.basis[:, low]) % p
     tbar_inv = la.inv(tbar, p)
     if z_total == 0:
         return None

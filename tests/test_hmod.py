@@ -13,6 +13,7 @@ from cartanquiver.errors import (
     RelationBrokenAtPrime,
     RelationH1Violated,
     RelationH2Violated,
+    ShapeMismatch,
     ValidationError,
 )
 from cartanquiver.exactlinalg import Subspace
@@ -377,6 +378,26 @@ class TestSerialization:
         assert "eps" in data
         back = hmod.module_from_dict(a2, data)
         assert hmod.modules_equal(m, back)
+
+
+    @pytest.mark.parametrize("form", ["structure", "arrows"])
+    def test_key_outside_orientation_rejected(self, a2, form):
+        # a2 is oriented 1 -> 2, so its one oriented pair is "1,2"
+        m = golden_module(a2, 2, 5)
+        raw = m if form == "structure" else hmod.HModule(
+            m.datum, m.k, m.p, m.dims, m.eps, m.arrows)
+        data = hmod.module_to_dict(raw)
+        data[form] = {"2,1": data[form]["1,2"]}
+        with pytest.raises(ShapeMismatch, match=r"\(2,1\)"):
+            hmod.module_from_dict(a2, data)
+
+    def test_extra_keys_rejected_by_constructors(self, a2):
+        with pytest.raises(ShapeMismatch, match=r"\(2,1\)"):
+            hmod.structure_from_arrays(a2, 1, 2, (1, 1),
+                                       {(1, 0): np.ones((1, 1, 1))})
+        with pytest.raises(ShapeMismatch, match=r"\(2,1\)"):
+            hmod.make_module(a2, 1, 2, [la.zeros(1, 1)] * 2,
+                             {(1, 0): [la.zeros(1, 1)]})
 
 
 class TestTwistedStructure:
