@@ -640,24 +640,69 @@ def module_to_dict(m: HModule) -> dict:
     return out
 
 
+def _read(convert, value, what: str):
+    """convert(value), with any failure raised as a ValidationError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise ValidationError(f"module file: bad {what}: {exc}") from exc
+
+
+def _pair_key(key: str) -> tuple[int, int]:
+    i, j = (int(x) - 1 for x in key.split(","))
+    return i, j
+
+
+def _int_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.int64)
+
+
+def _pair_dict(value, what: str, convert) -> dict:
+    """{(i, j): convert(entry)} of a file mapping 'i,j' keys (1-based)."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"module file: {what} must map 'i,j' keys")
+    return {_read(_pair_key, key, f"{what} key {key!r}"):
+            _read(convert, entry, f"{what} entry {key!r}")
+            for key, entry in value.items()}
+
+
 def module_from_dict(datum: CartanDatum, data: dict) -> HModule:
+    """Read a module file: k, p and either rank with structure, or dims
+    with eps (and arrows).  Malformed data raises ValidationError
+    (ShapeMismatch for lengths and shapes)."""
+    if not isinstance(data, dict):
+        raise ValidationError("module file must hold a JSON object")
     version = data.get("format_version", MODULE_FORMAT_VERSION)
     if version != MODULE_FORMAT_VERSION:
         raise ValidationError(f"unsupported module format {version}")
-    k = int(data["k"])
-    p = int(data["p"])
+    form = ("rank", "structure") if "structure" in data else ("dims", "eps")
+    missing = [key for key in ("k", "p") + form if key not in data]
+    if missing:
+        raise ValidationError(
+            f"module file lacks {', '.join(missing)}: it needs k, p and "
+            f"either rank with structure or dims with eps")
+    k = _read(int, data["k"], "k")
+    p = _read(int, data["p"], "p")
     if "structure" in data:
-        mats = {}
-        for key, arr in data["structure"].items():
-            i, j = (int(x) - 1 for x in key.split(","))
-            mats[(i, j)] = np.asarray(arr, dtype=np.int64)
-        s = structure_from_arrays(datum, k, p, data["rank"], mats)
+        rank = _read(RankVector, data["rank"], "rank")
+        if len(rank) != datum.n:
+            raise ShapeMismatch(
+                f"rank has {len(rank)} entries for {datum.n} vertices")
+        mats = _pair_dict(data["structure"], "structure", _int_array)
+        s = structure_from_arrays(datum, k, p, rank, mats)
         return from_structure_matrices(s)
-    eps = [np.asarray(e, dtype=np.int64).reshape(d, d)
-           for e, d in zip(data["eps"], data["dims"])]
-    arrows = {}
-    for key, mats in data.get("arrows", {}).items():
-        i, j = (int(x) - 1 for x in key.split(","))
-        arrows[(i, j)] = [np.asarray(a, dtype=np.int64) for a in mats]
-    mod = make_module(datum, k, p, eps, arrows)
+    dims = _read(lambda v: [int(d) for d in v], data["dims"], "dims")
+    eps = _read(lambda v: [_int_array(e) for e in v], data["eps"], "eps")
+    if len(dims) != datum.n or len(eps) != datum.n:
+        raise ShapeMismatch(
+            f"dims and eps need {datum.n} entries, got {len(dims)} and "
+            f"{len(eps)}")
+    for i, (e, d) in enumerate(zip(eps, dims)):
+        if d < 0 or e.size != d * d:
+            raise ShapeMismatch(
+                f"loop at vertex {i + 1} has {e.size} entries for dim {d}")
+    arrows = _pair_dict(data.get("arrows", {}), "arrows",
+                        lambda mats: [_int_array(a) for a in mats])
+    mod = make_module(datum, k, p, [e.reshape(d, d)
+                                    for e, d in zip(eps, dims)], arrows)
     return with_canonical_lift(mod)

@@ -4,15 +4,37 @@ Hom(M, N) is the kernel of one relation system, solved exactly over F_p:
 each structure map j -> i listed by `maps_with_labels()`, with matrix X
 on M and Y on N, gives f_i @ X == Y @ f_j.  A module lists its loops
 (i == j) and arrows; a tensor module lists those of each slot and then
-the connectors (t, i) -> (t+1, i).  For locally free modules the Euler
-form computes dim Hom - dim Ext^1 on rank vectors, and by projective
-dimension <= 1 there is nothing above Ext^1; Ext^1 is therefore obtained
-from one Hom solve and never from an explicit resolution.
+the connectors (t, i) -> (t+1, i).
+
+The unknowns are the images of the generators (Lux and Szőke, Exp. Math.
+12, 2003).  A vertex v is a ring vertex when some self-map pair at v has
+both matrices generator-major nilpotent Jordan of one block size o (ones
+at [s*o + t + 1, s*o + t], zeros elsewhere), as in standard loop form;
+the first such pair in `maps_with_labels()` order is used.  Then f_v
+commutes with that pair exactly when f_v = hmod.ring_to_matrix(theta, o,
+o) for an s x r matrix theta over F_p[x]/(x^o).  The unknowns of f_v are
+theta, ordered (s, u, o-1-t): coefficient lists in descending degree; the
+pair holds by construction and gets no equation rows.  Every other
+vertex keeps the row-major entries of f_v as unknowns.
+
+Unknown (s, u, o-1-t) is the last entry of its support in the row-major
+f_v, at [s*o + o-1, u*o + o-1-t], and this read-off is increasing.  So the
+kernel's free columns, mapped through it, and the kernel basis, expanded
+to the f_v, are exactly the support and the basis of the same kernel
+solved over all entries, with no further elimination.  Every expanded
+basis element is substituted into every relation, the built-in ones
+included.
+
+For locally free modules the Euler form computes dim Hom - dim Ext^1 on
+rank vectors, and by projective dimension <= 1 there is nothing above
+Ext^1; Ext^1 is therefore obtained from one Hom solve and never from an
+explicit resolution.
 Non-locally-free inputs are rejected where Ext is involved.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,26 +68,139 @@ def _relations(m, n) -> list:
             in zip(m.maps_with_labels(), n.maps_with_labels())]
 
 
-def intertwiner_rows(m, n, offsets: list[int],
-                     total: int) -> list[np.ndarray]:
-    """Equation blocks for Hom(m, n) against a global unknown layout.
+def _jordan_order(x: np.ndarray) -> int:
+    """The block size o when x is the generator-major nilpotent Jordan
+    matrix with blocks of size o (ones at [s*o + t + 1, s*o + t], zeros
+    everywhere else), and 0 otherwise."""
+    dim = x.shape[0]
+    if dim == 0:
+        return 0
+    sub = x.ravel()[dim::dim + 1].tolist()      # the entries x[t + 1, t]
+    o = sub.index(0) + 1 if 0 in sub else dim
+    if dim % o or sub != [int(t % o != o - 1) for t in range(dim - 1)]:
+        return 0
+    return o if np.count_nonzero(x) == dim - dim // o else 0
 
-    offsets[i] is the start of vec(f_i) inside a width-`total` unknown
-    vector; each returned array is the block of one structure map.
-    """
+
+@dataclass(frozen=True)
+class Layout:
+    """The unknowns of a Hom system, vertex after vertex: bounds[v] to
+    bounds[v+1] are those of f_v.  A ring vertex (orders[v] = o > 0)
+    holds the s x r matrix over F_p[x]/(x^o) of f_v, coefficient lists in
+    descending degree; a dense vertex (orders[v] = 0) holds the row-major
+    entries of f_v.  `built_in` indexes the relations that hold by
+    construction and get no equation rows."""
+
+    bounds: tuple[int, ...]
+    orders: tuple[int, ...]
+    built_in: frozenset[int]
+
+    @property
+    def total(self) -> int:
+        return self.bounds[-1]
+
+    def columns(self, v: int) -> slice:
+        return slice(self.bounds[v], self.bounds[v + 1])
+
+
+def _layout(m, n, relations) -> Layout:
+    """The unknowns of Hom(m, n): ring unknowns at each vertex with a
+    self-map pair whose matrices are both Jordan of one block size (the
+    first such pair is built in), dense unknowns at the other vertices."""
+    orders = [0] * len(m.dims)
+    built_in = set()
+    for index, (_, x, y, i, j) in enumerate(relations):
+        if i == j and not orders[i]:
+            o = _jordan_order(x)
+            if o and o == (o if y is x else _jordan_order(y)):
+                orders[i] = o
+                built_in.add(index)
+    bounds = [0]
+    for dm, dn, o in zip(m.dims, n.dims, orders):
+        bounds.append(bounds[-1] + (dn * dm // o if o else dn * dm))
+    return Layout(tuple(bounds), tuple(orders), frozenset(built_in))
+
+
+def _right_factor(x: np.ndarray, rows: int, o: int) -> np.ndarray:
+    """Matrix of the unknowns of f (with `rows` rows) to the row-major vec
+    of f @ x.  On a ring vertex, unknown (s, u, o-1-t) puts J^t @ x_u into
+    block row s, where x_u is the u-th block of o rows of x and J the
+    Jordan block."""
+    if not o:
+        return la.right_product_matrix(x, rows)
+    s, r, w = rows // o, x.shape[0] // o, x.shape[1]
+    xr = x.reshape(r, o, w)
+    shifted = np.zeros((o, w, r, o), dtype=np.int64)    # (d, c, u, o-1-t)
+    for t in range(o):
+        shifted[t:, :, :, o - 1 - t] = xr[:, :o - t, :].transpose(1, 2, 0)
+    out = la.identity(s)[:, None, None, :, None, None] * shifted[:, :, None]
+    return out.reshape(s * o * w, s * r * o)
+
+
+def _left_factor(y: np.ndarray, cols: int, o: int) -> np.ndarray:
+    """Matrix of the unknowns of f (with `cols` columns) to the row-major
+    vec of y @ f.  On a ring vertex, unknown (s, u, o-1-t) puts y_s @ J^t
+    into block column u, where y_s is the s-th block of o columns of y."""
+    if not o:
+        return la.left_product_matrix(y, cols)
+    h, s, r = y.shape[0], y.shape[1] // o, cols // o
+    yr = y.reshape(h, s, o)
+    shifted = np.zeros((h, o, s, o), dtype=np.int64)    # (a, e, s, o-1-t)
+    for t in range(o):
+        shifted[:, :o - t, :, o - 1 - t] = yr[:, :, t:].transpose(0, 2, 1)
+    out = (shifted[:, None, :, :, None, :]
+           * la.identity(r)[None, :, None, None, :, None])
+    return out.reshape(h * r * o, s * r * o)
+
+
+def intertwiner_rows(m, n, layout: Layout) -> list[np.ndarray]:
+    """Equation blocks for Hom(m, n) over the unknowns of `layout`, one
+    per structure map that does not hold by construction."""
     rows = []
-    for _, x, y, i, j in _relations(m, n):
+    for index, (_, x, y, i, j) in enumerate(_relations(m, n)):
         height = n.dims[i] * m.dims[j]
-        if height == 0:
+        if height == 0 or index in layout.built_in:
             continue
-        block = np.zeros((height, total), dtype=np.int64)
-        # row-major vec of f_i @ x - y @ f_j, by the unknowns f_i and f_j
-        block[:, offsets[i]:offsets[i] + n.dims[i] * m.dims[i]] = \
-            la.right_product_matrix(x, n.dims[i])
-        block[:, offsets[j]:offsets[j] + n.dims[j] * m.dims[j]] -= \
-            la.left_product_matrix(y, m.dims[j])
+        block = np.zeros((height, layout.total), dtype=np.int64)
+        # row-major vec of f_i @ x - y @ f_j, by the unknowns of f_i and f_j
+        block[:, layout.columns(i)] = _right_factor(x, n.dims[i],
+                                                    layout.orders[i])
+        block[:, layout.columns(j)] -= _left_factor(y, m.dims[j],
+                                                    layout.orders[j])
         rows.append(block % m.p)
     return rows
+
+
+def _expand(m, n, layout: Layout, theta: np.ndarray) -> np.ndarray:
+    """Dense vecs (the row-major f_v, vertex after vertex) of a stack of
+    solutions over `layout`; ring vertices go through ring_to_matrix."""
+    parts = []
+    for v, (dm, dn, o) in enumerate(zip(m.dims, n.dims, layout.orders)):
+        part = theta[:, layout.columns(v)]
+        if o:
+            ring = part.reshape(len(theta), dn // o, dm // o, o)[..., ::-1]
+            part = hmod.ring_to_matrix(ring, o, o)
+        parts.append(part.reshape(len(theta), dn * dm))
+    return np.concatenate(parts, axis=1)
+
+
+def _read_off(m, n, layout: Layout, columns) -> tuple[int, ...]:
+    """For unknowns of `layout`, the dense vec indices that read them
+    off: unknown (s, u, o-1-t) of a ring vertex is the last entry of its
+    support, f_v[s*o + o-1, u*o + o-1-t].  The map is increasing."""
+    starts = [0]
+    for dm, dn in zip(m.dims, n.dims):
+        starts.append(starts[-1] + dn * dm)
+    out = []
+    for c in columns:
+        v = bisect.bisect_right(layout.bounds, c) - 1
+        c -= layout.bounds[v]
+        o = layout.orders[v]
+        if o:
+            s, rest = divmod(c, m.dims[v])     # r*o unknowns per s
+            c = (s * o + o - 1) * m.dims[v] + rest
+        out.append(starts[v] + c)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +228,6 @@ class HomBasis:
     def coords_of(self, f) -> np.ndarray:
         vec = _flatten(self.source, self.target, f)
         return vec[list(self.support)]
-
-
-def _layout(m, n) -> tuple[list[int], int]:
-    offsets = []
-    total = 0
-    for dm, dn in zip(m.dims, n.dims):
-        offsets.append(total)
-        total += dn * dm
-    return offsets, total
 
 
 def _unflatten(m, n, vec: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -135,17 +261,21 @@ def is_homomorphism(m: HModule, n: HModule, f) -> bool:
 
 
 def _hom_basis(m, n) -> HomBasis:
-    """Kernel of the relation system of m and n.  All basis elements are
-    re-checked by substitution into every relation; the modules only need
-    `p`, `dims` and `maps_with_labels()`."""
-    offsets, total = _layout(m, n)
-    blocks = intertwiner_rows(m, n, offsets, total)
-    if total == 0:
+    """Kernel of the relation system of m and n, solved over `_layout`.
+    All basis elements are expanded and re-checked by substitution into
+    every relation, built-in ones included; the modules only need `p`,
+    `dims` and `maps_with_labels()`."""
+    relations = _relations(m, n)
+    layout = _layout(m, n, relations)
+    blocks = intertwiner_rows(m, n, layout)
+    if layout.total == 0:
         return HomBasis(m, n, (), la.zeros(0, 0), ())
     system = (np.concatenate(blocks, axis=0) if blocks
-              else la.zeros(0, total))
-    basis, support = la.kernel_basis_and_support(system, m.p)
-    label = _failed_relation(_relations(m, n), _unflatten(m, n, basis), m.p)
+              else la.zeros(0, layout.total))
+    theta, free = la.kernel_basis_and_support(system, m.p)
+    basis = _expand(m, n, layout, theta)
+    support = _read_off(m, n, layout, free)
+    label = _failed_relation(relations, _unflatten(m, n, basis), m.p)
     if label is not None:
         raise InternalCheckError(
             f"Hom basis element breaks the relation of {label}")
@@ -172,7 +302,7 @@ def ext1_dim(m: HModule, n: HModule) -> int:
     """dim Ext^1 = dim Hom - <rk m, rk n> for locally free modules."""
     _check_pair(m, n)
     rm = hmod.rank_vector(m)
-    rn = hmod.rank_vector(n)
+    rn = rm if n is m else hmod.rank_vector(n)
     value = hom_space(m, n).dim - euler_form(m.datum, rm, rn, k=m.k)
     if value < 0:
         raise InternalCheckError(

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cartanquiver import cartan, hmod
+from cartanquiver import cartan, hmod, homext
 from cartanquiver import exactlinalg as la
+from cartanquiver.errors import ShapeMismatch, ValidationError
 
 
 def make_datum(c, d, omega):
@@ -101,5 +102,66 @@ def line_submodule(module, vertex, a_coeffs):
     return la.Subspace.from_rows(columns.T, 2 * order, module.p)
 
 
+# A2 module files (k = 2, p = 5) that are malformed in one way each
+MALFORMED_MODULE_FILES = [
+    ({"k": 2, "p": 5, "rank": [1, 1], "structure": {"1;2": [[[0, 1]]]}},
+     ValidationError),
+    ({"k": 2, "p": 5, "rank": [1, 1], "structure": {"1,2": [[["x", 1]]]}},
+     ValidationError),
+    ({"k": 2, "p": 5, "rank": [1, 1]}, ValidationError),
+    ({"k": 2, "p": 5, "dims": [2, 2], "eps": [[[0, 0], [1, 0]]]},
+     ShapeMismatch),
+    ({"k": 2, "p": 5, "rank": [1], "structure": {}}, ShapeMismatch),
+    ({"k": 2, "p": 5, "dims": [1, 1], "eps": [[0], [0]], "arrows": [[1]]},
+     ValidationError),
+]
+
+
 SMALL_RANKS = [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2),
                (3, 0), (0, 3)]
+
+
+def reference_intertwiner_rows(m, n, offsets, total):
+    """The relation blocks with dense unknowns (offsets[i] is the start of
+    the row-major entries of f_i), assembled with np.kron against
+    identities."""
+    rows = []
+    for _, x, y, i, j in homext._relations(m, n):
+        height = n.dims[i] * m.dims[j]
+        if height == 0:
+            continue
+        block = np.zeros((height, total), dtype=np.int64)
+        ui = n.dims[i] * m.dims[i]
+        if ui:
+            block[:, offsets[i]:offsets[i] + ui] = np.kron(
+                la.identity(n.dims[i]), x.T)
+        uj = n.dims[j] * m.dims[j]
+        if uj:
+            block[:, offsets[j]:offsets[j] + uj] -= np.kron(
+                y, la.identity(m.dims[j]))
+        rows.append(block % m.p)
+    return rows
+
+
+def dense_hom_reference(m, n):
+    """The Hom kernel over dense unknowns, every entry of every f_v:
+    (vec_basis, support) as la.kernel_basis_and_support returns them."""
+    offsets = [0]
+    for dm, dn in zip(m.dims, n.dims):
+        offsets.append(offsets[-1] + dn * dm)
+    total = offsets.pop()
+    if total == 0:
+        return la.zeros(0, 0), ()
+    rows = reference_intertwiner_rows(m, n, offsets, total)
+    system = np.concatenate(rows, axis=0) if rows else la.zeros(0, total)
+    return la.kernel_basis_and_support(system, m.p)
+
+
+def assert_matches_dense(basis, m, n):
+    """The Hom basis is byte-for-byte the one of the dense solve."""
+    want, support = dense_hom_reference(m, n)
+    assert basis.vec_basis.dtype == want.dtype
+    assert basis.vec_basis.shape == want.shape
+    assert np.array_equal(basis.vec_basis, want)
+    assert basis.support == support
+    assert all(type(c) is int for c in basis.support)

@@ -4,6 +4,8 @@ import pytest
 
 from cartanquiver import cli
 
+from conftest import MALFORMED_MODULE_FILES
+
 A2_CONFIG = {"n": 2, "C": [[2, -1], [-1, 2]], "D": [1, 1],
              "omega": [[1, 2]], "k": 2, "p": 5}
 
@@ -181,3 +183,12 @@ def test_flag_count_level_override(config_path, tmp_path):
                 "--module", str(module_path), "--brseq", "1,0;0,1",
                 "--k", "1", "--output", str(out)]) == 0
     assert read_json(out)["report"]["k"] == 1
+
+
+@pytest.mark.parametrize("data", [d for d, _ in MALFORMED_MODULE_FILES])
+def test_malformed_module_file_exits_2(config_path, tmp_path, capsys, data):
+    path = tmp_path / "bad_module.json"
+    path.write_text(json.dumps(data))
+    assert run(["reduce", "--config", config_path, "--module",
+                str(path)]) == 2
+    assert "error" in capsys.readouterr().err

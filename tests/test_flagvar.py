@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanquiver import exactlinalg as la
 from cartanquiver import flagvar, hmod, homext, reduction
@@ -19,7 +21,13 @@ from cartanquiver.errors import (
     ValidationError,
 )
 
-from conftest import golden_module, line_submodule, n_module
+from conftest import (
+    assert_matches_dense,
+    golden_module,
+    line_submodule,
+    n_module,
+    reference_intertwiner_rows,
+)
 
 
 def brvec(seq):
@@ -541,7 +549,7 @@ def reference_hom_tensor(x, y):
         offsets.append(off_t)
     blocks = []
     for t in range(slots):
-        blocks.extend(homext.intertwiner_rows(
+        blocks.extend(reference_intertwiner_rows(
             x.slots[t], y.slots[t], offsets[t], total))
     p = x.slots[0].p
     for t in range(slots - 1):
@@ -565,11 +573,6 @@ def reference_hom_tensor(x, y):
     system = (np.concatenate(blocks, axis=0) if blocks
               else la.zeros(0, total))
     return system, [off for off_t in offsets for off in off_t]
-
-
-def _row_space(rows, p):
-    reduced, rank, _ = la.rref(rows, p)
-    return reduced[:rank]
 
 
 def _oracle_tensor_pairs(a2, b2, a3):
@@ -603,19 +606,36 @@ def _oracle_tensor_pairs(a2, b2, a3):
 
 class TestTensorHomOracles:
     def test_matches_reference_assembly(self, a2, b2, a3):
-        pairs = _oracle_tensor_pairs(a2, b2, a3)
-        for x, y in pairs:
-            p = x.p
-            system, offsets = reference_hom_tensor(x, y)
-            blocks = homext.intertwiner_rows(x, y, offsets,
-                                             system.shape[1])
-            assert sum(b.shape[0] for b in blocks) == system.shape[0]
+        for x, y in _oracle_tensor_pairs(a2, b2, a3):
+            system, _ = reference_hom_tensor(x, y)
+            want, support = (la.kernel_basis_and_support(system, x.p)
+                             if system.shape[1] else (la.zeros(0, 0), ()))
             basis = flagvar.hom_tensor(x, y)
-            want = la.kernel_basis_matrix(system, p)
-            assert basis.dim == want.shape[0]
-            if basis.dim:
-                assert np.array_equal(_row_space(basis.vec_basis, p),
-                                      _row_space(want, p))
+            assert basis.vec_basis.shape == want.shape
+            assert np.array_equal(basis.vec_basis, want)
+            assert basis.support == support
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_flag_pairs_match_dense(self, a2, b2, b2_rev, data):
+        datum = data.draw(st.sampled_from([a2, b2, b2_rev]))
+        k = data.draw(st.integers(1, 2))
+        p = data.draw(st.sampled_from((2, 3)))
+        r = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        m = hmod.random_locally_free(datum, k, p, r,
+                                     seed=data.draw(st.integers(0, 2 ** 16)))
+        first = tuple(data.draw(st.integers(0, ri)) for ri in r)
+        second = tuple(data.draw(st.integers(0, ri - a))
+                       for ri, a in zip(r, first))
+        rest = tuple(ri - a - b for ri, a, b in zip(r, first, second))
+        pairs = [(flagvar.repetitive_module(m, 3),) * 2]
+        for flag in itertools.islice(
+                flagvar.iter_flags(m, [first, second, rest]), 2):
+            x, y = flagvar._flag_tensor_modules(m, flag)
+            pairs += [(x, y), (flagvar._mod_epsilon_tensor(x),
+                               flagvar._mod_epsilon_tensor(y))]
+        for x, y in pairs:
+            assert_matches_dense(flagvar.hom_tensor(x, y), x, y)
 
     def test_substitution_check_covers_connectors(self, a2, monkeypatch):
         m = hmod.random_locally_free(a2, 2, 3, (1, 1), seed=1)
@@ -626,7 +646,13 @@ class TestTensorHomOracles:
         zero = tuple(0 * f for f in ident)
         assert homext.is_homomorphism(m, m, ident)
         assert homext.is_homomorphism(m, m, zero)
-        bad = np.concatenate([f.reshape(-1) for f in ident + zero])
+        # the same element over ring unknowns: every vertex of rep has
+        # Jordan loops, so each f_v is its ring matrix, coefficient lists
+        # in descending degree
+        bad = np.concatenate([
+            hmod.matrix_to_ring(f, m.loop_order(i % m.n),
+                                m.loop_order(i % m.n))[..., ::-1].reshape(-1)
+            for i, f in enumerate(ident + zero)])
         original = la.kernel_basis_and_support
 
         def with_bad_row(a, p):

@@ -18,7 +18,7 @@ from cartanquiver.errors import (
 )
 from cartanquiver.exactlinalg import Subspace
 
-from conftest import golden_module, n_module
+from conftest import MALFORMED_MODULE_FILES, golden_module, n_module
 
 
 class TestValidation:
@@ -389,6 +389,11 @@ class TestSerialization:
         data = hmod.module_to_dict(raw)
         data[form] = {"2,1": data[form]["1,2"]}
         with pytest.raises(ShapeMismatch, match=r"\(2,1\)"):
+            hmod.module_from_dict(a2, data)
+
+    @pytest.mark.parametrize("data,error", MALFORMED_MODULE_FILES)
+    def test_malformed_file_raises_typed_error(self, a2, data, error):
+        with pytest.raises(error):
             hmod.module_from_dict(a2, data)
 
     def test_extra_keys_rejected_by_constructors(self, a2):

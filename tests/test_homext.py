@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 from cartanquiver import exactlinalg as la
 from cartanquiver import flagvar, hmod, homext
 from cartanquiver.cartan import RankVector, euler_form
-from cartanquiver.errors import DatumMismatch, NotLocallyFree
+from cartanquiver.errors import (
+    DatumMismatch,
+    InternalCheckError,
+    NotLocallyFree,
+)
 
-from conftest import golden_module, n_module
+from conftest import assert_matches_dense, golden_module, make_datum, n_module
 
 
 class TestHomSpace:
@@ -86,6 +91,22 @@ class TestExt:
         m = hmod.make_module(a2, 2, 5, eps, {})
         with pytest.raises(NotLocallyFree):
             homext.ext1_dim(m, m)
+
+    def test_self_ext_reads_the_rank_once(self, b2, monkeypatch):
+        m = hmod.random_locally_free(b2, 2, 3, (2, 1), seed=1)
+        n = hmod.random_locally_free(b2, 2, 3, (1, 1), seed=2)
+        calls = []
+        original = hmod.rank_vector
+
+        def counted(mod):
+            calls.append(mod)
+            return original(mod)
+
+        monkeypatch.setattr(hmod, "rank_vector", counted)
+        homext.ext1_dim(m, m)
+        assert calls == [m]
+        homext.ext1_dim(m, n)
+        assert calls == [m, m, n]
 
     def test_ext_nonnegative_on_samples(self, a2, b2, kronecker):
         for datum in (a2, b2, kronecker):
@@ -336,25 +357,7 @@ class TestHomBruteForce:
         assert p ** flagvar.hom_tensor(x, y).dim == count
 
 
-def reference_intertwiner_rows(m, n, offsets, total):
-    """The relation blocks assembled with np.kron against identities."""
-    rows = []
-    for _, x, y, i, j in homext._relations(m, n):
-        height = n.dims[i] * m.dims[j]
-        if height == 0:
-            continue
-        block = np.zeros((height, total), dtype=np.int64)
-        ui = n.dims[i] * m.dims[i]
-        if ui:
-            block[:, offsets[i]:offsets[i] + ui] = np.kron(
-                la.identity(n.dims[i]), x.T)
-        uj = n.dims[j] * m.dims[j]
-        if uj:
-            block[:, offsets[j]:offsets[j] + uj] -= np.kron(
-                y, la.identity(m.dims[j]))
-        rows.append(block % m.p)
-    return rows
-
+# --- ring unknowns against the dense oracle ------------------------------------
 
 class _ListedMaps:
     """What the Hom assembly reads of a module: p, dims and the labelled
@@ -369,6 +372,18 @@ class _ListedMaps:
         return self._maps
 
 
+def _draw_matrix(draw, p, rows, cols):
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+def _jordan(order, gens):
+    """Generator-major nilpotent Jordan matrix: `gens` blocks of size
+    `order` (the zero matrix for order 1)."""
+    return np.kron(la.identity(gens), np.eye(order, k=-1, dtype=np.int64))
+
+
 @st.composite
 def relation_pairs(draw):
     """Two listed modules on up to three vertices (dimension 0 allowed)
@@ -378,30 +393,160 @@ def relation_pairs(draw):
     dims = st.lists(st.integers(0, 3), min_size=n_vertices,
                     max_size=n_vertices)
     dm, dn = draw(dims), draw(dims)
-    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
-
-    def matrix(rows, cols):
-        flat = draw(st.lists(entry, min_size=rows * cols,
-                             max_size=rows * cols))
-        return np.array(flat, dtype=np.int64).reshape(rows, cols)
-
     m_maps, n_maps = [], []
     for g in range(draw(st.integers(0, 5))):
         i = draw(st.integers(0, n_vertices - 1))
         j = draw(st.integers(0, n_vertices - 1))
-        m_maps.append((f"map {g}", matrix(dm[i], dm[j]), i, j))
-        n_maps.append((f"map {g}", matrix(dn[i], dn[j]), i, j))
+        m_maps.append((f"map {g}", _draw_matrix(draw, p, dm[i], dm[j]), i, j))
+        n_maps.append((f"map {g}", _draw_matrix(draw, p, dn[i], dn[j]), i, j))
     return _ListedMaps(p, dm, m_maps), _ListedMaps(p, dn, n_maps)
+
+
+@st.composite
+def jordan_pairs(draw):
+    """Two listed modules with a Jordan self-map pair at every vertex
+    (block size 1 is the zero matrix; the two sides may differ in block
+    size), among random self-maps and arrows in random order.  Returns
+    the pair and, per vertex, the ring order the layout must pick."""
+    p = draw(st.sampled_from([2, 3, 7]))
+    n_vertices = draw(st.integers(1, 3))
+    maps, expected, dm, dn = [], [], [], []
+    for v in range(n_vertices):
+        om = draw(st.integers(1, 3))
+        on = draw(st.one_of(st.just(om), st.integers(1, 3)))
+        rm, rn = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        dm.append(om * rm)
+        dn.append(on * rn)
+        maps.append((_jordan(om, rm), _jordan(on, rn), v, v))
+        expected.append(om if om == on and rm and rn else 0)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, n_vertices - 1))
+        j = draw(st.integers(0, n_vertices - 1))
+        maps.append((_draw_matrix(draw, p, dm[i], dm[j]),
+                     _draw_matrix(draw, p, dn[i], dn[j]), i, j))
+    maps = draw(st.permutations(maps))
+    m = _ListedMaps(p, dm, [(f"map {g}", x, i, j)
+                            for g, (x, _, i, j) in enumerate(maps)])
+    n = _ListedMaps(p, dn, [(f"map {g}", y, i, j)
+                            for g, (_, y, i, j) in enumerate(maps)])
+    return m, n, expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(relation_pairs())
 def test_intertwiner_rows_match_kron_reference(pair):
     m, n = pair
-    offsets, total = homext._layout(m, n)
-    got = homext.intertwiner_rows(m, n, offsets, total)
-    want = reference_intertwiner_rows(m, n, offsets, total)
-    assert len(got) == len(want)
-    for block, ref in zip(got, want):
-        assert block.shape == ref.shape
-        assert np.array_equal(block, ref)
+    assert_matches_dense(homext._hom_basis(m, n), m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(jordan_pairs())
+def test_jordan_self_maps_match_kron_reference(case):
+    m, n, expected = case
+    relations = homext._relations(m, n)
+    # the first self-map pair at a vertex whose matrices are Jordan of
+    # one block size (a random self-map that is zero on both sides is
+    # such a pair, with block size 1), found by brute force
+    orders = [0] * len(m.dims)
+    for _, x, y, i, j in relations:
+        if i == j and not orders[i]:
+            o = _block_size(x)
+            if o and o == _block_size(y):
+                orders[i] = o
+    assert all(o for o, want in zip(orders, expected) if want)
+    assert homext._layout(m, n, relations).orders == tuple(orders)
+    assert_matches_dense(homext._hom_basis(m, n), m, n)
+
+
+def _block_size(x):
+    """The block size of a generator-major Jordan matrix, found by brute
+    force over the candidates, or 0."""
+    for o in range(1, x.shape[0] + 1):
+        if x.shape[0] % o == 0 and np.array_equal(
+                x, _jordan(o, x.shape[0] // o)):
+            return o
+    return 0
+
+
+def _unitriangular_conjugate(m, vertices, rng):
+    """m with the basis at the given vertices changed by a random product
+    of lower and upper unitriangular matrices."""
+    p = m.p
+    ts, tinv = [], []
+    for i, d in enumerate(m.dims):
+        t = la.identity(d)
+        if i in vertices:
+            low = np.tril(rng.integers(0, p, size=(d, d)), -1) + t
+            up = np.triu(rng.integers(0, p, size=(d, d)), 1) + t
+            t = (low @ up) % p
+        ts.append(t)
+        tinv.append(la.inv(t, p) if d else t)
+    eps = [(tinv[i] @ m.eps[i] % p @ ts[i]) % p for i in range(m.n)]
+    arrows = {key: [(tinv[key[0]] @ a % p @ ts[key[1]]) % p for a in mats]
+              for key, mats in m.arrows.items()}
+    return hmod.make_module(m.datum, m.k, p, eps, arrows)
+
+
+class TestRingUnknowns:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_module_pairs_match_dense(self, a2, b2, b2_rev, g2, kronecker,
+                                      data):
+        double = make_datum([[2, -2], [-4, 2]], [2, 1], [(0, 1)])
+        datum = data.draw(st.sampled_from(
+            [a2, b2, b2_rev, g2, kronecker, double]))
+        k = data.draw(st.integers(1, 3))
+        p = data.draw(st.sampled_from((2, 3)))
+        ranks = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        m, n = (hmod.random_locally_free(datum, k, p, data.draw(ranks),
+                                         seed=(seed, t)) for t in range(2))
+        # change the basis at some vertices: their loops leave Jordan
+        # form, while the flag may still claim the standard form
+        rng = np.random.default_rng(seed)
+        vertices = data.draw(st.sets(st.integers(0, 1)))
+        m = _unitriangular_conjugate(m, vertices, rng)
+        if data.draw(st.booleans()):
+            m = dataclasses.replace(m, standard_form=True)
+        for x, y in ((m, n), (n, m), (m, m)):
+            assert_matches_dense(homext.hom_space(x, y), x, y)
+
+    def test_b2_rank_32_end_system_is_ring_sized(self, b2, monkeypatch):
+        m = hmod.random_locally_free(b2, 3, 2, (3, 2), seed=7)
+        # the same loops without the standard_form flag
+        ds = hmod.direct_sum(hmod.random_locally_free(b2, 3, 2, (2, 1),
+                                                      seed=8),
+                             hmod.random_locally_free(b2, 3, 2, (1, 1),
+                                                      seed=9))
+        assert not ds.standard_form
+        rep = flagvar.repetitive_module(ds, 3)
+        shapes = []
+        original = la.kernel_basis_and_support
+
+        def capture(a, p):
+            shapes.append(a.shape)
+            return original(a, p)
+
+        monkeypatch.setattr(la, "kernel_basis_and_support", capture)
+        homext.hom_space(m, m)
+        homext.hom_space(ds, ds)
+        flagvar.hom_tensor(rep, rep)
+        # dense unknowns would be 18^2 + 6^2 = 360 per slot
+        assert shapes == [(108, 66), (108, 66), (2 * 108 + 18 ** 2 + 6 ** 2,
+                                                 132)]
+
+    def test_substitution_check_covers_built_in_loops(self, one_vertex,
+                                                      monkeypatch):
+        m = hmod.free_module(one_vertex, 2, 3, (2,))
+        original = hmod.ring_to_matrix
+
+        def off_by_corner(ring, mi, mj, fij=1, fji=1):
+            out = original(ring, mi, mj, fij, fji)
+            out[..., 0, -1] += 1
+            return out
+
+        monkeypatch.setattr(hmod, "ring_to_matrix", off_by_corner)
+        # the loop relation has no equation rows; only the substitution
+        # check of the expanded basis sees the broken expansion
+        with pytest.raises(InternalCheckError, match="eps_1"):
+            homext.hom_space(m, m)
