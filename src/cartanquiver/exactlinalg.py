@@ -233,10 +233,18 @@ def kernel_basis_and_support(a: np.ndarray, p: int
     coordinates: basis[t, support[t]] == 1 and 0 at the other support
     columns, so the coefficients of any kernel vector are its values at
     the support columns."""
-    rows, cols = a.shape
-    r, rk, pivots = rref(a, p)
+    r, _, pivots = rref(a, p)
+    return _kernel_from_rref(r, pivots, a.shape[1], p)
+
+
+def _kernel_from_rref(r: np.ndarray, pivots: tuple[int, ...], cols: int,
+                      p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """`kernel_basis_and_support` of a matrix whose RREF has r[:, :cols] as
+    its first cols columns and the given pivots, all below cols."""
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros(len(free), cols)
+    # entry by entry: the systems are mostly tiny (a few free columns times
+    # a few pivots), where numpy's fancy indexing costs more than the loop
     for t, f in enumerate(free):
         basis[t, f] = 1
         for row, c in enumerate(pivots):
@@ -258,7 +266,9 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     """Solve a @ x = b mod p for a column vector (or stacked columns) b.
 
     Returns (particular, kernel_rows) or None when inconsistent.  Every
-    returned solution is verified by substitution.
+    returned solution is verified by substitution.  One elimination of
+    [a | b] serves both: when the system is consistent, its left block is
+    the RREF of a.
     """
     b = np.asarray(b, dtype=np.int64) % p
     single = b.ndim == 1
@@ -278,7 +288,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     if ((a @ x - bc) % p).any():
         raise InternalCheckError("solve: substitution check failed")
     part = x[:, 0] if single else x
-    return part, kernel_basis_matrix(a, p)
+    return part, _kernel_from_rref(r, pivots, ncols, p)[0]
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ Enumeration works per vertex first: the free rank-e submodules of a free
 module over F_p[x]/(x^m) are generated directly from ring-echelon charts
 (pivot rows carry the identity, rows between pivots are constrained to
 higher x-degree), which hits every eps-invariant free-restriction subspace
-exactly once.  The charts of a vertex are built as one stacked array and
-reduced by one batched elimination into a cached candidate table; one
-backtracking search, which iterates or counts, then tests a block of
-candidates at a time for arrow closure across vertices.  Flags of
+exactly once.  The charts of a vertex are split into blocks; one
+backtracking search, which iterates or counts, tests a block of candidates
+at a time for arrow closure across vertices, and builds each block (one
+stacked array of charts, reduced by one batched elimination) when it first
+reaches it.  Built blocks of keys up to a size limit are cached, so a
+search that stops early builds only the blocks it read.  Flags of
 length l are translated into single submodules of the repetitive module
 over the tensor algebra with the path algebra of a linear quiver on l-1
 vertices; that translation also provides tangent spaces (one Hom solve)
@@ -113,9 +115,9 @@ def _block_size(m_order: int, r: int, e: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _CandidateTable:
-    """Candidate submodules of one (m_order, r, e, p) key, or a block of
-    them, in chart order: read-only RREF bases (N, e*m, r*m) and their
-    pivot columns (N, e*m)."""
+    """A run of consecutive candidate submodules of one (m_order, r, e, p)
+    key, in chart order: read-only RREF bases (N, e*m, r*m) and their pivot
+    columns (N, e*m)."""
 
     p: int
     ambient: int
@@ -124,10 +126,6 @@ class _CandidateTable:
 
     def __len__(self) -> int:
         return self.basis.shape[0]
-
-    def block(self, start: int, stop: int) -> "_CandidateTable":
-        return _CandidateTable(self.p, self.ambient, self.basis[start:stop],
-                               self.pivots[start:stop])
 
     def subspace(self, t: int) -> Subspace:
         """Candidate t as a Subspace viewing the table."""
@@ -160,23 +158,30 @@ def _new_table(m_order: int, r: int, e: int, p: int, start: int,
 
 @functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
 def _vertex_candidates(m_order: int, r: int, e: int, p: int
-                       ) -> _CandidateTable:
-    return _new_table(m_order, r, e, p, 0, chart_count(m_order, r, e, p))
+                       ) -> list[Optional[_CandidateTable]]:
+    """The blocks of one key, None until `_candidate_blocks` first reaches
+    them; filled in place, so every search over the key shares them."""
+    count = chart_count(m_order, r, e, p)
+    return [None] * -(-count // _block_size(m_order, r, e))
 
 
 def _candidate_blocks(m_order: int, r: int, e: int, p: int
                       ) -> Iterator[_CandidateTable]:
-    """The candidates of one key in chart order, a block at a time: views
-    of the cached table, or (over _CANDIDATE_CACHE_LIMIT charts) blocks
-    built as they are reached and never cached."""
+    """The candidates of one key in chart order, a block at a time, each
+    built when it is first reached: kept in the key's cached block list,
+    or (over _CANDIDATE_CACHE_LIMIT charts) never kept."""
     count = chart_count(m_order, r, e, p)
     step = _block_size(m_order, r, e)
-    table = (_vertex_candidates(m_order, r, e, p)
-             if count <= _CANDIDATE_CACHE_LIMIT else None)
-    for start in range(0, count, step):
-        stop = min(count, start + step)
-        yield (table.block(start, stop) if table is not None
-               else _new_table(m_order, r, e, p, start, stop))
+    blocks = (_vertex_candidates(m_order, r, e, p)
+              if count <= _CANDIDATE_CACHE_LIMIT else None)
+    for b, start in enumerate(range(0, count, step)):
+        block = blocks[b] if blocks is not None else None
+        if block is None:
+            block = _new_table(m_order, r, e, p, start,
+                               min(count, start + step))
+            if blocks is not None:
+                blocks[b] = block
+        yield block
 
 
 # --- submodule and flag enumeration ------------------------------------------

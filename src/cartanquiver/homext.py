@@ -35,6 +35,7 @@ Non-locally-free inputs are rejected where Ext is involved.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -205,18 +206,23 @@ def _read_off(m, n, layout: Layout, columns) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class HomBasis:
-    """A basis of Hom(source, target); elements are per-vertex matrix tuples
-    (for tensor modules, vertex (t, i) at index t*n + i)."""
+    """A basis of Hom(source, target): the rows of vec_basis; elements are
+    the same rows as per-vertex matrix tuples (for tensor modules, vertex
+    (t, i) at index t*n + i), built on first access."""
 
     source: HModule
     target: HModule
-    elements: tuple[tuple[np.ndarray, ...], ...]
     vec_basis: np.ndarray = field(repr=False)
     support: tuple[int, ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return self.vec_basis.shape[0]
+
+    @functools.cached_property
+    def elements(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        return tuple(_unflatten(self.source, self.target, row)
+                     for row in self.vec_basis)
 
     def element_from_coeffs(self, coeffs) -> tuple[np.ndarray, ...]:
         coeffs = np.asarray(coeffs, dtype=np.int64) % self.source.p
@@ -269,7 +275,7 @@ def _hom_basis(m, n) -> HomBasis:
     layout = _layout(m, n, relations)
     blocks = intertwiner_rows(m, n, layout)
     if layout.total == 0:
-        return HomBasis(m, n, (), la.zeros(0, 0), ())
+        return HomBasis(m, n, la.zeros(0, 0), ())
     system = (np.concatenate(blocks, axis=0) if blocks
               else la.zeros(0, layout.total))
     theta, free = la.kernel_basis_and_support(system, m.p)
@@ -279,8 +285,7 @@ def _hom_basis(m, n) -> HomBasis:
     if label is not None:
         raise InternalCheckError(
             f"Hom basis element breaks the relation of {label}")
-    elements = tuple(_unflatten(m, n, row) for row in basis)
-    return HomBasis(m, n, elements, basis, support)
+    return HomBasis(m, n, basis, support)
 
 
 def hom_space(m: HModule, n: HModule) -> HomBasis:

@@ -183,6 +183,53 @@ def test_solve_matches_brute_force(case):
     assert len(np.unique(got)) == len(got)
 
 
+def _loop_kernel(a, p):
+    """The kernel basis and support filled entry by entry from `la.rref`."""
+    cols = a.shape[1]
+    r, _, pivots = la.rref(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = la.zeros(len(free), cols)
+    for t, f in enumerate(free):
+        basis[t, f] = 1
+        for row, c in enumerate(pivots):
+            basis[t, c] = (-r[row, f]) % p
+    return basis, tuple(free)
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_kernel_matches_entrywise_fill(case):
+    p, a, b = case
+    basis, support = la.kernel_basis_and_support(a, p)
+    want, want_support = _loop_kernel(a, p)
+    assert basis.dtype == want.dtype and basis.shape == want.shape
+    assert np.array_equal(basis, want) and support == want_support
+    assert len(support) + la.rank(a, p) == a.shape[1]
+    assert np.array_equal(basis[:, list(support)],
+                          la.identity(len(support)))
+    assert not ((a @ basis.T) % p).any()
+    # solve reads the kernel off its one elimination of [a | b]
+    result = la.solve(a, b, p)
+    if result is not None:
+        kernel = result[1]
+        assert kernel.dtype == want.dtype and np.array_equal(kernel, want)
+
+
+def test_solve_eliminates_once(monkeypatch):
+    calls = []
+    original = la.rref
+
+    def counting(a, p):
+        calls.append(a.shape)
+        return original(a, p)
+
+    monkeypatch.setattr(la, "rref", counting)
+    a = np.array([[1, 2, 0, 1], [0, 1, 1, 1]])
+    part, kernel = la.solve(a, np.array([1, 2]), 3)
+    assert calls == [(2, 5)]
+    assert kernel.shape == (2, 4) and not ((a @ kernel.T) % 3).any()
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_product_matrices_match_kron(seed):
     rng = np.random.default_rng(seed)

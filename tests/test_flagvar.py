@@ -136,23 +136,36 @@ class TestCandidateTables:
             assert len(produced) == len(charts), key
             for want, got in zip(charts, produced):
                 assert np.array_equal(want, got), key
-            table = flagvar._vertex_candidates(*key)
-            assert len(table) == len(charts), key
-            for t, mat in enumerate(charts):
+            blocks = list(flagvar._candidate_blocks(*key))
+            cached = flagvar._vertex_candidates(*key)
+            assert len(cached) == len(blocks), key
+            assert all(a is b for a, b in zip(cached, blocks)), key
+            got_subs = [block.subspace(t) for block in blocks
+                        for t in range(len(block))]
+            assert len(got_subs) == len(charts), key
+            for mat, got in zip(charts, got_subs):
                 want = reference_subspace(mat, m_order, r, p)
-                got = table.subspace(t)
                 assert got == want, key
                 assert np.array_equal(got.basis, want.basis), key
                 assert got.pivots == want.pivots, key
                 assert got.basis.dtype == want.basis.dtype, key
                 assert hash(got) == hash(want), key
 
-    def test_table_is_read_only(self):
-        table = flagvar._vertex_candidates(2, 2, 1, 3)
-        sub = table.subspace(0)
-        for arr in (table.basis, table.pivots, sub.basis):
-            with pytest.raises(ValueError):
-                arr[...] = 0
+    def test_table_is_read_only(self, monkeypatch):
+        monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            key = (2, 2, 1, 3)
+            list(flagvar._candidate_blocks(*key))
+            blocks = flagvar._vertex_candidates(*key)
+            assert len(blocks) > 1
+            for block in blocks:
+                sub = block.subspace(len(block) - 1)
+                for arr in (block.basis, block.pivots, sub.basis):
+                    with pytest.raises(ValueError):
+                        arr[...] = 0
+        finally:
+            flagvar._vertex_candidates.cache_clear()
 
     def test_cache_is_bounded(self):
         size = flagvar._CANDIDATE_CACHE_SIZE
@@ -306,6 +319,96 @@ class TestStreamedCandidates:
         first = next(stream)
         stream.close()
         assert len(first) == step and built == [step]
+
+
+class TestLazyBlocks:
+    """Blocks of cached keys are built when a search first reaches them,
+    once each, and kept in the key's block list for every later search."""
+
+    KEY = (2, 2, 1, 3)      # both vertices of n_module(a2, 2, 3) at e=(1, 1)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Small blocks and a record of the (key, start) of every build."""
+        record = []
+        original = flagvar._chart_block
+
+        def counting(m_order, r, e, p, start, stop):
+            record.append(((m_order, r, e, p), start))
+            return original(m_order, r, e, p, start, stop)
+
+        monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
+        monkeypatch.setattr(flagvar, "_chart_block", counting)
+        flagvar._vertex_candidates.cache_clear()
+        yield record
+        flagvar._vertex_candidates.cache_clear()
+
+    def _block_starts(self):
+        count = flagvar.chart_count(*self.KEY)
+        return list(range(0, count, flagvar._block_size(*self.KEY[:3])))
+
+    def test_early_stop_builds_reached_blocks(self, a2, built, monkeypatch):
+        starts = self._block_starts()
+        assert len(starts) > 2
+        reached = []
+        original = flagvar._candidate_blocks
+
+        def recording(*key):
+            for b, block in enumerate(original(*key)):
+                reached.append((key, starts[b]))
+                yield block
+
+        monkeypatch.setattr(flagvar, "_candidate_blocks", recording)
+        m = n_module(a2, 2, 3)
+        stream = flagvar.iter_flags(m, [(1, 1), (1, 1)])
+        first = next(stream)
+        stream.close()
+        assert sorted(set(reached)) == sorted(built)
+        assert len(built) == len(set(built)) < len(starts)
+        blocks = flagvar._vertex_candidates(*self.KEY)
+        assert [b is not None for b in blocks] == [
+            (self.KEY, s) in built for s in starts]
+        # a count over the key fills in the rest, building each block once
+        assert flagvar.count_locally_free_submodules(m, (1, 1)) == 27
+        assert sorted(built) == [(self.KEY, s) for s in starts]
+        eager = flagvar._new_table(*self.KEY, 0,
+                                   flagvar.chart_count(*self.KEY))
+        for name in ("basis", "pivots"):
+            got = np.concatenate([getattr(b, name) for b in blocks])
+            want = getattr(eager, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert first.layers == flagvar.enumerate_flags(
+            m, [(1, 1), (1, 1)])[0].layers
+
+    def test_interleaved_searches_share_blocks(self, a2, built):
+        m = n_module(a2, 2, 3)
+        seq = [(1, 1), (1, 1)]
+        suspended = flagvar.iter_flags(m, seq)
+        head = [next(suspended)]
+        # the second search builds the later blocks while the first one is
+        # suspended inside the key; the first must read them, not rebuild
+        every = flagvar.enumerate_flags(m, seq)
+        head += list(suspended)
+        assert [f.layers for f in head] == [f.layers for f in every]
+        assert len(every) == 27
+        assert sorted(built) == [(self.KEY, s) for s in self._block_starts()]
+
+    def test_rank_check_on_lazy_blocks(self, a2, built, monkeypatch):
+        stream = flagvar._candidate_blocks(*self.KEY)
+        next(stream)
+        stream.close()
+        original = la.rref_stack
+
+        def short_rank(rows, p):
+            reduced, ranks, pivots = original(rows, p)
+            return reduced, ranks - 1, pivots
+
+        monkeypatch.setattr(la, "rref_stack", short_rank)
+        # block 0 is cached; the next block is built, and checked, now
+        with pytest.raises(InternalCheckError):
+            flagvar.count_locally_free_submodules(n_module(a2, 2, 3), (1, 1))
+        assert built == [(self.KEY, 0), (self.KEY, self._block_starts()[1])]
 
 
 class TestSubmoduleEnumeration:

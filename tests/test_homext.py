@@ -44,6 +44,20 @@ class TestHomSpace:
         for f in basis.elements:
             assert homext.is_homomorphism(m, n, f)
 
+    def test_elements_built_on_first_access(self, b2):
+        m = hmod.random_locally_free(b2, 2, 3, (2, 1), seed=0)
+        basis = homext.hom_space(m, m)
+        assert basis.dim == basis.vec_basis.shape[0] > 0
+        assert "elements" not in vars(basis)
+        elements = basis.elements
+        assert basis.elements is elements and len(elements) == basis.dim
+        for row, f in zip(basis.vec_basis, elements):
+            assert np.array_equal(homext._flatten(m, m, f), row)
+            assert [fi.shape for fi in f] == [(d, d) for d in m.dims]
+        empty = homext.hom_space(hmod.free_module(b2, 1, 3, (0, 0)),
+                                 hmod.free_module(b2, 1, 3, (0, 0)))
+        assert empty.dim == 0 and empty.elements == ()
+
     def test_datum_mismatch(self, a2, b2):
         with pytest.raises(DatumMismatch):
             homext.hom_space(hmod.free_module(a2, 1, 5, (1, 0)),
