@@ -260,6 +260,8 @@ def datum_from_dict(cfg: dict) -> tuple[CartanDatum, int, int]:
     Keys: n, C (row major), D (list), omega (1-indexed pairs), optional k
     (default 1) and p (default 5).
     """
+    if not isinstance(cfg, dict):
+        raise ValidationError("config must hold a mapping")
     try:
         n = int(cfg["n"])
         c = cfg["C"]
@@ -280,16 +282,19 @@ def datum_from_dict(cfg: dict) -> tuple[CartanDatum, int, int]:
 
 
 def load_config(path: str) -> tuple[CartanDatum, int, int]:
-    """Read a JSON or TOML config file (TOML needs Python >= 3.11)."""
+    """Read a JSON or TOML config file (TOML needs Python >= 3.11); a file
+    that cannot be read or parsed raises ValidationError."""
+    load = json.load
     if path.endswith(".toml"):
         try:
-            import tomllib
+            from tomllib import load
         except ImportError as exc:
             raise ValidationError(
                 "TOML configs need Python >= 3.11; use JSON") from exc
+    try:
         with open(path, "rb") as fh:
-            cfg = tomllib.load(fh)
-    else:
-        with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}"
+                              ) from exc
     return datum_from_dict(cfg)

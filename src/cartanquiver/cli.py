@@ -29,23 +29,38 @@ from .errors import (
 REPORT_FORMAT_VERSION = 1
 
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.replace(" ", "").split(","))
+    except ValueError as exc:
+        raise ValidationError(f"{what} must be integers: {text!r}") from exc
+
+
 def _parse_rank(text: str) -> RankVector:
-    return RankVector(int(x) for x in text.replace(" ", "").split(","))
+    return RankVector(_parse_ints(text, "rank"))
 
 
 def _parse_brseq(text: str) -> list[RankVector]:
     return [_parse_rank(part) for part in text.split(";") if part]
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(" ", "").split(","))
+def _read_json(path: str, what: str):
+    """The JSON value in a file; ValidationError when it cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}"
+                              ) from exc
 
 
 def _load(args) -> tuple:
     datum, k, p = cartan.load_config(args.config)
-    with open(args.config) as fh:
-        echo = json.load(fh) if args.config.endswith(".json") else None
+    echo = (_read_json(args.config, "config")
+            if args.config.endswith(".json") else None)
     if getattr(args, "k", None):
+        if args.k < 0:
+            raise ValidationError(f"--k must be >= 0, got {args.k}")
         k = args.k
     if getattr(args, "p", None):
         p = args.p
@@ -129,8 +144,7 @@ def cmd_rigid(args) -> int:
 
 
 def _load_module(datum, path: str) -> hmod.HModule:
-    with open(path) as fh:
-        return hmod.module_from_dict(datum, json.load(fh))
+    return hmod.module_from_dict(datum, _read_json(path, "module"))
 
 
 def cmd_flag_count(args) -> int:
@@ -141,7 +155,7 @@ def cmd_flag_count(args) -> int:
     brseq = _parse_brseq(args.brseq)
     if not brseq:
         raise ValidationError("brseq must be non-empty")
-    primes = _parse_primes(args.primes) if args.primes \
+    primes = _parse_ints(args.primes, "primes") if args.primes \
         else flagvar.DEFAULT_PRIMES
     table = flagvar.counting_polynomial(module, brseq, primes=primes)
     if args.csv:
@@ -187,7 +201,9 @@ def cmd_bundle_check(args) -> int:
     datum, k, p, echo = _load(args)
     r = _parse_rank(args.rank)
     brseq = _parse_brseq(args.brseq)
-    primes = _parse_primes(args.primes) if args.primes else (2, 3)
+    primes = _parse_ints(args.primes, "primes") if args.primes else (2, 3)
+    if args.kmax and args.kmax < 2:
+        raise ValidationError(f"--kmax must be >= 2, got {args.kmax}")
     k_max = args.kmax or max(k, 2)
 
     def check_level(level: int):

@@ -90,6 +90,26 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+DIGIT_CHUNK = 4096   # codes per block of digit_chunks
+
+
+def digits(codes, p: int, width: int) -> np.ndarray:
+    """Base-p digits (..., width) of int64 codes, least significant first."""
+    rest = np.asarray(codes, dtype=np.int64)
+    out = np.empty(rest.shape + (width,), dtype=np.int64)
+    for t in range(width):
+        rest, out[..., t] = np.divmod(rest, p)
+    return out
+
+
+def digit_chunks(p: int, width: int, start: int = 0):
+    """Digits of the codes start, ..., p**width - 1, in blocks of at most
+    DIGIT_CHUNK rows, each computed when reached."""
+    total = p ** width
+    for lo in range(start, total, DIGIT_CHUNK):
+        yield digits(np.arange(lo, min(total, lo + DIGIT_CHUNK)), p, width)
+
+
 def left_product_matrix(a: np.ndarray, cols: int) -> np.ndarray:
     """Matrix of X |-> a @ X on the row-major vec of X with `cols` columns,
     that is kron(a, I_cols); a may be a stack (..., r, s) of matrices."""

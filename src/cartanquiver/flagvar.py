@@ -87,10 +87,9 @@ def _chart_block(m_order: int, r: int, e: int, p: int, start: int,
             part = out[lo - start:hi - start]
             for col, piv in enumerate(pivots):
                 part[:, piv, col, 0] = 1
-            code = np.arange(lo - offset, hi - offset, dtype=np.int64)
-            for row, col, t in slots:
-                part[:, row, col, t] = code % p
-                code //= p
+            rows, cols, degrees = np.array(slots, dtype=int).reshape(-1, 3).T
+            codes = np.arange(lo - offset, hi - offset)
+            part[:, rows, cols, degrees] = la.digits(codes, p, len(slots))
         offset += size
     return out
 

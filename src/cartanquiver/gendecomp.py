@@ -99,16 +99,7 @@ def _scan_idempotents(m: HModule, basis: homext.HomBasis
     dim = basis.dim
     table = _structure_constants(basis, p)
     id_coords = basis.coords_of(homext.identity_hom(m))
-    total = p ** dim
-    chunk = 4096
-    codes = np.arange(total, dtype=np.int64)
-    for start in range(0, total, chunk):
-        block = codes[start:start + chunk]
-        digits = np.zeros((block.size, dim), dtype=np.int64)
-        rest = block.copy()
-        for t in range(dim):
-            rest, dig = np.divmod(rest, p)
-            digits[:, t] = dig
+    for digits in la.digit_chunks(p, dim):
         # dim^2 terms, each below p^3: under 2^63 for dim <= 304 when
         # p <= la.MAX_PRIME, and no budget admits a scan of p^305 points
         squares = np.einsum("na,nb,abc->nc", digits, digits, table) % p
@@ -265,10 +256,6 @@ def krull_schmidt(m: HModule, seed=0,
 
 # --- generic invariants of rank vectors --------------------------------------
 
-def _pair_seed(seed, tag, t):
-    return (seed, tag, t)
-
-
 def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
                 samples: int = DEFAULT_SAMPLES, seed=0,
                 pair_budget: int = DEFAULT_PAIR_SPACE_BUDGET) -> int:
@@ -283,20 +270,20 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
                     + hmod.structure_parameter_count(datum, k, s))
     best = None
     if p ** total_params <= pair_budget:
-        for sm in hmod.iter_structure_matrices(datum, k, p, r):
-            mod_m = hmod.from_structure_matrices(sm)
-            for sn in hmod.iter_structure_matrices(datum, k, p, s):
-                mod_n = hmod.from_structure_matrices(sn)
+        _, modules_m = hmod.structure_space(datum, k, p, r, pair_budget, 0,
+                                            seed)
+        for mod_m in modules_m:
+            _, modules_n = hmod.structure_space(datum, k, p, s, pair_budget,
+                                                0, seed)
+            for mod_n in modules_n:
                 val = homext.ext1_dim(mod_m, mod_n)
                 best = val if best is None else min(best, val)
                 if best == 0:
                     return 0
         return best
     for t in range(samples):
-        mod_m = hmod.random_locally_free(datum, k, p, r,
-                                         _pair_seed(seed, "m", t))
-        mod_n = hmod.random_locally_free(datum, k, p, s,
-                                         _pair_seed(seed, "n", t))
+        mod_m = hmod.random_locally_free(datum, k, p, r, (seed, "m", t))
+        mod_n = hmod.random_locally_free(datum, k, p, s, (seed, "n", t))
         val = homext.ext1_dim(mod_m, mod_n)
         best = val if best is None else min(best, val)
         if best == 0:
@@ -367,32 +354,21 @@ def is_schur_root(datum: CartanDatum, k: int, p: int, r,
     over sampled (or, for small spaces, all) modules is still reported.
     """
     r = RankVector(r)
+    exhaustive, modules = hmod.structure_space(datum, k, p, r, space_budget,
+                                               samples, seed)
     if r.total() == 0:
         return SchurRootEstimate(False, 0.0, 0, True, EXHAUSTIVE)
     split = _vanishing_split(datum, k, p, r, samples, (seed, "split"),
                              pair_budget)
-    n_params = hmod.structure_parameter_count(datum, k, r)
     certainty = EXHAUSTIVE
-    hits = 0
-    count = 0
-    exhaustive = p ** n_params <= space_budget
-    if exhaustive:
-        for s in hmod.iter_structure_matrices(datum, k, p, r):
-            res = is_indecomposable(hmod.from_structure_matrices(s),
-                                    seed=(seed, count))
-            if res.certainty == MONTE_CARLO:
-                certainty = MONTE_CARLO
-            hits += bool(res)
-            count += 1
-    else:
-        count = samples
-        for t in range(samples):
-            res = is_indecomposable(
-                hmod.random_locally_free(datum, k, p, r, (seed, t)),
-                seed=(seed, "ind", t))
-            if res.certainty == MONTE_CARLO:
-                certainty = MONTE_CARLO
-            hits += bool(res)
+    hits = count = 0
+    for t, mod in enumerate(modules):
+        res = is_indecomposable(
+            mod, seed=(seed, t) if exhaustive else (seed, "ind", t))
+        if res.certainty == MONTE_CARLO:
+            certainty = MONTE_CARLO
+        hits += bool(res)
+        count += 1
     return SchurRootEstimate(split is None, hits / max(count, 1), count,
                              exhaustive, certainty, split)
 
@@ -447,30 +423,20 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
     force sampling.
     """
     r = RankVector(r)
+    exhaustive, modules = hmod.structure_space(datum, k, p, r, space_budget,
+                                               samples, seed)
     if r.total() == 0:
         return DecompositionReport(r, (), p, k, 0, True, 1.0, seed)
-    n_params = hmod.structure_parameter_count(datum, k, r)
     counter: collections.Counter = collections.Counter()
     certainty = EXHAUSTIVE
-    exhaustive = p ** n_params <= space_budget
-    if exhaustive:
-        count = 0
-        for s in hmod.iter_structure_matrices(datum, k, p, r):
-            ks = krull_schmidt(hmod.from_structure_matrices(s),
-                               seed=(seed, count), verify=False)
-            if ks.certainty == MONTE_CARLO:
-                certainty = MONTE_CARLO
-            counter[ks.rank_multiset()] += 1
-            count += 1
-    else:
-        count = samples
-        for t in range(samples):
-            ks = krull_schmidt(
-                hmod.random_locally_free(datum, k, p, r, (seed, t)),
-                seed=(seed, "ks", t), verify=False)
-            if ks.certainty == MONTE_CARLO:
-                certainty = MONTE_CARLO
-            counter[ks.rank_multiset()] += 1
+    for t, mod in enumerate(modules):
+        ks = krull_schmidt(
+            mod, seed=(seed, t) if exhaustive else (seed, "ks", t),
+            verify=False)
+        if ks.certainty == MONTE_CARLO:
+            certainty = MONTE_CARLO
+        counter[ks.rank_multiset()] += 1
+    count = sum(counter.values())
     # Frequency alone can tie or even mislead on tiny fields (a codimension-1
     # stratum can hold most F_2-points), while the two criteria characterize
     # the canonical decomposition exactly.  Walk the observed types by
@@ -578,6 +544,8 @@ def k_independence_check(datum: CartanDatum, p: int, r, k_max: int,
                          samples: int = DEFAULT_SAMPLES, seed=0
                          ) -> KIndependenceReport:
     """Canonical decompositions for k = 1..k_max must agree as multisets."""
+    if k_max < 1:
+        raise ValidationError(f"k_max must be >= 1, got {k_max}")
     reports = tuple(
         canonical_decomposition(datum, k, p, r, samples=samples,
                                 seed=(seed, k))

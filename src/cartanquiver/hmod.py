@@ -26,6 +26,8 @@ matrix_to_ring convert between ring entries and generator-major matrices.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -285,18 +287,20 @@ class StructureMatrices:
     mats: dict[tuple[int, int], np.ndarray]
 
 
+def _structure_shapes(datum: CartanDatum, k: int, r: RankVector) -> dict:
+    """Per oriented pair, the shape of its structure matrix."""
+    if len(r) != datum.n:
+        raise ShapeMismatch(f"rank vector length {len(r)} != {datum.n}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    return {(i, j): (r[i], abs(datum.c[i][j]) * r[j], k * datum.d[i])
+            for i, j in datum.oriented_pairs()}
+
+
 def structure_parameter_count(datum: CartanDatum, k: int, r) -> int:
     """Number of free F_p entries: sum over (i,j) of k*c_i*|c_ij|*r_i*r_j."""
-    r = RankVector(r)
-    return sum(k * datum.d[i] * abs(datum.c[i][j]) * r[i] * r[j]
-               for i, j in datum.oriented_pairs())
-
-
-def _structure_shapes(datum: CartanDatum, k: int, r: RankVector):
-    shapes = {}
-    for i, j in datum.oriented_pairs():
-        shapes[(i, j)] = (r[i], abs(datum.c[i][j]) * r[j], k * datum.d[i])
-    return shapes
+    shapes = _structure_shapes(datum, k, RankVector(r))
+    return sum(math.prod(shape) for shape in shapes.values())
 
 
 def structure_from_arrays(datum: CartanDatum, k: int, p: int, r,
@@ -422,22 +426,30 @@ def random_locally_free(datum: CartanDatum, k: int, p: int, r,
 
 def iter_structure_matrices(datum: CartanDatum, k: int, p: int, r
                             ) -> Iterator[StructureMatrices]:
-    """All points of the structure-matrix space, in lexicographic order."""
+    """All points of the structure-matrix space, in lexicographic order:
+    the digits of point c, least significant first, in sorted pair order."""
     r = RankVector(r)
     shapes = _structure_shapes(datum, k, r)
     keys = sorted(shapes)
-    sizes = [int(np.prod(shapes[key])) for key in keys]
-    total = sum(sizes)
-    for code in range(p ** total):
-        mats = {}
-        rest = code
-        for key, size in zip(keys, sizes):
-            digits = np.zeros(size, dtype=np.int64)
-            for t in range(size):
-                rest, digit = divmod(rest, p)
-                digits[t] = digit
-            mats[key] = digits.reshape(shapes[key])
-        yield structure_from_arrays(datum, k, p, r, mats)
+    sizes = (math.prod(shapes[key]) for key in keys)
+    bounds = [0, *itertools.accumulate(sizes)]
+    for block in la.digit_chunks(p, bounds[-1]):
+        for row in block:
+            yield structure_from_arrays(datum, k, p, r, {
+                key: row[lo:hi].reshape(shapes[key])
+                for key, lo, hi in zip(keys, bounds, bounds[1:])})
+
+
+def structure_space(datum: CartanDatum, k: int, p: int, r, budget: int,
+                    samples: int, seed) -> tuple[bool, Iterator[HModule]]:
+    """(exhaustive, modules): a generator of every point of the space in
+    iter_structure_matrices order when it has at most `budget` points,
+    else of the `samples` modules random_locally_free(..., (seed, t))."""
+    if p ** structure_parameter_count(datum, k, r) > budget:
+        return False, (random_locally_free(datum, k, p, r, (seed, t))
+                       for t in range(samples))
+    return True, (from_structure_matrices(s)
+                  for s in iter_structure_matrices(datum, k, p, r))
 
 
 # --- constructions -----------------------------------------------------------
@@ -685,9 +697,6 @@ def module_from_dict(datum: CartanDatum, data: dict) -> HModule:
     p = _read(int, data["p"], "p")
     if "structure" in data:
         rank = _read(RankVector, data["rank"], "rank")
-        if len(rank) != datum.n:
-            raise ShapeMismatch(
-                f"rank has {len(rank)} entries for {datum.n} vertices")
         mats = _pair_dict(data["structure"], "structure", _int_array)
         s = structure_from_arrays(datum, k, p, rank, mats)
         return from_structure_matrices(s)

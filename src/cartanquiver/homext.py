@@ -35,7 +35,9 @@ Non-locally-free inputs are rejected where Ext is involved.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import exactlinalg as la
 from . import hmod
-from .cartan import RankVector, euler_form
+from .cartan import euler_form
 from .errors import (
     DatumMismatch,
     InternalCheckError,
@@ -366,21 +368,13 @@ def are_isomorphic(m: HModule, n: HModule,
         if _invertible_everywhere(f, p):
             return IsoResult(True, True, f)
     if p ** basis.dim <= exhaustive_budget:
-        for code in range(1, p ** basis.dim):
-            coeffs = _digits(code, p, basis.dim)
-            f = basis.element_from_coeffs(coeffs)
-            if _invertible_everywhere(f, p):
-                return IsoResult(True, True, f)
+        for block in la.digit_chunks(p, basis.dim, start=1):
+            for coeffs in block:
+                f = basis.element_from_coeffs(coeffs)
+                if _invertible_everywhere(f, p):
+                    return IsoResult(True, True, f)
         return IsoResult(False, True)
     return IsoResult(False, False)
-
-
-def _digits(code: int, p: int, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=np.int64)
-    for t in range(width):
-        code, digit = divmod(code, p)
-        out[t] = digit
-    return out
 
 
 # --- rigid search -------------------------------------------------------------
@@ -408,21 +402,17 @@ def find_rigid(datum, k: int, p: int, r, trials: int = 200, seed=0,
     case a negative answer means no rigid module of this rank exists over
     F_p; otherwise absence is only "none found".
     """
-    r = RankVector(r)
-    for t in range(trials):
-        mod = hmod.random_locally_free(datum, k, p, r, seed=(seed, t))
+    # budget 0: the trials are samples (seed, t); then the full scan, or
+    # nothing past the budget
+    _, trial_modules = hmod.structure_space(datum, k, p, r, 0, trials, seed)
+    exhaustive, points = hmod.structure_space(datum, k, p, r,
+                                              exhaustive_budget, 0, seed)
+    used = 0
+    for used, mod in enumerate(itertools.chain(trial_modules, points), 1):
         if is_rigid(mod):
-            return RigidSearch(mod, t + 1, 1, False, False, seed)
-    n_params = hmod.structure_parameter_count(datum, k, r)
-    if p ** n_params <= exhaustive_budget:
-        for count, s in enumerate(hmod.iter_structure_matrices(
-                datum, k, p, r)):
-            mod = hmod.from_structure_matrices(s)
-            if is_rigid(mod):
-                return RigidSearch(mod, trials + count + 1, 1, True, False,
-                                   seed)
-        return RigidSearch(None, trials + p ** n_params, 0, True, True, seed)
-    return RigidSearch(None, trials, 0, False, False, seed)
+            return RigidSearch(mod, used, 1, exhaustive and used > trials,
+                               False, seed)
+    return RigidSearch(None, used, 0, exhaustive, exhaustive, seed)
 
 
 # --- number of parameters -----------------------------------------------------
@@ -447,25 +437,15 @@ class ParameterEstimate:
 def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0,
                        exhaustive_budget: int = DEFAULT_RIGID_EXHAUSTIVE_BUDGET
                        ) -> ParameterEstimate:
-    r = RankVector(r)
-    q = euler_form(datum, r, r, k=k)
-    n_params = hmod.structure_parameter_count(datum, k, r)
-    best = None
-    if p ** n_params <= exhaustive_budget:
-        count = 0
-        for s in hmod.iter_structure_matrices(datum, k, p, r):
-            mod = hmod.from_structure_matrices(s)
-            d = hom_space(mod, mod).dim
-            best = d if best is None else min(best, d)
-            count += 1
-        return ParameterEstimate(best - q, best, q, count, True)
-    if samples < 1:
+    exhaustive, modules = hmod.structure_space(
+        datum, k, p, r, exhaustive_budget, samples, seed)
+    if not exhaustive and samples < 1:
         raise ValidationError("samples must be >= 1")
-    for t in range(samples):
-        mod = hmod.random_locally_free(datum, k, p, r, seed=(seed, t))
-        d = hom_space(mod, mod).dim
-        best = d if best is None else min(best, d)
-    return ParameterEstimate(best - q, best, q, samples, False)
+    q = euler_form(datum, r, r, k=k)
+    dims = collections.Counter(hom_space(mod, mod).dim for mod in modules)
+    best = min(dims)
+    return ParameterEstimate(best - q, best, q, sum(dims.values()),
+                             exhaustive)
 
 
 def check_homomorphism(m: HModule, n: HModule, f) -> tuple[np.ndarray, ...]:

@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 
-from cartanquiver import cartan, hmod, homext
+from cartanquiver import cartan, gendecomp, hmod, homext
 from cartanquiver import exactlinalg as la
+from cartanquiver.cartan import RankVector, euler_form
 from cartanquiver.errors import ShapeMismatch, ValidationError
 
 
@@ -165,3 +168,142 @@ def assert_matches_dense(basis, m, n):
     assert np.array_equal(basis.vec_basis, want)
     assert basis.support == support
     assert all(type(c) is int for c in basis.support)
+
+
+# --- the structure-space scans as each function wrote its own ---------------
+
+def reference_iter_structure_matrices(datum, k, p, r):
+    """All points of the structure-matrix space, in lexicographic order,
+    by a Python divmod loop over each code."""
+    r = RankVector(r)
+    shapes = hmod._structure_shapes(datum, k, r)
+    keys = sorted(shapes)
+    sizes = [int(np.prod(shapes[key])) for key in keys]
+    for code in range(p ** sum(sizes)):
+        mats = {}
+        rest = code
+        for key, size in zip(keys, sizes):
+            digits = np.zeros(size, dtype=np.int64)
+            for t in range(size):
+                rest, digit = divmod(rest, p)
+                digits[t] = digit
+            mats[key] = digits.reshape(shapes[key])
+        yield hmod.structure_from_arrays(datum, k, p, r, mats)
+
+
+def reference_structure_space(datum, k, p, r, budget, samples, seed):
+    """(exhaustive, modules) as a list: every point when p^params is within
+    the budget, else random_locally_free(..., (seed, t)) for t < samples."""
+    if p ** hmod.structure_parameter_count(datum, k, r) <= budget:
+        return True, [hmod.from_structure_matrices(s) for s in
+                      reference_iter_structure_matrices(datum, k, p, r)]
+    return False, [hmod.random_locally_free(datum, k, p, r, (seed, t))
+                   for t in range(samples)]
+
+
+def reference_find_rigid(datum, k, p, r, trials, seed, budget):
+    """(module, trials_used, exhaustive, none_exists): the trials, then the
+    full scan when within budget."""
+    for t in range(trials):
+        mod = hmod.random_locally_free(datum, k, p, r, seed=(seed, t))
+        if homext.is_rigid(mod):
+            return mod, t + 1, False, False
+    n_params = hmod.structure_parameter_count(datum, k, r)
+    if p ** n_params <= budget:
+        for count, s in enumerate(
+                reference_iter_structure_matrices(datum, k, p, r)):
+            mod = hmod.from_structure_matrices(s)
+            if homext.is_rigid(mod):
+                return mod, trials + count + 1, True, False
+        return None, trials + p ** n_params, True, True
+    return None, trials, False, False
+
+
+def reference_parameter_estimate(datum, k, p, r, samples, seed, budget):
+    """(value, min_end_dim, quadratic_form, samples, exhaustive)."""
+    q = euler_form(datum, r, r, k=k)
+    exhaustive, mods = reference_structure_space(datum, k, p, r, budget,
+                                                 samples, seed)
+    best = min(homext.hom_space(m, m).dim for m in mods)
+    return best - q, best, q, len(mods), exhaustive
+
+
+def reference_ext_generic(datum, k, p, r, s, samples, seed, pair_budget):
+    """Minimum Ext^1 over all pairs (the s-space rebuilt for every module
+    of the r-space) or over the seeded sample pairs; stops at zero."""
+    total = (hmod.structure_parameter_count(datum, k, r)
+             + hmod.structure_parameter_count(datum, k, s))
+    best = None
+    if p ** total <= pair_budget:
+        for sm in reference_iter_structure_matrices(datum, k, p, r):
+            mod_m = hmod.from_structure_matrices(sm)
+            for sn in reference_iter_structure_matrices(datum, k, p, s):
+                val = homext.ext1_dim(mod_m, hmod.from_structure_matrices(sn))
+                best = val if best is None else min(best, val)
+                if best == 0:
+                    return 0
+        return best
+    for t in range(samples):
+        val = homext.ext1_dim(
+            hmod.random_locally_free(datum, k, p, r, (seed, "m", t)),
+            hmod.random_locally_free(datum, k, p, s, (seed, "n", t)))
+        best = val if best is None else min(best, val)
+        if best == 0:
+            return 0
+    return best
+
+
+def reference_schur_scan(datum, k, p, r, samples, seed, budget):
+    """(hits, count, exhaustive, certainty) of the indecomposability scan
+    of is_schur_root."""
+    n_params = hmod.structure_parameter_count(datum, k, r)
+    certainty = gendecomp.EXHAUSTIVE
+    hits = 0
+    count = 0
+    exhaustive = p ** n_params <= budget
+    if exhaustive:
+        for s in reference_iter_structure_matrices(datum, k, p, r):
+            res = gendecomp.is_indecomposable(
+                hmod.from_structure_matrices(s), seed=(seed, count))
+            if res.certainty == gendecomp.MONTE_CARLO:
+                certainty = gendecomp.MONTE_CARLO
+            hits += bool(res)
+            count += 1
+    else:
+        count = samples
+        for t in range(samples):
+            res = gendecomp.is_indecomposable(
+                hmod.random_locally_free(datum, k, p, r, (seed, t)),
+                seed=(seed, "ind", t))
+            if res.certainty == gendecomp.MONTE_CARLO:
+                certainty = gendecomp.MONTE_CARLO
+            hits += bool(res)
+    return hits, count, exhaustive, certainty
+
+
+def reference_decomposition_scan(datum, k, p, r, samples, seed, budget):
+    """(counter of rank multisets, count, exhaustive, certainty) of the
+    Krull-Schmidt scan of canonical_decomposition."""
+    n_params = hmod.structure_parameter_count(datum, k, r)
+    counter = collections.Counter()
+    certainty = gendecomp.EXHAUSTIVE
+    exhaustive = p ** n_params <= budget
+    if exhaustive:
+        count = 0
+        for s in reference_iter_structure_matrices(datum, k, p, r):
+            ks = gendecomp.krull_schmidt(hmod.from_structure_matrices(s),
+                                         seed=(seed, count), verify=False)
+            if ks.certainty == gendecomp.MONTE_CARLO:
+                certainty = gendecomp.MONTE_CARLO
+            counter[ks.rank_multiset()] += 1
+            count += 1
+    else:
+        count = samples
+        for t in range(samples):
+            ks = gendecomp.krull_schmidt(
+                hmod.random_locally_free(datum, k, p, r, (seed, t)),
+                seed=(seed, "ks", t), verify=False)
+            if ks.certainty == gendecomp.MONTE_CARLO:
+                certainty = gendecomp.MONTE_CARLO
+            counter[ks.rank_multiset()] += 1
+    return counter, count, exhaustive, certainty

@@ -192,3 +192,76 @@ def test_malformed_module_file_exits_2(config_path, tmp_path, capsys, data):
     assert run(["reduce", "--config", config_path, "--module",
                 str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _expect_exit_2(args, capsys, needle):
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,rank", [
+    ("rigid", "1,1,1"), ("rigid", "1"), ("decomp", "1,1,1"),
+    ("decomp", "1"), ("bundle-check", "1,1,1")])
+def test_wrong_rank_length_exits_2(config_path, capsys, command, rank):
+    # A2 has two vertices; no rank of another length reaches a scan
+    args = [command, "--config", config_path, "--rank", rank, "--p", "2"]
+    if command == "bundle-check":
+        args += ["--brseq", "1,0;0,1"]
+    _expect_exit_2(args, capsys, "rank vector length")
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--rank", "1,x"), ("--brseq", "1,x"), ("--primes", "2,x")])
+def test_non_integer_list_exits_2(config_path, capsys, option, value):
+    args = {"--rank": "1,1", "--brseq": "1,0;0,1", "--primes": "2,3"}
+    args[option] = value
+    argv = ["bundle-check", "--config", config_path, "--p", "2"]
+    for key, text in args.items():
+        argv += [key, text]
+    _expect_exit_2(argv, capsys, repr(value))
+
+
+@pytest.mark.parametrize("command", ["decomp", "rigid"])
+def test_negative_k_exits_2(config_path, capsys, command):
+    _expect_exit_2([command, "--config", config_path, "--rank", "1,1",
+                    "--k", "-1"], capsys, "--k must be >= 0")
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "\xff\xfe"])
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "a2.json"
+    if content is not None:
+        path.write_bytes(content.encode("latin-1"))
+    _expect_exit_2(["algebra-check", "--config", str(path)], capsys,
+                   "cannot read config file")
+
+
+def test_config_not_a_mapping_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    _expect_exit_2(["algebra-check", "--config", str(path)], capsys,
+                   "config must hold a mapping")
+
+
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_unreadable_module_exits_2(config_path, tmp_path, capsys, content):
+    path = tmp_path / "module.json"
+    if content is not None:
+        path.write_text(content)
+    _expect_exit_2(["flag-count", "--config", config_path, "--module",
+                    str(path), "--brseq", "1,0;0,1"], capsys,
+                   "cannot read module file")
+
+
+def test_negative_kmax_exits_2(config_path, capsys):
+    # before, --kmax -1 reported "agree": true over zero levels
+    _expect_exit_2(["decomp", "--config", config_path, "--rank", "1,1",
+                    "--kmax", "-1"], capsys, "k_max must be >= 1")
+
+
+def test_bundle_check_kmax_below_2_exits_2(config_path, capsys):
+    # before, --kmax 1 reported an empty list of levels
+    _expect_exit_2(["bundle-check", "--config", config_path, "--rank",
+                    "1,1", "--brseq", "1,0;0,1", "--kmax", "1"], capsys,
+                   "--kmax must be >= 2")

@@ -1,0 +1,297 @@
+"""The F_p-point scan: base-p digits (exactlinalg.digits) and the one
+structure-space scan (hmod.structure_space) that find_rigid,
+parameter_estimate, ext_generic, is_schur_root and
+canonical_decomposition share, against the loops each once wrote."""
+
+import itertools
+import types
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cartanquiver import gendecomp, hmod, homext
+from cartanquiver import exactlinalg as la
+from cartanquiver.errors import ShapeMismatch, ValidationError
+
+from conftest import (
+    reference_decomposition_scan,
+    reference_ext_generic,
+    reference_find_rigid,
+    reference_iter_structure_matrices,
+    reference_parameter_estimate,
+    reference_schur_scan,
+    reference_structure_space,
+)
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _divmod_digits(code: int, p: int, width: int) -> list[int]:
+    out = []
+    for _ in range(width):
+        code, digit = divmod(code, p)
+        out.append(digit)
+    return out
+
+
+class TestDigits:
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from(PRIMES), width=st.integers(0, 8),
+           data=st.data())
+    @example(p=13, width=0, data=None)
+    def test_matches_divmod_loop(self, p, width, data):
+        codes = [0, p ** width - 1]
+        if data is not None:
+            codes += data.draw(st.lists(st.integers(0, p ** width - 1),
+                                        max_size=12))
+        got = la.digits(np.array(codes, dtype=np.int64), p, width)
+        assert got.dtype == np.int64 and got.shape == (len(codes), width)
+        for row, code in zip(got, codes):
+            assert row.tolist() == _divmod_digits(code, p, width)
+
+    @pytest.mark.parametrize("p,width", [(2, 0), (2, 5), (3, 4), (13, 2)])
+    def test_order_of_product(self, p, width):
+        # least significant first: the last digit varies slowest
+        got = la.digits(np.arange(p ** width, dtype=np.int64), p, width)
+        want = [t[::-1] for t in itertools.product(range(p), repeat=width)]
+        assert [tuple(row) for row in got.tolist()] == want
+
+    def test_scalar_and_stacked_codes(self):
+        assert la.digits(0, 5, 3).tolist() == [0, 0, 0]
+        assert la.digits(np.array([[7, 8]]), 2, 4).shape == (1, 2, 4)
+
+    @pytest.mark.parametrize("p,width,start", [(2, 13, 0), (2, 13, 1),
+                                               (3, 3, 1), (5, 0, 0)])
+    def test_chunks_cover_the_codes_in_order(self, p, width, start):
+        blocks = list(la.digit_chunks(p, width, start))
+        assert all(0 < len(b) <= la.DIGIT_CHUNK for b in blocks)
+        want = la.digits(np.arange(start, p ** width), p, width)
+        assert np.array_equal(np.concatenate(blocks), want)
+
+
+SPACES = [("a2", 1, 2, (1, 1)), ("a2", 2, 3, (1, 1)), ("a2", 2, 2, (2, 1)),
+          ("b2", 1, 2, (1, 1)), ("b2", 2, 2, (1, 1)), ("b2", 1, 2, (2, 1)),
+          ("kronecker", 1, 2, (1, 1)), ("kronecker", 1, 3, (1, 0))]
+SPACE_IDS = [f"{name}-k{k}-p{p}-r{r[0]}{r[1]}" for name, k, p, r in SPACES]
+BRANCHES = ["sampled", "exhaustive"]
+
+
+def _space(request, name, k, p, r, branch):
+    """The datum and a budget one below (sampled) or at (exhaustive) the
+    number of points of the space."""
+    datum = request.getfixturevalue(name)
+    size = p ** hmod.structure_parameter_count(datum, k, r)
+    return datum, size - 1 if branch == "sampled" else size
+
+
+def _same_modules(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return hmod.modules_equal(got, want)
+
+
+def _record_seeds(monkeypatch, name: str) -> list:
+    """Wrap gendecomp.<name> to record (seed, module matrices) per call."""
+    calls = []
+    original = getattr(gendecomp, name)
+
+    def recording(m, seed=0, **kwargs):
+        calls.append((seed, m.dims, tuple(
+            a.tobytes() for _, a, _, _ in m.maps_with_labels())))
+        return original(m, seed=seed, **kwargs)
+
+    monkeypatch.setattr(gendecomp, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("name,k,p,r", SPACES, ids=SPACE_IDS)
+class TestAgainstReference:
+    def test_structure_space(self, request, name, k, p, r, branch):
+        datum, budget = _space(request, name, k, p, r, branch)
+        exhaustive, modules = hmod.structure_space(datum, k, p, r, budget,
+                                                   5, (3, "s"))
+        assert isinstance(modules, types.GeneratorType)
+        want_exhaustive, want = reference_structure_space(
+            datum, k, p, r, budget, 5, (3, "s"))
+        got = list(modules)
+        assert exhaustive == want_exhaustive == (branch == "exhaustive")
+        assert len(got) == len(want)
+        assert all(hmod.modules_equal(a, b) for a, b in zip(got, want))
+
+    def test_find_rigid(self, request, name, k, p, r, branch):
+        datum, budget = _space(request, name, k, p, r, branch)
+        for trials in (0, 3):
+            got = homext.find_rigid(datum, k, p, r, trials=trials, seed=5,
+                                    exhaustive_budget=budget)
+            module, used, exhaustive, none_exists = reference_find_rigid(
+                datum, k, p, r, trials, 5, budget)
+            assert _same_modules(got.module, module)
+            assert (got.trials_used, got.exhaustive, got.none_exists,
+                    got.hits) == (used, exhaustive, none_exists,
+                                  int(module is not None))
+
+    def test_parameter_estimate(self, request, name, k, p, r, branch):
+        datum, budget = _space(request, name, k, p, r, branch)
+        got = homext.parameter_estimate(datum, k, p, r, samples=4, seed=2,
+                                        exhaustive_budget=budget)
+        assert (got.value, got.min_end_dim, got.quadratic_form, got.samples,
+                got.exhaustive) == reference_parameter_estimate(
+                    datum, k, p, r, 4, 2, budget)
+
+    def test_is_schur_root(self, request, monkeypatch, name, k, p, r,
+                           branch):
+        datum, budget = _space(request, name, k, p, r, branch)
+        calls = _record_seeds(monkeypatch, "is_indecomposable")
+        got = gendecomp.is_schur_root(datum, k, p, r, samples=4, seed=6,
+                                      space_budget=budget)
+        got_calls = calls[:]
+        calls.clear()
+        hits, count, exhaustive, certainty = reference_schur_scan(
+            datum, k, p, r, 4, 6, budget)
+        assert got_calls == calls   # the same modules with the same seeds
+        assert (got.rate, got.samples, got.exhaustive, got.certainty) == (
+            hits / max(count, 1), count, exhaustive, certainty)
+
+    def test_canonical_decomposition(self, request, monkeypatch, name, k, p,
+                                     r, branch):
+        datum, budget = _space(request, name, k, p, r, branch)
+        calls = _record_seeds(monkeypatch, "krull_schmidt")
+        got = gendecomp.canonical_decomposition(datum, k, p, r, samples=4,
+                                                seed=8, space_budget=budget)
+        got_calls = calls[:]
+        calls.clear()
+        counter, count, exhaustive, certainty = \
+            reference_decomposition_scan(datum, k, p, r, 4, 8, budget)
+        assert got_calls == calls   # the same modules with the same seeds
+        assert (got.samples, got.exhaustive, got.certainty) == (
+            count, exhaustive, certainty)
+        assert got.majority_fraction == counter[got.parts] / max(count, 1)
+
+
+PAIRS = [("a2", 1, 2, (1, 1), (1, 0)), ("a2", 2, 3, (1, 0), (0, 1)),
+         ("b2", 1, 2, (1, 0), (0, 1)), ("b2", 2, 2, (0, 1), (1, 1)),
+         ("kronecker", 1, 2, (1, 0), (0, 1)),
+         ("kronecker", 2, 2, (0, 1), (1, 0))]
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("name,k,p,r,s", PAIRS)
+def test_ext_generic(request, name, k, p, r, s, branch):
+    datum = request.getfixturevalue(name)
+    size = p ** (hmod.structure_parameter_count(datum, k, r)
+                 + hmod.structure_parameter_count(datum, k, s))
+    budget = size - 1 if branch == "sampled" else size
+    got = gendecomp.ext_generic(datum, k, p, r, s, samples=3, seed=4,
+                                pair_budget=budget)
+    assert got == reference_ext_generic(datum, k, p, r, s, 3, 4, budget)
+
+
+def test_iter_structure_matrices_matches_reference(b2):
+    # 2^8 points: more than one digit row per structure matrix
+    got = list(hmod.iter_structure_matrices(b2, 1, 2, (2, 2)))
+    want = list(reference_iter_structure_matrices(b2, 1, 2, (2, 2)))
+    assert len(got) == len(want) == 2 ** 8
+    for a, b in zip(got, want):
+        assert a.mats.keys() == b.mats.keys()
+        assert all(np.array_equal(a.mats[key], b.mats[key])
+                   for key in a.mats)
+
+
+class TestEarlyStop:
+    """The exhaustive Hom scans compute digits a chunk at a time and stop
+    at the chunk that holds the first hit."""
+
+    @pytest.fixture
+    def digit_calls(self, monkeypatch):
+        calls = []
+        original = la.digits
+
+        def counting(codes, p, width):
+            calls.append(len(codes))
+            return original(codes, p, width)
+
+        monkeypatch.setattr(la, "digits", counting)
+        return calls
+
+    @pytest.fixture
+    def module(self, b2):
+        # End(E^(2,0)) at k = 2 over F_2 has dimension 16: 2^16 codes, 16
+        # chunks, with an invertible element and a proper idempotent among
+        # the first 4096
+        m = hmod.free_module(b2, 2, 2, (2, 0))
+        assert 2 ** homext.hom_space(m, m).dim == 16 * la.DIGIT_CHUNK
+        return m
+
+    def test_are_isomorphic(self, module, digit_calls):
+        res = homext.are_isomorphic(module, module, trials=0)
+        assert res.isomorphic and res.certain
+        assert digit_calls == [la.DIGIT_CHUNK]   # codes 1, ..., 4096
+
+    def test_scan_idempotents(self, module, digit_calls):
+        basis = homext.hom_space(module, module)
+        assert gendecomp._scan_idempotents(module, basis) is not None
+        assert digit_calls == [la.DIGIT_CHUNK]
+
+
+class TestRankLength:
+    """A rank vector needs one entry per vertex in every structure-space
+    entry point (A2 has two vertices)."""
+
+    @pytest.mark.parametrize("r", [(1, 1, 1), (1,), (0, 0, 0)])
+    def test_structure_space_entry_points(self, a2, r):
+        with pytest.raises(ShapeMismatch):
+            hmod.structure_parameter_count(a2, 1, r)
+        with pytest.raises(ShapeMismatch):
+            hmod.structure_space(a2, 1, 2, r, 10, 2, 0)
+        with pytest.raises(ShapeMismatch):
+            next(hmod.iter_structure_matrices(a2, 1, 2, r))
+        with pytest.raises(ShapeMismatch):
+            hmod.random_locally_free(a2, 1, 2, r, 0)
+
+    @pytest.mark.parametrize("r", [(1, 1, 1), (1,)])
+    def test_find_rigid(self, a2, r):
+        # before, (1, 1, 1) returned a rank-(1, 1) module and (1,) raised
+        # IndexError
+        with pytest.raises(ShapeMismatch):
+            homext.find_rigid(a2, 1, 2, r)
+
+    @pytest.mark.parametrize("r", [(1, 1, 1), (1,)])
+    def test_parameter_estimate(self, a2, r):
+        with pytest.raises(ShapeMismatch):
+            homext.parameter_estimate(a2, 1, 2, r)
+
+    @pytest.mark.parametrize("r", [(1, 1, 1), (1,)])
+    def test_canonical_decomposition(self, a2, r):
+        # before, (1, 1, 1) failed the internal sum check and (1,) raised
+        # IndexError
+        with pytest.raises(ShapeMismatch):
+            gendecomp.canonical_decomposition(a2, 1, 2, r)
+
+    def test_ext_generic(self, a2):
+        # before, this returned 0
+        with pytest.raises(ShapeMismatch):
+            gendecomp.ext_generic(a2, 1, 2, (1, 1, 1), (1, 0))
+        with pytest.raises(ShapeMismatch):
+            gendecomp.ext_generic(a2, 1, 2, (1, 0), (1,))
+
+    @pytest.mark.parametrize("r", [(1, 1, 5), (0, 0, 0), (1,)])
+    def test_is_schur_root(self, a2, r):
+        # before, (1, 1, 5) reported the split ((0, 0, 1), (1, 1, 4))
+        with pytest.raises(ShapeMismatch):
+            gendecomp.is_schur_root(a2, 1, 2, r)
+
+    def test_level_below_one(self, a2):
+        with pytest.raises(ValidationError):
+            hmod.structure_parameter_count(a2, 0, (1, 1))
+        with pytest.raises(ValidationError):
+            hmod.structure_space(a2, -1, 2, (1, 1), 10, 2, 0)
+
+
+def test_k_independence_check_needs_a_level(a2):
+    # before, k_max < 1 agreed vacuously over zero reports
+    for k_max in (0, -1):
+        with pytest.raises(ValidationError):
+            gendecomp.k_independence_check(a2, 2, (1, 1), k_max)
