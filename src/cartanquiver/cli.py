@@ -54,6 +54,16 @@ def _read_json(path: str, what: str):
                               ) from exc
 
 
+def _write(path: str, text: str, what: str) -> None:
+    """Write text to a file; ValidationError when it cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what} file {path}: {exc}"
+                              ) from exc
+
+
 def _load(args) -> tuple:
     datum, k, p = cartan.load_config(args.config)
     echo = (_read_json(args.config, "config")
@@ -73,8 +83,7 @@ def _emit(args, payload: dict) -> None:
                "library_version": __version__, **payload}
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.output, text + "\n", "report")
     else:
         print(text)
 
@@ -128,8 +137,9 @@ def cmd_rigid(args) -> int:
             "exhaustive": search.exhaustive,
             "none_exists": search.none_exists}
     if search.found() and args.module_out:
-        with open(args.module_out, "w") as fh:
-            json.dump(hmod.module_to_dict(search.module), fh, indent=2)
+        _write(args.module_out,
+               json.dumps(hmod.module_to_dict(search.module), indent=2),
+               "module")
         body["module_file"] = args.module_out
     elif search.found():
         body["module"] = hmod.module_to_dict(search.module)
@@ -159,8 +169,7 @@ def cmd_flag_count(args) -> int:
         else flagvar.DEFAULT_PRIMES
     table = flagvar.counting_polynomial(module, brseq, primes=primes)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(table.to_csv())
+        _write(args.csv, table.to_csv(), "CSV")
     _emit(args, {"command": "flag-count", "config": echo,
                  "seed": args.seed, "primes_used": sorted(table.counts),
                  "report": table.to_dict()})
@@ -189,8 +198,8 @@ def cmd_reduce(args) -> int:
         "module": hmod.module_to_dict(current),
     }
     if args.module_out:
-        with open(args.module_out, "w") as fh:
-            json.dump(body.pop("module"), fh, indent=2)
+        _write(args.module_out, json.dumps(body.pop("module"), indent=2),
+               "module")
         body["module_file"] = args.module_out
     _emit(args, {"command": "reduce", "config": echo, "seed": args.seed,
                  "report": body})

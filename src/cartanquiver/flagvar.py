@@ -15,13 +15,17 @@ length l are translated into single submodules of the repetitive module
 over the tensor algebra with the path algebra of a linear quiver on l-1
 vertices; that translation also provides tangent spaces (one Hom solve)
 and the affine linear system cutting out the fiber of the reduction map
-over a fixed lower-level flag.
+over a fixed lower-level flag.  The reduction of a module and the part of
+that system which depends only on the module are computed once per module
+and kept as long as the module lives; every check on a base flag runs on
+every call.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -590,11 +594,14 @@ def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
 # --- reduction of flags and its fibers ----------------------------------------
 
 def reduce_flag(m: HModule, flag: FlagOfSubmodules) -> FlagOfSubmodules:
-    """Image of a flag under the projections onto M / eps^(k-1) M."""
+    """Image of a flag of m under the projections onto M / eps^(k-1) M.
+    Raises ValidationError when the layers are not a flag of m."""
     if m.k < 2:
         raise KTooSmall("flag reduction needs k >= 2")
-    out = _reduced_flag(reduction.reduce(m), flag)
-    out.validate()
+    data = _reduction_data(m)
+    FlagOfSubmodules(m, flag.brseq, flag.layers)._check(data.rank)
+    out = _reduced_flag(data.red, flag)
+    out._check(data.rank_bar)
     return out
 
 
@@ -717,28 +724,56 @@ def _algebra_generators(m: HModule, slots: int, offsets: dict,
 
 
 @dataclass(frozen=True, eq=False)
-class _LiftSystem:
-    """Lifts of a non-zero base chain to level k: the ring chart of the
-    chain over the center of the repetitive chain module, the identity on
-    `pivot_rows` and `sbar` (top degree zero) on `other_rows`, and the
-    affine system `system @ x == rhs` in the top-degree coefficients of the
-    other rows that cuts out the invariant lifts."""
+class _ChainData:
+    """The part of the lift system of a chain with `slots` layers that
+    depends only on the module: the block offsets of the repetitive chain
+    module and of its reduction, the central coordinates, the inverse of the
+    reduced central basis, and the ring matrices of the algebra generators."""
 
-    coords: _CentralCoordinates
     offsets: dict
-    sbar: np.ndarray
-    pivot_rows: list
-    other_rows: list
-    system: np.ndarray
-    rhs: np.ndarray
+    bar_offsets: dict
+    bar_total: int
+    coords: _CentralCoordinates
+    tbar_inv: np.ndarray
+    rings: np.ndarray
 
 
-def _lift_system(m: HModule, red: hmod.Quotient,
-                 base: FlagOfSubmodules) -> Optional[_LiftSystem]:
-    """The lift system of a base flag with at least two steps, or None when
-    its chain is zero."""
-    mbar = red.module
-    slots = base.length - 1
+@dataclass(frozen=True, eq=False)
+class _ReductionData:
+    """What the reduction of flags and its fibers need of one module: its
+    reduction, the rank vectors of the module and of the reduction, and the
+    chain data per slot count, added as fibers first ask for it.  Holds no
+    reference to the module, so the memo entry dies with it."""
+
+    red: hmod.Quotient
+    rank: RankVector
+    rank_bar: RankVector
+    chains: dict = field(default_factory=dict)
+
+
+# one record per live module; HModule is frozen and hashes by identity
+_REDUCTION_DATA: "weakref.WeakKeyDictionary[HModule, _ReductionData]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _reduction_data(m: HModule) -> _ReductionData:
+    """The memoized reduction record of m (k >= 2); a build that raises
+    stores nothing."""
+    data = _REDUCTION_DATA.get(m)
+    if data is None:
+        rank = hmod.rank_vector(m)
+        red = reduction.reduce(m)
+        data = _ReductionData(red, rank, hmod.rank_vector(red.module))
+        _REDUCTION_DATA[m] = data
+    return data
+
+
+def _chain_data(m: HModule, data: _ReductionData, slots: int) -> _ChainData:
+    """The chain data of m for `slots` layers, built on first use."""
+    chain = data.chains.get(slots)
+    if chain is not None:
+        return chain
+    mbar = data.red.module
     p = m.p
     k = m.k
     offsets, total = _total_blocks([m] * slots)
@@ -751,31 +786,68 @@ def _lift_system(m: HModule, red: hmod.Quotient,
                 eps_blocks[i]
     coords = _CentralCoordinates(eps_total, k, p)
 
-    # the base chain as one subspace of the reduced total space
+    # the low-degree central basis, projected to the reduced total space
     bar_offsets, bar_total = _total_blocks([mbar] * slots)
-    base_rows = [la.zeros(0, bar_total)]
     rho_total = la.zeros(bar_total, total)
     for t in range(slots):
         for i in range(m.n):
-            sub = base.layers[t][i]
-            bar = slice(bar_offsets[(t, i)],
-                        bar_offsets[(t, i)] + mbar.dims[i])
-            rows = la.zeros(sub.dim, bar_total)
-            rows[:, bar] = sub.basis
-            base_rows.append(rows)
-            rho_total[bar, offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
-                red.projections[i]
-    base_rows = np.concatenate(base_rows)
-    z_total = base_rows.shape[0] // (k - 1)
+            rho_total[bar_offsets[(t, i)]:bar_offsets[(t, i)] + mbar.dims[i],
+                      offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
+                data.red.projections[i]
     low = [s * k + t for s in range(coords.m) for t in range(k - 1)]
     tbar = (rho_total @ coords.basis[:, low]) % p
     if la.rank(tbar, p) != bar_total:
         raise InternalCheckError("reduced central basis is degenerate")
     tbar_inv = la.inv(tbar, p)
+    rings = coords.operator_to_ring(
+        _algebra_generators(m, slots, offsets, total))
+    # every later fiber of m reads these arrays
+    for a in (coords.basis, coords.basis_inv, tbar_inv, rings):
+        a.setflags(write=False)
+    chain = _ChainData(offsets, bar_offsets, bar_total, coords, tbar_inv,
+                       rings)
+    data.chains[slots] = chain
+    return chain
+
+
+@dataclass(frozen=True, eq=False)
+class _LiftSystem:
+    """Lifts of a non-zero base chain to level k: the ring chart of the
+    chain over the center of the repetitive chain module, the identity on
+    `pivot_rows` and `sbar` (top degree zero) on `other_rows`, and the
+    affine system `system @ x == rhs` in the top-degree coefficients of the
+    other rows that cuts out the invariant lifts."""
+
+    chain: _ChainData
+    sbar: np.ndarray
+    pivot_rows: list
+    other_rows: list
+    system: np.ndarray
+    rhs: np.ndarray
+
+
+def _lift_system(chain: _ChainData, base: FlagOfSubmodules
+                 ) -> Optional[_LiftSystem]:
+    """The lift system of a base flag with at least two steps over the
+    chain data of its module, or None when its chain is zero."""
+    coords = chain.coords
+    p = coords.p
+    k = coords.k
+    # the base chain as one subspace of the reduced total space
+    base_rows = [la.zeros(0, chain.bar_total)]
+    for t, layer in enumerate(base.layers):
+        for i, sub in enumerate(layer):
+            off = chain.bar_offsets[(t, i)]
+            rows = la.zeros(sub.dim, chain.bar_total)
+            rows[:, off:off + sub.ambient] = sub.basis
+            base_rows.append(rows)
+    base_rows = np.concatenate(base_rows)
+    z_total = base_rows.shape[0] // (k - 1)
     if z_total == 0:
         return None
 
-    ring_rows = ((base_rows @ tbar_inv.T) % p).reshape(-1, coords.m, k - 1)
+    ring_rows = ((base_rows @ chain.tbar_inv.T) % p).reshape(-1, coords.m,
+                                                             k - 1)
     # ring generators: the rows whose degree-0 parts are independent of
     # those before them
     _, _, independent = la.rref(ring_rows[:, :, 0].T, p)
@@ -793,8 +865,7 @@ def _lift_system(m: HModule, red: hmod.Quotient,
     sbar[:, :, :k - 1] = amat[other_rows]
 
     # invariance of the lifted chart under every generator at once
-    rings = coords.operator_to_ring(
-        _algebra_generators(m, slots, offsets, total))
+    rings = chain.rings
     pm = rings[:, pivot_rows][:, :, pivot_rows]
     qm = rings[:, pivot_rows][:, :, other_rows]
     rm = rings[:, other_rows][:, :, pivot_rows]
@@ -814,8 +885,7 @@ def _lift_system(m: HModule, red: hmod.Quotient,
     system = ((la.left_product_matrix(left, z_total)
                - la.right_product_matrix(right, len(other_rows))) % p
               ).reshape(rhs.shape[0], width)
-    return _LiftSystem(coords, offsets, sbar, pivot_rows, other_rows,
-                       system, rhs)
+    return _LiftSystem(chain, sbar, pivot_rows, other_rows, system, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -858,14 +928,14 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     """
     if m.k < 2:
         raise KTooSmall("fibers of reduction need k >= 2")
-    red = reduction.reduce(m)
+    data = _reduction_data(m)
+    red = data.red
     mbar = red.module
     if base.module is not mbar and not hmod.modules_equal(base.module, mbar):
         raise FlagNotInReduction(
             "base flag does not live in the reduction of the module")
     try:
-        rank_bar = hmod.rank_vector(mbar)
-        base._check(rank_bar)
+        base._check(data.rank_bar)
     except ValidationError as exc:
         raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
     seq = tuple(RankVector(r) for r in base.brseq)
@@ -878,13 +948,13 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     slots = len(seq) - 1
     p = m.p
     k = m.k
-    lift = _lift_system(m, red, base)
+    lift = _lift_system(_chain_data(m, data, slots), base)
     if lift is None:
         zero_layers = tuple(
             tuple(Subspace.zero(m.dims[i], p) for i in range(m.n))
             for _ in range(slots))
         flag = FlagOfSubmodules(m, seq, zero_layers)
-        flag.validate()
+        flag._check(data.rank)
         return FiberOfReduction(base, False, 0, expected, flag,
                                 _builder=lambda coeffs: flag,
                                 _kernel=la.zeros(0, 0))
@@ -898,13 +968,11 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
             f"fiber dimension {dimension} does not match the Hom-space "
             f"cross-check {expected}")
 
-    rank = hmod.rank_vector(m)
-    coords, sbar = lift.coords, lift.sbar
+    coords, offsets, sbar = lift.chain.coords, lift.chain.offsets, lift.sbar
     z_total = sbar.shape[1]
     chart = np.zeros((coords.m, z_total, k), dtype=np.int64)
     chart[lift.pivot_rows] = _rid(z_total, k)
-    block_slices = [(i, slice(lift.offsets[(t, i)],
-                              lift.offsets[(t, i)] + m.dims[i]))
+    block_slices = [(i, slice(offsets[(t, i)], offsets[(t, i)] + m.dims[i]))
                     for t in range(slots) for i in range(m.n)]
 
     def build(coeffs: np.ndarray) -> FlagOfSubmodules:
@@ -920,12 +988,12 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
                 for i, cols in block_slices]
         flag = FlagOfSubmodules(m, seq, tuple(
             tuple(subs[t * m.n:(t + 1) * m.n]) for t in range(slots)))
-        flag._check(rank)
+        flag._check(data.rank)
         return flag
 
     particular = build(np.zeros(dimension, dtype=np.int64))
     back = _reduced_flag(red, particular)
-    back._check(rank_bar)
+    back._check(data.rank_bar)
     if back.layers != base.layers:
         raise InternalCheckError("fiber solution does not reduce to base")
     return FiberOfReduction(base, False, dimension, expected, particular,

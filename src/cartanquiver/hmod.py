@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -60,8 +61,12 @@ class HModule:
     """A representation of the level-k algebra over F_p.
 
     `eps[i]` is the loop matrix at vertex i, `arrows[(i, j)][g]` the matrix
-    of the g-th arrow j -> i.  `lift`, when present, holds integer matrices
-    that reduce to the module entries mod p (used for cross-prime counts).
+    of the g-th arrow j -> i.  `make_module` stores read-only matrices and a
+    read-only `arrows` mapping, so a module never changes once built and
+    data derived from it may be kept while it lives (as
+    `flagvar._reduction_data` does).  `lift`, when present, holds integer
+    matrices that reduce to the module entries mod p (used for cross-prime
+    counts).
     `standard_form` records that all loops are in generator-major Jordan
     form of full block size.
     """
@@ -71,7 +76,7 @@ class HModule:
     p: int
     dims: tuple[int, ...]
     eps: tuple[np.ndarray, ...]
-    arrows: dict[tuple[int, int], tuple[np.ndarray, ...]]
+    arrows: Mapping[tuple[int, int], tuple[np.ndarray, ...]]
     lift: Optional[dict] = field(default=None, compare=False)
     standard_form: bool = field(default=False, compare=False)
 
@@ -117,8 +122,8 @@ def make_module(datum: CartanDatum, k: int, p: int, eps, arrows,
         arr[(i, j)] = tuple(
             _frozen(np.asarray(a, dtype=np.int64) % p) for a in mats)
     _check_pairs(arrows or {}, arr, "arrow matrices")
-    mod = HModule(datum, k, p, dims, eps_t, arr, lift=lift,
-                  standard_form=standard_form)
+    mod = HModule(datum, k, p, dims, eps_t, types.MappingProxyType(arr),
+                  lift=lift, standard_form=standard_form)
     if validate:
         validate_module(mod)
     return mod

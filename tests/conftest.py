@@ -3,10 +3,16 @@ import collections
 import numpy as np
 import pytest
 
-from cartanquiver import cartan, gendecomp, hmod, homext
+from cartanquiver import cartan, flagvar, gendecomp, hmod, homext, reduction
 from cartanquiver import exactlinalg as la
 from cartanquiver.cartan import RankVector, euler_form
-from cartanquiver.errors import ShapeMismatch, ValidationError
+from cartanquiver.errors import (
+    FlagNotInReduction,
+    InternalCheckError,
+    KTooSmall,
+    ShapeMismatch,
+    ValidationError,
+)
 
 
 def make_datum(c, d, omega):
@@ -307,3 +313,152 @@ def reference_decomposition_scan(datum, k, p, r, samples, seed, budget):
                 certainty = gendecomp.MONTE_CARLO
             counter[ks.rank_multiset()] += 1
     return counter, count, exhaustive, certainty
+
+
+# --- the reduction fiber computed from scratch on every call ------------------
+
+def _reference_lift_parts(m, red, base):
+    """The lift system of a base flag with nothing kept between calls:
+    (coords, offsets, sbar, pivot_rows, other_rows, system, rhs), or None
+    for a zero chain."""
+    mbar = red.module
+    slots = base.length - 1
+    p, k = m.p, m.k
+    offsets, total = flagvar._total_blocks([m] * slots)
+    eps_blocks = hmod.epsilon_blocks(m)
+    eps_total = la.zeros(total, total)
+    for t in range(slots):
+        for i in range(m.n):
+            off = offsets[(t, i)]
+            eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
+                eps_blocks[i]
+    coords = flagvar._CentralCoordinates(eps_total, k, p)
+    bar_offsets, bar_total = flagvar._total_blocks([mbar] * slots)
+    base_rows = [la.zeros(0, bar_total)]
+    rho_total = la.zeros(bar_total, total)
+    for t in range(slots):
+        for i in range(m.n):
+            sub = base.layers[t][i]
+            bar = slice(bar_offsets[(t, i)],
+                        bar_offsets[(t, i)] + mbar.dims[i])
+            rows = la.zeros(sub.dim, bar_total)
+            rows[:, bar] = sub.basis
+            base_rows.append(rows)
+            rho_total[bar, offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
+                red.projections[i]
+    base_rows = np.concatenate(base_rows)
+    z_total = base_rows.shape[0] // (k - 1)
+    low = [s * k + t for s in range(coords.m) for t in range(k - 1)]
+    tbar = (rho_total @ coords.basis[:, low]) % p
+    if la.rank(tbar, p) != bar_total:
+        raise InternalCheckError("reduced central basis is degenerate")
+    tbar_inv = la.inv(tbar, p)
+    if z_total == 0:
+        return None
+    ring_rows = ((base_rows @ tbar_inv.T) % p).reshape(-1, coords.m, k - 1)
+    _, _, independent = la.rref(ring_rows[:, :, 0].T, p)
+    if len(independent) < z_total:
+        raise FlagNotInReduction("base chain is not free over the center")
+    amat = ring_rows[list(independent[:z_total])].transpose(1, 0, 2)
+    _, _, piv = la.rref(amat[:, :, 0].T, p)
+    pivot_rows = list(piv)
+    other_rows = [q for q in range(coords.m) if q not in pivot_rows]
+    amat = flagvar._rmul(amat, flagvar._rinv(amat[pivot_rows], p), p)
+    if not np.array_equal(amat[pivot_rows], flagvar._rid(z_total, k - 1)):
+        raise InternalCheckError("chart normalization failed")
+    sbar = np.zeros((len(other_rows), z_total, k), dtype=np.int64)
+    sbar[:, :, :k - 1] = amat[other_rows]
+    rings = coords.operator_to_ring(
+        flagvar._algebra_generators(m, slots, offsets, total))
+    pm = rings[:, pivot_rows][:, :, pivot_rows]
+    qm = rings[:, pivot_rows][:, :, other_rows]
+    rm = rings[:, other_rows][:, :, pivot_rows]
+    tm = rings[:, other_rows][:, :, other_rows]
+    rmul = flagvar._rmul
+    resid = (rm + rmul(tm, sbar, p) - rmul(sbar, pm, p)
+             - rmul(sbar, rmul(qm, sbar, p), p)) % p
+    if resid[..., :k - 1].any():
+        raise FlagNotInReduction(
+            "base chain is not invariant under the algebra action")
+    rhs = ((-resid[..., k - 1]) % p).reshape(-1)
+    s0 = sbar[:, :, 0]
+    left = (tm[..., 0] - s0 @ qm[..., 0]) % p
+    right = (pm[..., 0] + qm[..., 0] @ s0) % p
+    system = ((la.left_product_matrix(left, z_total)
+               - la.right_product_matrix(right, len(other_rows))) % p
+              ).reshape(rhs.shape[0], len(other_rows) * z_total)
+    return coords, offsets, sbar, pivot_rows, other_rows, system, rhs
+
+
+def reference_fiber_of_reduction(m, base):
+    """flagvar.fiber_of_reduction as it was before the reduction record:
+    the reduction, both rank vectors, the central coordinates and the
+    generator rings are all computed again on every call."""
+    if m.k < 2:
+        raise KTooSmall("fibers of reduction need k >= 2")
+    red = reduction.reduce(m)
+    mbar = red.module
+    if base.module is not mbar and not hmod.modules_equal(base.module, mbar):
+        raise FlagNotInReduction(
+            "base flag does not live in the reduction of the module")
+    try:
+        rank_bar = hmod.rank_vector(mbar)
+        base._check(rank_bar)
+    except ValidationError as exc:
+        raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
+    seq = tuple(RankVector(r) for r in base.brseq)
+    expected = flagvar._fiber_expected_dimension(mbar, base)
+    if len(seq) < 2:
+        flag = flagvar.FlagOfSubmodules(m, seq, ())
+        return flagvar.FiberOfReduction(base, False, 0, expected, flag,
+                                        _builder=lambda coeffs: flag,
+                                        _kernel=la.zeros(0, 0))
+    slots = len(seq) - 1
+    p, k = m.p, m.k
+    parts = _reference_lift_parts(m, red, base)
+    if parts is None:
+        flag = flagvar.FlagOfSubmodules(m, seq, tuple(
+            tuple(la.Subspace.zero(m.dims[i], p) for i in range(m.n))
+            for _ in range(slots)))
+        flag.validate()
+        return flagvar.FiberOfReduction(base, False, 0, expected, flag,
+                                        _builder=lambda coeffs: flag,
+                                        _kernel=la.zeros(0, 0))
+    coords, offsets, sbar, pivot_rows, other_rows, system, rhs = parts
+    solution = la.solve(system, rhs, p)
+    if solution is None:
+        return flagvar.FiberOfReduction(base, True, None, expected)
+    particular_vec, kernel = solution
+    dimension = kernel.shape[0]
+    if dimension != expected:
+        raise InternalCheckError("fiber dimension does not match the "
+                                 "Hom-space cross-check")
+    rank = hmod.rank_vector(m)
+    z_total = sbar.shape[1]
+    chart = np.zeros((coords.m, z_total, k), dtype=np.int64)
+    chart[pivot_rows] = flagvar._rid(z_total, k)
+
+    def build(coeffs):
+        vec = (particular_vec + (coeffs @ kernel if dimension else 0)) % p
+        full = chart.copy()
+        full[other_rows] = sbar
+        full[other_rows, :, k - 1] = (
+            sbar[:, :, k - 1] + vec.reshape(len(other_rows), z_total)) % p
+        rows = coords.ring_columns_to_rows(full)
+        layers = tuple(
+            tuple(la.Subspace.from_rows(
+                rows[:, offsets[(t, i)]:offsets[(t, i)] + m.dims[i]],
+                m.dims[i], p) for i in range(m.n))
+            for t in range(slots))
+        flag = flagvar.FlagOfSubmodules(m, seq, layers)
+        flag._check(rank)
+        return flag
+
+    particular = build(np.zeros(dimension, dtype=np.int64))
+    back = flagvar._reduced_flag(red, particular)
+    back._check(rank_bar)
+    if back.layers != base.layers:
+        raise InternalCheckError("fiber solution does not reduce to base")
+    return flagvar.FiberOfReduction(base, False, dimension, expected,
+                                    particular, _builder=build,
+                                    _kernel=kernel)

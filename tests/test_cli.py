@@ -98,6 +98,45 @@ def test_rigid_and_flag_count_and_reduce(config_path, tmp_path):
     assert read_json(reduced)["k"] == 1
 
 
+def _rigid_module_file(config_path, tmp_path):
+    module_path = tmp_path / "rigid.json"
+    assert run(["rigid", "--config", config_path, "--rank", "1,1",
+                "--module-out", str(module_path),
+                "--output", str(tmp_path / "r.json")]) == 0
+    return str(module_path)
+
+
+def test_report_write_error_exits_2(config_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert run(["algebra-check", "--config", config_path,
+                "--output", str(target)]) == 2
+    assert "cannot write report file" in capsys.readouterr().err
+
+
+def test_rigid_module_write_error_exits_2(config_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "m.json"
+    assert run(["rigid", "--config", config_path, "--rank", "1,1",
+                "--module-out", str(target)]) == 2
+    assert "cannot write module file" in capsys.readouterr().err
+
+
+def test_reduce_module_write_error_exits_2(config_path, tmp_path, capsys):
+    module_path = _rigid_module_file(config_path, tmp_path)
+    target = tmp_path / "missing" / "m.json"
+    assert run(["reduce", "--config", config_path, "--module", module_path,
+                "--to-k", "1", "--module-out", str(target)]) == 2
+    assert "cannot write module file" in capsys.readouterr().err
+
+
+def test_flag_count_csv_write_error_exits_2(config_path, tmp_path, capsys):
+    module_path = _rigid_module_file(config_path, tmp_path)
+    target = tmp_path / "missing" / "c.csv"
+    assert run(["flag-count", "--config", config_path, "--module",
+                module_path, "--brseq", "1,0;0,1", "--csv",
+                str(target)]) == 2
+    assert "cannot write CSV file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("form", ["structure", "arrows"])
 def test_reduce_rejects_key_outside_orientation(config_path, tmp_path,
                                                 capsys, form):

@@ -1120,11 +1120,17 @@ def _outcome(build, *args):
         return type(exc)
 
 
+def _memo_lift_system(m, base):
+    data = flagvar._reduction_data(m)
+    return flagvar._lift_system(
+        flagvar._chain_data(m, data, base.length - 1), base)
+
+
 def _assert_same_system(m, base):
     """The stacked system equals the reference; returns what the fiber
     is: "zero chain", "not in reduction", "empty" or "affine"."""
     want = _outcome(reference_lift_system, m, base)
-    lift = _outcome(flagvar._lift_system, m, reduction.reduce(m), base)
+    lift = _outcome(_memo_lift_system, m, base)
     if want is None or want is FlagNotInReduction:
         assert lift is want
         return "zero chain" if want is None else "not in reduction"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,23 @@ class TestValidation:
         hmod.validate_module(m)
         assert hmod.is_locally_free(m)
         assert hmod.rank_vector(m) == (1, 1)
+
+    def test_module_cannot_be_changed(self, b2):
+        m = hmod.random_locally_free(b2, 2, 3, (2, 1), seed=3)
+        key = next(iter(m.arrows))
+        with pytest.raises(TypeError):
+            m.arrows[key] = m.arrows[key]
+        with pytest.raises(TypeError):
+            del m.arrows[key]
+        with pytest.raises(ValueError):
+            m.arrows[key][0][0, 0] = 1
+        with pytest.raises(ValueError):
+            m.eps[0][0, 0] = 1
+        # copies and serialization read the read-only mapping as before
+        copy = replace(m, lift=None)
+        assert copy.arrows is m.arrows and hmod.modules_equal(copy, m)
+        back = hmod.module_from_dict(b2, hmod.module_to_dict(m))
+        assert hmod.modules_equal(back, m)
 
 
 class TestLocalFreeness:
