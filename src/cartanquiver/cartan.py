@@ -107,13 +107,24 @@ class CartanDatum:
         return sorted(self.omega)
 
 
+def read_value(convert, value, what: str):
+    """convert(value) for file and config input, with any failure raised
+    as a ValidationError that starts with `what`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
+
+
 def validate_cartan(c, d) -> CartanDatum:
-    """Check the axioms of a symmetrizable Cartan matrix with symmetrizer."""
-    rows = [tuple(int(x) for x in row) for row in c]
+    """Check the axioms of a symmetrizable Cartan matrix with symmetrizer.
+    Entries that are not integers raise ValidationError."""
+    rows = read_value(lambda v: [tuple(int(x) for x in row) for row in v],
+                      c, "bad Cartan matrix")
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValidationError("Cartan matrix must be square")
-    dd = tuple(int(x) for x in d)
+    dd = read_value(lambda v: tuple(int(x) for x in v), d, "bad symmetrizer")
     if len(dd) != n:
         raise LengthMismatch(f"symmetrizer length {len(dd)} != {n}")
     if any(x <= 0 for x in dd):
@@ -135,8 +146,9 @@ def validate_cartan(c, d) -> CartanDatum:
 
 
 def validate_orientation(datum: CartanDatum, omega) -> CartanDatum:
-    """Attach an orientation: one direction per negative pair, no cycles."""
-    pairs = frozenset((int(i), int(j)) for i, j in omega)
+    """Attach an orientation: one direction per negative pair, no cycles.
+    Entries that are not integer pairs raise ValidationError."""
+    pairs = frozenset(read_value(_pairs, omega, "bad orientation"))
     for i, j in pairs:
         if not (0 <= i < datum.n and 0 <= j < datum.n) or i == j:
             raise ValidationError(f"bad orientation pair ({i + 1},{j + 1})")
@@ -152,6 +164,10 @@ def validate_orientation(datum: CartanDatum, omega) -> CartanDatum:
                 f"edge {{{i + 1},{j + 1}}} has no direction")
     _check_acyclic(datum.n, pairs)
     return CartanDatum(datum.n, datum.c, datum.d, pairs)
+
+
+def _pairs(omega) -> list[tuple[int, int]]:
+    return [(int(i), int(j)) for i, j in omega]
 
 
 def _check_acyclic(n: int, pairs: frozenset[tuple[int, int]]):
@@ -263,7 +279,7 @@ def datum_from_dict(cfg: dict) -> tuple[CartanDatum, int, int]:
     if not isinstance(cfg, dict):
         raise ValidationError("config must hold a mapping")
     try:
-        n = int(cfg["n"])
+        n = read_value(int, cfg["n"], "bad n")
         c = cfg["C"]
         d = cfg["D"]
         omega_raw = cfg["omega"]
@@ -272,10 +288,11 @@ def datum_from_dict(cfg: dict) -> tuple[CartanDatum, int, int]:
     datum = validate_cartan(c, d)
     if datum.n != n:
         raise ValidationError(f"n = {n} does not match C ({datum.n} rows)")
-    omega = [(int(i) - 1, int(j) - 1) for i, j in omega_raw]
+    omega = [(i - 1, j - 1)
+             for i, j in read_value(_pairs, omega_raw, "bad omega")]
     datum = validate_orientation(datum, omega)
-    k = int(cfg.get("k", 1))
-    p = int(cfg.get("p", 5))
+    k = read_value(int, cfg.get("k", 1), "bad k")
+    p = read_value(int, cfg.get("p", 5), "bad p")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return datum, k, p

@@ -90,6 +90,19 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the given blocks, in order; a block may
+    have no rows or no columns."""
+    out = zeros(sum(b.shape[0] for b in blocks),
+                sum(b.shape[1] for b in blocks))
+    row = col = 0
+    for b in blocks:
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row += b.shape[0]
+        col += b.shape[1]
+    return out
+
+
 DIGIT_CHUNK = 4096   # codes per block of digit_chunks
 
 

@@ -15,10 +15,12 @@ length l are translated into single submodules of the repetitive module
 over the tensor algebra with the path algebra of a linear quiver on l-1
 vertices; that translation also provides tangent spaces (one Hom solve)
 and the affine linear system cutting out the fiber of the reduction map
-over a fixed lower-level flag.  The reduction of a module and the part of
-that system which depends only on the module are computed once per module
-and kept as long as the module lives; every check on a base flag runs on
-every call.
+over a fixed lower-level flag; the fiber dimension is checked against
+the tangent dimension at the image of that flag in the level-1 shadow of
+the reduction.  The reduction of a module, its shadow and the part of the
+fiber system which depends only on the module are computed once per
+module and kept as long as the module lives; every check on a base flag
+runs on every call.
 """
 
 from __future__ import annotations
@@ -373,6 +375,7 @@ class FlagOfSubmodules:
         """`validate` against the rank of the module, computed once by
         callers that check many flags of one module."""
         m = self.module
+        _check_lengths(self.brseq, m.n)
         if len(self.layers) != self.length - 1:
             raise ShapeMismatch("layer count does not match brseq length")
         if tuple(sum(r[i] for r in self.brseq) for i in range(m.n)) != tuple(
@@ -415,12 +418,19 @@ class FlagOfSubmodules:
         }
 
 
+def _check_lengths(brseq, n: int) -> None:
+    """Every rank vector of brseq has one entry per vertex."""
+    if any(len(r) != n for r in brseq):
+        raise LengthMismatch(f"brseq needs rank vectors of length {n}")
+
+
 def _checked_seq(m: HModule, brseq):
     """brseq as rank vectors and the rank of m, or None when brseq does not
     sum to it."""
     seq = tuple(RankVector(r) for r in brseq)
     if not seq:
         raise LengthMismatch("brseq must be non-empty")
+    _check_lengths(seq, m.n)
     rank = hmod.rank_vector(m)
     if tuple(sum(r[i] for r in seq) for i in range(m.n)) != tuple(rank):
         return None
@@ -619,36 +629,18 @@ def _reduced_flag(red: hmod.Quotient,
 
 
 # ring-coefficient matrices: arrays (..., rows, cols, k) of ascending
-# eps-degree, stacked along any leading axes
+# eps-degree, stacked along any leading axes; products and inverses are
+# taken of the operator matrices (hmod.ring_to_matrix)
 
 def _rmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     k = a.shape[-1]
-    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-    out = np.zeros(lead + (a.shape[-3], b.shape[-2], k), dtype=np.int64)
-    for ta in range(k):
-        for tb in range(k - ta):
-            out[..., ta + tb] += a[..., ta] @ b[..., tb]
-    return out % p
-
-
-def _rid(n: int, k: int) -> np.ndarray:
-    out = np.zeros((n, n, k), dtype=np.int64)
-    out[:, :, 0] = np.eye(n, dtype=np.int64)
-    return out
+    return hmod.matrix_to_ring((hmod.ring_to_matrix(a, k, k)
+                                @ hmod.ring_to_matrix(b, k, k)) % p, k, k)
 
 
 def _rinv(a: np.ndarray, p: int) -> np.ndarray:
     k = a.shape[-1]
-    n = a.shape[0]
-    out = np.zeros_like(a)
-    inv0 = la.inv(a[:, :, 0], p)
-    out[:, :, 0] = inv0
-    for t in range(1, k):
-        acc = np.zeros((n, n), dtype=np.int64)
-        for s in range(1, t + 1):
-            acc += a[:, :, s] @ out[:, :, t - s]
-        out[:, :, t] = (-inv0 @ acc) % p
-    return out
+    return hmod.matrix_to_ring(la.inv(hmod.ring_to_matrix(a, k, k), p), k, k)
 
 
 class _CentralCoordinates:
@@ -685,54 +677,31 @@ class _CentralCoordinates:
         return (cols.T @ self.basis.T) % self.p
 
 
-def _total_blocks(mods: Sequence[HModule]) -> tuple[dict, int]:
-    """Offsets of the (slot, vertex) blocks in the direct sum."""
-    offsets = {}
-    pos = 0
-    for t, mod in enumerate(mods):
-        for i in range(mod.n):
-            offsets[(t, i)] = pos
-            pos += mod.dims[i]
-    return offsets, pos
-
-
-def _algebra_generators(m: HModule, slots: int, offsets: dict,
-                        total: int) -> np.ndarray:
+def _algebra_generators(m: HModule, slots: int) -> np.ndarray:
     """Stack of matrices generating the action on the direct sum of the
-    slots of the repetitive chain of m: slot and vertex idempotents, loops,
-    arrows, and the identity connectors from each slot into the next."""
-    n = m.n
-    arrows = [(key, a) for key in sorted(m.arrows) for a in m.arrows[key]]
-    first_arrow = slots + 2 * n
-    first_connector = first_arrow + len(arrows)
-    gens = np.zeros((first_connector + slots - 1, total, total),
-                    dtype=np.int64)
-    block = {(t, i): slice(offsets[(t, i)], offsets[(t, i)] + m.dims[i])
-             for t in range(slots) for i in range(n)}
-    for t in range(slots):
-        for i in range(n):
-            b = block[(t, i)]
-            gens[t, b, b] = la.identity(m.dims[i])
-            gens[slots + i, b, b] = la.identity(m.dims[i])
-            gens[slots + n + i, b, b] = m.eps[i]
-            if t + 1 < slots:
-                gens[first_connector + t, block[(t + 1, i)], b] = \
-                    la.identity(m.dims[i])
-        for g, ((i, j), a) in enumerate(arrows, start=first_arrow):
-            gens[g, block[(t, i)], block[(t, j)]] = a
-    return gens
+    slots of the repetitive chain of m (slot by slot, each one copy of m):
+    slot idempotents, then each vertex idempotent, loop and arrow of m on
+    every slot, then the identity connectors from each slot into the
+    next."""
+    ident = la.identity(m.total_dim())
+    incl = np.split(ident, np.cumsum(m.dims)[:-1], axis=1)
+    one_copy = [incl[i] @ incl[i].T for i in range(m.n)] + [
+        incl[i] @ mat @ incl[j].T for _, mat, i, j in m.maps_with_labels()]
+    units = la.identity(slots)
+    return np.stack(
+        [np.kron(np.outer(units[t], units[t]), ident) for t in range(slots)]
+        + [np.kron(units, g) for g in one_copy]
+        + [np.kron(np.outer(units[t + 1], units[t]), ident)
+           for t in range(slots - 1)])
 
 
 @dataclass(frozen=True, eq=False)
 class _ChainData:
     """The part of the lift system of a chain with `slots` layers that
-    depends only on the module: the block offsets of the repetitive chain
-    module and of its reduction, the central coordinates, the inverse of the
-    reduced central basis, and the ring matrices of the algebra generators."""
+    depends only on the module: the central coordinates of the repetitive
+    chain module, the inverse of the reduced central basis, and the ring
+    matrices of the algebra generators."""
 
-    offsets: dict
-    bar_offsets: dict
-    bar_total: int
     coords: _CentralCoordinates
     tbar_inv: np.ndarray
     rings: np.ndarray
@@ -741,11 +710,13 @@ class _ChainData:
 @dataclass(frozen=True, eq=False)
 class _ReductionData:
     """What the reduction of flags and its fibers need of one module: its
-    reduction, the rank vectors of the module and of the reduction, and the
-    chain data per slot count, added as fibers first ask for it.  Holds no
-    reference to the module, so the memo entry dies with it."""
+    reduction, the level-1 shadow of the reduction (modulo the central
+    nilpotent), the rank vectors of the module and of the reduction, and
+    the chain data per slot count, added as fibers first ask for it.  Holds
+    no reference to the module, so the memo entry dies with it."""
 
     red: hmod.Quotient
+    shadow: hmod.Quotient
     rank: RankVector
     rank_bar: RankVector
     chains: dict = field(default_factory=dict)
@@ -763,7 +734,10 @@ def _reduction_data(m: HModule) -> _ReductionData:
     if data is None:
         rank = hmod.rank_vector(m)
         red = reduction.reduce(m)
-        data = _ReductionData(red, rank, hmod.rank_vector(red.module))
+        mbar = red.module
+        shadow = hmod.quotient(mbar, [la.image(b, m.p) for b in
+                                      hmod.epsilon_blocks(mbar)], 1)
+        data = _ReductionData(red, shadow, rank, hmod.rank_vector(mbar))
         _REDUCTION_DATA[m] = data
     return data
 
@@ -773,39 +747,23 @@ def _chain_data(m: HModule, data: _ReductionData, slots: int) -> _ChainData:
     chain = data.chains.get(slots)
     if chain is not None:
         return chain
-    mbar = data.red.module
     p = m.p
     k = m.k
-    offsets, total = _total_blocks([m] * slots)
-    eps_blocks = hmod.epsilon_blocks(m)
-    eps_total = la.zeros(total, total)
-    for t in range(slots):
-        for i in range(m.n):
-            off = offsets[(t, i)]
-            eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
-                eps_blocks[i]
-    coords = _CentralCoordinates(eps_total, k, p)
-
+    units = la.identity(slots)
+    coords = _CentralCoordinates(
+        np.kron(units, la.block_diag(*hmod.epsilon_blocks(m))), k, p)
     # the low-degree central basis, projected to the reduced total space
-    bar_offsets, bar_total = _total_blocks([mbar] * slots)
-    rho_total = la.zeros(bar_total, total)
-    for t in range(slots):
-        for i in range(m.n):
-            rho_total[bar_offsets[(t, i)]:bar_offsets[(t, i)] + mbar.dims[i],
-                      offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
-                data.red.projections[i]
+    rho_total = np.kron(units, la.block_diag(*data.red.projections))
     low = [s * k + t for s in range(coords.m) for t in range(k - 1)]
     tbar = (rho_total @ coords.basis[:, low]) % p
-    if la.rank(tbar, p) != bar_total:
+    if la.rank(tbar, p) != tbar.shape[0]:
         raise InternalCheckError("reduced central basis is degenerate")
     tbar_inv = la.inv(tbar, p)
-    rings = coords.operator_to_ring(
-        _algebra_generators(m, slots, offsets, total))
+    rings = coords.operator_to_ring(_algebra_generators(m, slots))
     # every later fiber of m reads these arrays
     for a in (coords.basis, coords.basis_inv, tbar_inv, rings):
         a.setflags(write=False)
-    chain = _ChainData(offsets, bar_offsets, bar_total, coords, tbar_inv,
-                       rings)
+    chain = _ChainData(coords, tbar_inv, rings)
     data.chains[slots] = chain
     return chain
 
@@ -834,14 +792,8 @@ def _lift_system(chain: _ChainData, base: FlagOfSubmodules
     p = coords.p
     k = coords.k
     # the base chain as one subspace of the reduced total space
-    base_rows = [la.zeros(0, chain.bar_total)]
-    for t, layer in enumerate(base.layers):
-        for i, sub in enumerate(layer):
-            off = chain.bar_offsets[(t, i)]
-            rows = la.zeros(sub.dim, chain.bar_total)
-            rows[:, off:off + sub.ambient] = sub.basis
-            base_rows.append(rows)
-    base_rows = np.concatenate(base_rows)
+    base_rows = la.block_diag(*(sub.basis for layer in base.layers
+                                for sub in layer))
     z_total = base_rows.shape[0] // (k - 1)
     if z_total == 0:
         return None
@@ -857,9 +809,9 @@ def _lift_system(chain: _ChainData, base: FlagOfSubmodules
     _, _, piv = la.rref(amat[:, :, 0].T, p)
     pivot_rows = list(piv)
     other_rows = [q for q in range(coords.m) if q not in pivot_rows]
-    norm = _rinv(amat[pivot_rows], p)
-    amat = _rmul(amat, norm, p)
-    if not np.array_equal(amat[pivot_rows], _rid(z_total, k - 1)):
+    amat = _rmul(amat, _rinv(amat[pivot_rows], p), p)
+    if not np.array_equal(amat[pivot_rows], hmod.matrix_to_ring(
+            la.identity(z_total * (k - 1)), k - 1, k - 1)):
         raise InternalCheckError("chart normalization failed")
     sbar = np.zeros((len(other_rows), z_total, k), dtype=np.int64)
     sbar[:, :, :k - 1] = amat[other_rows]
@@ -923,8 +875,8 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     The chain is translated into one submodule of the repetitive chain
     module; lifts of its ring-echelon chart are cut out by an affine linear
     system in the top-degree coefficients.  The solution space dimension is
-    cross-checked against the Hom space between the mod-eps reductions of
-    the chain and its quotient chain.
+    cross-checked against the tangent dimension at the image of the base
+    flag in the level-1 shadow of the reduction.
     """
     if m.k < 2:
         raise KTooSmall("fibers of reduction need k >= 2")
@@ -934,21 +886,17 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     if base.module is not mbar and not hmod.modules_equal(base.module, mbar):
         raise FlagNotInReduction(
             "base flag does not live in the reduction of the module")
+    _check_lengths(base.brseq, m.n)
     try:
         base._check(data.rank_bar)
     except ValidationError as exc:
         raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
     seq = tuple(RankVector(r) for r in base.brseq)
-    expected = _fiber_expected_dimension(mbar, base)
-    if len(seq) < 2:
-        flag = FlagOfSubmodules(m, seq, ())
-        return FiberOfReduction(base, False, 0, expected, flag,
-                                _builder=lambda coeffs: flag,
-                                _kernel=la.zeros(0, 0))
+    expected = _fiber_expected_dimension(data.shadow, base)
     slots = len(seq) - 1
     p = m.p
     k = m.k
-    lift = _lift_system(_chain_data(m, data, slots), base)
+    lift = _lift_system(_chain_data(m, data, slots), base) if slots else None
     if lift is None:
         zero_layers = tuple(
             tuple(Subspace.zero(m.dims[i], p) for i in range(m.n))
@@ -968,12 +916,13 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
             f"fiber dimension {dimension} does not match the Hom-space "
             f"cross-check {expected}")
 
-    coords, offsets, sbar = lift.chain.coords, lift.chain.offsets, lift.sbar
+    coords, sbar = lift.chain.coords, lift.sbar
     z_total = sbar.shape[1]
     chart = np.zeros((coords.m, z_total, k), dtype=np.int64)
-    chart[lift.pivot_rows] = _rid(z_total, k)
-    block_slices = [(i, slice(offsets[(t, i)], offsets[(t, i)] + m.dims[i]))
-                    for t in range(slots) for i in range(m.n)]
+    chart[lift.pivot_rows] = hmod.matrix_to_ring(la.identity(z_total * k),
+                                                 k, k)
+    dims = m.dims * slots
+    cuts = np.cumsum(dims)[:-1]
 
     def build(coeffs: np.ndarray) -> FlagOfSubmodules:
         vec = (particular_vec + (coeffs @ kernel if dimension else 0)) % p
@@ -984,8 +933,8 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
         full = chart.copy()
         full[lift.other_rows] = stilde
         rows = coords.ring_columns_to_rows(full)
-        subs = [Subspace.from_rows(rows[:, cols], m.dims[i], p)
-                for i, cols in block_slices]
+        subs = [Subspace.from_rows(cols, d, p)
+                for cols, d in zip(np.split(rows, cuts, axis=1), dims)]
         flag = FlagOfSubmodules(m, seq, tuple(
             tuple(subs[t * m.n:(t + 1) * m.n]) for t in range(slots)))
         flag._check(data.rank)
@@ -1000,26 +949,13 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
                             _builder=build, _kernel=kernel)
 
 
-def _fiber_expected_dimension(mbar: HModule, base: FlagOfSubmodules) -> int:
-    """dim Hom over the base-level tensor algebra between the mod-eps
-    reductions of the chain and of its quotient chain."""
-    if base.length < 2:
-        return 0
-    x, y = _flag_tensor_modules(mbar, base)
-    x1 = _mod_epsilon_tensor(x)
-    y1 = _mod_epsilon_tensor(y)
-    return hom_tensor(x1, y1).dim
-
-
-def _mod_epsilon_tensor(x: TensorModule) -> TensorModule:
-    """The level-1 shadow: each slot modulo the image of the central
-    nilpotent, with the induced connectors."""
-    quots = [hmod.quotient(slot, [la.image(b, slot.p)
-                                  for b in hmod.epsilon_blocks(slot)], 1)
-             for slot in x.slots]
-    connectors = tuple(quots[t + 1].induced(quots[t], mu)
-                       for t, mu in enumerate(x.connectors))
-    return TensorModule(tuple(q.module for q in quots), connectors)
+def _fiber_expected_dimension(shadow: hmod.Quotient,
+                              base: FlagOfSubmodules) -> int:
+    """dim Hom over the level-1 tensor algebra between the mod-eps
+    reductions of the base chain and of its quotient chain.  A free
+    submodule U meets eps M in eps U, so these are the chains of the image
+    of the base flag in the shadow, and the Hom is its tangent space."""
+    return tangent_dimension(shadow.module, _reduced_flag(shadow, base))
 
 
 # --- point counting across primes ---------------------------------------------

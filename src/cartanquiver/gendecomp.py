@@ -68,17 +68,6 @@ def _fitting_split(m: HModule, f) -> Optional[tuple]:
     return ims, kers
 
 
-def _idempotent_split(m: HModule, e) -> tuple:
-    p = m.p
-    ims = tuple(Subspace.from_rows(ei.T, m.dims[i], p)
-                for i, ei in enumerate(e))
-    one_minus = tuple((la.identity(m.dims[i]) - e[i]) % p
-                      for i in range(m.n))
-    kers = tuple(Subspace.from_rows(ei.T, m.dims[i], p)
-                 for i, ei in enumerate(one_minus))
-    return ims, kers
-
-
 def _structure_constants(basis: homext.HomBasis, p: int) -> np.ndarray:
     dim = basis.dim
     table = np.zeros((dim, dim, dim), dtype=np.int64)
@@ -109,7 +98,7 @@ def _scan_idempotents(m: HModule, basis: homext.HomBasis
             if not x.any() or np.array_equal(x, id_coords):
                 continue
             e = basis.element_from_coeffs(x)
-            return _idempotent_split(m, e)
+            return _fitting_split(m, e)
     return None
 
 
@@ -268,22 +257,18 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
         raise ValidationError("samples must be >= 1")
     total_params = (hmod.structure_parameter_count(datum, k, r)
                     + hmod.structure_parameter_count(datum, k, s))
-    best = None
     if p ** total_params <= pair_budget:
-        _, modules_m = hmod.structure_space(datum, k, p, r, pair_budget, 0,
-                                            seed)
-        for mod_m in modules_m:
-            _, modules_n = hmod.structure_space(datum, k, p, s, pair_budget,
-                                                0, seed)
-            for mod_n in modules_n:
-                val = homext.ext1_dim(mod_m, mod_n)
-                best = val if best is None else min(best, val)
-                if best == 0:
-                    return 0
-        return best
-    for t in range(samples):
-        mod_m = hmod.random_locally_free(datum, k, p, r, (seed, "m", t))
-        mod_n = hmod.random_locally_free(datum, k, p, s, (seed, "n", t))
+        pairs = ((mod_m, mod_n)
+                 for mod_m in hmod.structure_space(datum, k, p, r,
+                                                   pair_budget, 0, seed)[1]
+                 for mod_n in hmod.structure_space(datum, k, p, s,
+                                                   pair_budget, 0, seed)[1])
+    else:
+        pairs = ((hmod.random_locally_free(datum, k, p, r, (seed, "m", t)),
+                  hmod.random_locally_free(datum, k, p, s, (seed, "n", t)))
+                 for t in range(samples))
+    best = None
+    for mod_m, mod_n in pairs:
         val = homext.ext1_dim(mod_m, mod_n)
         best = val if best is None else min(best, val)
         if best == 0:

@@ -35,7 +35,7 @@ from typing import Iterator, Mapping, Optional
 import numpy as np
 
 from . import exactlinalg as la
-from .cartan import CartanDatum, RankVector
+from .cartan import CartanDatum, RankVector, read_value
 from .errors import (
     DatumMismatch,
     EntryDegreeOverflow,
@@ -461,31 +461,23 @@ def structure_space(datum: CartanDatum, k: int, p: int, r, budget: int,
 
 def direct_sum(a: HModule, b: HModule) -> HModule:
     _same_algebra(a, b)
-    eps = [_block_diag(a.eps[i], b.eps[i]) for i in range(a.n)]
+    eps = [la.block_diag(a.eps[i], b.eps[i]) for i in range(a.n)]
     arrows = {}
     for key in a.arrows:
-        arrows[key] = [_block_diag(x, y)
+        arrows[key] = [la.block_diag(x, y)
                        for x, y in zip(a.arrows[key], b.arrows[key])]
     lift = None
     if a.has_lift() and b.has_lift():
         lift = {
-            "eps": tuple(_block_diag(x, y) for x, y in
+            "eps": tuple(la.block_diag(x, y) for x, y in
                          zip(a.lift["eps"], b.lift["eps"])),
             "arrows": {key: tuple(
-                _block_diag(x, y) for x, y in
+                la.block_diag(x, y) for x, y in
                 zip(a.lift["arrows"][key], b.lift["arrows"][key]))
                 for key in a.arrows},
         }
     return make_module(a.datum, a.k, a.p, eps, arrows, lift=lift,
                        standard_form=False, validate=False)
-
-
-def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros((x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]),
-                   dtype=np.int64)
-    out[:x.shape[0], :x.shape[1]] = x
-    out[x.shape[0]:, x.shape[1]:] = y
-    return out
 
 
 def _same_algebra(a: HModule, b: HModule):
@@ -657,14 +649,6 @@ def module_to_dict(m: HModule) -> dict:
     return out
 
 
-def _read(convert, value, what: str):
-    """convert(value), with any failure raised as a ValidationError."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise ValidationError(f"module file: bad {what}: {exc}") from exc
-
-
 def _pair_key(key: str) -> tuple[int, int]:
     i, j = (int(x) - 1 for x in key.split(","))
     return i, j
@@ -678,8 +662,9 @@ def _pair_dict(value, what: str, convert) -> dict:
     """{(i, j): convert(entry)} of a file mapping 'i,j' keys (1-based)."""
     if not isinstance(value, dict):
         raise ValidationError(f"module file: {what} must map 'i,j' keys")
-    return {_read(_pair_key, key, f"{what} key {key!r}"):
-            _read(convert, entry, f"{what} entry {key!r}")
+    return {read_value(_pair_key, key, f"module file: bad {what} key {key!r}"):
+            read_value(convert, entry,
+                       f"module file: bad {what} entry {key!r}")
             for key, entry in value.items()}
 
 
@@ -698,15 +683,18 @@ def module_from_dict(datum: CartanDatum, data: dict) -> HModule:
         raise ValidationError(
             f"module file lacks {', '.join(missing)}: it needs k, p and "
             f"either rank with structure or dims with eps")
-    k = _read(int, data["k"], "k")
-    p = _read(int, data["p"], "p")
+    k = read_value(int, data["k"], "module file: bad k")
+    p = read_value(int, data["p"], "module file: bad p")
     if "structure" in data:
-        rank = _read(RankVector, data["rank"], "rank")
+        rank = read_value(RankVector, data["rank"],
+                          "module file: bad rank")
         mats = _pair_dict(data["structure"], "structure", _int_array)
         s = structure_from_arrays(datum, k, p, rank, mats)
         return from_structure_matrices(s)
-    dims = _read(lambda v: [int(d) for d in v], data["dims"], "dims")
-    eps = _read(lambda v: [_int_array(e) for e in v], data["eps"], "eps")
+    dims = read_value(lambda v: [int(d) for d in v], data["dims"],
+                      "module file: bad dims")
+    eps = read_value(lambda v: [_int_array(e) for e in v], data["eps"],
+                     "module file: bad eps")
     if len(dims) != datum.n or len(eps) != datum.n:
         raise ShapeMismatch(
             f"dims and eps need {datum.n} entries, got {len(dims)} and "

@@ -315,6 +315,106 @@ def reference_decomposition_scan(datum, k, p, r, samples, seed, budget):
     return counter, count, exhaustive, certainty
 
 
+# --- the fiber constructions as flagvar wrote them by hand --------------------
+
+def reference_total_blocks(mods):
+    """Offsets of the (slot, vertex) blocks in the direct sum."""
+    offsets = {}
+    pos = 0
+    for t, mod in enumerate(mods):
+        for i in range(mod.n):
+            offsets[(t, i)] = pos
+            pos += mod.dims[i]
+    return offsets, pos
+
+
+def reference_rmul(a, b, p):
+    """Product of ring matrices (..., rows, cols, k), one pair of degrees at
+    a time."""
+    k = a.shape[-1]
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    out = np.zeros(lead + (a.shape[-3], b.shape[-2], k), dtype=np.int64)
+    for ta in range(k):
+        for tb in range(k - ta):
+            out[..., ta + tb] += a[..., ta] @ b[..., tb]
+    return out % p
+
+
+def reference_rid(n, k):
+    """The identity ring matrix (n, n, k)."""
+    out = np.zeros((n, n, k), dtype=np.int64)
+    out[:, :, 0] = np.eye(n, dtype=np.int64)
+    return out
+
+
+def reference_rinv(a, p):
+    """Inverse of a ring matrix (n, n, k), degree by degree from the inverse
+    of its constant term."""
+    k = a.shape[-1]
+    n = a.shape[0]
+    out = np.zeros_like(a)
+    inv0 = la.inv(a[:, :, 0], p)
+    out[:, :, 0] = inv0
+    for t in range(1, k):
+        acc = np.zeros((n, n), dtype=np.int64)
+        for s in range(1, t + 1):
+            acc += a[:, :, s] @ out[:, :, t - s]
+        out[:, :, t] = (-inv0 @ acc) % p
+    return out
+
+
+def reference_generators(m, slots, offsets, total):
+    """The generators of the repetitive chain action, one matrix each."""
+    def blk(t, i):
+        return slice(offsets[(t, i)], offsets[(t, i)] + m.dims[i])
+
+    gens = []
+    for t in range(slots):
+        out = la.zeros(total, total)
+        for i in range(m.n):
+            out[blk(t, i), blk(t, i)] = la.identity(m.dims[i])
+        gens.append(out)
+    for mats in ([la.identity(d) for d in m.dims], m.eps):
+        for i in range(m.n):
+            out = la.zeros(total, total)
+            for t in range(slots):
+                out[blk(t, i), blk(t, i)] = mats[i]
+            gens.append(out)
+    for key in sorted(m.arrows):
+        for a in m.arrows[key]:
+            out = la.zeros(total, total)
+            for t in range(slots):
+                out[blk(t, key[0]), blk(t, key[1])] = a
+            gens.append(out)
+    for t in range(slots - 1):
+        out = la.zeros(total, total)
+        for i in range(m.n):
+            out[blk(t + 1, i), blk(t, i)] = la.identity(m.dims[i])
+        gens.append(out)
+    return gens
+
+
+def reference_mod_epsilon_tensor(x):
+    """The level-1 shadow of a tensor module: each slot modulo the image of
+    the central nilpotent, with the induced connectors."""
+    quots = [hmod.quotient(slot, [la.image(b, slot.p)
+                                  for b in hmod.epsilon_blocks(slot)], 1)
+             for slot in x.slots]
+    connectors = tuple(quots[t + 1].induced(quots[t], mu)
+                       for t, mu in enumerate(x.connectors))
+    return flagvar.TensorModule(tuple(q.module for q in quots), connectors)
+
+
+def reference_fiber_expected_dimension(mbar, base):
+    """dim Hom over the base-level tensor algebra between the mod-eps
+    reductions of the chain and of its quotient chain."""
+    if base.length < 2:
+        return 0
+    x, y = flagvar._flag_tensor_modules(mbar, base)
+    return flagvar.hom_tensor(reference_mod_epsilon_tensor(x),
+                              reference_mod_epsilon_tensor(y)).dim
+
+
 # --- the reduction fiber computed from scratch on every call ------------------
 
 def _reference_lift_parts(m, red, base):
@@ -324,7 +424,7 @@ def _reference_lift_parts(m, red, base):
     mbar = red.module
     slots = base.length - 1
     p, k = m.p, m.k
-    offsets, total = flagvar._total_blocks([m] * slots)
+    offsets, total = reference_total_blocks([m] * slots)
     eps_blocks = hmod.epsilon_blocks(m)
     eps_total = la.zeros(total, total)
     for t in range(slots):
@@ -333,7 +433,7 @@ def _reference_lift_parts(m, red, base):
             eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
                 eps_blocks[i]
     coords = flagvar._CentralCoordinates(eps_total, k, p)
-    bar_offsets, bar_total = flagvar._total_blocks([mbar] * slots)
+    bar_offsets, bar_total = reference_total_blocks([mbar] * slots)
     base_rows = [la.zeros(0, bar_total)]
     rho_total = la.zeros(bar_total, total)
     for t in range(slots):
@@ -363,18 +463,18 @@ def _reference_lift_parts(m, red, base):
     _, _, piv = la.rref(amat[:, :, 0].T, p)
     pivot_rows = list(piv)
     other_rows = [q for q in range(coords.m) if q not in pivot_rows]
-    amat = flagvar._rmul(amat, flagvar._rinv(amat[pivot_rows], p), p)
-    if not np.array_equal(amat[pivot_rows], flagvar._rid(z_total, k - 1)):
+    amat = reference_rmul(amat, reference_rinv(amat[pivot_rows], p), p)
+    if not np.array_equal(amat[pivot_rows], reference_rid(z_total, k - 1)):
         raise InternalCheckError("chart normalization failed")
     sbar = np.zeros((len(other_rows), z_total, k), dtype=np.int64)
     sbar[:, :, :k - 1] = amat[other_rows]
     rings = coords.operator_to_ring(
-        flagvar._algebra_generators(m, slots, offsets, total))
+        np.stack(reference_generators(m, slots, offsets, total)))
     pm = rings[:, pivot_rows][:, :, pivot_rows]
     qm = rings[:, pivot_rows][:, :, other_rows]
     rm = rings[:, other_rows][:, :, pivot_rows]
     tm = rings[:, other_rows][:, :, other_rows]
-    rmul = flagvar._rmul
+    rmul = reference_rmul
     resid = (rm + rmul(tm, sbar, p) - rmul(sbar, pm, p)
              - rmul(sbar, rmul(qm, sbar, p), p)) % p
     if resid[..., :k - 1].any():
@@ -407,7 +507,7 @@ def reference_fiber_of_reduction(m, base):
     except ValidationError as exc:
         raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
     seq = tuple(RankVector(r) for r in base.brseq)
-    expected = flagvar._fiber_expected_dimension(mbar, base)
+    expected = reference_fiber_expected_dimension(mbar, base)
     if len(seq) < 2:
         flag = flagvar.FlagOfSubmodules(m, seq, ())
         return flagvar.FiberOfReduction(base, False, 0, expected, flag,
@@ -436,7 +536,7 @@ def reference_fiber_of_reduction(m, base):
     rank = hmod.rank_vector(m)
     z_total = sbar.shape[1]
     chart = np.zeros((coords.m, z_total, k), dtype=np.int64)
-    chart[pivot_rows] = flagvar._rid(z_total, k)
+    chart[pivot_rows] = reference_rid(z_total, k)
 
     def build(coeffs):
         vec = (particular_vec + (coeffs @ kernel if dimension else 0)) % p
@@ -455,7 +555,11 @@ def reference_fiber_of_reduction(m, base):
         return flag
 
     particular = build(np.zeros(dimension, dtype=np.int64))
-    back = flagvar._reduced_flag(red, particular)
+    back = flagvar.FlagOfSubmodules(mbar, seq, tuple(
+        tuple(la.Subspace.from_rows(
+            (layer[i].basis @ red.projections[i].T) % p, mbar.dims[i], p)
+            for i in range(m.n))
+        for layer in particular.layers))
     back._check(rank_bar)
     if back.layers != base.layers:
         raise InternalCheckError("fiber solution does not reduce to base")

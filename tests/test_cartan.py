@@ -13,6 +13,7 @@ from cartanquiver.errors import (
     NonPositiveSymmetrizer,
     PositiveOffDiagonal,
     SymmetrizerMismatch,
+    ValidationError,
 )
 
 
@@ -59,6 +60,22 @@ class TestValidateCartan:
                 assert datum.d[i] * datum.f(i, j) == datum.d[j] * datum.f(j, i)
                 assert datum.d[i] % datum.f(j, i) == 0
                 assert datum.d[j] % datum.f(i, j) == 0
+
+
+@pytest.mark.parametrize("c,dd", [
+    (5, [1, 1]), ([[2, "a"], [-1, 2]], [1, 1]), ([2, -1], [1, 1]),
+    ([[2, -1], [-1, 2]], 1), ([[2, -1], [-1, 2]], [1, None]),
+])
+def test_non_integer_cartan_data_rejected(c, dd):
+    with pytest.raises(ValidationError):
+        cartan.validate_cartan(c, dd)
+
+
+@pytest.mark.parametrize("omega", [[(0,)], [("a", 1)], [0], 5, [(0, 1, 1)]])
+def test_malformed_orientation_rejected(omega):
+    d = cartan.validate_cartan([[2, -1], [-1, 2]], [1, 1])
+    with pytest.raises(ValidationError):
+        cartan.validate_orientation(d, omega)
 
 
 class TestOrientation:

@@ -56,6 +56,18 @@ def test_bad_symmetrizer_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [
+    {"omega": [[1]]}, {"n": "two"}, {"k": "x"}, {"C": 5},
+    {"omega": [["a", "b"]]},
+])
+def test_malformed_config_exits_2(tmp_path, capsys, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(A2_CONFIG, **entry)))
+    assert run(["algebra-check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("p", ["6", "46349", "2147483647"])
 def test_unsupported_modulus_exits_2(config_path, capsys, p):
     assert run(["algebra-check", "--config", config_path, "--p", p]) == 2

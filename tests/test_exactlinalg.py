@@ -401,6 +401,21 @@ def test_image():
     assert img.contains_rows(np.array([[1, 2, 0]]))
 
 
+def test_block_diag_with_empty_blocks():
+    a = np.array([[1, 2], [3, 4]])
+    b = np.array([[5], [6], [7]])
+    blocks = [la.zeros(0, 2), a, la.zeros(2, 0), b, la.zeros(0, 0),
+              la.zeros(1, 0)]
+    got = la.block_diag(*blocks)
+    want = la.zeros(8, 5)
+    want[0:2, 2:4] = a
+    want[4:7, 4:5] = b
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert la.block_diag().shape == (0, 0)
+    assert la.block_diag(la.zeros(0, 3), la.zeros(2, 0)).shape == (2, 3)
+
+
 def test_gaussian_binomial_small():
     # independent product-formula values
     assert la.gaussian_binomial(4, 2, 2) == 35

