@@ -287,6 +287,12 @@ def iter_locally_free_submodules(
                                 override_budget)
 
 
+def _image(layer, maps) -> tuple[Subspace, ...]:
+    """The images T_i U_i of subspaces U_i under per-vertex maps T_i."""
+    return tuple(Subspace.from_rows((u.basis @ t.T) % u.p, t.shape[0], u.p)
+                 for u, t in zip(layer, maps))
+
+
 def _iter_submodules(m: HModule, rank: RankVector, e, max_candidates,
                      override_budget) -> Iterator[tuple[Subspace, ...]]:
     """`iter_locally_free_submodules` for a module of known rank."""
@@ -297,9 +303,7 @@ def _iter_submodules(m: HModule, rank: RankVector, e, max_candidates,
     if ts is not None:
         for tup in _iter_submodules(std, rank, e, max_candidates,
                                     override_budget):
-            yield tuple(Subspace.from_rows((sub.basis @ ts[i].T) % m.p,
-                                           m.dims[i], m.p)
-                        for i, sub in enumerate(tup))
+            yield _image(tup, ts)
         return
     _check_budgets(m, rank, e, max_candidates, override_budget)
     yield from _closure_search(m, rank, e, range(m.n), count=False)
@@ -369,18 +373,14 @@ class FlagOfSubmodules:
         return tuple(out)
 
     def validate(self) -> None:
-        self._check(hmod.rank_vector(self.module))
+        hmod.rank_vector(self.module)   # raises NotLocallyFree
+        self._check()
 
-    def _check(self, rank: RankVector) -> None:
-        """`validate` against the rank of the module, computed once by
-        callers that check many flags of one module."""
+    def _check(self) -> None:
+        """`validate` for a module known to be locally free, as callers
+        that check many flags of one module know."""
         m = self.module
-        _check_lengths(self.brseq, m.n)
-        if len(self.layers) != self.length - 1:
-            raise ShapeMismatch("layer count does not match brseq length")
-        if tuple(sum(r[i] for r in self.brseq) for i in range(m.n)) != tuple(
-                rank):
-            raise ShapeMismatch("brseq does not sum to the ambient rank")
+        _check_steps(m, self.brseq, self.layers)
         partial = self.layer_ranks()
         prev: Optional[tuple[Subspace, ...]] = None
         for t, layer in enumerate(self.layers):
@@ -424,9 +424,20 @@ def _check_lengths(brseq, n: int) -> None:
         raise LengthMismatch(f"brseq needs rank vectors of length {n}")
 
 
+def _check_steps(m: HModule, brseq, layers) -> None:
+    """brseq has rank vectors of length n, one more step than there are
+    layers, and sums to the rank of m: its dims over the loop orders."""
+    _check_lengths(brseq, m.n)
+    if len(layers) != len(brseq) - 1:
+        raise ShapeMismatch("layer count does not match brseq length")
+    if tuple(sum(r[i] for r in brseq) * m.loop_order(i)
+             for i in range(m.n)) != m.dims:
+        raise ShapeMismatch("brseq does not sum to the ambient rank")
+
+
 def _checked_seq(m: HModule, brseq):
-    """brseq as rank vectors and the rank of m, or None when brseq does not
-    sum to it."""
+    """brseq as rank vectors, or None when it does not sum to the rank of
+    m."""
     seq = tuple(RankVector(r) for r in brseq)
     if not seq:
         raise LengthMismatch("brseq must be non-empty")
@@ -434,7 +445,7 @@ def _checked_seq(m: HModule, brseq):
     rank = hmod.rank_vector(m)
     if tuple(sum(r[i] for r in seq) for i in range(m.n)) != tuple(rank):
         return None
-    return seq, rank
+    return seq
 
 
 def _layer_chains(m: HModule, seq, max_candidates, override_budget,
@@ -458,18 +469,14 @@ def _layer_chains(m: HModule, seq, max_candidates, override_budget,
         if len(seq) == 2:
             yield [tup]
             continue
-        inner, sub_basis = hmod.submodule(m, tup)
+        inner = hmod.submodule(m, tup)
+        incl = [u.basis.T for u in tup]
         for chain in _layer_chains(inner, seq[:-1], max_candidates,
                                    override_budget, count):
             if count:
                 yield chain
                 continue
-            lifted = [tuple(
-                Subspace.from_rows(
-                    (layer[i].basis @ sub_basis[i].T) % m.p,
-                    m.dims[i], m.p)
-                for i in range(m.n)) for layer in chain]
-            yield lifted + [tup]
+            yield [_image(layer, incl) for layer in chain] + [tup]
 
 
 def iter_flags(m: HModule, brseq,
@@ -477,14 +484,13 @@ def iter_flags(m: HModule, brseq,
                override_budget: bool = False) -> Iterator[FlagOfSubmodules]:
     """Stream flags depth first (see `_layer_chains`).  Every yielded flag
     is validated."""
-    checked = _checked_seq(m, brseq)
-    if checked is None:
+    seq = _checked_seq(m, brseq)
+    if seq is None:
         return
-    seq, rank = checked
     for layers in _layer_chains(m, seq, max_candidates, override_budget,
                                 count=False):
         flag = FlagOfSubmodules(m, seq, tuple(layers))
-        flag._check(rank)
+        flag._check()
         yield flag
 
 
@@ -499,10 +505,10 @@ def point_count(m: HModule, brseq,
                 override_budget: bool = False) -> int:
     """Number of flags, by the recursion of `iter_flags`; its innermost
     two-step sequence is counted without enumerating the points."""
-    checked = _checked_seq(m, brseq)
-    if checked is None:
+    seq = _checked_seq(m, brseq)
+    if seq is None:
         return 0
-    return sum(_layer_chains(m, checked[0], max_candidates, override_budget,
+    return sum(_layer_chains(m, seq, max_candidates, override_budget,
                              count=True))
 
 
@@ -574,27 +580,31 @@ def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
 
 def _flag_tensor_modules(m: HModule, flag: FlagOfSubmodules
                          ) -> tuple[TensorModule, TensorModule]:
-    """The embedded chain iota(U) and the quotient chain M^(l)/iota(U)."""
+    """The embedded chain iota(U) and the quotient chain M^(l)/iota(U);
+    both connectors between adjacent layers are the blocks of the identity
+    from U_t to U_(t+1).  Raises ShapeMismatch or NotLocallyFree for a
+    layer without the free rank of its step, NotInvariant for layers that
+    are not nested."""
     sqs = [hmod.sub_quotient(m, layer) for layer in flag.layers]
-    incl = []
-    for t in range(len(sqs) - 1):
-        mats = []
-        for i in range(m.n):
-            coords = flag.layers[t + 1][i].coordinates_rows(
-                sqs[t].sub_basis[i].T)
-            mats.append(coords.T)
-        incl.append(tuple(mats))
-    ident = homext.identity_hom(m)
-    quot_conn = tuple(sqs[t + 1].quotient.induced(sqs[t].quotient, ident)
-                      for t in range(len(sqs) - 1))
-    return (TensorModule(tuple(sq.sub for sq in sqs), tuple(incl)),
+    for sq, rank in zip(sqs, flag.layer_ranks()):
+        if hmod.rank_vector(sq.sub) != rank:
+            raise ShapeMismatch("layer rank does not match brseq")
+    sides = [list(zip(layer, sq.quotient.projections, sq.quotient.sections))
+             for layer, sq in zip(flag.layers, sqs)]
+    conn = [[hmod._blocks(f"the inclusion at vertex {i + 1}", la.identity(d),
+                          src[i], tgt[i]) for i, d in enumerate(m.dims)]
+            for src, tgt in zip(sides, sides[1:])]
+    return (TensorModule(tuple(sq.sub for sq in sqs),
+                         tuple(tuple(b[0] for b in c) for c in conn)),
             TensorModule(tuple(sq.quotient.module for sq in sqs),
-                         quot_conn))
+                         tuple(tuple(b[1] for b in c) for c in conn)))
 
 
 def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
     """dim of the tangent space at a flag point, by one exact linear solve
-    (never through the Euler-form shortcut)."""
+    (never through the Euler-form shortcut).  Raises ValidationError when
+    the flag does not fit m or its layers are not a flag."""
+    _check_steps(m, flag.brseq, flag.layers)
     if flag.length < 2:
         return 0
     x, y = _flag_tensor_modules(m, flag)
@@ -609,23 +619,17 @@ def reduce_flag(m: HModule, flag: FlagOfSubmodules) -> FlagOfSubmodules:
     if m.k < 2:
         raise KTooSmall("flag reduction needs k >= 2")
     data = _reduction_data(m)
-    FlagOfSubmodules(m, flag.brseq, flag.layers)._check(data.rank)
+    FlagOfSubmodules(m, flag.brseq, flag.layers)._check()
     out = _reduced_flag(data.red, flag)
-    out._check(data.rank_bar)
+    out._check()
     return out
 
 
 def _reduced_flag(red: hmod.Quotient,
                   flag: FlagOfSubmodules) -> FlagOfSubmodules:
     """The layers of a flag projected by a reduction; not validated."""
-    mbar = red.module
-    p = mbar.p
-    layers = tuple(
-        tuple(Subspace.from_rows((layer[i].basis @ red.projections[i].T) % p,
-                                 mbar.dims[i], p)
-              for i in range(mbar.n))
-        for layer in flag.layers)
-    return FlagOfSubmodules(mbar, flag.brseq, layers)
+    return FlagOfSubmodules(red.module, flag.brseq, tuple(
+        _image(layer, red.projections) for layer in flag.layers))
 
 
 # ring-coefficient matrices: arrays (..., rows, cols, k) of ascending
@@ -711,14 +715,12 @@ class _ChainData:
 class _ReductionData:
     """What the reduction of flags and its fibers need of one module: its
     reduction, the level-1 shadow of the reduction (modulo the central
-    nilpotent), the rank vectors of the module and of the reduction, and
-    the chain data per slot count, added as fibers first ask for it.  Holds
-    no reference to the module, so the memo entry dies with it."""
+    nilpotent) and the chain data per slot count, added as fibers first ask
+    for it.  Holds no reference to the module, so the memo entry dies with
+    it."""
 
     red: hmod.Quotient
     shadow: hmod.Quotient
-    rank: RankVector
-    rank_bar: RankVector
     chains: dict = field(default_factory=dict)
 
 
@@ -729,15 +731,17 @@ _REDUCTION_DATA: "weakref.WeakKeyDictionary[HModule, _ReductionData]" = \
 
 def _reduction_data(m: HModule) -> _ReductionData:
     """The memoized reduction record of m (k >= 2); a build that raises
-    stores nothing."""
+    stores nothing.  Raises NotLocallyFree unless m and its reduction are
+    locally free."""
     data = _REDUCTION_DATA.get(m)
     if data is None:
-        rank = hmod.rank_vector(m)
+        hmod.rank_vector(m)
         red = reduction.reduce(m)
         mbar = red.module
+        hmod.rank_vector(mbar)
         shadow = hmod.quotient(mbar, [la.image(b, m.p) for b in
                                       hmod.epsilon_blocks(mbar)], 1)
-        data = _ReductionData(red, shadow, rank, hmod.rank_vector(mbar))
+        data = _ReductionData(red, shadow)
         _REDUCTION_DATA[m] = data
     return data
 
@@ -888,7 +892,7 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
             "base flag does not live in the reduction of the module")
     _check_lengths(base.brseq, m.n)
     try:
-        base._check(data.rank_bar)
+        base._check()
     except ValidationError as exc:
         raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
     seq = tuple(RankVector(r) for r in base.brseq)
@@ -902,7 +906,7 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
             tuple(Subspace.zero(m.dims[i], p) for i in range(m.n))
             for _ in range(slots))
         flag = FlagOfSubmodules(m, seq, zero_layers)
-        flag._check(data.rank)
+        flag._check()
         return FiberOfReduction(base, False, 0, expected, flag,
                                 _builder=lambda coeffs: flag,
                                 _kernel=la.zeros(0, 0))
@@ -937,12 +941,12 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
                 for cols, d in zip(np.split(rows, cuts, axis=1), dims)]
         flag = FlagOfSubmodules(m, seq, tuple(
             tuple(subs[t * m.n:(t + 1) * m.n]) for t in range(slots)))
-        flag._check(data.rank)
+        flag._check()
         return flag
 
     particular = build(np.zeros(dimension, dtype=np.int64))
     back = _reduced_flag(red, particular)
-    back._check(data.rank_bar)
+    back._check()
     if back.layers != base.layers:
         raise InternalCheckError("fiber solution does not reduce to base")
     return FiberOfReduction(base, False, dimension, expected, particular,
@@ -1072,6 +1076,10 @@ def closed_form_flag_count_no_arrows(datum: CartanDatum, k: int, q: int,
     distinct layer ranks at that vertex."""
     if datum.oriented_pairs():
         raise ValidationError("closed form only applies without arrows")
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
+    if q < 2:
+        raise ValidationError(f"q must be >= 2, got {q}")
     seq = [RankVector(r) for r in brseq]
     total = 1
     for i in range(datum.n):

@@ -30,6 +30,7 @@ Every report carries its sample counts, seeds and certainty level.
 from __future__ import annotations
 
 import collections
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -214,8 +215,8 @@ def krull_schmidt(m: HModule, seed=0,
             pieces.append(cur)
             continue
         ims, kers = split
-        stack.append(hmod.submodule(cur, ims)[0])
-        stack.append(hmod.submodule(cur, kers)[0])
+        stack.append(hmod.submodule(cur, ims))
+        stack.append(hmod.submodule(cur, kers))
     groups: list[list[HModule]] = []
     for piece in pieces:
         for group in groups:
@@ -249,8 +250,9 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
                 samples: int = DEFAULT_SAMPLES, seed=0,
                 pair_budget: int = DEFAULT_PAIR_SPACE_BUDGET) -> int:
     """Minimum of dim Ext^1(M, N) over sampled pairs; exhaustive when the
-    joint parameter space fits the budget.  An upper bound for the generic
-    value that can only decrease with more samples; zero is exact."""
+    joint parameter space fits the budget, building each N once.  An upper
+    bound for the generic value that can only decrease with more samples;
+    zero is exact."""
     r = RankVector(r)
     s = RankVector(s)
     if samples < 1:
@@ -258,11 +260,19 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
     total_params = (hmod.structure_parameter_count(datum, k, r)
                     + hmod.structure_parameter_count(datum, k, s))
     if p ** total_params <= pair_budget:
+        fresh = hmod.structure_space(datum, k, p, s, pair_budget, 0, seed)[1]
+        built: list[HModule] = []
+
+        def n_modules():
+            yield from built
+            for mod_n in fresh:
+                built.append(mod_n)
+                yield mod_n
+
         pairs = ((mod_m, mod_n)
                  for mod_m in hmod.structure_space(datum, k, p, r,
                                                    pair_budget, 0, seed)[1]
-                 for mod_n in hmod.structure_space(datum, k, p, s,
-                                                   pair_budget, 0, seed)[1])
+                 for mod_n in n_modules())
     else:
         pairs = ((hmod.random_locally_free(datum, k, p, r, (seed, "m", t)),
                   hmod.random_locally_free(datum, k, p, s, (seed, "n", t)))
@@ -317,9 +327,7 @@ def _vanishing_split(datum: CartanDatum, k: int, p: int, r: RankVector,
 
 
 def _proper_subvectors(r: RankVector):
-    import itertools as _it
-
-    for s in _it.product(*(range(x + 1) for x in r)):
+    for s in itertools.product(*(range(x + 1) for x in r)):
         if any(s) and s != tuple(r):
             yield s
 

@@ -511,79 +511,78 @@ class Quotient:
         return tuple(out)
 
 
-def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:
-    """M/U along per-vertex subspaces U_i, validated at level k (by default
-    the level of m).
-
-    Raises NotInvariant when some loop or arrow does not descend to the
-    quotient.
-    """
-    subs = list(subspaces)
-    if len(subs) != m.n:
-        raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
-    qmaps = [la.quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
-
-    def descend(mat, i, j):
-        head = (qmaps[i][0] @ mat) % m.p
-        if ((head @ subs[j].basis.T) % m.p).any():
-            raise NotInvariant(
-                f"a map {j + 1} -> {i + 1} does not descend to the quotient")
-        return (head @ qmaps[j][1]) % m.p
-
-    eps = [descend(m.eps[i], i, i) for i in range(m.n)]
-    arrows = {key: [descend(a, *key) for a in mats]
-              for key, mats in m.arrows.items()}
-    mod = make_module(m.datum, m.k if k is None else k, m.p, eps, arrows)
-    return Quotient(mod, tuple(_frozen(q) for q, _ in qmaps),
-                    tuple(_frozen(s) for _, s in qmaps))
+def _blocks(label: str, x: np.ndarray, source, target) -> tuple:
+    """The blocks of a map x: M_j -> M_i between sides (U, q, s), a
+    subspace with the projection and section of la.quotient_map: on the
+    subspaces, rows P_i of x B_j^T (coordinates in the RREF basis B_i with
+    pivots P_i), and on the quotients, q_i x s_j.  Raises NotInvariant
+    unless x maps U_j into U_i: q_i x B_j^T == 0."""
+    u_j, _, s_j = source
+    u_i, q_i, _ = target
+    p = u_i.p
+    img = (x @ u_j.basis.T) % p
+    if ((q_i @ img) % p).any():
+        raise NotInvariant(f"{label} does not map the subspace into the "
+                           f"target subspace")
+    return img[list(u_i.pivots)], ((q_i @ x) % p @ s_j) % p
 
 
-@dataclass(frozen=True, eq=False)
-class SubQuotient:
-    sub: HModule
-    sub_basis: tuple[np.ndarray, ...]        # columns: basis of U_i in M_i
-    quotient: Quotient
-
-
-def submodule(m: HModule, subspaces
-              ) -> tuple[HModule, tuple[np.ndarray, ...]]:
-    """Restrict to per-vertex invariant subspaces: the submodule and, per
-    vertex, the basis of U_i as the columns of a matrix.
-
-    Raises NotInvariant when some loop or arrow does not preserve the
-    given subspaces.
-    """
+def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
+           ) -> tuple[Optional[HModule], Optional[Quotient]]:
+    """The split of m along per-vertex invariant subspaces U_i: the
+    submodule when `sub`, and the quotient at level k unless k is None,
+    both from the blocks of every structure map.  Raises ShapeMismatch for
+    subspaces that do not fit m, NotInvariant when a map does not preserve
+    them."""
     subs = list(subspaces)
     if len(subs) != m.n:
         raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
     for i, u in enumerate(subs):
         if u.ambient != m.dims[i] or u.p != m.p:
             raise ShapeMismatch(f"subspace at vertex {i + 1} mismatched")
-    for label, mat, i, j in m.maps_with_labels():
-        image = (mat @ subs[j].basis.T).T
-        if not subs[i].contains_rows(image):
-            raise NotInvariant(f"{label} does not preserve the subspace")
-    bases = tuple(_frozen(u.basis.T) for u in subs)
+    sides = [(u, *la.quotient_map(d, u)) for u, d in zip(subs, m.dims)]
+    pairs = {}
+    for label, x, i, j in m.maps_with_labels():
+        pairs.setdefault((i, j), []).append(
+            _blocks(label, x, sides[j], sides[i]))
 
-    def restrict(mat, i, j):
-        img = (mat @ bases[j]) % m.p
-        return subs[i].coordinates_rows(img.T).T
+    def half(h: int, level: int) -> HModule:
+        return make_module(m.datum, level, m.p,
+                           [pairs[(i, i)][0][h] for i in range(m.n)],
+                           {key: [b[h] for b in pairs[key]]
+                            for key in m.arrows})
 
-    sub_eps = [restrict(m.eps[i], i, i) for i in range(m.n)]
-    sub_arrows = {key: [restrict(a, *key) for a in mats]
-                  for key, mats in m.arrows.items()}
-    return make_module(m.datum, m.k, m.p, sub_eps, sub_arrows), bases
+    return (half(0, m.k) if sub else None,
+            None if k is None else Quotient(
+                half(1, k), tuple(_frozen(q) for _, q, _ in sides),
+                tuple(_frozen(s) for _, _, s in sides)))
+
+
+def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:
+    """M/U along per-vertex invariant subspaces U_i, validated at level k
+    (by default the level of m).  Raises NotInvariant when some loop or
+    arrow does not descend to the quotient."""
+    return _split(m, subspaces, False, m.k if k is None else k)[1]
+
+
+def submodule(m: HModule, subspaces) -> HModule:
+    """The restriction to per-vertex invariant subspaces U_i, in the
+    coordinates of their RREF bases.  Raises NotInvariant when some loop
+    or arrow does not preserve the given subspaces."""
+    return _split(m, subspaces, True, None)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class SubQuotient:
+    sub: HModule
+    quotient: Quotient
 
 
 def sub_quotient(m: HModule, subspaces) -> SubQuotient:
-    """Restrict and quotient along per-vertex invariant subspaces.
-
-    Raises NotInvariant when some loop or arrow does not preserve the
-    given subspaces.
-    """
-    subs = list(subspaces)
-    sub, bases = submodule(m, subs)
-    return SubQuotient(sub, bases, quotient(m, subs))
+    """Restrict and quotient along per-vertex invariant subspaces, from one
+    split.  Raises NotInvariant when some loop or arrow does not preserve
+    the given subspaces."""
+    return SubQuotient(*_split(m, subspaces, True, m.k))
 
 
 # --- the central nilpotent and integer lifts ---------------------------------

@@ -13,6 +13,7 @@ from cartanquiver.errors import (
     BudgetExceeded,
     FlagNotInReduction,
     InternalCheckError,
+    KTooSmall,
     LengthMismatch,
     NonIntegerCoefficient,
     NotEnoughPrimes,
@@ -618,6 +619,23 @@ class TestFlagEnumeration:
             for flag in flagvar.enumerate_flags(m, brseq):
                 flag.validate()
 
+
+
+class TestClosedFormInputs:
+    # before, k = 0 returned 1.5 and q = 1 raised ZeroDivisionError
+    def test_level_below_one(self, one_vertex):
+        for k in (0, -1):
+            with pytest.raises(KTooSmall):
+                flagvar.closed_form_flag_count_no_arrows(
+                    one_vertex, k, 2, [(1,), (1,)])
+
+    def test_field_size_below_two(self, one_vertex):
+        for q in (1, 0, -2):
+            with pytest.raises(ValidationError):
+                flagvar.closed_form_flag_count_no_arrows(
+                    one_vertex, 1, q, [(1,), (1,)])
+        assert flagvar.closed_form_flag_count_no_arrows(
+            one_vertex, 1, 2, [(1,), (1,)]) == 3
 
 class TestShortRankVectors:
     """brseq entries with fewer entries than vertices raise LengthMismatch

@@ -189,6 +189,33 @@ def test_ext_generic(request, name, k, p, r, s, branch):
     assert got == reference_ext_generic(datum, k, p, r, s, 3, 4, budget)
 
 
+
+@pytest.mark.parametrize("r,s", [((1, 2), (2, 2)), ((0, 1), (1, 1)),
+                                 ((1, 0), (1, 1))])
+def test_ext_generic_builds_each_module_once(kronecker, monkeypatch, r, s):
+    """The exhaustive pair scan builds the modules the reference loop
+    builds, in its order, each once: 16 + 256 builds instead of
+    16 + 16 * 256 on (1, 2), (2, 2), and only the pairs before the early
+    stop at 0 on (1, 0), (1, 1)."""
+    built = []
+    original = hmod.from_structure_matrices
+
+    def counted(sm):
+        built.append((sm.rank, tuple(sm.mats[key].tobytes()
+                                     for key in sorted(sm.mats))))
+        return original(sm)
+
+    monkeypatch.setattr(hmod, "from_structure_matrices", counted)
+    got = gendecomp.ext_generic(kronecker, 1, 2, r, s)
+    once = built[:]
+    built.clear()
+    want = reference_ext_generic(kronecker, 1, 2, r, s, 200, 0,
+                                 gendecomp.DEFAULT_PAIR_SPACE_BUDGET)
+    assert got == want
+    assert once == list(dict.fromkeys(built))
+    if r == (1, 2):
+        assert (len(once), len(built)) == (16 + 256, 16 + 16 * 256)
+
 def test_iter_structure_matrices_matches_reference(b2):
     # 2^8 points: more than one digit row per structure matrix
     got = list(hmod.iter_structure_matrices(b2, 1, 2, (2, 2)))
