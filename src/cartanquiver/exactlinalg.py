@@ -380,21 +380,6 @@ class Subspace:
     def contains_rows(self, vectors) -> bool:
         return not self.reduce_rows(np.asarray(vectors)).any()
 
-    def contains(self, other: "Subspace") -> bool:
-        if other.dim == 0:
-            return True
-        return self.contains_rows(other.basis)
-
-    def coordinates_rows(self, vectors: np.ndarray) -> np.ndarray:
-        """Coefficients of row vectors in the RREF basis; vectors must lie
-        in the subspace."""
-        v = np.atleast_2d(np.asarray(vectors, dtype=np.int64)) % self.p
-        if self.reduce_rows(v).any():
-            raise DimensionMismatch("vector not in subspace")
-        if self.dim == 0:
-            return zeros(v.shape[0], 0)
-        return v[:, list(self.pivots)]
-
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace.from_rows(

@@ -15,12 +15,15 @@ length l are translated into single submodules of the repetitive module
 over the tensor algebra with the path algebra of a linear quiver on l-1
 vertices; that translation also provides tangent spaces (one Hom solve)
 and the affine linear system cutting out the fiber of the reduction map
-over a fixed lower-level flag; the fiber dimension is checked against
-the tangent dimension at the image of that flag in the level-1 shadow of
-the reduction.  The reduction of a module, its shadow and the part of the
-fiber system which depends only on the module are computed once per
-module and kept as long as the module lives; every check on a base flag
-runs on every call.
+over a fixed lower-level flag.  One flag check, on the block pass of a
+split of the module along each layer (`hmod._split_blocks`), tests
+invariance, freeness and nesting; its blocks build the slot modules and
+connectors of the tangent computation.  The fiber dimension is checked
+against the tangent dimension at the image of that flag in the level-1
+shadow of the reduction.  The reduction of a module, its shadow and the
+part of the fiber system which depends only on the module are computed
+once per module and kept as long as the module lives; every check on a
+base flag runs on every call.
 """
 
 from __future__ import annotations
@@ -354,7 +357,8 @@ def _count_submodules(m: HModule, rank: RankVector, e, max_candidates,
 @dataclass(frozen=True, eq=False)
 class FlagOfSubmodules:
     """A chain of per-vertex subspaces 0 < U_1 < ... < U_{l-1} < M realizing
-    a point of the flag variety with subquotient ranks brseq."""
+    a point of the flag variety with subquotient ranks brseq, checked by
+    the one flag check `_flag_blocks`."""
 
     module: HModule
     brseq: tuple[RankVector, ...]
@@ -364,14 +368,6 @@ class FlagOfSubmodules:
     def length(self) -> int:
         return len(self.brseq)
 
-    def layer_ranks(self) -> tuple[RankVector, ...]:
-        acc = RankVector.zero(self.module.n)
-        out = []
-        for r in self.brseq[:-1]:
-            acc = acc + r
-            out.append(acc)
-        return tuple(out)
-
     def validate(self) -> None:
         hmod.rank_vector(self.module)   # raises NotLocallyFree
         self._check()
@@ -379,35 +375,7 @@ class FlagOfSubmodules:
     def _check(self) -> None:
         """`validate` for a module known to be locally free, as callers
         that check many flags of one module know."""
-        m = self.module
-        _check_steps(m, self.brseq, self.layers)
-        partial = self.layer_ranks()
-        prev: Optional[tuple[Subspace, ...]] = None
-        for t, layer in enumerate(self.layers):
-            for i in range(m.n):
-                u = layer[i]
-                order = m.loop_order(i)
-                if u.ambient != m.dims[i]:
-                    raise ShapeMismatch("layer in wrong ambient space")
-                if u.dim != order * partial[t][i]:
-                    raise ShapeMismatch(
-                        f"layer {t + 1} has wrong dimension at vertex {i + 1}")
-                restricted = (m.eps[i] @ u.basis.T).T
-                if not u.contains_rows(restricted):
-                    raise ValidationError("layer not closed under a loop")
-                sub_rank = la.rank(u.coordinates_rows(restricted % m.p),
-                                   m.p)
-                if order > 1 and sub_rank != u.dim - u.dim // order:
-                    raise NotLocallyFree(
-                        f"layer {t + 1} not free at vertex {i + 1}")
-                if prev is not None and not u.contains(prev[i]):
-                    raise ValidationError("layers are not nested")
-            for (i, j), mats in m.arrows.items():
-                for a in mats:
-                    image = (a @ layer[j].basis.T).T
-                    if not layer[i].contains_rows(image):
-                        raise ValidationError("layer not closed under arrow")
-            prev = layer
+        _flag_blocks(self.module, self.brseq, self.layers)
 
     def to_dict(self) -> dict:
         return {
@@ -418,16 +386,43 @@ class FlagOfSubmodules:
         }
 
 
-def _check_lengths(brseq, n: int) -> None:
-    """Every rank vector of brseq has one entry per vertex."""
-    if any(len(r) != n for r in brseq):
-        raise LengthMismatch(f"brseq needs rank vectors of length {n}")
+def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
+    """The one flag check: `_check_steps`; per layer the block pass
+    `hmod._split_blocks` of every loop and arrow (invariance), and per
+    vertex the dimension and freeness (the rank of the loop's sub block);
+    then the identity's blocks from each layer to the next, which test
+    nesting and are the connectors.  Returns (the block pass per layer,
+    the identity blocks per vertex per adjacent pair)."""
+    _check_steps(m, brseq, layers)
+    own = m.maps_with_labels()
+    splits = []
+    for t, layer in enumerate(layers):
+        maps = [(f"layer {t + 1} not closed under "
+                 f"{'loop' if i == j else 'arrow'} {label}", x, i, j)
+                for label, x, i, j in own]
+        sides, pairs = hmod._split_blocks(m, layer, maps)
+        for i in range(m.n):
+            order = m.loop_order(i)
+            dim = layer[i].dim
+            if dim != order * sum(r[i] for r in brseq[:t + 1]):
+                raise ShapeMismatch(
+                    f"layer {t + 1} has wrong dimension at vertex {i + 1}")
+            want = dim - dim // order
+            if order > 1 and la.rank(pairs[(i, i)][0][0], m.p) != want:
+                raise NotLocallyFree(
+                    f"layer {t + 1} not free at vertex {i + 1}")
+        splits.append((sides, pairs))
+    return splits, [
+        [hmod._blocks(f"layers {t + 1} and {t + 2} are not nested: the "
+                      f"inclusion at vertex {i + 1}", la.identity(d),
+                      src[0][i], tgt[0][i]) for i, d in enumerate(m.dims)]
+        for t, (src, tgt) in enumerate(zip(splits, splits[1:]))]
 
 
 def _check_steps(m: HModule, brseq, layers) -> None:
-    """brseq has rank vectors of length n, one more step than there are
-    layers, and sums to the rank of m: its dims over the loop orders."""
-    _check_lengths(brseq, m.n)
+    """brseq is a `_rank_seq`, has one more step than there are layers,
+    and sums to the rank of m: its dims over the loop orders."""
+    _rank_seq(brseq, m.n)
     if len(layers) != len(brseq) - 1:
         raise ShapeMismatch("layer count does not match brseq length")
     if tuple(sum(r[i] for r in brseq) * m.loop_order(i)
@@ -435,13 +430,20 @@ def _check_steps(m: HModule, brseq, layers) -> None:
         raise ShapeMismatch("brseq does not sum to the ambient rank")
 
 
-def _checked_seq(m: HModule, brseq):
-    """brseq as rank vectors, or None when it does not sum to the rank of
-    m."""
+def _rank_seq(brseq, n: int) -> tuple[RankVector, ...]:
+    """brseq as a non-empty sequence of rank vectors of length n."""
     seq = tuple(RankVector(r) for r in brseq)
     if not seq:
         raise LengthMismatch("brseq must be non-empty")
-    _check_lengths(seq, m.n)
+    if any(len(r) != n for r in seq):
+        raise LengthMismatch(f"brseq needs rank vectors of length {n}")
+    return seq
+
+
+def _checked_seq(m: HModule, brseq):
+    """brseq as rank vectors, or None when it does not sum to the rank of
+    m."""
+    seq = _rank_seq(brseq, m.n)
     rank = hmod.rank_vector(m)
     if tuple(sum(r[i] for r in seq) for i in range(m.n)) != tuple(rank):
         return None
@@ -579,24 +581,17 @@ def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
 
 
 def _flag_tensor_modules(m: HModule, flag: FlagOfSubmodules
-                         ) -> tuple[TensorModule, TensorModule]:
-    """The embedded chain iota(U) and the quotient chain M^(l)/iota(U);
-    both connectors between adjacent layers are the blocks of the identity
-    from U_t to U_(t+1).  Raises ShapeMismatch or NotLocallyFree for a
-    layer without the free rank of its step, NotInvariant for layers that
-    are not nested."""
-    sqs = [hmod.sub_quotient(m, layer) for layer in flag.layers]
-    for sq, rank in zip(sqs, flag.layer_ranks()):
-        if hmod.rank_vector(sq.sub) != rank:
-            raise ShapeMismatch("layer rank does not match brseq")
-    sides = [list(zip(layer, sq.quotient.projections, sq.quotient.sections))
-             for layer, sq in zip(flag.layers, sqs)]
-    conn = [[hmod._blocks(f"the inclusion at vertex {i + 1}", la.identity(d),
-                          src[i], tgt[i]) for i, d in enumerate(m.dims)]
-            for src, tgt in zip(sides, sides[1:])]
-    return (TensorModule(tuple(sq.sub for sq in sqs),
+                         ) -> Optional[tuple[TensorModule, TensorModule]]:
+    """The embedded chain iota(U) and the quotient chain M^(l)/iota(U),
+    built from the blocks of the flag check `_flag_blocks`, or None for a
+    flag without layers.  Raises what the flag check raises."""
+    splits, conn = _flag_blocks(m, flag.brseq, flag.layers)
+    if not splits:
+        return None
+    sqs = [hmod._split(m, blocks, True, m.k) for blocks in splits]
+    return (TensorModule(tuple(sub for sub, _ in sqs),
                          tuple(tuple(b[0] for b in c) for c in conn)),
-            TensorModule(tuple(sq.quotient.module for sq in sqs),
+            TensorModule(tuple(q.module for _, q in sqs),
                          tuple(tuple(b[1] for b in c) for c in conn)))
 
 
@@ -604,11 +599,8 @@ def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
     """dim of the tangent space at a flag point, by one exact linear solve
     (never through the Euler-form shortcut).  Raises ValidationError when
     the flag does not fit m or its layers are not a flag."""
-    _check_steps(m, flag.brseq, flag.layers)
-    if flag.length < 2:
-        return 0
-    x, y = _flag_tensor_modules(m, flag)
-    return hom_tensor(x, y).dim
+    tensors = _flag_tensor_modules(m, flag)
+    return hom_tensor(*tensors).dim if tensors else 0
 
 
 # --- reduction of flags and its fibers ----------------------------------------
@@ -619,7 +611,7 @@ def reduce_flag(m: HModule, flag: FlagOfSubmodules) -> FlagOfSubmodules:
     if m.k < 2:
         raise KTooSmall("flag reduction needs k >= 2")
     data = _reduction_data(m)
-    FlagOfSubmodules(m, flag.brseq, flag.layers)._check()
+    _flag_blocks(m, flag.brseq, flag.layers)
     out = _reduced_flag(data.red, flag)
     out._check()
     return out
@@ -890,14 +882,13 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     if base.module is not mbar and not hmod.modules_equal(base.module, mbar):
         raise FlagNotInReduction(
             "base flag does not live in the reduction of the module")
-    _check_lengths(base.brseq, m.n)
+    seq = _rank_seq(base.brseq, m.n)
     try:
         base._check()
     except ValidationError as exc:
         raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
-    seq = tuple(RankVector(r) for r in base.brseq)
     expected = _fiber_expected_dimension(data.shadow, base)
-    slots = len(seq) - 1
+    slots = base.length - 1
     p = m.p
     k = m.k
     lift = _lift_system(_chain_data(m, data, slots), base) if slots else None
@@ -1049,9 +1040,7 @@ def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
     """
     if not m.has_lift():
         raise ValidationError("counting needs an integer-defined module")
-    seq = tuple(RankVector(r) for r in brseq)
-    if not seq:
-        raise LengthMismatch("brseq must be non-empty")
+    seq = _rank_seq(brseq, m.n)
     d = flag_dimension(m.datum, seq)
     if degree_bound is None:
         degree_bound = max(m.k * d, 0)
@@ -1080,7 +1069,7 @@ def closed_form_flag_count_no_arrows(datum: CartanDatum, k: int, q: int,
         raise KTooSmall(f"k must be >= 1, got {k}")
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
-    seq = [RankVector(r) for r in brseq]
+    seq = _rank_seq(brseq, datum.n)
     total = 1
     for i in range(datum.n):
         ranks = [r[i] for r in seq]

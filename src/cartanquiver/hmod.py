@@ -487,28 +487,28 @@ def _same_algebra(a: HModule, b: HModule):
 
 @dataclass(frozen=True, eq=False)
 class Quotient:
-    """A quotient module M/U with, per vertex, the projection M_i -> M_i/U_i
-    and a section of it; the quotient coordinates are the coordinates off
-    the pivots of U_i."""
+    """A quotient module M/U with, per vertex, the projection M_i -> M_i/U_i,
+    a section of it and the subspace U_i it was cut along; the quotient
+    coordinates are the coordinates off the pivots of U_i."""
 
     module: HModule
     projections: tuple[np.ndarray, ...]
     sections: tuple[np.ndarray, ...]
+    subspaces: tuple[la.Subspace, ...]
+
+    def _sides(self):
+        return zip(self.subspaces, self.projections, self.sections)
 
     def induced(self, source: "Quotient", f) -> tuple[np.ndarray, ...]:
         """Per vertex, the map source.module -> self.module induced by f_i
-        from the module `source` quotients to the one this quotients:
-        proj_i @ f_i @ sect_i, checked to vanish on the source kernel."""
-        p = self.module.p
-        out = []
-        for proj, fi, src_proj, src_sect in zip(
-                self.projections, f, source.projections, source.sections):
-            head = (proj @ fi) % p
-            fbar = (head @ src_sect) % p
-            if ((fbar @ src_proj - head) % p).any():
-                raise InternalCheckError("induced map not well defined")
-            out.append(fbar)
-        return tuple(out)
+        from the module `source` quotients to the one this quotients: the
+        quotient block q_i f_i s_i of `_blocks`, whose invariance test
+        checks that f_i maps the source subspace into this one."""
+        try:
+            return tuple(_blocks("f", fi, src, tgt)[1] for fi, src, tgt
+                         in zip(f, source._sides(), self._sides()))
+        except NotInvariant as exc:
+            raise InternalCheckError("induced map not well defined") from exc
 
 
 def _blocks(label: str, x: np.ndarray, source, target) -> tuple:
@@ -522,18 +522,17 @@ def _blocks(label: str, x: np.ndarray, source, target) -> tuple:
     p = u_i.p
     img = (x @ u_j.basis.T) % p
     if ((q_i @ img) % p).any():
-        raise NotInvariant(f"{label} does not map the subspace into the "
+        raise NotInvariant(f"{label}: the subspace is not mapped into the "
                            f"target subspace")
     return img[list(u_i.pivots)], ((q_i @ x) % p @ s_j) % p
 
 
-def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
-           ) -> tuple[Optional[HModule], Optional[Quotient]]:
-    """The split of m along per-vertex invariant subspaces U_i: the
-    submodule when `sub`, and the quotient at level k unless k is None,
-    both from the blocks of every structure map.  Raises ShapeMismatch for
-    subspaces that do not fit m, NotInvariant when a map does not preserve
-    them."""
+def _split_blocks(m: HModule, subspaces, maps) -> tuple[list, dict]:
+    """The checked block pass of a split of m along per-vertex subspaces
+    U_i: the sides (U_i, q_i, s_i) of la.quotient_map, and per pair (i, j)
+    the `_blocks` of the maps (label, X, i, j) of `maps` into that pair,
+    in order.  Raises ShapeMismatch for subspaces that do not fit m,
+    NotInvariant at the first map that does not preserve them."""
     subs = list(subspaces)
     if len(subs) != m.n:
         raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
@@ -542,9 +541,19 @@ def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
             raise ShapeMismatch(f"subspace at vertex {i + 1} mismatched")
     sides = [(u, *la.quotient_map(d, u)) for u, d in zip(subs, m.dims)]
     pairs = {}
-    for label, x, i, j in m.maps_with_labels():
+    for label, x, i, j in maps:
         pairs.setdefault((i, j), []).append(
             _blocks(label, x, sides[j], sides[i]))
+    return sides, pairs
+
+
+def _split(m: HModule, blocks, sub: bool, k: Optional[int]
+           ) -> tuple[Optional[HModule], Optional[Quotient]]:
+    """The builder of a split: from the blocks of a block pass
+    `_split_blocks(m, U, m.maps_with_labels())`, the submodule when `sub`
+    and the quotient at level k (keeping U_i, q_i and s_i) unless k is
+    None."""
+    sides, pairs = blocks
 
     def half(h: int, level: int) -> HModule:
         return make_module(m.datum, level, m.p,
@@ -552,24 +561,27 @@ def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
                            {key: [b[h] for b in pairs[key]]
                             for key in m.arrows})
 
+    subs, projs, sects = zip(*sides)
     return (half(0, m.k) if sub else None,
             None if k is None else Quotient(
-                half(1, k), tuple(_frozen(q) for _, q, _ in sides),
-                tuple(_frozen(s) for _, _, s in sides)))
+                half(1, k), tuple(map(_frozen, projs)),
+                tuple(map(_frozen, sects)), subs))
 
 
 def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:
     """M/U along per-vertex invariant subspaces U_i, validated at level k
     (by default the level of m).  Raises NotInvariant when some loop or
     arrow does not descend to the quotient."""
-    return _split(m, subspaces, False, m.k if k is None else k)[1]
+    blocks = _split_blocks(m, subspaces, m.maps_with_labels())
+    return _split(m, blocks, False, m.k if k is None else k)[1]
 
 
 def submodule(m: HModule, subspaces) -> HModule:
     """The restriction to per-vertex invariant subspaces U_i, in the
     coordinates of their RREF bases.  Raises NotInvariant when some loop
     or arrow does not preserve the given subspaces."""
-    return _split(m, subspaces, True, None)[0]
+    return _split(m, _split_blocks(m, subspaces, m.maps_with_labels()),
+                  True, None)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,7 +594,8 @@ def sub_quotient(m: HModule, subspaces) -> SubQuotient:
     """Restrict and quotient along per-vertex invariant subspaces, from one
     split.  Raises NotInvariant when some loop or arrow does not preserve
     the given subspaces."""
-    return SubQuotient(*_split(m, subspaces, True, m.k))
+    return SubQuotient(*_split(
+        m, _split_blocks(m, subspaces, m.maps_with_labels()), True, m.k))
 
 
 # --- the central nilpotent and integer lifts ---------------------------------

@@ -450,6 +450,7 @@ def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0,
 
 def check_homomorphism(m: HModule, n: HModule, f) -> tuple[np.ndarray, ...]:
     """Coerce and verify a per-vertex matrix tuple as a homomorphism."""
+    _check_pair(m, n)
     f = tuple(np.asarray(fi, dtype=np.int64) % m.p for fi in f)
     if len(f) != m.n or any(fi.shape != (n.dims[i], m.dims[i])
                             for i, fi in enumerate(f)):

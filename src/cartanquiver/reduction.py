@@ -26,6 +26,7 @@ from .errors import (
     InternalCheckError,
     NotLocallyFree,
     NotNested,
+    RankTooLarge,
     ValidationError,
 )
 from .exactlinalg import Subspace
@@ -142,8 +143,11 @@ def lift_chain(chain: StructureChain) -> LiftedChain:
 
 def generator_span(m: HModule, e) -> tuple[Subspace, ...]:
     """Per-vertex span of the first e_i generators (all loop degrees) of a
-    standard-form module."""
+    standard-form module; e must fit its rank (RankTooLarge)."""
     e = RankVector(e)
+    rank = hmod.rank_vector(m)
+    if not (e <= rank):
+        raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
     return tuple(
         Subspace.from_rows(la.identity(m.dims[i])[:e[i] * m.loop_order(i)],
                            m.dims[i], m.p)
@@ -185,6 +189,8 @@ def rigid_transfer_check(datum: CartanDatum, p: int, r, k_max: int,
     """Search rigids at k = 1..k_max; reductions of upper-level rigids must
     be rigid and isomorphic to the rigid found one level down, and the
     existence pattern must not depend on k."""
+    if k_max < 1:
+        raise ValidationError(f"k_max must be >= 1, got {k_max}")
     r = RankVector(r)
     found = {k: homext.find_rigid(datum, k, p, r, trials=trials,
                                   seed=(seed, k))

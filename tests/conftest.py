@@ -7,10 +7,13 @@ from cartanquiver import cartan, flagvar, gendecomp, hmod, homext, reduction
 from cartanquiver import exactlinalg as la
 from cartanquiver.cartan import RankVector, euler_form
 from cartanquiver.errors import (
+    DimensionMismatch,
     FlagNotInReduction,
     InternalCheckError,
     KTooSmall,
+    LengthMismatch,
     NotInvariant,
+    NotLocallyFree,
     ShapeMismatch,
     ValidationError,
 )
@@ -395,6 +398,26 @@ def reference_generators(m, slots, offsets, total):
     return gens
 
 
+# --- subspace containment and coordinates, as Subspace methods were ---------
+
+def contains(u, v):
+    """Whether the subspace u contains the subspace v."""
+    if v.dim == 0:
+        return True
+    return u.contains_rows(v.basis)
+
+
+def coordinates_rows(u, vectors):
+    """Coefficients of row vectors in the RREF basis of u; the vectors must
+    lie in u."""
+    v = np.atleast_2d(np.asarray(vectors, dtype=np.int64)) % u.p
+    if u.reduce_rows(v).any():
+        raise DimensionMismatch("vector not in subspace")
+    if u.dim == 0:
+        return la.zeros(v.shape[0], 0)
+    return v[:, list(u.pivots)]
+
+
 # --- sub and quotient modules, one construction each ---------------------------
 
 def reference_submodule(m, subspaces):
@@ -415,7 +438,7 @@ def reference_submodule(m, subspaces):
 
     def restrict(mat, i, j):
         img = (mat @ bases[j]) % m.p
-        return subs[i].coordinates_rows(img.T).T
+        return coordinates_rows(subs[i], img.T).T
 
     eps = [restrict(m.eps[i], i, i) for i in range(m.n)]
     arrows = {key: [restrict(a, *key) for a in mats]
@@ -443,7 +466,23 @@ def reference_quotient(m, subspaces, k=None):
     mod = hmod.make_module(m.datum, m.k if k is None else k, m.p, eps,
                            arrows)
     return hmod.Quotient(mod, tuple(q for q, _ in qmaps),
-                         tuple(s for _, s in qmaps))
+                         tuple(s for _, s in qmaps), tuple(subs))
+
+
+def reference_induced(target, source, f):
+    """Quotient.induced as it was before the quotient kept its subspaces:
+    per vertex proj_i @ f_i @ sect_i, checked to vanish on the source
+    kernel."""
+    p = target.module.p
+    out = []
+    for proj, fi, src_proj, src_sect in zip(
+            target.projections, f, source.projections, source.sections):
+        head = (proj @ fi) % p
+        fbar = (head @ src_sect) % p
+        if ((fbar @ src_proj - head) % p).any():
+            raise InternalCheckError("induced map not well defined")
+        out.append(fbar)
+    return tuple(out)
 
 
 def reference_sub_quotient(m, subspaces):
@@ -459,11 +498,11 @@ def reference_flag_tensor_modules(m, flag):
     induced by the identity between the quotients."""
     sqs = [reference_sub_quotient(m, layer) for layer in flag.layers]
     incl = tuple(
-        tuple(flag.layers[t + 1][i].coordinates_rows(sqs[t][1][i].T).T
+        tuple(coordinates_rows(flag.layers[t + 1][i], sqs[t][1][i].T).T
               for i in range(m.n))
         for t in range(len(sqs) - 1))
     ident = homext.identity_hom(m)
-    proj = tuple(sqs[t + 1][2].induced(sqs[t][2], ident)
+    proj = tuple(reference_induced(sqs[t + 1][2], sqs[t][2], ident)
                  for t in range(len(sqs) - 1))
     return (flagvar.TensorModule(tuple(sq[0] for sq in sqs), incl),
             flagvar.TensorModule(tuple(sq[2].module for sq in sqs), proj))
@@ -475,7 +514,7 @@ def reference_mod_epsilon_tensor(x):
     quots = [hmod.quotient(slot, [la.image(b, slot.p)
                                   for b in hmod.epsilon_blocks(slot)], 1)
              for slot in x.slots]
-    connectors = tuple(quots[t + 1].induced(quots[t], mu)
+    connectors = tuple(reference_induced(quots[t + 1], quots[t], mu)
                        for t, mu in enumerate(x.connectors))
     return flagvar.TensorModule(tuple(q.module for q in quots), connectors)
 
@@ -488,6 +527,52 @@ def reference_fiber_expected_dimension(mbar, base):
     x, y = reference_flag_tensor_modules(mbar, base)
     return flagvar.hom_tensor(reference_mod_epsilon_tensor(x),
                               reference_mod_epsilon_tensor(y)).dim
+
+
+# --- the flag check as FlagOfSubmodules._check wrote it by hand -------------
+
+def reference_flag_check(flag):
+    """FlagOfSubmodules._check before the one flag check: per layer and
+    vertex the ambient, the dimension, loop closure, freeness and nesting
+    by residues and coordinates, then closure under every arrow."""
+    m = flag.module
+    if any(len(r) != m.n for r in flag.brseq):
+        raise LengthMismatch(f"brseq needs rank vectors of length {m.n}")
+    if len(flag.layers) != len(flag.brseq) - 1:
+        raise ShapeMismatch("layer count does not match brseq length")
+    if tuple(sum(r[i] for r in flag.brseq) * m.loop_order(i)
+             for i in range(m.n)) != m.dims:
+        raise ShapeMismatch("brseq does not sum to the ambient rank")
+    acc = RankVector.zero(m.n)
+    partial = []
+    for r in flag.brseq[:-1]:
+        acc = acc + r
+        partial.append(acc)
+    prev = None
+    for t, layer in enumerate(flag.layers):
+        for i in range(m.n):
+            u = layer[i]
+            order = m.loop_order(i)
+            if u.ambient != m.dims[i]:
+                raise ShapeMismatch("layer in wrong ambient space")
+            if u.dim != order * partial[t][i]:
+                raise ShapeMismatch(
+                    f"layer {t + 1} has wrong dimension at vertex {i + 1}")
+            restricted = (m.eps[i] @ u.basis.T).T
+            if not u.contains_rows(restricted):
+                raise ValidationError("layer not closed under a loop")
+            sub_rank = la.rank(coordinates_rows(u, restricted % m.p), m.p)
+            if order > 1 and sub_rank != u.dim - u.dim // order:
+                raise NotLocallyFree(
+                    f"layer {t + 1} not free at vertex {i + 1}")
+            if prev is not None and not contains(u, prev[i]):
+                raise ValidationError("layers are not nested")
+        for (i, j), mats in m.arrows.items():
+            for a in mats:
+                image = (a @ layer[j].basis.T).T
+                if not layer[i].contains_rows(image):
+                    raise ValidationError("layer not closed under arrow")
+        prev = layer
 
 
 # --- the reduction fiber computed from scratch on every call ------------------

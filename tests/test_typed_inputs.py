@@ -1,0 +1,76 @@
+"""Inputs outside the supported range fail with a typed error instead of
+returning an answer: Hom checks across algebras, rank sequences of the
+closed-form count, and the level range and generator ranks of
+`reduction`."""
+
+import pytest
+
+from cartanquiver import flagvar, hmod, homext, reduction
+from cartanquiver import exactlinalg as la
+from cartanquiver.errors import (
+    DatumMismatch,
+    LengthMismatch,
+    RankTooLarge,
+    ValidationError,
+)
+
+
+class TestHomAcrossAlgebras:
+    def _pairs(self, a2, kronecker):
+        m = hmod.free_module(a2, 2, 2, (1, 1))
+        for other in (hmod.free_module(a2, 2, 3, (1, 1)),
+                      hmod.free_module(a2, 3, 2, (1, 1)),
+                      hmod.free_module(kronecker, 2, 2, (1, 1))):
+            yield m, other
+
+    def test_check_homomorphism(self, a2, kronecker):
+        for m, other in self._pairs(a2, kronecker):
+            ident = [la.identity(d) for d in m.dims]
+            for x, y in ((m, other), (other, m)):
+                with pytest.raises(DatumMismatch):
+                    homext.check_homomorphism(x, y, ident)
+
+    def test_reduce_hom(self, a2, kronecker):
+        for m, other in self._pairs(a2, kronecker):
+            with pytest.raises(DatumMismatch):
+                reduction.reduce_hom(m, other, homext.identity_hom(m))
+
+    def test_same_algebra_still_accepted(self, a2):
+        m = hmod.free_module(a2, 2, 3, (1, 1))
+        fbar = reduction.reduce_hom(m, m, homext.identity_hom(m))
+        assert [f.tolist() for f in fbar] == [[[1]], [[1]]]
+
+
+@pytest.mark.parametrize("brseq", [[(1, 0, 5), (0, 1, 7)], [], [(1,), (1,)]])
+def test_closed_form_count_checks_lengths(no_arrows, brseq):
+    with pytest.raises(LengthMismatch):
+        flagvar.closed_form_flag_count_no_arrows(no_arrows, 1, 2, brseq)
+
+
+def test_closed_form_count_still_counts(no_arrows):
+    # the Grassmannian of lines in F_2^2 at vertex 1, a point at vertex 2
+    assert flagvar.closed_form_flag_count_no_arrows(
+        no_arrows, 1, 2, [(1, 0), (1, 1)]) == 3
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_rigid_transfer_needs_a_level(a2, k_max):
+    with pytest.raises(ValidationError):
+        reduction.rigid_transfer_check(a2, 2, (1, 1), k_max=k_max)
+
+
+class TestGeneratorSpan:
+    def test_rejects_bad_ranks(self, a2):
+        m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=1)
+        with pytest.raises(LengthMismatch):
+            reduction.generator_span(m, (1, 0, 0))
+        with pytest.raises(RankTooLarge):
+            reduction.generator_span(m, (5, 0))
+        with pytest.raises(RankTooLarge):
+            reduction.generator_span(m, (0, 2))
+
+    def test_spans_leading_generators(self, a2):
+        m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=1)
+        full = reduction.generator_span(m, (2, 1))
+        assert [u.dim for u in full] == list(m.dims)
+        assert [u.dim for u in reduction.generator_span(m, (1, 0))] == [2, 0]
