@@ -22,6 +22,7 @@ from .errors import (
     NonIntegerCoefficient,
     NotPrime,
     OverdeterminedMismatch,
+    ValidationError,
 )
 
 _PRIME_CACHE: set[int] = set()
@@ -141,15 +142,28 @@ def right_product_matrix(b: np.ndarray, rows: int) -> np.ndarray:
 
 
 def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a**e mod p by repeated squaring, reducing at every product."""
-    n = a.shape[0]
-    result = identity(n)
+    """a**e mod p (a fresh int64 array) by repeated squaring, reducing at
+    every product: the result starts at the lowest power of two that e
+    needs, and squaring stops at its highest.  Raises DimensionMismatch
+    for a matrix that is not square, ValidationError for e < 0."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"matpow needs a square matrix, got shape "
+                                f"{a.shape}")
+    if e < 0:
+        raise ValidationError(f"matpow needs an exponent >= 0, got {e}")
+    if e == 0:
+        return identity(a.shape[0])
     base = a % p
-    while e > 0:
-        if e & 1:
-            result = (result @ base) % p
+    while not e & 1:
         base = (base @ base) % p
         e >>= 1
+    result = base
+    while e > 1:
+        e >>= 1
+        base = (base @ base) % p
+        if e & 1:
+            result = (result @ base) % p
     return result
 
 

@@ -18,12 +18,14 @@ and the affine linear system cutting out the fiber of the reduction map
 over a fixed lower-level flag.  One flag check, on the block pass of a
 split of the module along each layer (`hmod._split_blocks`), tests
 invariance, freeness and nesting; its blocks build the slot modules and
-connectors of the tangent computation.  The fiber dimension is checked
-against the tangent dimension at the image of that flag in the level-1
-shadow of the reduction.  The reduction of a module, its shadow and the
-part of the fiber system which depends only on the module are computed
-once per module and kept as long as the module lives; every check on a
-base flag runs on every call.
+connectors of the tangent computation.  Each flag object is checked once:
+a flag that cannot change keeps the blocks of its check as long as it
+lives, and its tangent space, its reduction and the fiber over it reuse
+them; a flag that can change is checked on every call.  The fiber
+dimension is checked against the tangent dimension at the image of that
+flag in the level-1 shadow of the reduction.  The reduction of a module,
+its shadow and the part of the fiber system which depends only on the
+module are computed once per module and kept as long as the module lives.
 """
 
 from __future__ import annotations
@@ -358,11 +360,17 @@ def _count_submodules(m: HModule, rank: RankVector, e, max_candidates,
 class FlagOfSubmodules:
     """A chain of per-vertex subspaces 0 < U_1 < ... < U_{l-1} < M realizing
     a point of the flag variety with subquotient ranks brseq, checked by
-    the one flag check `_flag_blocks`."""
+    the one flag check `_flag_blocks`.  A flag that cannot change (tuples
+    of subspaces with read-only bases, a tuple of tuples as brseq, as
+    `iter_flags` and the fibers build them) keeps the blocks of its first
+    successful check while it lives; any other flag is checked on every
+    call."""
 
     module: HModule
     brseq: tuple[RankVector, ...]
     layers: tuple[tuple[Subspace, ...], ...]
+    _kept: Optional[tuple] = field(default=None, init=False,
+                                   compare=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -372,10 +380,30 @@ class FlagOfSubmodules:
         hmod.rank_vector(self.module)   # raises NotLocallyFree
         self._check()
 
-    def _check(self) -> None:
+    def _check(self) -> tuple[list, list]:
         """`validate` for a module known to be locally free, as callers
-        that check many flags of one module know."""
-        _flag_blocks(self.module, self.brseq, self.layers)
+        that check many flags of one module know: the blocks of
+        `_flag_blocks` for this flag's module, kept (read-only) after the
+        first check of an immutable flag.  A check that raises keeps
+        nothing."""
+        if self._kept is not None:
+            return self._kept
+        blocks = _flag_blocks(self.module, self.brseq, self.layers)
+        if self._immutable():
+            _freeze_blocks(*blocks)
+            object.__setattr__(self, "_kept", blocks)
+        return blocks
+
+    def _immutable(self) -> bool:
+        """Whether no part of the flag can change: brseq and layers are
+        tuples of tuples, and every layer basis is read-only (the module
+        is, as `make_module` builds it)."""
+        return (isinstance(self.brseq, tuple)
+                and all(isinstance(r, tuple) for r in self.brseq)
+                and isinstance(self.layers, tuple)
+                and all(isinstance(layer, tuple) and all(
+                    isinstance(u, Subspace) and not u.basis.flags.writeable
+                    for u in layer) for layer in self.layers))
 
     def to_dict(self) -> dict:
         return {
@@ -417,6 +445,30 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
                       f"inclusion at vertex {i + 1}", la.identity(d),
                       src[0][i], tgt[0][i]) for i, d in enumerate(m.dims)]
         for t, (src, tgt) in enumerate(zip(splits, splits[1:]))]
+
+
+def _freeze_blocks(splits, connectors) -> None:
+    """Make every array of a flag check's blocks read-only, so that blocks
+    a flag keeps read the same on every later use."""
+    for sides, pairs in splits:
+        for _, q, s in sides:
+            q.setflags(write=False)
+            s.setflags(write=False)
+        for b in itertools.chain(*pairs.values()):
+            b[0].setflags(write=False)
+            b[1].setflags(write=False)
+    for b in itertools.chain(*connectors):
+        b[0].setflags(write=False)
+        b[1].setflags(write=False)
+
+
+def _checked_blocks(m: HModule, flag: FlagOfSubmodules) -> tuple[list, list]:
+    """The blocks of the flag check of `flag` as a flag of m: the flag's
+    own (kept) check when m is its module, else `_flag_blocks` against
+    m."""
+    if flag.module is m:
+        return flag._check()
+    return _flag_blocks(m, flag.brseq, flag.layers)
 
 
 def _check_steps(m: HModule, brseq, layers) -> None:
@@ -583,9 +635,9 @@ def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
 def _flag_tensor_modules(m: HModule, flag: FlagOfSubmodules
                          ) -> Optional[tuple[TensorModule, TensorModule]]:
     """The embedded chain iota(U) and the quotient chain M^(l)/iota(U),
-    built from the blocks of the flag check `_flag_blocks`, or None for a
-    flag without layers.  Raises what the flag check raises."""
-    splits, conn = _flag_blocks(m, flag.brseq, flag.layers)
+    built from the blocks of the flag check (`_checked_blocks`), or None
+    for a flag without layers.  Raises what the flag check raises."""
+    splits, conn = _checked_blocks(m, flag)
     if not splits:
         return None
     sqs = [hmod._split(m, blocks, True, m.k) for blocks in splits]
@@ -611,7 +663,7 @@ def reduce_flag(m: HModule, flag: FlagOfSubmodules) -> FlagOfSubmodules:
     if m.k < 2:
         raise KTooSmall("flag reduction needs k >= 2")
     data = _reduction_data(m)
-    _flag_blocks(m, flag.brseq, flag.layers)
+    _checked_blocks(m, flag)
     out = _reduced_flag(data.red, flag)
     out._check()
     return out
@@ -851,12 +903,17 @@ class FiberOfReduction:
     _kernel: Optional[np.ndarray] = field(default=None, repr=False)
 
     def flag_at(self, coeffs) -> FlagOfSubmodules:
+        """The point of the fiber with the given integer coordinates
+        (taken mod p) on the kernel basis."""
         if self.empty:
             raise ValidationError("fiber is empty")
-        coeffs = np.asarray(coeffs, dtype=np.int64)
+        coeffs = np.asarray(coeffs)
+        if coeffs.size and coeffs.dtype.kind not in "iu":
+            raise ValidationError(f"fiber coefficients must be an integer "
+                                  f"array, got dtype {coeffs.dtype}")
         if coeffs.shape != (self.dimension,):
             raise ShapeMismatch(f"need {self.dimension} coefficients")
-        return self._builder(coeffs)
+        return self._builder((coeffs % self.base.module.p).astype(np.int64))
 
     def point_count(self) -> int:
         if self.empty:

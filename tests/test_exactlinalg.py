@@ -12,6 +12,7 @@ from cartanquiver.errors import (
     NonIntegerCoefficient,
     NotPrime,
     OverdeterminedMismatch,
+    ValidationError,
 )
 
 from conftest import contains, coordinates_rows
@@ -251,6 +252,41 @@ def test_product_matrices_match_kron(seed):
         y = rng.integers(0, 7, size=(r, s))
         assert np.array_equal(right[idx] @ y.reshape(-1),
                               (y @ b[idx]).reshape(-1))
+
+
+@st.composite
+def powers(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 5))
+    entries = draw(st.lists(st.integers(-20, 20), min_size=n * n,
+                            max_size=n * n))
+    return np.array(entries, dtype=np.int64).reshape(n, n), \
+        draw(st.integers(0, 10)), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(powers())
+def test_matpow_matches_repeated_product(case):
+    """matpow equals the product of e reduced copies of a, byte for byte
+    (the identity at e = 0), as a fresh array."""
+    a, e, p = case
+    want = la.identity(a.shape[0])
+    for _ in range(e):
+        want = (want @ (a % p)) % p
+    got = la.matpow(a, e, p)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, a)
+
+
+def test_matpow_rejects_bad_input():
+    with pytest.raises(ValidationError):
+        la.matpow(la.identity(2), -1, 3)
+    for shape in ((2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(DimensionMismatch):
+            la.matpow(np.zeros(shape, dtype=np.int64), 2, 3)
+    with pytest.raises(DimensionMismatch):
+        la.matpow(np.zeros((2, 3), dtype=np.int64), 0, 3)
 
 
 def test_inv():

@@ -1,0 +1,246 @@
+"""Each flag object is checked once: a flag that cannot change keeps the
+blocks of its one check (`flagvar._flag_blocks`), and its tangent space,
+its reduction and the fiber over it reuse them; any other flag is checked
+on every call, and a flag of another module is checked against that
+module."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from cartanquiver import flagvar, hmod, homext, reduction
+from cartanquiver.errors import (
+    NotInvariant,
+    NotLocallyFree,
+    ShapeMismatch,
+    ValidationError,
+)
+from cartanquiver.exactlinalg import Subspace
+
+from conftest import reference_flag_check, reference_flag_tensor_modules
+
+# subquotient ranks of flags of a rank-(2, 1) module
+SEQS = [((1, 0), (1, 1)), ((1, 1), (1, 0)), ((0, 1), (2, 0)),
+        ((1, 0), (0, 1), (1, 0)), ((0, 1), (1, 0), (1, 0)),
+        ((1, 0), (1, 0), (0, 1))]
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The (module, layers) of every run of the flag check."""
+    calls = []
+    original = flagvar._flag_blocks
+
+    def counted(m, brseq, layers):
+        calls.append((m, layers))
+        return original(m, brseq, layers)
+
+    monkeypatch.setattr(flagvar, "_flag_blocks", counted)
+    return calls
+
+
+def _raised(fn, *args):
+    """The class of the ValidationError fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except ValidationError as exc:
+        return type(exc)
+    return None
+
+
+def _writable(flag):
+    """The flag with writable copies of its layer bases."""
+    return flagvar.FlagOfSubmodules(flag.module, flag.brseq, tuple(
+        tuple(Subspace(u.p, u.ambient, u.basis.copy(), u.pivots)
+              for u in layer) for layer in flag.layers))
+
+
+@pytest.mark.parametrize("name", ["a2", "b2"])
+def test_iter_flags_and_tangent_check_each_flag_once(request, name, checks):
+    datum = request.getfixturevalue(name)
+    flags = 0
+    for k, p in ((1, 2), (2, 3)):
+        m = hmod.random_locally_free(datum, k, p, (2, 1), seed=(k, p))
+        for seq in SEQS:
+            for flag in flagvar.iter_flags(m, seq):
+                assert checks[-1] == (m, flag.layers)
+                before = len(checks)
+                flagvar.tangent_dimension(m, flag)
+                flagvar.tangent_dimension(m, flag)
+                flag.validate()
+                assert len(checks) == before
+                flags += 1
+    assert flags >= 40 and len(checks) == flags
+
+
+@pytest.mark.parametrize("name", ["a2", "b2"])
+def test_fiber_adds_no_check_of_an_iter_flags_base(request, name, checks):
+    """The fiber checks its shadow, particular and `back` flags; a base
+    from iter_flags is not checked again, a fresh copy of it is."""
+    datum = request.getfixturevalue(name)
+    m = hmod.random_locally_free(datum, 2, 3, (2, 1), seed=4)
+    mbar = reduction.reduce(m).module
+    bases = 0
+    for seq in SEQS:
+        for base in itertools.islice(flagvar.iter_flags(mbar, seq), 4):
+            del checks[:]
+            fib = flagvar.fiber_of_reduction(m, base)
+            assert checks and all(layers is not base.layers
+                                  for _, layers in checks)
+            fresh = flagvar.FlagOfSubmodules(mbar, base.brseq, base.layers)
+            del checks[:]
+            again = flagvar.fiber_of_reduction(m, fresh)
+            assert [layers is base.layers for _, layers in checks].count(
+                True) == 1
+            assert (again.empty, again.dimension) == (fib.empty,
+                                                      fib.dimension)
+            bases += 1
+    assert bases >= 10
+
+
+def test_kept_blocks_are_read_only(a2):
+    m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
+    flag = next(flagvar.iter_flags(m, SEQS[3]))
+    splits, connectors = flag._check()
+    assert flag._check() is flag._kept
+    arrays = [a for sides, pairs in splits for side in sides
+              for a in side[1:]]
+    arrays += [a for sides, pairs in splits for blocks in pairs.values()
+               for b in blocks for a in b]
+    arrays += [a for blocks in connectors for b in blocks for a in b]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def test_writable_basis_is_checked_on_every_call(a2, checks):
+    m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
+    flag = _writable(next(flagvar.iter_flags(m, SEQS[0])))
+    del checks[:]
+    want = flagvar.tangent_dimension(m, flag)
+    assert flagvar.tangent_dimension(m, flag) == want
+    assert len(checks) == 2 and flag._kept is None
+    # a zero basis keeps the layer's dimension, but the loop's block on it
+    # has rank 0: not free
+    flag.layers[0][0].basis[:] = 0
+    with pytest.raises(NotLocallyFree):
+        flagvar.tangent_dimension(m, flag)
+    with pytest.raises(NotLocallyFree):
+        flag.validate()
+    assert _raised(reference_flag_check, flag) is NotLocallyFree
+
+
+def test_mutable_containers_are_checked_on_every_call(a2, checks):
+    """Layers or a brseq given as lists can change after a check."""
+    m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
+    flag = next(flagvar.iter_flags(m, SEQS[0]))
+    zero = tuple(Subspace.zero(d, 3) for d in m.dims)
+    layers = list(flag.layers)
+    listed = flagvar.FlagOfSubmodules(m, flag.brseq, layers)
+    listed.validate()
+    layers[0] = zero
+    with pytest.raises(ShapeMismatch):
+        listed.validate()
+    seq = [tuple(r) for r in flag.brseq]
+    listed = flagvar.FlagOfSubmodules(m, seq, flag.layers)
+    listed.validate()
+    seq[0] = (2, 1)
+    with pytest.raises(ShapeMismatch):
+        flagvar.tangent_dimension(m, listed)
+    assert listed._kept is None
+
+
+def test_failed_check_raises_on_every_call(a2, checks):
+    m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
+    zero = tuple(Subspace.zero(d, 3) for d in m.dims)
+    flag = flagvar.FlagOfSubmodules(m, SEQS[3], (zero, zero))
+    for _ in range(3):
+        with pytest.raises(ShapeMismatch):
+            flag.validate()
+        with pytest.raises(ShapeMismatch):
+            flagvar.tangent_dimension(m, flag)
+        with pytest.raises(ShapeMismatch):
+            flagvar.reduce_flag(m, flag)
+    assert len(checks) == 9 and flag._kept is None
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "kronecker"])
+def test_other_module_is_checked_against_it(request, name, checks):
+    """A checked flag of `other` passed with mbar: both entry points run
+    the check against mbar and raise the class the oracle raises; with a
+    module equal to its own (another object) it gives the same tangent
+    dimension."""
+    datum = request.getfixturevalue(name)
+    refused = 0
+    for p in (2, 3):
+        mbar = reduction.reduce(
+            hmod.random_locally_free(datum, 3, p, (2, 1), seed=p)).module
+        other = hmod.random_locally_free(datum, 2, p, (2, 1), seed=p + 10)
+        twin = hmod.make_module(other.datum, other.k, other.p, other.eps,
+                                dict(other.arrows))
+        for seq in SEQS:
+            for flag in flagvar.iter_flags(other, seq):
+                assert flag._kept is not None
+                want = _raised(reference_flag_check, flagvar.FlagOfSubmodules(
+                    mbar, seq, flag.layers))
+                del checks[:]
+                got = {_raised(flagvar.tangent_dimension, mbar, flag),
+                       _raised(flagvar.reduce_flag, mbar, flag)}
+                assert checks[0][0] is mbar and checks[0][1] is flag.layers
+                # where the oracle raises a plain ValidationError for a map
+                # that does not preserve a layer, the block pass raises its
+                # subclass NotInvariant
+                assert got == {want} or (want is ValidationError
+                                         and got == {NotInvariant})
+                refused += want is not None
+                del checks[:]
+                assert flagvar.tangent_dimension(twin, flag) == \
+                    flagvar.tangent_dimension(other, flag)
+                assert [m for m, _ in checks] == [twin]
+    assert refused >= 2
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "kronecker"])
+def test_tangent_from_kept_blocks_matches_oracle(request, name):
+    """The flags of tests/test_flag_check.py, checked by iter_flags: the
+    tangent dimension from the kept blocks equals the Hom between the
+    oracle tensor modules."""
+    datum = request.getfixturevalue(name)
+    flags = 0
+    for k, p in itertools.product((1, 2, 3), (2, 3)):
+        m = hmod.random_locally_free(datum, k, p, (2, 1), seed=(k, p))
+        for seq in SEQS:
+            for flag in flagvar.iter_flags(m, seq):
+                assert flag._kept is not None
+                want = flagvar.hom_tensor(
+                    *reference_flag_tensor_modules(m, flag)).dim
+                assert flagvar.tangent_dimension(m, flag) == want
+                flags += 1
+    assert flags >= 100
+
+
+class TestFlagAt:
+    """flag_at takes integer coordinates only."""
+
+    @pytest.fixture(scope="class")
+    def fiber(self, b2):
+        m = homext.find_rigid(b2, 2, 3, (2, 1), trials=50, seed=0).module
+        mbar = reduction.reduce(m).module
+        base = next(flagvar.iter_flags(mbar, ((1, 0), (1, 1))))
+        fib = flagvar.fiber_of_reduction(m, base)
+        assert fib.dimension == 2
+        return fib
+
+    def test_non_integers_rejected(self, fiber):
+        for coeffs in ([1.7, 1.7], ["x", "x"], [1.0, 1.0], [2 ** 70, 1]):
+            with pytest.raises(ValidationError, match="integer array"):
+                fiber.flag_at(coeffs)
+
+    def test_integers_as_before(self, fiber):
+        p = fiber.base.module.p
+        for coeffs in itertools.product(range(-1, p + 1), repeat=2):
+            got = fiber.flag_at(list(coeffs))
+            same = fiber.flag_at(np.asarray(coeffs, dtype=np.int64) % p)
+            assert got.layers == same.layers
+        assert fiber.flag_at([0, 0]).layers == fiber.particular.layers
+        with pytest.raises(ShapeMismatch):
+            fiber.flag_at([1, 1, 1])
