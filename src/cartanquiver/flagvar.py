@@ -10,7 +10,10 @@ backtracking search, which iterates or counts, tests a block of candidates
 at a time for arrow closure across vertices, and builds each block (one
 stacked array of charts, reduced by one batched elimination) when it first
 reaches it.  Built blocks of keys up to a size limit are cached, so a
-search that stops early builds only the blocks it read.  Flags of
+search that stops early builds only the blocks it read.  A search refuses
+to start, with BudgetExceeded, when any vertex has more than
+VERTEX_CANDIDATE_BUDGET candidates; a count with no active arrow is a
+closed-form product and is never refused.  Flags of
 length l are translated into single submodules of the repetitive module
 over the tensor algebra with the path algebra of a linear quiver on l-1
 vertices; that translation also provides tangent spaces (one Hom solve)
@@ -58,7 +61,8 @@ from .exactlinalg import Subspace
 from .hmod import HModule
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
-DEFAULT_VERTEX_CANDIDATE_BUDGET = 10 ** 7
+# read by `_check_budgets` at each call, not bound as a default
+VERTEX_CANDIDATE_BUDGET = 10 ** 7
 
 
 # --- free submodules of one truncated polynomial column ----------------------
@@ -209,13 +213,13 @@ def _active_arrows(m: HModule, rank: RankVector, e: RankVector):
     return active
 
 
-def _check_budgets(m: HModule, rank, e, max_candidates, override_budget):
+def _check_budgets(m: HModule, rank, e):
     for i in range(m.n):
         count = chart_count(m.loop_order(i), rank[i], e[i], m.p)
-        if count > max_candidates and not override_budget:
+        if count > VERTEX_CANDIDATE_BUDGET:
             raise BudgetExceeded(
-                f"vertex {i + 1} has {count} candidate submodules; "
-                f"pass override_budget=True to proceed")
+                f"vertex {i + 1} has {count} candidate submodules, above "
+                f"flagvar.VERTEX_CANDIDATE_BUDGET = {VERTEX_CANDIDATE_BUDGET}")
 
 
 def _reducer(u: Subspace) -> np.ndarray:
@@ -283,13 +287,11 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
     yield from extend(0)
 
 
-def iter_locally_free_submodules(
-        m: HModule, e, max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
-        override_budget: bool = False) -> Iterator[tuple[Subspace, ...]]:
+def iter_locally_free_submodules(m: HModule, e
+                                 ) -> Iterator[tuple[Subspace, ...]]:
     """Stream every tuple of per-vertex free submodules of rank e closed
     under all arrows, exactly once each (charts are disjoint)."""
-    yield from _iter_submodules(m, hmod.rank_vector(m), e, max_candidates,
-                                override_budget)
+    yield from _iter_submodules(m, hmod.rank_vector(m), e)
 
 
 def _image(layer, maps) -> tuple[Subspace, ...]:
@@ -298,42 +300,35 @@ def _image(layer, maps) -> tuple[Subspace, ...]:
                  for u, t in zip(layer, maps))
 
 
-def _iter_submodules(m: HModule, rank: RankVector, e, max_candidates,
-                     override_budget) -> Iterator[tuple[Subspace, ...]]:
+def _iter_submodules(m: HModule, rank: RankVector, e
+                     ) -> Iterator[tuple[Subspace, ...]]:
     """`iter_locally_free_submodules` for a module of known rank."""
     e = RankVector(e)
     if not (e <= rank):
         raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
     std, ts = (m, None) if m.standard_form else hmod.normalize(m)
     if ts is not None:
-        for tup in _iter_submodules(std, rank, e, max_candidates,
-                                    override_budget):
+        for tup in _iter_submodules(std, rank, e):
             yield _image(tup, ts)
         return
-    _check_budgets(m, rank, e, max_candidates, override_budget)
+    _check_budgets(m, rank, e)
     yield from _closure_search(m, rank, e, range(m.n), count=False)
 
 
-def enumerate_locally_free_submodules(
-        m: HModule, e, max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
-        override_budget: bool = False) -> list[tuple[Subspace, ...]]:
-    return list(iter_locally_free_submodules(m, e, max_candidates,
-                                             override_budget))
+def enumerate_locally_free_submodules(m: HModule, e
+                                      ) -> list[tuple[Subspace, ...]]:
+    return list(iter_locally_free_submodules(m, e))
 
 
-def count_locally_free_submodules(
-        m: HModule, e, max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
-        override_budget: bool = False) -> int:
+def count_locally_free_submodules(m: HModule, e) -> int:
     """Grassmannian point count with the unconstrained vertices counted in
     closed form; only vertices touched by an active arrow are enumerated,
     streamed keys first (built once), then by ascending candidate count, so
     the last vertex, tested a block at a time, has the most candidates."""
-    return _count_submodules(m, hmod.rank_vector(m), e, max_candidates,
-                             override_budget)
+    return _count_submodules(m, hmod.rank_vector(m), e)
 
 
-def _count_submodules(m: HModule, rank: RankVector, e, max_candidates,
-                      override_budget) -> int:
+def _count_submodules(m: HModule, rank: RankVector, e) -> int:
     """`count_locally_free_submodules` for a module of known rank."""
     e = RankVector(e)
     if not (e <= rank):
@@ -349,7 +344,7 @@ def _count_submodules(m: HModule, rank: RankVector, e, max_candidates,
             free_factor *= counts[i]
     if not coupled:
         return free_factor
-    _check_budgets(std, rank, e, max_candidates, override_budget)
+    _check_budgets(std, rank, e)
     order = sorted(coupled, key=lambda v: (
         counts[v] <= _CANDIDATE_CACHE_LIMIT, counts[v], v))
     return free_factor * sum(_closure_search(std, rank, e, order,
@@ -502,8 +497,7 @@ def _checked_seq(m: HModule, brseq):
     return seq
 
 
-def _layer_chains(m: HModule, seq, max_candidates, override_budget,
-                  count: bool):
+def _layer_chains(m: HModule, seq, count: bool):
     """Depth first over the flags of m with subquotient ranks seq (which
     sum to the rank of m): the top proper layer runs over the Grassmannian,
     the rest recurses inside that submodule.  Yields each flag's layers,
@@ -515,55 +509,44 @@ def _layer_chains(m: HModule, seq, max_candidates, override_budget,
     top_rank = sum(seq[1:-1], seq[0])
     rank = top_rank + seq[-1]
     if len(seq) == 2 and count:
-        yield _count_submodules(m, rank, top_rank, max_candidates,
-                                override_budget)
+        yield _count_submodules(m, rank, top_rank)
         return
-    for tup in _iter_submodules(m, rank, top_rank, max_candidates,
-                                override_budget):
+    for tup in _iter_submodules(m, rank, top_rank):
         if len(seq) == 2:
             yield [tup]
             continue
         inner = hmod.submodule(m, tup)
         incl = [u.basis.T for u in tup]
-        for chain in _layer_chains(inner, seq[:-1], max_candidates,
-                                   override_budget, count):
+        for chain in _layer_chains(inner, seq[:-1], count):
             if count:
                 yield chain
                 continue
             yield [_image(layer, incl) for layer in chain] + [tup]
 
 
-def iter_flags(m: HModule, brseq,
-               max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
-               override_budget: bool = False) -> Iterator[FlagOfSubmodules]:
+def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
     """Stream flags depth first (see `_layer_chains`).  Every yielded flag
     is validated."""
     seq = _checked_seq(m, brseq)
     if seq is None:
         return
-    for layers in _layer_chains(m, seq, max_candidates, override_budget,
-                                count=False):
+    for layers in _layer_chains(m, seq, count=False):
         flag = FlagOfSubmodules(m, seq, tuple(layers))
         flag._check()
         yield flag
 
 
-def enumerate_flags(m: HModule, brseq,
-                    max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
-                    override_budget: bool = False) -> list[FlagOfSubmodules]:
-    return list(iter_flags(m, brseq, max_candidates, override_budget))
+def enumerate_flags(m: HModule, brseq) -> list[FlagOfSubmodules]:
+    return list(iter_flags(m, brseq))
 
 
-def point_count(m: HModule, brseq,
-                max_candidates: int = DEFAULT_VERTEX_CANDIDATE_BUDGET,
-                override_budget: bool = False) -> int:
+def point_count(m: HModule, brseq) -> int:
     """Number of flags, by the recursion of `iter_flags`; its innermost
     two-step sequence is counted without enumerating the points."""
     seq = _checked_seq(m, brseq)
     if seq is None:
         return 0
-    return sum(_layer_chains(m, seq, max_candidates, override_budget,
-                             count=True))
+    return sum(_layer_chains(m, seq, count=True))
 
 
 # --- tensor modules over the linear-quiver extension --------------------------
@@ -993,9 +976,7 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
         return flag
 
     particular = build(np.zeros(dimension, dtype=np.int64))
-    back = _reduced_flag(red, particular)
-    back._check()
-    if back.layers != base.layers:
+    if _reduced_flag(red, particular).layers != base.layers:
         raise InternalCheckError("fiber solution does not reduce to base")
     return FiberOfReduction(base, False, dimension, expected, particular,
                             _builder=build, _kernel=kernel)
@@ -1028,8 +1009,8 @@ class BundleRatioReport:
         return all(row["ok"] for row in self.rows)
 
 
-def bundle_ratio_check(m: HModule, brseq, primes=(2, 3),
-                       **kwargs) -> BundleRatioReport:
+def bundle_ratio_check(m: HModule, brseq, primes=(2, 3)
+                       ) -> BundleRatioReport:
     """Per prime: the level-k count must be q^d(brseq) times the count of
     the reduced flag variety at level k-1, exactly, whenever the ambient
     module is rigid at that prime.  Violations are reported, not raised."""
@@ -1037,14 +1018,16 @@ def bundle_ratio_check(m: HModule, brseq, primes=(2, 3),
         raise KTooSmall("bundle check compares level k with k - 1")
     if not m.has_lift():
         raise ValidationError("bundle check needs an integer-defined module")
-    seq = tuple(RankVector(r) for r in brseq)
+    seq = _rank_seq(brseq, m.n)
+    if not primes:
+        raise NotEnoughPrimes("bundle check needs at least one prime")
     d = flag_dimension(m.datum, seq)
     rows = []
     for q in primes:
         mq = hmod.reduce_mod_p(m, q)
         rigid = homext.is_rigid(mq) if hmod.is_locally_free(mq) else False
-        top = point_count(mq, seq, **kwargs)
-        bottom = point_count(reduction.reduce(mq).module, seq, **kwargs)
+        top = point_count(mq, seq)
+        bottom = point_count(reduction.reduce(mq).module, seq)
         if d >= 0:
             ok = top == q ** d * bottom
         else:
@@ -1085,8 +1068,8 @@ class PointCountTable:
 
 
 def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
-                        degree_bound: Optional[int] = None,
-                        **kwargs) -> PointCountTable:
+                        degree_bound: Optional[int] = None
+                        ) -> PointCountTable:
     """Count the flag variety over several primes and interpolate.
 
     The default degree bound is k*d(brseq) (the dimension when non-empty,
@@ -1108,7 +1091,7 @@ def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
     used = list(primes[:needed])
     counts = {}
     for q in used:
-        counts[q] = point_count(hmod.reduce_mod_p(m, q), seq, **kwargs)
+        counts[q] = point_count(hmod.reduce_mod_p(m, q), seq)
     coeffs = la.lagrange_interpolate(
         [(q, counts[q]) for q in used], degree_bound)
     return PointCountTable(seq, m.k, counts, degree_bound, coeffs,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cartanquiver import cli
+from cartanquiver import cli, flagvar
 
 from conftest import MALFORMED_MODULE_FILES
 
@@ -316,3 +316,18 @@ def test_bundle_check_kmax_below_2_exits_2(config_path, capsys):
     _expect_exit_2(["bundle-check", "--config", config_path, "--rank",
                     "1,1", "--brseq", "1,0;0,1", "--kmax", "1"], capsys,
                    "--kmax must be >= 2")
+
+
+def test_flag_count_budget_exceeded_exits_3(config_path, tmp_path, capsys,
+                                            monkeypatch):
+    # free of rank (2,1): a middle layer of rank (1,1) has more than one
+    # candidate at vertex 1
+    module_path = tmp_path / "free.json"
+    module_path.write_text(json.dumps(
+        {"k": 2, "p": 5, "rank": [2, 1], "structure": {}}))
+    monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 1)
+    assert run(["flag-count", "--config", config_path, "--module",
+                str(module_path), "--brseq", "1,0;0,1;1,0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex 1 has ")
+    assert "VERTEX_CANDIDATE_BUDGET = 1" in err

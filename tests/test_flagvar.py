@@ -19,7 +19,6 @@ from cartanquiver.errors import (
     NotEnoughPrimes,
     OverdeterminedMismatch,
     RankTooLarge,
-    ShapeMismatch,
     ValidationError,
 )
 
@@ -449,13 +448,16 @@ class TestSubmoduleEnumeration:
             flagvar.enumerate_locally_free_submodules(
                 hmod.free_module(a2, 1, 2, (1, 1)), (2, 0))
 
-    def test_budget_guardrail(self, a2):
+    def test_budget_guardrail(self, a2, monkeypatch):
+        # vertex 1 has 3 candidate lines in F_2^2; no arrow is active
         m = hmod.free_module(a2, 1, 2, (2, 1))
-        with pytest.raises(BudgetExceeded):
-            flagvar.enumerate_locally_free_submodules(m, (1, 0),
-                                                      max_candidates=1)
-        assert flagvar.enumerate_locally_free_submodules(
-            m, (1, 0), max_candidates=1, override_budget=True)
+        monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 1)
+        with pytest.raises(BudgetExceeded, match="VERTEX_CANDIDATE_BUDGET"):
+            flagvar.enumerate_locally_free_submodules(m, (1, 0))
+        # a count with no active arrow is a closed-form product
+        assert flagvar.count_locally_free_submodules(m, (1, 0)) == 3
+        monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 3)
+        assert len(flagvar.enumerate_locally_free_submodules(m, (1, 0))) == 3
 
     def test_non_standard_module(self, a2):
         m = n_module(a2, 1, 2)
@@ -540,24 +542,27 @@ class TestFactorizedCounting:
                 assert counts[-1] == len(flagvar.enumerate_flags(m, brseq))
         assert sum(1 for c in counts if c > 1) >= 10
 
-    def test_flag_budget_guardrail(self, no_arrows):
+    def test_flag_budget_guardrail(self, no_arrows, monkeypatch):
         m = hmod.free_module(no_arrows, 1, 2, (2, 1))
         brseq = [(1, 0), (0, 1), (1, 0)]
+        monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 1)
         with pytest.raises(BudgetExceeded):
-            flagvar.point_count(m, brseq, max_candidates=1)
+            flagvar.point_count(m, brseq)
         with pytest.raises(BudgetExceeded):
-            next(flagvar.iter_flags(m, brseq, max_candidates=1))
-        count = flagvar.point_count(m, brseq, max_candidates=1,
-                                    override_budget=True)
-        assert count == len(list(flagvar.iter_flags(
-            m, brseq, max_candidates=1, override_budget=True)))
+            next(flagvar.iter_flags(m, brseq))
+        monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 3)
+        count = flagvar.point_count(m, brseq)
+        assert count == len(list(flagvar.iter_flags(m, brseq)))
         assert count == flagvar.closed_form_flag_count_no_arrows(
             no_arrows, 1, 2, brseq)
 
-    def test_point_count_rejects_unknown_keywords(self, a2):
+    @pytest.mark.parametrize("fn", [flagvar.point_count,
+                                    flagvar.bundle_ratio_check,
+                                    flagvar.counting_polynomial],
+                             ids=lambda fn: fn.__name__)
+    def test_rejects_unknown_keywords(self, a2, fn):
         with pytest.raises(TypeError):
-            flagvar.point_count(n_module(a2, 1, 2), [(1, 1), (1, 1)],
-                                bogus=1)
+            fn(n_module(a2, 2, 2), [(1, 1), (1, 1)], bogus=1)
 
 
 class TestFlagEnumeration:
@@ -1286,7 +1291,8 @@ class TestFiberChecks:
                             lambda red, flag: flagvar.FlagOfSubmodules(
                                 bar, flag.brseq, ())
                             if flag.module is m else original(red, flag))
-        with pytest.raises(ShapeMismatch, match="layer count"):
+        # caught by the comparison with the base, not by a flag check
+        with pytest.raises(InternalCheckError, match="reduce to base"):
             flagvar.fiber_of_reduction(m, bases[0])
 
     def test_particular_reduces_to_base(self, a2, monkeypatch):
@@ -1323,6 +1329,18 @@ class TestBundleRatio:
         assert not any(row["rigid"] for row in rep.rows)
         assert not rep.all_ok
         assert rep.ok_for_rigid
+
+    def test_no_primes_rejected(self, a2):
+        # an empty report would pass both verdicts with no evidence
+        m = rigid_module(a2, 2, 2, (1, 1), seed=9)
+        with pytest.raises(NotEnoughPrimes):
+            flagvar.bundle_ratio_check(m, [(1, 0), (0, 1)], primes=())
+
+    @pytest.mark.parametrize("brseq", [[], [(1, 0, 0), (0, 1, 0)]])
+    def test_malformed_brseq_rejected(self, a2, brseq):
+        m = rigid_module(a2, 2, 2, (1, 1), seed=9)
+        with pytest.raises(LengthMismatch):
+            flagvar.bundle_ratio_check(m, brseq)
 
 
 class TestCountingPolynomial:
