@@ -6,13 +6,13 @@ neither nilpotent nor invertible splits M.  A split is searched in three
 steps, each run only when the one before it has not decided:
 
 1. Fitting splits along the End(M) basis elements, shifted by scalars.
-2. When p^dim End(M) is within the idempotent budget, an exhaustive scan
+2. When p^dim End(M) is at most IDEMPOTENT_BUDGET, an exhaustive scan
    of End(M) for a proper idempotent.  M decomposes exactly when one
    exists, so the completed scan is final: a split, or an exhaustive
    certificate of indecomposability.
-3. Only past that budget, Fitting splits along `trials` random
+3. Only past that budget, Fitting splits along SPLIT_TRIALS random
    endomorphisms with shifts; when none splits, indecomposability is
-   Monte Carlo.  `trials` therefore matters only when p^dim End(M)
+   Monte Carlo.  SPLIT_TRIALS therefore matters only when p^dim End(M)
    exceeds the budget.
 
 The canonical decomposition of a rank vector is found by decomposing
@@ -25,6 +25,10 @@ can tie or mislead over tiny fields.  Schur-ness itself is decided by the
 splitting form of the same characterization: r is a Schur root exactly
 when no decomposition r = s + t has vanishing generic Ext both ways.
 Every report carries its sample counts, seeds and certainty level.
+
+The budgets (SPLIT_TRIALS, IDEMPOTENT_BUDGET, PAIR_SPACE_BUDGET and
+hmod.STRUCTURE_SPACE_BUDGET) are read at each call, so setting one reaches
+the scans nested in others too.
 """
 
 from __future__ import annotations
@@ -43,10 +47,9 @@ from .errors import InternalCheckError, ValidationError
 from .exactlinalg import Subspace
 from .hmod import HModule
 
-DEFAULT_SPLIT_TRIALS = 64
-DEFAULT_IDEMPOTENT_BUDGET = 2 ** 16
-DEFAULT_EXHAUSTIVE_SPACE_BUDGET = 2 ** 22
-DEFAULT_PAIR_SPACE_BUDGET = 2 ** 12
+SPLIT_TRIALS = 64
+IDEMPOTENT_BUDGET = 2 ** 16
+PAIR_SPACE_BUDGET = 2 ** 12
 DEFAULT_SAMPLES = 200
 
 EXHAUSTIVE = "exhaustive"
@@ -116,12 +119,12 @@ def _fitting_search(m: HModule, candidates, shifts) -> Optional[tuple]:
     return None
 
 
-def _find_split(m: HModule, seed, trials: int, idempotent_budget: int):
+def _find_split(m: HModule, seed):
     """Returns (split or None, certainty_of_a_negative_answer).
 
     The three steps of the module docstring: basis Fitting splits, then
-    the idempotent scan when p^dim End(M) <= idempotent_budget, else the
-    random Fitting trials.
+    the idempotent scan when p^dim End(M) <= IDEMPOTENT_BUDGET, else the
+    SPLIT_TRIALS random Fitting trials.
     """
     p = m.p
     basis = homext.hom_space(m, m)
@@ -130,11 +133,11 @@ def _find_split(m: HModule, seed, trials: int, idempotent_budget: int):
     split = _fitting_search(m, basis.elements, shifts)
     if split is not None:
         return split, EXHAUSTIVE
-    if p ** basis.dim <= idempotent_budget:
+    if p ** basis.dim <= IDEMPOTENT_BUDGET:
         return _scan_idempotents(m, basis), EXHAUSTIVE
     rng = la.rng_from(seed)
     randoms = (basis.element_from_coeffs(rng.integers(0, p, size=basis.dim))
-               for _ in range(trials))
+               for _ in range(SPLIT_TRIALS))
     split = _fitting_search(m, randoms, shifts)
     return split, EXHAUSTIVE if split is not None else MONTE_CARLO
 
@@ -148,23 +151,20 @@ class IndecomposabilityResult:
         return self.indecomposable
 
 
-def is_indecomposable(m: HModule, seed=0,
-                      trials: int = DEFAULT_SPLIT_TRIALS,
-                      idempotent_budget: int = DEFAULT_IDEMPOTENT_BUDGET
-                      ) -> IndecomposabilityResult:
+def is_indecomposable(m: HModule, seed=0) -> IndecomposabilityResult:
     """Decide whether M is indecomposable; zero modules count as
     decomposable (empty sum).
 
     A split is searched along the End(M) basis first, then by the
-    exhaustive idempotent scan when p^dim End(M) <= idempotent_budget, and
-    only past that budget along `trials` random endomorphisms.  Within the
-    budget a positive answer is exhaustive; past it, a positive answer is
-    Monte Carlo.  A negative answer is always exhaustive (it exhibits a
+    exhaustive idempotent scan when p^dim End(M) <= IDEMPOTENT_BUDGET, and
+    only past that budget along SPLIT_TRIALS random endomorphisms.  Within
+    the budget a positive answer is exhaustive; past it, a positive answer
+    is Monte Carlo.  A negative answer is always exhaustive (it exhibits a
     split).
     """
     if m.total_dim() == 0:
         return IndecomposabilityResult(False, EXHAUSTIVE)
-    split, certainty = _find_split(m, seed, trials, idempotent_budget)
+    split, certainty = _find_split(m, seed)
     if split is not None:
         return IndecomposabilityResult(False, EXHAUSTIVE)
     return IndecomposabilityResult(True, certainty)
@@ -185,18 +185,16 @@ class KrullSchmidtResult:
         return sum(mult for _, mult in self.parts)
 
 
-def krull_schmidt(m: HModule, seed=0,
-                  trials: int = DEFAULT_SPLIT_TRIALS,
-                  idempotent_budget: int = DEFAULT_IDEMPOTENT_BUDGET,
-                  verify: bool = True) -> KrullSchmidtResult:
+def krull_schmidt(m: HModule, seed=0, verify: bool = True
+                  ) -> KrullSchmidtResult:
     """Split M into indecomposables and group them up to isomorphism.
 
     Each piece is split as in `is_indecomposable`: along the End basis,
-    then by the idempotent scan when p^dim End <= idempotent_budget, and
-    only past that budget along `trials` random endomorphisms, so `trials`
-    matters only for pieces whose scan is over budget.  The rebuilt direct
-    sum is checked against M (invariant); certainty is the weakest
-    certificate among the returned parts.
+    then by the idempotent scan when p^dim End <= IDEMPOTENT_BUDGET, and
+    only past that budget along SPLIT_TRIALS random endomorphisms, so
+    SPLIT_TRIALS matters only for pieces whose scan is over budget.  The
+    rebuilt direct sum is checked against M (invariant); certainty is the
+    weakest certificate among the returned parts.
     """
     pieces: list[HModule] = []
     certainty = EXHAUSTIVE
@@ -206,8 +204,7 @@ def krull_schmidt(m: HModule, seed=0,
         cur = stack.pop()
         if cur.total_dim() == 0:
             continue
-        split, cert = _find_split(cur, (seed, depth), trials,
-                                  idempotent_budget)
+        split, cert = _find_split(cur, (seed, depth))
         depth += 1
         if split is None:
             if cert == MONTE_CARLO:
@@ -247,20 +244,20 @@ def krull_schmidt(m: HModule, seed=0,
 # --- generic invariants of rank vectors --------------------------------------
 
 def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
-                samples: int = DEFAULT_SAMPLES, seed=0,
-                pair_budget: int = DEFAULT_PAIR_SPACE_BUDGET) -> int:
+                samples: int = DEFAULT_SAMPLES, seed=0) -> int:
     """Minimum of dim Ext^1(M, N) over sampled pairs; exhaustive when the
-    joint parameter space fits the budget, building each N once.  An upper
-    bound for the generic value that can only decrease with more samples;
-    zero is exact."""
+    joint parameter space has at most PAIR_SPACE_BUDGET points, building
+    each N once.  An upper bound for the generic value that can only
+    decrease with more samples; zero is exact."""
     r = RankVector(r)
     s = RankVector(s)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     total_params = (hmod.structure_parameter_count(datum, k, r)
                     + hmod.structure_parameter_count(datum, k, s))
-    if p ** total_params <= pair_budget:
-        fresh = hmod.structure_space(datum, k, p, s, pair_budget, 0, seed)[1]
+    if p ** total_params <= PAIR_SPACE_BUDGET:
+        fresh = hmod.structure_space(datum, k, p, s, PAIR_SPACE_BUDGET, 0,
+                                     seed)[1]
         built: list[HModule] = []
 
         def n_modules():
@@ -271,7 +268,8 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
 
         pairs = ((mod_m, mod_n)
                  for mod_m in hmod.structure_space(datum, k, p, r,
-                                                   pair_budget, 0, seed)[1]
+                                                   PAIR_SPACE_BUDGET, 0,
+                                                   seed)[1]
                  for mod_n in n_modules())
     else:
         pairs = ((hmod.random_locally_free(datum, k, p, r, (seed, "m", t)),
@@ -297,8 +295,7 @@ class SchurRootEstimate:
 
 
 def _vanishing_split(datum: CartanDatum, k: int, p: int, r: RankVector,
-                     samples: int, seed,
-                     pair_budget: int) -> Optional[tuple]:
+                     samples: int, seed) -> Optional[tuple]:
     """A splitting r = s + t with generic Ext vanishing both ways, if any.
 
     Such a splitting exists exactly when r is not a Schur root: the union
@@ -315,12 +312,10 @@ def _vanishing_split(datum: CartanDatum, k: int, p: int, r: RankVector,
         seen.add(key)
         t = r - RankVector(s)
         if ext_generic(datum, k, p, s, t, samples=samples,
-                       seed=(seed, "st") + tuple(s),
-                       pair_budget=pair_budget) != 0:
+                       seed=(seed, "st") + tuple(s)) != 0:
             continue
         if ext_generic(datum, k, p, t, s, samples=samples,
-                       seed=(seed, "ts") + tuple(s),
-                       pair_budget=pair_budget) != 0:
+                       seed=(seed, "ts") + tuple(s)) != 0:
             continue
         return (tuple(s), tuple(t))
     return None
@@ -333,9 +328,7 @@ def _proper_subvectors(r: RankVector):
 
 
 def is_schur_root(datum: CartanDatum, k: int, p: int, r,
-                  samples: int = DEFAULT_SAMPLES, seed=0,
-                  space_budget: int = DEFAULT_EXHAUSTIVE_SPACE_BUDGET,
-                  pair_budget: int = DEFAULT_PAIR_SPACE_BUDGET
+                  samples: int = DEFAULT_SAMPLES, seed=0
                   ) -> SchurRootEstimate:
     """Decide Schur-ness through the splitting characterization and report
     the observed indecomposability rate as evidence.
@@ -347,12 +340,13 @@ def is_schur_root(datum: CartanDatum, k: int, p: int, r,
     over sampled (or, for small spaces, all) modules is still reported.
     """
     r = RankVector(r)
-    exhaustive, modules = hmod.structure_space(datum, k, p, r, space_budget,
-                                               samples, seed)
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    exhaustive, modules = hmod.structure_space(
+        datum, k, p, r, hmod.STRUCTURE_SPACE_BUDGET, samples, seed)
     if r.total() == 0:
         return SchurRootEstimate(False, 0.0, 0, True, EXHAUSTIVE)
-    split = _vanishing_split(datum, k, p, r, samples, (seed, "split"),
-                             pair_budget)
+    split = _vanishing_split(datum, k, p, r, samples, (seed, "split"))
     certainty = EXHAUSTIVE
     hits = count = 0
     for t, mod in enumerate(modules):
@@ -401,8 +395,7 @@ class DecompositionReport:
 
 
 def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
-                            samples: int = DEFAULT_SAMPLES, seed=0,
-                            space_budget: int = DEFAULT_EXHAUSTIVE_SPACE_BUDGET
+                            samples: int = DEFAULT_SAMPLES, seed=0
                             ) -> DecompositionReport:
     """Estimate the canonical decomposition of r and verify both criteria.
 
@@ -410,14 +403,15 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
     multiset; among observed types (plus a splitting-recursion fallback) the
     most frequent one passing both criteria is returned: (i) every part a
     Schur root, (ii) generic Ext vanishing between parts in both orders.
-    Criterion failures flip criteria_ok instead of raising.  Note the
-    default space budget makes scans exhaustive up to 2**22 structure
-    points, which can take a while near the limit; lower space_budget to
-    force sampling.
+    Criterion failures flip criteria_ok instead of raising.  Note that
+    hmod.STRUCTURE_SPACE_BUDGET makes scans exhaustive up to 2**22
+    structure points, which can take a while near the limit.
     """
     r = RankVector(r)
-    exhaustive, modules = hmod.structure_space(datum, k, p, r, space_budget,
-                                               samples, seed)
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    exhaustive, modules = hmod.structure_space(
+        datum, k, p, r, hmod.STRUCTURE_SPACE_BUDGET, samples, seed)
     if r.total() == 0:
         return DecompositionReport(r, (), p, k, 0, True, 1.0, seed)
     counter: collections.Counter = collections.Counter()
@@ -503,8 +497,7 @@ def _splitting_decomposition(datum: CartanDatum, k: int, p: int,
                              r: RankVector, samples: int, seed
                              ) -> tuple[tuple[int, ...], ...]:
     """Refine r along Ext-vanishing splittings until all parts are Schur."""
-    split = _vanishing_split(datum, k, p, r, samples, seed,
-                             DEFAULT_PAIR_SPACE_BUDGET)
+    split = _vanishing_split(datum, k, p, r, samples, seed)
     if split is None:
         return (tuple(r),)
     s, t = split

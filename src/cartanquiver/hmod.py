@@ -445,6 +445,11 @@ def iter_structure_matrices(datum: CartanDatum, k: int, p: int, r
                 for key, lo, hi in zip(keys, bounds, bounds[1:])})
 
 
+# points up to which find_rigid, parameter_estimate, is_schur_root and
+# canonical_decomposition scan the whole space; read at each call
+STRUCTURE_SPACE_BUDGET = 2 ** 22
+
+
 def structure_space(datum: CartanDatum, k: int, p: int, r, budget: int,
                     samples: int, seed) -> tuple[bool, Iterator[HModule]]:
     """(exhaustive, modules): a generator of every point of the space in

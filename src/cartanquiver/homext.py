@@ -54,9 +54,9 @@ from .errors import (
 )
 from .hmod import HModule
 
-DEFAULT_ISO_TRIALS = 32
-DEFAULT_ISO_EXHAUSTIVE_BUDGET = 2 ** 20
-DEFAULT_RIGID_EXHAUSTIVE_BUDGET = 2 ** 22
+# read by are_isomorphic at each call, not bound as defaults
+ISO_TRIALS = 32
+ISO_EXHAUSTIVE_BUDGET = 2 ** 20
 
 
 def _check_pair(m: HModule, n: HModule):
@@ -338,16 +338,13 @@ def _invertible_everywhere(f, p: int) -> bool:
                for fi in f)
 
 
-def are_isomorphic(m: HModule, n: HModule,
-                   trials: int = DEFAULT_ISO_TRIALS,
-                   seed=0,
-                   exhaustive_budget: int = DEFAULT_ISO_EXHAUSTIVE_BUDGET
-                   ) -> IsoResult:
+def are_isomorphic(m: HModule, n: HModule, seed=0) -> IsoResult:
     """Search Hom(m, n) for an invertible element.
 
-    Dimension vectors must match; then random Hom elements are tried, with
-    a full scan of the Hom space when p^dim fits the budget.  `certain` is
-    False only for a negative answer that rests on sampling alone.
+    Dimension vectors must match; then ISO_TRIALS random Hom elements are
+    tried, with a full scan of the Hom space when p^dim is at most
+    ISO_EXHAUSTIVE_BUDGET.  `certain` is False only for a negative answer
+    that rests on sampling alone.
     """
     _check_pair(m, n)
     if m.dims != n.dims:
@@ -360,14 +357,14 @@ def are_isomorphic(m: HModule, n: HModule,
         return IsoResult(False, True)
     p = m.p
     rng = la.rng_from(seed)
-    for _ in range(trials):
+    for _ in range(ISO_TRIALS):
         coeffs = rng.integers(0, p, size=basis.dim)
         if not coeffs.any():
             continue
         f = basis.element_from_coeffs(coeffs)
         if _invertible_everywhere(f, p):
             return IsoResult(True, True, f)
-    if p ** basis.dim <= exhaustive_budget:
+    if p ** basis.dim <= ISO_EXHAUSTIVE_BUDGET:
         for block in la.digit_chunks(p, basis.dim, start=1):
             for coeffs in block:
                 f = basis.element_from_coeffs(coeffs)
@@ -392,21 +389,22 @@ class RigidSearch:
         return self.module is not None
 
 
-def find_rigid(datum, k: int, p: int, r, trials: int = 200, seed=0,
-               exhaustive_budget: int = DEFAULT_RIGID_EXHAUSTIVE_BUDGET
+def find_rigid(datum, k: int, p: int, r, trials: int = 200, seed=0
                ) -> RigidSearch:
     """Sample the structure-matrix space for a rigid module of rank r.
 
     Stops at the first rigid hit.  When nothing is found and the space has
-    at most `exhaustive_budget` points it is scanned completely, in which
-    case a negative answer means no rigid module of this rank exists over
-    F_p; otherwise absence is only "none found".
+    at most hmod.STRUCTURE_SPACE_BUDGET points it is scanned completely, in
+    which case a negative answer means no rigid module of this rank exists
+    over F_p; otherwise absence is only "none found".
     """
+    if trials < 0:
+        raise ValidationError(f"trials must be >= 0, got {trials}")
     # budget 0: the trials are samples (seed, t); then the full scan, or
     # nothing past the budget
     _, trial_modules = hmod.structure_space(datum, k, p, r, 0, trials, seed)
-    exhaustive, points = hmod.structure_space(datum, k, p, r,
-                                              exhaustive_budget, 0, seed)
+    exhaustive, points = hmod.structure_space(
+        datum, k, p, r, hmod.STRUCTURE_SPACE_BUDGET, 0, seed)
     used = 0
     for used, mod in enumerate(itertools.chain(trial_modules, points), 1):
         if is_rigid(mod):
@@ -434,13 +432,12 @@ class ParameterEstimate:
     experimental: bool = True
 
 
-def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0,
-                       exhaustive_budget: int = DEFAULT_RIGID_EXHAUSTIVE_BUDGET
+def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0
                        ) -> ParameterEstimate:
-    exhaustive, modules = hmod.structure_space(
-        datum, k, p, r, exhaustive_budget, samples, seed)
-    if not exhaustive and samples < 1:
+    if samples < 1:
         raise ValidationError("samples must be >= 1")
+    exhaustive, modules = hmod.structure_space(
+        datum, k, p, r, hmod.STRUCTURE_SPACE_BUDGET, samples, seed)
     q = euler_form(datum, r, r, k=k)
     dims = collections.Counter(hom_space(mod, mod).dim for mod in modules)
     best = min(dims)

@@ -331,3 +331,20 @@ def test_flag_count_budget_exceeded_exits_3(config_path, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: vertex 1 has ")
     assert "VERTEX_CANDIDATE_BUDGET = 1" in err
+
+
+@pytest.mark.parametrize("rank", ["0,0", "1,0", "1,1"])
+@pytest.mark.parametrize("kmax", ["0", "2"])
+def test_decomp_samples_below_one_exits_2(config_path, capsys, rank, kmax):
+    # before, rank 1,0 reported and rank 1,1 raised inside ext_generic
+    _expect_exit_2(["decomp", "--config", config_path, "--rank", rank,
+                    "--samples", "0", "--kmax", kmax], capsys,
+                   "samples must be >= 1")
+
+
+@pytest.mark.parametrize("command", [
+    ["rigid"], ["bundle-check", "--brseq", "1,0;0,1"]])
+def test_negative_trials_exits_2(config_path, capsys, command):
+    # before, rigid --trials -3 reported a search
+    _expect_exit_2([*command, "--config", config_path, "--rank", "1,1",
+                    "--trials", "-1"], capsys, "trials must be >= 0")

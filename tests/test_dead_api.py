@@ -5,12 +5,20 @@ A name counts as called when it is referenced in `src/cartanquiver`
 outside its own definition (as a name or as an attribute), imported by the
 package `__init__`, named in a benchmark script `perfbench/*.py`, or listed
 in ALLOWED with the reason it stays.
+
+No function binds a budget or trial-count constant (a name ending in
+_BUDGET or _TRIALS) as a parameter default, and the keywords those
+constants replaced fail at the call.
 """
 
 import ast
 import collections
 import pathlib
 import re
+
+import pytest
+
+from cartanquiver import gendecomp, hmod, homext
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cartanquiver"
@@ -105,3 +113,75 @@ def test_every_definition_has_a_caller():
     found = uncalled(modules, (SRC / "__init__.py").read_text(), bench,
                      ALLOWED)
     assert found == []
+
+
+BOUND_CONSTANT = re.compile(r"_(BUDGET|TRIALS)$")
+
+
+def constant_defaults(source: str) -> list:
+    """(function, name) for each name ending in _BUDGET or _TRIALS that a
+    parameter default of a function in `source` reads.  Such a default is
+    bound once, at definition, so setting the constant later would not
+    reach that function."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        defaults = node.args.defaults + [d for d in node.args.kw_defaults
+                                         if d is not None]
+        for sub in (s for d in defaults for s in ast.walk(d)):
+            name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+            if isinstance(name, str) and BOUND_CONSTANT.search(name):
+                out.append((getattr(node, "name", "<lambda>"), name))
+    return out
+
+
+def test_guard_sees_bound_constants():
+    source = ("X_BUDGET = 1\n"
+              "def bound(a, b=X_BUDGET, *, c=hmod.Y_TRIALS, d=SAMPLES):\n"
+              "    pass\n"
+              "def read(a, b=None):\n"
+              "    return X_BUDGET if b is None else b\n"
+              "f = lambda n=Z_BUDGET + 1: n\n")
+    assert constant_defaults(source) == [
+        ("bound", "X_BUDGET"), ("bound", "Y_TRIALS"),
+        ("<lambda>", "Z_BUDGET")]
+
+
+def test_no_budget_bound_as_default():
+    found = {p.stem: constant_defaults(p.read_text())
+             for p in SRC.glob("*.py")}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+REMOVED_KEYWORDS = [
+    (homext.are_isomorphic, "trials"),
+    (homext.are_isomorphic, "exhaustive_budget"),
+    (homext.find_rigid, "exhaustive_budget"),
+    (homext.parameter_estimate, "exhaustive_budget"),
+    (gendecomp.is_indecomposable, "trials"),
+    (gendecomp.is_indecomposable, "idempotent_budget"),
+    (gendecomp.krull_schmidt, "trials"),
+    (gendecomp.krull_schmidt, "idempotent_budget"),
+    (gendecomp.ext_generic, "pair_budget"),
+    (gendecomp.is_schur_root, "space_budget"),
+    (gendecomp.is_schur_root, "pair_budget"),
+    (gendecomp.canonical_decomposition, "space_budget"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,keyword", REMOVED_KEYWORDS,
+    ids=[f"{fn.__name__}-{kw}" for fn, kw in REMOVED_KEYWORDS])
+def test_removed_budget_keywords(a2, fn, keyword):
+    """The budgets and trial counts are module constants now; the old
+    keywords fail at the call."""
+    m = hmod.free_module(a2, 1, 2, (1, 0))
+    args = {homext.are_isomorphic: (m, m),
+            gendecomp.is_indecomposable: (m,),
+            gendecomp.krull_schmidt: (m,),
+            gendecomp.ext_generic: (a2, 1, 2, (1, 0), (0, 1))}.get(
+                fn, (a2, 1, 2, (1, 0)))
+    with pytest.raises(TypeError, match=keyword):
+        fn(*args, **{keyword: 1})

@@ -124,26 +124,28 @@ class TestSplittingOracle:
                 assert not _has_proper_idempotent(part)
 
     @pytest.mark.parametrize("name,k,p,r", ORACLE_SPACES, ids=ORACLE_IDS)
-    def test_over_budget_path(self, request, name, k, p, r):
+    def test_over_budget_path(self, request, monkeypatch, name, k, p, r):
         # budget 1 skips the scan: splits stay exhaustive, while a negative
         # answer rests on the random trials alone
         datum = request.getfixturevalue(name)
+        monkeypatch.setattr(gendecomp, "IDEMPOTENT_BUDGET", 1)
         for t, s in enumerate(hmod.iter_structure_matrices(datum, k, p, r)):
             m = hmod.from_structure_matrices(s)
-            res = gendecomp.is_indecomposable(m, seed=t, idempotent_budget=1)
+            res = gendecomp.is_indecomposable(m, seed=t)
             assert bool(res) == (not _has_proper_idempotent(m))
             assert res.certainty == (gendecomp.MONTE_CARLO if res
                                      else gendecomp.EXHAUSTIVE)
 
-    def test_over_budget_local_end(self, b2):
+    def test_over_budget_local_end(self, b2, monkeypatch):
         # E_1 at k=1: End = F_p[x]/(x^2), indecomposable with dim End = 2
         m = hmod.free_module(b2, 1, 2, (1, 0))
         assert homext.hom_space(m, m).dim == 2
         assert gendecomp.is_indecomposable(m).certainty == \
             gendecomp.EXHAUSTIVE
-        res = gendecomp.is_indecomposable(m, idempotent_budget=1)
+        monkeypatch.setattr(gendecomp, "IDEMPOTENT_BUDGET", 1)
+        res = gendecomp.is_indecomposable(m)
         assert res and res.certainty == gendecomp.MONTE_CARLO
-        ks = gendecomp.krull_schmidt(m, idempotent_budget=1)
+        ks = gendecomp.krull_schmidt(m)
         assert ks.rank_multiset() == ((1, 0),)
         assert ks.certainty == gendecomp.MONTE_CARLO
 

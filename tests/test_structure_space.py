@@ -121,11 +121,11 @@ class TestAgainstReference:
         assert len(got) == len(want)
         assert all(hmod.modules_equal(a, b) for a, b in zip(got, want))
 
-    def test_find_rigid(self, request, name, k, p, r, branch):
+    def test_find_rigid(self, request, monkeypatch, name, k, p, r, branch):
         datum, budget = _space(request, name, k, p, r, branch)
+        monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", budget)
         for trials in (0, 3):
-            got = homext.find_rigid(datum, k, p, r, trials=trials, seed=5,
-                                    exhaustive_budget=budget)
+            got = homext.find_rigid(datum, k, p, r, trials=trials, seed=5)
             module, used, exhaustive, none_exists = reference_find_rigid(
                 datum, k, p, r, trials, 5, budget)
             assert _same_modules(got.module, module)
@@ -133,10 +133,11 @@ class TestAgainstReference:
                     got.hits) == (used, exhaustive, none_exists,
                                   int(module is not None))
 
-    def test_parameter_estimate(self, request, name, k, p, r, branch):
+    def test_parameter_estimate(self, request, monkeypatch, name, k, p, r,
+                                branch):
         datum, budget = _space(request, name, k, p, r, branch)
-        got = homext.parameter_estimate(datum, k, p, r, samples=4, seed=2,
-                                        exhaustive_budget=budget)
+        monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", budget)
+        got = homext.parameter_estimate(datum, k, p, r, samples=4, seed=2)
         assert (got.value, got.min_end_dim, got.quadratic_form, got.samples,
                 got.exhaustive) == reference_parameter_estimate(
                     datum, k, p, r, 4, 2, budget)
@@ -144,9 +145,9 @@ class TestAgainstReference:
     def test_is_schur_root(self, request, monkeypatch, name, k, p, r,
                            branch):
         datum, budget = _space(request, name, k, p, r, branch)
+        monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", budget)
         calls = _record_seeds(monkeypatch, "is_indecomposable")
-        got = gendecomp.is_schur_root(datum, k, p, r, samples=4, seed=6,
-                                      space_budget=budget)
+        got = gendecomp.is_schur_root(datum, k, p, r, samples=4, seed=6)
         got_calls = calls[:]
         calls.clear()
         hits, count, exhaustive, certainty = reference_schur_scan(
@@ -158,9 +159,10 @@ class TestAgainstReference:
     def test_canonical_decomposition(self, request, monkeypatch, name, k, p,
                                      r, branch):
         datum, budget = _space(request, name, k, p, r, branch)
+        monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", budget)
         calls = _record_seeds(monkeypatch, "krull_schmidt")
         got = gendecomp.canonical_decomposition(datum, k, p, r, samples=4,
-                                                seed=8, space_budget=budget)
+                                                seed=8)
         got_calls = calls[:]
         calls.clear()
         counter, count, exhaustive, certainty = \
@@ -179,13 +181,13 @@ PAIRS = [("a2", 1, 2, (1, 1), (1, 0)), ("a2", 2, 3, (1, 0), (0, 1)),
 
 @pytest.mark.parametrize("branch", BRANCHES)
 @pytest.mark.parametrize("name,k,p,r,s", PAIRS)
-def test_ext_generic(request, name, k, p, r, s, branch):
+def test_ext_generic(request, monkeypatch, name, k, p, r, s, branch):
     datum = request.getfixturevalue(name)
     size = p ** (hmod.structure_parameter_count(datum, k, r)
                  + hmod.structure_parameter_count(datum, k, s))
     budget = size - 1 if branch == "sampled" else size
-    got = gendecomp.ext_generic(datum, k, p, r, s, samples=3, seed=4,
-                                pair_budget=budget)
+    monkeypatch.setattr(gendecomp, "PAIR_SPACE_BUDGET", budget)
+    got = gendecomp.ext_generic(datum, k, p, r, s, samples=3, seed=4)
     assert got == reference_ext_generic(datum, k, p, r, s, 3, 4, budget)
 
 
@@ -210,7 +212,7 @@ def test_ext_generic_builds_each_module_once(kronecker, monkeypatch, r, s):
     once = built[:]
     built.clear()
     want = reference_ext_generic(kronecker, 1, 2, r, s, 200, 0,
-                                 gendecomp.DEFAULT_PAIR_SPACE_BUDGET)
+                                 gendecomp.PAIR_SPACE_BUDGET)
     assert got == want
     assert once == list(dict.fromkeys(built))
     if r == (1, 2):
@@ -252,8 +254,9 @@ class TestEarlyStop:
         assert 2 ** homext.hom_space(m, m).dim == 16 * la.DIGIT_CHUNK
         return m
 
-    def test_are_isomorphic(self, module, digit_calls):
-        res = homext.are_isomorphic(module, module, trials=0)
+    def test_are_isomorphic(self, module, digit_calls, monkeypatch):
+        monkeypatch.setattr(homext, "ISO_TRIALS", 0)
+        res = homext.are_isomorphic(module, module)
         assert res.isomorphic and res.certain
         assert digit_calls == [la.DIGIT_CHUNK]   # codes 1, ..., 4096
 
@@ -322,3 +325,67 @@ def test_k_independence_check_needs_a_level(a2):
     for k_max in (0, -1):
         with pytest.raises(ValidationError):
             gendecomp.k_independence_check(a2, 2, (1, 1), k_max)
+
+
+def test_space_budget_reaches_nested_scans(b2, monkeypatch):
+    # before, space_budget=1 made the census sampled while the nested
+    # is_schur_root of part (1, 1) still scanned at 2**22, exhaustively
+    monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", 1)
+    rep = gendecomp.canonical_decomposition(b2, 1, 2, (2, 1), samples=3)
+    assert rep.exhaustive is False
+    assert (1, 1) in [check["part"] for check in rep.schur_checks]
+    for check in rep.schur_checks:
+        size = 2 ** hmod.structure_parameter_count(b2, 1, check["part"])
+        assert check["exhaustive"] == (size <= 1)
+
+
+def test_every_space_scan_reads_a_constant(b2, monkeypatch):
+    """Each structure-space scan of a canonical decomposition, nested
+    ones included, is given one of the two space budgets as they stand at
+    the call."""
+    budgets = []
+    original = hmod.structure_space
+
+    def recording(datum, k, p, r, budget, samples, seed):
+        budgets.append(budget)
+        return original(datum, k, p, r, budget, samples, seed)
+
+    monkeypatch.setattr(hmod, "structure_space", recording)
+    monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", 2 ** 20 + 1)
+    monkeypatch.setattr(gendecomp, "PAIR_SPACE_BUDGET", 2 ** 10 + 1)
+    gendecomp.canonical_decomposition(b2, 1, 2, (2, 1), samples=3)
+    assert set(budgets) == {2 ** 20 + 1, 2 ** 10 + 1}
+
+
+SAMPLED_ENTRY_POINTS = {
+    "is_schur_root": lambda d, r, n: gendecomp.is_schur_root(
+        d, 1, 2, r, samples=n),
+    "canonical_decomposition": lambda d, r, n:
+        gendecomp.canonical_decomposition(d, 1, 2, r, samples=n),
+    "k_independence_check": lambda d, r, n: gendecomp.k_independence_check(
+        d, 2, r, 2, samples=n),
+    "parameter_estimate": lambda d, r, n: homext.parameter_estimate(
+        d, 1, 2, r, samples=n),
+    "ext_generic": lambda d, r, n: gendecomp.ext_generic(
+        d, 1, 2, r, r, samples=n),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+@pytest.mark.parametrize("r", [(0, 0), (1, 0), (1, 1)])
+@pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))
+def test_samples_below_one_rejected(b2, entry, r, samples):
+    # before, the outcome hung on r: canonical_decomposition returned a
+    # report at (1, 0) and raised from inside ext_generic at (1, 1), and
+    # parameter_estimate raised only on a sampled space
+    with pytest.raises(ValidationError, match="samples must be >= 1"):
+        SAMPLED_ENTRY_POINTS[entry](b2, r, samples)
+
+
+def test_find_rigid_trials(b2):
+    # before, trials=-3 returned a report; trials=0 goes straight to the
+    # scan
+    with pytest.raises(ValidationError, match="trials must be >= 0"):
+        homext.find_rigid(b2, 1, 2, (1, 1), trials=-3)
+    res = homext.find_rigid(b2, 1, 2, (1, 1), trials=0)
+    assert res.found() and res.exhaustive
