@@ -1013,11 +1013,11 @@ def bundle_ratio_check(m: HModule, brseq, primes=(2, 3)
                        ) -> BundleRatioReport:
     """Per prime: the level-k count must be q^d(brseq) times the count of
     the reduced flag variety at level k-1, exactly, whenever the ambient
-    module is rigid at that prime.  Violations are reported, not raised."""
+    module is rigid at that prime.  Violations are reported, not raised.
+    The module at q is `hmod.reduce_mod_p(m, q)`, m's entries read mod q;
+    entries that break the relations mod q raise RelationBrokenAtPrime."""
     if m.k < 2:
         raise KTooSmall("bundle check compares level k with k - 1")
-    if not m.has_lift():
-        raise ValidationError("bundle check needs an integer-defined module")
     seq = _rank_seq(brseq, m.n)
     if not primes:
         raise NotEnoughPrimes("bundle check needs at least one prime")
@@ -1076,10 +1076,9 @@ def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
     clamped at 0); one surplus prime is always counted so that a too-low
     bound is caught.  Failure to interpolate with integer coefficients, or
     a surplus-point mismatch, raises and means "no counting polynomial at
-    this degree bound" - a heuristic verdict, not a theorem.
+    this degree bound" - a heuristic verdict, not a theorem.  Each prime q
+    counts `hmod.reduce_mod_p(m, q)`, m's entries read mod q.
     """
-    if not m.has_lift():
-        raise ValidationError("counting needs an integer-defined module")
     seq = _rank_seq(brseq, m.n)
     d = flag_dimension(m.datum, seq)
     if degree_bound is None:

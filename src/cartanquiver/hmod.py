@@ -11,17 +11,21 @@ M is locally free when every M_i is free over the truncated polynomial
 ring F_p[eps_i]/(eps_i^(k*c_i)); its rank vector is (dim M_i / (k*c_i))_i.
 Locally free modules are normalized so that each loop is a direct sum of
 nilpotent Jordan blocks of full size k*c_i, ordered generator-major: basis
-index s*(k*c_i) + t holds eps_i^t applied to generator s.  In this standard
-form the module is equivalently described by its structure matrices: for
-each oriented pair (i,j) a matrix over F_p[eps_i]/(eps_i^(k*c_i)) of shape
-r_i x (|c_ij| * r_j), column (u, g, t) recording the image of
-alpha^(g) eps_j^t applied to generator u of M_j (0 <= t < f_ij).  Higher
-twists follow from the rewriting rule
+index s*(k*c_i) + t holds eps_i^t applied to generator s.  This standard
+form is read off the loops (`HModule.standard_form`) and implies local
+freeness; in it the module is equivalently described by its structure
+matrices: for each oriented pair (i,j) a matrix over
+F_p[eps_i]/(eps_i^(k*c_i)) of shape r_i x (|c_ij| * r_j), column (u, g, t)
+recording the image of alpha^(g) eps_j^t applied to generator u of M_j
+(0 <= t < f_ij).  Higher twists follow from the rewriting rule
 
     alpha^(g) eps_j^(a*f_ij + t)  =  eps_i^(a*f_ji) alpha^(g) eps_j^t,
 
 which is the (H2) relation in normal form.  ring_to_matrix and
 matrix_to_ring convert between ring entries and generator-major matrices.
+
+A module is its matrices: its integer lift, used for cross-prime counts, is
+its entries read as integers in 0..p-1 (`reduce_mod_p`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import types
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
@@ -64,11 +68,9 @@ class HModule:
     of the g-th arrow j -> i.  `make_module` stores read-only matrices and a
     read-only `arrows` mapping, so a module never changes once built and
     data derived from it may be kept while it lives (as
-    `flagvar._reduction_data` does).  `lift`, when present, holds integer
-    matrices that reduce to the module entries mod p (used for cross-prime
-    counts).
-    `standard_form` records that all loops are in generator-major Jordan
-    form of full block size.
+    `flagvar._reduction_data` does).  Everything else is read off these
+    matrices: `standard_form` off the loops, and the integer lift of
+    `reduce_mod_p` is the entries read as integers in 0..p-1.
     """
 
     datum: CartanDatum
@@ -77,8 +79,6 @@ class HModule:
     dims: tuple[int, ...]
     eps: tuple[np.ndarray, ...]
     arrows: Mapping[tuple[int, int], tuple[np.ndarray, ...]]
-    lift: Optional[dict] = field(default=None, compare=False)
-    standard_form: bool = field(default=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -90,6 +90,13 @@ class HModule:
     def total_dim(self) -> int:
         return sum(self.dims)
 
+    @property
+    def standard_form(self) -> bool:
+        """Whether every loop is the generator-major Jordan matrix with
+        blocks of full size k*c_i (an empty loop is)."""
+        return all(not d or _jordan_order(e) == self.loop_order(i)
+                   for i, (d, e) in enumerate(zip(self.dims, self.eps)))
+
     def maps_with_labels(self):
         """All structure maps as (label, matrix, target vertex, source vertex)."""
         out = [(f"eps_{i + 1}", self.eps[i], i, i) for i in range(self.n)]
@@ -98,17 +105,30 @@ class HModule:
                 out.append((f"alpha_{i + 1}{j + 1}^{g + 1}", a, i, j))
         return out
 
-    def has_lift(self) -> bool:
-        return self.lift is not None
+
+def _jordan_order(x: np.ndarray) -> int:
+    """The block size o when x is the generator-major nilpotent Jordan
+    matrix with blocks of size o (ones at [s*o + t + 1, s*o + t], zeros
+    everywhere else), and 0 otherwise."""
+    dim = x.shape[0]
+    if dim == 0:
+        return 0
+    sub = x.ravel()[dim::dim + 1].tolist()      # the entries x[t + 1, t]
+    o = sub.index(0) + 1 if 0 in sub else dim
+    if dim % o or sub != [int(t % o != o - 1) for t in range(dim - 1)]:
+        return 0
+    return o if np.count_nonzero(x) == dim - dim // o else 0
 
 
-def make_module(datum: CartanDatum, k: int, p: int, eps, arrows,
-                lift=None, standard_form=False, validate=True) -> HModule:
-    """Assemble and (by default) validate a module from raw matrices."""
+def make_module(datum: CartanDatum, k: int, p: int, eps, arrows) -> HModule:
+    """Assemble and validate a module from raw matrices."""
     la.check_prime(p)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     eps_t = tuple(_frozen(np.asarray(e, dtype=np.int64) % p) for e in eps)
+    if len(eps_t) != datum.n:
+        raise ShapeMismatch(
+            f"need {datum.n} loop matrices, got {len(eps_t)}")
     dims = tuple(e.shape[0] for e in eps_t)
     arr = {}
     for i, j in datum.oriented_pairs():
@@ -122,10 +142,8 @@ def make_module(datum: CartanDatum, k: int, p: int, eps, arrows,
         arr[(i, j)] = tuple(
             _frozen(np.asarray(a, dtype=np.int64) % p) for a in mats)
     _check_pairs(arrows or {}, arr, "arrow matrices")
-    mod = HModule(datum, k, p, dims, eps_t, types.MappingProxyType(arr),
-                  lift=lift, standard_form=standard_form)
-    if validate:
-        validate_module(mod)
+    mod = HModule(datum, k, p, dims, eps_t, types.MappingProxyType(arr))
+    validate_module(mod)
     return mod
 
 
@@ -217,9 +235,7 @@ def free_module(datum: CartanDatum, k: int, p: int, r) -> HModule:
     if len(r) != datum.n:
         raise ShapeMismatch(f"rank vector length {len(r)} != {datum.n}")
     eps = [_standard_loop(k * datum.d[i], r[i]) for i in range(datum.n)]
-    mod = make_module(datum, k, p, eps, {}, standard_form=True,
-                      validate=False)
-    return with_canonical_lift(mod)
+    return make_module(datum, k, p, eps, {})
 
 
 def free_basis(nil: np.ndarray, order: int, p: int) -> np.ndarray:
@@ -256,8 +272,7 @@ def normalize(m: HModule) -> tuple[HModule, tuple[np.ndarray, ...]]:
     arrows = {key: tuple(((tinv[key[0]] @ a) % m.p @ ts[key[1]]) % m.p
                          for a in mats)
               for key, mats in m.arrows.items()}
-    std = make_module(m.datum, m.k, m.p, eps, arrows, standard_form=True)
-    return std, tuple(ts)
+    return make_module(m.datum, m.k, m.p, eps, arrows), tuple(ts)
 
 
 def modules_equal(a: HModule, b: HModule) -> bool:
@@ -376,8 +391,8 @@ def from_structure_matrices(s: StructureMatrices) -> HModule:
 
     The loops come out in standard Jordan form; arrow columns at twisted
     source degrees are filled in through the rewriting rule, so (H2) holds
-    by construction.  The result is locally free of rank s.rank and carries
-    the canonical integer lift of its entries.
+    by construction.  The result is locally free of rank s.rank; its
+    integer lift is its entries, as for every module.
     """
     datum, k, p, r = s.datum, s.k, s.p, s.rank
     eps = [_standard_loop(k * datum.d[i], r[i]) for i in range(datum.n)]
@@ -394,8 +409,7 @@ def from_structure_matrices(s: StructureMatrices) -> HModule:
             2, 0, 1, 3, 4).reshape(gij, r[i], r[j] * fij, mi)
         arrows[(i, j)] = list(ring_to_matrix(rings, mi, mj, fij,
                                              datum.f(j, i)))
-    mod = make_module(datum, k, p, eps, arrows, standard_form=True)
-    return with_canonical_lift(mod)
+    return make_module(datum, k, p, eps, arrows)
 
 
 def to_structure_matrices(m: HModule) -> StructureMatrices:
@@ -471,18 +485,7 @@ def direct_sum(a: HModule, b: HModule) -> HModule:
     for key in a.arrows:
         arrows[key] = [la.block_diag(x, y)
                        for x, y in zip(a.arrows[key], b.arrows[key])]
-    lift = None
-    if a.has_lift() and b.has_lift():
-        lift = {
-            "eps": tuple(la.block_diag(x, y) for x, y in
-                         zip(a.lift["eps"], b.lift["eps"])),
-            "arrows": {key: tuple(
-                la.block_diag(x, y) for x, y in
-                zip(a.lift["arrows"][key], b.lift["arrows"][key]))
-                for key in a.arrows},
-        }
-    return make_module(a.datum, a.k, a.p, eps, arrows, lift=lift,
-                       standard_form=False, validate=False)
+    return make_module(a.datum, a.k, a.p, eps, arrows)
 
 
 def _same_algebra(a: HModule, b: HModule):
@@ -603,7 +606,7 @@ def sub_quotient(m: HModule, subspaces) -> SubQuotient:
         m, _split_blocks(m, subspaces, m.maps_with_labels()), True, m.k))
 
 
-# --- the central nilpotent and integer lifts ---------------------------------
+# --- the central nilpotent and reduction mod other primes -------------------
 
 def epsilon_blocks(m: HModule) -> tuple[np.ndarray, ...]:
     """Per-vertex action of the central nilpotent: Eps_i ** c_i.
@@ -615,34 +618,16 @@ def epsilon_blocks(m: HModule) -> tuple[np.ndarray, ...]:
 
 
 def reduce_mod_p(m: HModule, p_new: int) -> HModule:
-    """Reinterpret the integer lift mod another prime and revalidate."""
-    if not m.has_lift():
-        raise ValidationError("module has no integer lift")
+    """The module over F_{p_new} whose matrices are m's entries, read as
+    integers in 0..p-1 (m's integer lift) and reduced mod p_new, validated
+    again.  Raises RelationBrokenAtPrime when they break (H1) or (H2) mod
+    p_new."""
     la.check_prime(p_new)
-    eps = [e % p_new for e in m.lift["eps"]]
-    arrows = {key: [a % p_new for a in mats]
-              for key, mats in m.lift["arrows"].items()}
     try:
-        mod = make_module(m.datum, m.k, p_new, eps, arrows,
-                          standard_form=m.standard_form)
+        return make_module(m.datum, m.k, p_new, m.eps, m.arrows)
     except ValidationError as exc:
         raise RelationBrokenAtPrime(
             f"integer lift violates relations mod {p_new}: {exc}") from exc
-    return replace(mod, lift=_canonical_lift(m.lift["eps"],
-                                             m.lift["arrows"]))
-
-
-def _canonical_lift(eps, arrows) -> dict:
-    return {
-        "eps": tuple(np.array(e) for e in eps),
-        "arrows": {key: tuple(np.array(a) for a in mats)
-                   for key, mats in arrows.items()},
-    }
-
-
-def with_canonical_lift(m: HModule) -> HModule:
-    """Attach the entrywise lift {0..p-1} -> Z (valid for 0/1-style data)."""
-    return replace(m, lift=_canonical_lift(m.eps, m.arrows))
 
 
 # --- serialization ------------------------------------------------------------
@@ -651,8 +636,10 @@ MODULE_FORMAT_VERSION = 1
 
 
 def module_to_dict(m: HModule) -> dict:
+    """The module file of m: rank with structure when its loops are in
+    standard form, else dims with eps and arrows."""
     out = {"format_version": MODULE_FORMAT_VERSION, "k": m.k, "p": m.p}
-    if m.standard_form and is_locally_free(m):
+    if m.standard_form:
         s = to_structure_matrices(m)
         out["rank"] = list(s.rank)
         out["structure"] = {
@@ -722,6 +709,5 @@ def module_from_dict(datum: CartanDatum, data: dict) -> HModule:
                 f"loop at vertex {i + 1} has {e.size} entries for dim {d}")
     arrows = _pair_dict(data.get("arrows", {}), "arrows",
                         lambda mats: [_int_array(a) for a in mats])
-    mod = make_module(datum, k, p, [e.reshape(d, d)
-                                    for e, d in zip(eps, dims)], arrows)
-    return with_canonical_lift(mod)
+    return make_module(datum, k, p, [e.reshape(d, d)
+                                     for e, d in zip(eps, dims)], arrows)

@@ -71,20 +71,6 @@ def _relations(m, n) -> list:
             in zip(m.maps_with_labels(), n.maps_with_labels())]
 
 
-def _jordan_order(x: np.ndarray) -> int:
-    """The block size o when x is the generator-major nilpotent Jordan
-    matrix with blocks of size o (ones at [s*o + t + 1, s*o + t], zeros
-    everywhere else), and 0 otherwise."""
-    dim = x.shape[0]
-    if dim == 0:
-        return 0
-    sub = x.ravel()[dim::dim + 1].tolist()      # the entries x[t + 1, t]
-    o = sub.index(0) + 1 if 0 in sub else dim
-    if dim % o or sub != [int(t % o != o - 1) for t in range(dim - 1)]:
-        return 0
-    return o if np.count_nonzero(x) == dim - dim // o else 0
-
-
 @dataclass(frozen=True)
 class Layout:
     """The unknowns of a Hom system, vertex after vertex: bounds[v] to
@@ -114,8 +100,8 @@ def _layout(m, n, relations) -> Layout:
     built_in = set()
     for index, (_, x, y, i, j) in enumerate(relations):
         if i == j and not orders[i]:
-            o = _jordan_order(x)
-            if o and o == (o if y is x else _jordan_order(y)):
+            o = hmod._jordan_order(x)
+            if o and o == (o if y is x else hmod._jordan_order(y)):
                 orders[i] = o
                 built_in.add(index)
     bounds = [0]

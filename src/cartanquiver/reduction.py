@@ -14,7 +14,7 @@ shorter truncated polynomial ring are reinterpreted over the longer one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,29 +34,17 @@ from .hmod import HModule, StructureMatrices
 
 
 def reduce(m: HModule) -> hmod.Quotient:
-    """Quotient by eps^(k-1) M, re-validated over the level-(k-1) algebra."""
+    """Quotient by eps^(k-1) M, re-validated over the level-(k-1) algebra.
+
+    When m is in standard form the quotient coordinates are those of loop
+    degree < (k-1)*c_i, so the reduction is in standard form too and its
+    entries are m's entries at those coordinates.
+    """
     if m.k < 2:
         raise KTooSmall("reduction needs k >= 2")
     powers = [la.matpow(m.eps[i], (m.k - 1) * m.datum.d[i], m.p)
               for i in range(m.n)]
-    red = hmod.quotient(m, [la.image(x, m.p) for x in powers], m.k - 1)
-    standard = m.standard_form and hmod.is_locally_free(m)
-    lift = None
-    if standard and m.has_lift():
-        # coordinates s*order + t of loop degree t < (k-1)*c_i
-        idx = [[s * m.loop_order(i) + t
-                for s in range(m.dims[i] // m.loop_order(i))
-                for t in range((m.k - 1) * m.datum.d[i])]
-               for i in range(m.n)]
-        lift = {
-            "eps": tuple(m.lift["eps"][i][np.ix_(idx[i], idx[i])]
-                         for i in range(m.n)),
-            "arrows": {key: tuple(a[np.ix_(idx[key[0]], idx[key[1]])]
-                                  for a in mats)
-                       for key, mats in m.lift["arrows"].items()},
-        }
-    return replace(red, module=replace(red.module, lift=lift,
-                                       standard_form=standard))
+    return hmod.quotient(m, [la.image(x, m.p) for x in powers], m.k - 1)
 
 
 def lift(s: StructureMatrices) -> HModule:

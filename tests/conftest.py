@@ -134,6 +134,70 @@ SMALL_RANKS = [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2),
                (3, 0), (0, 3)]
 
 
+def _conjugate(m, ts):
+    """m in the basis whose vectors at vertex i are the columns of ts[i]."""
+    p = m.p
+    tinv = [la.inv(t, p) if t.size else t for t in ts]
+    eps = [(tinv[i] @ m.eps[i] % p @ ts[i]) % p for i in range(m.n)]
+    arrows = {key: [(tinv[key[0]] @ a % p @ ts[key[1]]) % p for a in mats]
+              for key, mats in m.arrows.items()}
+    return hmod.make_module(m.datum, m.k, p, eps, arrows)
+
+
+def scrambled(m, rng):
+    """m conjugated by a random change of basis at every vertex."""
+    ts = []
+    for d in m.dims:
+        while True:
+            t = rng.integers(0, m.p, size=(d, d))
+            if la.rank(t, m.p) == d:
+                ts.append(t)
+                break
+    return _conjugate(m, ts)
+
+
+def unitriangular_conjugate(m, vertices, rng):
+    """m with the basis at the given vertices changed by a random product
+    of lower and upper unitriangular matrices."""
+    ts = []
+    for i, d in enumerate(m.dims):
+        t = la.identity(d)
+        if i in vertices:
+            low = np.tril(rng.integers(0, m.p, size=(d, d)), -1) + t
+            up = np.triu(rng.integers(0, m.p, size=(d, d)), 1) + t
+            t = (low @ up) % m.p
+        ts.append(t)
+    return _conjugate(m, ts)
+
+
+def dims_eps_file(m):
+    """The dims/eps module file of m, whatever the form of its loops."""
+    return {"k": m.k, "p": m.p, "dims": list(m.dims),
+            "eps": [e.tolist() for e in m.eps],
+            "arrows": {f"{i + 1},{j + 1}": [a.tolist() for a in mats]
+                       for (i, j), mats in m.arrows.items()}}
+
+
+RANKS = {"a2": (2, 1), "b2": (1, 2), "kronecker": (1, 1), "a3": (1, 2, 1)}
+
+
+@pytest.fixture(scope="session")
+def modules(a2, b2, kronecker, a3):
+    """Random locally free A2, B2, Kronecker and A3 modules at k = 1, 2, 3
+    over F_2 and F_3, in standard form and scrambled."""
+    data = {"a2": a2, "b2": b2, "kronecker": kronecker, "a3": a3}
+    out = []
+    for name, datum in data.items():
+        for k in (1, 2, 3):
+            for p in (2, 3):
+                m = hmod.random_locally_free(datum, k, p, RANKS[name],
+                                             seed=(61, name, k, p))
+                rng = np.random.default_rng(len(out))
+                out += [m, scrambled(m, rng)]
+    assert {m.standard_form for m in out} == {True, False}
+    return out
+
+
 def reference_intertwiner_rows(m, n, offsets, total):
     """The relation blocks with dense unknowns (offsets[i] is the start of
     the row-major entries of f_i), assembled with np.kron against

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from cartanquiver import cli, flagvar
+from cartanquiver import cli, flagvar, hmod, reduction
 
-from conftest import MALFORMED_MODULE_FILES
+from conftest import MALFORMED_MODULE_FILES, dims_eps_file, golden_module
 
 A2_CONFIG = {"n": 2, "C": [[2, -1], [-1, 2]], "D": [1, 1],
              "omega": [[1, 2]], "k": 2, "p": 5}
@@ -108,6 +108,21 @@ def test_rigid_and_flag_count_and_reduce(config_path, tmp_path):
     assert rep["rank_before"] == rep["rank_after"] == [1, 1]
     assert rep["rigid_before"] and rep["rigid_after"]
     assert read_json(reduced)["k"] == 1
+
+
+def test_reduce_writes_structure_for_standard_loops(config_path, tmp_path,
+                                                   a2):
+    # a dims/eps file whose loops are in standard form
+    module_path = tmp_path / "raw.json"
+    module_path.write_text(json.dumps(dims_eps_file(golden_module(a2, 2, 5))))
+    out = tmp_path / "red.json"
+    assert run(["reduce", "--config", config_path, "--module",
+                str(module_path), "--output", str(out)]) == 0
+    written = read_json(out)["report"]["module"]
+    assert "rank" in written and "structure" in written
+    want = reduction.reduce(
+        hmod.module_from_dict(a2, read_json(module_path))).module
+    assert hmod.modules_equal(hmod.module_from_dict(a2, written), want)
 
 
 def _rigid_module_file(config_path, tmp_path):

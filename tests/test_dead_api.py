@@ -28,6 +28,8 @@ ALLOWED = {
         "the report's public verdict, counterpart of ok_for_rigid",
     "flagvar.FiberOfReduction.flag_at":
         "the public parametrisation of a fiber's points by coefficients",
+    "flagvar.FlagOfSubmodules.validate":
+        "the public check of a flag built by hand",
 }
 
 

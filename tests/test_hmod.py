@@ -1,11 +1,12 @@
+import itertools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cartanquiver import exactlinalg as la
-from cartanquiver import hmod, homext
+from cartanquiver import flagvar, hmod, homext
 from cartanquiver.cartan import RankVector
 from cartanquiver.errors import (
     ModulusTooLarge,
@@ -21,9 +22,12 @@ from cartanquiver.exactlinalg import Subspace
 
 from conftest import (
     MALFORMED_MODULE_FILES,
+    dims_eps_file,
     golden_module,
     n_module,
     reference_submodule,
+    scrambled,
+    unitriangular_conjugate,
 )
 
 
@@ -47,8 +51,41 @@ class TestValidation:
         with pytest.raises(RelationH2Violated):
             hmod.make_module(a2, 2, 5, eps, arrows)
         with pytest.raises(RelationH2Violated):
-            hmod.validate_module(
-                hmod.make_module(a2, 2, 5, eps, arrows, validate=False))
+            hmod.validate_module(hmod.HModule(
+                a2, 2, 5, (2, 2), tuple(eps),
+                {(0, 1): tuple(arrows[(0, 1)])}))
+
+    def test_every_construction_validates(self, a2):
+        eps = [la.zeros(2, 2), np.array([[0, 0], [1, 0]])]
+        bad = hmod.HModule(a2, 2, 5, (2, 2), tuple(eps),
+                           {(0, 1): (la.identity(2),)})
+        good = hmod.free_module(a2, 2, 5, (1, 1))
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(RelationH2Violated):
+                hmod.direct_sum(a, b)
+
+    @pytest.mark.parametrize("loops", [1, 3])
+    def test_wrong_number_of_loops(self, a2, loops):
+        # A2 has two vertices: one loop used to raise IndexError, three
+        # built a module with dims (1, 1, 1)
+        with pytest.raises(ShapeMismatch, match="loop matrices"):
+            hmod.make_module(a2, 1, 5, [la.zeros(1, 1)] * loops, {})
+
+    @pytest.mark.parametrize("keyword", ["standard_form", "lift",
+                                         "validate"])
+    def test_removed_make_module_keywords(self, a2, keyword):
+        eps = [la.zeros(1, 1)] * 2
+        with pytest.raises(TypeError, match=keyword):
+            hmod.make_module(a2, 1, 5, eps, {}, **{keyword: None})
+
+    @pytest.mark.parametrize("keyword", ["standard_form", "lift"])
+    def test_removed_module_fields(self, a2, keyword):
+        m = hmod.free_module(a2, 1, 5, (1, 1))
+        with pytest.raises(TypeError, match=keyword):
+            hmod.HModule(m.datum, m.k, m.p, m.dims, m.eps, m.arrows,
+                         **{keyword: None})
+        assert [f.name for f in fields(hmod.HModule)] == [
+            "datum", "k", "p", "dims", "eps", "arrows"]
 
     def test_golden_module_validates(self, a2):
         m = golden_module(a2, 2, 5)
@@ -68,7 +105,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             m.eps[0][0, 0] = 1
         # copies and serialization read the read-only mapping as before
-        copy = replace(m, lift=None)
+        copy = replace(m, k=m.k)
         assert copy.arrows is m.arrows and hmod.modules_equal(copy, m)
         back = hmod.module_from_dict(b2, hmod.module_to_dict(m))
         assert hmod.modules_equal(back, m)
@@ -304,6 +341,54 @@ class TestNormalize:
         assert homext.are_isomorphic(std, m).isomorphic
 
 
+def jordan_reference(e, order):
+    """Whether e is the generator-major nilpotent Jordan matrix with blocks
+    of size `order`, built entry by entry."""
+    d = e.shape[0]
+    want = np.zeros((d, d), dtype=np.int64)
+    for t in range(d - 1):
+        want[t + 1, t] = int((t + 1) % order != 0)
+    return d % order == 0 and np.array_equal(e, want)
+
+
+class TestStandardForm:
+    """`standard_form` is read off the loops, so no module can claim a
+    standard form its loops do not have."""
+
+    @pytest.mark.parametrize("name", ["a2", "b2", "g2", "kronecker"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_read_off_the_loops(self, request, name, k):
+        datum = request.getfixturevalue(name)
+        rng = np.random.default_rng(k)
+        seen = set()
+        for t, r in enumerate([(1, 1), (2, 1), (0, 2)]):
+            m = hmod.random_locally_free(datum, k, 3, r, seed=("sf", k, t))
+            for vertices in ({0}, {1}, {0, 1}):
+                c = unitriangular_conjugate(m, vertices, rng)
+                ds = hmod.direct_sum(m, c)
+                for x in (m, c, ds):
+                    assert x.standard_form == all(
+                        jordan_reference(e, x.loop_order(i))
+                        for i, e in enumerate(x.eps))
+                    seen.add(x.standard_form)
+                assert ds.standard_form == c.standard_form
+                assert hmod.direct_sum(m, m).standard_form
+                for e in itertools.product(*(range(ri + 1) for ri in r)):
+                    assert (flagvar.count_locally_free_submodules(c, e)
+                            == flagvar.count_locally_free_submodules(m, e))
+        # zero loops (order 1) are Jordan in every basis
+        assert seen == ({True, False} if k * max(datum.d) > 1 else {True})
+
+    def test_conjugate_counts_b2(self, b2):
+        # a unitriangular change of basis at vertex 1 takes the loop out of
+        # Jordan form; the count must not trust the old form
+        m = hmod.random_locally_free(b2, 2, 3, (2, 1), seed=3)
+        c = unitriangular_conjugate(m, {0}, np.random.default_rng(0))
+        assert m.standard_form and not c.standard_form
+        assert flagvar.count_locally_free_submodules(m, (1, 1)) == 1
+        assert flagvar.count_locally_free_submodules(c, (1, 1)) == 1
+
+
 class TestModulusBound:
     @pytest.mark.parametrize("p", [2147483647, 3037000493, 4294967311])
     def test_large_primes_refused(self, a2, p):
@@ -369,22 +454,20 @@ class TestLift:
             assert mq.p == q
             assert hmod.is_locally_free(mq)
 
-    def test_structure_lift_entries_canonical(self, a2):
-        m = golden_module(a2, 2, 5)
-        assert m.has_lift()
-        for e, el in zip(m.eps, m.lift["eps"]):
-            assert np.array_equal(e, el % 5)
+    def test_structure_lift_entries_canonical(self, modules):
+        # the integer lift is the entries: reducing at the module's own
+        # prime gives the module back
+        for m in modules:
+            assert hmod.modules_equal(hmod.reduce_mod_p(m, m.p), m)
 
     def test_broken_lift(self, a2):
-        m = hmod.free_module(a2, 2, 3, (1, 1))
-        bad = dict(m.lift)
-        bad_eps = [np.array(e) for e in bad["eps"]]
-        bad_eps[0][0, 0] = 3  # vanishes mod 3, breaks nilpotency mod 5
-        bad = {"eps": tuple(bad_eps), "arrows": bad["arrows"]}
-        broken = hmod.HModule(m.datum, m.k, m.p, m.dims, m.eps, m.arrows,
-                              lift=bad, standard_form=True)
+        # the loop at vertex 1 squares to 3 * [[1, 1], [2, 2]]: zero mod 3,
+        # not mod 5
+        eps = [np.array([[1, 1], [2, 2]]), np.array([[0, 0], [1, 0]])]
+        m = hmod.make_module(a2, 2, 3, eps, {})
+        assert hmod.is_locally_free(m) and not m.standard_form
         with pytest.raises(RelationBrokenAtPrime):
-            hmod.reduce_mod_p(broken, 5)
+            hmod.reduce_mod_p(m, 5)
 
 
 class TestSerialization:
@@ -396,20 +479,30 @@ class TestSerialization:
         assert hmod.modules_equal(m, back)
 
     def test_raw_roundtrip(self, a2):
-        m = golden_module(a2, 2, 5)
-        raw = hmod.HModule(m.datum, m.k, m.p, m.dims, m.eps, m.arrows)
-        data = hmod.module_to_dict(raw)
+        m = scrambled(golden_module(a2, 2, 5), np.random.default_rng(1))
+        assert not m.standard_form
+        data = hmod.module_to_dict(m)
         assert "eps" in data
         back = hmod.module_from_dict(a2, data)
         assert hmod.modules_equal(m, back)
+
+    def test_standard_loops_write_structure(self, a2):
+        # a direct sum of standard modules, and a dims/eps file with Jordan
+        # loops, are written as rank and structure
+        m = golden_module(a2, 2, 5)
+        ds = hmod.direct_sum(m, n_module(a2, 2, 5))
+        for mod in (ds, hmod.module_from_dict(a2, dims_eps_file(m))):
+            data = hmod.module_to_dict(mod)
+            assert "structure" in data and "eps" not in data
+            assert hmod.modules_equal(hmod.module_from_dict(a2, data), mod)
 
 
     @pytest.mark.parametrize("form", ["structure", "arrows"])
     def test_key_outside_orientation_rejected(self, a2, form):
         # a2 is oriented 1 -> 2, so its one oriented pair is "1,2"
         m = golden_module(a2, 2, 5)
-        raw = m if form == "structure" else hmod.HModule(
-            m.datum, m.k, m.p, m.dims, m.eps, m.arrows)
+        raw = m if form == "structure" else scrambled(
+            m, np.random.default_rng(1))
         data = hmod.module_to_dict(raw)
         data[form] = {"2,1": data[form]["1,2"]}
         with pytest.raises(ShapeMismatch, match=r"\(2,1\)"):

