@@ -163,8 +163,6 @@ def cmd_flag_count(args) -> int:
     if args.k and module.k != args.k:
         module = reduction.module_at_level(module, args.k)
     brseq = _parse_brseq(args.brseq)
-    if not brseq:
-        raise ValidationError("brseq must be non-empty")
     primes = _parse_ints(args.primes, "primes") if args.primes \
         else flagvar.DEFAULT_PRIMES
     table = flagvar.counting_polynomial(module, brseq, primes=primes)

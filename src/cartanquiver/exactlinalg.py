@@ -340,19 +340,26 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F_p^n, canonically represented by its RREF basis rows."""
+    """A subspace of F_p^n, canonically represented by its RREF basis rows.
+    The basis is read-only: a writable one (or any array-like) is stored
+    as a read-only copy, so a subspace never changes, nor its hash."""
 
     p: int
     ambient: int
     basis: np.ndarray = field(compare=False)
     pivots: tuple[int, ...] = field(compare=False, default=())
 
+    def __post_init__(self):
+        if not (isinstance(self.basis, np.ndarray)
+                and not self.basis.flags.writeable):
+            basis = np.array(self.basis, dtype=np.int64)
+            basis.setflags(write=False)
+            object.__setattr__(self, "basis", basis)
+
     @staticmethod
     def from_rows(rows, ambient: int, p: int) -> "Subspace":
         if ambient == 0:
-            empty = zeros(0, 0)
-            empty.setflags(write=False)
-            return Subspace(p, 0, empty, ())
+            return Subspace(p, 0, zeros(0, 0), ())
         m = asmatrix(np.asarray(rows, dtype=np.int64).reshape(-1, ambient), p)
         r, rk, piv = rref(m, p)
         b = r[:rk]
@@ -405,7 +412,8 @@ class Subspace:
 
 
 def quotient_map(ambient: int, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Projection q onto F_p^n / U together with a section s.
+    """Projection q onto F_p^n / U together with a section s, both
+    read-only.
 
     q has shape (n - dim U, n) and kernel exactly U; s has shape
     (n, n - dim U) and q @ s = identity.  The quotient coordinates are the
@@ -426,6 +434,8 @@ def quotient_map(ambient: int, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
         s[c, t] = 1
     if sub.dim and ((q @ sub.basis.T) % p).any():
         raise InternalCheckError("quotient_map: kernel check failed")
+    q.setflags(write=False)
+    s.setflags(write=False)
     return q, s
 
 

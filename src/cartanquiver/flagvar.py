@@ -22,9 +22,9 @@ over a fixed lower-level flag.  One flag check, on the block pass of a
 split of the module along each layer (`hmod._split_blocks`), tests
 invariance, freeness and nesting; its blocks build the slot modules and
 connectors of the tangent computation.  Each flag object is checked once:
-a flag that cannot change keeps the blocks of its check as long as it
-lives, and its tangent space, its reduction and the fiber over it reuse
-them; a flag that can change is checked on every call.  The fiber
+a flag is a value (tuples of subspaces with read-only bases), so it keeps
+the read-only blocks of its check as long as it lives, and its tangent
+space, its reduction and the fiber over it reuse them.  The fiber
 dimension is checked against the tangent dimension at the image of that
 flag in the level-1 shadow of the reduction.  The reduction of a module,
 its shadow and the part of the fiber system which depends only on the
@@ -355,17 +355,21 @@ def _count_submodules(m: HModule, rank: RankVector, e) -> int:
 class FlagOfSubmodules:
     """A chain of per-vertex subspaces 0 < U_1 < ... < U_{l-1} < M realizing
     a point of the flag variety with subquotient ranks brseq, checked by
-    the one flag check `_flag_blocks`.  A flag that cannot change (tuples
-    of subspaces with read-only bases, a tuple of tuples as brseq, as
-    `iter_flags` and the fibers build them) keeps the blocks of its first
-    successful check while it lives; any other flag is checked on every
-    call."""
+    the one flag check `_flag_blocks`.  brseq and layers are stored as
+    tuples (lists are converted; a tuple is kept as given), and subspaces
+    and modules never change, so a flag never changes: it keeps the blocks
+    of its first successful check while it lives."""
 
     module: HModule
     brseq: tuple[RankVector, ...]
     layers: tuple[tuple[Subspace, ...], ...]
-    _kept: Optional[tuple] = field(default=None, init=False,
-                                   compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("brseq", "layers"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple)
+                    and all(isinstance(v, tuple) for v in value)):
+                object.__setattr__(self, name, tuple(map(tuple, value)))
 
     @property
     def length(self) -> int:
@@ -377,28 +381,14 @@ class FlagOfSubmodules:
 
     def _check(self) -> tuple[list, list]:
         """`validate` for a module known to be locally free, as callers
-        that check many flags of one module know: the blocks of
-        `_flag_blocks` for this flag's module, kept (read-only) after the
-        first check of an immutable flag.  A check that raises keeps
-        nothing."""
-        if self._kept is not None:
-            return self._kept
-        blocks = _flag_blocks(self.module, self.brseq, self.layers)
-        if self._immutable():
-            _freeze_blocks(*blocks)
-            object.__setattr__(self, "_kept", blocks)
-        return blocks
+        that check many flags of one module know: the (read-only) blocks
+        of `_flag_blocks` for this flag's module, kept after the first
+        check.  A check that raises keeps nothing."""
+        return self._kept
 
-    def _immutable(self) -> bool:
-        """Whether no part of the flag can change: brseq and layers are
-        tuples of tuples, and every layer basis is read-only (the module
-        is, as `make_module` builds it)."""
-        return (isinstance(self.brseq, tuple)
-                and all(isinstance(r, tuple) for r in self.brseq)
-                and isinstance(self.layers, tuple)
-                and all(isinstance(layer, tuple) and all(
-                    isinstance(u, Subspace) and not u.basis.flags.writeable
-                    for u in layer) for layer in self.layers))
+    @functools.cached_property
+    def _kept(self) -> tuple[list, list]:
+        return _flag_blocks(self.module, self.brseq, self.layers)
 
     def to_dict(self) -> dict:
         return {
@@ -440,21 +430,6 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
                       f"inclusion at vertex {i + 1}", la.identity(d),
                       src[0][i], tgt[0][i]) for i, d in enumerate(m.dims)]
         for t, (src, tgt) in enumerate(zip(splits, splits[1:]))]
-
-
-def _freeze_blocks(splits, connectors) -> None:
-    """Make every array of a flag check's blocks read-only, so that blocks
-    a flag keeps read the same on every later use."""
-    for sides, pairs in splits:
-        for _, q, s in sides:
-            q.setflags(write=False)
-            s.setflags(write=False)
-        for b in itertools.chain(*pairs.values()):
-            b[0].setflags(write=False)
-            b[1].setflags(write=False)
-    for b in itertools.chain(*connectors):
-        b[0].setflags(write=False)
-        b[1].setflags(write=False)
 
 
 def _checked_blocks(m: HModule, flag: FlagOfSubmodules) -> tuple[list, list]:
@@ -565,11 +540,8 @@ class TensorModule:
     def __post_init__(self):
         if not self.slots:
             raise ShapeMismatch("tensor module needs at least one slot")
-        first = self.slots[0]
         for slot in self.slots[1:]:
-            if (slot.datum, slot.k, slot.p) != (first.datum, first.k,
-                                                first.p):
-                raise ShapeMismatch("slots live over different algebras")
+            hmod._same_algebra(self.slots[0], slot)
         if len(self.connectors) != len(self.slots) - 1:
             raise ShapeMismatch("need one connector between adjacent slots")
         for t, mu in enumerate(self.connectors):
@@ -609,9 +581,7 @@ def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
     re-checked like `homext.hom_space`."""
     if len(x.slots) != len(y.slots):
         raise ShapeMismatch("tensor modules of different length")
-    if (x.slots[0].datum, x.slots[0].k, x.slots[0].p) != (
-            y.slots[0].datum, y.slots[0].k, y.slots[0].p):
-        raise ShapeMismatch("tensor modules over different algebras")
+    hmod._same_algebra(x.slots[0], y.slots[0])
     return homext._hom_basis(x, y)
 
 
@@ -883,7 +853,6 @@ class FiberOfReduction:
     expected_dimension: int
     particular: Optional[FlagOfSubmodules] = None
     _builder: Optional[object] = field(default=None, repr=False)
-    _kernel: Optional[np.ndarray] = field(default=None, repr=False)
 
     def flag_at(self, coeffs) -> FlagOfSubmodules:
         """The point of the fiber with the given integer coordinates
@@ -939,8 +908,7 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
         flag = FlagOfSubmodules(m, seq, zero_layers)
         flag._check()
         return FiberOfReduction(base, False, 0, expected, flag,
-                                _builder=lambda coeffs: flag,
-                                _kernel=la.zeros(0, 0))
+                                _builder=lambda coeffs: flag)
     solution = la.solve(lift.system, lift.rhs, p)
     if solution is None:
         return FiberOfReduction(base, True, None, expected)
@@ -979,7 +947,7 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     if _reduced_flag(red, particular).layers != base.layers:
         raise InternalCheckError("fiber solution does not reduce to base")
     return FiberOfReduction(base, False, dimension, expected, particular,
-                            _builder=build, _kernel=kernel)
+                            _builder=build)
 
 
 def _fiber_expected_dimension(shadow: hmod.Quotient,

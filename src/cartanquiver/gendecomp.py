@@ -467,20 +467,16 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
                                         (seed, "rec"))
     if recursed not in counter:
         ranked = ranked + [(recursed, 0)]
-    chosen = None
+    evaluated = []
     for parts, hits in ranked:
         if tuple(_multiset_sum(parts, datum.n)) != tuple(r):
             raise InternalCheckError(
                 "decomposition parts do not sum to input")
-        ok, schur_checks, ext_checks = evaluate(parts)
-        if ok:
-            chosen = (parts, hits, ok, schur_checks, ext_checks)
+        evaluated.append((parts, hits, *evaluate(parts)))
+        if evaluated[-1][2]:
             break
-    if chosen is None:
-        parts, hits = ranked[0]
-        ok, schur_checks, ext_checks = evaluate(parts)
-        chosen = (parts, hits, ok, schur_checks, ext_checks)
-    parts, hits, ok, schur_checks, ext_checks = chosen
+    parts, hits, ok, schur_checks, ext_checks = (
+        evaluated[-1] if evaluated[-1][2] else evaluated[0])
     return DecompositionReport(
         r, parts, p, k, count, exhaustive, hits / max(count, 1), seed,
         schur_checks, ext_checks, ok, certainty)

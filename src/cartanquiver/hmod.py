@@ -180,42 +180,28 @@ def validate_module(m: HModule) -> None:
 
 # --- local freeness ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalFreenessCertificate:
-    ok: bool
-    per_vertex: tuple[dict, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def locally_free_certificate(m: HModule) -> LocalFreenessCertificate:
-    """Per vertex: k*c_i must divide dim M_i and rank(Eps_i) must equal
-    dim M_i - dim M_i/(k*c_i); this pins the Jordan type to free blocks."""
-    rows = []
-    ok = True
+def _not_free_at(m: HModule) -> Optional[str]:
+    """The first vertex i at which m is not free: k*c_i must divide
+    dim M_i and rank(Eps_i) must equal dim M_i - dim M_i/(k*c_i), which
+    pins the Jordan type to free blocks.  Names it with its dim, loop order
+    and loop rank; None when m is locally free."""
     for i in range(m.n):
-        order = m.loop_order(i)
-        d = m.dims[i]
-        divisible = d % order == 0
+        order, d = m.loop_order(i), m.dims[i]
         rk = la.rank(m.eps[i], m.p)
-        want = d - d // order if divisible else None
-        good = divisible and rk == want
-        ok = ok and good
-        rows.append({"vertex": i + 1, "dim": d, "loop_order": order,
-                     "divisible": divisible, "loop_rank": rk,
-                     "required_rank": want, "free": good})
-    return LocalFreenessCertificate(ok, tuple(rows))
+        if d % order or rk != d - d // order:
+            return (f"vertex {i + 1} has dim {d}, loop order {order} and "
+                    f"loop rank {rk}")
+    return None
 
 
 def is_locally_free(m: HModule) -> bool:
-    return locally_free_certificate(m).ok
+    return _not_free_at(m) is None
 
 
 def rank_vector(m: HModule) -> RankVector:
-    cert = locally_free_certificate(m)
-    if not cert:
-        raise NotLocallyFree(f"module is not locally free: {cert.per_vertex}")
+    where = _not_free_at(m)
+    if where is not None:
+        raise NotLocallyFree(f"module is not locally free: {where}")
     return RankVector(m.dims[i] // m.loop_order(i) for i in range(m.n))
 
 
@@ -523,8 +509,8 @@ def _blocks(label: str, x: np.ndarray, source, target) -> tuple:
     """The blocks of a map x: M_j -> M_i between sides (U, q, s), a
     subspace with the projection and section of la.quotient_map: on the
     subspaces, rows P_i of x B_j^T (coordinates in the RREF basis B_i with
-    pivots P_i), and on the quotients, q_i x s_j.  Raises NotInvariant
-    unless x maps U_j into U_i: q_i x B_j^T == 0."""
+    pivots P_i), and on the quotients, q_i x s_j; both read-only.  Raises
+    NotInvariant unless x maps U_j into U_i: q_i x B_j^T == 0."""
     u_j, _, s_j = source
     u_i, q_i, _ = target
     p = u_i.p
@@ -532,7 +518,7 @@ def _blocks(label: str, x: np.ndarray, source, target) -> tuple:
     if ((q_i @ img) % p).any():
         raise NotInvariant(f"{label}: the subspace is not mapped into the "
                            f"target subspace")
-    return img[list(u_i.pivots)], ((q_i @ x) % p @ s_j) % p
+    return _frozen(img[list(u_i.pivots)]), _frozen(((q_i @ x) % p @ s_j) % p)
 
 
 def _split_blocks(m: HModule, subspaces, maps) -> tuple[list, dict]:
@@ -571,9 +557,7 @@ def _split(m: HModule, blocks, sub: bool, k: Optional[int]
 
     subs, projs, sects = zip(*sides)
     return (half(0, m.k) if sub else None,
-            None if k is None else Quotient(
-                half(1, k), tuple(map(_frozen, projs)),
-                tuple(map(_frozen, sects)), subs))
+            None if k is None else Quotient(half(1, k), projs, sects, subs))
 
 
 def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:

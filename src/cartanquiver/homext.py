@@ -47,7 +47,6 @@ from . import exactlinalg as la
 from . import hmod
 from .cartan import euler_form
 from .errors import (
-    DatumMismatch,
     InternalCheckError,
     NotAHomomorphism,
     ValidationError,
@@ -57,11 +56,6 @@ from .hmod import HModule
 # read by are_isomorphic at each call, not bound as defaults
 ISO_TRIALS = 32
 ISO_EXHAUSTIVE_BUDGET = 2 ** 20
-
-
-def _check_pair(m: HModule, n: HModule):
-    if m.datum != n.datum or m.k != n.k or m.p != n.p:
-        raise DatumMismatch("Hom requires the same datum, k and p")
 
 
 def _relations(m, n) -> list:
@@ -278,7 +272,7 @@ def _hom_basis(m, n) -> HomBasis:
 
 def hom_space(m: HModule, n: HModule) -> HomBasis:
     """Basis of Hom(m, n); every basis element is re-checked by substitution."""
-    _check_pair(m, n)
+    hmod._same_algebra(m, n)
     return _hom_basis(m, n)
 
 
@@ -293,7 +287,7 @@ def identity_hom(m: HModule) -> tuple[np.ndarray, ...]:
 
 def ext1_dim(m: HModule, n: HModule) -> int:
     """dim Ext^1 = dim Hom - <rk m, rk n> for locally free modules."""
-    _check_pair(m, n)
+    hmod._same_algebra(m, n)
     rm = hmod.rank_vector(m)
     rn = rm if n is m else hmod.rank_vector(n)
     value = hom_space(m, n).dim - euler_form(m.datum, rm, rn, k=m.k)
@@ -332,7 +326,7 @@ def are_isomorphic(m: HModule, n: HModule, seed=0) -> IsoResult:
     ISO_EXHAUSTIVE_BUDGET.  `certain` is False only for a negative answer
     that rests on sampling alone.
     """
-    _check_pair(m, n)
+    hmod._same_algebra(m, n)
     if m.dims != n.dims:
         return IsoResult(False, True)
     if m.total_dim() == 0:
@@ -433,7 +427,7 @@ def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0
 
 def check_homomorphism(m: HModule, n: HModule, f) -> tuple[np.ndarray, ...]:
     """Coerce and verify a per-vertex matrix tuple as a homomorphism."""
-    _check_pair(m, n)
+    hmod._same_algebra(m, n)
     f = tuple(np.asarray(fi, dtype=np.int64) % m.p for fi in f)
     if len(f) != m.n or any(fi.shape != (n.dims[i], m.dims[i])
                             for i, fi in enumerate(f)):

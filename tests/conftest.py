@@ -735,8 +735,7 @@ def reference_fiber_of_reduction(m, base):
     if len(seq) < 2:
         flag = flagvar.FlagOfSubmodules(m, seq, ())
         return flagvar.FiberOfReduction(base, False, 0, expected, flag,
-                                        _builder=lambda coeffs: flag,
-                                        _kernel=la.zeros(0, 0))
+                                        _builder=lambda coeffs: flag)
     slots = len(seq) - 1
     p, k = m.p, m.k
     parts = _reference_lift_parts(m, red, base)
@@ -746,8 +745,7 @@ def reference_fiber_of_reduction(m, base):
             for _ in range(slots)))
         flag.validate()
         return flagvar.FiberOfReduction(base, False, 0, expected, flag,
-                                        _builder=lambda coeffs: flag,
-                                        _kernel=la.zeros(0, 0))
+                                        _builder=lambda coeffs: flag)
     coords, offsets, sbar, pivot_rows, other_rows, system, rhs = parts
     solution = la.solve(system, rhs, p)
     if solution is None:
@@ -788,5 +786,4 @@ def reference_fiber_of_reduction(m, base):
     if back.layers != base.layers:
         raise InternalCheckError("fiber solution does not reduce to base")
     return flagvar.FiberOfReduction(base, False, dimension, expected,
-                                    particular, _builder=build,
-                                    _kernel=kernel)
+                                    particular, _builder=build)

@@ -1,8 +1,9 @@
-"""Each flag object is checked once: a flag that cannot change keeps the
-blocks of its one check (`flagvar._flag_blocks`), and its tangent space,
-its reduction and the fiber over it reuse them; any other flag is checked
-on every call, and a flag of another module is checked against that
-module."""
+"""Each flag object is checked once: a flag is a value (its brseq and
+layers are tuples, its subspaces hold read-only bases), so it keeps the
+read-only blocks of its one check (`flagvar._flag_blocks`), and its
+tangent space, its reduction and the fiber over it reuse them; a check
+that raises keeps nothing, and a flag of another module is checked
+against that module."""
 
 import itertools
 
@@ -12,7 +13,6 @@ import pytest
 from cartanquiver import flagvar, hmod, homext, reduction
 from cartanquiver.errors import (
     NotInvariant,
-    NotLocallyFree,
     ShapeMismatch,
     ValidationError,
 )
@@ -47,13 +47,6 @@ def _raised(fn, *args):
     except ValidationError as exc:
         return type(exc)
     return None
-
-
-def _writable(flag):
-    """The flag with writable copies of its layer bases."""
-    return flagvar.FlagOfSubmodules(flag.module, flag.brseq, tuple(
-        tuple(Subspace(u.p, u.ambient, u.basis.copy(), u.pivots)
-              for u in layer) for layer in flag.layers))
 
 
 @pytest.mark.parametrize("name", ["a2", "b2"])
@@ -112,41 +105,52 @@ def test_kept_blocks_are_read_only(a2):
     assert arrays and not any(a.flags.writeable for a in arrays)
 
 
-def test_writable_basis_is_checked_on_every_call(a2, checks):
-    m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
-    flag = _writable(next(flagvar.iter_flags(m, SEQS[0])))
-    del checks[:]
-    want = flagvar.tangent_dimension(m, flag)
-    assert flagvar.tangent_dimension(m, flag) == want
-    assert len(checks) == 2 and flag._kept is None
-    # a zero basis keeps the layer's dimension, but the loop's block on it
-    # has rank 0: not free
-    flag.layers[0][0].basis[:] = 0
-    with pytest.raises(NotLocallyFree):
-        flagvar.tangent_dimension(m, flag)
-    with pytest.raises(NotLocallyFree):
-        flag.validate()
-    assert _raised(reference_flag_check, flag) is NotLocallyFree
-
-
-def test_mutable_containers_are_checked_on_every_call(a2, checks):
-    """Layers or a brseq given as lists can change after a check."""
+def test_writes_to_the_callers_arrays_do_not_reach_a_flag(a2):
+    """A flag built on writable bases holds read-only copies: writing into
+    the caller's arrays afterwards changes neither its bases, their hashes
+    nor its tangent dimension."""
     m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
     flag = next(flagvar.iter_flags(m, SEQS[0]))
-    zero = tuple(Subspace.zero(d, 3) for d in m.dims)
-    layers = list(flag.layers)
-    listed = flagvar.FlagOfSubmodules(m, flag.brseq, layers)
+    arrays = [[u.basis.copy() for u in layer] for layer in flag.layers]
+    built = flagvar.FlagOfSubmodules(m, flag.brseq, tuple(
+        tuple(Subspace(u.p, u.ambient, b, u.pivots)
+              for u, b in zip(layer, row))
+        for layer, row in zip(flag.layers, arrays)))
+    subs = [u for layer in built.layers for u in layer]
+    hashes = [hash(u) for u in subs]
+    kept = set(subs)
+    want = flagvar.tangent_dimension(m, built)
+    for row in arrays:
+        for b in row:
+            b[:] = 0
+    assert built.layers == flag.layers
+    assert [hash(u) for u in subs] == hashes and all(u in kept for u in subs)
+    assert not any(u.basis.flags.writeable for u in subs)
+    assert flagvar.tangent_dimension(m, built) == want
+    built.validate()
+
+
+def test_flag_from_lists_stores_tuples_and_is_checked_once(a2, checks):
+    """Layers and a brseq given as lists are stored as tuples, so later
+    writes to the caller's lists do not reach the flag, and it is checked
+    once."""
+    m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
+    flag = next(flagvar.iter_flags(m, SEQS[0]))
+    seq = [list(r) for r in flag.brseq]
+    layers = [list(layer) for layer in flag.layers]
+    listed = flagvar.FlagOfSubmodules(m, seq, layers)
+    assert type(listed.brseq) is tuple and type(listed.layers) is tuple
+    assert all(type(r) is tuple for r in listed.brseq)
+    assert all(type(layer) is tuple for layer in listed.layers)
+    assert listed.brseq == flag.brseq and listed.layers == flag.layers
+    seq[0] = [2, 1]
+    layers[0] = [Subspace.zero(d, 3) for d in m.dims]
+    del checks[:]
     listed.validate()
-    layers[0] = zero
-    with pytest.raises(ShapeMismatch):
-        listed.validate()
-    seq = [tuple(r) for r in flag.brseq]
-    listed = flagvar.FlagOfSubmodules(m, seq, flag.layers)
-    listed.validate()
-    seq[0] = (2, 1)
-    with pytest.raises(ShapeMismatch):
-        flagvar.tangent_dimension(m, listed)
-    assert listed._kept is None
+    assert flagvar.tangent_dimension(m, listed) == \
+        flagvar.tangent_dimension(m, flag)
+    flagvar.reduce_flag(m, listed)     # also checks the reduced flag
+    assert [mod for mod, layers in checks if layers is listed.layers] == [m]
 
 
 def test_failed_check_raises_on_every_call(a2, checks):
@@ -160,7 +164,8 @@ def test_failed_check_raises_on_every_call(a2, checks):
             flagvar.tangent_dimension(m, flag)
         with pytest.raises(ShapeMismatch):
             flagvar.reduce_flag(m, flag)
-    assert len(checks) == 9 and flag._kept is None
+    # nothing kept: the cached check was never stored
+    assert len(checks) == 9 and "_kept" not in vars(flag)
 
 
 @pytest.mark.parametrize("name", ["a2", "b2", "kronecker"])

@@ -35,6 +35,16 @@ class TestHomAcrossAlgebras:
             with pytest.raises(DatumMismatch):
                 reduction.reduce_hom(m, other, homext.identity_hom(m))
 
+    def test_tensor_modules(self, a2, kronecker):
+        """Slots over different algebras, and Hom between tensor modules
+        over different algebras."""
+        for m, other in self._pairs(a2, kronecker):
+            with pytest.raises(DatumMismatch):
+                flagvar.TensorModule((m, other), (homext.identity_hom(m),))
+            with pytest.raises(DatumMismatch):
+                flagvar.hom_tensor(flagvar.repetitive_module(m, 3),
+                                   flagvar.repetitive_module(other, 3))
+
     def test_same_algebra_still_accepted(self, a2):
         m = hmod.free_module(a2, 2, 3, (1, 1))
         fbar = reduction.reduce_hom(m, m, homext.identity_hom(m))
