@@ -1,10 +1,15 @@
 """Exact linear algebra over prime fields F_p.
 
 Matrices are numpy int64 arrays with entries in {0, ..., p-1}; they act on
-column vectors.  Subspaces are stored through their unique reduced
+column vectors.  `rref`, `rref_stack`, `solve`, `Subspace` and
+`Subspace.from_rows` refuse entries that are not integers instead of
+truncating them.  Subspaces are stored through their unique reduced
 row-echelon basis, so two equal subspaces always compare (and hash) equal.
 The module also provides Gaussian binomials and exact Lagrange
 interpolation over the integers.
+
+Every solve, rank, inverse and kernel goes through one elimination,
+`rref`; stacks of equally shaped matrices go through `rref_stack`.
 """
 
 from __future__ import annotations
@@ -75,12 +80,15 @@ def check_prime(p: int) -> int:
     return p
 
 
-def asmatrix(a, p: int) -> np.ndarray:
-    """Coerce to an int64 array with entries reduced mod p."""
-    m = np.asarray(a, dtype=np.int64) % p
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    return m
+def integer_array(a) -> np.ndarray:
+    """a as an int64 array.  Raises ValidationError when its entries are not
+    integers (bool counts as integer; an empty array of any dtype is
+    accepted), where a cast would truncate them."""
+    m = np.asarray(a)
+    if m.dtype.kind not in "biu" and m.size:
+        raise ValidationError(
+            f"expected integer entries, got dtype {m.dtype}")
+    return m.astype(np.int64, copy=False)
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -174,33 +182,51 @@ def inv_mod(x: int, p: int) -> int:
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """Reduced row echelon form of a mod p.
 
-    Returns (R, rank, pivot_columns); R is a fresh array, the input is not
-    modified.  The RREF is the canonical representative of the row space.
+    Returns (R, rank, pivot_columns); R is a fresh array that owns its
+    memory, the input is not modified.  The RREF is the canonical
+    representative of the row space.  Raises ValidationError for entries
+    that are not integers.
+
+    Gauss-Jordan on the rows as lists of Python ints: the library's
+    systems are small and sparse, where numpy's calls per pivot cost more
+    than the arithmetic.  A pivot row is zero left of its pivot and at the
+    other pivot columns, so each elimination touches only its non-zero
+    entries right of the pivot.
     """
-    m = (np.array(a, dtype=np.int64) % p).reshape(a.shape)
+    m = integer_array(a) % p
     rows, cols = m.shape
+    a = m.tolist()
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        for i in range(r, rows):
+            if a[i][c]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        piv = int(m[r, c])
+        row = a[i]
+        a[i] = a[r]
+        a[r] = row
+        piv = row[c]
         if piv != 1:
-            m[r] = (m[r] * inv_mod(piv, p)) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        nzrows = np.nonzero(col)[0]
-        if nzrows.size:
-            m[nzrows] = (m[nzrows] - np.outer(col[nzrows], m[r])) % p
+            s = inv_mod(piv, p)
+            for j in range(c, cols):
+                if row[j]:
+                    row[j] = row[j] * s % p
+        nz = [(j, row[j]) for j in range(c + 1, cols) if row[j]]
+        for i in range(rows):
+            other = a[i]
+            f = other[c]
+            if f and i != r:
+                other[c] = 0
+                for j, x in nz:
+                    other[j] = (other[j] - f * x) % p
         pivots.append(c)
         r += 1
-    return m, r, tuple(pivots)
+    # with rank 0, m is zero (and may have no cells) and is its own RREF
+    return (np.array(a, dtype=np.int64) if r else m), r, tuple(pivots)
 
 
 def _inverse_stack(x: np.ndarray, p: int) -> np.ndarray:
@@ -228,7 +254,7 @@ def rref_stack(a: np.ndarray, p: int
     pivot to find; every product is reduced mod p before it enters another
     (see MAX_PRIME).
     """
-    m = np.array(a, dtype=np.int64) % p
+    m = integer_array(a) % p
     n, rows, cols = m.shape
     ranks = np.zeros(n, dtype=np.int64)
     pivots = np.full((n, rows), -1, dtype=np.int64)
@@ -317,7 +343,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     [a | b] serves both: when the system is consistent, its left block is
     the RREF of a.
     """
-    b = np.asarray(b, dtype=np.int64) % p
+    b = integer_array(b) % p
     single = b.ndim == 1
     bc = b.reshape(-1, 1) if single else b
     if bc.shape[0] != a.shape[0]:
@@ -338,11 +364,24 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     return part, _kernel_from_rref(r, pivots, ncols, p)[0]
 
 
+def _frozen_int64(a) -> bool:
+    """Whether a is a read-only int64 array whose memory no writable array
+    owns."""
+    if (not isinstance(a, np.ndarray) or a.dtype != np.int64
+            or a.flags.writeable):
+        return False
+    return a.base is None or (isinstance(a.base, np.ndarray)
+                              and not a.base.flags.writeable)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_p^n, canonically represented by its RREF basis rows.
-    The basis is read-only: a writable one (or any array-like) is stored
-    as a read-only copy, so a subspace never changes, nor its hash."""
+    The basis is a read-only int64 array, and the array that owns its
+    memory is read-only too: any other basis (a writable array, a read-only
+    view of a writable one, another integer dtype, an array-like) is stored
+    as a read-only int64 copy, so a subspace never changes, nor its hash.
+    A basis with entries that are not integers raises ValidationError."""
 
     p: int
     ambient: int
@@ -350,21 +389,26 @@ class Subspace:
     pivots: tuple[int, ...] = field(compare=False, default=())
 
     def __post_init__(self):
-        if not (isinstance(self.basis, np.ndarray)
-                and not self.basis.flags.writeable):
-            basis = np.array(self.basis, dtype=np.int64)
+        if not _frozen_int64(self.basis):
+            basis = np.array(integer_array(self.basis))
             basis.setflags(write=False)
             object.__setattr__(self, "basis", basis)
 
     @staticmethod
     def from_rows(rows, ambient: int, p: int) -> "Subspace":
+        """The span of the given rows of length `ambient` (a stack of rows
+        is read row by row).  Raises ValidationError for entries that are
+        not integers, DimensionMismatch for rows of another length."""
         if ambient == 0:
             return Subspace(p, 0, zeros(0, 0), ())
-        m = asmatrix(np.asarray(rows, dtype=np.int64).reshape(-1, ambient), p)
-        r, rk, piv = rref(m, p)
-        b = r[:rk]
-        b.setflags(write=False)
-        return Subspace(p, ambient, b, piv)
+        m = integer_array(rows)
+        if m.size and m.shape[-1:] != (ambient,):
+            raise DimensionMismatch(
+                f"rows of shape {m.shape} in ambient dimension {ambient}")
+        r, rk, piv = rref(m.reshape(-1, ambient), p)
+        # R owns its memory, so the read-only basis aliases nothing
+        r.setflags(write=False)
+        return Subspace(p, ambient, r[:rk], piv)
 
     @staticmethod
     def zero(ambient: int, p: int) -> "Subspace":

@@ -179,20 +179,18 @@ def _vertex_candidates(m_order: int, r: int, e: int, p: int
     return [None] * -(-count // _block_size(m_order, r, e))
 
 
-def _candidate_blocks(m_order: int, r: int, e: int, p: int
-                      ) -> Iterator[_CandidateTable]:
-    """The candidates of one key in chart order, a block at a time, each
-    built when it is first reached: kept in the key's cached block list,
-    or (over _CANDIDATE_CACHE_LIMIT charts) never kept."""
-    count = chart_count(m_order, r, e, p)
-    step = _block_size(m_order, r, e)
-    blocks = (_vertex_candidates(m_order, r, e, p)
+def _candidate_blocks(key: tuple[int, int, int, int], count: int,
+                      step: int) -> Iterator[_CandidateTable]:
+    """The candidates of one key (m_order, r, e, p), with `count` charts
+    in blocks of `step`, in chart order, a block at a time, each built when
+    it is first reached: kept in the key's cached block list, or (over
+    _CANDIDATE_CACHE_LIMIT charts) never kept."""
+    blocks = (_vertex_candidates(*key)
               if count <= _CANDIDATE_CACHE_LIMIT else None)
     for b, start in enumerate(range(0, count, step)):
         block = blocks[b] if blocks is not None else None
         if block is None:
-            block = _new_table(m_order, r, e, p, start,
-                               min(count, start + step))
+            block = _new_table(*key, start, min(count, start + step))
             if blocks is not None:
                 blocks[b] = block
         yield block
@@ -213,9 +211,14 @@ def _active_arrows(m: HModule, rank: RankVector, e: RankVector):
     return active
 
 
-def _check_budgets(m: HModule, rank, e):
-    for i in range(m.n):
-        count = chart_count(m.loop_order(i), rank[i], e[i], m.p)
+def _chart_counts(m: HModule, rank, e) -> list[int]:
+    """The candidate count of each vertex."""
+    return [chart_count(m.loop_order(i), rank[i], e[i], m.p)
+            for i in range(m.n)]
+
+
+def _check_budgets(counts: Sequence[int]) -> None:
+    for i, count in enumerate(counts):
         if count > VERTEX_CANDIDATE_BUDGET:
             raise BudgetExceeded(
                 f"vertex {i + 1} has {count} candidate submodules, above "
@@ -252,12 +255,14 @@ def _closed(block: _CandidateTable, v: int, tests, chosen: dict
 
 
 def _closure_search(m: HModule, rank: RankVector, e: RankVector,
-                    order: Sequence[int], count: bool):
+                    order: Sequence[int], counts: Sequence[int],
+                    count: bool):
     """Backtracking over the candidates of the vertices in `order`, a block
     at a time: each block is tested at once against the active arrows to
-    the vertices already chosen.  Yields the closed tuples (one subspace per
-    vertex of m) in chart order, or with count=True, for each block of the
-    last vertex, the number of closed tuples it completes."""
+    the vertices already chosen.  `counts` holds each vertex's candidate
+    count.  Yields the closed tuples (one subspace per vertex of m) in
+    chart order, or with count=True, for each block of the last vertex, the
+    number of closed tuples it completes."""
     active = _active_arrows(m, rank, e)
     levels = []
     placed: set[int] = set()
@@ -265,13 +270,14 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
         placed.add(v)
         tests = [(i, j, a) for i, j, a in active
                  if v in (i, j) and {i, j} <= placed]
-        levels.append((v, (m.loop_order(v), rank[v], e[v], m.p), tests))
+        key = (m.loop_order(v), rank[v], e[v], m.p)
+        levels.append((v, key, counts[v], _block_size(*key[:3]), tests))
     chosen: dict[int, Subspace] = {}
 
     def extend(idx: int):
-        v, key, tests = levels[idx]
+        v, key, size, step, tests = levels[idx]
         last = idx + 1 == len(levels)
-        for block in _candidate_blocks(*key):
+        for block in _candidate_blocks(key, size, step):
             ok = _closed(block, v, tests, chosen)
             if last and count:
                 yield int(np.count_nonzero(ok))
@@ -311,8 +317,9 @@ def _iter_submodules(m: HModule, rank: RankVector, e
         for tup in _iter_submodules(std, rank, e):
             yield _image(tup, ts)
         return
-    _check_budgets(m, rank, e)
-    yield from _closure_search(m, rank, e, range(m.n), count=False)
+    counts = _chart_counts(m, rank, e)
+    _check_budgets(counts)
+    yield from _closure_search(m, rank, e, range(m.n), counts, count=False)
 
 
 def enumerate_locally_free_submodules(m: HModule, e
@@ -334,8 +341,7 @@ def _count_submodules(m: HModule, rank: RankVector, e) -> int:
     if not (e <= rank):
         raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
     std = m if m.standard_form else hmod.normalize(m)[0]
-    counts = [chart_count(std.loop_order(i), rank[i], e[i], std.p)
-              for i in range(std.n)]
+    counts = _chart_counts(std, rank, e)
     coupled = {v for (i, j, _) in _active_arrows(std, rank, e)
                for v in (i, j)}
     free_factor = 1
@@ -344,10 +350,10 @@ def _count_submodules(m: HModule, rank: RankVector, e) -> int:
             free_factor *= counts[i]
     if not coupled:
         return free_factor
-    _check_budgets(std, rank, e)
+    _check_budgets(counts)
     order = sorted(coupled, key=lambda v: (
         counts[v] <= _CANDIDATE_CACHE_LIMIT, counts[v], v))
-    return free_factor * sum(_closure_search(std, rank, e, order,
+    return free_factor * sum(_closure_search(std, rank, e, order, counts,
                                              count=True))
 
 

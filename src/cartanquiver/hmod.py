@@ -125,7 +125,7 @@ def make_module(datum: CartanDatum, k: int, p: int, eps, arrows) -> HModule:
     la.check_prime(p)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    eps_t = tuple(_frozen(np.asarray(e, dtype=np.int64) % p) for e in eps)
+    eps_t = tuple(_frozen(la.integer_array(e) % p) for e in eps)
     if len(eps_t) != datum.n:
         raise ShapeMismatch(
             f"need {datum.n} loop matrices, got {len(eps_t)}")
@@ -140,7 +140,7 @@ def make_module(datum: CartanDatum, k: int, p: int, eps, arrows) -> HModule:
             raise ShapeMismatch(
                 f"pair ({i + 1},{j + 1}) needs {g_count} arrow matrices")
         arr[(i, j)] = tuple(
-            _frozen(np.asarray(a, dtype=np.int64) % p) for a in mats)
+            _frozen(la.integer_array(a) % p) for a in mats)
     _check_pairs(arrows or {}, arr, "arrow matrices")
     mod = HModule(datum, k, p, dims, eps_t, types.MappingProxyType(arr))
     validate_module(mod)
@@ -316,7 +316,7 @@ def structure_from_arrays(datum: CartanDatum, k: int, p: int, r,
     _check_pairs(mats, shapes, "structure matrix")
     out = {}
     for key, shape in shapes.items():
-        m = np.asarray(mats.get(key, np.zeros(shape)), dtype=np.int64)
+        m = la.integer_array(mats.get(key, np.zeros(shape, dtype=np.int64)))
         if m.shape != shape:
             if m.ndim == 2 and m.shape == shape[:2]:
                 # constant entries given as scalars
@@ -642,10 +642,6 @@ def _pair_key(key: str) -> tuple[int, int]:
     return i, j
 
 
-def _int_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.int64)
-
-
 def _pair_dict(value, what: str, convert) -> dict:
     """{(i, j): convert(entry)} of a file mapping 'i,j' keys (1-based)."""
     if not isinstance(value, dict):
@@ -676,12 +672,12 @@ def module_from_dict(datum: CartanDatum, data: dict) -> HModule:
     if "structure" in data:
         rank = read_value(RankVector, data["rank"],
                           "module file: bad rank")
-        mats = _pair_dict(data["structure"], "structure", _int_array)
+        mats = _pair_dict(data["structure"], "structure", la.integer_array)
         s = structure_from_arrays(datum, k, p, rank, mats)
         return from_structure_matrices(s)
     dims = read_value(lambda v: [int(d) for d in v], data["dims"],
                       "module file: bad dims")
-    eps = read_value(lambda v: [_int_array(e) for e in v], data["eps"],
+    eps = read_value(lambda v: [la.integer_array(e) for e in v], data["eps"],
                      "module file: bad eps")
     if len(dims) != datum.n or len(eps) != datum.n:
         raise ShapeMismatch(
@@ -692,6 +688,6 @@ def module_from_dict(datum: CartanDatum, data: dict) -> HModule:
             raise ShapeMismatch(
                 f"loop at vertex {i + 1} has {e.size} entries for dim {d}")
     arrows = _pair_dict(data.get("arrows", {}), "arrows",
-                        lambda mats: [_int_array(a) for a in mats])
+                        lambda mats: [la.integer_array(a) for a in mats])
     return make_module(datum, k, p, [e.reshape(d, d)
                                      for e, d in zip(eps, dims)], arrows)

@@ -109,6 +109,135 @@ def test_rref_stack_exact_at_largest_prime():
     assert list(ranks) == [1, 2, 4]
 
 
+@st.composite
+def elimination_cases(draw):
+    """(p, a, b): a matrix over F_p from 0 x n and n x 0 up to 14 x 14,
+    entries biased to 0, 1 and p - 1 (with a few outside 0..p-1), its
+    later rows combinations of its first ones in some draws, and a
+    right-hand side."""
+    p = draw(st.sampled_from([2, 3, 7, 46337]))
+    rows = draw(st.integers(0, 14))
+    cols = draw(st.integers(0, 14))
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1),
+                      st.integers(0, p - 1), st.integers(-p, 2 * p))
+    a = np.array(draw(st.lists(entry, min_size=rows * cols,
+                               max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    if rows > 1 and draw(st.booleans()):
+        keep = draw(st.integers(1, rows - 1))
+        mix = np.array(draw(st.lists(entry, min_size=(rows - keep) * keep,
+                                     max_size=(rows - keep) * keep)),
+                       dtype=np.int64).reshape(rows - keep, keep)
+        a[keep:] = (mix @ (a[:keep] % p)) % p
+    b = np.array(draw(st.lists(entry, min_size=rows, max_size=rows)),
+                 dtype=np.int64)
+    return p, a, b
+
+
+def _assert_rref(r, rank, pivots, p):
+    """r is in reduced row echelon form over F_p with the given rank and
+    pivot columns."""
+    assert ((r >= 0) & (r < p)).all()
+    assert len(pivots) == rank and list(pivots) == sorted(set(pivots))
+    assert not r[rank:].any()
+    for row, c in enumerate(pivots):
+        assert not r[row, :c].any() and r[row, c] == 1
+        assert np.count_nonzero(r[:, c]) == 1
+
+
+def _row_space(a, p):
+    """The row space of a over F_p as a set of base-p codes, by
+    enumerating every combination of its rows."""
+    span = (_all_vectors(p, a.shape[0]) @ a) % p
+    return set((span @ p ** np.arange(a.shape[1], dtype=np.int64)).tolist())
+
+
+def _assert_eliminations(a, b, p):
+    """rref of a equals the RREF that rref_stack computes for the stack
+    [a], and rank, inv, solve (for b and for a consistent right-hand
+    side) and kernel_basis_and_support agree with it."""
+    r, rank, pivots = la.rref(a, p)
+    assert r.dtype == np.int64 and r.shape == a.shape
+    # a fresh array that owns its memory: from_rows freezes it and keeps
+    # slices of it
+    assert r.base is None and r.flags.writeable
+    _assert_rref(r, rank, pivots, p)
+    stacked, ranks, stack_pivots = la.rref_stack(a[None], p)
+    assert np.array_equal(r, stacked[0]) and rank == ranks[0]
+    assert pivots == tuple(stack_pivots[0, :rank].tolist())
+    assert la.rank(a, p) == rank
+    rows, cols = a.shape
+    if rows == cols:
+        if rank == rows:
+            assert np.array_equal((a @ la.inv(a, p)) % p, la.identity(rows))
+        else:
+            with pytest.raises(DimensionMismatch):
+                la.inv(a, p)
+    basis, support = la.kernel_basis_and_support(a, p)
+    assert basis.shape == (cols - rank, cols)
+    assert not ((a @ basis.T) % p).any()
+    assert set(support).isdisjoint(pivots) and len(support) == cols - rank
+    consistent = (a @ np.arange(cols, dtype=np.int64)) % p
+    for rhs in (b, consistent):
+        solved = la.solve(a, rhs, p)
+        if solved is None:
+            assert rhs is b
+            assert la.rank(np.column_stack([a, b]), p) == rank + 1
+            continue
+        x, kernel = solved
+        assert not ((a @ x - rhs) % p).any()
+        assert np.array_equal(kernel, basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_cases())
+def test_rref_matches_rref_stack(case):
+    p, a, b = case
+    before = a.copy()
+    _assert_eliminations(a, b, p)
+    assert np.array_equal(a, before)
+
+
+def test_rref_of_bool_matches_int():
+    rng = np.random.default_rng(2)
+    for rows, cols in ((0, 3), (3, 0), (4, 5), (20, 20)):
+        a = rng.integers(0, 2, size=(rows, cols)).astype(bool)
+        b = np.ones(rows, dtype=np.int64)
+        for p in (2, 5):
+            _assert_eliminations(a, b, p)
+            got, want = la.rref(a, p), la.rref(a.astype(np.int64), p)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rref_row_space_brute_force(p):
+    """Every matrix of at most 6 cells over F_2 and F_3: R is in reduced
+    row echelon form and spans the row space of the input."""
+    shapes = [(rows, cols) for rows in range(7) for cols in range(7)
+              if rows * cols <= 6]
+    for rows, cols in shapes:
+        stack = _all_vectors(p, rows * cols).reshape(
+            p ** (rows * cols), rows, cols)
+        for a in stack:
+            r, rank, pivots = la.rref(a, p)
+            _assert_rref(r, rank, pivots, p)
+            assert _row_space(r, p) == _row_space(a, p)
+            assert len(_row_space(a, p)) == p ** rank
+
+
+def test_eliminations_reject_non_integer_entries():
+    with pytest.raises(ValidationError):
+        la.rref(np.array([[0.5, 1.0]]), 5)
+    with pytest.raises(ValidationError):
+        la.rref(np.array([[1.0, 0.0]]), 5)
+    with pytest.raises(ValidationError):
+        la.rref_stack(np.array([[[1.5, 0.0]]]), 5)
+    with pytest.raises(ValidationError):
+        la.solve(la.identity(2), np.array([1.9, 0.0]), 5)
+    with pytest.raises(ValidationError):
+        la.solve(np.array([[1.0, 0.0], [0.0, 1.0]]), [1, 0], 5)
+
+
 def test_kernel_rank_nullity():
     rng = np.random.default_rng(3)
     for p in (2, 5):
@@ -323,6 +452,55 @@ class TestSubspace:
                 continue
             v = la.Subspace.from_rows((g @ rows) % p, 5, p)
             assert u == v and hash(u) == hash(v)
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        b = np.array(la.Subspace.from_rows([[1, 0, 1]], 3, 2).basis)
+        view = b.view()
+        view.setflags(write=False)
+        u = la.Subspace(2, 3, view, (0,))
+        before, members = hash(u), {u}
+        b[0, 2] = 0
+        assert hash(u) == before and u in members
+        assert u.basis.tolist() == [[1, 0, 1]]
+        assert not np.shares_memory(u.basis, b)
+
+    def test_basis_with_non_integer_entries_is_refused(self):
+        frozen = np.array([[1.0, 0.5]])
+        frozen.setflags(write=False)
+        for basis in ([[1, 0.5]], np.array([[1.5, 0.0]]), frozen):
+            with pytest.raises(ValidationError):
+                la.Subspace(5, 2, basis, (0,))
+        # another integer dtype is stored as a read-only int64 copy
+        u = la.Subspace(5, 2, np.array([[1, 3]], dtype=np.int32), (0,))
+        assert u.basis.dtype == np.int64 and not u.basis.flags.writeable
+
+    def test_from_rows_keeps_its_rref_uncopied(self, monkeypatch):
+        """The basis is a read-only slice of the frozen RREF array
+        itself."""
+        made = []
+        original = la.rref
+
+        def keeping(a, p):
+            out = original(a, p)
+            made.append(out[0])
+            return out
+
+        monkeypatch.setattr(la, "rref", keeping)
+        u = la.Subspace.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 3]], 3, 5)
+        assert u.dim == 2 and u.basis.base is made[0]
+        assert not made[0].flags.writeable
+
+    def test_from_rows_rejects_bad_rows(self):
+        with pytest.raises(ValidationError):
+            la.Subspace.from_rows([[0.5, 1]], 2, 5)
+        with pytest.raises(ValidationError):
+            la.Subspace.from_rows(np.ones((1, 2)), 2, 5)
+        for rows in ([[1, 2, 3]], [1, 2, 3, 4], 3):
+            with pytest.raises(DimensionMismatch):
+                la.Subspace.from_rows(rows, 2, 5)
+        # one row given flat, and no rows of any dtype
+        assert la.Subspace.from_rows([1, 2], 2, 5).basis.tolist() == [[1, 2]]
+        assert la.Subspace.from_rows(np.zeros((0, 2)), 2, 5).dim == 0
 
     def test_sum_and_intersection_self(self):
         u = la.Subspace.from_rows([[1, 0, 1], [0, 1, 0]], 3, 2)

@@ -40,6 +40,12 @@ def brvec(seq):
     return tuple(RankVector(r) for r in seq)
 
 
+def candidate_blocks(key):
+    """`flagvar._candidate_blocks` of a key with its own count and step."""
+    return flagvar._candidate_blocks(key, flagvar.chart_count(*key),
+                                     flagvar._block_size(*key[:3]))
+
+
 def rigid_module(datum, k, p, r, seed=0):
     res = homext.find_rigid(datum, k, p, r, trials=50, seed=seed)
     assert res.found()
@@ -142,7 +148,7 @@ class TestCandidateTables:
             assert len(produced) == len(charts), key
             for want, got in zip(charts, produced):
                 assert np.array_equal(want, got), key
-            blocks = list(flagvar._candidate_blocks(*key))
+            blocks = list(candidate_blocks(key))
             cached = flagvar._vertex_candidates(*key)
             assert len(cached) == len(blocks), key
             assert all(a is b for a, b in zip(cached, blocks)), key
@@ -162,11 +168,13 @@ class TestCandidateTables:
         flagvar._vertex_candidates.cache_clear()
         try:
             key = (2, 2, 1, 3)
-            list(flagvar._candidate_blocks(*key))
+            list(candidate_blocks(key))
             blocks = flagvar._vertex_candidates(*key)
             assert len(blocks) > 1
             for block in blocks:
                 sub = block.subspace(len(block) - 1)
+                # the subspace views the table, uncopied
+                assert sub.basis.base is block.basis
                 for arr in (block.basis, block.pivots, sub.basis):
                     with pytest.raises(ValueError):
                         arr[...] = 0
@@ -302,7 +310,7 @@ class TestStreamedCandidates:
         for key in [(2, 2, 1, 3), (4, 2, 1, 2), (2, 2, 1, 2)]:
             assert flagvar.chart_count(*key) > 1
             before = flagvar._vertex_candidates.cache_info().misses
-            blocks = list(flagvar._candidate_blocks(*key))
+            blocks = list(candidate_blocks(key))
             assert flagvar._vertex_candidates.cache_info().misses == before
             assert sum(len(b) for b in blocks) == flagvar.chart_count(*key)
         flagvar._vertex_candidates.cache_clear()
@@ -321,7 +329,7 @@ class TestStreamedCandidates:
         key = (2, 2, 1, 3)
         step = flagvar._block_size(2, 2, 1)
         assert step < flagvar.chart_count(*key)
-        stream = flagvar._candidate_blocks(*key)
+        stream = candidate_blocks(key)
         first = next(stream)
         stream.close()
         assert len(first) == step and built == [step]
@@ -359,8 +367,8 @@ class TestLazyBlocks:
         reached = []
         original = flagvar._candidate_blocks
 
-        def recording(*key):
-            for b, block in enumerate(original(*key)):
+        def recording(key, count, step):
+            for b, block in enumerate(original(key, count, step)):
                 reached.append((key, starts[b]))
                 yield block
 
@@ -401,7 +409,7 @@ class TestLazyBlocks:
         assert sorted(built) == [(self.KEY, s) for s in self._block_starts()]
 
     def test_rank_check_on_lazy_blocks(self, a2, built, monkeypatch):
-        stream = flagvar._candidate_blocks(*self.KEY)
+        stream = candidate_blocks(self.KEY)
         next(stream)
         stream.close()
         original = la.rref_stack

@@ -1,8 +1,9 @@
 """Inputs outside the supported range fail with a typed error instead of
 returning an answer: Hom checks across algebras, rank sequences of the
-closed-form count, and the level range and generator ranks of
-`reduction`."""
+closed-form count, the level range and generator ranks of `reduction`,
+and matrix entries that are not integers."""
 
+import numpy as np
 import pytest
 
 from cartanquiver import flagvar, hmod, homext, reduction
@@ -84,3 +85,44 @@ class TestGeneratorSpan:
         full = reduction.generator_span(m, (2, 1))
         assert [u.dim for u in full] == list(m.dims)
         assert [u.dim for u in reduction.generator_span(m, (1, 0))] == [2, 0]
+
+
+class TestNonIntegerEntries:
+    """Entries that are not integers raise ValidationError; a cast to
+    int64 would truncate them (1.9 and 1.5 read as 1)."""
+
+    EPS = [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]
+    ARROW = [[[1, 0], [0, 1]]]
+
+    def test_make_module(self, a2):
+        m = hmod.make_module(a2, 2, 3, self.EPS, {(0, 1): self.ARROW})
+        assert m.arrows[(0, 1)][0].tolist() == self.ARROW[0]
+        for eps, arrow in (([[[0, 0], [1.9, 0]], self.EPS[1]], self.ARROW),
+                           (self.EPS, [[[1.5, 0], [0, 1]]]),
+                           (self.EPS, [np.eye(2)])):
+            with pytest.raises(ValidationError):
+                hmod.make_module(a2, 2, 3, eps, {(0, 1): arrow})
+
+    def test_module_files_and_structure_matrices(self, a2):
+        data = {"k": 2, "p": 3, "dims": [2, 2], "eps": self.EPS,
+                "arrows": {"1,2": self.ARROW}}
+        assert hmod.module_from_dict(a2, data).dims == (2, 2)
+        for key, value in (("eps", [[[0, 0], [1.5, 0]], self.EPS[1]]),
+                           ("arrows", {"1,2": [[[0.5, 0], [0, 1]]]})):
+            with pytest.raises(ValidationError):
+                hmod.module_from_dict(a2, {**data, key: value})
+        with pytest.raises(ValidationError):
+            hmod.structure_from_arrays(a2, 1, 3, (1, 1),
+                                       {(0, 1): [[[0.5]]]})
+        s = hmod.structure_from_arrays(a2, 1, 3, (1, 1), {})
+        assert s.mats[(0, 1)].dtype == np.int64
+
+    def test_integer_array(self):
+        for good in ([[1, 2]], np.array([True, False]),
+                     np.arange(3, dtype=np.uint8), np.zeros((0, 3))):
+            out = la.integer_array(good)
+            assert out.dtype == np.int64
+        for bad in ([[0.5, 1]], [1.0], np.array([1], dtype=object),
+                    np.array([1 + 0j])):
+            with pytest.raises(ValidationError):
+                la.integer_array(bad)
