@@ -78,6 +78,5 @@ from .flagvar import (
     iter_flags,
     point_count,
     reduce_flag,
-    repetitive_module,
     tangent_dimension,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -40,7 +41,7 @@ class RankVector(tuple):
     """
 
     def __new__(cls, entries: Iterable[int]):
-        vals = tuple(int(x) for x in entries)
+        vals = read_value(integers, entries, "bad rank vector")
         if any(x < 0 for x in vals):
             raise ValidationError(f"rank vector must be >= 0, got {vals}")
         return super().__new__(cls, vals)
@@ -107,6 +108,12 @@ class CartanDatum:
         return sorted(self.omega)
 
 
+def integers(values) -> tuple[int, ...]:
+    """The entries as ints by operator.index, the one integer reader: 1.5
+    or "2" raises TypeError (ValidationError under read_value)."""
+    return tuple(map(operator.index, values))
+
+
 def read_value(convert, value, what: str):
     """convert(value) for file and config input, with any failure raised
     as a ValidationError that starts with `what`."""
@@ -119,12 +126,12 @@ def read_value(convert, value, what: str):
 def validate_cartan(c, d) -> CartanDatum:
     """Check the axioms of a symmetrizable Cartan matrix with symmetrizer.
     Entries that are not integers raise ValidationError."""
-    rows = read_value(lambda v: [tuple(int(x) for x in row) for row in v],
-                      c, "bad Cartan matrix")
+    rows = read_value(lambda v: [integers(row) for row in v], c,
+                      "bad Cartan matrix")
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValidationError("Cartan matrix must be square")
-    dd = read_value(lambda v: tuple(int(x) for x in v), d, "bad symmetrizer")
+    dd = read_value(integers, d, "bad symmetrizer")
     if len(dd) != n:
         raise LengthMismatch(f"symmetrizer length {len(dd)} != {n}")
     if any(x <= 0 for x in dd):
@@ -167,7 +174,7 @@ def validate_orientation(datum: CartanDatum, omega) -> CartanDatum:
 
 
 def _pairs(omega) -> list[tuple[int, int]]:
-    return [(int(i), int(j)) for i, j in omega]
+    return [(i, j) for i, j in map(integers, omega)]
 
 
 def _check_acyclic(n: int, pairs: frozenset[tuple[int, int]]):
@@ -262,7 +269,7 @@ def flag_dimension(datum: CartanDatum, brseq: Sequence) -> int:
 
 
 def _vec(datum: CartanDatum, r) -> tuple[int, ...]:
-    v = tuple(int(x) for x in r)
+    v = read_value(integers, r, "bad vector")
     if len(v) != datum.n:
         raise LengthMismatch(f"vector length {len(v)} != {datum.n}")
     return v
@@ -279,7 +286,7 @@ def datum_from_dict(cfg: dict) -> tuple[CartanDatum, int, int]:
     if not isinstance(cfg, dict):
         raise ValidationError("config must hold a mapping")
     try:
-        n = read_value(int, cfg["n"], "bad n")
+        n = read_value(operator.index, cfg["n"], "bad n")
         c = cfg["C"]
         d = cfg["D"]
         omega_raw = cfg["omega"]
@@ -291,8 +298,8 @@ def datum_from_dict(cfg: dict) -> tuple[CartanDatum, int, int]:
     omega = [(i - 1, j - 1)
              for i, j in read_value(_pairs, omega_raw, "bad omega")]
     datum = validate_orientation(datum, omega)
-    k = read_value(int, cfg.get("k", 1), "bad k")
-    p = read_value(int, cfg.get("p", 5), "bad p")
+    k = read_value(operator.index, cfg.get("k", 1), "bad k")
+    p = read_value(operator.index, cfg.get("p", 5), "bad p")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return datum, k, p

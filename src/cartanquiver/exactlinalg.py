@@ -1,10 +1,11 @@
 """Exact linear algebra over prime fields F_p.
 
 Matrices are numpy int64 arrays with entries in {0, ..., p-1}; they act on
-column vectors.  `rref`, `rref_stack`, `solve`, `Subspace` and
-`Subspace.from_rows` refuse entries that are not integers instead of
-truncating them.  Subspaces are stored through their unique reduced
-row-echelon basis, so two equal subspaces always compare (and hash) equal.
+column vectors.  `rref`, `rref_stack`, `solve`, `matpow`, `digits`,
+`Subspace`, `Subspace.from_rows` and `Subspace.reduce_rows` refuse entries
+that are not integers instead of truncating them.  Subspaces are stored
+through their unique reduced row-echelon basis, so two equal subspaces
+always compare (and hash) equal.
 The module also provides Gaussian binomials and exact Lagrange
 interpolation over the integers.
 
@@ -117,7 +118,7 @@ DIGIT_CHUNK = 4096   # codes per block of digit_chunks
 
 def digits(codes, p: int, width: int) -> np.ndarray:
     """Base-p digits (..., width) of int64 codes, least significant first."""
-    rest = np.asarray(codes, dtype=np.int64)
+    rest = integer_array(codes)
     out = np.empty(rest.shape + (width,), dtype=np.int64)
     for t in range(width):
         rest, out[..., t] = np.divmod(rest, p)
@@ -154,7 +155,7 @@ def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     every product: the result starts at the lowest power of two that e
     needs, and squaring stops at its highest.  Raises DimensionMismatch
     for a matrix that is not square, ValidationError for e < 0."""
-    a = np.asarray(a, dtype=np.int64)
+    a = integer_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matpow needs a square matrix, got shape "
                                 f"{a.shape}")
@@ -434,7 +435,7 @@ class Subspace:
     def reduce_rows(self, vectors: np.ndarray) -> np.ndarray:
         """Residue of row vectors after subtracting their projection onto
         the subspace along the pivot coordinates."""
-        v = np.atleast_2d(np.asarray(vectors, dtype=np.int64)) % self.p
+        v = np.atleast_2d(integer_array(vectors)) % self.p
         if v.shape[1] != self.ambient:
             raise DimensionMismatch("wrong ambient dimension")
         if self.dim == 0:
@@ -443,7 +444,7 @@ class Subspace:
         return (v - coeff @ self.basis) % self.p
 
     def contains_rows(self, vectors) -> bool:
-        return not self.reduce_rows(np.asarray(vectors)).any()
+        return not self.reduce_rows(vectors).any()
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)

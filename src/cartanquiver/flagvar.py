@@ -20,15 +20,16 @@ vertices; that translation also provides tangent spaces (one Hom solve)
 and the affine linear system cutting out the fiber of the reduction map
 over a fixed lower-level flag.  One flag check, on the block pass of a
 split of the module along each layer (`hmod._split_blocks`), tests
-invariance, freeness and nesting; its blocks build the slot modules and
-connectors of the tangent computation.  Each flag object is checked once:
-a flag is a value (tuples of subspaces with read-only bases), so it keeps
-the read-only blocks of its check as long as it lives, and its tangent
-space, its reduction and the fiber over it reuse them.  The fiber
-dimension is checked against the tangent dimension at the image of that
-flag in the level-1 shadow of the reduction.  The reduction of a module,
-its shadow and the part of the fiber system which depends only on the
-module are computed once per module and kept as long as the module lives.
+invariance, freeness and nesting; its blocks are both chains of the
+tangent Hom, solved without building a module.  Each flag object is
+checked once: a flag is a value (tuples of subspaces with read-only
+bases), so it keeps the read-only blocks of its check as long as it
+lives, and its tangent space, its reduction and the fiber over it reuse
+them.  The fiber dimension is checked against the tangent dimension at
+the image of that flag in the level-1 shadow of the reduction.  The
+reduction of a module, its shadow and the part of the fiber system which
+depends only on the module are computed once per module and kept as long
+as the module lives.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import functools
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -560,25 +561,22 @@ class TensorModule:
         return self.slots[0].p
 
     def maps_with_labels(self):
-        """Each slot's loops and arrows, then the connectors (t, i) ->
-        (t+1, i), as (label, matrix, target vertex, source vertex)."""
-        n = self.slots[0].n
-        out = [(f"{label} in slot {t + 1}", mat, t * n + i, t * n + j)
-               for t, slot in enumerate(self.slots)
-               for label, mat, i, j in slot.maps_with_labels()]
-        out.extend((f"mu_{t + 1}->{t + 2} at vertex {i + 1}", mu[i],
-                    (t + 1) * n + i, t * n + i)
-                   for t, mu in enumerate(self.connectors) for i in range(n))
-        return out
+        """The slots' loops and arrows, then the connectors (`_chain_maps`)."""
+        return _chain_maps(self.slots[0].n,
+                           [slot.maps_with_labels() for slot in self.slots],
+                           self.connectors)
 
 
-def repetitive_module(m: HModule, l: int) -> TensorModule:
-    """(M, ..., M) with identity connectors; l - 1 slots."""
-    if l < 2:
-        raise LengthMismatch("repetitive module needs l >= 2")
-    slots = (m,) * (l - 1)
-    connectors = tuple(homext.identity_hom(m) for _ in range(l - 2))
-    return TensorModule(slots, connectors)
+def _chain_maps(n: int, slots, connectors) -> list:
+    """The maps (label, matrix, target, source) of a chain over the linear
+    quiver, on the vertices (slot t, vertex i) at t*n + i: each slot's maps
+    (label, matrix, i, j), then the connectors (t, i) -> (t+1, i)."""
+    out = [(f"{label} in slot {t + 1}", mat, t * n + i, t * n + j)
+           for t, maps in enumerate(slots) for label, mat, i, j in maps]
+    out.extend((f"mu_{t + 1}->{t + 2} at vertex {i + 1}", mu[i],
+                (t + 1) * n + i, t * n + i)
+               for t, mu in enumerate(connectors) for i in range(n))
+    return out
 
 
 def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
@@ -591,27 +589,39 @@ def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
     return homext._hom_basis(x, y)
 
 
-def _flag_tensor_modules(m: HModule, flag: FlagOfSubmodules
-                         ) -> Optional[tuple[TensorModule, TensorModule]]:
-    """The embedded chain iota(U) and the quotient chain M^(l)/iota(U),
-    built from the blocks of the flag check (`_checked_blocks`), or None
-    for a flag without layers.  Raises what the flag check raises."""
-    splits, conn = _checked_blocks(m, flag)
-    if not splits:
-        return None
-    sqs = [hmod._split(m, blocks, True, m.k) for blocks in splits]
-    return (TensorModule(tuple(sub for sub, _ in sqs),
-                         tuple(tuple(b[0] for b in c) for c in conn)),
-            TensorModule(tuple(q.module for _, q in sqs),
-                         tuple(tuple(b[1] for b in c) for c in conn)))
+class _Chain(NamedTuple):
+    """A side of the tangent Hom, as `homext._hom_basis` reads it."""
+    p: int
+    dims: tuple[int, ...]
+    maps: list
+
+    def maps_with_labels(self) -> list:
+        return self.maps
 
 
 def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
-    """dim of the tangent space at a flag point, by one exact linear solve
-    (never through the Euler-form shortcut).  Raises ValidationError when
-    the flag does not fit m or its layers are not a flag."""
-    tensors = _flag_tensor_modules(m, flag)
-    return hom_tensor(*tensors).dim if tensors else 0
+    """dim of the tangent space at a flag point: dim Hom from the sub chain
+    iota(U) to the quotient chain M^(l)/iota(U), by one exact linear solve
+    (never through the Euler-form shortcut) on half 0 and half 1 of the
+    blocks of the flag check.  The chains are not checked again: the flag
+    check tested that the layers are invariant and nested, so restriction
+    and corestriction keep (H1) and (H2) and the identity's blocks are
+    homomorphisms.  Raises ValidationError when the flag does not fit m or
+    its layers are not a flag."""
+    splits, conn = _checked_blocks(m, flag)
+    own = m.maps_with_labels()
+    chains = []
+    for h in (0, 1):
+        slots = []
+        for _, pairs in splits:
+            blocks = {key: iter(b) for key, b in pairs.items()}
+            slots.append([(label, next(blocks[(i, j)])[h], i, j)
+                          for label, _, i, j in own])
+        dims = tuple(u.ambient - u.dim if h else u.dim
+                     for sides, _ in splits for u, _, _ in sides)
+        chains.append(_Chain(m.p, dims, _chain_maps(
+            m.n, slots, [[b[h] for b in c] for c in conn])))
+    return homext._hom_basis(*chains).dim
 
 
 # --- reduction of flags and its fibers ----------------------------------------

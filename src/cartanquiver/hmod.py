@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import types
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
@@ -39,7 +40,7 @@ from typing import Iterator, Mapping, Optional
 import numpy as np
 
 from . import exactlinalg as la
-from .cartan import CartanDatum, RankVector, read_value
+from .cartan import CartanDatum, RankVector, integers, read_value
 from .errors import (
     DatumMismatch,
     EntryDegreeOverflow,
@@ -541,13 +542,13 @@ def _split_blocks(m: HModule, subspaces, maps) -> tuple[list, dict]:
     return sides, pairs
 
 
-def _split(m: HModule, blocks, sub: bool, k: Optional[int]
+def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
            ) -> tuple[Optional[HModule], Optional[Quotient]]:
-    """The builder of a split: from the blocks of a block pass
+    """The split of m along per-vertex subspaces U_i: from the block pass
     `_split_blocks(m, U, m.maps_with_labels())`, the submodule when `sub`
     and the quotient at level k (keeping U_i, q_i and s_i) unless k is
     None."""
-    sides, pairs = blocks
+    sides, pairs = _split_blocks(m, subspaces, m.maps_with_labels())
 
     def half(h: int, level: int) -> HModule:
         return make_module(m.datum, level, m.p,
@@ -564,16 +565,14 @@ def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:
     """M/U along per-vertex invariant subspaces U_i, validated at level k
     (by default the level of m).  Raises NotInvariant when some loop or
     arrow does not descend to the quotient."""
-    blocks = _split_blocks(m, subspaces, m.maps_with_labels())
-    return _split(m, blocks, False, m.k if k is None else k)[1]
+    return _split(m, subspaces, False, m.k if k is None else k)[1]
 
 
 def submodule(m: HModule, subspaces) -> HModule:
     """The restriction to per-vertex invariant subspaces U_i, in the
     coordinates of their RREF bases.  Raises NotInvariant when some loop
     or arrow does not preserve the given subspaces."""
-    return _split(m, _split_blocks(m, subspaces, m.maps_with_labels()),
-                  True, None)[0]
+    return _split(m, subspaces, True, None)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,8 +585,7 @@ def sub_quotient(m: HModule, subspaces) -> SubQuotient:
     """Restrict and quotient along per-vertex invariant subspaces, from one
     split.  Raises NotInvariant when some loop or arrow does not preserve
     the given subspaces."""
-    return SubQuotient(*_split(
-        m, _split_blocks(m, subspaces, m.maps_with_labels()), True, m.k))
+    return SubQuotient(*_split(m, subspaces, True, m.k))
 
 
 # --- the central nilpotent and reduction mod other primes -------------------
@@ -667,16 +665,15 @@ def module_from_dict(datum: CartanDatum, data: dict) -> HModule:
         raise ValidationError(
             f"module file lacks {', '.join(missing)}: it needs k, p and "
             f"either rank with structure or dims with eps")
-    k = read_value(int, data["k"], "module file: bad k")
-    p = read_value(int, data["p"], "module file: bad p")
+    k = read_value(operator.index, data["k"], "module file: bad k")
+    p = read_value(operator.index, data["p"], "module file: bad p")
     if "structure" in data:
         rank = read_value(RankVector, data["rank"],
                           "module file: bad rank")
         mats = _pair_dict(data["structure"], "structure", la.integer_array)
         s = structure_from_arrays(datum, k, p, rank, mats)
         return from_structure_matrices(s)
-    dims = read_value(lambda v: [int(d) for d in v], data["dims"],
-                      "module file: bad dims")
+    dims = read_value(integers, data["dims"], "module file: bad dims")
     eps = read_value(lambda v: [la.integer_array(e) for e in v], data["eps"],
                      "module file: bad eps")
     if len(dims) != datum.n or len(eps) != datum.n:

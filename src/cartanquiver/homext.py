@@ -3,8 +3,8 @@
 Hom(M, N) is the kernel of one relation system, solved exactly over F_p:
 each structure map j -> i listed by `maps_with_labels()`, with matrix X
 on M and Y on N, gives f_i @ X == Y @ f_j.  A module lists its loops
-(i == j) and arrows; a tensor module lists those of each slot and then
-the connectors (t, i) -> (t+1, i).
+(i == j) and arrows; a chain over a linear quiver lists those of each slot
+and then the connectors (t, i) -> (t+1, i) (`flagvar._chain_maps`).
 
 The unknowns are the images of the generators (Lux and Szőke, Exp. Math.
 12, 2003).  A vertex v is a ring vertex when some self-map pair at v has

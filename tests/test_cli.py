@@ -58,7 +58,8 @@ def test_bad_symmetrizer_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [
     {"omega": [[1]]}, {"n": "two"}, {"k": "x"}, {"C": 5},
-    {"omega": [["a", "b"]]},
+    {"omega": [["a", "b"]]}, {"D": [2.7, 1]}, {"C": [[2, -1.5], [-1, 2]]},
+    {"n": 2.7}, {"k": 2.5}, {"p": 5.9}, {"omega": [[1.9, 2]]}, {"k": "2"},
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, entry):
     path = tmp_path / "bad.json"

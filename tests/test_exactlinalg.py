@@ -238,6 +238,23 @@ def test_eliminations_reject_non_integer_entries():
         la.solve(np.array([[1.0, 0.0], [0.0, 1.0]]), [1, 0], 5)
 
 
+def test_powers_digits_and_residues_reject_non_integer_entries():
+    """A cast would truncate: 1.5 squared as the identity, 2.9 read as
+    2."""
+    u = la.Subspace.from_rows([[1, 2]], 2, 5)
+    with pytest.raises(ValidationError):
+        la.matpow([[1.5, 0], [0, 1]], 2, 5)
+    with pytest.raises(ValidationError):
+        la.digits([2.9], 2, 3)
+    for call in (u.reduce_rows, u.contains_rows):
+        with pytest.raises(ValidationError):
+            call([[0.5, 1]])
+    assert la.matpow([[1, 1], [0, 1]], 3, 5).tolist() == [[1, 3], [0, 1]]
+    assert la.digits([5, True], 2, 3).tolist() == [[1, 0, 1], [1, 0, 0]]
+    assert u.reduce_rows([[1, 3]]).tolist() == [[0, 1]]
+    assert u.contains_rows(np.array([[2, 4]], dtype=np.uint8))
+
+
 def test_kernel_rank_nullity():
     rng = np.random.default_rng(3)
     for p in (2, 5):

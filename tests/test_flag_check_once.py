@@ -204,7 +204,7 @@ def test_other_module_is_checked_against_it(request, name, checks):
     assert refused >= 2
 
 
-@pytest.mark.parametrize("name", ["a2", "b2", "kronecker"])
+@pytest.mark.parametrize("name", ["a2", "b2", "b2_rev", "kronecker", "g2"])
 def test_tangent_from_kept_blocks_matches_oracle(request, name):
     """The flags of tests/test_flag_check.py, checked by iter_flags: the
     tangent dimension from the kept blocks equals the Hom between the
@@ -221,6 +221,31 @@ def test_tangent_from_kept_blocks_matches_oracle(request, name):
                 assert flagvar.tangent_dimension(m, flag) == want
                 flags += 1
     assert flags >= 100
+
+
+@pytest.mark.parametrize("name", ["a2", "b2"])
+def test_tangent_builds_no_module(request, name, monkeypatch):
+    """On a checked flag, tangent_dimension reads both chains off the kept
+    blocks: no split, no module built or validated, no tensor module."""
+    datum = request.getfixturevalue(name)
+    m = hmod.random_locally_free(datum, 2, 3, (2, 1), seed=4)
+    flags = [flag for seq in SEQS for flag in flagvar.iter_flags(m, seq)]
+    calls = []
+
+    def counted(attr, original):
+        def call(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+        return call
+
+    for owner, attr in ((hmod, "make_module"), (hmod, "_split"),
+                        (hmod, "validate_module"),
+                        (flagvar.TensorModule, "__post_init__")):
+        monkeypatch.setattr(owner, attr,
+                            counted(attr, getattr(owner, attr)))
+    dims = [flagvar.tangent_dimension(m, flag) for flag in flags]
+    assert len(flags) >= 20 and any(dims)
+    assert calls == []
 
 
 class TestFlagAt:

@@ -27,6 +27,7 @@ from conftest import (
     golden_module,
     line_submodule,
     n_module,
+    reference_flag_tensor_modules,
     reference_generators,
     reference_intertwiner_rows,
     reference_mod_epsilon_tensor,
@@ -687,17 +688,31 @@ class TestShortRankVectors:
 
 class TestTensorModules:
     def test_repetitive_module(self, a2):
+        """(M, M, M) with identity connectors: the maps of each slot at
+        the vertices t*n + i, then the connectors (t, i) -> (t+1, i)."""
         m = golden_module(a2, 2, 5)
-        rep = flagvar.repetitive_module(m, 4)
-        assert len(rep.slots) == 3
-        assert len(rep.connectors) == 2
+        rep = flagvar.TensorModule((m,) * 3, (homext.identity_hom(m),) * 2)
+        assert rep.dims == m.dims * 3
+        own = m.maps_with_labels()
+        maps = rep.maps_with_labels()
+        assert len(maps) == 3 * len(own) + 2 * m.n
+        for t in range(3):
+            for (label, x, i, j), (got, y, a, b) in zip(
+                    own, maps[t * len(own):]):
+                assert (got, a, b) == (f"{label} in slot {t + 1}",
+                                       t * m.n + i, t * m.n + j)
+                assert y is x
+        assert [(label, a, b) for label, _, a, b in maps[3 * len(own):]] == [
+            (f"mu_{t + 1}->{t + 2} at vertex {i + 1}", (t + 1) * m.n + i,
+             t * m.n + i) for t in range(2) for i in range(m.n)]
 
     def test_repetitive_end_matches_end(self, a2, b2):
         for datum in (a2, b2):
             m = hmod.random_locally_free(datum, 2, 3, (1, 1), seed=1)
             end_dim = homext.hom_space(m, m).dim
             for l in (2, 3, 4):
-                rep = flagvar.repetitive_module(m, l)
+                rep = flagvar.TensorModule(
+                    (m,) * (l - 1), (homext.identity_hom(m),) * (l - 2))
                 assert flagvar.hom_tensor(rep, rep).dim == end_dim
 
     def test_length_two_reduces_to_hom_space(self, b2):
@@ -769,12 +784,13 @@ def _oracle_tensor_pairs(a2, b2, a3):
             flags = list(itertools.islice(flagvar.iter_flags(m, brseq), 3))
             assert flags
             for flag in flags:
-                x, y = flagvar._flag_tensor_modules(m, flag)
+                x, y = reference_flag_tensor_modules(m, flag)
                 pairs.append((x, y))
                 pairs.append((reference_mod_epsilon_tensor(x),
                               reference_mod_epsilon_tensor(y)))
         for l in (2, 3, 4):
-            rep = flagvar.repetitive_module(m, l)
+            rep = flagvar.TensorModule(
+                (m,) * (l - 1), (homext.identity_hom(m),) * (l - 2))
             pairs.append((rep, rep))
     return pairs
 
@@ -803,10 +819,11 @@ class TestTensorHomOracles:
         second = tuple(data.draw(st.integers(0, ri - a))
                        for ri, a in zip(r, first))
         rest = tuple(ri - a - b for ri, a, b in zip(r, first, second))
-        pairs = [(flagvar.repetitive_module(m, 3),) * 2]
+        rep = flagvar.TensorModule((m,) * 2, (homext.identity_hom(m),))
+        pairs = [(rep, rep)]
         for flag in itertools.islice(
                 flagvar.iter_flags(m, [first, second, rest]), 2):
-            x, y = flagvar._flag_tensor_modules(m, flag)
+            x, y = reference_flag_tensor_modules(m, flag)
             pairs += [(x, y), (reference_mod_epsilon_tensor(x),
                                reference_mod_epsilon_tensor(y))]
         for x, y in pairs:
@@ -814,7 +831,7 @@ class TestTensorHomOracles:
 
     def test_substitution_check_covers_connectors(self, a2, monkeypatch):
         m = hmod.random_locally_free(a2, 2, 3, (1, 1), seed=1)
-        rep = flagvar.repetitive_module(m, 3)
+        rep = flagvar.TensorModule((m,) * 2, (homext.identity_hom(m),))
         # identity on the first slot, zero on the second: both slot maps
         # are homomorphisms, the connector square does not commute
         ident = homext.identity_hom(m)

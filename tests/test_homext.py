@@ -516,7 +516,7 @@ class TestRingUnknowns:
                              hmod.random_locally_free(b2, 3, 2, (1, 1),
                                                       seed=9))
         assert ds.standard_form
-        rep = flagvar.repetitive_module(ds, 3)
+        rep = flagvar.TensorModule((ds,) * 2, (homext.identity_hom(ds),))
         shapes = []
         original = la.kernel_basis_and_support
 

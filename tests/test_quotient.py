@@ -17,7 +17,11 @@ from cartanquiver.errors import (
 )
 from cartanquiver.exactlinalg import Subspace
 
-from conftest import n_module, reference_mod_epsilon_tensor
+from conftest import (
+    n_module,
+    reference_flag_tensor_modules,
+    reference_mod_epsilon_tensor,
+)
 
 
 def reference_reduce(m):
@@ -125,9 +129,10 @@ class TestAgainstReferences:
     def test_mod_epsilon_tensor(self, modules):
         tensors = []
         for m in modules:
-            tensors.append(flagvar.repetitive_module(m, 3))
+            tensors.append(flagvar.TensorModule(
+                (m,) * 2, (homext.identity_hom(m),)))
             for flag in _three_step_flags(m, 2):
-                tensors += flagvar._flag_tensor_modules(m, flag)
+                tensors += reference_flag_tensor_modules(m, flag)
         assert len(tensors) > 3 * len(modules)
         for x in tensors:
             got = reference_mod_epsilon_tensor(x)
@@ -139,17 +144,21 @@ class TestAgainstReferences:
                 assert _same_arrays(mine, want)
 
     def test_quotient_chain_connectors(self, modules):
-        """The quotient connectors of a flag are proj_(t+1) @ sect_t."""
+        """The quotient connectors of a flag, the quotient blocks of the
+        identity kept by its check and those of the reference chain, are
+        proj_(t+1) @ sect_t."""
         checked = 0
         for m in modules:
             for flag in _three_step_flags(m, 2):
-                _, y = flagvar._flag_tensor_modules(m, flag)
+                _, kept = flag._check()
+                _, y = reference_flag_tensor_modules(m, flag)
                 qmaps = [[la.quotient_map(m.dims[i], layer[i])
                           for i in range(m.n)] for layer in flag.layers]
                 for t, conn in enumerate(y.connectors):
                     want = [(qmaps[t + 1][i][0] @ qmaps[t][i][1]) % m.p
                             for i in range(m.n)]
                     assert _same_arrays(conn, want)
+                    assert _same_arrays([b[1] for b in kept[t]], want)
                     checked += 1
         assert checked > len(modules)
 

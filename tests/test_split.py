@@ -1,14 +1,14 @@
 """The one split of a module along invariant subspaces (`hmod._split` and
 its block rule `hmod._blocks`) against the constructions it replaces, kept
-as oracles in conftest: `submodule`, `quotient`, `sub_quotient` and the
-connector assembly of the flag tensor modules."""
+as oracles in conftest: `submodule`, `quotient`, `sub_quotient`, and the
+tensor modules of a flag against the two chains of its tangent Hom."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from cartanquiver import flagvar, hmod
+from cartanquiver import flagvar, hmod, homext
 from cartanquiver.errors import (
     NotInvariant,
     NotLocallyFree,
@@ -119,19 +119,35 @@ def _flag_modules(datum):
 
 
 @pytest.mark.parametrize("name", DATA)
-def test_connectors_match_reference(request, name):
-    """Slot modules and connectors of both tensor modules byte-identical
-    to the assembly from coordinates and induced maps."""
+def test_connectors_match_reference(request, name, monkeypatch):
+    """The two chains that tangent_dimension hands to the Hom solve equal
+    the tensor modules assembled from coordinates and induced maps, map
+    for map: dims, labels, byte-identical matrices (slot maps and
+    connectors), vertex indices and order."""
+    solved = []
+    original = homext._hom_basis
+
+    def recorded(x, y):
+        solved.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(homext, "_hom_basis", recorded)
     flags = 0
     for m in _flag_modules(request.getfixturevalue(name)):
         for seq in SEQS:
             for flag in flagvar.iter_flags(m, seq):
-                got = flagvar._flag_tensor_modules(m, flag)
+                del solved[:]
+                flagvar.tangent_dimension(m, flag)
+                [got] = solved
                 want = reference_flag_tensor_modules(m, flag)
                 for x, y in zip(got, want):
-                    assert all(map(_same_module, x.slots, y.slots))
-                    assert all(_same(a, b) for mu, nu in zip(
-                        x.connectors, y.connectors) for a, b in zip(mu, nu))
+                    assert (x.p, x.dims) == (y.p, y.dims)
+                    mine, theirs = x.maps_with_labels(), y.maps_with_labels()
+                    assert len(mine) == len(theirs)
+                    for (label, a, *ends), (other, b, *want_ends) in zip(
+                            mine, theirs):
+                        assert (label, ends) == (other, want_ends)
+                        assert _same(a, b)
                 flags += 1
     assert flags >= 60
 

@@ -1,19 +1,22 @@
 """Inputs outside the supported range fail with a typed error instead of
 returning an answer: Hom checks across algebras, rank sequences of the
 closed-form count, the level range and generator ranks of `reduction`,
-and matrix entries that are not integers."""
+and matrix entries and integers read from outside that are not integers."""
 
 import numpy as np
 import pytest
 
-from cartanquiver import flagvar, hmod, homext, reduction
+from cartanquiver import cartan, flagvar, hmod, homext, reduction
 from cartanquiver import exactlinalg as la
+from cartanquiver.cartan import RankVector
 from cartanquiver.errors import (
     DatumMismatch,
     LengthMismatch,
     RankTooLarge,
     ValidationError,
 )
+
+from conftest import dims_eps_file
 
 
 class TestHomAcrossAlgebras:
@@ -43,8 +46,10 @@ class TestHomAcrossAlgebras:
             with pytest.raises(DatumMismatch):
                 flagvar.TensorModule((m, other), (homext.identity_hom(m),))
             with pytest.raises(DatumMismatch):
-                flagvar.hom_tensor(flagvar.repetitive_module(m, 3),
-                                   flagvar.repetitive_module(other, 3))
+                flagvar.hom_tensor(
+                    flagvar.TensorModule((m,) * 2, (homext.identity_hom(m),)),
+                    flagvar.TensorModule((other,) * 2,
+                                         (homext.identity_hom(other),)))
 
     def test_same_algebra_still_accepted(self, a2):
         m = hmod.free_module(a2, 2, 3, (1, 1))
@@ -126,3 +131,59 @@ class TestNonIntegerEntries:
                     np.array([1 + 0j])):
             with pytest.raises(ValidationError):
                 la.integer_array(bad)
+
+
+class TestIntegerReaders:
+    """Integers from outside the library are read like operator.index
+    reads them: ints, bools and numpy integers pass, and a float or a
+    string raises ValidationError, where int() truncated (2.7 read as 2)
+    or parsed it."""
+
+    CONFIG = {"n": 2, "C": [[2, -1], [-1, 2]], "D": [1, 1],
+              "omega": [[1, 2]], "k": 2, "p": 5}
+
+    def test_cartan_data(self):
+        a2 = cartan.validate_cartan(np.array([[2, -1], [-1, 2]]),
+                                    np.array([1, 1], dtype=np.uint8))
+        assert a2.c == ((2, -1), (-1, 2)) and a2.d == (1, 1)
+        for c, d in (([[2, -1.5], [-1, 2]], [1, 1]),
+                     ([[2, -1], [-1, 2]], [1.0, 1]),
+                     ([[2, -1], [-1, 2]], ["1", 1])):
+            with pytest.raises(ValidationError):
+                cartan.validate_cartan(c, d)
+        for omega in ([(0, 1.0)], [(0, 1, 2)], [("0", 1)]):
+            with pytest.raises(ValidationError):
+                cartan.validate_orientation(a2, omega)
+
+    def test_config(self):
+        datum, k, p = cartan.datum_from_dict(
+            dict(self.CONFIG, n=np.int64(2), k=True))
+        assert (datum.n, k, p) == (2, 1, 5)
+        for entry in ({"n": 2.7, "k": 2.5, "p": 5.9, "omega": [[1.9, 2]]},
+                      {"n": 2.0}, {"k": 2.5}, {"p": 5.9}, {"p": "5"},
+                      {"omega": [[1.9, 2]]}, {"D": [2.7, 1]}):
+            with pytest.raises(ValidationError):
+                cartan.datum_from_dict(dict(self.CONFIG, **entry))
+
+    def test_rank_vectors(self, a2):
+        assert RankVector((np.int64(1), True)) == (1, 1)
+        for entries in ((1.5, 2), (1, "2"), (np.float64(1), 0)):
+            with pytest.raises(ValidationError):
+                RankVector(entries)
+        with pytest.raises(ValidationError):
+            cartan.euler_form(a2, (1.5, 0), (1, 0))
+
+    def test_module_files(self, a2):
+        m = hmod.random_locally_free(a2, 2, 3, (1, 1), seed=1)
+        structure = hmod.module_to_dict(m)
+        dims = dims_eps_file(m)
+        assert hmod.modules_equal(hmod.module_from_dict(a2, structure), m)
+        assert hmod.modules_equal(hmod.module_from_dict(a2, dims), m)
+        arrows = dims["arrows"]["1,2"]
+        for data in ({**structure, "k": 2.0}, {**structure, "p": 3.5},
+                     {**structure, "rank": [1.5, 1]}, {**dims, "k": "2"},
+                     {**dims, "dims": [2.0, 2]},
+                     {**dims, "arrows": {"1.5,2": arrows}},
+                     {**dims, "arrows": {"1,2.0": arrows}}):
+            with pytest.raises(ValidationError):
+                hmod.module_from_dict(a2, data)
