@@ -1,7 +1,7 @@
 """Exact linear algebra over prime fields F_p.
 
 Matrices are numpy int64 arrays with entries in {0, ..., p-1}; they act on
-column vectors.  `rref`, `rref_stack`, `solve`, `matpow`, `digits`,
+column vectors.  `rref`, `solve`, `matpow`, `digits`, `block_diag`,
 `Subspace`, `Subspace.from_rows` and `Subspace.reduce_rows` refuse entries
 that are not integers instead of truncating them.  Subspaces are stored
 through their unique reduced row-echelon basis, so two equal subspaces
@@ -10,7 +10,7 @@ The module also provides Gaussian binomials and exact Lagrange
 interpolation over the integers.
 
 Every solve, rank, inverse and kernel goes through one elimination,
-`rref`; stacks of equally shaped matrices go through `rref_stack`.
+`rref`.
 """
 
 from __future__ import annotations
@@ -102,7 +102,9 @@ def identity(n: int) -> np.ndarray:
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
     """The block-diagonal matrix of the given blocks, in order; a block may
-    have no rows or no columns."""
+    have no rows or no columns.  Raises ValidationError for a block with
+    entries that are not integers."""
+    blocks = [integer_array(b) for b in blocks]
     out = zeros(sum(b.shape[0] for b in blocks),
                 sum(b.shape[1] for b in blocks))
     row = col = 0
@@ -228,62 +230,6 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
         r += 1
     # with rank 0, m is zero (and may have no cells) and is its own RREF
     return (np.array(a, dtype=np.int64) if r else m), r, tuple(pivots)
-
-
-def _inverse_stack(x: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of the non-zero residues x mod p, as x^(p-2) by repeated
-    squaring on the whole array."""
-    out = np.ones_like(x)
-    base = x % p
-    e = p - 2
-    while e:
-        if e & 1:
-            out = (out * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return out
-
-
-def rref_stack(a: np.ndarray, p: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced row echelon forms of a stack of matrices mod p.
-
-    a has shape (N, rows, cols).  Returns (R, ranks, pivots): R[b] is the
-    RREF of a[b] as `rref` computes it, ranks[b] its rank, and
-    pivots[b, :ranks[b]] its pivot columns (-1 beyond).  Each column is
-    one round of array operations over the matrices that still have a
-    pivot to find; every product is reduced mod p before it enters another
-    (see MAX_PRIME).
-    """
-    m = integer_array(a) % p
-    n, rows, cols = m.shape
-    ranks = np.zeros(n, dtype=np.int64)
-    pivots = np.full((n, rows), -1, dtype=np.int64)
-    row_ids = np.arange(rows)
-    for c in range(cols):
-        cand = (m[:, :, c] != 0) & (row_ids >= ranks[:, None])
-        live = np.flatnonzero(cand.any(axis=1))
-        if live.size == 0:
-            continue
-        sub = m if live.size == n else m[live]
-        k = np.arange(live.size)
-        r = ranks[live]
-        i = cand[live].argmax(axis=1)
-        # rows at or below the rank are zero left of c, so only the
-        # columns from c on change
-        lead = sub[k, i, c:]
-        lead = (lead * _inverse_stack(lead[:, 0], p)[:, None]) % p
-        sub[k, i, c:] = sub[k, r, c:]
-        sub[k, r, c:] = lead
-        factor = sub[:, :, c].copy()
-        factor[k, r] = 0
-        sub[:, :, c:] -= factor[:, :, None] * lead[:, None, :]
-        sub[:, :, c:] %= p
-        if sub is not m:
-            m[live] = sub
-        pivots[live, r] = c
-        ranks[live] += 1
-    return m, ranks, pivots
 
 
 def rank(a: np.ndarray, p: int) -> int:

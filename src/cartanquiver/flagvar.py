@@ -8,13 +8,15 @@ higher x-degree), which hits every eps-invariant free-restriction subspace
 exactly once.  The charts of a vertex are split into blocks; one
 backtracking search, which iterates or counts, tests a block of candidates
 at a time for arrow closure across vertices, and builds each block (one
-stacked array of charts, reduced by one batched elimination) when it first
-reaches it.  Built blocks of keys up to a size limit are cached, so a
-search that stops early builds only the blocks it read.  A search refuses
-to start, with BudgetExceeded, when any vertex has more than
-VERTEX_CANDIDATE_BUDGET candidates; a count with no active arrow is a
-closed-form product and is never refused.  Flags of
-length l are translated into single submodules of the repetitive module
+stacked array of chart rows, with no elimination: the rows of a chart are
+the identity on its pivot columns, which is all a closure test needs) when
+it first reaches it; only the candidates a search yields are reduced to
+canonical subspaces, once per block.  Built blocks of keys up to a size
+limit are cached, so a search that stops early builds only the blocks it
+read.  A search refuses to start, with BudgetExceeded, when any vertex has
+more than VERTEX_CANDIDATE_BUDGET candidates; a count with no active arrow
+is a closed-form product and is never refused.  Flags of length l are
+translated into single submodules of the repetitive module
 over the tensor algebra with the path algebra of a linear quiver on l-1
 vertices; that translation also provides tangent spaces (one Hom solve)
 and the affine linear system cutting out the fiber of the reduction map
@@ -131,41 +133,62 @@ def _block_size(m_order: int, r: int, e: int) -> int:
 @dataclass(frozen=True, eq=False)
 class _CandidateTable:
     """A run of consecutive candidate submodules of one (m_order, r, e, p)
-    key, in chart order: read-only RREF bases (N, e*m, r*m) and their pivot
-    columns (N, e*m)."""
+    key, in chart order: the read-only chart rows (N, e*m, r*m) of
+    `_chart_rows`, not reduced, and their identity columns (N, e*m).  Row
+    col*m + shift of a chart is eps^shift times ring column col, so it has
+    a 1 at generator pivots[col] in degree shift, column
+    pivots[col]*m + shift, and a 0 at every other such column: the rows
+    are the identity on those columns P.  A row vector v then lies in the
+    chart's span exactly when v - v[:, P] @ rows is zero, which is all the
+    closure tests need; a candidate is reduced to its canonical Subspace
+    only when a search yields it, once per table."""
 
     p: int
     ambient: int
     basis: np.ndarray
     pivots: np.ndarray
+    _reduced: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.basis.shape[0]
 
     def subspace(self, t: int) -> Subspace:
-        """Candidate t as a Subspace viewing the table."""
-        return Subspace(self.p, self.ambient, self.basis[t],
-                        tuple(self.pivots[t].tolist()))
+        """Candidate t as its canonical Subspace, reduced on first use and
+        kept by the table, since searches yield the same charts often."""
+        sub = self._reduced.get(t)
+        if sub is None:
+            sub = self._reduced[t] = Subspace.from_rows(
+                self.basis[t], self.ambient, self.p)
+        return sub
 
 
 def _new_table(m_order: int, r: int, e: int, p: int, start: int,
                stop: int) -> _CandidateTable:
-    """Charts start, ..., stop - 1 as a table: each block of charts is
-    reduced by one batched elimination into preallocated arrays, and every
-    chart must have full rank e*m (it spans a free submodule)."""
+    """Charts start, ..., stop - 1 as a table, a block of charts at a time
+    into preallocated arrays, with no elimination.  The pivot of ring
+    column col is its first row with a non-zero constant term (rows above
+    it start in degree 1); every chart's rows must be the identity on the
+    columns P this gives, which also makes their rank e*m (the chart spans
+    a free submodule)."""
     d = e * m_order
     basis = np.empty((stop - start, d, r * m_order), dtype=np.int64)
     pivots = np.empty((stop - start, d), dtype=np.int64)
     step = _block_size(m_order, r, e)
     for lo in range(start, stop, step):
         hi = min(stop, lo + step)
-        rows = _chart_rows(_chart_block(m_order, r, e, p, lo, hi), m_order)
-        reduced, ranks, piv = la.rref_stack(rows, p)
-        if (ranks != d).any():
+        charts = _chart_block(m_order, r, e, p, lo, hi)
+        rows = _chart_rows(charts, m_order)
+        lead = ((charts[..., 0] != 0).argmax(axis=1) if d
+                else np.zeros((hi - lo, 0), dtype=np.int64))
+        cols = (lead[:, :, None] * m_order + np.arange(m_order)).reshape(
+            hi - lo, d)
+        if (np.take_along_axis(rows, cols[:, None, :], axis=2)
+                != la.identity(d)).any():
             raise InternalCheckError(
-                "a ring-echelon chart does not span a free submodule")
-        basis[lo - start:hi - start] = reduced
-        pivots[lo - start:hi - start] = piv
+                "a ring-echelon chart is not the identity on its pivot "
+                "columns")
+        basis[lo - start:hi - start] = rows
+        pivots[lo - start:hi - start] = cols
     basis.setflags(write=False)
     pivots.setflags(write=False)
     return _CandidateTable(p, r * m_order, basis, pivots)
@@ -226,31 +249,35 @@ def _check_budgets(counts: Sequence[int]) -> None:
                 f"flagvar.VERTEX_CANDIDATE_BUDGET = {VERTEX_CANDIDATE_BUDGET}")
 
 
-def _reducer(u: Subspace) -> np.ndarray:
-    """Matrix R with v @ R = v - v[:, pivots] @ basis mod p: the residue of
-    row vectors modulo u, as one product."""
-    out = la.identity(u.ambient)
-    rows = list(u.pivots)
-    out[rows] = (out[rows] - u.basis) % u.p
+def _reducer(block: _CandidateTable, t: int) -> np.ndarray:
+    """Matrix R with v @ R = v - v[:, P] @ rows mod p for the rows of chart
+    t and their identity columns P: zero exactly for the row vectors in the
+    chart's span, as one product."""
+    out = la.identity(block.ambient)
+    cols = block.pivots[t]
+    out[cols] = (out[cols] - block.basis[t]) % block.p
     return out
 
 
 def _closed(block: _CandidateTable, v: int, tests, chosen: dict
             ) -> np.ndarray:
     """Mask of the candidates at vertex v closed under the given arrows to
-    chosen vertices, by one residue computation per arrow for the block."""
+    the chosen (table, chart) of other vertices, by one residue
+    computation per arrow for the block.  The chart rows are the identity
+    on their columns P, so img lies in a chart's span exactly when
+    img - img[:, P] @ rows is zero."""
     p = block.p
     ok = np.ones(len(block), dtype=bool)
     for i, j, a in tests:
         if i == v:
-            # image of the chosen U_j against every candidate U_i:
-            # img - img[:, P] @ B
-            img = (chosen[j].basis @ a.T) % p
+            # image of the chosen U_j against every candidate U_i
+            other, s = chosen[j]
+            img = (other.basis[s] @ a.T) % p
             coeff = img[:, block.pivots].transpose(1, 0, 2)
             resid = (img - coeff @ block.basis) % p
         else:
             # image of every candidate U_j against the chosen U_i
-            resid = (block.basis @ ((a.T @ _reducer(chosen[i])) % p)) % p
+            resid = (block.basis @ ((a.T @ _reducer(*chosen[i])) % p)) % p
         ok &= ~resid.any(axis=(1, 2))
     return ok
 
@@ -273,7 +300,7 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
                  if v in (i, j) and {i, j} <= placed]
         key = (m.loop_order(v), rank[v], e[v], m.p)
         levels.append((v, key, counts[v], _block_size(*key[:3]), tests))
-    chosen: dict[int, Subspace] = {}
+    chosen: dict[int, tuple[_CandidateTable, int]] = {}
 
     def extend(idx: int):
         v, key, size, step, tests = levels[idx]
@@ -283,10 +310,11 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
             if last and count:
                 yield int(np.count_nonzero(ok))
                 continue
-            for t in np.flatnonzero(ok):
-                chosen[v] = block.subspace(t)
+            for t in np.flatnonzero(ok).tolist():
+                chosen[v] = block, t
                 if last:
-                    yield tuple(chosen[u] for u in range(m.n))
+                    yield tuple(b.subspace(s) for b, s in
+                                (chosen[u] for u in range(m.n)))
                 else:
                     yield from extend(idx + 1)
         chosen.pop(v, None)

@@ -207,7 +207,7 @@ class HomBasis:
                      for row in self.vec_basis)
 
     def element_from_coeffs(self, coeffs) -> tuple[np.ndarray, ...]:
-        coeffs = np.asarray(coeffs, dtype=np.int64) % self.source.p
+        coeffs = la.integer_array(coeffs) % self.source.p
         if coeffs.shape != (self.dim,):
             raise la.DimensionMismatch("wrong number of coefficients")
         vec = (coeffs @ self.vec_basis) % self.source.p

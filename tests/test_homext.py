@@ -12,6 +12,7 @@ from cartanquiver.errors import (
     DatumMismatch,
     InternalCheckError,
     NotLocallyFree,
+    ValidationError,
 )
 
 from conftest import (
@@ -76,6 +77,20 @@ class TestHomSpace:
         f = basis.element_from_coeffs(coeffs)
         assert np.array_equal(basis.coords_of(f), coeffs % 3)
 
+
+    def test_element_from_coeffs_rejects_non_integers(self, a2):
+        # a cast would truncate 1.9 to 1 and give the element of [1, 0]
+        m = hmod.random_locally_free(a2, 2, 3, (1, 1), seed=0)
+        basis = homext.hom_space(m, m)
+        assert basis.dim >= 1
+        coeffs = [1.9] + [0] * (basis.dim - 1)
+        with pytest.raises(ValidationError):
+            basis.element_from_coeffs(coeffs)
+        with pytest.raises(ValidationError):
+            basis.element_from_coeffs(np.array(coeffs))
+        whole = basis.element_from_coeffs([1] + [0] * (basis.dim - 1))
+        assert all(np.array_equal(f, g)
+                   for f, g in zip(whole, basis.elements[0]))
 
 class TestExt:
     def test_ext_free_self(self, a2, b2):
