@@ -155,16 +155,18 @@ def right_product_matrix(b: np.ndarray, rows: int) -> np.ndarray:
 def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a**e mod p (a fresh int64 array) by repeated squaring, reducing at
     every product: the result starts at the lowest power of two that e
-    needs, and squaring stops at its highest.  Raises DimensionMismatch
-    for a matrix that is not square, ValidationError for e < 0."""
+    needs, and squaring stops at its highest.  a may be a stack
+    (..., n, n) of matrices, each raised to the power e.  Raises
+    DimensionMismatch for matrices that are not square, ValidationError
+    for e < 0."""
     a = integer_array(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matpow needs a square matrix, got shape "
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"matpow needs square matrices, got shape "
                                 f"{a.shape}")
     if e < 0:
         raise ValidationError(f"matpow needs an exponent >= 0, got {e}")
     if e == 0:
-        return identity(a.shape[0])
+        return np.broadcast_to(identity(a.shape[-1]), a.shape).copy()
     base = a % p
     while not e & 1:
         base = (base @ base) % p
@@ -439,7 +441,10 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     for t in range(d):
         num *= q ** (n - t) - 1
         den *= q ** (t + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalCheckError(
+            f"gaussian_binomial({n}, {d}, {q}): {num} is not a multiple "
+            f"of {den}")
     return num // den
 
 

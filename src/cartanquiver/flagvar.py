@@ -141,13 +141,15 @@ class _CandidateTable:
     are the identity on those columns P.  A row vector v then lies in the
     chart's span exactly when v - v[:, P] @ rows is zero, which is all the
     closure tests need; a candidate is reduced to its canonical Subspace
-    only when a search yields it, once per table."""
+    only when a search yields it, and gets its `_reducer` only when a
+    search chooses it, each once per table."""
 
     p: int
     ambient: int
     basis: np.ndarray
     pivots: np.ndarray
     _reduced: dict = field(default_factory=dict, init=False, repr=False)
+    _reducers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.basis.shape[0]
@@ -160,6 +162,15 @@ class _CandidateTable:
             sub = self._reduced[t] = Subspace.from_rows(
                 self.basis[t], self.ambient, self.p)
         return sub
+
+    def reducer(self, t: int) -> np.ndarray:
+        """`_reducer` of candidate t, read-only, built on first use and
+        kept by the table, since searches choose the same charts often."""
+        out = self._reducers.get(t)
+        if out is None:
+            out = self._reducers[t] = _reducer(self, t)
+            out.setflags(write=False)
+        return out
 
 
 def _new_table(m_order: int, r: int, e: int, p: int, start: int,
@@ -277,7 +288,8 @@ def _closed(block: _CandidateTable, v: int, tests, chosen: dict
             resid = (img - coeff @ block.basis) % p
         else:
             # image of every candidate U_j against the chosen U_i
-            resid = (block.basis @ ((a.T @ _reducer(*chosen[i])) % p)) % p
+            other, s = chosen[i]
+            resid = (block.basis @ ((a.T @ other.reducer(s)) % p)) % p
         ok &= ~resid.any(axis=(1, 2))
     return ok
 
@@ -448,7 +460,7 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
         maps = [(f"layer {t + 1} not closed under "
                  f"{'loop' if i == j else 'arrow'} {label}", x, i, j)
                 for label, x, i, j in own]
-        sides, pairs = hmod._split_blocks(m, layer, maps)
+        sides, pairs = hmod._split_blocks(m, layer, maps, True)
         for i in range(m.n):
             order = m.loop_order(i)
             dim = layer[i].dim

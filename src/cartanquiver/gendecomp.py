@@ -6,6 +6,11 @@ neither nilpotent nor invertible splits M.  A split is searched in three
 steps, each run only when the one before it has not decided:
 
 1. Fitting splits along the End(M) basis elements, shifted by scalars.
+   Each candidate f is raised to the Fitting power at all of its shifts
+   in one stacked power per vertex, and a candidate with a nilpotent shift
+   f - lam is skipped before any rank is taken: every other shift
+   f - mu = (f - lam) + (lam - mu) is a unit plus a commuting nilpotent,
+   so no shift of f splits M.
 2. When p^dim End(M) is at most IDEMPOTENT_BUDGET, an exhaustive scan
    of End(M) for a proper idempotent.  M decomposes exactly when one
    exists, so the completed scan is final: a split, or an exhaustive
@@ -24,6 +29,10 @@ generic Ext vanishing between parts in both orders - since raw frequency
 can tie or mislead over tiny fields.  Schur-ness itself is decided by the
 splitting form of the same characterization: r is a Schur root exactly
 when no decomposition r = s + t has vanishing generic Ext both ways.
+One generic-Ext table serves a whole decomposition call (its Schur checks,
+Ext checks and splitting recursion) and is dropped with it: a pair whose
+Ext scan is exhaustive has a minimum that does not depend on the seed and
+is asked once, a sampled pair is asked with its own seed.
 Every report carries its sample counts, seeds and certainty level.
 
 The budgets (SPLIT_TRIALS, IDEMPOTENT_BUDGET, PAIR_SPACE_BUDGET and
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,11 +65,11 @@ EXHAUSTIVE = "exhaustive"
 MONTE_CARLO = "monte_carlo"
 
 
-def _fitting_split(m: HModule, f) -> Optional[tuple]:
-    """Subspace pair (im, ker) of f^N when it splits M non-trivially."""
+def _fitting_split(m: HModule, powers) -> Optional[tuple]:
+    """Subspace pair (im, ker) of the Fitting powers f_i^N (one per vertex,
+    N >= dim M) when they split M non-trivially."""
     p = m.p
     total = m.total_dim()
-    powers = [la.matpow(fi, max(total, 1), p) for fi in f]
     im_dim = sum(la.rank(fi, p) for fi in powers)
     if im_dim == 0 or im_dim == total:
         return None
@@ -101,19 +110,34 @@ def _scan_idempotents(m: HModule, basis: homext.HomBasis
             x = digits[idx]
             if not x.any() or np.array_equal(x, id_coords):
                 continue
-            e = basis.element_from_coeffs(x)
-            return _fitting_split(m, e)
+            return _fitting_search(m, [basis.element_from_coeffs(x)], [0])
     return None
 
 
 def _fitting_search(m: HModule, candidates, shifts) -> Optional[tuple]:
-    """First Fitting split among the shifted candidates, in order."""
+    """First Fitting split among the shifts f - lam of the candidates f,
+    candidate by candidate and shift by shift.
+
+    Each candidate is raised at all of its shifts in one stacked power
+    per vertex.  When some shift f - lam is nilpotent, no shift splits M
+    and the candidate is skipped: every other shift f - mu =
+    (f - lam) + (lam - mu) is a unit plus a commuting nilpotent, hence
+    invertible.  Ranks and subspaces are computed for the other candidates
+    only."""
     p = m.p
+    power = max(m.total_dim(), 1)
+    lams = np.asarray(shifts, dtype=np.int64).reshape(-1, 1, 1)
+    scalars = [lams * la.identity(d) for d in m.dims]
     for f in candidates:
-        for lam in shifts:
-            shifted = tuple((fi - lam * la.identity(m.dims[i])) % p
-                            for i, fi in enumerate(f))
-            split = _fitting_split(m, shifted)
+        stacks = [la.matpow(fi - lam, power, p)
+                  for fi, lam in zip(f, scalars)]
+        alive = np.zeros(len(lams), dtype=bool)
+        for stack in stacks:
+            alive |= stack.reshape(len(lams), -1).any(axis=1)
+        if not alive.all():
+            continue
+        for t in range(len(lams)):
+            split = _fitting_split(m, [stack[t] for stack in stacks])
             if split is not None:
                 return split
     return None
@@ -253,9 +277,7 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
     s = RankVector(s)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    total_params = (hmod.structure_parameter_count(datum, k, r)
-                    + hmod.structure_parameter_count(datum, k, s))
-    if p ** total_params <= PAIR_SPACE_BUDGET:
+    if _pair_exhaustive(datum, k, p, r, s):
         fresh = hmod.structure_space(datum, k, p, s, PAIR_SPACE_BUDGET, 0,
                                      seed)[1]
         built: list[HModule] = []
@@ -284,6 +306,39 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
     return best
 
 
+def _pair_exhaustive(datum: CartanDatum, k: int, p: int, r, s) -> bool:
+    """Whether ext_generic scans every pair of (r, s): their joint
+    parameter space has at most PAIR_SPACE_BUDGET points."""
+    return p ** (hmod.structure_parameter_count(datum, k, r)
+                 + hmod.structure_parameter_count(datum, k, s)
+                 ) <= PAIR_SPACE_BUDGET
+
+
+@dataclass(eq=False)
+class _ExtTable:
+    """The generic Ext questions of one call over (datum, k, p), each
+    asked of ext_generic once.  An exhaustive pair's minimum runs over all
+    pairs and does not depend on the seed, so every question about the
+    pair shares one answer.  A sampled pair's answer depends on its seed:
+    it is kept under (r, s, seed) and serves only the same question asked
+    again."""
+
+    datum: CartanDatum
+    k: int
+    p: int
+    samples: int
+    known: dict = field(default_factory=dict)
+
+    def ext(self, r, s, seed) -> int:
+        r, s = tuple(r), tuple(s)
+        args = (self.datum, self.k, self.p, r, s)
+        key = (r, s) if _pair_exhaustive(*args) else (r, s, seed)
+        if key not in self.known:
+            self.known[key] = ext_generic(*args, samples=self.samples,
+                                          seed=seed)
+        return self.known[key]
+
+
 @dataclass(frozen=True, eq=False)
 class SchurRootEstimate:
     is_schur: bool
@@ -294,8 +349,8 @@ class SchurRootEstimate:
     blocking_split: Optional[tuple] = None
 
 
-def _vanishing_split(datum: CartanDatum, k: int, p: int, r: RankVector,
-                     samples: int, seed) -> Optional[tuple]:
+def _vanishing_split(table: _ExtTable, r: RankVector, seed
+                     ) -> Optional[tuple]:
     """A splitting r = s + t with generic Ext vanishing both ways, if any.
 
     Such a splitting exists exactly when r is not a Schur root: the union
@@ -311,11 +366,9 @@ def _vanishing_split(datum: CartanDatum, k: int, p: int, r: RankVector,
             continue
         seen.add(key)
         t = r - RankVector(s)
-        if ext_generic(datum, k, p, s, t, samples=samples,
-                       seed=(seed, "st") + tuple(s)) != 0:
+        if table.ext(s, t, (seed, "st") + tuple(s)) != 0:
             continue
-        if ext_generic(datum, k, p, t, s, samples=samples,
-                       seed=(seed, "ts") + tuple(s)) != 0:
+        if table.ext(t, s, (seed, "ts") + tuple(s)) != 0:
             continue
         return (tuple(s), tuple(t))
     return None
@@ -342,11 +395,17 @@ def is_schur_root(datum: CartanDatum, k: int, p: int, r,
     r = RankVector(r)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
+    return _schur_root(_ExtTable(datum, k, p, samples), r, seed)
+
+
+def _schur_root(table: _ExtTable, r: RankVector, seed) -> SchurRootEstimate:
+    """`is_schur_root` of r, asking its Ext questions of `table`."""
     exhaustive, modules = hmod.structure_space(
-        datum, k, p, r, hmod.STRUCTURE_SPACE_BUDGET, samples, seed)
+        table.datum, table.k, table.p, r, hmod.STRUCTURE_SPACE_BUDGET,
+        table.samples, seed)
     if r.total() == 0:
         return SchurRootEstimate(False, 0.0, 0, True, EXHAUSTIVE)
-    split = _vanishing_split(datum, k, p, r, samples, (seed, "split"))
+    split = _vanishing_split(table, r, (seed, "split"))
     certainty = EXHAUSTIVE
     hits = count = 0
     for t, mod in enumerate(modules):
@@ -430,17 +489,18 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
     # frequency, with the splitting-recursion type appended as a fallback
     # candidate, and return the first type the criteria certify; if none
     # passes, report the raw majority with criteria_ok = False.
+    # one Ext table serves the Schur checks, the Ext checks and the
+    # splitting recursion of this call
+    table = _ExtTable(datum, k, p, samples)
     schur_cache: dict = {}
-    ext_cache: dict = {}
 
     def evaluate(parts):
         schur_checks = []
         ok = True
         for part in sorted(set(parts)):
             if part not in schur_cache:
-                schur_cache[part] = is_schur_root(
-                    datum, k, p, part, samples=samples,
-                    seed=(seed, "schur", part))
+                schur_cache[part] = _schur_root(
+                    table, RankVector(part), (seed, "schur", part))
             est = schur_cache[part]
             schur_checks.append({"part": part, "is_schur": est.is_schur,
                                  "rate": est.rate,
@@ -451,20 +511,15 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
             for b in range(len(parts)):
                 if a == b:
                     continue
-                key = (parts[a], parts[b])
-                if key not in ext_cache:
-                    ext_cache[key] = ext_generic(
-                        datum, k, p, parts[a], parts[b], samples=samples,
-                        seed=(seed, "ext") + key)
-                val = ext_cache[key]
+                val = table.ext(parts[a], parts[b],
+                                (seed, "ext", parts[a], parts[b]))
                 ext_checks.append({"from": parts[a], "to": parts[b],
                                    "ext_min": val})
                 ok = ok and val == 0
         return ok, tuple(schur_checks), tuple(ext_checks)
 
     ranked = counter.most_common()
-    recursed = _splitting_decomposition(datum, k, p, r, samples,
-                                        (seed, "rec"))
+    recursed = _splitting_decomposition(table, r, (seed, "rec"))
     if recursed not in counter:
         ranked = ranked + [(recursed, 0)]
     evaluated = []
@@ -489,18 +544,15 @@ def _multiset_sum(parts, n: int) -> RankVector:
     return total
 
 
-def _splitting_decomposition(datum: CartanDatum, k: int, p: int,
-                             r: RankVector, samples: int, seed
+def _splitting_decomposition(table: _ExtTable, r: RankVector, seed
                              ) -> tuple[tuple[int, ...], ...]:
     """Refine r along Ext-vanishing splittings until all parts are Schur."""
-    split = _vanishing_split(datum, k, p, r, samples, seed)
+    split = _vanishing_split(table, r, seed)
     if split is None:
         return (tuple(r),)
     s, t = split
-    left = _splitting_decomposition(datum, k, p, RankVector(s), samples,
-                                    (seed, "l"))
-    right = _splitting_decomposition(datum, k, p, RankVector(t), samples,
-                                     (seed, "r"))
+    left = _splitting_decomposition(table, RankVector(s), (seed, "l"))
+    right = _splitting_decomposition(table, RankVector(t), (seed, "r"))
     return tuple(sorted(left + right))
 
 

@@ -184,10 +184,14 @@ def validate_module(m: HModule) -> None:
 def _not_free_at(m: HModule) -> Optional[str]:
     """The first vertex i at which m is not free: k*c_i must divide
     dim M_i and rank(Eps_i) must equal dim M_i - dim M_i/(k*c_i), which
-    pins the Jordan type to free blocks.  Names it with its dim, loop order
-    and loop rank; None when m is locally free."""
+    pins the Jordan type to free blocks.  A loop in standard form (the
+    Jordan test `_jordan_order` reads k*c_i) is free without an
+    elimination.  Names the vertex with its dim, loop order and loop rank;
+    None when m is locally free."""
     for i in range(m.n):
         order, d = m.loop_order(i), m.dims[i]
+        if _jordan_order(m.eps[i]) == order:
+            continue            # blocks of full size: rank d - d/order
         rk = la.rank(m.eps[i], m.p)
         if d % order or rk != d - d // order:
             return (f"vertex {i + 1} has dim {d}, loop order {order} and "
@@ -508,33 +512,44 @@ class Quotient:
 
 def _blocks(label: str, x: np.ndarray, source, target) -> tuple:
     """The blocks of a map x: M_j -> M_i between sides (U, q, s), a
-    subspace with the projection and section of la.quotient_map: on the
-    subspaces, rows P_i of x B_j^T (coordinates in the RREF basis B_i with
-    pivots P_i), and on the quotients, q_i x s_j; both read-only.  Raises
-    NotInvariant unless x maps U_j into U_i: q_i x B_j^T == 0."""
-    u_j, _, s_j = source
-    u_i, q_i, _ = target
+    subspace with the projection and section of la.quotient_map, or (U,)
+    alone: on the subspaces, rows P_i of x B_j^T (coordinates in the RREF
+    basis B_i with pivots P_i), and on the quotients, q_i x s_j, or None
+    when the sides carry no quotient maps; both read-only.  Raises
+    NotInvariant unless x maps U_j into U_i: img = x B_j^T must satisfy
+    q_i img == 0, or, when no q_i was built, img == B_i^T img[P_i]; the
+    second test is exact too but costs more per call than the first."""
+    u_j, u_i = source[0], target[0]
     p = u_i.p
     img = (x @ u_j.basis.T) % p
-    if ((q_i @ img) % p).any():
+    sub = img[list(u_i.pivots)]
+    quotients = len(target) > 1
+    resid = target[1] @ img if quotients else img - u_i.basis.T @ sub
+    if (resid % p).any():
         raise NotInvariant(f"{label}: the subspace is not mapped into the "
                            f"target subspace")
-    return _frozen(img[list(u_i.pivots)]), _frozen(((q_i @ x) % p @ s_j) % p)
+    if not quotients:
+        return _frozen(sub), None
+    return _frozen(sub), _frozen(((target[1] @ x) % p @ source[2]) % p)
 
 
-def _split_blocks(m: HModule, subspaces, maps) -> tuple[list, dict]:
+def _split_blocks(m: HModule, subspaces, maps, quotients: bool
+                  ) -> tuple[list, dict]:
     """The checked block pass of a split of m along per-vertex subspaces
     U_i: the sides (U_i, q_i, s_i) of la.quotient_map, and per pair (i, j)
     the `_blocks` of the maps (label, X, i, j) of `maps` into that pair,
-    in order.  Raises ShapeMismatch for subspaces that do not fit m,
-    NotInvariant at the first map that does not preserve them."""
+    in order.  The quotient maps are built only when a quotient half is
+    requested (`quotients`); otherwise the sides are (U_i,) and the
+    quotient blocks None.  Raises ShapeMismatch for subspaces that do not
+    fit m, NotInvariant at the first map that does not preserve them."""
     subs = list(subspaces)
     if len(subs) != m.n:
         raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
     for i, u in enumerate(subs):
         if u.ambient != m.dims[i] or u.p != m.p:
             raise ShapeMismatch(f"subspace at vertex {i + 1} mismatched")
-    sides = [(u, *la.quotient_map(d, u)) for u, d in zip(subs, m.dims)]
+    sides = [(u, *la.quotient_map(d, u)) if quotients else (u,)
+             for u, d in zip(subs, m.dims)]
     pairs = {}
     for label, x, i, j in maps:
         pairs.setdefault((i, j), []).append(
@@ -545,10 +560,11 @@ def _split_blocks(m: HModule, subspaces, maps) -> tuple[list, dict]:
 def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
            ) -> tuple[Optional[HModule], Optional[Quotient]]:
     """The split of m along per-vertex subspaces U_i: from the block pass
-    `_split_blocks(m, U, m.maps_with_labels())`, the submodule when `sub`
-    and the quotient at level k (keeping U_i, q_i and s_i) unless k is
-    None."""
-    sides, pairs = _split_blocks(m, subspaces, m.maps_with_labels())
+    `_split_blocks(m, U, m.maps_with_labels(), k is not None)`, the
+    submodule when `sub` and the quotient at level k (keeping U_i, q_i and
+    s_i) unless k is None."""
+    sides, pairs = _split_blocks(m, subspaces, m.maps_with_labels(),
+                                 k is not None)
 
     def half(h: int, level: int) -> HModule:
         return make_module(m.datum, level, m.p,
@@ -556,9 +572,11 @@ def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
                            {key: [b[h] for b in pairs[key]]
                             for key in m.arrows})
 
+    sub_module = half(0, m.k) if sub else None
+    if k is None:
+        return sub_module, None
     subs, projs, sects = zip(*sides)
-    return (half(0, m.k) if sub else None,
-            None if k is None else Quotient(half(1, k), projs, sects, subs))
+    return sub_module, Quotient(half(1, k), projs, sects, subs)
 
 
 def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:

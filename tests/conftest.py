@@ -327,6 +327,40 @@ def reference_ext_generic(datum, k, p, r, s, samples, seed, pair_budget):
     return best
 
 
+def reference_fitting_search(m, candidates, shifts):
+    """gendecomp._fitting_search as a loop over candidates and shifts: the
+    Fitting power of each f - lam at each vertex on its own, its ranks, and
+    the (im, ker) subspaces of the first shift whose image is proper."""
+    p = m.p
+    total = m.total_dim()
+    for f in candidates:
+        for lam in shifts:
+            powers = [la.matpow((fi - lam * la.identity(d)) % p,
+                                max(total, 1), p)
+                      for fi, d in zip(f, m.dims)]
+            im_dim = sum(la.rank(x, p) for x in powers)
+            if im_dim == 0 or im_dim == total:
+                continue
+            ims = tuple(la.Subspace.from_rows(x.T, d, p)
+                        for x, d in zip(powers, m.dims))
+            kers = tuple(la.Subspace.from_rows(
+                la.kernel_basis_matrix(x, p), d, p)
+                for x, d in zip(powers, m.dims))
+            return ims, kers
+    return None
+
+
+def reference_not_free_at(m):
+    """hmod._not_free_at with an elimination at every vertex."""
+    for i in range(m.n):
+        order, d = m.loop_order(i), m.dims[i]
+        rk = la.rank(m.eps[i], m.p)
+        if d % order or rk != d - d // order:
+            return (f"vertex {i + 1} has dim {d}, loop order {order} and "
+                    f"loop rank {rk}")
+    return None
+
+
 def reference_schur_scan(datum, k, p, r, samples, seed, budget):
     """(hits, count, exhaustive, certainty) of the indecomposability scan
     of is_schur_root."""

@@ -426,10 +426,27 @@ def test_matpow_matches_repeated_product(case):
     assert not np.shares_memory(got, a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(powers(), st.lists(st.integers(0, 2), max_size=2),
+       st.integers(0, 2 ** 32))
+def test_matpow_of_a_stack_is_each_power(case, lead, seed):
+    """A stack (..., n, n) is raised matrix by matrix: every slice of the
+    result is matpow of that slice, byte for byte, in a fresh array."""
+    a, e, p = case
+    n = a.shape[0]
+    stack = np.random.default_rng(seed).integers(
+        -20, 21, size=tuple(lead) + (n, n))
+    got = la.matpow(stack, e, p)
+    assert got.dtype == np.int64 and got.shape == stack.shape
+    assert got.flags.writeable and not np.shares_memory(got, stack)
+    for idx in np.ndindex(*lead):
+        assert got[idx].tobytes() == la.matpow(stack[idx], e, p).tobytes()
+
+
 def test_matpow_rejects_bad_input():
     with pytest.raises(ValidationError):
         la.matpow(la.identity(2), -1, 3)
-    for shape in ((2, 3), (3,), (2, 2, 2)):
+    for shape in ((2, 3), (3,), (2, 2, 3)):
         with pytest.raises(DimensionMismatch):
             la.matpow(np.zeros(shape, dtype=np.int64), 2, 3)
     with pytest.raises(DimensionMismatch):

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cartanquiver import exactlinalg as la
 from cartanquiver import gendecomp, hmod, homext
 from cartanquiver.cartan import RankVector
 
-from conftest import n_module
+from conftest import make_datum, n_module, reference_fitting_search
 
 
 class TestKrullSchmidt:
@@ -274,3 +277,167 @@ class TestCrossKExtAndSchur:
             s1 = gendecomp.is_schur_root(datum, 1, 2, r).is_schur
             s2 = gendecomp.is_schur_root(datum, 2, 2, r).is_schur
             assert s1 == s2
+
+
+# --- the stacked Fitting search -----------------------------------------------
+
+FITTING_DATA = {
+    "a2": ([[2, -1], [-1, 2]], [1, 1], [(0, 1)]),
+    "b2": ([[2, -1], [-2, 2]], [2, 1], [(0, 1)]),
+    "b2_rev": ([[2, -1], [-2, 2]], [2, 1], [(1, 0)]),
+    "kronecker": ([[2, -2], [-2, 2]], [1, 1], [(0, 1)]),
+}
+UNIT_RANKS = [(1, 0), (0, 1), (1, 1)]
+
+
+@st.composite
+def fitting_cases(draw):
+    """A direct sum of one or two random modules (so that splits exist),
+    with End basis elements, random endomorphisms, central units plus
+    nilpotents, per-vertex projections and arbitrary per-vertex matrices
+    as candidates, in a drawn order, and all shifts or a drawn list."""
+    datum = make_datum(*FITTING_DATA[draw(st.sampled_from(
+        sorted(FITTING_DATA)))])
+    k = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    ranks = draw(st.lists(st.sampled_from(UNIT_RANKS), min_size=1,
+                          max_size=2))
+    m = hmod.random_locally_free(datum, k, p, ranks[0], seed=(seed, 0))
+    for t, r in enumerate(ranks[1:], 1):
+        m = hmod.direct_sum(m, hmod.random_locally_free(datum, k, p, r,
+                                                        seed=(seed, t)))
+    basis = homext.hom_space(m, m)
+    eps = hmod.epsilon_blocks(m)
+    pool = list(basis.elements)
+    pool += [basis.element_from_coeffs(rng.integers(0, p, size=basis.dim))
+             for _ in range(3)]
+    pool += [tuple((lam * la.identity(d) + c * e) % p
+                   for d, e in zip(m.dims, eps))
+             for lam, c in rng.integers(0, p, size=(2, 2))]
+    pool += [tuple(la.identity(d) * (i == v) for i, d in enumerate(m.dims))
+             for v in range(m.n)]
+    pool += [tuple(rng.integers(0, p, size=(d, d)) for d in m.dims)]
+    order = draw(st.permutations(range(len(pool))))
+    candidates = [pool[i] for i in order[:draw(st.integers(1, len(pool)))]]
+    shifts = draw(st.one_of(
+        st.just(range(p)),
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=8)))
+    return m, candidates, shifts
+
+
+@settings(max_examples=120, deadline=None)
+@given(fitting_cases())
+def test_stacked_search_matches_reference(case):
+    """The first split of the stacked search, with its nilpotent rule-out,
+    is the first split of the candidate-by-candidate loop: the same
+    (ims, kers), or None from both."""
+    m, candidates, shifts = case
+    got = gendecomp._fitting_search(m, candidates, shifts)
+    want = reference_fitting_search(m, candidates, shifts)
+    assert got == want
+
+
+def test_one_power_per_vertex_and_no_rank_for_ruled_out(kronecker,
+                                                        monkeypatch):
+    """Each candidate costs one stacked matpow per vertex; a candidate with
+    a nilpotent shift (here lam + c * eps, eps central and nilpotent) gets
+    no rank at all."""
+    m = hmod.direct_sum(hmod.random_locally_free(kronecker, 2, 3, (1, 1), 1),
+                        hmod.random_locally_free(kronecker, 2, 3, (1, 0), 2))
+    eps = hmod.epsilon_blocks(m)
+    candidates = [tuple((lam * la.identity(d) + c * e) % 3
+                        for d, e in zip(m.dims, eps))
+                  for lam, c in itertools.product(range(3), repeat=2)]
+    calls = {"matpow": 0, "rank": 0}
+    for name in calls:
+        original = getattr(la, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(la, name, counted)
+    assert gendecomp._fitting_search(m, candidates, range(3)) is None
+    assert calls == {"matpow": len(candidates) * m.n, "rank": 0}
+
+
+# --- one generic-Ext table per decomposition ----------------------------------
+
+def _unshared(monkeypatch):
+    """Every Ext question goes to ext_generic, as if nothing were shared."""
+    def ask(self, r, s, seed):
+        return gendecomp.ext_generic(self.datum, self.k, self.p, r, s,
+                                     samples=self.samples, seed=seed)
+
+    monkeypatch.setattr(gendecomp._ExtTable, "ext", ask)
+
+
+def _schur_fields(est):
+    return (est.is_schur, est.rate, est.samples, est.exhaustive,
+            est.certainty, est.blocking_split)
+
+
+SMALL_RANKS = [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2),
+               (3, 0), (0, 3)]
+# (datum, k, p): every rank of total <= 3 whose structure space has at
+# most 2^6 points
+REPORT_LEVELS = [("a2", 1, 2), ("a2", 2, 2), ("a2", 1, 3), ("b2", 1, 2),
+                 ("b2_rev", 1, 2), ("kronecker", 1, 2)]
+
+
+def _reports(datum, k, p, r, samples, seed):
+    return (gendecomp.canonical_decomposition(datum, k, p, r, samples,
+                                              seed).to_dict(),
+            _schur_fields(gendecomp.is_schur_root(datum, k, p, r, samples,
+                                                  seed)),
+            gendecomp.k_independence_check(datum, p, r, k, samples,
+                                           seed).to_dict())
+
+
+@pytest.mark.parametrize("name,k,p", REPORT_LEVELS)
+def test_shared_table_reports_match_unshared(request, monkeypatch, name, k,
+                                             p):
+    """canonical_decomposition, is_schur_root and k_independence_check
+    report exactly what they report when every Ext question is asked
+    anew: parts, samples, rates, ext_min, certainty and criteria_ok."""
+    datum = request.getfixturevalue(name)
+    ranks = [r for r in SMALL_RANKS
+             if p ** hmod.structure_parameter_count(datum, k, r) <= 2 ** 6]
+    shared = [_reports(datum, k, p, r, 5, (name, r)) for r in ranks]
+    _unshared(monkeypatch)
+    assert shared == [_reports(datum, k, p, r, 5, (name, r)) for r in ranks]
+
+
+@pytest.mark.parametrize("name,r", [("kronecker", (2, 1)), ("a2", (1, 2)),
+                                    ("b2", (2, 1))])
+def test_sampled_pairs_keep_their_seeds(request, monkeypatch, name, r):
+    """With PAIR_SPACE_BUDGET lowered every pair with parameters is
+    sampled; the reports still match the unshared run, so a sampled pair
+    is never answered from another seed's question."""
+    datum = request.getfixturevalue(name)
+    monkeypatch.setattr(gendecomp, "PAIR_SPACE_BUDGET", 1)
+    shared = [_reports(datum, 1, 3, r, 2, seed) for seed in range(4)]
+    _unshared(monkeypatch)
+    assert shared == [_reports(datum, 1, 3, r, 2, seed) for seed in range(4)]
+
+
+def test_exhaustive_pairs_asked_once_per_call(kronecker, monkeypatch):
+    """Within one canonical_decomposition every exhaustive pair goes to
+    ext_generic once; a second call asks the same questions again, since
+    the table lives for one call only."""
+    asked = []
+    original = gendecomp.ext_generic
+
+    def recording(datum, k, p, r, s, samples, seed):
+        asked.append((tuple(r), tuple(s)))
+        return original(datum, k, p, r, s, samples=samples, seed=seed)
+
+    monkeypatch.setattr(gendecomp, "ext_generic", recording)
+    gendecomp.canonical_decomposition(kronecker, 1, 2, (2, 1), seed=3)
+    first = list(asked)
+    assert first and len(set(first)) == len(first)
+    asked.clear()
+    gendecomp.canonical_decomposition(kronecker, 1, 2, (2, 1), seed=4)
+    assert asked == first

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanquiver import exactlinalg as la
 from cartanquiver import flagvar, hmod, homext
@@ -24,11 +26,39 @@ from conftest import (
     MALFORMED_MODULE_FILES,
     dims_eps_file,
     golden_module,
+    make_datum,
     n_module,
+    reference_not_free_at,
     reference_submodule,
     scrambled,
     unitriangular_conjugate,
 )
+
+LOOP_DATA = [([[2, -1], [-1, 2]], [1, 1], [(0, 1)]),
+             ([[2, -1], [-2, 2]], [2, 1], [(0, 1)]),
+             ([[2, -1], [-2, 2]], [2, 1], [(1, 0)]),
+             ([[2, -3], [-1, 2]], [1, 3], [(0, 1)])]
+
+
+@st.composite
+def loop_modules(draw):
+    """A module with zero arrows whose loop at each vertex has nilpotent
+    Jordan blocks of drawn sizes up to the loop order, laid out generator
+    by generator (standard when every block has full size), then changed
+    by a unitriangular basis change at drawn vertices."""
+    datum = make_datum(*draw(st.sampled_from(LOOP_DATA)))
+    k = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([2, 3, 5]))
+    eps = []
+    for i in range(datum.n):
+        order = k * datum.d[i]
+        sizes = draw(st.lists(st.integers(1, order), max_size=3))
+        eps.append(la.block_diag(
+            la.zeros(0, 0), *(hmod._standard_loop(s, 1) for s in sizes)))
+    m = hmod.make_module(datum, k, p, eps, {})
+    vertices = draw(st.sets(st.sampled_from(range(datum.n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    return unitriangular_conjugate(m, vertices, rng)
 
 
 class TestValidation:
@@ -129,6 +159,26 @@ class TestLocalFreeness:
     def test_golden_rank(self, a2):
         e2 = hmod.free_module(a2, 2, 5, (0, 1))
         assert hmod.rank_vector(e2) == (0, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(loop_modules())
+    def test_jordan_loops_need_no_elimination(self, m):
+        """The verdict equals an elimination at every vertex, and only the
+        loops that are not the standard Jordan matrix of full order are
+        eliminated."""
+        ranks = []
+        original = la.rank
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(la, "rank",
+                       lambda a, p: ranks.append(a) or original(a, p))
+            got = hmod._not_free_at(m)
+        want = reference_not_free_at(m)
+        assert got == want
+        eliminated = [e for i, e in enumerate(m.eps)
+                      if hmod._jordan_order(e) != m.loop_order(i)]
+        assert all(a is b for a, b in zip(ranks, eliminated))
+        assert (len(ranks) == len(eliminated) if want is None
+                else len(ranks) <= len(eliminated))
 
 
 class TestFreeModule:

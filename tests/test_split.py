@@ -163,6 +163,26 @@ class TestChecks:
                 with pytest.raises(ShapeMismatch):
                     build(m, subs)
 
+    def test_quotient_maps_only_for_quotients(self, a2, monkeypatch):
+        """submodule builds no quotient map; quotient and sub_quotient build
+        one per vertex."""
+        m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
+        u = next(flagvar.iter_locally_free_submodules(m, (1, 1)))
+        built = []
+        original = hmod.la.quotient_map
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hmod.la, "quotient_map", counted)
+        hmod.submodule(m, u)
+        assert built == []
+        for build in (hmod.quotient, hmod.sub_quotient):
+            build(m, u)
+            assert len(built) == m.n
+            built.clear()
+
     def test_one_invariance_test_per_map(self, a2, monkeypatch):
         m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
         u = next(flagvar.iter_locally_free_submodules(m, (1, 1)))
