@@ -2,10 +2,10 @@
 
 Matrices are numpy int64 arrays with entries in {0, ..., p-1}; they act on
 column vectors.  `rref`, `solve`, `matpow`, `digits`, `block_diag`,
-`Subspace`, `Subspace.from_rows` and `Subspace.reduce_rows` refuse entries
-that are not integers instead of truncating them.  Subspaces are stored
-through their unique reduced row-echelon basis, so two equal subspaces
-always compare (and hash) equal.
+`Subspace`, `Subspace.from_rows`, `Subspace.reduce_rows` and
+`Subspace.quotient_coords` refuse entries that are not integers instead of
+truncating them.  Subspaces are stored through their unique reduced
+row-echelon basis, so two equal subspaces always compare (and hash) equal.
 The module also provides Gaussian binomials and exact Lagrange
 interpolation over the integers.
 
@@ -15,6 +15,7 @@ Every solve, rank, inverse and kernel goes through one elimination,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -394,6 +395,23 @@ class Subspace:
     def contains_rows(self, vectors) -> bool:
         return not self.reduce_rows(vectors).any()
 
+    @functools.cached_property
+    def off_pivots(self) -> tuple[int, ...]:
+        """The coordinates off the pivots, ascending: the coordinates of
+        F_p^n / U."""
+        pivots = set(self.pivots)
+        return tuple(c for c in range(self.ambient) if c not in pivots)
+
+    def quotient_coords(self, cols) -> np.ndarray:
+        """The images q @ cols of column vectors in F_p^n / U (q of
+        `quotient_map`): the residue cols - B^T cols[P] on the coordinates
+        off the pivots P, where it can be non-zero (B is the identity on
+        P).  A column lies in U exactly when its image is zero."""
+        cols = integer_array(cols) % self.p
+        off = self.off_pivots
+        return (cols.take(off, 0) - self.basis.take(off, 1).T
+                @ cols.take(self.pivots, 0)) % self.p
+
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace.from_rows(
@@ -410,22 +428,14 @@ def quotient_map(ambient: int, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
 
     q has shape (n - dim U, n) and kernel exactly U; s has shape
     (n, n - dim U) and q @ s = identity.  The quotient coordinates are the
-    non-pivot coordinates of U's RREF basis.
+    non-pivot coordinates of U's RREF basis (`Subspace.quotient_coords`).
     """
     if sub.ambient != ambient:
         raise DimensionMismatch("subspace does not match ambient dimension")
-    p = sub.p
-    others = [c for c in range(ambient) if c not in sub.pivots]
-    q = zeros(len(others), ambient)
-    for t, c in enumerate(others):
-        q[t, c] = 1
-    if sub.dim:
-        # subtract the U-component read off at the pivot coordinates
-        q[:, list(sub.pivots)] = (-sub.basis[:, others].T) % p
-    s = zeros(ambient, len(others))
-    for t, c in enumerate(others):
-        s[c, t] = 1
-    if sub.dim and ((q @ sub.basis.T) % p).any():
+    ident = identity(ambient)
+    q = sub.quotient_coords(ident)
+    s = ident.take(sub.off_pivots, 1)
+    if sub.dim and ((q @ sub.basis.T) % sub.p).any():
         raise InternalCheckError("quotient_map: kernel check failed")
     q.setflags(write=False)
     s.setflags(write=False)

@@ -141,15 +141,13 @@ class _CandidateTable:
     are the identity on those columns P.  A row vector v then lies in the
     chart's span exactly when v - v[:, P] @ rows is zero, which is all the
     closure tests need; a candidate is reduced to its canonical Subspace
-    only when a search yields it, and gets its `_reducer` only when a
-    search chooses it, each once per table."""
+    only when a search yields it, once per table."""
 
     p: int
     ambient: int
     basis: np.ndarray
     pivots: np.ndarray
     _reduced: dict = field(default_factory=dict, init=False, repr=False)
-    _reducers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.basis.shape[0]
@@ -162,15 +160,6 @@ class _CandidateTable:
             sub = self._reduced[t] = Subspace.from_rows(
                 self.basis[t], self.ambient, self.p)
         return sub
-
-    def reducer(self, t: int) -> np.ndarray:
-        """`_reducer` of candidate t, read-only, built on first use and
-        kept by the table, since searches choose the same charts often."""
-        out = self._reducers.get(t)
-        if out is None:
-            out = self._reducers[t] = _reducer(self, t)
-            out.setflags(write=False)
-        return out
 
 
 def _new_table(m_order: int, r: int, e: int, p: int, start: int,
@@ -260,23 +249,15 @@ def _check_budgets(counts: Sequence[int]) -> None:
                 f"flagvar.VERTEX_CANDIDATE_BUDGET = {VERTEX_CANDIDATE_BUDGET}")
 
 
-def _reducer(block: _CandidateTable, t: int) -> np.ndarray:
-    """Matrix R with v @ R = v - v[:, P] @ rows mod p for the rows of chart
-    t and their identity columns P: zero exactly for the row vectors in the
-    chart's span, as one product."""
-    out = la.identity(block.ambient)
-    cols = block.pivots[t]
-    out[cols] = (out[cols] - block.basis[t]) % block.p
-    return out
-
-
 def _closed(block: _CandidateTable, v: int, tests, chosen: dict
             ) -> np.ndarray:
     """Mask of the candidates at vertex v closed under the given arrows to
     the chosen (table, chart) of other vertices, by one residue
     computation per arrow for the block.  The chart rows are the identity
     on their columns P, so img lies in a chart's span exactly when
-    img - img[:, P] @ rows is zero."""
+    img - img[:, P] @ rows is zero: against a chosen chart the residue of
+    the rows of a.T is taken once, and a candidate U_j is closed when its
+    rows times that residue vanish."""
     p = block.p
     ok = np.ones(len(block), dtype=bool)
     for i, j, a in tests:
@@ -289,7 +270,9 @@ def _closed(block: _CandidateTable, v: int, tests, chosen: dict
         else:
             # image of every candidate U_j against the chosen U_i
             other, s = chosen[i]
-            resid = (block.basis @ ((a.T @ other.reducer(s)) % p)) % p
+            at = a.T
+            reduced = (at - at.take(other.pivots[s], 1) @ other.basis[s]) % p
+            resid = (block.basis @ reduced) % p
         ok &= ~resid.any(axis=(1, 2))
     return ok
 
@@ -449,10 +432,11 @@ class FlagOfSubmodules:
 def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
     """The one flag check: `_check_steps`; per layer the block pass
     `hmod._split_blocks` of every loop and arrow (invariance), and per
-    vertex the dimension and freeness (the rank of the loop's sub block);
-    then the identity's blocks from each layer to the next, which test
-    nesting and are the connectors.  Returns (the block pass per layer,
-    the identity blocks per vertex per adjacent pair)."""
+    vertex the dimension and freeness (`hmod._not_free_rank` of the loop's
+    sub block); then the identity's blocks from each layer to the next,
+    which test nesting and are the connectors.  Returns (the block pass
+    per layer, as (its subspaces, its blocks per pair), the identity
+    blocks per vertex per adjacent pair)."""
     _check_steps(m, brseq, layers)
     own = m.maps_with_labels()
     splits = []
@@ -467,16 +451,16 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
             if dim != order * sum(r[i] for r in brseq[:t + 1]):
                 raise ShapeMismatch(
                     f"layer {t + 1} has wrong dimension at vertex {i + 1}")
-            want = dim - dim // order
-            if order > 1 and la.rank(pairs[(i, i)][0][0], m.p) != want:
+            if hmod._not_free_rank(pairs[(i, i)][0][0], order,
+                                   m.p) is not None:
                 raise NotLocallyFree(
                     f"layer {t + 1} not free at vertex {i + 1}")
         splits.append((sides, pairs))
     return splits, [
         [hmod._blocks(f"layers {t + 1} and {t + 2} are not nested: the "
                       f"inclusion at vertex {i + 1}", la.identity(d),
-                      src[0][i], tgt[0][i]) for i, d in enumerate(m.dims)]
-        for t, (src, tgt) in enumerate(zip(splits, splits[1:]))]
+                      src[i], tgt[i], True) for i, d in enumerate(m.dims)]
+        for t, (src, tgt) in enumerate(zip(layers, layers[1:]))]
 
 
 def _checked_blocks(m: HModule, flag: FlagOfSubmodules) -> tuple[list, list]:
@@ -658,7 +642,7 @@ def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
             slots.append([(label, next(blocks[(i, j)])[h], i, j)
                           for label, _, i, j in own])
         dims = tuple(u.ambient - u.dim if h else u.dim
-                     for sides, _ in splits for u, _, _ in sides)
+                     for layer in flag.layers for u in layer)
         chains.append(_Chain(m.p, dims, _chain_maps(
             m.n, slots, [[b[h] for b in c] for c in conn])))
     return homext._hom_basis(*chains).dim

@@ -181,21 +181,29 @@ def validate_module(m: HModule) -> None:
 
 # --- local freeness ---------------------------------------------------------
 
+def _not_free_rank(x: np.ndarray, order: int, p: int) -> Optional[int]:
+    """None when the nilpotent x makes its space free over
+    F_p[x]/(x^order): order divides its dim d and rank(x) = d - d/order,
+    which pins the Jordan type to free blocks; else rank(x).  The standard
+    Jordan matrix of block size order (`_jordan_order`) is free without an
+    elimination."""
+    if _jordan_order(x) == order:
+        return None
+    d = x.shape[0]
+    rk = la.rank(x, p)
+    return rk if d % order or rk != d - d // order else None
+
+
 def _not_free_at(m: HModule) -> Optional[str]:
-    """The first vertex i at which m is not free: k*c_i must divide
-    dim M_i and rank(Eps_i) must equal dim M_i - dim M_i/(k*c_i), which
-    pins the Jordan type to free blocks.  A loop in standard form (the
-    Jordan test `_jordan_order` reads k*c_i) is free without an
-    elimination.  Names the vertex with its dim, loop order and loop rank;
+    """The first vertex i at which m is not free (`_not_free_rank` of its
+    loop at order k*c_i), named with its dim, loop order and loop rank;
     None when m is locally free."""
     for i in range(m.n):
-        order, d = m.loop_order(i), m.dims[i]
-        if _jordan_order(m.eps[i]) == order:
-            continue            # blocks of full size: rank d - d/order
-        rk = la.rank(m.eps[i], m.p)
-        if d % order or rk != d - d // order:
-            return (f"vertex {i + 1} has dim {d}, loop order {order} and "
-                    f"loop rank {rk}")
+        order = m.loop_order(i)
+        rk = _not_free_rank(m.eps[i], order, m.p)
+        if rk is not None:
+            return (f"vertex {i + 1} has dim {m.dims[i]}, loop order "
+                    f"{order} and loop rank {rk}")
     return None
 
 
@@ -237,12 +245,10 @@ def free_basis(nil: np.ndarray, order: int, p: int) -> np.ndarray:
     Raises NotLocallyFree when these columns are not a basis.
     """
     dim = nil.shape[0]
-    pivots = set(la.image(nil, p).pivots)
-    gens = [c for c in range(dim) if c not in pivots]
-    sweep = [la.identity(dim)[:, gens]]
+    sweep = [la.identity(dim).take(la.image(nil, p).off_pivots, 1)]
     for _ in range(order - 1):
         sweep.append((nil @ sweep[-1]) % p)
-    basis = np.stack(sweep, axis=2).reshape(dim, len(gens) * order)
+    basis = np.stack(sweep, axis=2).reshape(dim, sweep[0].shape[1] * order)
     if basis.shape[1] != dim or la.rank(basis, p) != dim:
         raise NotLocallyFree("generator sweep is not a basis")
     return basis
@@ -495,76 +501,69 @@ class Quotient:
     sections: tuple[np.ndarray, ...]
     subspaces: tuple[la.Subspace, ...]
 
-    def _sides(self):
-        return zip(self.subspaces, self.projections, self.sections)
-
     def induced(self, source: "Quotient", f) -> tuple[np.ndarray, ...]:
         """Per vertex, the map source.module -> self.module induced by f_i
         from the module `source` quotients to the one this quotients: the
-        quotient block q_i f_i s_i of `_blocks`, whose invariance test
-        checks that f_i maps the source subspace into this one."""
+        quotient block of `_blocks`, whose invariance test checks that f_i
+        maps the source subspace into this one."""
         try:
-            return tuple(_blocks("f", fi, src, tgt)[1] for fi, src, tgt
-                         in zip(f, source._sides(), self._sides()))
+            return tuple(_blocks("f", fi, src, tgt, True)[1] for fi, src, tgt
+                         in zip(f, source.subspaces, self.subspaces))
         except NotInvariant as exc:
             raise InternalCheckError("induced map not well defined") from exc
 
 
-def _blocks(label: str, x: np.ndarray, source, target) -> tuple:
-    """The blocks of a map x: M_j -> M_i between sides (U, q, s), a
-    subspace with the projection and section of la.quotient_map, or (U,)
-    alone: on the subspaces, rows P_i of x B_j^T (coordinates in the RREF
-    basis B_i with pivots P_i), and on the quotients, q_i x s_j, or None
-    when the sides carry no quotient maps; both read-only.  Raises
-    NotInvariant unless x maps U_j into U_i: img = x B_j^T must satisfy
-    q_i img == 0, or, when no q_i was built, img == B_i^T img[P_i]; the
-    second test is exact too but costs more per call than the first."""
-    u_j, u_i = source[0], target[0]
+def _blocks(label: str, x: np.ndarray, u_j: la.Subspace, u_i: la.Subspace,
+            quotient: bool) -> tuple:
+    """The blocks of a map x: M_j -> M_i between subspaces U_j and U_i with
+    RREF bases B_j, B_i, pivots P and coordinates O off the pivots, by one
+    residue rule: q_i x = X[O_i] - B_i[:, O_i]^T X[P_i] is
+    `Subspace.quotient_coords`, the projection q_i of la.quotient_map
+    applied to x.  On the subspaces the block is X[P_i] B_j^T, the rows
+    P_i of x B_j^T; when `quotient`, on the quotients it is
+    q_i x s_j = X[O_i, O_j] - B_i[:, O_i]^T X[P_i, O_j] (s_j selects the
+    columns O_j), else None; both read-only.  Raises NotInvariant unless x
+    maps U_j into U_i, that is unless q_i x B_j^T == 0."""
     p = u_i.p
-    img = (x @ u_j.basis.T) % p
-    sub = img[list(u_i.pivots)]
-    quotients = len(target) > 1
-    resid = target[1] @ img if quotients else img - u_i.basis.T @ sub
-    if (resid % p).any():
+    qx = u_i.quotient_coords(x)
+    if ((qx @ u_j.basis.T) % p).any():
         raise NotInvariant(f"{label}: the subspace is not mapped into the "
                            f"target subspace")
-    if not quotients:
-        return _frozen(sub), None
-    return _frozen(sub), _frozen(((target[1] @ x) % p @ source[2]) % p)
+    sub = _frozen((x.take(u_i.pivots, 0) @ u_j.basis.T) % p)
+    if not quotient:
+        return sub, None
+    return sub, _frozen(qx.take(u_j.off_pivots, 1))
 
 
 def _split_blocks(m: HModule, subspaces, maps, quotients: bool
                   ) -> tuple[list, dict]:
     """The checked block pass of a split of m along per-vertex subspaces
-    U_i: the sides (U_i, q_i, s_i) of la.quotient_map, and per pair (i, j)
-    the `_blocks` of the maps (label, X, i, j) of `maps` into that pair,
-    in order.  The quotient maps are built only when a quotient half is
-    requested (`quotients`); otherwise the sides are (U_i,) and the
-    quotient blocks None.  Raises ShapeMismatch for subspaces that do not
-    fit m, NotInvariant at the first map that does not preserve them."""
+    U_i: the subspaces, and per pair (i, j) the `_blocks` of the maps
+    (label, X, i, j) of `maps` into that pair, in order, with quotient
+    blocks only when `quotients`.  Raises ShapeMismatch for subspaces that
+    do not fit m, NotInvariant at the first map that does not preserve
+    them."""
     subs = list(subspaces)
     if len(subs) != m.n:
         raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
     for i, u in enumerate(subs):
         if u.ambient != m.dims[i] or u.p != m.p:
             raise ShapeMismatch(f"subspace at vertex {i + 1} mismatched")
-    sides = [(u, *la.quotient_map(d, u)) if quotients else (u,)
-             for u, d in zip(subs, m.dims)]
     pairs = {}
     for label, x, i, j in maps:
         pairs.setdefault((i, j), []).append(
-            _blocks(label, x, sides[j], sides[i]))
-    return sides, pairs
+            _blocks(label, x, subs[j], subs[i], quotients))
+    return subs, pairs
 
 
 def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
            ) -> tuple[Optional[HModule], Optional[Quotient]]:
     """The split of m along per-vertex subspaces U_i: from the block pass
     `_split_blocks(m, U, m.maps_with_labels(), k is not None)`, the
-    submodule when `sub` and the quotient at level k (keeping U_i, q_i and
-    s_i) unless k is None."""
-    sides, pairs = _split_blocks(m, subspaces, m.maps_with_labels(),
-                                 k is not None)
+    submodule when `sub` and the quotient at level k, with the projections
+    and sections of la.quotient_map, unless k is None."""
+    subs, pairs = _split_blocks(m, subspaces, m.maps_with_labels(),
+                                k is not None)
 
     def half(h: int, level: int) -> HModule:
         return make_module(m.datum, level, m.p,
@@ -575,8 +574,8 @@ def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
     sub_module = half(0, m.k) if sub else None
     if k is None:
         return sub_module, None
-    subs, projs, sects = zip(*sides)
-    return sub_module, Quotient(half(1, k), projs, sects, subs)
+    projs, sects = zip(*(la.quotient_map(d, u) for u, d in zip(subs, m.dims)))
+    return sub_module, Quotient(half(1, k), projs, sects, tuple(subs))
 
 
 def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:

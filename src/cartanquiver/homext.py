@@ -231,8 +231,7 @@ def _unflatten(m, n, vec: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _flatten(m: HModule, n: HModule, f) -> np.ndarray:
-    return np.concatenate([np.asarray(fi, dtype=np.int64).reshape(-1)
-                           for fi in f])
+    return np.concatenate([la.integer_array(fi).reshape(-1) for fi in f])
 
 
 def _failed_relation(relations, f, p: int) -> Optional[str]:
@@ -428,7 +427,7 @@ def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0
 def check_homomorphism(m: HModule, n: HModule, f) -> tuple[np.ndarray, ...]:
     """Coerce and verify a per-vertex matrix tuple as a homomorphism."""
     hmod._same_algebra(m, n)
-    f = tuple(np.asarray(fi, dtype=np.int64) % m.p for fi in f)
+    f = tuple(la.integer_array(fi) % m.p for fi in f)
     if len(f) != m.n or any(fi.shape != (n.dims[i], m.dims[i])
                             for i, fi in enumerate(f)):
         raise NotAHomomorphism("component shapes do not match")

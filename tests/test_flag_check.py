@@ -51,6 +51,34 @@ def test_every_flag_passes_both_checks(request, name):
     assert flags >= 100 and steps == 3
 
 
+def test_standard_loop_blocks_cost_no_rank(request, monkeypatch):
+    """The flag check's freeness test (`hmod._not_free_rank`) ranks exactly
+    the loop sub blocks that are not the standard Jordan matrix of their
+    loop order."""
+    ranked = []
+    original = la.rank
+    standard = other = 0
+    for name, (k, p) in itertools.product(DATA, ((1, 2), (2, 3), (3, 2))):
+        m = hmod.random_locally_free(request.getfixturevalue(name), k, p,
+                                     (2, 1), seed=(k, p))
+        flags = [flag for seq in SEQS for flag in flagvar.iter_flags(m, seq)]
+        with monkeypatch.context() as mp:
+            mp.setattr(la, "rank", lambda a, q: ranked.append(a)
+                       or original(a, q))
+            for flag in flags:
+                ranked.clear()
+                splits, _ = flagvar._flag_blocks(m, flag.brseq, flag.layers)
+                loops = [(pairs[(i, i)][0][0], m.loop_order(i))
+                         for _, pairs in splits for i in range(m.n)]
+                want = [b for b, order in loops
+                        if hmod._jordan_order(b) != order]
+                assert len(ranked) == len(want)
+                assert all(a is b for a, b in zip(ranked, want))
+                standard += len(loops) - len(want)
+                other += len(want)
+    assert standard >= 100 and other >= 100
+
+
 def _not_nested(flags):
     """Layer pairs of two flags of one 3-step sequence that are not
     nested."""

@@ -93,14 +93,17 @@ def test_fiber_adds_no_check_of_an_iter_flags_base(request, name, checks):
 
 
 def test_kept_blocks_are_read_only(a2):
+    """The sides of each layer's block pass are the layer's subspaces, and
+    every kept block is read-only."""
     m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
     flag = next(flagvar.iter_flags(m, SEQS[3]))
     splits, connectors = flag._check()
     assert flag._check() is flag._kept
-    arrays = [a for sides, pairs in splits for side in sides
-              for a in side[1:]]
-    arrays += [a for sides, pairs in splits for blocks in pairs.values()
-               for b in blocks for a in b]
+    for (sides, _), layer in zip(splits, flag.layers, strict=True):
+        assert len(sides) == len(layer)
+        assert all(side is u for side, u in zip(sides, layer))
+    arrays = [a for sides, pairs in splits for blocks in pairs.values()
+              for b in blocks for a in b]
     arrays += [a for blocks in connectors for b in blocks for a in b]
     assert arrays and not any(a.flags.writeable for a in arrays)
 

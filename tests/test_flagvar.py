@@ -180,17 +180,6 @@ class TestCandidateTables:
                 assert got.basis.dtype == want.basis.dtype, key
                 assert hash(got) == hash(want), key
 
-    def test_reducer_kept_per_chart(self):
-        """A chart's reducer is built once and kept by its table: a second
-        lookup returns the same read-only array, equal to `_reducer`."""
-        for key in ((2, 2, 1, 3), (1, 3, 2, 2), (3, 2, 1, 2)):
-            for block in candidate_blocks(key):
-                for t in range(len(block)):
-                    first = block.reducer(t)
-                    assert block.reducer(t) is first
-                    assert not first.flags.writeable
-                    assert np.array_equal(first, flagvar._reducer(block, t))
-
     def test_table_is_read_only(self, monkeypatch):
         monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
         flagvar._vertex_candidates.cache_clear()

@@ -180,6 +180,38 @@ class TestLocalFreeness:
         assert (len(ranks) == len(eliminated) if want is None
                 else len(ranks) <= len(eliminated))
 
+    @settings(max_examples=200, deadline=None)
+    @given(loop_modules())
+    def test_flag_check_freeness_matches_reference(self, m):
+        """The flag check's freeness test on a layer equals
+        reference_not_free_at on the module the layer carries, ranking
+        only loops that are not standard.  The layer is n in n + E, where
+        n is m with zero loops added so that each loop order divides its
+        dim, and E is free of rank dims(n) / loop orders."""
+        orders = [m.loop_order(i) for i in range(m.n)]
+        pad = hmod.make_module(m.datum, m.k, m.p, [
+            la.zeros(-d % o, -d % o) for d, o in zip(m.dims, orders)], {})
+        n = hmod.direct_sum(m, pad)
+        r = RankVector(d // o for d, o in zip(n.dims, orders))
+        big = hmod.direct_sum(n, hmod.free_module(m.datum, m.k, m.p, r))
+        layer = tuple(Subspace.from_rows(la.identity(2 * d)[:d], 2 * d, m.p)
+                      for d in n.dims)
+        ranks = []
+        original = la.rank
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(la, "rank",
+                       lambda a, p: ranks.append(a) or original(a, p))
+            try:
+                flagvar._flag_blocks(big, (r, r), (layer,))
+                raised = False
+            except NotLocallyFree:
+                raised = True
+        assert raised == (reference_not_free_at(n) is not None)
+        eliminated = [e for e, o in zip(n.eps, orders)
+                      if hmod._jordan_order(e) != o]
+        assert len(ranks) == len(eliminated) or raised
+        assert all(np.array_equal(a, b) for a, b in zip(ranks, eliminated))
+
 
 class TestFreeModule:
     def test_zero(self, a2):

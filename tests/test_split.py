@@ -7,7 +7,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cartanquiver import exactlinalg as la
 from cartanquiver import flagvar, hmod, homext
 from cartanquiver.errors import (
     NotInvariant,
@@ -19,6 +22,7 @@ from cartanquiver.exactlinalg import Subspace
 
 from conftest import (
     contains,
+    make_datum,
     reference_flag_tensor_modules,
     reference_quotient,
     reference_sub_quotient,
@@ -200,23 +204,108 @@ class TestChecks:
     def test_blocks_of_identity(self, a2):
         """Between nested layers the blocks of the identity are the
         inclusion in RREF coordinates and the projection between the
-        quotients; from a larger subspace to a smaller one it raises."""
+        quotients, q_big @ s_small of la.quotient_map; from a larger
+        subspace to a smaller one it raises."""
         m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
         flag = next(flagvar.iter_flags(m, ((1, 0), (0, 1), (1, 0))))
         small, big = flag.layers
-        sides = []
-        for layer in flag.layers:
-            q = hmod.quotient(m, layer)
-            sides.append(list(zip(layer, q.projections, q.sections)))
         for i, d in enumerate(m.dims):
             incl, proj = hmod._blocks("id", np.eye(d, dtype=np.int64),
-                                      sides[0][i], sides[1][i])
+                                      small[i], big[i], True)
+            q_big, _ = la.quotient_map(d, big[i])
+            _, s_small = la.quotient_map(d, small[i])
             assert _same(small[i].basis.T, (big[i].basis.T @ incl) % 3)
-            assert _same(proj, (sides[1][i][1] @ sides[0][i][2]) % 3)
+            assert _same(proj, (q_big @ s_small) % 3)
         assert big[1].dim > small[1].dim
-        with pytest.raises(NotInvariant):
-            hmod._blocks("id", np.eye(m.dims[1], dtype=np.int64),
-                         sides[1][1], sides[0][1])
+        for quotient in (False, True):
+            with pytest.raises(NotInvariant):
+                hmod._blocks("id", np.eye(m.dims[1], dtype=np.int64),
+                             big[1], small[1], quotient)
+
+
+# A2, B2 both ways and Kronecker
+BLOCK_DATA = [([[2, -1], [-1, 2]], [1, 1], [(0, 1)]),
+              ([[2, -1], [-2, 2]], [2, 1], [(0, 1)]),
+              ([[2, -1], [-2, 2]], [2, 1], [(1, 0)]),
+              ([[2, -2], [-2, 2]], [1, 1], [(0, 1)])]
+
+
+@st.composite
+def block_cases(draw):
+    """(x, U_j, U_i): x: M_j -> M_i a structure map of a random module
+    (k <= 3, p in {2, 3, 5}) or a random matrix of its shape, U_j random
+    and non-zero, and U_i random, or spanned by x U_j and random vectors
+    (then x maps U_j into U_i)."""
+    datum = make_datum(*draw(st.sampled_from(BLOCK_DATA)))
+    k = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([2, 3, 5]))
+    rank = draw(st.tuples(st.integers(1, 2), st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    m = hmod.random_locally_free(datum, k, p, rank, seed=rng)
+    _, x, i, j = draw(st.sampled_from(m.maps_with_labels()))
+    if draw(st.booleans()):
+        x = rng.integers(0, p, size=x.shape)
+
+    def span(d, fewest, most, *fixed):
+        rows = rng.integers(0, p, size=(draw(st.integers(fewest, most)), d))
+        return Subspace.from_rows(np.concatenate([*fixed, rows]), d, p)
+
+    u_j = span(m.dims[j], 1, m.dims[j])
+    invariant = draw(st.booleans())
+    u_i = span(m.dims[i], 0, m.dims[i] // 2,
+               *([(u_j.basis @ x.T) % p] if invariant else []))
+    return x, u_j, u_i
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_cases())
+def test_blocks_match_quotient_maps(case):
+    """The blocks of x between U_j and U_i are the coordinates of x U_j in
+    U_i and q_i x s_j of la.quotient_map, read-only; NotInvariant is raised
+    exactly when q_i x B_j^T is not zero, that is when x U_j is not in
+    U_i."""
+    x, u_j, u_i = case
+    p = u_i.p
+    q_i, _ = la.quotient_map(x.shape[0], u_i)
+    _, s_j = la.quotient_map(x.shape[1], u_j)
+    img = (x @ u_j.basis.T) % p
+    invariant = not ((q_i @ img) % p).any()
+    assert invariant == u_i.contains_rows(img.T)
+    for quotient in (False, True):
+        if not invariant:
+            with pytest.raises(NotInvariant):
+                hmod._blocks("x", x, u_j, u_i, quotient)
+            continue
+        sub, quot = hmod._blocks("x", x, u_j, u_i, quotient)
+        assert _same((u_i.basis.T @ sub) % p, img)
+        assert not sub.flags.writeable
+        if quotient:
+            assert _same(quot, ((q_i @ x) % p @ s_j) % p)
+            assert not quot.flags.writeable
+        else:
+            assert quot is None
+
+
+def test_flags_and_tangents_build_no_quotient_map(a2, b2, monkeypatch):
+    """The flag check and the tangent Hom read their blocks off the layer
+    subspaces: iter_flags and tangent_dimension call la.quotient_map zero
+    times."""
+    built = []
+    original = la.quotient_map
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(la, "quotient_map", counted)
+    flags = 0
+    for datum in (a2, b2):
+        m = hmod.random_locally_free(datum, 2, 3, (2, 1), seed=3)
+        for seq in (((1, 0), (1, 1)), ((1, 0), (0, 1), (1, 0))):
+            for flag in flagvar.iter_flags(m, seq):
+                flagvar.tangent_dimension(m, flag)
+                flags += 1
+    assert flags >= 10 and built == []
 
 
 class TestTangentInputs:

@@ -122,6 +122,27 @@ class TestNonIntegerEntries:
         s = hmod.structure_from_arrays(a2, 1, 3, (1, 1), {})
         assert s.mats[(0, 1)].dtype == np.int64
 
+    def test_homomorphisms(self, a2):
+        """1.9 I is refused as a homomorphism and as a Hom element, where
+        it was read as I."""
+        m = hmod.free_module(a2, 2, 3, (1, 1))
+        ident = homext.identity_hom(m)
+        basis = homext.hom_space(m, m)
+        assert basis.coords_of(ident).dtype == np.int64
+        for f in ([1.9 * a for a in ident], [a + 0.5 for a in ident]):
+            with pytest.raises(ValidationError):
+                homext.check_homomorphism(m, m, f)
+            with pytest.raises(ValidationError):
+                reduction.reduce_hom(m, m, f)
+            with pytest.raises(ValidationError):
+                basis.coords_of(f)
+
+    def test_quotient_coords(self):
+        u = la.Subspace.from_rows([[1, 2]], 2, 3)
+        assert u.quotient_coords([[4, 1], [0, 2]]).tolist() == [[1, 0]]
+        with pytest.raises(ValidationError):
+            u.quotient_coords([[0.5], [1]])
+
     def test_integer_array(self):
         for good in ([[1, 2]], np.array([True, False]),
                      np.arange(3, dtype=np.uint8), np.zeros((0, 3))):
