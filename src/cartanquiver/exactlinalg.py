@@ -403,10 +403,11 @@ class Subspace:
         return tuple(c for c in range(self.ambient) if c not in pivots)
 
     def quotient_coords(self, cols) -> np.ndarray:
-        """The images q @ cols of column vectors in F_p^n / U (q of
-        `quotient_map`): the residue cols - B^T cols[P] on the coordinates
-        off the pivots P, where it can be non-zero (B is the identity on
-        P).  A column lies in U exactly when its image is zero."""
+        """The images q @ cols of column vectors under the projection q
+        onto F_p^n / U, whose coordinates are those off the pivots P: the
+        residue cols - B^T cols[P] there, where it can be non-zero (B is
+        the identity on P).  A column lies in U exactly when its image is
+        zero."""
         cols = integer_array(cols) % self.p
         off = self.off_pivots
         return (cols.take(off, 0) - self.basis.take(off, 1).T
@@ -420,26 +421,6 @@ class Subspace:
     def _check(self, other: "Subspace"):
         if self.p != other.p or self.ambient != other.ambient:
             raise DimensionMismatch("subspaces live in different spaces")
-
-
-def quotient_map(ambient: int, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Projection q onto F_p^n / U together with a section s, both
-    read-only.
-
-    q has shape (n - dim U, n) and kernel exactly U; s has shape
-    (n, n - dim U) and q @ s = identity.  The quotient coordinates are the
-    non-pivot coordinates of U's RREF basis (`Subspace.quotient_coords`).
-    """
-    if sub.ambient != ambient:
-        raise DimensionMismatch("subspace does not match ambient dimension")
-    ident = identity(ambient)
-    q = sub.quotient_coords(ident)
-    s = ident.take(sub.off_pivots, 1)
-    if sub.dim and ((q @ sub.basis.T) % sub.p).any():
-        raise InternalCheckError("quotient_map: kernel check failed")
-    q.setflags(write=False)
-    s.setflags(write=False)
-    return q, s
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:

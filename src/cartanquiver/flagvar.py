@@ -16,22 +16,24 @@ limit are cached, so a search that stops early builds only the blocks it
 read.  A search refuses to start, with BudgetExceeded, when any vertex has
 more than VERTEX_CANDIDATE_BUDGET candidates; a count with no active arrow
 is a closed-form product and is never refused.  Flags of length l are
-translated into single submodules of the repetitive module
-over the tensor algebra with the path algebra of a linear quiver on l-1
-vertices; that translation also provides tangent spaces (one Hom solve)
-and the affine linear system cutting out the fiber of the reduction map
-over a fixed lower-level flag.  One flag check, on the block pass of a
-split of the module along each layer (`hmod._split_blocks`), tests
-invariance, freeness and nesting; its blocks are both chains of the
-tangent Hom, solved without building a module.  Each flag object is
-checked once: a flag is a value (tuples of subspaces with read-only
-bases), so it keeps the read-only blocks of its check as long as it
-lives, and its tangent space, its reduction and the fiber over it reuse
-them.  The fiber dimension is checked against the tangent dimension at
-the image of that flag in the level-1 shadow of the reduction.  The
-reduction of a module, its shadow and the part of the fiber system which
-depends only on the module are computed once per module and kept as long
-as the module lives.
+chains over the tensor algebra with the path algebra of a linear quiver
+on l-1 vertices, which gives their tangent spaces (one Hom solve).  One
+flag check, on the block pass of a split of the module along each layer
+(`hmod._split_blocks`), tests invariance, freeness and nesting; its
+blocks are both chains of the tangent Hom, solved without building a
+module.  Each flag object is checked once: a flag is a value (tuples of
+subspaces with read-only bases), so it keeps the read-only blocks of its
+check as long as it lives, and its tangent space, its reduction and the
+fiber over it reuse them.  The fiber of the reduction map over a fixed
+lower-level flag is one affine linear system on the layers: every lift
+of a base layer is Z + graph(phi) with Z = eps^(k-1) of its preimage and
+phi a linear map into (eps^(k-1) M) / Z, and each loop, arrow and
+identity between layers gives one affine equation in the phi, whose
+right-hand side is the residue of the map on the base flag's sub block.
+The fiber dimension is checked against the tangent dimension at the
+image of that flag in the level-1 shadow of the reduction.  The
+reduction of a module, its shadow and the blocks of eps^(k-1) are
+computed once per module and kept as long as the module lives.
 """
 
 from __future__ import annotations
@@ -401,10 +403,6 @@ class FlagOfSubmodules:
                     and all(isinstance(v, tuple) for v in value)):
                 object.__setattr__(self, name, tuple(map(tuple, value)))
 
-    @property
-    def length(self) -> int:
-        return len(self.brseq)
-
     def validate(self) -> None:
         hmod.rank_vector(self.module)   # raises NotLocallyFree
         self._check()
@@ -664,101 +662,27 @@ def reduce_flag(m: HModule, flag: FlagOfSubmodules) -> FlagOfSubmodules:
 
 def _reduced_flag(red: hmod.Quotient,
                   flag: FlagOfSubmodules) -> FlagOfSubmodules:
-    """The layers of a flag projected by a reduction; not validated."""
+    """The layers of a flag projected by a reduction, each layer's basis
+    through the quotient coordinates of the reduction's subspaces; not
+    validated."""
     return FlagOfSubmodules(red.module, flag.brseq, tuple(
-        _image(layer, red.projections) for layer in flag.layers))
-
-
-# ring-coefficient matrices: arrays (..., rows, cols, k) of ascending
-# eps-degree, stacked along any leading axes; products and inverses are
-# taken of the operator matrices (hmod.ring_to_matrix)
-
-def _rmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    k = a.shape[-1]
-    return hmod.matrix_to_ring((hmod.ring_to_matrix(a, k, k)
-                                @ hmod.ring_to_matrix(b, k, k)) % p, k, k)
-
-
-def _rinv(a: np.ndarray, p: int) -> np.ndarray:
-    k = a.shape[-1]
-    return hmod.matrix_to_ring(la.inv(hmod.ring_to_matrix(a, k, k), p), k, k)
-
-
-class _CentralCoordinates:
-    """Coordinates of a space that is free over F_p[eps]/(eps^k), given the
-    nilpotent matrix of eps; converts vectors and eps-commuting operators to
-    ring form and back."""
-
-    def __init__(self, eps_total: np.ndarray, k: int, p: int):
-        self.k = k
-        self.p = p
-        self.dim = eps_total.shape[0]
-        self.m = self.dim // k
-        # column s*k + t is eps^t applied to generator s
-        self.basis = hmod.free_basis(eps_total, k, p)
-        self.basis_inv = la.inv(self.basis, p)
-
-    def operator_to_ring(self, ops: np.ndarray) -> np.ndarray:
-        """Ring matrices (..., m, m, k) of a stack of operators (..., dim,
-        dim) commuting with eps: entry [s', s, tau] is the eps^tau
-        coefficient of generator s' in the image of generator s.  Every
-        operator is rebuilt from its ring matrix and compared."""
-        p, k = self.p, self.k
-        conj = ((self.basis_inv @ (ops % p)) % p @ self.basis) % p
-        ring = hmod.matrix_to_ring(conj, k, k)
-        if ((hmod.ring_to_matrix(ring, k, k) - conj) % p).any():
-            raise InternalCheckError(
-                "operator does not commute with the central nilpotent")
-        return ring
-
-    def ring_columns_to_rows(self, ring_mat: np.ndarray) -> np.ndarray:
-        """K-row-vectors spanning the column span of a ring matrix: row
-        col*k + shift is eps^shift times ring column col."""
-        cols = hmod.ring_to_matrix(ring_mat, self.k, self.k)
-        return (cols.T @ self.basis.T) % self.p
-
-
-def _algebra_generators(m: HModule, slots: int) -> np.ndarray:
-    """Stack of matrices generating the action on the direct sum of the
-    slots of the repetitive chain of m (slot by slot, each one copy of m):
-    slot idempotents, then each vertex idempotent, loop and arrow of m on
-    every slot, then the identity connectors from each slot into the
-    next."""
-    ident = la.identity(m.total_dim())
-    incl = np.split(ident, np.cumsum(m.dims)[:-1], axis=1)
-    one_copy = [incl[i] @ incl[i].T for i in range(m.n)] + [
-        incl[i] @ mat @ incl[j].T for _, mat, i, j in m.maps_with_labels()]
-    units = la.identity(slots)
-    return np.stack(
-        [np.kron(np.outer(units[t], units[t]), ident) for t in range(slots)]
-        + [np.kron(units, g) for g in one_copy]
-        + [np.kron(np.outer(units[t + 1], units[t]), ident)
-           for t in range(slots - 1)])
-
-
-@dataclass(frozen=True, eq=False)
-class _ChainData:
-    """The part of the lift system of a chain with `slots` layers that
-    depends only on the module: the central coordinates of the repetitive
-    chain module, the inverse of the reduced central basis, and the ring
-    matrices of the algebra generators."""
-
-    coords: _CentralCoordinates
-    tbar_inv: np.ndarray
-    rings: np.ndarray
+        tuple(Subspace.from_rows(k.quotient_coords(u.basis.T).T,
+                                 k.ambient - k.dim, k.p)
+              for u, k in zip(layer, red.subspaces))
+        for layer in flag.layers))
 
 
 @dataclass(frozen=True, eq=False)
 class _ReductionData:
     """What the reduction of flags and its fibers need of one module: its
     reduction, the level-1 shadow of the reduction (modulo the central
-    nilpotent) and the chain data per slot count, added as fibers first ask
-    for it.  Holds no reference to the module, so the memo entry dies with
-    it."""
+    nilpotent) and the read-only blocks E_i = Eps_i^((k-1)c_i) of
+    eps^(k-1), whose images are the subspaces of the reduction.  Holds no
+    reference to the module, so the memo entry dies with it."""
 
     red: hmod.Quotient
     shadow: hmod.Quotient
-    chains: dict = field(default_factory=dict)
+    blocks: tuple[np.ndarray, ...]
 
 
 # one record per live module; HModule is frozen and hashes by identity
@@ -778,107 +702,11 @@ def _reduction_data(m: HModule) -> _ReductionData:
         hmod.rank_vector(mbar)
         shadow = hmod.quotient(mbar, [la.image(b, m.p) for b in
                                       hmod.epsilon_blocks(mbar)], 1)
-        data = _ReductionData(red, shadow)
+        blocks = tuple(hmod._frozen(la.matpow(b, m.k - 1, m.p))
+                       for b in hmod.epsilon_blocks(m))
+        data = _ReductionData(red, shadow, blocks)
         _REDUCTION_DATA[m] = data
     return data
-
-
-def _chain_data(m: HModule, data: _ReductionData, slots: int) -> _ChainData:
-    """The chain data of m for `slots` layers, built on first use."""
-    chain = data.chains.get(slots)
-    if chain is not None:
-        return chain
-    p = m.p
-    k = m.k
-    units = la.identity(slots)
-    coords = _CentralCoordinates(
-        np.kron(units, la.block_diag(*hmod.epsilon_blocks(m))), k, p)
-    # the low-degree central basis, projected to the reduced total space
-    rho_total = np.kron(units, la.block_diag(*data.red.projections))
-    low = [s * k + t for s in range(coords.m) for t in range(k - 1)]
-    tbar = (rho_total @ coords.basis[:, low]) % p
-    if la.rank(tbar, p) != tbar.shape[0]:
-        raise InternalCheckError("reduced central basis is degenerate")
-    tbar_inv = la.inv(tbar, p)
-    rings = coords.operator_to_ring(_algebra_generators(m, slots))
-    # every later fiber of m reads these arrays
-    for a in (coords.basis, coords.basis_inv, tbar_inv, rings):
-        a.setflags(write=False)
-    chain = _ChainData(coords, tbar_inv, rings)
-    data.chains[slots] = chain
-    return chain
-
-
-@dataclass(frozen=True, eq=False)
-class _LiftSystem:
-    """Lifts of a non-zero base chain to level k: the ring chart of the
-    chain over the center of the repetitive chain module, the identity on
-    `pivot_rows` and `sbar` (top degree zero) on `other_rows`, and the
-    affine system `system @ x == rhs` in the top-degree coefficients of the
-    other rows that cuts out the invariant lifts."""
-
-    chain: _ChainData
-    sbar: np.ndarray
-    pivot_rows: list
-    other_rows: list
-    system: np.ndarray
-    rhs: np.ndarray
-
-
-def _lift_system(chain: _ChainData, base: FlagOfSubmodules
-                 ) -> Optional[_LiftSystem]:
-    """The lift system of a base flag with at least two steps over the
-    chain data of its module, or None when its chain is zero."""
-    coords = chain.coords
-    p = coords.p
-    k = coords.k
-    # the base chain as one subspace of the reduced total space
-    base_rows = la.block_diag(*(sub.basis for layer in base.layers
-                                for sub in layer))
-    z_total = base_rows.shape[0] // (k - 1)
-    if z_total == 0:
-        return None
-
-    ring_rows = ((base_rows @ chain.tbar_inv.T) % p).reshape(-1, coords.m,
-                                                             k - 1)
-    # ring generators: the rows whose degree-0 parts are independent of
-    # those before them
-    _, _, independent = la.rref(ring_rows[:, :, 0].T, p)
-    if len(independent) < z_total:
-        raise FlagNotInReduction("base chain is not free over the center")
-    amat = ring_rows[list(independent[:z_total])].transpose(1, 0, 2)
-    _, _, piv = la.rref(amat[:, :, 0].T, p)
-    pivot_rows = list(piv)
-    other_rows = [q for q in range(coords.m) if q not in pivot_rows]
-    amat = _rmul(amat, _rinv(amat[pivot_rows], p), p)
-    if not np.array_equal(amat[pivot_rows], hmod.matrix_to_ring(
-            la.identity(z_total * (k - 1)), k - 1, k - 1)):
-        raise InternalCheckError("chart normalization failed")
-    sbar = np.zeros((len(other_rows), z_total, k), dtype=np.int64)
-    sbar[:, :, :k - 1] = amat[other_rows]
-
-    # invariance of the lifted chart under every generator at once
-    rings = chain.rings
-    pm = rings[:, pivot_rows][:, :, pivot_rows]
-    qm = rings[:, pivot_rows][:, :, other_rows]
-    rm = rings[:, other_rows][:, :, pivot_rows]
-    tm = rings[:, other_rows][:, :, other_rows]
-    resid = (rm + _rmul(tm, sbar, p) - _rmul(sbar, pm, p)
-             - _rmul(sbar, _rmul(qm, sbar, p), p)) % p
-    if resid[..., :k - 1].any():
-        raise FlagNotInReduction(
-            "base chain is not invariant under the algebra action")
-    rhs = ((-resid[..., k - 1]) % p).reshape(-1)
-    # the top-degree residual of each generator is affine in the unknown
-    # X: (tm - s0 qm) X - X (pm + qm s0), row-major vec
-    s0 = sbar[:, :, 0]
-    left = (tm[..., 0] - s0 @ qm[..., 0]) % p
-    right = (pm[..., 0] + qm[..., 0] @ s0) % p
-    width = len(other_rows) * z_total
-    system = ((la.left_product_matrix(left, z_total)
-               - la.right_product_matrix(right, len(other_rows))) % p
-              ).reshape(rhs.shape[0], width)
-    return _LiftSystem(chain, sbar, pivot_rows, other_rows, system, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -913,15 +741,36 @@ class FiberOfReduction:
         return self.base.module.p ** self.dimension
 
 
+class _Lift(NamedTuple):
+    """The lift data of one layer of a base flag at one vertex: the base
+    rows w placed on the coordinates off the pivots of K = eps^(k-1) M,
+    Z = eps^(k-1) w in K's pivot coordinates, and the rows of M spanning
+    the quotient coordinates of T = K / Z."""
+    w: np.ndarray
+    z: Subspace
+    t: np.ndarray
+
+
 def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
                        ) -> FiberOfReduction:
     """Solve for all level-k flags of M reducing to a given level-(k-1) flag.
 
-    The chain is translated into one submodule of the repetitive chain
-    module; lifts of its ring-echelon chart are cut out by an affine linear
-    system in the top-degree coefficients.  The solution space dimension is
-    cross-checked against the tangent dimension at the image of the base
-    flag in the level-1 shadow of the reduction.
+    Per layer and vertex, with K = eps^(k-1) M, W = rho^-1(Ubar) the
+    preimage of the base layer and Z = eps^(k-1) W: a lift U of Ubar
+    contains eps^(k-1) U = eps^(k-1) W = Z (U + K = W and eps^(k-1) K = 0),
+    and U meets K exactly in its socle Z, because U is free over the
+    center.  Since U + K = W, U / Z is the graph of a unique linear map
+    phi: Ubar -> K / Z, written on the lift rows w of the base basis as
+    U = Z + span(w + phi^T t).  Conversely every such U has dim U =
+    k dim Z, so it is free over the center and therefore locally free.
+    U is a flag of submodules exactly when every loop and arrow x: (t, j)
+    -> (t, i) in each layer, and each identity from layer t to t + 1, maps
+    lifts into lifts: with c the sub block of x on the base flag and the
+    residue r = x w_j^T - w_i^T c in K, this is the affine equation
+    x~ phi_j - phi_i c = -[r] in K / Z, where x~ is the map x induces
+    from K / Z at the source to K / Z at the target.  All equations form
+    one system, solved once; its linear part is the level-1 Hom whose
+    dimension `_fiber_expected_dimension` cross-checks.
     """
     if m.k < 2:
         raise KTooSmall("fibers of reduction need k >= 2")
@@ -933,23 +782,56 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
             "base flag does not live in the reduction of the module")
     seq = _rank_seq(base.brseq, m.n)
     try:
-        base._check()
+        splits, conn = base._check()
     except ValidationError as exc:
         raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
     expected = _fiber_expected_dimension(data.shadow, base)
-    slots = base.length - 1
-    p = m.p
-    k = m.k
-    lift = _lift_system(_chain_data(m, data, slots), base) if slots else None
-    if lift is None:
-        zero_layers = tuple(
-            tuple(Subspace.zero(m.dims[i], p) for i in range(m.n))
-            for _ in range(slots))
-        flag = FlagOfSubmodules(m, seq, zero_layers)
-        flag._check()
-        return FiberOfReduction(base, False, 0, expected, flag,
-                                _builder=lambda coeffs: flag)
-    solution = la.solve(lift.system, lift.rhs, p)
+    p, n = m.p, m.n
+    ks = red.subspaces
+    # one lift per layer t and vertex i, at index t*n + i, and the
+    # offsets of their unknowns phi
+    lifts = []
+    offsets = [0]
+    for layer in base.layers:
+        for i, (ubar, kk) in enumerate(zip(layer, ks)):
+            w = la.zeros(ubar.dim, m.dims[i])
+            w[:, kk.off_pivots] = ubar.basis
+            z = Subspace.from_rows(
+                ((w @ data.blocks[i].T) % p).take(kk.pivots, 1), kk.dim, p)
+            if (m.k - 1) * z.dim != ubar.dim:
+                raise FlagNotInReduction(
+                    "base chain is not free over the center")
+            lifts.append(_Lift(w, z, kk.basis.take(z.off_pivots, 0)))
+            offsets.append(offsets[-1] + (kk.dim - z.dim) * ubar.dim)
+
+    # the maps x: (t, j) -> (t, i) of each layer and the identities from
+    # each layer to the next, with their sub blocks c on the base flag
+    own = m.maps_with_labels()
+    maps = []
+    for t, (_, pairs) in enumerate(splits):
+        blocks = {key: iter(b) for key, b in pairs.items()}
+        maps += [(x, t * n + i, t * n + j, next(blocks[(i, j)])[0])
+                 for _, x, i, j in own]
+    maps += [(la.identity(d), (t + 1) * n + i, t * n + i, c[i][0])
+             for t, c in enumerate(conn) for i, d in enumerate(m.dims)]
+    rows = [la.zeros(0, offsets[-1])]
+    rhs = [np.zeros(0, dtype=np.int64)]
+    for x, ti, tj, c in maps:
+        tgt, src = lifts[ti], lifts[tj]
+        kk = ks[ti % n]
+        r = (x @ src.w.T - tgt.w.T @ c) % p
+        if kk.quotient_coords(r).any():
+            raise FlagNotInReduction(
+                "base chain is not invariant under the algebra action")
+        block = la.zeros(tgt.t.shape[0] * src.w.shape[0], offsets[-1])
+        block[:, offsets[tj]:offsets[tj + 1]] += la.left_product_matrix(
+            tgt.z.quotient_coords((x @ src.t.T).take(kk.pivots, 0)),
+            src.w.shape[0])
+        block[:, offsets[ti]:offsets[ti + 1]] -= la.right_product_matrix(
+            c, tgt.t.shape[0])
+        rows.append(block % p)
+        rhs.append(-tgt.z.quotient_coords(r.take(kk.pivots, 0)).ravel())
+    solution = la.solve(np.concatenate(rows), np.concatenate(rhs), p)
     if solution is None:
         return FiberOfReduction(base, True, None, expected)
     particular_vec, kernel = solution
@@ -959,27 +841,17 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
             f"fiber dimension {dimension} does not match the Hom-space "
             f"cross-check {expected}")
 
-    coords, sbar = lift.chain.coords, lift.sbar
-    z_total = sbar.shape[1]
-    chart = np.zeros((coords.m, z_total, k), dtype=np.int64)
-    chart[lift.pivot_rows] = hmod.matrix_to_ring(la.identity(z_total * k),
-                                                 k, k)
-    dims = m.dims * slots
-    cuts = np.cumsum(dims)[:-1]
-
     def build(coeffs: np.ndarray) -> FlagOfSubmodules:
         vec = (particular_vec + (coeffs @ kernel if dimension else 0)) % p
-        stilde = sbar.copy()
-        stilde[:, :, k - 1] = (stilde[:, :, k - 1]
-                               + vec.reshape(len(lift.other_rows), z_total)
-                               ) % p
-        full = chart.copy()
-        full[lift.other_rows] = stilde
-        rows = coords.ring_columns_to_rows(full)
-        subs = [Subspace.from_rows(cols, d, p)
-                for cols, d in zip(np.split(rows, cuts, axis=1), dims)]
+        subs = []
+        for s, lift in enumerate(lifts):
+            phi = vec[offsets[s]:offsets[s + 1]].reshape(
+                lift.t.shape[0], lift.w.shape[0])
+            subs.append(Subspace.from_rows(np.concatenate(
+                [lift.z.basis @ ks[s % n].basis, lift.w + phi.T @ lift.t]),
+                m.dims[s % n], p))
         flag = FlagOfSubmodules(m, seq, tuple(
-            tuple(subs[t * m.n:(t + 1) * m.n]) for t in range(slots)))
+            tuple(subs[t:t + n]) for t in range(0, len(subs), n)))
         flag._check()
         return flag
 

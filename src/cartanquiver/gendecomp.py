@@ -82,13 +82,12 @@ def _fitting_split(m: HModule, powers) -> Optional[tuple]:
 
 
 def _structure_constants(basis: homext.HomBasis, p: int) -> np.ndarray:
-    dim = basis.dim
-    table = np.zeros((dim, dim, dim), dtype=np.int64)
-    for a in range(dim):
-        for b in range(dim):
-            prod = homext.compose(basis.elements[a], basis.elements[b], p)
-            table[a, b] = basis.coords_of(prod)
-    return table
+    """table[a, b]: the coordinates of basis element a after element b,
+    all dim^2 products composed at once on per-vertex stacks and read off
+    in one `coords_of`."""
+    stacks = homext._unflatten(basis.source, basis.target, basis.vec_basis)
+    return basis.coords_of(homext.compose([x[:, None] for x in stacks],
+                                          [x[None] for x in stacks], p))
 
 
 def _scan_idempotents(m: HModule, basis: homext.HomBasis

@@ -185,11 +185,11 @@ def _not_free_rank(x: np.ndarray, order: int, p: int) -> Optional[int]:
     """None when the nilpotent x makes its space free over
     F_p[x]/(x^order): order divides its dim d and rank(x) = d - d/order,
     which pins the Jordan type to free blocks; else rank(x).  The standard
-    Jordan matrix of block size order (`_jordan_order`) is free without an
-    elimination."""
-    if _jordan_order(x) == order:
-        return None
+    Jordan matrix of block size order (`_jordan_order`) and an empty loop
+    are free without an elimination."""
     d = x.shape[0]
+    if not d or _jordan_order(x) == order:
+        return None
     rk = la.rank(x, p)
     return rk if d % order or rk != d - d // order else None
 
@@ -492,13 +492,11 @@ def _same_algebra(a: HModule, b: HModule):
 
 @dataclass(frozen=True, eq=False)
 class Quotient:
-    """A quotient module M/U with, per vertex, the projection M_i -> M_i/U_i,
-    a section of it and the subspace U_i it was cut along; the quotient
-    coordinates are the coordinates off the pivots of U_i."""
+    """A quotient module M/U with, per vertex, the subspace U_i it was cut
+    along; the quotient coordinates are the coordinates off the pivots of
+    U_i, and `U_i.quotient_coords` projects onto them."""
 
     module: HModule
-    projections: tuple[np.ndarray, ...]
-    sections: tuple[np.ndarray, ...]
     subspaces: tuple[la.Subspace, ...]
 
     def induced(self, source: "Quotient", f) -> tuple[np.ndarray, ...]:
@@ -518,8 +516,8 @@ def _blocks(label: str, x: np.ndarray, u_j: la.Subspace, u_i: la.Subspace,
     """The blocks of a map x: M_j -> M_i between subspaces U_j and U_i with
     RREF bases B_j, B_i, pivots P and coordinates O off the pivots, by one
     residue rule: q_i x = X[O_i] - B_i[:, O_i]^T X[P_i] is
-    `Subspace.quotient_coords`, the projection q_i of la.quotient_map
-    applied to x.  On the subspaces the block is X[P_i] B_j^T, the rows
+    `Subspace.quotient_coords`, the projection q_i onto M_i / U_i applied
+    to x.  On the subspaces the block is X[P_i] B_j^T, the rows
     P_i of x B_j^T; when `quotient`, on the quotients it is
     q_i x s_j = X[O_i, O_j] - B_i[:, O_i]^T X[P_i, O_j] (s_j selects the
     columns O_j), else None; both read-only.  Raises NotInvariant unless x
@@ -560,8 +558,7 @@ def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
            ) -> tuple[Optional[HModule], Optional[Quotient]]:
     """The split of m along per-vertex subspaces U_i: from the block pass
     `_split_blocks(m, U, m.maps_with_labels(), k is not None)`, the
-    submodule when `sub` and the quotient at level k, with the projections
-    and sections of la.quotient_map, unless k is None."""
+    submodule when `sub` and the quotient at level k, unless k is None."""
     subs, pairs = _split_blocks(m, subspaces, m.maps_with_labels(),
                                 k is not None)
 
@@ -574,8 +571,7 @@ def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
     sub_module = half(0, m.k) if sub else None
     if k is None:
         return sub_module, None
-    projs, sects = zip(*(la.quotient_map(d, u) for u, d in zip(subs, m.dims)))
-    return sub_module, Quotient(half(1, k), projs, sects, tuple(subs))
+    return sub_module, Quotient(half(1, k), tuple(subs))
 
 
 def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:

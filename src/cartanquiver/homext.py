@@ -214,8 +214,23 @@ class HomBasis:
         return _unflatten(self.source, self.target, vec)
 
     def coords_of(self, f) -> np.ndarray:
-        vec = _flatten(self.source, self.target, f)
-        return vec[list(self.support)]
+        """The coordinates on this basis of the homomorphism f, given as
+        per-vertex matrices (entries read mod p), or of each one in
+        per-vertex stacks (..., rows, cols) of them.  Raises
+        NotAHomomorphism when f has the wrong number or shapes of
+        components, or lies outside the span of the basis."""
+        p = self.source.p
+        f = [la.integer_array(fi) for fi in f]
+        lead = f[0].shape[:-2] if f else ()
+        if len(f) != len(self.source.dims) or any(
+                fi.shape != lead + (dn, dm) for fi, dm, dn
+                in zip(f, self.source.dims, self.target.dims)):
+            raise NotAHomomorphism("component shapes do not match")
+        vec = _flatten(f) % p
+        coords = vec[..., list(self.support)]
+        if ((coords @ self.vec_basis - vec) % p).any():
+            raise NotAHomomorphism("not in the span of the Hom basis")
+        return coords
 
 
 def _unflatten(m, n, vec: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -230,8 +245,11 @@ def _unflatten(m, n, vec: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _flatten(m: HModule, n: HModule, f) -> np.ndarray:
-    return np.concatenate([la.integer_array(fi).reshape(-1) for fi in f])
+def _flatten(f) -> np.ndarray:
+    """The flat vector of per-vertex matrices (arrays), or the flat vectors
+    of per-vertex stacks of them; the inverse of `_unflatten`."""
+    return np.concatenate([fi.reshape(fi.shape[:-2] + (-1,)) for fi in f],
+                          axis=-1)
 
 
 def _failed_relation(relations, f, p: int) -> Optional[str]:

@@ -131,7 +131,12 @@ def lift_chain(chain: StructureChain) -> LiftedChain:
 
 def generator_span(m: HModule, e) -> tuple[Subspace, ...]:
     """Per-vertex span of the first e_i generators (all loop degrees) of a
-    standard-form module; e must fit its rank (RankTooLarge)."""
+    standard-form module; e must fit its rank (RankTooLarge).  Raises
+    ValidationError for a module that is not in standard form, where the
+    leading coordinates need not span a submodule."""
+    if not m.standard_form:
+        raise ValidationError("generator_span needs a module in standard "
+                              "form")
     e = RankVector(e)
     rank = hmod.rank_vector(m)
     if not (e <= rank):

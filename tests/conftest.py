@@ -18,6 +18,8 @@ from cartanquiver.errors import (
     ValidationError,
 )
 
+from reference_linalg import quotient_map
+
 
 def make_datum(c, d, omega):
     return cartan.validate_orientation(cartan.validate_cartan(c, d), omega)
@@ -550,7 +552,7 @@ def reference_quotient(m, subspaces, k=None):
     subs = list(subspaces)
     if len(subs) != m.n:
         raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
-    qmaps = [la.quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
+    qmaps = [quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
 
     def descend(mat, i, j):
         head = (qmaps[i][0] @ mat) % m.p
@@ -563,18 +565,18 @@ def reference_quotient(m, subspaces, k=None):
               for key, mats in m.arrows.items()}
     mod = hmod.make_module(m.datum, m.k if k is None else k, m.p, eps,
                            arrows)
-    return hmod.Quotient(mod, tuple(q for q, _ in qmaps),
-                         tuple(s for _, s in qmaps), tuple(subs))
+    return hmod.Quotient(mod, tuple(subs))
 
 
 def reference_induced(target, source, f):
     """Quotient.induced as it was before the quotient kept its subspaces:
-    per vertex proj_i @ f_i @ sect_i, checked to vanish on the source
-    kernel."""
+    per vertex proj_i @ f_i @ sect_i of the quotient maps, checked to
+    vanish on the source kernel."""
     p = target.module.p
     out = []
-    for proj, fi, src_proj, src_sect in zip(
-            target.projections, f, source.projections, source.sections):
+    for tgt, fi, src in zip(target.subspaces, f, source.subspaces):
+        proj, _ = quotient_map(tgt.ambient, tgt)
+        src_proj, src_sect = quotient_map(src.ambient, src)
         head = (proj @ fi) % p
         fbar = (head @ src_sect) % p
         if ((fbar @ src_proj - head) % p).any():
@@ -620,7 +622,7 @@ def reference_mod_epsilon_tensor(x):
 def reference_fiber_expected_dimension(mbar, base):
     """dim Hom over the base-level tensor algebra between the mod-eps
     reductions of the chain and of its quotient chain."""
-    if base.length < 2:
+    if len(base.brseq) < 2:
         return 0
     x, y = reference_flag_tensor_modules(mbar, base)
     return flagvar.hom_tensor(reference_mod_epsilon_tensor(x),
@@ -673,14 +675,48 @@ def reference_flag_check(flag):
         prev = layer
 
 
-# --- the reduction fiber computed from scratch on every call ------------------
+# --- the reduction fiber as a ring chart, computed again on every call -------
+
+class CentralCoordinates:
+    """Coordinates of a space that is free over F_p[eps]/(eps^k), given the
+    nilpotent matrix of eps; converts vectors and eps-commuting operators to
+    ring form and back."""
+
+    def __init__(self, eps_total, k, p):
+        self.k = k
+        self.p = p
+        self.dim = eps_total.shape[0]
+        self.m = self.dim // k
+        # column s*k + t is eps^t applied to generator s
+        self.basis = hmod.free_basis(eps_total, k, p)
+        self.basis_inv = la.inv(self.basis, p)
+
+    def operator_to_ring(self, ops):
+        """Ring matrices (..., m, m, k) of a stack of operators (..., dim,
+        dim) commuting with eps: entry [s', s, tau] is the eps^tau
+        coefficient of generator s' in the image of generator s.  Every
+        operator is rebuilt from its ring matrix and compared."""
+        p, k = self.p, self.k
+        conj = ((self.basis_inv @ (ops % p)) % p @ self.basis) % p
+        ring = hmod.matrix_to_ring(conj, k, k)
+        if ((hmod.ring_to_matrix(ring, k, k) - conj) % p).any():
+            raise InternalCheckError(
+                "operator does not commute with the central nilpotent")
+        return ring
+
+    def ring_columns_to_rows(self, ring_mat):
+        """K-row-vectors spanning the column span of a ring matrix: row
+        col*k + shift is eps^shift times ring column col."""
+        cols = hmod.ring_to_matrix(ring_mat, self.k, self.k)
+        return (cols.T @ self.basis.T) % self.p
+
 
 def _reference_lift_parts(m, red, base):
     """The lift system of a base flag with nothing kept between calls:
     (coords, offsets, sbar, pivot_rows, other_rows, system, rhs), or None
     for a zero chain."""
     mbar = red.module
-    slots = base.length - 1
+    slots = len(base.brseq) - 1
     p, k = m.p, m.k
     offsets, total = reference_total_blocks([m] * slots)
     eps_blocks = hmod.epsilon_blocks(m)
@@ -690,7 +726,7 @@ def _reference_lift_parts(m, red, base):
             off = offsets[(t, i)]
             eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
                 eps_blocks[i]
-    coords = flagvar._CentralCoordinates(eps_total, k, p)
+    coords = CentralCoordinates(eps_total, k, p)
     bar_offsets, bar_total = reference_total_blocks([mbar] * slots)
     base_rows = [la.zeros(0, bar_total)]
     rho_total = la.zeros(bar_total, total)
@@ -703,7 +739,7 @@ def _reference_lift_parts(m, red, base):
             rows[:, bar] = sub.basis
             base_rows.append(rows)
             rho_total[bar, offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
-                red.projections[i]
+                quotient_map(m.dims[i], red.subspaces[i])[0]
     base_rows = np.concatenate(base_rows)
     z_total = base_rows.shape[0] // (k - 1)
     low = [s * k + t for s in range(coords.m) for t in range(k - 1)]
@@ -749,8 +785,9 @@ def _reference_lift_parts(m, red, base):
 
 
 def reference_fiber_of_reduction(m, base):
-    """flagvar.fiber_of_reduction as it was before the reduction record:
-    the reduction, both rank vectors, the central coordinates and the
+    """flagvar.fiber_of_reduction as a ring chart over the center of the
+    repetitive chain module, as it was before the reduction record: the
+    reduction, both rank vectors, the central coordinates and the
     generator rings are all computed again on every call."""
     if m.k < 2:
         raise KTooSmall("fibers of reduction need k >= 2")
@@ -813,7 +850,8 @@ def reference_fiber_of_reduction(m, base):
     particular = build(np.zeros(dimension, dtype=np.int64))
     back = flagvar.FlagOfSubmodules(mbar, seq, tuple(
         tuple(la.Subspace.from_rows(
-            (layer[i].basis @ red.projections[i].T) % p, mbar.dims[i], p)
+            (layer[i].basis @ quotient_map(m.dims[i], red.subspaces[i])[0].T)
+            % p, mbar.dims[i], p)
             for i in range(m.n))
         for layer in particular.layers))
     back._check()

@@ -1,6 +1,8 @@
-"""Reference eliminations for the tests: a batched RREF of a stack of
+"""Reference linear algebra for the tests: a batched RREF of a stack of
 equally shaped matrices, one round of numpy array operations per column,
-checked against `exactlinalg.rref` matrix by matrix."""
+checked against `exactlinalg.rref` matrix by matrix; and the projection
+onto a quotient space with a section of it as explicit matrices, which
+the library reads off the subspaces instead."""
 
 import numpy as np
 
@@ -61,3 +63,25 @@ def rref_stack(a: np.ndarray, p: int
         pivots[live, r] = c
         ranks[live] += 1
     return m, ranks, pivots
+
+
+def quotient_map(ambient: int, sub: la.Subspace
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Projection q onto F_p^n / U together with a section s, both
+    read-only.
+
+    q has shape (n - dim U, n) and kernel exactly U; s has shape
+    (n, n - dim U) and q @ s = identity.  The quotient coordinates are the
+    non-pivot coordinates of U's RREF basis (`Subspace.quotient_coords`).
+    """
+    if sub.ambient != ambient:
+        raise la.DimensionMismatch(
+            "subspace does not match ambient dimension")
+    ident = la.identity(ambient)
+    q = sub.quotient_coords(ident)
+    s = ident.take(sub.off_pivots, 1)
+    if sub.dim and ((q @ sub.basis.T) % sub.p).any():
+        raise la.InternalCheckError("quotient_map: kernel check failed")
+    q.setflags(write=False)
+    s.setflags(write=False)
+    return q, s

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 
 import numpy as np
@@ -23,17 +24,18 @@ from cartanquiver.errors import (
 )
 
 from conftest import (
+    CentralCoordinates,
     assert_matches_dense,
     golden_module,
     line_submodule,
     n_module,
+    reference_fiber_of_reduction,
     reference_flag_tensor_modules,
     reference_generators,
     reference_intertwiner_rows,
     reference_mod_epsilon_tensor,
-    reference_rinv,
-    reference_rmul,
     reference_total_blocks,
+    scrambled,
 )
 
 
@@ -1049,20 +1051,43 @@ class TestFiberOfReduction:
             assert image.layers == base.layers
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_fibers_partition_top_count(self, a2, k):
-        top = n_module(a2, k, 2)
-        base_mod = reduction.reduce(top).module
-        brseq = [(1, 1), (1, 1)]
-        total = 0
-        empties = 0
-        for base in flagvar.enumerate_flags(base_mod, brseq):
-            fib = flagvar.fiber_of_reduction(top, base)
-            if fib.empty:
-                empties += 1
-            else:
-                total += fib.point_count()
-        assert total == flagvar.point_count(top, brseq)
-        assert (empties > 0) == (k == 3)
+    def test_fibers_partition_top_count(self, a2, b2, kronecker, k):
+        """Over all base flags the fiber point counts sum to point_count at
+        level k, which the closure search finds without any fiber code:
+        on the N-module, and on random non-rigid direct sums over B2
+        (c = (2, 1)), Kronecker (parallel arrows, also in a scrambled
+        basis) and A2, B2 and Kronecker with 3-step sequences."""
+        def pair(datum, r, s):
+            return hmod.direct_sum(
+                hmod.random_locally_free(datum, k, 2, r, seed=(1, 1)),
+                hmod.random_locally_free(datum, k, 2, s, seed=(1, 2)))
+
+        kron = pair(kronecker, (1, 1), (1, 1))
+        cases = [
+            (n_module(a2, k, 2), [(1, 1), (1, 1)]),
+            (pair(b2, (1, 1), (1, 1)), [(1, 1), (1, 1)]),
+            (kron, [(1, 1), (1, 1)]),
+            (scrambled(kron, np.random.default_rng(k)), [(1, 1), (1, 1)]),
+            (pair(a2, (1, 1), (1, 1)), [(1, 0), (0, 1), (1, 1)]),
+            (pair(b2, (1, 1), (1, 0)), [(1, 0), (0, 1), (1, 0)]),
+            (kron, [(1, 0), (0, 1), (1, 1)]),
+        ]
+        empties = []
+        for top, brseq in cases:
+            assert not homext.is_rigid(top)
+            base_mod = reduction.reduce(top).module
+            total = 0
+            empty = 0
+            for base in flagvar.enumerate_flags(base_mod, brseq):
+                fib = flagvar.fiber_of_reduction(top, base)
+                if fib.empty:
+                    empty += 1
+                else:
+                    total += fib.point_count()
+            assert total == flagvar.point_count(top, brseq)
+            empties.append(empty)
+        assert (empties[0] > 0) == (k == 3)
+        assert sum(map(bool, empties[1:])) >= 4
 
     def test_nonsurjectivity_detected_at_level_three(self, a2):
         top = n_module(a2, 3, 2)
@@ -1078,7 +1103,7 @@ class TestFiberOfReduction:
         base = flagvar.enumerate_flags(base_mod, [(2, 2)])[0]
         fib = flagvar.fiber_of_reduction(m, base)
         assert not fib.empty and fib.dimension == 0
-        assert fib.flag_at(np.zeros(0, dtype=np.int64)).length == 1
+        assert len(fib.flag_at(np.zeros(0, dtype=np.int64)).brseq) == 1
 
     def test_wrong_base_module_rejected(self, a2):
         n3 = n_module(a2, 3, 2)
@@ -1119,88 +1144,11 @@ def reference_operator_to_ring(coords, g):
     return ring
 
 
-def reference_lift_system(m, base):
-    """The fiber system assembled one generator at a time: looped ring
-    conversion, (rows, cols, k) ring products and one np.kron block per
-    generator.  Returns (system, rhs), or None for a zero chain."""
-    red = reduction.reduce(m)
-    mbar = red.module
-    slots = base.length - 1
-    p, k = m.p, m.k
-    offsets, total = reference_total_blocks([m] * slots)
-    eps_blocks = hmod.epsilon_blocks(m)
-    eps_total = la.zeros(total, total)
-    for t in range(slots):
-        for i in range(m.n):
-            off = offsets[(t, i)]
-            eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
-                eps_blocks[i]
-    coords = flagvar._CentralCoordinates(eps_total, k, p)
-    bar_offsets, bar_total = reference_total_blocks([mbar] * slots)
-    base_rows = []
-    rho_total = la.zeros(bar_total, total)
-    for t in range(slots):
-        for i in range(m.n):
-            off = bar_offsets[(t, i)]
-            for row in base.layers[t][i].basis:
-                full = la.zeros(1, bar_total)
-                full[0, off:off + mbar.dims[i]] = row
-                base_rows.append(full[0])
-            rho_total[off:off + mbar.dims[i],
-                      offsets[(t, i)]:offsets[(t, i)] + m.dims[i]] = \
-                red.projections[i]
-    z_total = len(base_rows) // (k - 1)
-    low = [s * k + t for s in range(coords.m) for t in range(k - 1)]
-    tbar = (rho_total @ coords.basis[:, low]) % p
-    tbar_inv = la.inv(tbar, p)
-    if z_total == 0:
-        return None
-    amat = np.zeros((coords.m, z_total, k - 1), dtype=np.int64)
-    residuals = la.zeros(0, coords.m)
-    picked = 0
-    for row in base_rows:
-        vec = ((tbar_inv @ row) % p).reshape(coords.m, k - 1)
-        if picked == z_total:
-            break
-        trial = np.concatenate([residuals, vec[:, 0].reshape(1, -1)])
-        if la.rank(trial, p) > residuals.shape[0]:
-            residuals = trial
-            amat[:, picked, :] = vec
-            picked += 1
-    if picked != z_total:
-        raise FlagNotInReduction("base chain is not free over the center")
-    _, _, piv = la.rref(amat[:, :, 0].T, p)
-    pivot_rows = list(piv)
-    other_rows = [q for q in range(coords.m) if q not in pivot_rows]
-    amat = reference_rmul(amat, reference_rinv(amat[pivot_rows], p), p)
-    sbar = np.zeros((len(other_rows), z_total, k), dtype=np.int64)
-    sbar[:, :, :k - 1] = amat[other_rows]
-    s0 = sbar[:, :, 0]
-    blocks, rhs = [], []
-    for gmat in reference_generators(m, slots, offsets, total):
-        ring = reference_operator_to_ring(coords, gmat)
-        pm = ring[pivot_rows][:, pivot_rows]
-        qm = ring[pivot_rows][:, other_rows]
-        rm = ring[other_rows][:, pivot_rows]
-        tm = ring[other_rows][:, other_rows]
-        resid = (rm + reference_rmul(tm, sbar, p)
-                 - reference_rmul(sbar, pm, p)
-                 - reference_rmul(sbar, reference_rmul(qm, sbar, p), p)) % p
-        if resid[:, :, :k - 1].any():
-            raise FlagNotInReduction("base chain is not invariant")
-        rhs.append(((-resid[:, :, k - 1]) % p).reshape(-1))
-        left = (tm[:, :, 0] - s0 @ qm[:, :, 0]) % p
-        right = (pm[:, :, 0] + qm[:, :, 0] @ s0) % p
-        blocks.append((np.kron(left, la.identity(z_total))
-                       - np.kron(la.identity(len(other_rows)), right.T))
-                      % p)
-    return np.concatenate(blocks), np.concatenate(rhs)
-
-
 def _lift_cases(a2, b2, a3, kronecker):
-    """(m, base): A2, B2, A3 and Kronecker modules at k = 2 and 3 over their
-    first base flags of 2- and 3-step sequences, and the N-module, whose
-    level-3 fibers include empty ones."""
+    """(m, base): A2, B2, A3 and Kronecker modules at k = 2 and 3 over F_2
+    and F_3 (where -a != a, so a sign slip in the fiber system shows) over
+    their first base flags of 2- and 3-step sequences, and the N-module,
+    whose level-3 fibers include empty ones."""
     specs = [
         (a2, (2, 1), [[(1, 0), (1, 1)], [(1, 0), (1, 0), (0, 1)]]),
         (b2, (2, 1), [[(1, 1), (1, 0)], [(0, 1), (1, 0), (1, 0)]]),
@@ -1210,11 +1158,11 @@ def _lift_cases(a2, b2, a3, kronecker):
     ]
     cases = []
     for datum, r, seqs in specs:
-        for k in (2, 3):
-            m = hmod.random_locally_free(datum, k, 2, r, seed=(41, k))
+        for k, p in itertools.product((2, 3), (2, 3)):
+            m = hmod.random_locally_free(datum, k, p, r, seed=(41, k))
             mods = [(m, seqs)]
             if datum is a2:
-                mods.append((n_module(a2, k, 2), [[(1, 1), (1, 1)]]))
+                mods.append((n_module(a2, k, p), [[(1, 1), (1, 1)]]))
             for mod, mod_seqs in mods:
                 bar = reduction.reduce(mod).module
                 for brseq in mod_seqs:
@@ -1231,67 +1179,81 @@ def _outcome(build, *args):
         return type(exc)
 
 
-def _memo_lift_system(m, base):
-    data = flagvar._reduction_data(m)
-    return flagvar._lift_system(
-        flagvar._chain_data(m, data, base.length - 1), base)
+def _points(fib, p):
+    """The layers of every point of a non-empty fiber, each once."""
+    points = [fib.flag_at(np.array(c, dtype=np.int64)).layers
+              for c in itertools.product(range(p), repeat=fib.dimension)]
+    assert len(set(points)) == len(points)
+    return set(points)
 
 
-def _assert_same_system(m, base):
-    """The stacked system equals the reference; returns what the fiber
-    is: "zero chain", "not in reduction", "empty" or "affine"."""
-    want = _outcome(reference_lift_system, m, base)
-    lift = _outcome(_memo_lift_system, m, base)
-    if want is None or want is FlagNotInReduction:
-        assert lift is want
-        return "zero chain" if want is None else "not in reduction"
-    system, rhs = want
-    assert lift.system.shape == system.shape
-    assert np.array_equal(lift.system, system)
-    assert np.array_equal(lift.rhs, rhs)
-    return "empty" if la.solve(system, rhs, m.p) is None else "affine"
+def _assert_same_fiber(m, base):
+    """The fiber equals the ring-chart reference in emptiness, dimension
+    and particular flag, and in its point set; returns what it is:
+    "not in reduction", "empty", "point" or "affine"."""
+    want = _outcome(reference_fiber_of_reduction, m, base)
+    got = _outcome(flagvar.fiber_of_reduction, m, base)
+    if want is FlagNotInReduction:
+        assert got is want
+        return "not in reduction"
+    assert ((got.empty, got.dimension, got.expected_dimension)
+            == (want.empty, want.dimension, want.expected_dimension))
+    if want.empty:
+        return "empty"
+    assert got.particular.layers == want.particular.layers
+    assert _points(got, m.p) == _points(want, m.p)
+    return "affine" if want.dimension else "point"
 
 
 class TestFiberAssembly:
     def test_matches_per_generator_reference(self, a2, b2, a3, kronecker):
+        """The layer system gives the fibers of the ring chart over the
+        center, assembled from one matrix per generator of the repetitive
+        chain module."""
         cases = _lift_cases(a2, b2, a3, kronecker)
-        kinds = collections.Counter(_assert_same_system(m, base)
+        kinds = collections.Counter(_assert_same_fiber(m, base)
                                     for m, base in cases)
-        assert {base.length for _, base in cases} == {2, 3}
+        assert {len(base.brseq) for _, base in cases} == {2, 3}
         assert kinds["empty"] > 0 and kinds["affine"] > 20
 
     def test_matches_reference_at_largest_prime(self, a2):
+        """At MAX_PRIME, where no fiber can be listed: the same dimension
+        and particular flag as the reference, and distinct coefficient
+        vectors give distinct flags that reduce to the base."""
         p = la.MAX_PRIME
         m = hmod.random_locally_free(a2, 2, p, (2, 1), seed=3)
         bar = reduction.reduce(m).module
+        rng = np.random.default_rng(5)
         seen = 0
         for brseq in ([(1, 0), (1, 1)], [(1, 0), (1, 0), (0, 1)]):
             for base in itertools.islice(flagvar.iter_flags(bar, brseq), 3):
-                assert _assert_same_system(m, base) == "affine"
+                want = reference_fiber_of_reduction(m, base)
                 fib = flagvar.fiber_of_reduction(m, base)
-                assert not fib.empty
+                assert not fib.empty and fib.dimension > 0
                 assert fib.dimension == fib.expected_dimension
+                assert fib.dimension == want.dimension
+                assert fib.particular.layers == want.particular.layers
+                coeffs = rng.integers(0, p, size=(3, fib.dimension))
+                flags = [fib.flag_at(c) for c in coeffs]
+                assert len({f.layers for f in flags}) == 3
+                for flag in flags:
+                    assert flagvar.reduce_flag(m, flag).layers == base.layers
                 seen += 1
         assert seen == 6
 
-    def test_generator_stack_matches_reference(self, b2):
-        m = hmod.random_locally_free(b2, 2, 3, (2, 1), seed=4)
-        for slots in (1, 2, 3):
-            offsets, total = reference_total_blocks([m] * slots)
-            stack = flagvar._algebra_generators(m, slots)
-            want = reference_generators(m, slots, offsets, total)
-            assert stack.shape == (len(want), total, total)
-            assert all(np.array_equal(g, w) for g, w in zip(stack, want))
-
     def test_operator_to_ring_checks_every_operator(self, b2):
+        """The ring-chart reference: its central coordinates convert each
+        generator of the repetitive chain module as the entry-by-entry
+        rebuild does, and refuse a stack with one operator that does not
+        commute with eps."""
         m = hmod.random_locally_free(b2, 3, 3, (2, 1), seed=4)
         offsets, total = reference_total_blocks([m, m])
         eps_total = la.zeros(total, total)
         for (t, i), off in offsets.items():
             eps_total[off:off + m.dims[i], off:off + m.dims[i]] = \
                 hmod.epsilon_blocks(m)[i]
-        coords = flagvar._CentralCoordinates(eps_total, 3, 3)
-        gens = flagvar._algebra_generators(m, 2)
+        coords = CentralCoordinates(eps_total, 3, 3)
+        gens = np.stack(reference_generators(m, 2, offsets, total))
         rings = coords.operator_to_ring(gens)
         for g, ring in zip(gens, rings):
             assert np.array_equal(ring, reference_operator_to_ring(coords, g))
@@ -1306,10 +1268,47 @@ class TestFiberAssembly:
                 coords.operator_to_ring(stack)
 
 
-def _fiber_case(a2):
-    m = rigid_module(a2, 2, 2, (2, 1), seed=8)
+def _fiber_case(a2, k=2):
+    """A rigid A2 module over F_2 and its 3-step base flags; at k = 2 each
+    fiber system is one zero equation, at k = 3 it has rank 1."""
+    m = rigid_module(a2, k, 2, (2, 1), seed=8)
     bar = reduction.reduce(m).module
     return m, flagvar.enumerate_flags(bar, [(1, 0), (1, 0), (0, 1)])
+
+
+def wrong_sub_block(monkeypatch, base):
+    """From now on the kept check of `base` hands out, for the first loop
+    on its first layer, a sub block that is off by the identity: the
+    residue of that loop then leaves eps^(k-1) M."""
+    original = flagvar.FlagOfSubmodules._check
+
+    def check(self):
+        splits, conn = original(self)
+        if self is not base:
+            return splits, conn
+        sides, pairs = splits[0]
+        (sub, quot), *rest = pairs[(0, 0)]
+        wrong = (sub + la.identity(sub.shape[0])) % self.module.p
+        return [(sides, {**pairs, (0, 0): [(wrong, quot), *rest]}),
+                *splits[1:]], conn
+
+    monkeypatch.setattr(flagvar.FlagOfSubmodules, "_check", check)
+
+
+def off_solution(monkeypatch, particular: bool):
+    """From now on la.solve adds, to the particular solution or to the
+    first kernel vector, a unit vector that the system does not send to
+    zero: the flags built from it are not flags of submodules."""
+    original = la.solve
+
+    def solve(a, b, p):
+        part, kernel = original(a, b, p)
+        unit = la.identity(a.shape[1])[np.flatnonzero(a.any(axis=0))[0]]
+        if particular:
+            return (part + unit) % p, kernel
+        return part, np.concatenate([(kernel[:1] + unit) % p, kernel[1:]])
+
+    monkeypatch.setattr(la, "solve", solve)
 
 
 class TestFiberChecks:
@@ -1320,23 +1319,23 @@ class TestFiberChecks:
         assert all(not flagvar.fiber_of_reduction(m, b).empty for b in bases)
 
     def test_invariance_below_top_degree(self, a2, monkeypatch):
+        """The residue of a map on the base flag must lie in the top
+        degree eps^(k-1) M."""
         m, bases = _fiber_case(a2)
-        original = flagvar._CentralCoordinates.operator_to_ring
-
-        def shifted(self, ops):
-            rings = original(self, ops).copy()
-            rings[-1, :, :, 0] = (rings[-1, :, :, 0] + 1) % self.p
-            return rings
-
-        monkeypatch.setattr(flagvar._CentralCoordinates, "operator_to_ring",
-                            shifted)
+        wrong_sub_block(monkeypatch, bases[0])
         with pytest.raises(FlagNotInReduction, match="invariant"):
             flagvar.fiber_of_reduction(m, bases[0])
+        assert not flagvar.fiber_of_reduction(m, bases[1]).empty
 
-    def test_chart_normalization(self, a2, monkeypatch):
+    def test_free_over_the_center(self, a2, monkeypatch):
+        """eps^(k-1) of the preimage of each base layer must have 1/(k-1)
+        of its dimension; with zero blocks of eps^(k-1) it is zero."""
         m, bases = _fiber_case(a2)
-        monkeypatch.setattr(flagvar, "_rinv", lambda a, p: 0 * a)
-        with pytest.raises(InternalCheckError, match="normalization"):
+        data = flagvar._reduction_data(m)
+        zero = dataclasses.replace(data, blocks=tuple(
+            np.zeros_like(b) for b in data.blocks))
+        monkeypatch.setitem(flagvar._REDUCTION_DATA, m, zero)
+        with pytest.raises(FlagNotInReduction, match="free over the center"):
             flagvar.fiber_of_reduction(m, bases[0])
 
     def test_hom_cross_check(self, a2, monkeypatch):
@@ -1345,6 +1344,27 @@ class TestFiberChecks:
         monkeypatch.setattr(flagvar, "_fiber_expected_dimension",
                             lambda mbar, base: original(mbar, base) + 1)
         with pytest.raises(InternalCheckError, match="cross-check"):
+            flagvar.fiber_of_reduction(m, bases[0])
+
+    def test_solve_substitution(self, a2, monkeypatch):
+        """la.solve substitutes its solution into the fiber system: an
+        elimination that shifts the right-hand side is caught there."""
+        m, bases = _fiber_case(a2, 3)
+        original_solve, original_rref = la.solve, la.rref
+
+        def shifted(a, p):
+            r, rank, pivots = original_rref(a, p)
+            r = r.copy()
+            r[:, -1] = (r[:, -1] + 1) % p
+            return r, rank, pivots
+
+        def solve(a, b, p):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(la, "rref", shifted)
+                return original_solve(a, b, p)
+
+        monkeypatch.setattr(la, "solve", solve)
+        with pytest.raises(InternalCheckError, match="substitution"):
             flagvar.fiber_of_reduction(m, bases[0])
 
     def test_invalid_base_rejected(self, a2):
@@ -1357,16 +1377,16 @@ class TestFiberChecks:
             flagvar.fiber_of_reduction(m, broken)
 
     def test_built_flags_validated(self, a2, monkeypatch):
-        m, bases = _fiber_case(a2)
-        fib = flagvar.fiber_of_reduction(m, bases[0])
-
-        def zero_rows(self, ring_mat):
-            return la.zeros(ring_mat.shape[1] * self.k, self.dim)
-
-        monkeypatch.setattr(flagvar._CentralCoordinates,
-                            "ring_columns_to_rows", zero_rows)
+        """Every built flag is checked: a particular solution or a kernel
+        vector off the solutions builds layers that are not invariant."""
+        m, bases = _fiber_case(a2, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            off_solution(mp, particular=False)
+            fib = flagvar.fiber_of_reduction(m, bases[0])
+        assert fib.dimension > 0
         with pytest.raises(ValidationError):
-            fib.flag_at(np.zeros(fib.dimension, dtype=np.int64))
+            fib.flag_at(la.identity(fib.dimension)[0])
+        off_solution(monkeypatch, particular=True)
         with pytest.raises(ValidationError):
             flagvar.fiber_of_reduction(m, bases[0])
 

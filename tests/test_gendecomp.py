@@ -153,6 +153,32 @@ class TestSplittingOracle:
         assert ks.certainty == gendecomp.MONTE_CARLO
 
 
+def reference_structure_constants(basis, p):
+    """The multiplication table of End(M) one product at a time: entry
+    [a, b] holds the coordinates of element a after element b."""
+    dim = basis.dim
+    table = np.zeros((dim, dim, dim), dtype=np.int64)
+    for a in range(dim):
+        for b in range(dim):
+            table[a, b] = basis.coords_of(homext.compose(
+                basis.elements[a], basis.elements[b], p))
+    return table
+
+
+def test_structure_constants_match_products(modules):
+    """All products composed at once on stacks give the table of the
+    product-by-product loop, on standard and scrambled modules."""
+    dims = set()
+    for m in modules:
+        basis = homext.hom_space(m, m)
+        got = gendecomp._structure_constants(basis, m.p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_structure_constants(basis,
+                                                                 m.p))
+        dims.add(basis.dim)
+    assert max(dims) >= 6
+
+
 class TestExtGeneric:
     def test_unit_pairs_a2(self, a2):
         assert gendecomp.ext_generic(a2, 1, 2, (1, 0), (0, 1)) == 0

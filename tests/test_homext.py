@@ -58,7 +58,7 @@ class TestHomSpace:
         elements = basis.elements
         assert basis.elements is elements and len(elements) == basis.dim
         for row, f in zip(basis.vec_basis, elements):
-            assert np.array_equal(homext._flatten(m, m, f), row)
+            assert np.array_equal(homext._flatten(f), row)
             assert [fi.shape for fi in f] == [(d, d) for d in m.dims]
         empty = homext.hom_space(hmod.free_module(b2, 1, 3, (0, 0)),
                                  hmod.free_module(b2, 1, 3, (0, 0)))

@@ -18,44 +18,48 @@ from cartanquiver.errors import (
 from cartanquiver.exactlinalg import Subspace
 
 from conftest import (
+    CentralCoordinates,
     n_module,
     reference_flag_tensor_modules,
     reference_mod_epsilon_tensor,
 )
+from reference_linalg import quotient_map
 
 
 def reference_reduce(m):
-    """M / eps^(k-1) M assembled inline: (module, projections, sections)."""
+    """M / eps^(k-1) M assembled inline: (module, projections, sections,
+    subspaces)."""
     p = m.p
     subs = []
     for i in range(m.n):
         power = la.matpow(m.eps[i], (m.k - 1) * m.datum.d[i], p)
         subs.append(Subspace.from_rows(power.T, m.dims[i], p))
-    qmaps = [la.quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
+    qmaps = [quotient_map(m.dims[i], subs[i]) for i in range(m.n)]
     projs = tuple(q for q, _ in qmaps)
     sects = tuple(s for _, s in qmaps)
     eps = [(projs[i] @ m.eps[i] @ sects[i]) % p for i in range(m.n)]
     arrows = {key: [(projs[key[0]] @ a @ sects[key[1]]) % p for a in mats]
               for key, mats in m.arrows.items()}
     module = hmod.make_module(m.datum, m.k - 1, p, eps, arrows)
-    return module, projs, sects
+    return module, projs, sects, tuple(subs)
 
 
 def reference_mod_epsilon(mod):
     """The level-1 shadow M / eps M assembled inline: (module, projections,
-    sections)."""
+    sections, subspaces)."""
     p = mod.p
     blocks = hmod.epsilon_blocks(mod)
     subs = [Subspace.from_rows(blocks[i].T, mod.dims[i], p)
             for i in range(mod.n)]
-    qmaps = [la.quotient_map(mod.dims[i], subs[i]) for i in range(mod.n)]
+    qmaps = [quotient_map(mod.dims[i], subs[i]) for i in range(mod.n)]
     eps = [(qmaps[i][0] @ mod.eps[i] @ qmaps[i][1]) % p
            for i in range(mod.n)]
     arrows = {key: [(qmaps[key[0]][0] @ a @ qmaps[key[1]][1]) % p
                     for a in mats]
               for key, mats in mod.arrows.items()}
     out = hmod.make_module(mod.datum, 1, p, eps, arrows)
-    return out, tuple(q for q, _ in qmaps), tuple(s for _, s in qmaps)
+    return (out, tuple(q for q, _ in qmaps), tuple(s for _, s in qmaps),
+            tuple(subs))
 
 
 def inline_mod_epsilon_tensor(x):
@@ -101,6 +105,13 @@ def _same_arrays(xs, ys):
         np.array_equal(x, y) for x, y in zip(xs, ys))
 
 
+def _projects_like(quotient, projs):
+    """The quotient coordinates of the quotient's subspaces are the
+    reference projections, column by column."""
+    return _same_arrays([u.quotient_coords(la.identity(u.ambient))
+                         for u in quotient.subspaces], projs)
+
+
 class TestAgainstReferences:
     def test_reduce(self, modules):
         checked = 0
@@ -108,12 +119,12 @@ class TestAgainstReferences:
             if m.k < 2:
                 continue
             red = reduction.reduce(m)
-            module, projs, sects = reference_reduce(m)
+            module, projs, _, subs = reference_reduce(m)
             assert isinstance(red, hmod.Quotient)
             assert hmod.modules_equal(red.module, module)
             assert red.module.standard_form or not m.standard_form
-            assert _same_arrays(red.projections, projs)
-            assert _same_arrays(red.sections, sects)
+            assert red.subspaces == subs
+            assert _projects_like(red, projs)
             checked += 1
         assert checked == 32
 
@@ -121,10 +132,10 @@ class TestAgainstReferences:
         for m in modules:
             blocks = hmod.epsilon_blocks(m)
             q = hmod.quotient(m, [la.image(b, m.p) for b in blocks], 1)
-            module, projs, sects = reference_mod_epsilon(m)
+            module, projs, _, subs = reference_mod_epsilon(m)
             assert hmod.modules_equal(q.module, module)
-            assert _same_arrays(q.projections, projs)
-            assert _same_arrays(q.sections, sects)
+            assert q.subspaces == subs
+            assert _projects_like(q, projs)
 
     def test_mod_epsilon_tensor(self, modules):
         tensors = []
@@ -152,7 +163,7 @@ class TestAgainstReferences:
             for flag in _three_step_flags(m, 2):
                 _, kept = flag._check()
                 _, y = reference_flag_tensor_modules(m, flag)
-                qmaps = [[la.quotient_map(m.dims[i], layer[i])
+                qmaps = [[quotient_map(m.dims[i], layer[i])
                           for i in range(m.n)] for layer in flag.layers]
                 for t, conn in enumerate(y.connectors):
                     want = [(qmaps[t + 1][i][0] @ qmaps[t][i][1]) % m.p
@@ -178,7 +189,7 @@ class TestAgainstReferences:
             for i, d in enumerate(m.dims):
                 eps_total[off:off + d, off:off + d] = blocks[i]
                 off += d
-            coords = flagvar._CentralCoordinates(eps_total, m.k, m.p)
+            coords = CentralCoordinates(eps_total, m.k, m.p)
             want = reference_free_sweep(eps_total, m.k, m.p)
             assert np.array_equal(coords.basis, want)
 

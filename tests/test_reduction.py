@@ -50,13 +50,17 @@ class TestReduce:
         assert homext.are_isomorphic(lhs, rhs).isomorphic
 
     def test_projections_cover(self, a2):
+        """The projection onto each quotient, read off the reduction's
+        subspace, is onto and the identity on the coordinates off its
+        pivots."""
         m = golden_module(a2, 2, 5)
         red = reduction.reduce(m)
         for i in range(2):
-            assert la.rank(red.projections[i], 5) == red.module.dims[i]
-            assert np.array_equal(
-                (red.projections[i] @ red.sections[i]) % 5,
-                la.identity(red.module.dims[i]))
+            u = red.subspaces[i]
+            proj = u.quotient_coords(la.identity(m.dims[i]))
+            assert la.rank(proj, 5) == red.module.dims[i]
+            assert np.array_equal(proj.take(u.off_pivots, 1),
+                                  la.identity(red.module.dims[i]))
 
     def test_lift_preserved_through_reduce(self, a2):
         m = n_module(a2, 3, 5)
@@ -122,7 +126,7 @@ class TestLiftChain:
         red = reduction.reduce(m)
         for i in range(2):
             reduced_layer = la.Subspace.from_rows(
-                (layer[i].basis @ red.projections[i].T) % 2,
+                red.subspaces[i].quotient_coords(layer[i].basis.T).T,
                 red.module.dims[i], 2)
             expected = reduction.generator_span(red.module,
                                                 (1, 1))[i]
@@ -340,7 +344,7 @@ class TestRandomChainLifts:
                 red = reduction.reduce(m)
                 for i in range(m.n):
                     reduced_layer = la.Subspace.from_rows(
-                        (layer[i].basis @ red.projections[i].T) % 3,
+                        red.subspaces[i].quotient_coords(layer[i].basis.T).T,
                         red.module.dims[i], 3)
                     assert reduced_layer == reduction.generator_span(
                         red.module, (1, 1))[i]

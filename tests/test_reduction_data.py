@@ -1,10 +1,10 @@
 """The per-module reduction record of flagvar.
 
 `fiber_of_reduction` and `reduce_flag` read one memoized record per module
-(the reduction, both rank vectors and, per slot count, the central
-coordinates and generator rings of the repetitive chain).  The fibers must
-equal the ones computed from scratch on every call, a module must be
-reduced once, the entry must die with its module, a failed build must keep
+(the reduction, its level-1 shadow and the blocks of eps^(k-1), after both
+rank vectors are checked).  The fibers must equal the ones the ring-chart
+reference computes from scratch on every call, a module must be reduced
+once, the entry must die with its module, a failed build must keep
 nothing, and every check that depends on the base must still run on every
 call.
 """
@@ -33,6 +33,7 @@ from conftest import (
     reference_fiber_expected_dimension,
     reference_fiber_of_reduction,
 )
+from reference_linalg import quotient_map
 
 # two-step sequences, the second of which is cut out by arrow closure, and
 # a three-step sequence
@@ -56,8 +57,18 @@ def _coefficient_vectors(dim, p, rng):
     return vecs
 
 
+def _points(fib, p):
+    """The layers of all points of a non-empty fiber."""
+    return {fib.flag_at(np.array(c, dtype=np.int64)).layers
+            for c in itertools.product(range(p), repeat=fib.dimension)}
+
+
 def assert_same_fiber(m, base, rng) -> str:
-    """The memoized fiber equals the per-call reference; returns its kind."""
+    """The memoized fiber equals the per-call reference in emptiness,
+    dimensions, particular flag and point set; the points of a few
+    coefficient vectors are points of the reference fiber (the two kernel
+    bases may differ, so a vector need not name the same point).  Returns
+    the fiber's kind."""
     want = _outcome(reference_fiber_of_reduction, m, base)
     got = _outcome(flagvar.fiber_of_reduction, m, base)
     if want is FlagNotInReduction:
@@ -69,8 +80,10 @@ def assert_same_fiber(m, base, rng) -> str:
     if want.empty:
         return "empty"
     assert got.particular.layers == want.particular.layers
+    points = _points(want, m.p)
+    assert _points(got, m.p) == points
     for coeffs in _coefficient_vectors(want.dimension, m.p, rng):
-        assert got.flag_at(coeffs).layers == want.flag_at(coeffs).layers
+        assert got.flag_at(coeffs).layers in points
     return "affine" if want.dimension else "point"
 
 
@@ -92,7 +105,7 @@ class TestAgainstPerCallReference:
             for brseq in seqs:
                 for base in flagvar.iter_flags(bar, brseq):
                     kinds.append(assert_same_fiber(m, base, rng))
-                    lengths.add(base.length)
+                    lengths.add(len(base.brseq))
         assert lengths == {2, 3}
         assert "affine" in kinds
         if name == "a2" and k == 3:
@@ -137,7 +150,7 @@ class TestShadowCrossCheck:
                                                                 base)
                         assert got == reference_fiber_expected_dimension(
                             data.red.module, base)
-                        seen[name, base.length] += 1
+                        seen[name, len(base.brseq)] += 1
         assert sum(seen.values()) >= 1000
         assert all(seen[name, length] for name, _, _ in SHADOW_SCAN
                    for length in (2, 3) if name != "g2")
@@ -165,14 +178,14 @@ class TestMemo:
         flags = flagvar.enumerate_flags(m, SEQS[2])
         assert len(bases) > 2 and flags
         reduces = _counting(monkeypatch, reduction, "reduce")
-        generators = _counting(monkeypatch, flagvar, "_algebra_generators")
+        records = _counting(monkeypatch, flagvar, "_ReductionData")
         for base in bases:
             flagvar.fiber_of_reduction(m, base)
         for flag in flags:
             flagvar.reduce_flag(m, flag)
         assert len(reduces) == 1 and reduces[0][0] is m
-        # the generator rings are built once per slot count (1 and 2)
-        assert sorted(args[1] for args in generators) == [1, 2]
+        # the blocks of eps^(k-1) are built once, with the record
+        assert len(records) == 1
 
     def test_reduce_flag_and_fiber_share_the_record(self, a2, monkeypatch):
         m = hmod.random_locally_free(a2, 3, 2, (2, 1), seed=22)
@@ -204,7 +217,13 @@ class TestMemo:
         flagvar.fiber_of_reduction(m, base)
         data = flagvar._REDUCTION_DATA[m]
         assert m not in gc.get_referents(data)
-        assert set(data.chains) == {2}
+        # the blocks Eps_i^((k-1)c_i), read-only, with the reduction's
+        # subspaces as images
+        for i, block in enumerate(data.blocks):
+            assert np.array_equal(block, la.matpow(
+                m.eps[i], (m.k - 1) * m.datum.d[i], m.p))
+            assert not block.flags.writeable
+            assert la.image(block, m.p) == data.red.subspaces[i]
 
     def test_not_locally_free_stores_nothing(self, a2):
         # dim 1 at loop order 2: not free over F_2[eps]/(eps^2)
@@ -250,42 +269,45 @@ class TestMemo:
             assert m not in flagvar._REDUCTION_DATA
 
     def test_failed_chain_build_stores_nothing(self, a2, monkeypatch):
+        """The blocks of eps^(k-1) are the last part of the record built:
+        when they fail, nothing is stored, and the next call builds it."""
         m = hmod.random_locally_free(a2, 2, 2, (2, 1), seed=26)
         base = next(flagvar.iter_flags(reduction.reduce(m).module,
                                        SEQS[0]))
-        flagvar.reduce_flag(m, flagvar.enumerate_flags(m, SEQS[0])[0])
+        original = hmod.epsilon_blocks
 
-        def no_commute(self, ops):
-            raise InternalCheckError(
-                "operator does not commute with the central nilpotent")
+        def broken(mod):
+            if mod is m:
+                raise InternalCheckError("no blocks")
+            return original(mod)
 
-        monkeypatch.setattr(flagvar._CentralCoordinates, "operator_to_ring",
-                            no_commute)
+        monkeypatch.setattr(hmod, "epsilon_blocks", broken)
         for _ in range(2):
-            with pytest.raises(InternalCheckError, match="commute"):
+            with pytest.raises(InternalCheckError, match="no blocks"):
                 flagvar.fiber_of_reduction(m, base)
-            assert flagvar._REDUCTION_DATA[m].chains == {}
+            assert m not in flagvar._REDUCTION_DATA
         monkeypatch.undo()
         assert not flagvar.fiber_of_reduction(m, base).empty
-        assert set(flagvar._REDUCTION_DATA[m].chains) == {1}
+        assert len(flagvar._REDUCTION_DATA[m].blocks) == m.n
 
     def test_degenerate_central_basis_raises_each_time(self, a2,
                                                        monkeypatch):
+        """A record whose blocks of eps^(k-1) are degenerate (zero) makes
+        every base chain fail the freeness over the center, on every
+        call."""
         m = hmod.random_locally_free(a2, 3, 2, (2, 1), seed=27)
         base = next(flagvar.iter_flags(reduction.reduce(m).module,
                                        SEQS[0]))
-        original = flagvar._CentralCoordinates.__init__
-
-        def zero_basis(self, eps_total, k, p):
-            original(self, eps_total, k, p)
-            self.basis = np.zeros_like(self.basis)
-
-        monkeypatch.setattr(flagvar._CentralCoordinates, "__init__",
-                            zero_basis)
+        original = hmod.epsilon_blocks
+        monkeypatch.setattr(hmod, "epsilon_blocks", lambda mod: tuple(
+            np.zeros_like(b) for b in original(mod)) if mod is m
+            else original(mod))
         for _ in range(2):
-            with pytest.raises(InternalCheckError, match="degenerate"):
+            with pytest.raises(FlagNotInReduction,
+                               match="free over the center"):
                 flagvar.fiber_of_reduction(m, base)
-            assert flagvar._REDUCTION_DATA[m].chains == {}
+            blocks = flagvar._REDUCTION_DATA[m].blocks
+            assert not any(b.any() for b in blocks)
 
 
 def _warm_case(a2):
@@ -336,26 +358,25 @@ class TestPerBaseChecksWithWarmRecord:
         m = hmod.random_locally_free(a2, 2, 2, (2, 1), seed=8)
         bases = flagvar.enumerate_flags(reduction.reduce(m).module,
                                         SEQS[2])
-        original = flagvar._CentralCoordinates.operator_to_ring
+        original = flagvar.FlagOfSubmodules._check
 
-        def shifted(self, ops):
-            rings = original(self, ops).copy()
-            rings[-1, :, :, 0] = (rings[-1, :, :, 0] + 1) % self.p
-            return rings
+        def check(self):
+            # the first loop's sub block on the first layer, off by the
+            # identity, so that its residue leaves eps^(k-1) M
+            splits, conn = original(self)
+            if not any(self is base for base in bases[:3]):
+                return splits, conn
+            sides, pairs = splits[0]
+            (sub, quot), *rest = pairs[(0, 0)]
+            wrong = (sub + la.identity(sub.shape[0])) % m.p
+            return [(sides, {**pairs, (0, 0): [(wrong, quot), *rest]}),
+                    *splits[1:]], conn
 
-        monkeypatch.setattr(flagvar._CentralCoordinates, "operator_to_ring",
-                            shifted)
+        monkeypatch.setattr(flagvar.FlagOfSubmodules, "_check", check)
         for base in bases[:3]:
             with pytest.raises(FlagNotInReduction, match="invariant"):
                 flagvar.fiber_of_reduction(m, base)
-        assert set(flagvar._REDUCTION_DATA[m].chains) == {2}
-
-    def test_chart_normalization(self, a2, monkeypatch):
-        m, bases = _warm_case(a2)
-        monkeypatch.setattr(flagvar, "_rinv", lambda a, p: 0 * a)
-        for base in bases[:2]:
-            with pytest.raises(InternalCheckError, match="normalization"):
-                flagvar.fiber_of_reduction(m, base)
+        assert len(flagvar._REDUCTION_DATA[m].blocks) == m.n
 
     def test_hom_cross_check(self, a2, monkeypatch):
         m, bases = _warm_case(a2)
@@ -367,13 +388,20 @@ class TestPerBaseChecksWithWarmRecord:
                 flagvar.fiber_of_reduction(m, base)
 
     def test_built_flags_validated(self, a2, monkeypatch):
-        m, bases = _warm_case(a2)
+        m = hmod.random_locally_free(a2, 3, 2, (2, 1), seed=8)
+        bases = flagvar.enumerate_flags(reduction.reduce(m).module,
+                                        SEQS[2])
+        assert not flagvar.fiber_of_reduction(m, bases[0]).empty
+        original = la.solve
 
-        def zero_rows(self, ring_mat):
-            return la.zeros(ring_mat.shape[1] * self.k, self.dim)
+        def off_solution(a, b, p):
+            # a particular solution plus a vector the system does not kill
+            part, kernel = original(a, b, p)
+            unit = la.identity(a.shape[1])[
+                np.flatnonzero(a.any(axis=0))[0]]
+            return (part + unit) % p, kernel
 
-        monkeypatch.setattr(flagvar._CentralCoordinates,
-                            "ring_columns_to_rows", zero_rows)
+        monkeypatch.setattr(la, "solve", off_solution)
         for base in bases[:2]:
             with pytest.raises(ValidationError):
                 flagvar.fiber_of_reduction(m, base)
@@ -394,7 +422,8 @@ def reference_reduce_flag(m, flag):
     red = reduction.reduce(m)
     layers = tuple(
         tuple(la.Subspace.from_rows(
-            (layer[i].basis @ red.projections[i].T) % m.p,
+            (layer[i].basis @ quotient_map(m.dims[i],
+                                           red.subspaces[i])[0].T) % m.p,
             red.module.dims[i], m.p) for i in range(m.n))
         for layer in flag.layers)
     out = flagvar.FlagOfSubmodules(red.module, flag.brseq, layers)

@@ -3,7 +3,8 @@ against the per-caller layouts they replace.  The parent code of the
 arrow loop of `from_structure_matrices`, the loop of
 `to_structure_matrices`, the meshgrid scatter of `flagvar._chart_rows` and
 the shift-tensor rebuild of the central coordinates are kept here as
-reference oracles."""
+reference oracles; the central coordinates themselves are the ring-chart
+fiber oracle of conftest."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cartanquiver import exactlinalg as la
 from cartanquiver import flagvar, hmod
 from cartanquiver.errors import InternalCheckError
 
-from conftest import make_datum, reference_total_blocks
+from conftest import CentralCoordinates, make_datum, reference_total_blocks
 
 
 def reference_arrow_copies(u_mat, ri, rj, mi, mj, fij, fji, gij):
@@ -226,7 +227,7 @@ def _coords(datum, k, p, r, seed):
     eps_total = la.zeros(total, total)
     for (t, i), off in offsets.items():
         eps_total[off:off + m.dims[i], off:off + m.dims[i]] = blocks[i]
-    return flagvar._CentralCoordinates(eps_total, k, p)
+    return CentralCoordinates(eps_total, k, p)
 
 
 @settings(max_examples=40, deadline=None)

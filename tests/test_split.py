@@ -3,7 +3,9 @@ its block rule `hmod._blocks`) against the constructions it replaces, kept
 as oracles in conftest: `submodule`, `quotient`, `sub_quotient`, and the
 tensor modules of a flag against the two chains of its tangent Hom."""
 
+import dataclasses
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from conftest import (
     reference_sub_quotient,
     reference_submodule,
 )
+from reference_linalg import quotient_map
 
 DATA = ("a2", "b2", "b2_rev", "kronecker", "g2")
 # (k, p, rank) of one random module per datum
@@ -59,8 +62,7 @@ def _same_quotient(a, b):
     if isinstance(a, type) or isinstance(b, type):
         return a is b
     return (_same_module(a.module, b.module)
-            and all(map(_same, a.projections, b.projections))
-            and all(map(_same, a.sections, b.sections)))
+            and a.subspaces == b.subspaces)
 
 
 def _scan(m, rng, randoms):
@@ -75,9 +77,9 @@ def _scan(m, rng, randoms):
 
 
 def test_split_matches_reference(request):
-    """Sub and quotient modules, projections and sections byte-identical to
-    the oracles, quotients at the levels k, k - 1 and 1; every tuple the
-    oracles reject raises the same class."""
+    """Sub and quotient modules byte-identical to the oracles, with the
+    same subspaces, quotients at the levels k, k - 1 and 1; every tuple
+    the oracles reject raises the same class."""
     accepted = rejected = 0
     for name in DATA:
         datum = request.getfixturevalue(name)
@@ -167,25 +169,19 @@ class TestChecks:
                 with pytest.raises(ShapeMismatch):
                     build(m, subs)
 
-    def test_quotient_maps_only_for_quotients(self, a2, monkeypatch):
-        """submodule builds no quotient map; quotient and sub_quotient build
-        one per vertex."""
+    def test_quotient_maps_only_for_quotients(self, a2):
+        """No split builds quotient maps, not even for quotients: a
+        Quotient record is its module and the subspaces it was cut along,
+        whose quotient coordinates give its projections."""
         m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
         u = next(flagvar.iter_locally_free_submodules(m, (1, 1)))
-        built = []
-        original = hmod.la.quotient_map
-
-        def counted(*args):
-            built.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(hmod.la, "quotient_map", counted)
-        hmod.submodule(m, u)
-        assert built == []
-        for build in (hmod.quotient, hmod.sub_quotient):
-            build(m, u)
-            assert len(built) == m.n
-            built.clear()
+        assert [f.name for f in dataclasses.fields(hmod.Quotient)] == [
+            "module", "subspaces"]
+        assert not hasattr(la, "quotient_map")
+        for q in (hmod.quotient(m, u), hmod.sub_quotient(m, u).quotient):
+            assert q.subspaces == tuple(u)
+            assert q.module.dims == tuple(
+                v.ambient - v.dim for v in q.subspaces)
 
     def test_one_invariance_test_per_map(self, a2, monkeypatch):
         m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=3)
@@ -212,8 +208,8 @@ class TestChecks:
         for i, d in enumerate(m.dims):
             incl, proj = hmod._blocks("id", np.eye(d, dtype=np.int64),
                                       small[i], big[i], True)
-            q_big, _ = la.quotient_map(d, big[i])
-            _, s_small = la.quotient_map(d, small[i])
+            q_big, _ = quotient_map(d, big[i])
+            _, s_small = quotient_map(d, small[i])
             assert _same(small[i].basis.T, (big[i].basis.T @ incl) % 3)
             assert _same(proj, (q_big @ s_small) % 3)
         assert big[1].dim > small[1].dim
@@ -266,8 +262,8 @@ def test_blocks_match_quotient_maps(case):
     U_i."""
     x, u_j, u_i = case
     p = u_i.p
-    q_i, _ = la.quotient_map(x.shape[0], u_i)
-    _, s_j = la.quotient_map(x.shape[1], u_j)
+    q_i, _ = quotient_map(x.shape[0], u_i)
+    _, s_j = quotient_map(x.shape[1], u_j)
     img = (x @ u_j.basis.T) % p
     invariant = not ((q_i @ img) % p).any()
     assert invariant == u_i.contains_rows(img.T)
@@ -286,26 +282,24 @@ def test_blocks_match_quotient_maps(case):
             assert quot is None
 
 
-def test_flags_and_tangents_build_no_quotient_map(a2, b2, monkeypatch):
-    """The flag check and the tangent Hom read their blocks off the layer
-    subspaces: iter_flags and tangent_dimension call la.quotient_map zero
-    times."""
-    built = []
-    original = la.quotient_map
-
-    def counted(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(la, "quotient_map", counted)
+def test_flags_and_tangents_build_no_quotient_map(a2, b2):
+    """The flag check, the tangent Hom, the reduction of flags and the
+    fibers read their blocks off the layer subspaces
+    (`Subspace.quotient_coords`): the library has no quotient map to build,
+    and they run on flags of both data."""
+    src = pathlib.Path(hmod.__file__).parent
+    assert not [path.name for path in src.glob("*.py")
+                if "quotient_map" in path.read_text()]
     flags = 0
     for datum in (a2, b2):
         m = hmod.random_locally_free(datum, 2, 3, (2, 1), seed=3)
         for seq in (((1, 0), (1, 1)), ((1, 0), (0, 1), (1, 0))):
             for flag in flagvar.iter_flags(m, seq):
                 flagvar.tangent_dimension(m, flag)
+                base = flagvar.reduce_flag(m, flag)
+                assert not flagvar.fiber_of_reduction(m, base).empty
                 flags += 1
-    assert flags >= 10 and built == []
+    assert flags >= 10
 
 
 class TestTangentInputs:

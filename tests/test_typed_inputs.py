@@ -12,11 +12,13 @@ from cartanquiver.cartan import RankVector
 from cartanquiver.errors import (
     DatumMismatch,
     LengthMismatch,
+    NotAHomomorphism,
+    NotInvariant,
     RankTooLarge,
     ValidationError,
 )
 
-from conftest import dims_eps_file
+from conftest import dims_eps_file, unitriangular_conjugate
 
 
 class TestHomAcrossAlgebras:
@@ -90,6 +92,53 @@ class TestGeneratorSpan:
         full = reduction.generator_span(m, (2, 1))
         assert [u.dim for u in full] == list(m.dims)
         assert [u.dim for u in reduction.generator_span(m, (1, 0))] == [2, 0]
+
+    def test_refuses_module_not_in_standard_form(self, a2):
+        """In another basis at vertex 1 the leading coordinates need not
+        span a submodule: generator_span refuses the module instead of
+        returning subspaces that hmod.submodule rejects."""
+        m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=1)
+        conj = unitriangular_conjugate(m, {0}, np.random.default_rng(2))
+        assert not conj.standard_form
+        leading = tuple(la.Subspace.from_rows(
+            la.identity(d)[:order], d, 3)
+            for d, order in zip(conj.dims, (2, 0)))
+        with pytest.raises(NotInvariant):
+            hmod.submodule(conj, leading)
+        with pytest.raises(ValidationError, match="standard form"):
+            reduction.generator_span(conj, (1, 0))
+
+
+class TestHomCoordinates:
+    """HomBasis.coords_of on the free A2 module of rank (1, 1) at k = 2,
+    p = 3: what is not an element of the Hom space raises
+    NotAHomomorphism, and entries are read mod p."""
+
+    @pytest.fixture
+    def basis(self, a2):
+        m = hmod.free_module(a2, 2, 3, (1, 1))
+        return homext.hom_space(m, m)
+
+    def test_wrong_block_shape(self, basis):
+        ident = homext.identity_hom(basis.source)
+        with pytest.raises(NotAHomomorphism):
+            basis.coords_of([ident[0], la.identity(2).reshape(4, 1)])
+
+    def test_not_a_homomorphism(self, basis):
+        e12 = np.array([[0, 1], [0, 0]])
+        with pytest.raises(NotAHomomorphism):
+            basis.coords_of([e12, la.identity(2)])
+
+    def test_one_vertex(self, basis):
+        with pytest.raises(NotAHomomorphism):
+            basis.coords_of([la.identity(2)])
+
+    def test_entries_read_mod_p(self, basis):
+        ident = homext.identity_hom(basis.source)
+        coords = basis.coords_of([4 * a for a in ident])
+        assert coords.tolist() == basis.coords_of(ident).tolist()
+        assert ((coords @ basis.vec_basis) % 3).tolist() == [
+            1, 0, 0, 1, 1, 0, 0, 1]
 
 
 class TestNonIntegerEntries:
