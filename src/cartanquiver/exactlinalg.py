@@ -255,7 +255,10 @@ def kernel_basis_and_support(a: np.ndarray, p: int
     """Kernel basis rows plus the free columns where they read off as
     coordinates: basis[t, support[t]] == 1 and 0 at the other support
     columns, so the coefficients of any kernel vector are its values at
-    the support columns."""
+    the support columns.  A system with no equations has the identity as
+    its kernel basis and every column free, with no elimination."""
+    if a.shape[0] == 0:
+        return identity(a.shape[1]), tuple(range(a.shape[1]))
     r, _, pivots = rref(a, p)
     return _kernel_from_rref(r, pivots, a.shape[1], p)
 

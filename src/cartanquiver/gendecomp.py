@@ -2,8 +2,13 @@
 
 Explicit modules are split with Fitting's lemma: for an endomorphism phi,
 M = ker(phi^N) + im(phi^N) is a direct decomposition, so any phi that is
-neither nilpotent nor invertible splits M.  A split is searched in three
-steps, each run only when the one before it has not decided:
+neither nilpotent nor invertible splits M.  A module with one non-zero
+vertex whose loop is a single nilpotent Jordan block, as every rank-one
+piece E_i is, has End(M) = F_p[x]/(x^d), a local ring: it is
+indecomposable, with an exhaustive certificate at any budget, and no
+End(M) is solved for it (`_local_end`).  For every other module a split
+is searched in three steps, each run only when the one before it has not
+decided:
 
 1. Fitting splits along the End(M) basis elements, shifted by scalars.
    Each candidate f is raised to the Fitting power at all of its shifts
@@ -32,7 +37,13 @@ when no decomposition r = s + t has vanishing generic Ext both ways.
 One generic-Ext table serves a whole decomposition call (its Schur checks,
 Ext checks and splitting recursion) and is dropped with it: a pair whose
 Ext scan is exhaustive has a minimum that does not depend on the seed and
-is asked once, a sampled pair is asked with its own seed.
+is asked once, a sampled pair is asked with its own seed.  Each module of
+an exhaustive scan is decided once per call, too: the Krull-Schmidt census
+of the scan (a module is a hit when its first split search finds no split)
+is the Schur evidence of the part equal to r whenever every one of those
+verdicts holds for every seed, that is when it came from a local End or
+from a completed idempotent scan.  Otherwise the evidence is the rescan of
+`is_schur_root`, with its own seeds.
 Every report carries its sample counts, seeds and certainty level.
 
 The budgets (SPLIT_TRIALS, IDEMPOTENT_BUDGET, PAIR_SPACE_BUDGET and
@@ -99,17 +110,20 @@ def _scan_idempotents(m: HModule, basis: homext.HomBasis
     p = m.p
     dim = basis.dim
     table = _structure_constants(basis, p)
-    id_coords = basis.coords_of(homext.identity_hom(m))
+    one = homext.identity_hom(m)
     for digits in la.digit_chunks(p, dim):
         # dim^2 terms, each below p^3: under 2^63 for dim <= 304 when
         # p <= la.MAX_PRIME, and no budget admits a scan of p^305 points
         squares = np.einsum("na,nb,abc->nc", digits, digits, table) % p
         hits = np.all(squares == digits, axis=1)
         for idx in np.nonzero(hits)[0]:
-            x = digits[idx]
-            if not x.any() or np.array_equal(x, id_coords):
+            if not digits[idx].any():
                 continue
-            return _fitting_search(m, [basis.element_from_coeffs(x)], [0])
+            e = basis.element_from_coeffs(digits[idx])
+            # the identity is one of the few idempotents: test it directly
+            if all(np.array_equal(ei, oi) for ei, oi in zip(e, one)):
+                continue
+            return _fitting_search(m, [e], [0])
     return None
 
 
@@ -142,27 +156,50 @@ def _fitting_search(m: HModule, candidates, shifts) -> Optional[tuple]:
     return None
 
 
-def _find_split(m: HModule, seed):
-    """Returns (split or None, certainty_of_a_negative_answer).
+def _local_end(m: HModule) -> bool:
+    """Whether M has exactly one non-zero vertex and its loop is a single
+    nilpotent Jordan block.  Then End(M) is the centralizer of that block,
+    F_p[x]/(x^d), a local ring, so M is indecomposable.  The loop is
+    nilpotent by (H1), so it is one block exactly when its rank is d - 1;
+    a loop in standard form (`hmod._jordan_order`) is read without an
+    elimination."""
+    support = [i for i, d in enumerate(m.dims) if d]
+    if len(support) != 1:
+        return False
+    e = m.eps[support[0]]
+    d = e.shape[0]
+    order = hmod._jordan_order(e)
+    return order == d if order else la.rank(e, m.p) == d - 1
 
-    The three steps of the module docstring: basis Fitting splits, then
-    the idempotent scan when p^dim End(M) <= IDEMPOTENT_BUDGET, else the
-    SPLIT_TRIALS random Fitting trials.
+
+def _find_split(m: HModule, seed):
+    """Returns (split or None, certainty of a negative answer, whether the
+    answer is the same for every seed).
+
+    A local End decides at once (`_local_end`).  Otherwise the three steps
+    of the module docstring: basis Fitting splits, then the idempotent scan
+    when p^dim End(M) <= IDEMPOTENT_BUDGET, else the SPLIT_TRIALS random
+    Fitting trials.  Within the budget the answer is whether M decomposes,
+    whatever the seed; past it, whether a split turns up depends on the
+    seed.
     """
+    if _local_end(m):
+        return None, EXHAUSTIVE, True
     p = m.p
     basis = homext.hom_space(m, m)
+    in_budget = p ** basis.dim <= IDEMPOTENT_BUDGET
     shifts = range(p) if p <= 7 else [0] + list(
         la.rng_from((seed, "shift")).integers(1, p, size=7))
     split = _fitting_search(m, basis.elements, shifts)
     if split is not None:
-        return split, EXHAUSTIVE
-    if p ** basis.dim <= IDEMPOTENT_BUDGET:
-        return _scan_idempotents(m, basis), EXHAUSTIVE
+        return split, EXHAUSTIVE, in_budget
+    if in_budget:
+        return _scan_idempotents(m, basis), EXHAUSTIVE, True
     rng = la.rng_from(seed)
     randoms = (basis.element_from_coeffs(rng.integers(0, p, size=basis.dim))
                for _ in range(SPLIT_TRIALS))
     split = _fitting_search(m, randoms, shifts)
-    return split, EXHAUSTIVE if split is not None else MONTE_CARLO
+    return split, EXHAUSTIVE if split is not None else MONTE_CARLO, False
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +215,9 @@ def is_indecomposable(m: HModule, seed=0) -> IndecomposabilityResult:
     """Decide whether M is indecomposable; zero modules count as
     decomposable (empty sum).
 
-    A split is searched along the End(M) basis first, then by the
+    A module with a local End (one non-zero vertex, its loop a single
+    Jordan block) is indecomposable, exhaustively at any budget.  For the
+    others a split is searched along the End(M) basis first, then by the
     exhaustive idempotent scan when p^dim End(M) <= IDEMPOTENT_BUDGET, and
     only past that budget along SPLIT_TRIALS random endomorphisms.  Within
     the budget a positive answer is exhaustive; past it, a positive answer
@@ -187,7 +226,7 @@ def is_indecomposable(m: HModule, seed=0) -> IndecomposabilityResult:
     """
     if m.total_dim() == 0:
         return IndecomposabilityResult(False, EXHAUSTIVE)
-    split, certainty = _find_split(m, seed)
+    split, certainty, _ = _find_split(m, seed)
     if split is not None:
         return IndecomposabilityResult(False, EXHAUSTIVE)
     return IndecomposabilityResult(True, certainty)
@@ -197,6 +236,9 @@ def is_indecomposable(m: HModule, seed=0) -> IndecomposabilityResult:
 class KrullSchmidtResult:
     parts: tuple[tuple[HModule, int], ...]
     certainty: str
+    # whether M is indecomposable, by the first split search of M, when
+    # that verdict is the same for every seed; None when it is not
+    _indecomposable: Optional[bool] = field(default=None, repr=False)
 
     def rank_multiset(self) -> tuple[tuple[int, ...], ...]:
         out = []
@@ -212,7 +254,9 @@ def krull_schmidt(m: HModule, seed=0, verify: bool = True
                   ) -> KrullSchmidtResult:
     """Split M into indecomposables and group them up to isomorphism.
 
-    Each piece is split as in `is_indecomposable`: along the End basis,
+    Each piece is split as in `is_indecomposable`: a piece with a local
+    End (one non-zero vertex, its loop a single Jordan block) is kept
+    whole, exhaustively at any budget; the others along the End basis,
     then by the idempotent scan when p^dim End <= IDEMPOTENT_BUDGET, and
     only past that budget along SPLIT_TRIALS random endomorphisms, so
     SPLIT_TRIALS matters only for pieces whose scan is over budget.  The
@@ -221,13 +265,16 @@ def krull_schmidt(m: HModule, seed=0, verify: bool = True
     """
     pieces: list[HModule] = []
     certainty = EXHAUSTIVE
+    indecomposable = None
     stack = [m]
     depth = 0
     while stack:
         cur = stack.pop()
         if cur.total_dim() == 0:
             continue
-        split, cert = _find_split(cur, (seed, depth))
+        split, cert, seed_free = _find_split(cur, (seed, depth))
+        if depth == 0 and seed_free:
+            indecomposable = split is None
         depth += 1
         if split is None:
             if cert == MONTE_CARLO:
@@ -249,7 +296,7 @@ def krull_schmidt(m: HModule, seed=0, verify: bool = True
         else:
             groups.append([piece])
     parts = tuple((g[0], len(g)) for g in groups)
-    result = KrullSchmidtResult(parts, certainty)
+    result = KrullSchmidtResult(parts, certainty, indecomposable)
     if verify and m.total_dim() > 0:
         rebuilt = None
         for mod, mult in parts:
@@ -397,14 +444,23 @@ def is_schur_root(datum: CartanDatum, k: int, p: int, r,
     return _schur_root(_ExtTable(datum, k, p, samples), r, seed)
 
 
-def _schur_root(table: _ExtTable, r: RankVector, seed) -> SchurRootEstimate:
-    """`is_schur_root` of r, asking its Ext questions of `table`."""
+def _schur_root(table: _ExtTable, r: RankVector, seed, census=None
+                ) -> SchurRootEstimate:
+    """`is_schur_root` of r, asking its Ext questions of `table`.
+
+    `census`, when given, holds whether each module of the exhaustive
+    structure space of r is indecomposable, in scan order, each verdict
+    the same for every seed; it is the evidence, and no module is built
+    or decided again."""
     exhaustive, modules = hmod.structure_space(
         table.datum, table.k, table.p, r, hmod.STRUCTURE_SPACE_BUDGET,
         table.samples, seed)
     if r.total() == 0:
         return SchurRootEstimate(False, 0.0, 0, True, EXHAUSTIVE)
     split = _vanishing_split(table, r, (seed, "split"))
+    if census is not None:
+        return SchurRootEstimate(split is None, sum(census) / len(census),
+                                 len(census), True, EXHAUSTIVE, split)
     certainty = EXHAUSTIVE
     hits = count = 0
     for t, mod in enumerate(modules):
@@ -474,6 +530,7 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
         return DecompositionReport(r, (), p, k, 0, True, 1.0, seed)
     counter: collections.Counter = collections.Counter()
     certainty = EXHAUSTIVE
+    census = []
     for t, mod in enumerate(modules):
         ks = krull_schmidt(
             mod, seed=(seed, t) if exhaustive else (seed, "ks", t),
@@ -481,7 +538,12 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
         if ks.certainty == MONTE_CARLO:
             certainty = MONTE_CARLO
         counter[ks.rank_multiset()] += 1
+        census.append(ks._indecomposable)
     count = sum(counter.values())
+    # the scan's own verdicts are the Schur evidence of r when they hold
+    # for every seed: the rescan of is_schur_root would find the same
+    if not exhaustive or None in census:
+        census = None
     # Frequency alone can tie or even mislead on tiny fields (a codimension-1
     # stratum can hold most F_2-points), while the two criteria characterize
     # the canonical decomposition exactly.  Walk the observed types by
@@ -499,7 +561,8 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
         for part in sorted(set(parts)):
             if part not in schur_cache:
                 schur_cache[part] = _schur_root(
-                    table, RankVector(part), (seed, "schur", part))
+                    table, RankVector(part), (seed, "schur", part),
+                    census if part == tuple(r) else None)
             est = schur_cache[part]
             schur_checks.append({"part": part, "is_schur": est.is_schur,
                                  "rate": est.rate,

@@ -270,6 +270,25 @@ def test_kernel_of_identity_trivial():
     assert la.kernel_basis_matrix(la.identity(4), 7).shape == (0, 4)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_empty_system_kernel_matches_rref_path(n, monkeypatch):
+    """A system with no equations gets the kernel the rref path gives,
+    the identity with every column free, without an elimination."""
+    a = la.zeros(0, n)
+    wants = {p: la._kernel_from_rref(*la.rref(a, p)[::2], n, p)
+             for p in (2, 7)}
+
+    def no_elimination(*args):
+        pytest.fail("a system with no equations was eliminated")
+
+    monkeypatch.setattr(la, "rref", no_elimination)
+    for p, (want, want_support) in wants.items():
+        basis, support = la.kernel_basis_and_support(a, p)
+        assert basis.dtype == want.dtype and basis.shape == (n, n)
+        assert np.array_equal(basis, want) and support == want_support
+        assert basis.flags.writeable and basis.base is None
+
+
 def test_solve_inconsistent():
     a = la.zeros(2, 3)
     assert la.solve(a, np.array([1, 0]), 5) is None

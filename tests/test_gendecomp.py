@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from cartanquiver import exactlinalg as la
 from cartanquiver import gendecomp, hmod, homext
 from cartanquiver.cartan import RankVector
 
-from conftest import make_datum, n_module, reference_fitting_search
+from conftest import (
+    make_datum,
+    n_module,
+    reference_fitting_search,
+    reference_schur_scan,
+)
 
 
 class TestKrullSchmidt:
@@ -140,16 +146,42 @@ class TestSplittingOracle:
                                      else gendecomp.EXHAUSTIVE)
 
     def test_over_budget_local_end(self, b2, monkeypatch):
-        # E_1 at k=1: End = F_p[x]/(x^2), indecomposable with dim End = 2
+        # E_1 at k=1: End = F_p[x]/(x^2), local, so E_1 is indecomposable
+        # by proof at any budget, and End(E_1) is never solved for
         m = hmod.free_module(b2, 1, 2, (1, 0))
         assert homext.hom_space(m, m).dim == 2
+        assert gendecomp.is_indecomposable(m).certainty == \
+            gendecomp.EXHAUSTIVE
+        monkeypatch.setattr(gendecomp, "IDEMPOTENT_BUDGET", 1)
+        solved = []
+        original = homext.hom_space
+        monkeypatch.setattr(homext, "hom_space",
+                            lambda a, b: solved.append(a) or original(a, b))
+        res = gendecomp.is_indecomposable(m)
+        assert res and res.certainty == gendecomp.EXHAUSTIVE
+        ks = gendecomp.krull_schmidt(m, verify=False)
+        assert ks.rank_multiset() == ((1, 0),)
+        assert ks.certainty == gendecomp.EXHAUSTIVE
+        assert solved == []
+
+    @pytest.mark.parametrize("name", ["a2", "b2"])
+    def test_over_budget_indecomposable(self, request, monkeypatch, name):
+        # an indecomposable of rank (1, 1) has two non-zero vertices, so
+        # its End is searched: past the budget a positive answer rests on
+        # the random trials alone
+        datum = request.getfixturevalue(name)
+        m = next(mod for mod in map(hmod.from_structure_matrices,
+                                    hmod.iter_structure_matrices(
+                                        datum, 1, 2, (1, 1)))
+                 if not _has_proper_idempotent(mod))
+        assert not gendecomp._local_end(m)
         assert gendecomp.is_indecomposable(m).certainty == \
             gendecomp.EXHAUSTIVE
         monkeypatch.setattr(gendecomp, "IDEMPOTENT_BUDGET", 1)
         res = gendecomp.is_indecomposable(m)
         assert res and res.certainty == gendecomp.MONTE_CARLO
         ks = gendecomp.krull_schmidt(m)
-        assert ks.rank_multiset() == ((1, 0),)
+        assert ks.rank_multiset() == ((1, 1),)
         assert ks.certainty == gendecomp.MONTE_CARLO
 
 
@@ -389,6 +421,82 @@ def test_one_power_per_vertex_and_no_rank_for_ruled_out(kronecker,
     assert calls == {"matpow": len(candidates) * m.n, "rank": 0}
 
 
+# --- the local-End rule ------------------------------------------------------
+
+ONE_VERTEX_DATA = {**FITTING_DATA,
+                   "g2": ([[2, -3], [-1, 2]], [1, 3], [(0, 1)])}
+
+
+@st.composite
+def one_vertex_modules(draw):
+    """A module with one non-zero vertex v, whose loop has nilpotent Jordan
+    blocks of the drawn sizes (at most k*c_v), in standard form or
+    conjugated by a random change of basis: one full block (free), one
+    block of any size (cyclic, not free when shorter), or two blocks
+    (not cyclic).  p is drawn so that End(M) has at most 2^12 elements."""
+    datum = make_datum(*ONE_VERTEX_DATA[draw(st.sampled_from(
+        sorted(ONE_VERTEX_DATA)))])
+    k = draw(st.integers(1, 3))
+    v = draw(st.integers(0, 1))
+    order = k * datum.d[v]
+    shape = draw(st.sampled_from(["free", "cyclic", "not cyclic"]))
+    if shape == "free":
+        blocks = [order]
+    elif shape == "cyclic":
+        blocks = [draw(st.integers(1, order))]
+    else:
+        blocks = draw(st.lists(st.integers(1, min(order, 3)), min_size=2,
+                               max_size=2))
+    end_dim = sum(min(a, b) for a in blocks for b in blocks)
+    p = draw(st.sampled_from([q for q in (2, 3, 5)
+                              if q ** end_dim <= 2 ** 12]))
+    d = sum(blocks)
+    loop = la.zeros(d, d)
+    start = 0
+    for size in blocks:
+        for t in range(start, start + size - 1):
+            loop[t + 1, t] = 1
+        start += size
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        while True:
+            t = rng.integers(0, p, size=(d, d))
+            if la.rank(t, p) == d:
+                break
+        loop = (la.inv(t, p) @ loop @ t) % p
+    eps = [loop if i == v else la.zeros(0, 0) for i in range(datum.n)]
+    return hmod.make_module(datum, k, p, eps, {}), blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_vertex_modules(), st.integers(0, 2 ** 16))
+def test_local_end_rule_matches_brute_force(case, seed):
+    """On one-vertex modules the verdict equals the idempotent brute
+    force; a single Jordan block is decided without solving for End(M),
+    and a loop with two blocks still goes through the search and splits
+    into its blocks."""
+    m, blocks = case
+    cyclic = len(blocks) == 1
+    assert _has_proper_idempotent(m) != cyclic
+    assert gendecomp._local_end(m) == cyclic
+    solved = []
+    original = homext.hom_space
+
+    def recording(a, b):
+        solved.append(a)
+        return original(a, b)
+
+    with mock.patch.object(homext, "hom_space", recording):
+        res = gendecomp.is_indecomposable(m, seed=seed)
+        assert bool(res) == cyclic
+        assert res.certainty == gendecomp.EXHAUSTIVE
+        assert bool(solved) != cyclic
+        ks = gendecomp.krull_schmidt(m, seed=seed)
+    assert ks.certainty == gendecomp.EXHAUSTIVE
+    assert sorted(part.total_dim() for part, mult in ks.parts
+                  for _ in range(mult)) == sorted(blocks)
+
+
 # --- one generic-Ext table per decomposition ----------------------------------
 
 def _unshared(monkeypatch):
@@ -467,3 +575,94 @@ def test_exhaustive_pairs_asked_once_per_call(kronecker, monkeypatch):
     asked.clear()
     gendecomp.canonical_decomposition(kronecker, 1, 2, (2, 1), seed=4)
     assert asked == first
+
+
+# --- one census per decomposition ---------------------------------------------
+
+def _record_rank_r_decisions(monkeypatch, r) -> list:
+    """Wrap is_indecomposable to record the seed of every module of rank r
+    it decides."""
+    seeds = []
+    original = gendecomp.is_indecomposable
+
+    def recording(m, seed=0):
+        if tuple(hmod.rank_vector(m)) == tuple(r):
+            seeds.append(seed)
+        return original(m, seed=seed)
+
+    monkeypatch.setattr(gendecomp, "is_indecomposable", recording)
+    return seeds
+
+
+# the levels of REPORT_LEVELS over F_11, where shifts are drawn at random
+P11_LEVELS = [("a2", 1, 11), ("a2", 2, 11), ("b2", 1, 11),
+              ("kronecker", 1, 11)]
+
+
+@pytest.mark.parametrize("budget", ["default", "p"])
+@pytest.mark.parametrize("name,k,p", REPORT_LEVELS + P11_LEVELS)
+def test_schur_evidence_of_r_matches_rescan(request, monkeypatch, name, k,
+                                            p, budget):
+    """The Schur evidence of the part equal to r (rate, samples,
+    exhaustive, certainty) is the indecomposability scan of is_schur_root
+    with the seed (seed, "schur", r), whether it was read off the
+    Krull-Schmidt census (every verdict seed-free) or rescanned.  With
+    IDEMPOTENT_BUDGET lowered to p the decomposables with dim End >= 2
+    are past the budget, so their verdicts depend on the seed and the
+    rescan is taken."""
+    datum = request.getfixturevalue(name)
+    if budget == "p":
+        monkeypatch.setattr(gendecomp, "IDEMPOTENT_BUDGET", p)
+    ranks = [r for r in SMALL_RANKS
+             if p ** hmod.structure_parameter_count(datum, k, r) <= 2 ** 7]
+    estimates = []
+    original = gendecomp._schur_root
+
+    def recording(table, r, seed, census=None):
+        est = original(table, r, seed, census)
+        estimates.append((tuple(r), seed, est))
+        return est
+
+    monkeypatch.setattr(gendecomp, "_schur_root", recording)
+    paths = set()
+    for r in ranks:
+        seed = (name, r)
+        decided = _record_rank_r_decisions(monkeypatch, r)
+        estimates.clear()
+        rep = gendecomp.canonical_decomposition(datum, k, p, r, 5, seed)
+        rescanned = list(decided)
+        own = [est for part, _, est in estimates if part == r]
+        assert [s for part, s, _ in estimates if part == r] == \
+            [(seed, "schur", r)] * len(own)
+        if not own:
+            continue
+        paths.add("rescan" if rescanned else "census")
+        hits, count, exhaustive, certainty = reference_schur_scan(
+            datum, k, p, r, 5, (seed, "schur", r),
+            hmod.STRUCTURE_SPACE_BUDGET)
+        # a rescan decides every module anew, with the seeds of the scan
+        assert rescanned in ([], [((seed, "schur", r), t)
+                                  for t in range(count)])
+        (est,) = own
+        assert (est.rate, est.samples, est.exhaustive, est.certainty) == (
+            hits / max(count, 1), count, exhaustive, certainty)
+        for check in rep.schur_checks:
+            if check["part"] == r:
+                assert (check["rate"], check["exhaustive"]) == (
+                    hits / max(count, 1), exhaustive)
+    assert ("census" if budget == "default" else "rescan") in paths
+
+
+@pytest.mark.parametrize("name,k,r", [("a2", 1, (1, 1)), ("a2", 2, (1, 1)),
+                                      ("kronecker", 1, (2, 1)),
+                                      ("b2", 1, (1, 1))])
+def test_seed_free_scan_decides_r_once(request, monkeypatch, name, k, r):
+    """When every module of the exhaustive scan has a seed-free verdict,
+    no module of rank r is handed to is_indecomposable: the Schur
+    evidence of r is the Krull-Schmidt census of the same call."""
+    datum = request.getfixturevalue(name)
+    decided = _record_rank_r_decisions(monkeypatch, r)
+    rep = gendecomp.canonical_decomposition(datum, k, 2, r, seed=1)
+    assert rep.exhaustive and rep.parts == (r,)
+    assert [c["part"] for c in rep.schur_checks] == [r]
+    assert decided == []
