@@ -268,13 +268,13 @@ def _kernel_from_rref(r: np.ndarray, pivots: tuple[int, ...], cols: int,
     """`kernel_basis_and_support` of a matrix whose RREF has r[:, :cols] as
     its first cols columns and the given pivots, all below cols."""
     free = [c for c in range(cols) if c not in pivots]
+    if not pivots:
+        return identity(cols), tuple(free)
+    # row t: 1 at the free column free[t], and -r[row, free[t]] at the pivot
+    # column pivots[row] of each row
     basis = zeros(len(free), cols)
-    # entry by entry: the systems are mostly tiny (a few free columns times
-    # a few pivots), where numpy's fancy indexing costs more than the loop
-    for t, f in enumerate(free):
-        basis[t, f] = 1
-        for row, c in enumerate(pivots):
-            basis[t, c] = (-r[row, f]) % p
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -r[:len(pivots), free].T % p
     return basis, tuple(free)
 
 

@@ -196,13 +196,25 @@ def _new_table(m_order: int, r: int, e: int, p: int, start: int,
     return _CandidateTable(p, r * m_order, basis, pivots)
 
 
-@functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
-def _vertex_candidates(m_order: int, r: int, e: int, p: int
-                       ) -> list[Optional[_CandidateTable]]:
+class _KeyBlocks(list):
     """The blocks of one key, None until `_candidate_blocks` first reaches
-    them; filled in place, so every search over the key shares them."""
+    them (no block of a key over _CANDIDATE_CACHE_LIMIT charts is kept),
+    and the key's chart count `charts`."""
+
+    charts: int
+
+
+@functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
+def _vertex_candidates(m_order: int, r: int, e: int, p: int) -> _KeyBlocks:
+    """The blocks and chart count of one key; the blocks are filled in
+    place, so every search over the key shares them, and every search
+    reads the count without recounting the charts."""
     count = chart_count(m_order, r, e, p)
-    return [None] * -(-count // _block_size(m_order, r, e))
+    kept = count <= _CANDIDATE_CACHE_LIMIT
+    blocks = _KeyBlocks(
+        [None] * (-(-count // _block_size(m_order, r, e)) if kept else 0))
+    blocks.charts = count
+    return blocks
 
 
 def _candidate_blocks(key: tuple[int, int, int, int], count: int,
@@ -238,8 +250,8 @@ def _active_arrows(m: HModule, rank: RankVector, e: RankVector):
 
 
 def _chart_counts(m: HModule, rank, e) -> list[int]:
-    """The candidate count of each vertex."""
-    return [chart_count(m.loop_order(i), rank[i], e[i], m.p)
+    """The candidate count of each vertex, kept with the key's blocks."""
+    return [_vertex_candidates(m.loop_order(i), rank[i], e[i], m.p).charts
             for i in range(m.n)]
 
 

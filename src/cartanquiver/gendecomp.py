@@ -34,16 +34,22 @@ generic Ext vanishing between parts in both orders - since raw frequency
 can tie or mislead over tiny fields.  Schur-ness itself is decided by the
 splitting form of the same characterization: r is a Schur root exactly
 when no decomposition r = s + t has vanishing generic Ext both ways.
-One generic-Ext table serves a whole decomposition call (its Schur checks,
-Ext checks and splitting recursion) and is dropped with it: a pair whose
-Ext scan is exhaustive has a minimum that does not depend on the seed and
-is asked once, a sampled pair is asked with its own seed.  Each module of
-an exhaustive scan is decided once per call, too: the Krull-Schmidt census
+One table serves a whole decomposition call (its Krull-Schmidt scan,
+Schur checks, Ext checks and splitting recursion) and is dropped with it.
+It holds three things.  Generic Ext answers: a pair whose Ext scan is
+exhaustive has a minimum that does not depend on the seed and is asked
+once, a sampled pair is asked with its own seed.  Structure spaces: the
+modules of each exhaustive space of at most PAIR_SPACE_BUDGET points are
+built once, in scan order, and every scan of the call reads them.  Split
+verdicts: a piece that came out of a split keeps its `_find_split` result
+under its matrices when the result is the same for every seed, and every
+module the call decides is looked up there first.  Each module of an
+exhaustive scan is decided once per call, too: the Krull-Schmidt census
 of the scan (a module is a hit when its first split search finds no split)
-is the Schur evidence of the part equal to r whenever every one of those
-verdicts holds for every seed, that is when it came from a local End or
-from a completed idempotent scan.  Otherwise the evidence is the rescan of
-`is_schur_root`, with its own seeds.
+is the Schur evidence of the part equal to r wherever its verdict holds
+for every seed, that is when it came from a local End or from a completed
+idempotent scan.  Only the points whose verdict depends on the seed are
+decided again, with the seeds of the rescan of `is_schur_root`.
 Every report carries its sample counts, seeds and certainty level.
 
 The budgets (SPLIT_TRIALS, IDEMPOTENT_BUDGET, PAIR_SPACE_BUDGET and
@@ -54,6 +60,8 @@ the scans nested in others too.
 from __future__ import annotations
 
 import collections
+import contextlib
+import contextvars
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -71,6 +79,9 @@ SPLIT_TRIALS = 64
 IDEMPOTENT_BUDGET = 2 ** 16
 PAIR_SPACE_BUDGET = 2 ** 12
 DEFAULT_SAMPLES = 200
+# primes up to which a Fitting search tries every scalar shift; past it,
+# 0 and seven random ones
+ALL_SHIFTS = 7
 
 EXHAUSTIVE = "exhaustive"
 MONTE_CARLO = "monte_carlo"
@@ -172,7 +183,7 @@ def _local_end(m: HModule) -> bool:
     return order == d if order else la.rank(e, m.p) == d - 1
 
 
-def _find_split(m: HModule, seed):
+def _find_split(m: HModule, seed, keep: bool = False):
     """Returns (split or None, certainty of a negative answer, whether the
     answer is the same for every seed).
 
@@ -182,13 +193,42 @@ def _find_split(m: HModule, seed):
     Fitting trials.  Within the budget the answer is whether M decomposes,
     whatever the seed; past it, whether a split turns up depends on the
     seed.
+
+    Inside a decomposition call the result is first looked up in the
+    call's table under the matrices of M.  With `keep` (a piece that came
+    out of a split) it is stored there when the whole result, split
+    included, is the same for every seed: within the budget, when every
+    shift is tried (p <= ALL_SHIFTS) or no split exists.
     """
     if _local_end(m):
         return None, EXHAUSTIVE, True
+    table = _call_table(m.datum, m.k, m.p)
+    if table is None:
+        return _search_split(m, seed)
+    key = _content(m)
+    found = table.splits.get(key)
+    if found is None:
+        found = _search_split(m, seed)
+        split, _, seed_free = found
+        if keep and seed_free and (m.p <= ALL_SHIFTS or split is None):
+            table.splits[key] = found
+    return found
+
+
+def _content(m: HModule) -> tuple:
+    """The dimensions and matrices of M: equal for two modules of one
+    (datum, k, p) exactly when their loops and arrows are equal."""
+    arrows = (a for mats in m.arrows.values() for a in mats)
+    return m.dims, b"".join(x.tobytes() for x in (*m.eps, *arrows))
+
+
+def _search_split(m: HModule, seed):
+    """`_find_split` of a module whose End is not local: steps 1-3 of the
+    module docstring."""
     p = m.p
     basis = homext.hom_space(m, m)
     in_budget = p ** basis.dim <= IDEMPOTENT_BUDGET
-    shifts = range(p) if p <= 7 else [0] + list(
+    shifts = range(p) if p <= ALL_SHIFTS else [0] + list(
         la.rng_from((seed, "shift")).integers(1, p, size=7))
     split = _fitting_search(m, basis.elements, shifts)
     if split is not None:
@@ -261,7 +301,9 @@ def krull_schmidt(m: HModule, seed=0, verify: bool = True
     only past that budget along SPLIT_TRIALS random endomorphisms, so
     SPLIT_TRIALS matters only for pieces whose scan is over budget.  The
     rebuilt direct sum is checked against M (invariant); certainty is the
-    weakest certificate among the returned parts.
+    weakest certificate among the returned parts.  Inside a decomposition
+    call, a piece equal to a piece decided before in the call reuses that
+    decision (`_find_split`).
     """
     pieces: list[HModule] = []
     certainty = EXHAUSTIVE
@@ -272,7 +314,8 @@ def krull_schmidt(m: HModule, seed=0, verify: bool = True
         cur = stack.pop()
         if cur.total_dim() == 0:
             continue
-        split, cert, seed_free = _find_split(cur, (seed, depth))
+        split, cert, seed_free = _find_split(cur, (seed, depth),
+                                             keep=depth > 0)
         if depth == 0 and seed_free:
             indecomposable = split is None
         depth += 1
@@ -317,28 +360,19 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
                 samples: int = DEFAULT_SAMPLES, seed=0) -> int:
     """Minimum of dim Ext^1(M, N) over sampled pairs; exhaustive when the
     joint parameter space has at most PAIR_SPACE_BUDGET points, building
-    each N once.  An upper bound for the generic value that can only
-    decrease with more samples; zero is exact."""
+    each module of the two spaces once (once per call inside a
+    decomposition call, whose table keeps them).  An upper bound for the
+    generic value that can only decrease with more samples; zero is
+    exact."""
     r = RankVector(r)
     s = RankVector(s)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if _pair_exhaustive(datum, k, p, r, s):
-        fresh = hmod.structure_space(datum, k, p, s, PAIR_SPACE_BUDGET, 0,
-                                     seed)[1]
-        built: list[HModule] = []
-
-        def n_modules():
-            yield from built
-            for mod_n in fresh:
-                built.append(mod_n)
-                yield mod_n
-
+        table = _call_table(datum, k, p) or _CallTable(datum, k, p, samples)
         pairs = ((mod_m, mod_n)
-                 for mod_m in hmod.structure_space(datum, k, p, r,
-                                                   PAIR_SPACE_BUDGET, 0,
-                                                   seed)[1]
-                 for mod_n in n_modules())
+                 for mod_m in table.space(r, PAIR_SPACE_BUDGET)
+                 for mod_n in table.space(s, PAIR_SPACE_BUDGET))
     else:
         pairs = ((hmod.random_locally_free(datum, k, p, r, (seed, "m", t)),
                   hmod.random_locally_free(datum, k, p, s, (seed, "n", t)))
@@ -360,20 +394,52 @@ def _pair_exhaustive(datum: CartanDatum, k: int, p: int, r, s) -> bool:
                  ) <= PAIR_SPACE_BUDGET
 
 
+class _Space:
+    """The modules of an exhaustive structure space in scan order, each
+    built when an iteration first reaches it and kept: any number of
+    iterations, nested ones too, share the built modules."""
+
+    def __init__(self, modules):
+        self._fresh = modules
+        self._built: list[HModule] = []
+
+    def __iter__(self):
+        t = 0
+        while True:
+            if t == len(self._built):
+                mod = next(self._fresh, None)
+                if mod is None:
+                    return
+                self._built.append(mod)
+            yield self._built[t]
+            t += 1
+
+
 @dataclass(eq=False)
-class _ExtTable:
-    """The generic Ext questions of one call over (datum, k, p), each
-    asked of ext_generic once.  An exhaustive pair's minimum runs over all
-    pairs and does not depend on the seed, so every question about the
-    pair shares one answer.  A sampled pair's answer depends on its seed:
-    it is kept under (r, s, seed) and serves only the same question asked
-    again."""
+class _CallTable:
+    """What one canonical_decomposition or is_schur_root call over
+    (datum, k, p) shares; dropped when the call returns.
+
+    `known`: the generic Ext questions, each asked of ext_generic once.  An
+    exhaustive pair's minimum runs over all pairs and does not depend on
+    the seed, so every question about the pair shares one answer.  A
+    sampled pair's answer depends on its seed: it is kept under
+    (r, s, seed) and serves only the same question asked again.
+
+    `spaces`: the modules of each exhaustive structure space of at most
+    PAIR_SPACE_BUDGET points, built once in scan order and read by the Ext
+    scans, the Krull-Schmidt scan and the Schur scans.
+
+    `splits`: the `_find_split` results of the pieces split off in the
+    call that are the same for every seed, under the pieces' matrices."""
 
     datum: CartanDatum
     k: int
     p: int
     samples: int
     known: dict = field(default_factory=dict)
+    spaces: dict = field(default_factory=dict)
+    splits: dict = field(default_factory=dict)
 
     def ext(self, r, s, seed) -> int:
         r, s = tuple(r), tuple(s)
@@ -383,6 +449,65 @@ class _ExtTable:
             self.known[key] = ext_generic(*args, samples=self.samples,
                                           seed=seed)
         return self.known[key]
+
+    def space(self, r, budget: int) -> _Space:
+        """The shared modules of r, whose space has at most `budget` and at
+        most PAIR_SPACE_BUDGET points."""
+        r = tuple(r)
+        if r not in self.spaces:
+            self.spaces[r] = _Space(hmod.structure_space(
+                self.datum, self.k, self.p, r, budget, 0, 0)[1])
+        return self.spaces[r]
+
+    def structure_space(self, r, samples: int, seed):
+        """hmod.structure_space of r at hmod.STRUCTURE_SPACE_BUDGET, with
+        the shared modules when the space has at most PAIR_SPACE_BUDGET
+        points."""
+        budget = hmod.STRUCTURE_SPACE_BUDGET
+        size = self.p ** hmod.structure_parameter_count(self.datum, self.k,
+                                                        r)
+        if size <= min(budget, PAIR_SPACE_BUDGET):
+            return True, self.space(r, budget)
+        return hmod.structure_space(self.datum, self.k, self.p, r, budget,
+                                    samples, seed)
+
+    def undecided(self, r, census):
+        """Per point of the exhaustive space of r, in scan order: its module
+        where `census` holds no verdict, else None.  The shared modules
+        serve when the call keeps them; otherwise only those points are
+        built."""
+        shared = self.spaces.get(tuple(r))
+        if shared is not None:
+            return (None if verdict is not None else mod
+                    for verdict, mod in zip(census, shared))
+        points = hmod.iter_structure_matrices(self.datum, self.k, self.p, r)
+        return (None if verdict is not None
+                else hmod.from_structure_matrices(point)
+                for verdict, point in zip(census, points))
+
+    @contextlib.contextmanager
+    def active(self):
+        """Make this the table of the running call: krull_schmidt,
+        is_indecomposable and ext_generic read it until the block ends."""
+        token = _CALL.set(self)
+        try:
+            yield self
+        finally:
+            _CALL.reset(token)
+
+
+# the table of the decomposition call that is running, if any
+_CALL: contextvars.ContextVar = contextvars.ContextVar("gendecomp_call",
+                                                       default=None)
+
+
+def _call_table(datum: CartanDatum, k: int, p: int) -> Optional[_CallTable]:
+    """The running call's table when it is over (datum, k, p)."""
+    table = _CALL.get()
+    if table is not None and table.datum is datum and (table.k, table.p) == (
+            k, p):
+        return table
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +520,7 @@ class SchurRootEstimate:
     blocking_split: Optional[tuple] = None
 
 
-def _vanishing_split(table: _ExtTable, r: RankVector, seed
+def _vanishing_split(table: _CallTable, r: RankVector, seed
                      ) -> Optional[tuple]:
     """A splitting r = s + t with generic Ext vanishing both ways, if any.
 
@@ -441,37 +566,43 @@ def is_schur_root(datum: CartanDatum, k: int, p: int, r,
     r = RankVector(r)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    return _schur_root(_ExtTable(datum, k, p, samples), r, seed)
+    table = _CallTable(datum, k, p, samples)
+    with table.active():
+        return _schur_root(table, r, seed)
 
 
-def _schur_root(table: _ExtTable, r: RankVector, seed, census=None
+def _schur_root(table: _CallTable, r: RankVector, seed, census=None
                 ) -> SchurRootEstimate:
-    """`is_schur_root` of r, asking its Ext questions of `table`.
+    """`is_schur_root` of r, asking its Ext questions of `table` and
+    reading its modules off it.
 
-    `census`, when given, holds whether each module of the exhaustive
-    structure space of r is indecomposable, in scan order, each verdict
-    the same for every seed; it is the evidence, and no module is built
-    or decided again."""
-    exhaustive, modules = hmod.structure_space(
-        table.datum, table.k, table.p, r, hmod.STRUCTURE_SPACE_BUDGET,
-        table.samples, seed)
+    `census`, when given, holds the verdict of each point of the
+    exhaustive structure space of r, in scan order: whether it is
+    indecomposable, when that holds for every seed, else None.  Those
+    verdicts are evidence as they stand; only the points without one are
+    built (or read off the table) and decided, with the seeds of the
+    scan."""
+    if census is None:
+        exhaustive, modules = table.structure_space(r, table.samples, seed)
+        census = itertools.repeat(None)
+    else:
+        exhaustive, modules = True, table.undecided(r, census)
     if r.total() == 0:
         return SchurRootEstimate(False, 0.0, 0, True, EXHAUSTIVE)
     split = _vanishing_split(table, r, (seed, "split"))
-    if census is not None:
-        return SchurRootEstimate(split is None, sum(census) / len(census),
-                                 len(census), True, EXHAUSTIVE, split)
     certainty = EXHAUSTIVE
-    hits = count = 0
-    for t, mod in enumerate(modules):
-        res = is_indecomposable(
-            mod, seed=(seed, t) if exhaustive else (seed, "ind", t))
-        if res.certainty == MONTE_CARLO:
-            certainty = MONTE_CARLO
-        hits += bool(res)
-        count += 1
-    return SchurRootEstimate(split is None, hits / max(count, 1), count,
-                             exhaustive, certainty, split)
+    verdicts = []
+    for t, (verdict, mod) in enumerate(zip(census, modules)):
+        if verdict is None:
+            res = is_indecomposable(
+                mod, seed=(seed, t) if exhaustive else (seed, "ind", t))
+            if res.certainty == MONTE_CARLO:
+                certainty = MONTE_CARLO
+            verdict = bool(res)
+        verdicts.append(verdict)
+    return SchurRootEstimate(split is None,
+                             sum(verdicts) / max(len(verdicts), 1),
+                             len(verdicts), exhaustive, certainty, split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,8 +655,17 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
     r = RankVector(r)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    exhaustive, modules = hmod.structure_space(
-        datum, k, p, r, hmod.STRUCTURE_SPACE_BUDGET, samples, seed)
+    table = _CallTable(datum, k, p, samples)
+    with table.active():
+        return _decompose(table, r, seed)
+
+
+def _decompose(table: _CallTable, r: RankVector, seed
+               ) -> DecompositionReport:
+    """`canonical_decomposition` of r; one table serves the scan, the Schur
+    checks, the Ext checks and the splitting recursion of the call."""
+    datum, k, p, samples = table.datum, table.k, table.p, table.samples
+    exhaustive, modules = table.structure_space(r, samples, seed)
     if r.total() == 0:
         return DecompositionReport(r, (), p, k, 0, True, 1.0, seed)
     counter: collections.Counter = collections.Counter()
@@ -540,9 +680,9 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
         counter[ks.rank_multiset()] += 1
         census.append(ks._indecomposable)
     count = sum(counter.values())
-    # the scan's own verdicts are the Schur evidence of r when they hold
-    # for every seed: the rescan of is_schur_root would find the same
-    if not exhaustive or None in census:
+    # the scan's own verdicts that hold for every seed are Schur evidence
+    # of r as they stand: the rescan of is_schur_root would find the same
+    if not exhaustive:
         census = None
     # Frequency alone can tie or even mislead on tiny fields (a codimension-1
     # stratum can hold most F_2-points), while the two criteria characterize
@@ -550,9 +690,6 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
     # frequency, with the splitting-recursion type appended as a fallback
     # candidate, and return the first type the criteria certify; if none
     # passes, report the raw majority with criteria_ok = False.
-    # one Ext table serves the Schur checks, the Ext checks and the
-    # splitting recursion of this call
-    table = _ExtTable(datum, k, p, samples)
     schur_cache: dict = {}
 
     def evaluate(parts):
@@ -606,7 +743,7 @@ def _multiset_sum(parts, n: int) -> RankVector:
     return total
 
 
-def _splitting_decomposition(table: _ExtTable, r: RankVector, seed
+def _splitting_decomposition(table: _CallTable, r: RankVector, seed
                              ) -> tuple[tuple[int, ...], ...]:
     """Refine r along Ext-vanishing splittings until all parts are Schur."""
     split = _vanishing_split(table, r, seed)

@@ -2,7 +2,9 @@
 equally shaped matrices, one round of numpy array operations per column,
 checked against `exactlinalg.rref` matrix by matrix; and the projection
 onto a quotient space with a section of it as explicit matrices, which
-the library reads off the subspaces instead."""
+the library reads off the subspaces instead; and the kernel basis read off
+an RREF entry by entry, which the library fills with two index
+assignments."""
 
 import numpy as np
 
@@ -85,3 +87,17 @@ def quotient_map(ambient: int, sub: la.Subspace
     q.setflags(write=False)
     s.setflags(write=False)
     return q, s
+
+
+def kernel_from_rref_loop(r: np.ndarray, pivots: tuple[int, ...], cols: int,
+                          p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """`exactlinalg._kernel_from_rref` entry by entry: for each free column
+    f a basis row with 1 at f and -r[row, f] mod p at the pivot column of
+    each row."""
+    free = [c for c in range(cols) if c not in pivots]
+    basis = la.zeros(len(free), cols)
+    for t, f in enumerate(free):
+        basis[t, f] = 1
+        for row, c in enumerate(pivots):
+            basis[t, c] = (-r[row, f]) % p
+    return basis, tuple(free)

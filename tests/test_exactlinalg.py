@@ -16,7 +16,7 @@ from cartanquiver.errors import (
 )
 
 from conftest import contains, coordinates_rows
-from reference_linalg import quotient_map, rref_stack
+from reference_linalg import kernel_from_rref_loop, quotient_map, rref_stack
 
 
 def test_check_prime():
@@ -354,15 +354,30 @@ def test_solve_matches_brute_force(case):
 
 def _loop_kernel(a, p):
     """The kernel basis and support filled entry by entry from `la.rref`."""
-    cols = a.shape[1]
     r, _, pivots = la.rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = la.zeros(len(free), cols)
-    for t, f in enumerate(free):
-        basis[t, f] = 1
-        for row, c in enumerate(pivots):
-            basis[t, c] = (-r[row, f]) % p
-    return basis, tuple(free)
+    return kernel_from_rref_loop(r, pivots, a.shape[1], p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 7]), rows=st.integers(0, 6),
+       cols=st.integers(0, 8), extra=st.integers(0, 2), data=st.data())
+def test_kernel_fill_matches_loop(p, rows, cols, extra, data):
+    """The kernel read off an RREF by index assignments is byte for byte
+    the entry-by-entry fill, with 0 rows or 0 columns too, and with columns
+    past `cols` (the right-hand sides of `solve`) ignored."""
+    cells = st.integers(0, p - 1)
+    a = np.array(data.draw(st.lists(cells, min_size=rows * cols,
+                                    max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    r, _, pivots = la.rref(a, p)
+    tail = np.array(data.draw(st.lists(cells, min_size=rows * extra,
+                                       max_size=rows * extra)),
+                    dtype=np.int64).reshape(rows, extra)
+    wide = np.hstack([r, tail])
+    basis, support = la._kernel_from_rref(wide, pivots, cols, p)
+    want, want_support = kernel_from_rref_loop(wide, pivots, cols, p)
+    assert (basis.dtype, basis.shape) == (want.dtype, want.shape)
+    assert basis.tobytes() == want.tobytes() and support == want_support
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,6 +14,7 @@ from conftest import (
     make_datum,
     n_module,
     reference_fitting_search,
+    reference_iter_structure_matrices,
     reference_schur_scan,
 )
 
@@ -505,7 +506,7 @@ def _unshared(monkeypatch):
         return gendecomp.ext_generic(self.datum, self.k, self.p, r, s,
                                      samples=self.samples, seed=seed)
 
-    monkeypatch.setattr(gendecomp._ExtTable, "ext", ask)
+    monkeypatch.setattr(gendecomp._CallTable, "ext", ask)
 
 
 def _schur_fields(est):
@@ -594,6 +595,14 @@ def _record_rank_r_decisions(monkeypatch, r) -> list:
     return seeds
 
 
+def _seed_dependent_points(datum, k, p, r) -> list:
+    """The scan indices of the structure points of r whose split verdict
+    depends on the seed."""
+    return [t for t, s in enumerate(
+        reference_iter_structure_matrices(datum, k, p, r))
+        if not gendecomp._find_split(hmod.from_structure_matrices(s), 0)[2]]
+
+
 # the levels of REPORT_LEVELS over F_11, where shifts are drawn at random
 P11_LEVELS = [("a2", 1, 11), ("a2", 2, 11), ("b2", 1, 11),
               ("kronecker", 1, 11)]
@@ -605,11 +614,11 @@ def test_schur_evidence_of_r_matches_rescan(request, monkeypatch, name, k,
                                             p, budget):
     """The Schur evidence of the part equal to r (rate, samples,
     exhaustive, certainty) is the indecomposability scan of is_schur_root
-    with the seed (seed, "schur", r), whether it was read off the
-    Krull-Schmidt census (every verdict seed-free) or rescanned.  With
+    with the seed (seed, "schur", r), read off the Krull-Schmidt census
+    where a verdict is seed-free and rescanned where it is not.  With
     IDEMPOTENT_BUDGET lowered to p the decomposables with dim End >= 2
-    are past the budget, so their verdicts depend on the seed and the
-    rescan is taken."""
+    are past the budget, so their verdicts depend on the seed: exactly
+    those points are decided again, each with its seed of the scan."""
     datum = request.getfixturevalue(name)
     if budget == "p":
         monkeypatch.setattr(gendecomp, "IDEMPOTENT_BUDGET", p)
@@ -640,9 +649,10 @@ def test_schur_evidence_of_r_matches_rescan(request, monkeypatch, name, k,
         hits, count, exhaustive, certainty = reference_schur_scan(
             datum, k, p, r, 5, (seed, "schur", r),
             hmod.STRUCTURE_SPACE_BUDGET)
-        # a rescan decides every module anew, with the seeds of the scan
-        assert rescanned in ([], [((seed, "schur", r), t)
-                                  for t in range(count)])
+        # a rescan decides the points with a seed-dependent verdict only,
+        # with their seeds of the scan
+        assert rescanned == [((seed, "schur", r), t) for t in
+                             _seed_dependent_points(datum, k, p, r)]
         (est,) = own
         assert (est.rate, est.samples, est.exhaustive, est.certainty) == (
             hits / max(count, 1), count, exhaustive, certainty)
@@ -666,3 +676,165 @@ def test_seed_free_scan_decides_r_once(request, monkeypatch, name, k, r):
     assert rep.exhaustive and rep.parts == (r,)
     assert [c["part"] for c in rep.schur_checks] == [r]
     assert decided == []
+
+
+# --- one table per decomposition call -----------------------------------------
+
+def _matrices(m) -> tuple:
+    return m.dims, tuple(a.tobytes() for _, a, _, _ in m.maps_with_labels())
+
+
+def _record_builds(monkeypatch) -> list:
+    """Wrap hmod.from_structure_matrices to record every point it
+    expands."""
+    built = []
+    original = hmod.from_structure_matrices
+
+    def recording(sm):
+        built.append((tuple(sm.rank), tuple(sm.mats[key].tobytes()
+                                            for key in sorted(sm.mats))))
+        return original(sm)
+
+    monkeypatch.setattr(hmod, "from_structure_matrices", recording)
+    return built
+
+
+# every pair of ranks these calls ask about is scanned exhaustively
+SHARED_SPACES = [("a2", 1, 2, (2, 1)), ("a2", 2, 2, (1, 2)),
+                 ("a2", 1, 3, (2, 1)), ("b2", 1, 2, (1, 2)),
+                 ("kronecker", 1, 2, (2, 1)), ("kronecker", 1, 3, (1, 1))]
+
+
+@pytest.mark.parametrize("name,k,p,r", SHARED_SPACES)
+def test_each_structure_point_built_once_per_call(request, monkeypatch,
+                                                  name, k, p, r):
+    """Within one canonical_decomposition or is_schur_root call every
+    point of an exhaustive structure space is expanded once: the
+    Krull-Schmidt scan, the Ext scans and the Schur scans share the
+    modules.  The table goes with the call, so a second call expands the
+    same points again."""
+    datum = request.getfixturevalue(name)
+    built = _record_builds(monkeypatch)
+    for call in (gendecomp.canonical_decomposition, gendecomp.is_schur_root):
+        built.clear()
+        call(datum, k, p, r, seed=1)
+        first = list(built)
+        assert first and len(set(first)) == len(first)
+        assert gendecomp._CALL.get() is None
+        built.clear()
+        call(datum, k, p, r, seed=2)
+        assert built == first
+
+
+@pytest.mark.parametrize("name,k,p,r", SHARED_SPACES)
+def test_no_module_solved_for_its_end_twice_per_call(request, monkeypatch,
+                                                     name, k, p, r):
+    """Within one canonical_decomposition no module content reaches
+    hom_space(m, m) twice: a Krull-Schmidt piece or a structure point
+    equal to a piece decided before in the call reuses its verdict."""
+    datum = request.getfixturevalue(name)
+    ends = []
+    original = homext.hom_space
+
+    def recording(a, b, *args, **kwargs):
+        if a is b:
+            ends.append(_matrices(a))
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(homext, "hom_space", recording)
+    gendecomp.canonical_decomposition(datum, k, p, r, seed=3)
+    assert ends and len(set(ends)) == len(ends)
+
+
+def test_table_is_dropped_when_a_call_raises(a2, monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(gendecomp, "krull_schmidt", failing)
+    with pytest.raises(RuntimeError):
+        gendecomp.canonical_decomposition(a2, 1, 2, (1, 1))
+    assert gendecomp._CALL.get() is None
+
+
+@pytest.mark.parametrize("name,k,p,r", [("a2", 1, 3, (1, 1)),
+                                        ("b2", 1, 3, (1, 1)),
+                                        ("kronecker", 1, 3, (2, 1))])
+def test_rescan_builds_only_undecided_points(request, monkeypatch, name, k,
+                                             p, r):
+    """With no space shared (PAIR_SPACE_BUDGET = 1) and IDEMPOTENT_BUDGET
+    lowered to p, the Schur evidence of r expands only the points whose
+    verdict depends on the seed, once more each, on top of the
+    Krull-Schmidt scan."""
+    datum = request.getfixturevalue(name)
+    monkeypatch.setattr(gendecomp, "IDEMPOTENT_BUDGET", p)
+    monkeypatch.setattr(gendecomp, "PAIR_SPACE_BUDGET", 1)
+    dependent = _seed_dependent_points(datum, k, p, r)
+    size = p ** hmod.structure_parameter_count(datum, k, r)
+    assert 0 < len(dependent) < size
+    built = _record_builds(monkeypatch)
+    rep = gendecomp.canonical_decomposition(datum, k, p, r, 5, seed=4)
+    assert r in [c["part"] for c in rep.schur_checks]
+    of_r = [b for b in built if b[0] == r]
+    assert len(set(of_r[:size])) == size
+    assert of_r[size:] == [of_r[t] for t in dependent]
+
+
+@pytest.mark.parametrize("scan", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("name,k,p", REPORT_LEVELS + P11_LEVELS)
+def test_report_checks_match_public_answers(request, monkeypatch, name, k,
+                                            p, scan):
+    """Each schur_checks entry of a report is is_schur_root of its part
+    with the seed (seed, "schur", part), and each ext_checks entry is
+    ext_generic of its pair with the seed (seed, "ext", from, to): sharing
+    spaces, verdicts and Ext answers inside the call changes no answer.
+    With both space budgets lowered to 1 every scan with parameters is
+    sampled."""
+    datum = request.getfixturevalue(name)
+    if scan == "sampled":
+        monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", 1)
+        monkeypatch.setattr(gendecomp, "PAIR_SPACE_BUDGET", 1)
+    samples = 5
+    ranks = [r for r in SMALL_RANKS
+             if p ** hmod.structure_parameter_count(datum, k, r) <= 2 ** 7]
+    for r in ranks:
+        seed = (name, r)
+        rep = gendecomp.canonical_decomposition(datum, k, p, r, samples,
+                                                seed)
+        for check in rep.schur_checks:
+            part = check["part"]
+            est = gendecomp.is_schur_root(datum, k, p, part, samples,
+                                          (seed, "schur", part))
+            assert (check["is_schur"], check["rate"], check["exhaustive"]) \
+                == (est.is_schur, est.rate, est.exhaustive), (r, part)
+        for check in rep.ext_checks:
+            a, b = check["from"], check["to"]
+            assert check["ext_min"] == gendecomp.ext_generic(
+                datum, k, p, a, b, samples, (seed, "ext", a, b)), (r, a, b)
+
+
+@pytest.mark.parametrize("name,k,p,r,budget", [
+    ("kronecker", 1, 2, (2, 2), None), ("kronecker", 1, 2, (2, 2), 1),
+    ("a2", 1, 11, (2, 1), None), ("b2", 1, 3, (2, 1), None)])
+def test_table_keeps_only_seed_free_splits(request, monkeypatch, name, k, p,
+                                           r, budget):
+    """The split verdicts a decomposition call keeps are the same for
+    every seed: each came out of a completed search within
+    IDEMPOTENT_BUDGET, and over F_11, where the shifts are drawn at random,
+    only a verdict with no split is kept."""
+    datum = request.getfixturevalue(name)
+    if budget is not None:
+        monkeypatch.setattr(gendecomp, "IDEMPOTENT_BUDGET", budget)
+    tables = []
+    original = gendecomp._decompose
+
+    def recording(table, r, seed):
+        tables.append(table)
+        return original(table, r, seed)
+
+    monkeypatch.setattr(gendecomp, "_decompose", recording)
+    gendecomp.canonical_decomposition(datum, k, p, r, seed=6)
+    (table,) = tables
+    assert bool(table.splits) == (budget is None)
+    for split, certainty, seed_free in table.splits.values():
+        assert seed_free and certainty == gendecomp.EXHAUSTIVE
+        assert p <= gendecomp.ALL_SHIFTS or split is None
