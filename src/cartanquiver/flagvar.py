@@ -15,7 +15,10 @@ canonical subspaces, once per block.  Built blocks of keys up to a size
 limit are cached, so a search that stops early builds only the blocks it
 read.  A search refuses to start, with BudgetExceeded, when any vertex has
 more than VERTEX_CANDIDATE_BUDGET candidates; a count with no active arrow
-is a closed-form product and is never refused.  Flags of length l are
+is a closed-form product and is never refused.  Flags recurse inside each
+closed top layer in the basis of its chart rows, where the submodule is
+valid by construction (`_chart_module`), so no inner layer is split,
+normalized, eliminated or validated.  Flags of length l are
 chains over the tensor algebra with the path algebra of a linear quiver
 on l-1 vertices, which gives their tangent spaces (one Hom solve).  One
 flag check, on the block pass of a split of the module along each layer
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import types
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -297,9 +301,9 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
     """Backtracking over the candidates of the vertices in `order`, a block
     at a time: each block is tested at once against the active arrows to
     the vertices already chosen.  `counts` holds each vertex's candidate
-    count.  Yields the closed tuples (one subspace per vertex of m) in
-    chart order, or with count=True, for each block of the last vertex, the
-    number of closed tuples it completes."""
+    count.  Yields the closed tuples in chart order, each as the chosen
+    (table, chart) of every vertex of m, or with count=True, for each block
+    of the last vertex, the number of closed tuples it completes."""
     active = _active_arrows(m, rank, e)
     levels = []
     placed: set[int] = set()
@@ -322,8 +326,7 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
             for t in np.flatnonzero(ok).tolist():
                 chosen[v] = block, t
                 if last:
-                    yield tuple(b.subspace(s) for b, s in
-                                (chosen[u] for u in range(m.n)))
+                    yield tuple(chosen[u] for u in range(m.n))
                 else:
                     yield from extend(idx + 1)
         chosen.pop(v, None)
@@ -331,11 +334,33 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
     yield from extend(0)
 
 
+def _sub_rank(rank: RankVector, e) -> RankVector:
+    """e as a rank vector of submodules of a module of rank `rank`."""
+    e = RankVector(e)
+    if not (e <= rank):
+        raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
+    return e
+
+
+def _charts(m: HModule, rank: RankVector, e: RankVector):
+    """The closed tuples of free rank-e submodules of m, which is in
+    standard form, as the (table, chart) of each vertex (`_closure_search`
+    over every vertex, in vertex order)."""
+    counts = _chart_counts(m, rank, e)
+    _check_budgets(counts)
+    return _closure_search(m, rank, e, range(m.n), counts, count=False)
+
+
 def iter_locally_free_submodules(m: HModule, e
                                  ) -> Iterator[tuple[Subspace, ...]]:
     """Stream every tuple of per-vertex free submodules of rank e closed
     under all arrows, exactly once each (charts are disjoint)."""
-    yield from _iter_submodules(m, hmod.rank_vector(m), e)
+    rank = hmod.rank_vector(m)
+    e = _sub_rank(rank, e)
+    std, ts = (m, None) if m.standard_form else hmod.normalize(m)
+    for pairs in _charts(std, rank, e):
+        tup = tuple(block.subspace(t) for block, t in pairs)
+        yield tup if ts is None else _image(tup, ts)
 
 
 def _image(layer, maps) -> tuple[Subspace, ...]:
@@ -344,46 +369,30 @@ def _image(layer, maps) -> tuple[Subspace, ...]:
                  for u, t in zip(layer, maps))
 
 
-def _iter_submodules(m: HModule, rank: RankVector, e
-                     ) -> Iterator[tuple[Subspace, ...]]:
-    """`iter_locally_free_submodules` for a module of known rank."""
-    e = RankVector(e)
-    if not (e <= rank):
-        raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
-    std, ts = (m, None) if m.standard_form else hmod.normalize(m)
-    if ts is not None:
-        for tup in _iter_submodules(std, rank, e):
-            yield _image(tup, ts)
-        return
-    counts = _chart_counts(m, rank, e)
-    _check_budgets(counts)
-    yield from _closure_search(m, rank, e, range(m.n), counts, count=False)
-
-
 def enumerate_locally_free_submodules(m: HModule, e
                                       ) -> list[tuple[Subspace, ...]]:
     return list(iter_locally_free_submodules(m, e))
 
 
 def count_locally_free_submodules(m: HModule, e) -> int:
-    """Grassmannian point count with the unconstrained vertices counted in
-    closed form; only vertices touched by an active arrow are enumerated,
-    streamed keys first (built once), then by ascending candidate count, so
-    the last vertex, tested a block at a time, has the most candidates."""
-    return _count_submodules(m, hmod.rank_vector(m), e)
-
-
-def _count_submodules(m: HModule, rank: RankVector, e) -> int:
-    """`count_locally_free_submodules` for a module of known rank."""
-    e = RankVector(e)
-    if not (e <= rank):
-        raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
+    """Grassmannian point count (`_count_charts`)."""
+    rank = hmod.rank_vector(m)
+    e = _sub_rank(rank, e)
     std = m if m.standard_form else hmod.normalize(m)[0]
-    counts = _chart_counts(std, rank, e)
-    coupled = {v for (i, j, _) in _active_arrows(std, rank, e)
+    return _count_charts(std, rank, e)
+
+
+def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
+    """The number of closed tuples of free rank-e submodules of m, which is
+    in standard form, with the unconstrained vertices counted in closed
+    form; only vertices touched by an active arrow are enumerated, streamed
+    keys first (built once), then by ascending candidate count, so the last
+    vertex, tested a block at a time, has the most candidates."""
+    counts = _chart_counts(m, rank, e)
+    coupled = {v for (i, j, _) in _active_arrows(m, rank, e)
                for v in (i, j)}
     free_factor = 1
-    for i in range(std.n):
+    for i in range(m.n):
         if i not in coupled:
             free_factor *= counts[i]
     if not coupled:
@@ -391,7 +400,7 @@ def _count_submodules(m: HModule, rank: RankVector, e) -> int:
     _check_budgets(counts)
     order = sorted(coupled, key=lambda v: (
         counts[v] <= _CANDIDATE_CACHE_LIMIT, counts[v], v))
-    return free_factor * sum(_closure_search(std, rank, e, order, counts,
+    return free_factor * sum(_closure_search(m, rank, e, order, counts,
                                              count=True))
 
 
@@ -513,41 +522,104 @@ def _checked_seq(m: HModule, brseq):
     return seq
 
 
+def _chart_module(m: HModule, e: RankVector, pairs) -> HModule:
+    """The submodule of m spanned by the chosen charts `pairs` (one
+    (table, chart) per vertex, closed under every arrow) in the basis of
+    its chart rows B_i: standard Jordan loops with e_i blocks, and per
+    arrow a: M_j -> M_i the block (a B_j^T)[P_i] at the pivot columns P_i
+    of B_i.  Built without `make_module`: it is valid by construction (see
+    `_layer_chains`) and never leaves the flag recursion."""
+    p = m.p
+    eps = tuple(hmod._frozen(hmod._standard_loop(m.loop_order(i), e[i]))
+                for i in range(m.n))
+    arrows = {}
+    for (i, j), mats in m.arrows.items():
+        (target, t), (source, s) = pairs[i], pairs[j]
+        arrows[(i, j)] = tuple(
+            hmod._frozen((a.take(target.pivots[t], 0) @ source.basis[s].T) % p)
+            for a in mats)
+    return HModule(m.datum, m.k, p, tuple(x.shape[0] for x in eps), eps,
+                   types.MappingProxyType(arrows))
+
+
 def _layer_chains(m: HModule, seq, count: bool):
-    """Depth first over the flags of m with subquotient ranks seq (which
-    sum to the rank of m): the top proper layer runs over the Grassmannian,
-    the rest recurses inside that submodule.  Yields each flag's layers,
-    bottom first, or with count=True, numbers of flags that sum to the
-    total; a two-step sequence is counted in closed form where it can be."""
+    """Depth first over the flags of m, which is in standard form, with
+    subquotient ranks seq (which sum to the rank of m): the top proper
+    layer runs over the closed charts of the Grassmannian, and the rest
+    recurses inside the `_chart_module` of each, in the basis of its chart
+    rows B_i, with no split, normalization, elimination or validation.
+
+    That record is valid by construction.  Row col*m + shift of a chart is
+    eps^shift times ring column col, and m is in standard form, so the
+    loop takes it to the next row of its column (to 0 past the last): the
+    restricted loop is the standard Jordan matrix.  An arrow a: M_j -> M_i
+    restricts to the X with a B_j^T = B_i^T X; B_i is the identity on its
+    pivot columns P_i, so X = (a B_j^T)[P_i], the coefficients whose
+    residue a B_j^T - B_i^T X `_closed` found zero for every active arrow.
+    An inactive arrow is zero, has a zero source layer (an empty block),
+    or has a full target layer, whose one chart is the identity, so
+    X = a B_j^T.  Hence B_i^T X' = X B_j^T for every loop and arrow X, with
+    each B^T injective: every polynomial relation among the maps of m,
+    (H1) and (H2) among them, holds among the restricted maps, and the
+    record is a locally free module in standard form, of the rank of the
+    top layer.
+
+    Yields each flag as its layers' (table, chart) pairs per vertex,
+    bottom first, each in the chart basis of the layer above it (the top
+    one in the coordinates of m), or with count=True, numbers of flags
+    that sum to the total; a two-step sequence is counted in closed form
+    where it can be."""
     if len(seq) == 1:
         yield 1 if count else []
         return
     top_rank = sum(seq[1:-1], seq[0])
     rank = top_rank + seq[-1]
     if len(seq) == 2 and count:
-        yield _count_submodules(m, rank, top_rank)
+        yield _count_charts(m, rank, top_rank)
         return
-    for tup in _iter_submodules(m, rank, top_rank):
+    for pairs in _charts(m, rank, top_rank):
         if len(seq) == 2:
-            yield [tup]
+            yield [pairs]
             continue
-        inner = hmod.submodule(m, tup)
-        incl = [u.basis.T for u in tup]
+        inner = _chart_module(m, top_rank, pairs)
         for chain in _layer_chains(inner, seq[:-1], count):
-            if count:
-                yield chain
-                continue
-            yield [_image(layer, incl) for layer in chain] + [tup]
+            yield chain if count else chain + [pairs]
+
+
+def _chain_layers(chain, ts, p: int) -> tuple[tuple[Subspace, ...], ...]:
+    """The layers of a `_layer_chains` chain as subspaces of the module:
+    each layer's chart rows composed with the rows of every layer above
+    it and, when given, with the change of basis ts of `hmod.normalize`
+    (row v in standard coordinates is v T_i^T in the module's).  Without
+    ts the top layer is its tables' subspace."""
+    top = chain[-1]
+    if ts is None:
+        rows = [block.basis[t] for block, t in top]
+        layers = [tuple(block.subspace(t) for block, t in top)]
+    else:
+        rows = [(block.basis[t] @ x.T) % p for (block, t), x in zip(top, ts)]
+        layers = [_span(rows, p)]
+    for pairs in reversed(chain[:-1]):
+        rows = [(block.basis[t] @ r) % p for (block, t), r in zip(pairs, rows)]
+        layers.append(_span(rows, p))
+    return tuple(reversed(layers))
+
+
+def _span(rows, p: int) -> tuple[Subspace, ...]:
+    return tuple(Subspace.from_rows(r, r.shape[1], p) for r in rows)
 
 
 def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
-    """Stream flags depth first (see `_layer_chains`).  Every yielded flag
-    is validated."""
+    """Stream flags depth first (see `_layer_chains`), in the standard form
+    of m mapped back by `hmod.normalize`'s change of basis when m is not in
+    it.  Every yielded flag is checked against m."""
     seq = _checked_seq(m, brseq)
     if seq is None:
         return
-    for layers in _layer_chains(m, seq, count=False):
-        flag = FlagOfSubmodules(m, seq, tuple(layers))
+    std, ts = (m, None) if m.standard_form else hmod.normalize(m)
+    for chain in _layer_chains(std, seq, count=False):
+        layers = _chain_layers(chain, ts, m.p) if chain else ()
+        flag = FlagOfSubmodules(m, seq, layers)
         flag._check()
         yield flag
 
@@ -562,7 +634,8 @@ def point_count(m: HModule, brseq) -> int:
     seq = _checked_seq(m, brseq)
     if seq is None:
         return 0
-    return sum(_layer_chains(m, seq, count=True))
+    std = m if m.standard_form else hmod.normalize(m)[0]
+    return sum(_layer_chains(std, seq, count=True))
 
 
 # --- tensor modules over the linear-quiver extension --------------------------
@@ -712,10 +785,8 @@ def _reduction_data(m: HModule) -> _ReductionData:
         red = reduction.reduce(m)
         mbar = red.module
         hmod.rank_vector(mbar)
-        shadow = hmod.quotient(mbar, [la.image(b, m.p) for b in
-                                      hmod.epsilon_blocks(mbar)], 1)
-        blocks = tuple(hmod._frozen(la.matpow(b, m.k - 1, m.p))
-                       for b in hmod.epsilon_blocks(m))
+        shadow = reduction._quotient_at_level(mbar, 1)
+        blocks = tuple(map(hmod._frozen, reduction._eps_powers(m, m.k - 1)))
         data = _ReductionData(red, shadow, blocks)
         _REDUCTION_DATA[m] = data
     return data

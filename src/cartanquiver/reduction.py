@@ -24,6 +24,7 @@ from .cartan import CartanDatum, RankVector
 from .errors import (
     KTooSmall,
     InternalCheckError,
+    NotInvariant,
     NotLocallyFree,
     NotNested,
     RankTooLarge,
@@ -34,17 +35,60 @@ from .hmod import HModule, StructureMatrices
 
 
 def reduce(m: HModule) -> hmod.Quotient:
-    """Quotient by eps^(k-1) M, re-validated over the level-(k-1) algebra.
+    """Quotient by eps^(k-1) M, validated over the level-(k-1) algebra
+    (`_quotient_at_level` at a = k - 1).
 
-    When m is in standard form the quotient coordinates are those of loop
-    degree < (k-1)*c_i, so the reduction is in standard form too and its
-    entries are m's entries at those coordinates.
+    When m is in standard form, eps^(k-1) M_i is spanned by the unit
+    vectors of loop degree >= (k-1)*c_i, a submodule because eps is
+    central.  So the quotient coordinates are those of loop degree
+    < (k-1)*c_i, each map descends exactly when its slice from the kept
+    coordinates to the cut ones is zero (tested for every loop and arrow),
+    and its block is its slice on the kept coordinates: the reduction is
+    in standard form too and its entries are m's entries at those
+    coordinates, with no power, elimination or split.  It is validated at
+    level k-1, the functor's own claim.
     """
     if m.k < 2:
         raise KTooSmall("reduction needs k >= 2")
-    powers = [la.matpow(m.eps[i], (m.k - 1) * m.datum.d[i], m.p)
-              for i in range(m.n)]
-    return hmod.quotient(m, [la.image(x, m.p) for x in powers], m.k - 1)
+    return _quotient_at_level(m, m.k - 1)
+
+
+def _eps_powers(m: HModule, a: int) -> tuple[np.ndarray, ...]:
+    """The blocks Eps_i^(a*c_i) of eps^a, the a-th powers of
+    `hmod.epsilon_blocks`."""
+    return tuple(la.matpow(b, a, m.p) for b in hmod.epsilon_blocks(m))
+
+
+def _quotient_at_level(m: HModule, a: int) -> hmod.Quotient:
+    """M / eps^a M (1 <= a <= k), validated by `make_module` at level a:
+    for a module in standard form by its coordinates O_i of loop degree
+    < a*c_i, cut along the unit rows P_i of the others (the rule of
+    `reduce`), and for any other by `hmod.quotient` along the images of
+    `_eps_powers`."""
+    if not m.standard_form:
+        return hmod.quotient(
+            m, [la.image(x, m.p) for x in _eps_powers(m, a)], a)
+    keep, subs = [], []
+    for i, d in enumerate(m.dims):
+        coords = np.arange(d)
+        low = coords % m.loop_order(i) < a * m.datum.d[i]
+        keep.append(coords[low])
+        pivots = coords[~low]
+        basis = la.identity(d).take(pivots, 0)
+        basis.setflags(write=False)
+        subs.append(Subspace(m.p, d, basis, tuple(pivots.tolist())))
+    blocks = {}
+    for label, x, i, j in m.maps_with_labels():
+        rows = x.take(keep[i], 0)
+        if rows.take(subs[j].pivots, 1).any():
+            raise NotInvariant(f"{label}: the subspace is not mapped into "
+                               f"the target subspace")
+        blocks.setdefault((i, j), []).append(rows.take(keep[j], 1))
+    return hmod.Quotient(
+        hmod.make_module(m.datum, a, m.p,
+                         [blocks[(i, i)][0] for i in range(m.n)],
+                         {key: blocks[key] for key in m.arrows}),
+        tuple(subs))
 
 
 def lift(s: StructureMatrices) -> HModule:

@@ -675,6 +675,36 @@ def reference_flag_check(flag):
         prev = layer
 
 
+# --- the flag recursion by validated submodules -------------------------------
+
+def reference_layer_chains(m, seq, count):
+    """flagvar._layer_chains before the chart basis: the top proper layer
+    runs over the Grassmannian of m (normalized when m is not in standard
+    form), and the rest recurses inside `hmod.submodule(m, top)`, split,
+    validated and normalized again, in the RREF basis of the top layer.
+    Yields each flag's layers bottom first, as tuples of subspaces of m,
+    or with count=True numbers of flags that sum to the total."""
+    seq = tuple(map(RankVector, seq))
+    if len(seq) == 1:
+        yield 1 if count else []
+        return
+    top_rank = sum(seq[1:-1], seq[0])
+    if len(seq) == 2 and count:
+        yield flagvar.count_locally_free_submodules(m, top_rank)
+        return
+    for tup in flagvar.iter_locally_free_submodules(m, top_rank):
+        if len(seq) == 2:
+            yield [tup]
+            continue
+        inner = hmod.submodule(m, tup)
+        incl = [u.basis.T for u in tup]
+        for chain in reference_layer_chains(inner, seq[:-1], count):
+            if count:
+                yield chain
+                continue
+            yield [flagvar._image(layer, incl) for layer in chain] + [tup]
+
+
 # --- the reduction fiber as a ring chart, computed again on every call -------
 
 class CentralCoordinates:
