@@ -50,8 +50,6 @@ from .homext import (
 )
 from .reduction import (
     epsilon_filtration_check,
-    lift,
-    lift_chain,
     reduce,
     reduce_hom,
     rigid_transfer_check,
@@ -71,8 +69,6 @@ from .flagvar import (
     closed_form_flag_count_no_arrows,
     count_locally_free_submodules,
     counting_polynomial,
-    enumerate_flags,
-    enumerate_locally_free_submodules,
     fiber_of_reduction,
     hom_tensor,
     iter_flags,

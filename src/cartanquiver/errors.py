@@ -129,10 +129,6 @@ class KTooSmall(ValidationError):
     pass
 
 
-class NotNested(ValidationError):
-    pass
-
-
 class NotAHomomorphism(ValidationError):
     pass
 

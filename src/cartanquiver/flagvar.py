@@ -369,11 +369,6 @@ def _image(layer, maps) -> tuple[Subspace, ...]:
                  for u, t in zip(layer, maps))
 
 
-def enumerate_locally_free_submodules(m: HModule, e
-                                      ) -> list[tuple[Subspace, ...]]:
-    return list(iter_locally_free_submodules(m, e))
-
-
 def count_locally_free_submodules(m: HModule, e) -> int:
     """Grassmannian point count (`_count_charts`)."""
     rank = hmod.rank_vector(m)
@@ -470,8 +465,9 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
             if dim != order * sum(r[i] for r in brseq[:t + 1]):
                 raise ShapeMismatch(
                     f"layer {t + 1} has wrong dimension at vertex {i + 1}")
-            if hmod._not_free_rank(pairs[(i, i)][0][0], order,
-                                   m.p) is not None:
+            loop = pairs[(i, i)][0][0]
+            if dim and hmod._not_free_rank(loop, hmod._jordan_order(loop),
+                                           order, m.p) is not None:
                 raise NotLocallyFree(
                     f"layer {t + 1} not free at vertex {i + 1}")
         splits.append((sides, pairs))
@@ -622,10 +618,6 @@ def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
         flag = FlagOfSubmodules(m, seq, layers)
         flag._check()
         yield flag
-
-
-def enumerate_flags(m: HModule, brseq) -> list[FlagOfSubmodules]:
-    return list(iter_flags(m, brseq))
 
 
 def point_count(m: HModule, brseq) -> int:

@@ -172,15 +172,15 @@ def _local_end(m: HModule) -> bool:
     nilpotent Jordan block.  Then End(M) is the centralizer of that block,
     F_p[x]/(x^d), a local ring, so M is indecomposable.  The loop is
     nilpotent by (H1), so it is one block exactly when its rank is d - 1;
-    a loop in standard form (`hmod._jordan_order`) is read without an
+    a loop in standard form (`HModule.jordan_orders`) is read without an
     elimination."""
     support = [i for i, d in enumerate(m.dims) if d]
     if len(support) != 1:
         return False
-    e = m.eps[support[0]]
-    d = e.shape[0]
-    order = hmod._jordan_order(e)
-    return order == d if order else la.rank(e, m.p) == d - 1
+    i = support[0]
+    order = m.jordan_orders[i]
+    return (order == m.dims[i] if order
+            else la.rank(m.eps[i], m.p) == m.dims[i] - 1)
 
 
 def _find_split(m: HModule, seed, keep: bool = False):

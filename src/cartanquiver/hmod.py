@@ -30,6 +30,7 @@ its entries read as integers in 0..p-1 (`reduce_mod_p`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -70,8 +71,9 @@ class HModule:
     read-only `arrows` mapping, so a module never changes once built and
     data derived from it may be kept while it lives (as
     `flagvar._reduction_data` does).  Everything else is read off these
-    matrices: `standard_form` off the loops, and the integer lift of
-    `reduce_mod_p` is the entries read as integers in 0..p-1.
+    matrices: `standard_form` and local freeness off the Jordan orders of
+    the loops, read once per module (`jordan_orders`), and the integer
+    lift of `reduce_mod_p` is the entries read as integers in 0..p-1.
     """
 
     datum: CartanDatum
@@ -91,12 +93,18 @@ class HModule:
     def total_dim(self) -> int:
         return sum(self.dims)
 
+    @functools.cached_property
+    def jordan_orders(self) -> tuple[int, ...]:
+        """`_jordan_order` of each loop, kept while the module lives."""
+        return tuple(map(_jordan_order, self.eps))
+
     @property
     def standard_form(self) -> bool:
         """Whether every loop is the generator-major Jordan matrix with
         blocks of full size k*c_i (an empty loop is)."""
-        return all(not d or _jordan_order(e) == self.loop_order(i)
-                   for i, (d, e) in enumerate(zip(self.dims, self.eps)))
+        return all(not d or o == self.loop_order(i)
+                   for i, (d, o) in enumerate(zip(self.dims,
+                                                  self.jordan_orders)))
 
     def maps_with_labels(self):
         """All structure maps as (label, matrix, target vertex, source vertex)."""
@@ -181,14 +189,15 @@ def validate_module(m: HModule) -> None:
 
 # --- local freeness ---------------------------------------------------------
 
-def _not_free_rank(x: np.ndarray, order: int, p: int) -> Optional[int]:
+def _not_free_rank(x: np.ndarray, jordan: int, order: int,
+                   p: int) -> Optional[int]:
     """None when the nilpotent x makes its space free over
     F_p[x]/(x^order): order divides its dim d and rank(x) = d - d/order,
-    which pins the Jordan type to free blocks; else rank(x).  The standard
-    Jordan matrix of block size order (`_jordan_order`) and an empty loop
-    are free without an elimination."""
+    which pins the Jordan type to free blocks; else rank(x).  jordan is
+    `_jordan_order(x)`: the standard Jordan matrix of block size order
+    (jordan == order) and an empty loop are free without an elimination."""
     d = x.shape[0]
-    if not d or _jordan_order(x) == order:
+    if not d or jordan == order:
         return None
     rk = la.rank(x, p)
     return rk if d % order or rk != d - d // order else None
@@ -200,7 +209,7 @@ def _not_free_at(m: HModule) -> Optional[str]:
     None when m is locally free."""
     for i in range(m.n):
         order = m.loop_order(i)
-        rk = _not_free_rank(m.eps[i], order, m.p)
+        rk = _not_free_rank(m.eps[i], m.jordan_orders[i], order, m.p)
         if rk is not None:
             return (f"vertex {i + 1} has dim {m.dims[i]}, loop order "
                     f"{order} and loop rank {rk}")

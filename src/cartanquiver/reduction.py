@@ -7,9 +7,10 @@ vectors, and the quotient basis is chosen as the coordinates of loop degree
 < (k-1)*c_i inside the standard Jordan basis, so reducing a free module in
 standard form gives literally the standard free module one level down.
 
-The converse direction is constructive: structure-matrix entries over the
-shorter truncated polynomial ring are reinterpreted over the longer one
-(zero-padded coefficient lists), which lifts modules and nested chains.
+The functor has one direction.  A module is read at another level by its
+structure entries, cut or zero-padded to the new truncated polynomial ring
+(`module_at_level`); the flags over a lower-level flag are the fiber of
+`flagvar.fiber_of_reduction`.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from .errors import (
     InternalCheckError,
     NotInvariant,
     NotLocallyFree,
-    NotNested,
-    RankTooLarge,
     ValidationError,
 )
 from .exactlinalg import Subspace
-from .hmod import HModule, StructureMatrices
+from .hmod import HModule
 
 
 def reduce(m: HModule) -> hmod.Quotient:
@@ -91,104 +90,27 @@ def _quotient_at_level(m: HModule, a: int) -> hmod.Quotient:
         tuple(subs))
 
 
-def lift(s: StructureMatrices) -> HModule:
-    """Reinterpret level-(k-1) structure entries at level k.
-
-    Coefficient lists are zero-padded from (k-1)*c_i to k*c_i; reducing the
-    lift recovers the module the entries defined at level k-1.
-    """
-    return _at_level(s, s.k + 1)
-
-
 def module_at_level(m: HModule, k_new: int) -> HModule:
-    """Re-truncate a locally free module's structure entries at level k_new.
+    """The module of a locally free module's structure entries read at
+    level k_new: each coefficient list is cut or zero-padded from k*c_i
+    to k_new*c_i.
 
-    Truncating coefficients agrees with iterated reduction; padding agrees
-    with iterated lifting.
+    Cutting agrees with iterated reduction.  Padding one level up gives a
+    module that reduces back to m; when the leading generators at each
+    vertex span a submodule of m, they span one of the padded module too,
+    a point of `flagvar.fiber_of_reduction` over the flag they give below.
     """
     if k_new < 1:
         raise KTooSmall(f"level must be >= 1, got {k_new}")
-    return _at_level(hmod.to_structure_matrices(m), k_new)
-
-
-def _at_level(s: StructureMatrices, k_new: int) -> HModule:
-    """The module of s's coefficient lists cut or zero-padded to level
-    k_new."""
+    s = hmod.to_structure_matrices(m)
     mats = {}
     for (i, j), arr in s.mats.items():
-        if arr.shape[2] != s.k * s.datum.d[i]:
-            raise ValidationError("structure entries have wrong truncation")
         resized = np.zeros(arr.shape[:2] + (k_new * s.datum.d[i],),
                            dtype=np.int64)
-        keep = min(resized.shape[2], arr.shape[2])
-        resized[:, :, :keep] = arr[:, :, :keep]
+        resized[:, :, :arr.shape[2]] = arr[:, :, :resized.shape[2]]
         mats[(i, j)] = resized
     return hmod.from_structure_matrices(
         hmod.structure_from_arrays(s.datum, k_new, s.p, s.rank, mats))
-
-
-@dataclass(frozen=True, eq=False)
-class StructureChain:
-    """A nested chain presented block-triangularly on one structure matrix.
-
-    ranks is weakly increasing and ends at struct.rank; layer j is spanned
-    by the first ranks[j][i] generators at each vertex, which requires the
-    arrow entries out of those generators to stay inside the leading rows.
-    """
-
-    struct: StructureMatrices
-    ranks: tuple[RankVector, ...]
-
-    def __post_init__(self):
-        prev = RankVector.zero(self.struct.datum.n)
-        for e in self.ranks:
-            if not (prev <= RankVector(e)):
-                raise NotNested("chain ranks must be weakly increasing")
-            prev = RankVector(e)
-        if tuple(prev) != tuple(self.struct.rank):
-            raise NotNested("chain must end at the full rank vector")
-        datum = self.struct.datum
-        for e in self.ranks[:-1]:
-            for (i, j), arr in self.struct.mats.items():
-                cols_per_gen = abs(datum.c[i][j])
-                sub_cols = cols_per_gen * e[j]
-                if arr[e[i]:, :sub_cols].any():
-                    raise NotNested(
-                        f"layer of rank {tuple(e)} is not spanned by leading "
-                        f"generators at pair ({i + 1},{j + 1})")
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedChain:
-    module: HModule
-    layers: tuple[tuple[Subspace, ...], ...]
-
-
-def lift_chain(chain: StructureChain) -> LiftedChain:
-    """Lift a nested chain of presentations one level up, layer by layer."""
-    top = lift(chain.struct)
-    layers = []
-    for e in chain.ranks[:-1]:
-        layers.append(generator_span(top, e))
-    return LiftedChain(top, tuple(layers))
-
-
-def generator_span(m: HModule, e) -> tuple[Subspace, ...]:
-    """Per-vertex span of the first e_i generators (all loop degrees) of a
-    standard-form module; e must fit its rank (RankTooLarge).  Raises
-    ValidationError for a module that is not in standard form, where the
-    leading coordinates need not span a submodule."""
-    if not m.standard_form:
-        raise ValidationError("generator_span needs a module in standard "
-                              "form")
-    e = RankVector(e)
-    rank = hmod.rank_vector(m)
-    if not (e <= rank):
-        raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
-    return tuple(
-        Subspace.from_rows(la.identity(m.dims[i])[:e[i] * m.loop_order(i)],
-                           m.dims[i], m.p)
-        for i in range(m.n))
 
 
 def reduce_hom(m: HModule, n: HModule, f) -> tuple[np.ndarray, ...]:

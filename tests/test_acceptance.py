@@ -113,7 +113,7 @@ def test_criterion_2_grassmannian_example(a2, report):
     # non-surjectivity: some fiber over the level-2 Grassmannian is empty
     empties = sum(
         flagvar.fiber_of_reduction(n3, base).empty
-        for base in flagvar.enumerate_flags(base_mod, [(1, 1), (1, 1)]))
+        for base in flagvar.iter_flags(base_mod, [(1, 1), (1, 1)]))
     checks.append(empties > 0)
     report(2, all(checks),
            f"two-component Grassmannian: counts 2q+1, open-chart sizes, "

@@ -8,7 +8,8 @@ in ALLOWED with the reason it stays.
 
 No function binds a budget or trial-count constant (a name ending in
 _BUDGET or _TRIALS) as a parameter default, and the keywords those
-constants replaced fail at the call.
+constants replaced fail at the call.  Names deleted from the public API
+stay deleted.
 """
 
 import ast
@@ -18,7 +19,8 @@ import re
 
 import pytest
 
-from cartanquiver import gendecomp, hmod, homext
+import cartanquiver
+from cartanquiver import errors, flagvar, gendecomp, hmod, homext, reduction
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cartanquiver"
@@ -187,3 +189,29 @@ def test_removed_budget_keywords(a2, fn, keyword):
                 fn, (a2, 1, 2, (1, 0)))
     with pytest.raises(TypeError, match=keyword):
         fn(*args, **{keyword: 1})
+
+
+# the chain lift and the list wrappers that the fibers of reduction and
+# list(iter_*) replaced, and the error only the chain lift raised
+REMOVED_NAMES = [
+    (cartanquiver, "lift"),
+    (cartanquiver, "lift_chain"),
+    (cartanquiver, "enumerate_flags"),
+    (cartanquiver, "enumerate_locally_free_submodules"),
+    (reduction, "lift"),
+    (reduction, "StructureChain"),
+    (reduction, "LiftedChain"),
+    (reduction, "lift_chain"),
+    (reduction, "generator_span"),
+    (reduction, "_at_level"),
+    (flagvar, "enumerate_flags"),
+    (flagvar, "enumerate_locally_free_submodules"),
+    (errors, "NotNested"),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name", REMOVED_NAMES,
+    ids=[f"{module.__name__}.{name}" for module, name in REMOVED_NAMES])
+def test_removed_names(module, name):
+    assert not hasattr(module, name)

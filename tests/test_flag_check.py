@@ -106,7 +106,7 @@ def _mutations(mbar, other):
     yield "wrong sum", ((1, 0), (1, 0)), flag.layers
     yield "one step", ((2, 1),), flag.layers
     for layers in itertools.islice(
-            _not_nested(flagvar.enumerate_flags(mbar, three)), 3):
+            _not_nested(list(flagvar.iter_flags(mbar, three))), 3):
         yield "not nested", three, layers
     for seq in (two, three):
         for theirs in flagvar.iter_flags(other, seq):

@@ -237,12 +237,12 @@ class TestCandidateTables:
         assert cached == ["_vertex_candidates"]
         m = n_module(a2, 2, 3)
         flagvar._vertex_candidates.cache_clear()
-        first = flagvar.enumerate_locally_free_submodules(m, (1, 1))
+        first = list(flagvar.iter_locally_free_submodules(m, (1, 1)))
         misses = flagvar._vertex_candidates.cache_info().misses
         assert misses == 1          # both vertices share the key (2, 2, 1, 3)
         flagvar._vertex_candidates.cache_clear()
         assert flagvar._vertex_candidates.cache_info().currsize == 0
-        again = flagvar.enumerate_locally_free_submodules(m, (1, 1))
+        again = list(flagvar.iter_locally_free_submodules(m, (1, 1)))
         assert flagvar._vertex_candidates.cache_info().misses == misses
         assert again == first
 
@@ -336,7 +336,7 @@ class TestClosureSearchOracle:
         ps = (2, 3) if name != "b2" else (2,)
         for m, e in _search_cases(datum, ranks, ps=ps):
             want = brute_force_submodules(m, e)
-            got = flagvar.enumerate_locally_free_submodules(m, e)
+            got = list(flagvar.iter_locally_free_submodules(m, e))
             assert got == want, (m.dims, e)
             assert flagvar.count_locally_free_submodules(m, e) == len(want)
 
@@ -344,7 +344,7 @@ class TestClosureSearchOracle:
         for m, e in _search_cases(a3, [(1, 1, 1), (1, 2, 1), (2, 1, 1)],
                                   ps=(2,)):
             want = brute_force_submodules(m, e)
-            got = flagvar.enumerate_locally_free_submodules(m, e)
+            got = list(flagvar.iter_locally_free_submodules(m, e))
             assert got == want, (m.dims, e)
             assert flagvar.count_locally_free_submodules(m, e) == len(want)
 
@@ -362,9 +362,9 @@ class TestStreamedCandidates:
                   [(1, 0), (1, 0), (0, 1)])]
         cached = []
         for m, e, brseq in cases:
-            cached.append((flagvar.enumerate_locally_free_submodules(m, e),
+            cached.append((list(flagvar.iter_locally_free_submodules(m, e)),
                            flagvar.count_locally_free_submodules(m, e),
-                           [f.layers for f in flagvar.enumerate_flags(
+                           [f.layers for f in flagvar.iter_flags(
                                m, brseq)],
                            flagvar.point_count(m, brseq)))
         monkeypatch.setattr(flagvar, "_CANDIDATE_CACHE_LIMIT", 1)
@@ -372,9 +372,9 @@ class TestStreamedCandidates:
             monkeypatch.setattr(flagvar, "_BLOCK_CELLS", cells)
         flagvar._vertex_candidates.cache_clear()
         for (m, e, brseq), want in zip(cases, cached):
-            got = (flagvar.enumerate_locally_free_submodules(m, e),
+            got = (list(flagvar.iter_locally_free_submodules(m, e)),
                    flagvar.count_locally_free_submodules(m, e),
-                   [f.layers for f in flagvar.enumerate_flags(m, brseq)],
+                   [f.layers for f in flagvar.iter_flags(m, brseq)],
                    flagvar.point_count(m, brseq))
             assert got == want
         # only the single-chart keys (zero and full layers) were cached
@@ -465,8 +465,8 @@ class TestLazyBlocks:
             want = getattr(eager, name)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        assert first.layers == flagvar.enumerate_flags(
-            m, [(1, 1), (1, 1)])[0].layers
+        assert first.layers == list(flagvar.iter_flags(
+            m, [(1, 1), (1, 1)]))[0].layers
 
     def test_interleaved_searches_share_blocks(self, a2, built):
         m = n_module(a2, 2, 3)
@@ -475,7 +475,7 @@ class TestLazyBlocks:
         head = [next(suspended)]
         # the second search builds the later blocks while the first one is
         # suspended inside the key; the first must read them, not rebuild
-        every = flagvar.enumerate_flags(m, seq)
+        every = list(flagvar.iter_flags(m, seq))
         head += list(suspended)
         assert [f.layers for f in head] == [f.layers for f in every]
         assert len(every) == 27
@@ -495,24 +495,24 @@ class TestLazyBlocks:
 class TestSubmoduleEnumeration:
     def test_zero_and_full(self, b2):
         m = hmod.random_locally_free(b2, 2, 3, (2, 1), seed=0)
-        zero = flagvar.enumerate_locally_free_submodules(m, (0, 0))
+        zero = list(flagvar.iter_locally_free_submodules(m, (0, 0)))
         assert len(zero) == 1 and all(s.dim == 0 for s in zero[0])
-        full = flagvar.enumerate_locally_free_submodules(m, (2, 1))
+        full = list(flagvar.iter_locally_free_submodules(m, (2, 1)))
         assert len(full) == 1
         assert all(s.dim == m.dims[i] for i, s in enumerate(full[0]))
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_n_module_grassmannian(self, a2, q):
-        subs = flagvar.enumerate_locally_free_submodules(
-            n_module(a2, 1, q), (1, 1))
+        subs = list(flagvar.iter_locally_free_submodules(
+            n_module(a2, 1, q), (1, 1)))
         assert len(subs) == 2 * q + 1
 
     @pytest.mark.parametrize("q,k", [(2, 2), (3, 2)])
     def test_n_module_higher_level(self, a2, q, k):
         # open chart pairs (a, b) with a*b = 0, plus 2 q^(k-1) points on
         # the far charts
-        count = len(flagvar.enumerate_locally_free_submodules(
-            n_module(a2, k, q), (1, 1)))
+        count = len(list(flagvar.iter_locally_free_submodules(
+            n_module(a2, k, q), (1, 1))))
         u_locus = sum(1 for a, b in itertools.product(
             range(q ** k), repeat=2)
             if _trunc_mul(a, b, k, q) == 0)
@@ -520,19 +520,19 @@ class TestSubmoduleEnumeration:
 
     def test_rank_too_large(self, a2):
         with pytest.raises(RankTooLarge):
-            flagvar.enumerate_locally_free_submodules(
-                hmod.free_module(a2, 1, 2, (1, 1)), (2, 0))
+            list(flagvar.iter_locally_free_submodules(
+                hmod.free_module(a2, 1, 2, (1, 1)), (2, 0)))
 
     def test_budget_guardrail(self, a2, monkeypatch):
         # vertex 1 has 3 candidate lines in F_2^2; no arrow is active
         m = hmod.free_module(a2, 1, 2, (2, 1))
         monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 1)
         with pytest.raises(BudgetExceeded, match="VERTEX_CANDIDATE_BUDGET"):
-            flagvar.enumerate_locally_free_submodules(m, (1, 0))
+            list(flagvar.iter_locally_free_submodules(m, (1, 0)))
         # a count with no active arrow is a closed-form product
         assert flagvar.count_locally_free_submodules(m, (1, 0)) == 3
         monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 3)
-        assert len(flagvar.enumerate_locally_free_submodules(m, (1, 0))) == 3
+        assert len(list(flagvar.iter_locally_free_submodules(m, (1, 0)))) == 3
 
     def test_non_standard_module(self, a2):
         m = n_module(a2, 1, 2)
@@ -549,7 +549,7 @@ class TestSubmoduleEnumeration:
         arrows = {key: [(tinv[key[0]] @ a @ ts[key[1]]) % 2 for a in mats]
                   for key, mats in m.arrows.items()}
         scrambled = hmod.make_module(a2, 1, 2, eps, arrows)
-        subs = flagvar.enumerate_locally_free_submodules(scrambled, (1, 1))
+        subs = list(flagvar.iter_locally_free_submodules(scrambled, (1, 1)))
         assert len(subs) == 5
         for tup in subs:
             for (i, j), mats in scrambled.arrows.items():
@@ -577,8 +577,8 @@ class TestFactorizedCounting:
                                              seed=(18, t))
                 for e in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]:
                     got = flagvar.count_locally_free_submodules(m, e)
-                    want = len(flagvar.enumerate_locally_free_submodules(
-                        m, e))
+                    want = len(list(flagvar.iter_locally_free_submodules(
+                        m, e)))
                     assert got == want
 
     def test_count_with_zero_arrows(self, a2):
@@ -614,7 +614,7 @@ class TestFactorizedCounting:
         for m, seqs in cases:
             for brseq in seqs:
                 counts.append(flagvar.point_count(m, brseq))
-                assert counts[-1] == len(flagvar.enumerate_flags(m, brseq))
+                assert counts[-1] == len(list(flagvar.iter_flags(m, brseq)))
         assert sum(1 for c in counts if c > 1) >= 10
 
     def test_flag_budget_guardrail(self, no_arrows, monkeypatch):
@@ -643,20 +643,20 @@ class TestFactorizedCounting:
 class TestFlagEnumeration:
     def test_length_two_is_grassmannian(self, a2):
         m = n_module(a2, 1, 2)
-        flags = flagvar.enumerate_flags(m, [(1, 1), (1, 1)])
-        subs = flagvar.enumerate_locally_free_submodules(m, (1, 1))
+        flags = list(flagvar.iter_flags(m, [(1, 1), (1, 1)]))
+        subs = list(flagvar.iter_locally_free_submodules(m, (1, 1)))
         assert len(flags) == len(subs)
         assert {f.layers[0] for f in flags} == set(map(tuple, subs))
 
     def test_unique_composition_series_no_arrows(self, no_arrows):
         for q in (2, 3):
             e = hmod.free_module(no_arrows, 1, q, (1, 1))
-            flags = flagvar.enumerate_flags(e, [(1, 0), (0, 1)])
+            flags = list(flagvar.iter_flags(e, [(1, 0), (0, 1)]))
             assert len(flags) == 1
 
     def test_wrong_total_rank_empty(self, a2):
         m = hmod.free_module(a2, 1, 2, (1, 1))
-        assert flagvar.enumerate_flags(m, [(1, 0), (1, 0)]) == []
+        assert list(flagvar.iter_flags(m, [(1, 0), (1, 0)])) == []
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("k", [1, 2])
@@ -696,7 +696,7 @@ class TestFlagEnumeration:
         m = rigid_module(b2, 2, 2, (1, 2))
         for brseq in ([(0, 1), (1, 1)], [(1, 1), (0, 1)],
                       [(0, 1), (0, 1), (1, 0)]):
-            for flag in flagvar.enumerate_flags(m, brseq):
+            for flag in flagvar.iter_flags(m, brseq):
                 flag.validate()
 
 
@@ -732,11 +732,11 @@ class TestShortRankVectors:
         with pytest.raises(LengthMismatch):
             next(flagvar.iter_flags(m, self.SHORT))
         with pytest.raises(LengthMismatch):
-            flagvar.enumerate_flags(m, self.SHORT)
+            list(flagvar.iter_flags(m, self.SHORT))
 
     def test_validate_and_reduce_flag(self, a2):
         m = n_module(a2, 2, 2)
-        flag = flagvar.enumerate_flags(m, [(1, 1), (1, 1)])[0]
+        flag = list(flagvar.iter_flags(m, [(1, 1), (1, 1)]))[0]
         short = flagvar.FlagOfSubmodules(m, brvec(self.SHORT), flag.layers)
         with pytest.raises(LengthMismatch):
             short.validate()
@@ -746,7 +746,7 @@ class TestShortRankVectors:
     def test_fiber_of_reduction(self, a2):
         m = n_module(a2, 2, 2)
         bar = reduction.reduce(m).module
-        base = flagvar.enumerate_flags(bar, [(1, 1), (1, 1)])[0]
+        base = list(flagvar.iter_flags(bar, [(1, 1), (1, 1)]))[0]
         short = flagvar.FlagOfSubmodules(bar, brvec(self.SHORT), base.layers)
         with pytest.raises(LengthMismatch):
             flagvar.fiber_of_reduction(m, short)
@@ -925,7 +925,7 @@ class TestTensorHomOracles:
 class TestTangent:
     def test_zero_bottom_flag(self, a2):
         m = rigid_module(a2, 1, 3, (1, 1))
-        flags = flagvar.enumerate_flags(m, [(0, 0), (1, 1)])
+        flags = list(flagvar.iter_flags(m, [(0, 0), (1, 1)]))
         assert len(flags) == 1
         assert flagvar.tangent_dimension(m, flags[0]) == 0
 
@@ -940,7 +940,7 @@ class TestTangent:
                     euler_form(datum, a, b, k=k)
                     for idx, a in enumerate(brseq)
                     for b in brseq[idx + 1:])
-                for flag in flagvar.enumerate_flags(m, brseq):
+                for flag in flagvar.iter_flags(m, brseq):
                     assert flagvar.tangent_dimension(m, flag) == expected
 
     def test_singular_point_tangent_jump(self, a2):
@@ -964,7 +964,7 @@ class TestTangent:
         expected = sum(euler_form(a2, a, b, k=2)
                        for idx, a in enumerate(brseq)
                        for b in brseq[idx + 1:])
-        flags = flagvar.enumerate_flags(m, brseq)
+        flags = list(flagvar.iter_flags(m, brseq))
         assert flags
         for flag in flags:
             assert flagvar.tangent_dimension(m, flag) == expected
@@ -973,7 +973,7 @@ class TestTangent:
 class TestReduceFlag:
     def test_layers_project(self, a2):
         m = n_module(a2, 2, 2)
-        flags = flagvar.enumerate_flags(m, [(1, 1), (1, 1)])
+        flags = list(flagvar.iter_flags(m, [(1, 1), (1, 1)]))
         red = reduction.reduce(m).module
         for flag in flags:
             image = flagvar.reduce_flag(m, flag)
@@ -985,7 +985,7 @@ class TestReduceFlag:
         n2 = n_module(a2, 2, 2)
         red = reduction.reduce(n2).module
         for brseq in ([(0, 0), (2, 2)], [(2, 2), (0, 0)]):
-            flags = flagvar.enumerate_flags(n2, brseq)
+            flags = list(flagvar.iter_flags(n2, brseq))
             assert len(flags) == 1
             image = flagvar.reduce_flag(n2, flags[0])
             layer = image.layers[0]
@@ -1016,8 +1016,8 @@ class TestFiberOfReduction:
                 d = flag_dimension(datum, brseq)
                 for k in (2, 3):
                     m = rigid_module(datum, k, 2, r, seed=7)
-                    base_flags = flagvar.enumerate_flags(
-                        reduction.reduce(m).module, brseq)
+                    base_flags = list(flagvar.iter_flags(
+                        reduction.reduce(m).module, brseq))
                     for base in base_flags:
                         fib = flagvar.fiber_of_reduction(m, base)
                         assert not fib.empty
@@ -1078,7 +1078,7 @@ class TestFiberOfReduction:
             base_mod = reduction.reduce(top).module
             total = 0
             empty = 0
-            for base in flagvar.enumerate_flags(base_mod, brseq):
+            for base in flagvar.iter_flags(base_mod, brseq):
                 fib = flagvar.fiber_of_reduction(top, base)
                 if fib.empty:
                     empty += 1
@@ -1092,7 +1092,7 @@ class TestFiberOfReduction:
     def test_nonsurjectivity_detected_at_level_three(self, a2):
         top = n_module(a2, 3, 2)
         base_mod = reduction.reduce(top).module
-        empties = [base for base in flagvar.enumerate_flags(
+        empties = [base for base in flagvar.iter_flags(
             base_mod, [(1, 1), (1, 1)])
             if flagvar.fiber_of_reduction(top, base).empty]
         assert empties
@@ -1100,7 +1100,7 @@ class TestFiberOfReduction:
     def test_trivial_length_one_fiber(self, a2):
         m = n_module(a2, 2, 2)
         base_mod = reduction.reduce(m).module
-        base = flagvar.enumerate_flags(base_mod, [(2, 2)])[0]
+        base = list(flagvar.iter_flags(base_mod, [(2, 2)]))[0]
         fib = flagvar.fiber_of_reduction(m, base)
         assert not fib.empty and fib.dimension == 0
         assert len(fib.flag_at(np.zeros(0, dtype=np.int64)).brseq) == 1
@@ -1108,7 +1108,7 @@ class TestFiberOfReduction:
     def test_wrong_base_module_rejected(self, a2):
         n3 = n_module(a2, 3, 2)
         other = hmod.free_module(a2, 2, 2, (2, 2))
-        flags = flagvar.enumerate_flags(other, [(1, 1), (1, 1)])
+        flags = list(flagvar.iter_flags(other, [(1, 1), (1, 1)]))
         with pytest.raises(FlagNotInReduction):
             flagvar.fiber_of_reduction(n3, flags[0])
 
@@ -1118,7 +1118,7 @@ class TestFiberOfReduction:
         d = flag_dimension(a2, brseq)
         base_mod = reduction.reduce(m).module
         total = 0
-        for base in flagvar.enumerate_flags(base_mod, brseq):
+        for base in flagvar.iter_flags(base_mod, brseq):
             fib = flagvar.fiber_of_reduction(m, base)
             assert not fib.empty and fib.dimension == d
             total += fib.point_count()
@@ -1273,7 +1273,7 @@ def _fiber_case(a2, k=2):
     fiber system is one zero equation, at k = 3 it has rank 1."""
     m = rigid_module(a2, k, 2, (2, 1), seed=8)
     bar = reduction.reduce(m).module
-    return m, flagvar.enumerate_flags(bar, [(1, 0), (1, 0), (0, 1)])
+    return m, list(flagvar.iter_flags(bar, [(1, 0), (1, 0), (0, 1)]))
 
 
 def wrong_sub_block(monkeypatch, base):
@@ -1507,7 +1507,7 @@ class TestCountMonotonicity:
         top = n_module(a2, k, 2)
         brseq = [(1, 1), (1, 1)]
         images = {tuple(flagvar.reduce_flag(top, f).layers)
-                  for f in flagvar.enumerate_flags(top, brseq)}
+                  for f in flagvar.iter_flags(top, brseq)}
         assert flagvar.point_count(top, brseq) >= len(images)
 
 
@@ -1520,8 +1520,8 @@ class TestTwistedData:
             m = hmod.random_locally_free(datum, k, 2, (2, 1), seed=20)
             for e in [(1, 0), (0, 1), (1, 1), (2, 0)]:
                 assert (flagvar.count_locally_free_submodules(m, e)
-                        == len(flagvar.enumerate_locally_free_submodules(
-                            m, e)))
+                        == len(list(flagvar.iter_locally_free_submodules(
+                            m, e))))
 
     def test_rigid_flags_and_fibers(self, b2_rev):
         m = homext.find_rigid(b2_rev, 2, 2, (1, 1), trials=40,
@@ -1533,12 +1533,12 @@ class TestTwistedData:
             expected_tangent = euler_form(b2_rev, brseq[0], brseq[1], k=2)
             base_mod = reduction.reduce(m).module
             total = 0
-            for base in flagvar.enumerate_flags(base_mod, brseq):
+            for base in flagvar.iter_flags(base_mod, brseq):
                 fib = flagvar.fiber_of_reduction(m, base)
                 assert not fib.empty and fib.dimension == d
                 total += fib.point_count()
             assert total == flagvar.point_count(m, brseq)
-            for flag in flagvar.enumerate_flags(m, brseq):
+            for flag in flagvar.iter_flags(m, brseq):
                 assert flagvar.tangent_dimension(m, flag) == expected_tangent
 
     def test_krull_schmidt_twisted(self, b2_rev, g2):
@@ -1566,7 +1566,7 @@ class TestMoreCrossChecks:
         brseq = [(1, 0), (0, 1)]
         base_mod = reduction.reduce(m).module
         total = 0
-        for base in flagvar.enumerate_flags(base_mod, brseq):
+        for base in flagvar.iter_flags(base_mod, brseq):
             fib = flagvar.fiber_of_reduction(m, base)
             total += fib.point_count()
         assert total == flagvar.point_count(m, brseq)
@@ -1579,6 +1579,6 @@ class TestMoreCrossChecks:
                 brseq = [(1, 0), (0, 1)]
                 base_mod = reduction.reduce(m).module
                 total = 0
-                for base in flagvar.enumerate_flags(base_mod, brseq):
+                for base in flagvar.iter_flags(base_mod, brseq):
                     total += flagvar.fiber_of_reduction(m, base).point_count()
                 assert total == flagvar.point_count(m, brseq)

@@ -156,6 +156,26 @@ class TestLocalFreeness:
         with pytest.raises(NotLocallyFree):
             hmod.rank_vector(m)
 
+    def test_loops_read_once_per_module(self, b2, monkeypatch):
+        """Standard form, local freeness, the rank vector and the local-End
+        test read one Jordan test per loop, kept by the module; another
+        module, even one with the same matrices, reads its own."""
+        from cartanquiver import gendecomp
+
+        calls = []
+        original = hmod._jordan_order
+        monkeypatch.setattr(hmod, "_jordan_order",
+                            lambda x: calls.append(x) or original(x))
+        m = hmod.free_module(b2, 2, 3, (1, 0))
+        for _ in range(2):
+            assert m.standard_form and hmod.is_locally_free(m)
+            assert hmod.rank_vector(m) == (1, 0)
+            assert gendecomp._local_end(m)
+        assert m.jordan_orders == (4, 0)
+        assert len(calls) == m.n
+        copy = replace(m, k=m.k)
+        assert copy.standard_form and len(calls) == 2 * m.n
+
     def test_golden_rank(self, a2):
         e2 = hmod.free_module(a2, 2, 5, (0, 1))
         assert hmod.rank_vector(e2) == (0, 1)
@@ -318,7 +338,7 @@ class TestDirectSumSubQuotient:
         m = hmod.random_locally_free(b2, 2, 3, (2, 1), seed=5)
         from cartanquiver import flagvar
 
-        tuples = flagvar.enumerate_locally_free_submodules(m, (1, 0))
+        tuples = list(flagvar.iter_locally_free_submodules(m, (1, 0)))
         for u in tuples[:5]:
             sq = hmod.sub_quotient(m, u)
             assert hmod.is_locally_free(sq.sub)

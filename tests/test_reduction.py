@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from cartanquiver import exactlinalg as la
-from cartanquiver import hmod, homext, reduction
+from cartanquiver import flagvar, hmod, homext, reduction
 from cartanquiver.cartan import RankVector, euler_form
-from cartanquiver.errors import KTooSmall, NotNested
+from cartanquiver.errors import KTooSmall
 
 from conftest import golden_module, n_module
 
@@ -69,16 +71,22 @@ class TestReduce:
             hmod.validate_module(hmod.reduce_mod_p(red, q))
 
 
+def padded(s: hmod.StructureMatrices) -> hmod.HModule:
+    """The module of s's entries read one level up."""
+    return reduction.module_at_level(hmod.from_structure_matrices(s),
+                                     s.k + 1)
+
+
 class TestLift:
     def test_lift_free(self, b2):
         s = hmod.to_structure_matrices(hmod.free_module(b2, 1, 5, (2, 1)))
-        lifted = reduction.lift(s)
+        lifted = padded(s)
         assert hmod.modules_equal(lifted, hmod.free_module(b2, 2, 5, (2, 1)))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_lift_n_module(self, a2, k):
         nk = n_module(a2, k, 3)
-        lifted = reduction.lift(hmod.to_structure_matrices(nk))
+        lifted = padded(hmod.to_structure_matrices(nk))
         assert hmod.modules_equal(lifted, n_module(a2, k + 1, 3))
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -87,7 +95,7 @@ class TestLift:
             for t in range(17):
                 s = hmod.random_structure(datum, k, 3, (2, 1), seed=(k, t))
                 m = hmod.from_structure_matrices(s)
-                back = reduction.reduce(reduction.lift(s)).module
+                back = reduction.reduce(padded(s)).module
                 assert hmod.modules_equal(back, m)
 
     def test_module_at_level(self, a2):
@@ -98,59 +106,88 @@ class TestLift:
         assert hmod.modules_equal(down, n_module(a2, 1, 3))
 
 
+def leading_span(m: hmod.HModule, e) -> tuple[la.Subspace, ...]:
+    """Per vertex, the span of the first e_i generators (all loop degrees)
+    of a module in standard form."""
+    assert m.standard_form
+    return tuple(
+        la.Subspace.from_rows(la.identity(d)[:e[i] * m.loop_order(i)], d, m.p)
+        for i, d in enumerate(m.dims))
+
+
+def leading_flag(m: hmod.HModule, e) -> flagvar.FlagOfSubmodules:
+    """The two-step flag of the first e_i generators, validated."""
+    e = RankVector(e)
+    rank = hmod.rank_vector(m)
+    flag = flagvar.FlagOfSubmodules(m, (e, rank - e), (leading_span(m, e),))
+    flag.validate()
+    return flag
+
+
+def triangular_structure(datum, k, p, r, e, seed) -> hmod.StructureMatrices:
+    """Random structure matrices at level k whose first e_i generators
+    span a submodule: the entries from a leading generator at j to a
+    trailing one at i are zero."""
+    s = hmod.random_structure(datum, k, p, r, seed=seed)
+    mats = {key: np.array(arr) for key, arr in s.mats.items()}
+    for (i, j), arr in mats.items():
+        arr[e[i]:, :abs(datum.c[i][j]) * e[j], :] = 0
+    return hmod.structure_from_arrays(datum, k, p, r, mats)
+
+
+def check_padded_leading_flag(s: hmod.StructureMatrices, e) -> int:
+    """The oracle of a leading-generator flag read one level up: below,
+    the first e_i generators of s span a flag; one level up (padded) they
+    span a flag too, which reduces to the flag below and is one of the
+    points of the fiber of the reduction over it.  Returns the fiber's
+    dimension."""
+    m = hmod.from_structure_matrices(s)
+    base = leading_flag(m, e)
+    top = padded(s)
+    flag = leading_flag(top, e)
+    layer = flag.layers[0]
+    for label, x, i, j in top.maps_with_labels():
+        assert layer[i].contains_rows((x @ layer[j].basis.T).T), label
+    red = reduction.reduce(top)
+    assert hmod.modules_equal(red.module, m)
+    for i, (u, ku) in enumerate(zip(layer, red.subspaces)):
+        reduced_layer = la.Subspace.from_rows(
+            ku.quotient_coords(u.basis.T).T, red.module.dims[i], s.p)
+        assert reduced_layer == base.layers[0][i]
+    assert flagvar.reduce_flag(top, flag).layers == base.layers
+    fiber = flagvar.fiber_of_reduction(top, base)
+    assert not fiber.empty
+    points = [fiber.flag_at(np.array(c, dtype=np.int64)).layers
+              for c in itertools.product(range(s.p),
+                                         repeat=fiber.dimension)]
+    assert len(set(points)) == len(points) == fiber.point_count()
+    assert flag.layers in points
+    return fiber.dimension
+
+
 class TestLiftChain:
-    def test_single_module_chain(self, a2):
+    """Chains of leading generators read one level up
+    (`check_padded_leading_flag`)."""
+
+    def test_single_module_chain(self, a2, b2):
         s = hmod.to_structure_matrices(n_module(a2, 1, 2))
-        chain = reduction.StructureChain(s, (RankVector((2, 2)),))
-        lifted = reduction.lift_chain(chain)
-        assert hmod.modules_equal(lifted.module, n_module(a2, 2, 2))
-        assert lifted.layers == ()
+        assert hmod.modules_equal(padded(s), n_module(a2, 2, 2))
+        full = leading_flag(padded(s), (2, 2))
+        assert [u.dim for u in full.layers[0]] == [4, 4]
+        m = hmod.free_module(b2, 1, 5, (2, 1))
+        assert [u.dim for u in leading_span(m, (1, 0))] == [2, 0]
 
     def test_two_step_chain(self, a2):
         # the leading generator at each vertex spans a submodule of the
         # block-triangular structure matrix [[0, 1], [0, 0]]
-        s = hmod.to_structure_matrices(n_module(a2, 1, 2))
-        chain = reduction.StructureChain(
-            s, (RankVector((1, 1)), RankVector((2, 2))))
-        lifted = reduction.lift_chain(chain)
-        assert len(lifted.layers) == 1
-        layer = lifted.layers[0]
-        m = lifted.module
-        for i in range(2):
-            restricted = (m.eps[i] @ layer[i].basis.T).T
-            assert layer[i].contains_rows(restricted)
-        for (i, j), mats in m.arrows.items():
-            for a in mats:
-                assert layer[i].contains_rows((a @ layer[j].basis.T).T)
-        # the lifted chain reduces back to the input layer spans
-        red = reduction.reduce(m)
-        for i in range(2):
-            reduced_layer = la.Subspace.from_rows(
-                red.subspaces[i].quotient_coords(layer[i].basis.T).T,
-                red.module.dims[i], 2)
-            expected = reduction.generator_span(red.module,
-                                                (1, 1))[i]
-            assert reduced_layer == expected
+        assert check_padded_leading_flag(
+            hmod.to_structure_matrices(n_module(a2, 1, 2)), (1, 1)) == 2
 
     def test_zero_bottom_chain(self, a2):
         s = hmod.to_structure_matrices(n_module(a2, 1, 2))
-        chain = reduction.StructureChain(
-            s, (RankVector((0, 0)), RankVector((2, 2))))
-        lifted = reduction.lift_chain(chain)
-        assert all(sub.dim == 0 for sub in lifted.layers[0])
-
-    def test_not_nested(self, a2):
-        # the second generator at vertex 1 maps onto the first: picking the
-        # trailing generators is not block triangular
-        mats = {(0, 1): np.array([[0, 0], [1, 0]])}
-        s = hmod.structure_from_arrays(a2, 1, 2, (2, 2), mats)
-        with pytest.raises(NotNested):
-            reduction.StructureChain(
-                s, (RankVector((1, 1)), RankVector((2, 2))))
-        with pytest.raises(NotNested):
-            reduction.StructureChain(
-                hmod.to_structure_matrices(n_module(a2, 1, 2)),
-                (RankVector((2, 2)), RankVector((1, 1))))
+        flag = leading_flag(padded(s), (0, 0))
+        assert all(sub.dim == 0 for sub in flag.layers[0])
+        check_padded_leading_flag(s, (0, 0))
 
 
 class TestReduceHom:
@@ -287,7 +324,7 @@ class TestTwistedReduction:
                 s = hmod.random_structure(datum, k - 1, 3, (2, 1),
                                           seed=("twr", k, t))
                 m = hmod.from_structure_matrices(s)
-                lifted = reduction.lift(s)
+                lifted = padded(s)
                 assert hmod.rank_vector(lifted) == (2, 1)
                 back = reduction.reduce(lifted).module
                 assert hmod.modules_equal(back, m)
@@ -320,31 +357,18 @@ class TestReduceModPCommutes:
 
 class TestRandomChainLifts:
     def test_random_block_triangular_chains(self, a2, b2, kronecker):
-        rng = np.random.default_rng(55)
-        for datum in (a2, b2, kronecker):
-            for t in range(5):
-                k = int(rng.integers(1, 3))
-                s = hmod.random_structure(datum, k, 3, (2, 2),
-                                          seed=("chain", t))
-                mats = {key: np.array(arr) for key, arr in s.mats.items()}
-                # zero the blocks so the leading generator at each vertex
-                # spans a submodule
-                for (i, j), arr in mats.items():
-                    cols = abs(datum.c[i][j]) * 1
-                    arr[1:, :cols, :] = 0
-                s2 = hmod.structure_from_arrays(datum, k, 3, (2, 2), mats)
-                chain = reduction.StructureChain(
-                    s2, (RankVector((1, 1)), RankVector((2, 2))))
-                lifted = reduction.lift_chain(chain)
-                layer = lifted.layers[0]
-                m = lifted.module
-                for label, mat, i, j in m.maps_with_labels():
-                    image = (mat @ layer[j].basis.T).T
-                    assert layer[i].contains_rows(image), label
-                red = reduction.reduce(m)
-                for i in range(m.n):
-                    reduced_layer = la.Subspace.from_rows(
-                        red.subspaces[i].quotient_coords(layer[i].basis.T).T,
-                        red.module.dims[i], 3)
-                    assert reduced_layer == reduction.generator_span(
-                        red.module, (1, 1))[i]
+        """Every proper leading rank e of every rank r <= (2, 2) at levels
+        k <= 3 over p <= 3, one random triangular structure each at level
+        k - 1; some fibers are positive dimensional, so the lift is one
+        point among several."""
+        dims = []
+        for k, p, datum in itertools.product((2, 3), (2, 3),
+                                             (a2, b2, kronecker)):
+            for r in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+                for e in itertools.product(*(range(x + 1) for x in r)):
+                    if e in ((0, 0), r):
+                        continue
+                    s = triangular_structure(datum, k - 1, p, r, e,
+                                             seed=("chain", k, p, r, e))
+                    dims.append(check_padded_leading_flag(s, e))
+        assert max(dims) >= 1

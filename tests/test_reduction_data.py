@@ -175,7 +175,7 @@ class TestMemo:
         bar = reduction.reduce(m).module
         bases = [base for brseq in SEQS
                  for base in flagvar.iter_flags(bar, brseq)]
-        flags = flagvar.enumerate_flags(m, SEQS[2])
+        flags = list(flagvar.iter_flags(m, SEQS[2]))
         assert len(bases) > 2 and flags
         reduces = _counting(monkeypatch, reduction, "reduce")
         records = _counting(monkeypatch, flagvar, "_ReductionData")
@@ -189,7 +189,7 @@ class TestMemo:
 
     def test_reduce_flag_and_fiber_share_the_record(self, a2, monkeypatch):
         m = hmod.random_locally_free(a2, 3, 2, (2, 1), seed=22)
-        flag = flagvar.enumerate_flags(m, SEQS[0])[0]
+        flag = list(flagvar.iter_flags(m, SEQS[0]))[0]
         reduces = _counting(monkeypatch, reduction, "reduce")
         image = flagvar.reduce_flag(m, flag)
         fib = flagvar.fiber_of_reduction(m, image)
@@ -314,7 +314,7 @@ def _warm_case(a2):
     """A module whose fiber record is built, with its base flags."""
     m = hmod.random_locally_free(a2, 2, 2, (2, 1), seed=8)
     bar = reduction.reduce(m).module
-    bases = flagvar.enumerate_flags(bar, SEQS[2])
+    bases = list(flagvar.iter_flags(bar, SEQS[2]))
     assert len(bases) > 2
     assert not flagvar.fiber_of_reduction(m, bases[0]).empty
     return m, bases
@@ -327,7 +327,7 @@ class TestPerBaseChecksWithWarmRecord:
     def test_base_of_another_module(self, a2):
         m, _ = _warm_case(a2)
         other = hmod.free_module(a2, 1, 2, (2, 1))
-        base = flagvar.enumerate_flags(other, SEQS[2])[0]
+        base = list(flagvar.iter_flags(other, SEQS[2]))[0]
         for _ in range(3):
             with pytest.raises(FlagNotInReduction, match="does not live"):
                 flagvar.fiber_of_reduction(m, base)
@@ -356,8 +356,8 @@ class TestPerBaseChecksWithWarmRecord:
 
     def test_invariance(self, a2, monkeypatch):
         m = hmod.random_locally_free(a2, 2, 2, (2, 1), seed=8)
-        bases = flagvar.enumerate_flags(reduction.reduce(m).module,
-                                        SEQS[2])
+        bases = list(flagvar.iter_flags(reduction.reduce(m).module,
+                                         SEQS[2]))
         original = flagvar.FlagOfSubmodules._check
 
         def check(self):
@@ -389,8 +389,8 @@ class TestPerBaseChecksWithWarmRecord:
 
     def test_built_flags_validated(self, a2, monkeypatch):
         m = hmod.random_locally_free(a2, 3, 2, (2, 1), seed=8)
-        bases = flagvar.enumerate_flags(reduction.reduce(m).module,
-                                        SEQS[2])
+        bases = list(flagvar.iter_flags(reduction.reduce(m).module,
+                                         SEQS[2]))
         assert not flagvar.fiber_of_reduction(m, bases[0]).empty
         original = la.solve
 
@@ -446,7 +446,7 @@ class TestReduceFlagChecksTheFlag:
     def test_wrong_ambient_rejected(self, a2):
         m = hmod.random_locally_free(a2, 2, 2, (2, 1), seed=4)
         other = hmod.free_module(a2, 2, 2, (1, 2))
-        f = flagvar.enumerate_flags(other, [(1, 1), (0, 1)])[0]
+        f = list(flagvar.iter_flags(other, [(1, 1), (0, 1)]))[0]
         with pytest.raises(ValidationError):
             flagvar.reduce_flag(m, f)
 

@@ -341,7 +341,7 @@ class TestTangentInputs:
     def test_layers_not_nested(self, a2):
         m = hmod.free_module(a2, 2, 3, (2, 1))
         seq = ((1, 0), (0, 1), (1, 0))
-        flags = flagvar.enumerate_flags(m, seq)
+        flags = list(flagvar.iter_flags(m, seq))
         mixed = [(a.layers[0], b.layers[1]) for a, b in
                  itertools.product(flags, flags)
                  if not all(contains(v, u) for u, v in zip(a.layers[0],

@@ -75,7 +75,7 @@ class TestA3Flags:
             expected = sum(euler_form(a3, a, b, k=k)
                            for idx, a in enumerate(brseq)
                            for b in brseq[idx + 1:])
-            for flag in flagvar.enumerate_flags(m, brseq):
+            for flag in flagvar.iter_flags(m, brseq):
                 assert flagvar.tangent_dimension(m, flag) == expected
 
     def test_fibers_partition(self, a3):
@@ -85,7 +85,7 @@ class TestA3Flags:
         d = flag_dimension(a3, brseq)
         base_mod = reduction.reduce(m).module
         total = 0
-        for base in flagvar.enumerate_flags(base_mod, brseq):
+        for base in flagvar.iter_flags(base_mod, brseq):
             fib = flagvar.fiber_of_reduction(m, base)
             assert not fib.empty and fib.dimension == d
             total += fib.point_count()
@@ -137,7 +137,7 @@ class TestLongFlags:
         d = flag_dimension(a3, brseq)
         base_mod = reduction.reduce(m).module
         total = 0
-        bases = flagvar.enumerate_flags(base_mod, brseq)
+        bases = list(flagvar.iter_flags(base_mod, brseq))
         assert bases
         for base in bases:
             fib = flagvar.fiber_of_reduction(m, base)
@@ -147,5 +147,5 @@ class TestLongFlags:
         expected = sum(euler_form(a3, a, b, k=2)
                        for idx, a in enumerate(brseq)
                        for b in brseq[idx + 1:])
-        for flag in flagvar.enumerate_flags(m, brseq)[:20]:
+        for flag in list(flagvar.iter_flags(m, brseq))[:20]:
             assert flagvar.tangent_dimension(m, flag) == expected

@@ -1,7 +1,7 @@
 """Inputs outside the supported range fail with a typed error instead of
 returning an answer: Hom checks across algebras, rank sequences of the
-closed-form count, the level range and generator ranks of `reduction`,
-and matrix entries and integers read from outside that are not integers."""
+closed-form count, the level range of `reduction`, and matrix entries
+and integers read from outside that are not integers."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,10 @@ from cartanquiver.errors import (
     DatumMismatch,
     LengthMismatch,
     NotAHomomorphism,
-    NotInvariant,
-    RankTooLarge,
     ValidationError,
 )
 
-from conftest import dims_eps_file, unitriangular_conjugate
+from conftest import dims_eps_file
 
 
 class TestHomAcrossAlgebras:
@@ -75,38 +73,6 @@ def test_closed_form_count_still_counts(no_arrows):
 def test_rigid_transfer_needs_a_level(a2, k_max):
     with pytest.raises(ValidationError):
         reduction.rigid_transfer_check(a2, 2, (1, 1), k_max=k_max)
-
-
-class TestGeneratorSpan:
-    def test_rejects_bad_ranks(self, a2):
-        m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=1)
-        with pytest.raises(LengthMismatch):
-            reduction.generator_span(m, (1, 0, 0))
-        with pytest.raises(RankTooLarge):
-            reduction.generator_span(m, (5, 0))
-        with pytest.raises(RankTooLarge):
-            reduction.generator_span(m, (0, 2))
-
-    def test_spans_leading_generators(self, a2):
-        m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=1)
-        full = reduction.generator_span(m, (2, 1))
-        assert [u.dim for u in full] == list(m.dims)
-        assert [u.dim for u in reduction.generator_span(m, (1, 0))] == [2, 0]
-
-    def test_refuses_module_not_in_standard_form(self, a2):
-        """In another basis at vertex 1 the leading coordinates need not
-        span a submodule: generator_span refuses the module instead of
-        returning subspaces that hmod.submodule rejects."""
-        m = hmod.random_locally_free(a2, 2, 3, (2, 1), seed=1)
-        conj = unitriangular_conjugate(m, {0}, np.random.default_rng(2))
-        assert not conj.standard_form
-        leading = tuple(la.Subspace.from_rows(
-            la.identity(d)[:order], d, 3)
-            for d, order in zip(conj.dims, (2, 0)))
-        with pytest.raises(NotInvariant):
-            hmod.submodule(conj, leading)
-        with pytest.raises(ValidationError, match="standard form"):
-            reduction.generator_span(conj, (1, 0))
 
 
 class TestHomCoordinates:
