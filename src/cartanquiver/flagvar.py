@@ -17,7 +17,7 @@ read.  A search refuses to start, with BudgetExceeded, when any vertex has
 more than VERTEX_CANDIDATE_BUDGET candidates; a count with no active arrow
 is a closed-form product and is never refused.  Flags recurse inside each
 closed top layer in the basis of its chart rows, where the submodule is
-valid by construction (`_chart_module`), so no inner layer is split,
+valid by construction (`hmod._restrict`), so no inner layer is split,
 normalized, eliminated or validated.  Flags of length l are
 chains over the tensor algebra with the path algebra of a linear quiver
 on l-1 vertices, which gives their tangent spaces (one Hom solve).  One
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import types
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -458,7 +457,7 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
         maps = [(f"layer {t + 1} not closed under "
                  f"{'loop' if i == j else 'arrow'} {label}", x, i, j)
                 for label, x, i, j in own]
-        sides, pairs = hmod._split_blocks(m, layer, maps, True)
+        sides, pairs = hmod._split_blocks(m, layer, maps)
         for i in range(m.n):
             order = m.loop_order(i)
             dim = layer[i].dim
@@ -474,7 +473,7 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
     return splits, [
         [hmod._blocks(f"layers {t + 1} and {t + 2} are not nested: the "
                       f"inclusion at vertex {i + 1}", la.identity(d),
-                      src[i], tgt[i], True) for i, d in enumerate(m.dims)]
+                      src[i], tgt[i]) for i, d in enumerate(m.dims)]
         for t, (src, tgt) in enumerate(zip(layers, layers[1:]))]
 
 
@@ -518,47 +517,25 @@ def _checked_seq(m: HModule, brseq):
     return seq
 
 
-def _chart_module(m: HModule, e: RankVector, pairs) -> HModule:
-    """The submodule of m spanned by the chosen charts `pairs` (one
-    (table, chart) per vertex, closed under every arrow) in the basis of
-    its chart rows B_i: standard Jordan loops with e_i blocks, and per
-    arrow a: M_j -> M_i the block (a B_j^T)[P_i] at the pivot columns P_i
-    of B_i.  Built without `make_module`: it is valid by construction (see
-    `_layer_chains`) and never leaves the flag recursion."""
-    p = m.p
-    eps = tuple(hmod._frozen(hmod._standard_loop(m.loop_order(i), e[i]))
-                for i in range(m.n))
-    arrows = {}
-    for (i, j), mats in m.arrows.items():
-        (target, t), (source, s) = pairs[i], pairs[j]
-        arrows[(i, j)] = tuple(
-            hmod._frozen((a.take(target.pivots[t], 0) @ source.basis[s].T) % p)
-            for a in mats)
-    return HModule(m.datum, m.k, p, tuple(x.shape[0] for x in eps), eps,
-                   types.MappingProxyType(arrows))
-
-
 def _layer_chains(m: HModule, seq, count: bool):
     """Depth first over the flags of m, which is in standard form, with
     subquotient ranks seq (which sum to the rank of m): the top proper
     layer runs over the closed charts of the Grassmannian, and the rest
-    recurses inside the `_chart_module` of each, in the basis of its chart
-    rows B_i, with no split, normalization, elimination or validation.
+    recurses inside the `hmod._restrict` of m to each, in the basis of its
+    chart rows B_i, with no split, normalization, elimination or
+    validation.
 
-    That record is valid by construction.  Row col*m + shift of a chart is
-    eps^shift times ring column col, and m is in standard form, so the
-    loop takes it to the next row of its column (to 0 past the last): the
-    restricted loop is the standard Jordan matrix.  An arrow a: M_j -> M_i
-    restricts to the X with a B_j^T = B_i^T X; B_i is the identity on its
-    pivot columns P_i, so X = (a B_j^T)[P_i], the coefficients whose
-    residue a B_j^T - B_i^T X `_closed` found zero for every active arrow.
-    An inactive arrow is zero, has a zero source layer (an empty block),
-    or has a full target layer, whose one chart is the identity, so
-    X = a B_j^T.  Hence B_i^T X' = X B_j^T for every loop and arrow X, with
-    each B^T injective: every polynomial relation among the maps of m,
-    (H1) and (H2) among them, holds among the restricted maps, and the
-    record is a locally free module in standard form, of the rank of the
-    top layer.
+    That record is valid by construction (see `hmod._restrict`): the
+    chart rows are the identity on their pivot columns P_i and span an
+    invariant subspace.  Every active arrow maps the chart at j into the
+    chart at i, since `_closed` found the residue a B_j^T - B_i^T X zero
+    at X = (a B_j^T)[P_i]; an inactive arrow is zero, has a zero source
+    layer (an empty block), or has a full target layer, whose one chart is
+    the identity.  Row col*m + shift of a chart is eps^shift times ring
+    column col, and m is in standard form, so the loop takes it to the
+    next row of its column (to 0 past the last): the restricted loop is
+    the standard Jordan matrix, and the record is a locally free module in
+    standard form, of the rank of the top layer.
 
     Yields each flag as its layers' (table, chart) pairs per vertex,
     bottom first, each in the chart basis of the layer above it (the top
@@ -577,7 +554,8 @@ def _layer_chains(m: HModule, seq, count: bool):
         if len(seq) == 2:
             yield [pairs]
             continue
-        inner = _chart_module(m, top_rank, pairs)
+        inner = hmod._restrict(m, [block.basis[t] for block, t in pairs],
+                               [block.pivots[t] for block, t in pairs])
         for chain in _layer_chains(inner, seq[:-1], count):
             yield chain if count else chain + [pairs]
 

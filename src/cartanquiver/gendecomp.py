@@ -2,7 +2,10 @@
 
 Explicit modules are split with Fitting's lemma: for an endomorphism phi,
 M = ker(phi^N) + im(phi^N) is a direct decomposition, so any phi that is
-neither nilpotent nor invertible splits M.  A module with one non-zero
+neither nilpotent nor invertible splits M.  Both pieces are restrictions
+of M to those invariant subspaces in their RREF bases (`hmod._restrict`),
+valid by construction since phi has passed the substitution check of a
+homomorphism, so no piece is validated again.  A module with one non-zero
 vertex whose loop is a single nilpotent Jordan block, as every rank-one
 piece E_i is, has End(M) = F_p[x]/(x^d), a local ring: it is
 indecomposable, with an exhaustive certificate at any budget, and no
@@ -91,12 +94,10 @@ def _fitting_split(m: HModule, powers) -> Optional[tuple]:
     """Subspace pair (im, ker) of the Fitting powers f_i^N (one per vertex,
     N >= dim M) when they split M non-trivially."""
     p = m.p
-    total = m.total_dim()
-    im_dim = sum(la.rank(fi, p) for fi in powers)
-    if im_dim == 0 or im_dim == total:
-        return None
     ims = tuple(Subspace.from_rows(fi.T, m.dims[i], p)
                 for i, fi in enumerate(powers))
+    if sum(u.dim for u in ims) in (0, m.total_dim()):
+        return None
     kers = tuple(Subspace.from_rows(la.kernel_basis_matrix(fi, p),
                                     m.dims[i], p)
                  for i, fi in enumerate(powers))
@@ -299,8 +300,10 @@ def krull_schmidt(m: HModule, seed=0, verify: bool = True
     whole, exhaustively at any budget; the others along the End basis,
     then by the idempotent scan when p^dim End <= IDEMPOTENT_BUDGET, and
     only past that budget along SPLIT_TRIALS random endomorphisms, so
-    SPLIT_TRIALS matters only for pieces whose scan is over budget.  The
-    rebuilt direct sum is checked against M (invariant); certainty is the
+    SPLIT_TRIALS matters only for pieces whose scan is over budget.  Both
+    Fitting pieces of a split are built by `hmod._restrict` with no
+    `make_module` or `validate_module` call (see there).  The rebuilt
+    direct sum is checked against M (invariant); certainty is the
     weakest certificate among the returned parts.  Inside a decomposition
     call, a piece equal to a piece decided before in the call reuses that
     decision (`_find_split`).
@@ -324,9 +327,9 @@ def krull_schmidt(m: HModule, seed=0, verify: bool = True
                 certainty = MONTE_CARLO
             pieces.append(cur)
             continue
-        ims, kers = split
-        stack.append(hmod.submodule(cur, ims))
-        stack.append(hmod.submodule(cur, kers))
+        for half in split:
+            stack.append(hmod._restrict(cur, [u.basis for u in half],
+                                        [u.pivots for u in half]))
     groups: list[list[HModule]] = []
     for piece in pieces:
         for group in groups:

@@ -26,6 +26,12 @@ matrix_to_ring convert between ring entries and generator-major matrices.
 
 A module is its matrices: its integer lift, used for cross-prime counts, is
 its entries read as integers in 0..p-1 (`reduce_mod_p`).
+
+Sub and quotient modules along per-vertex invariant subspaces are read off
+their RREF bases: a quotient from the checked blocks of `_blocks`, validated
+at its level, and a restriction by one rule, `_restrict`, valid by
+construction and not validated again (the sub half of `sub_quotient`, the
+Krull-Schmidt pieces and the chart records of the flag recursion).
 """
 
 from __future__ import annotations
@@ -514,42 +520,38 @@ class Quotient:
         quotient block of `_blocks`, whose invariance test checks that f_i
         maps the source subspace into this one."""
         try:
-            return tuple(_blocks("f", fi, src, tgt, True)[1] for fi, src, tgt
+            return tuple(_blocks("f", fi, src, tgt)[1] for fi, src, tgt
                          in zip(f, source.subspaces, self.subspaces))
         except NotInvariant as exc:
             raise InternalCheckError("induced map not well defined") from exc
 
 
-def _blocks(label: str, x: np.ndarray, u_j: la.Subspace, u_i: la.Subspace,
-            quotient: bool) -> tuple:
+def _blocks(label: str, x: np.ndarray, u_j: la.Subspace, u_i: la.Subspace
+            ) -> tuple:
     """The blocks of a map x: M_j -> M_i between subspaces U_j and U_i with
     RREF bases B_j, B_i, pivots P and coordinates O off the pivots, by one
     residue rule: q_i x = X[O_i] - B_i[:, O_i]^T X[P_i] is
     `Subspace.quotient_coords`, the projection q_i onto M_i / U_i applied
     to x.  On the subspaces the block is X[P_i] B_j^T, the rows
-    P_i of x B_j^T; when `quotient`, on the quotients it is
+    P_i of x B_j^T; on the quotients it is
     q_i x s_j = X[O_i, O_j] - B_i[:, O_i]^T X[P_i, O_j] (s_j selects the
-    columns O_j), else None; both read-only.  Raises NotInvariant unless x
-    maps U_j into U_i, that is unless q_i x B_j^T == 0."""
+    columns O_j); both read-only.  Raises NotInvariant unless x maps U_j
+    into U_i, that is unless q_i x B_j^T == 0."""
     p = u_i.p
     qx = u_i.quotient_coords(x)
     if ((qx @ u_j.basis.T) % p).any():
         raise NotInvariant(f"{label}: the subspace is not mapped into the "
                            f"target subspace")
-    sub = _frozen((x.take(u_i.pivots, 0) @ u_j.basis.T) % p)
-    if not quotient:
-        return sub, None
-    return sub, _frozen(qx.take(u_j.off_pivots, 1))
+    return (_frozen((x.take(u_i.pivots, 0) @ u_j.basis.T) % p),
+            _frozen(qx.take(u_j.off_pivots, 1)))
 
 
-def _split_blocks(m: HModule, subspaces, maps, quotients: bool
-                  ) -> tuple[list, dict]:
+def _split_blocks(m: HModule, subspaces, maps) -> tuple[list, dict]:
     """The checked block pass of a split of m along per-vertex subspaces
     U_i: the subspaces, and per pair (i, j) the `_blocks` of the maps
-    (label, X, i, j) of `maps` into that pair, in order, with quotient
-    blocks only when `quotients`.  Raises ShapeMismatch for subspaces that
-    do not fit m, NotInvariant at the first map that does not preserve
-    them."""
+    (label, X, i, j) of `maps` into that pair, in order.  Raises
+    ShapeMismatch for subspaces that do not fit m, NotInvariant at the
+    first map that does not preserve them."""
     subs = list(subspaces)
     if len(subs) != m.n:
         raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
@@ -559,42 +561,47 @@ def _split_blocks(m: HModule, subspaces, maps, quotients: bool
     pairs = {}
     for label, x, i, j in maps:
         pairs.setdefault((i, j), []).append(
-            _blocks(label, x, subs[j], subs[i], quotients))
+            _blocks(label, x, subs[j], subs[i]))
     return subs, pairs
 
 
-def _split(m: HModule, subspaces, sub: bool, k: Optional[int]
-           ) -> tuple[Optional[HModule], Optional[Quotient]]:
-    """The split of m along per-vertex subspaces U_i: from the block pass
-    `_split_blocks(m, U, m.maps_with_labels(), k is not None)`, the
-    submodule when `sub` and the quotient at level k, unless k is None."""
-    subs, pairs = _split_blocks(m, subspaces, m.maps_with_labels(),
-                                k is not None)
+def _restrict(m: HModule, bases, pivots) -> HModule:
+    """The restriction of m to per-vertex invariant subspaces U_i spanned
+    by rows B_i = bases[i], the identity on the columns P_i = pivots[i]:
+    each loop and arrow x: M_j -> M_i becomes the read-only
+    X' = (x B_j^T)[P_i], the X' with x B_j^T = B_i^T X'.
 
-    def half(h: int, level: int) -> HModule:
-        return make_module(m.datum, level, m.p,
-                           [pairs[(i, i)][0][h] for i in range(m.n)],
-                           {key: [b[h] for b in pairs[key]]
-                            for key in m.arrows})
+    Valid by construction, so no `make_module`: with B_i^T X' = x B_j^T
+    for every map and each B^T injective, every polynomial relation among
+    the maps of m, (H1) and (H2) among them, holds among the X'.  The
+    caller vouches for invariance: `sub_quotient` by its block pass, the
+    flag recursion by its closure search (`flagvar._layer_chains`), and
+    `gendecomp.krull_schmidt` for im phi^N and ker phi^N, invariant since
+    phi has passed the substitution check of a homomorphism, so phi^N
+    commutes with every loop and arrow."""
+    p = m.p
 
-    sub_module = half(0, m.k) if sub else None
-    if k is None:
-        return sub_module, None
-    return sub_module, Quotient(half(1, k), tuple(subs))
+    def block(x: np.ndarray, i: int, j: int) -> np.ndarray:
+        return _frozen((x.take(pivots[i], 0) @ bases[j].T) % p)
+
+    eps = tuple(block(x, i, i) for i, x in enumerate(m.eps))
+    arrows = {key: tuple(block(a, *key) for a in mats)
+              for key, mats in m.arrows.items()}
+    return HModule(m.datum, m.k, p, tuple(b.shape[0] for b in bases), eps,
+                   types.MappingProxyType(arrows))
 
 
 def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:
-    """M/U along per-vertex invariant subspaces U_i, validated at level k
-    (by default the level of m).  Raises NotInvariant when some loop or
-    arrow does not descend to the quotient."""
-    return _split(m, subspaces, False, m.k if k is None else k)[1]
-
-
-def submodule(m: HModule, subspaces) -> HModule:
-    """The restriction to per-vertex invariant subspaces U_i, in the
-    coordinates of their RREF bases.  Raises NotInvariant when some loop
-    or arrow does not preserve the given subspaces."""
-    return _split(m, subspaces, True, None)[0]
+    """M/U along per-vertex invariant subspaces U_i: the quotient blocks of
+    the block pass `_split_blocks`, validated by `make_module` at level k
+    (by default the level of m).  Raises ShapeMismatch for subspaces that
+    do not fit m, NotInvariant when some loop or arrow does not descend
+    to the quotient."""
+    subs, pairs = _split_blocks(m, subspaces, m.maps_with_labels())
+    mod = make_module(m.datum, m.k if k is None else k, m.p,
+                      [pairs[(i, i)][0][1] for i in range(m.n)],
+                      {key: [b[1] for b in pairs[key]] for key in m.arrows})
+    return Quotient(mod, tuple(subs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,10 +611,13 @@ class SubQuotient:
 
 
 def sub_quotient(m: HModule, subspaces) -> SubQuotient:
-    """Restrict and quotient along per-vertex invariant subspaces, from one
-    split.  Raises NotInvariant when some loop or arrow does not preserve
-    the given subspaces."""
-    return SubQuotient(*_split(m, subspaces, True, m.k))
+    """Restrict and quotient along per-vertex invariant subspaces: the
+    `quotient` first, whose block pass raises ShapeMismatch and
+    NotInvariant as it does, then the submodule in the coordinates of the
+    RREF bases by `_restrict`."""
+    q = quotient(m, subspaces)
+    return SubQuotient(_restrict(m, [u.basis for u in q.subspaces],
+                                 [u.pivots for u in q.subspaces]), q)
 
 
 # --- the central nilpotent and reduction mod other primes -------------------

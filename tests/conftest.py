@@ -680,7 +680,7 @@ def reference_flag_check(flag):
 def reference_layer_chains(m, seq, count):
     """flagvar._layer_chains before the chart basis: the top proper layer
     runs over the Grassmannian of m (normalized when m is not in standard
-    form), and the rest recurses inside `hmod.submodule(m, top)`, split,
+    form), and the rest recurses inside `reference_submodule(m, top)`,
     validated and normalized again, in the RREF basis of the top layer.
     Yields each flag's layers bottom first, as tuples of subspaces of m,
     or with count=True numbers of flags that sum to the total."""
@@ -696,7 +696,7 @@ def reference_layer_chains(m, seq, count):
         if len(seq) == 2:
             yield [tup]
             continue
-        inner = hmod.submodule(m, tup)
+        inner, _ = reference_submodule(m, tup)
         incl = [u.basis.T for u in tup]
         for chain in reference_layer_chains(inner, seq[:-1], count):
             if count:

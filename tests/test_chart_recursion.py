@@ -56,28 +56,30 @@ def flagged_module(datum, k, p, seq, seed):
 
 @contextlib.contextmanager
 def checked_records(checks):
-    """Run with every chart record of the recursion checked on the way:
-    `hmod.validate_module` passes on it, its loops are standard, and
+    """Run with every chart record of the recursion (`hmod._restrict` of a
+    module to the chart rows B of a closed top layer) checked on the way:
+    `hmod.validate_module` passes on it, its loops are standard, its rank
+    is e, the rows of the charts over the loop orders, and
     B_i^T X' == X B_j^T for every loop and arrow X of the module above it
-    and its restriction X', with B the chart rows.  `checks` collects one
-    entry per record."""
-    original = flagvar._chart_module
+    and its restriction X'.  `checks` collects one entry per record."""
+    original = hmod._restrict
 
-    def checked(m, e, pairs):
-        record = original(m, e, pairs)
+    def checked(m, bases, pivots):
+        record = original(m, bases, pivots)
         hmod.validate_module(record)
         assert record.standard_form
+        e = tuple(len(rows) // m.loop_order(i)
+                  for i, rows in enumerate(bases))
         assert hmod.rank_vector(record) == e
-        rows = [block.basis[t] for block, t in pairs]
         for (label, x, i, j), (_, xr, _, _) in zip(
                 m.maps_with_labels(), record.maps_with_labels()):
-            assert np.array_equal((x @ rows[j].T) % m.p,
-                                  (rows[i].T @ xr) % m.p), label
+            assert np.array_equal((x @ bases[j].T) % m.p,
+                                  (bases[i].T @ xr) % m.p), label
         checks.append(record)
         return record
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flagvar, "_chart_module", checked)
+        patch.setattr(hmod, "_restrict", checked)
         yield
 
 
@@ -186,7 +188,8 @@ def test_inner_layers_build_no_module(name, k, p, seq, scramble):
     records, calls = [], []
     with checked_records(records), pytest.MonkeyPatch.context() as patch:
         for owner, attr in ((hmod, "make_module"), (hmod, "validate_module"),
-                            (hmod, "_split"), (hmod, "normalize")):
+                            (hmod, "quotient"), (hmod, "sub_quotient"),
+                            (hmod, "normalize")):
             _counting(patch, owner, attr, calls)
         _counting(patch, Subspace, "from_rows", calls, static=True)
         assert flagvar.point_count(m, seq) == want

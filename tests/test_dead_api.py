@@ -192,7 +192,8 @@ def test_removed_budget_keywords(a2, fn, keyword):
 
 
 # the chain lift and the list wrappers that the fibers of reduction and
-# list(iter_*) replaced, and the error only the chain lift raised
+# list(iter_*) replaced, the error only the chain lift raised, and the
+# submodule builder that `hmod._restrict` replaced
 REMOVED_NAMES = [
     (cartanquiver, "lift"),
     (cartanquiver, "lift_chain"),
@@ -207,6 +208,7 @@ REMOVED_NAMES = [
     (flagvar, "enumerate_flags"),
     (flagvar, "enumerate_locally_free_submodules"),
     (errors, "NotNested"),
+    (hmod, "submodule"),
 ]
 
 

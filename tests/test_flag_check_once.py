@@ -241,7 +241,8 @@ def test_tangent_builds_no_module(request, name, monkeypatch):
             return original(*args, **kwargs)
         return call
 
-    for owner, attr in ((hmod, "make_module"), (hmod, "_split"),
+    for owner, attr in ((hmod, "make_module"), (hmod, "quotient"),
+                        (hmod, "sub_quotient"), (hmod, "_split_blocks"),
                         (hmod, "validate_module"),
                         (flagvar.TensorModule, "__post_init__")):
         monkeypatch.setattr(owner, attr,

@@ -1,7 +1,9 @@
-"""The one split of a module along invariant subspaces (`hmod._split` and
-its block rule `hmod._blocks`) against the constructions it replaces, kept
-as oracles in conftest: `submodule`, `quotient`, `sub_quotient`, and the
-tensor modules of a flag against the two chains of its tangent Hom."""
+"""The split of a module along invariant subspaces (the block pass
+`hmod._split_blocks`, its block rule `hmod._blocks` and the restriction
+`hmod._restrict`) against the constructions it replaces, kept as oracles
+in conftest: the submodule and the quotient of `sub_quotient`, `quotient`,
+and the tensor modules of a flag against the two chains of its tangent
+Hom."""
 
 import dataclasses
 import itertools
@@ -28,7 +30,6 @@ from conftest import (
     reference_flag_tensor_modules,
     reference_quotient,
     reference_sub_quotient,
-    reference_submodule,
 )
 from reference_linalg import quotient_map
 
@@ -78,8 +79,9 @@ def _scan(m, rng, randoms):
 
 def test_split_matches_reference(request):
     """Sub and quotient modules byte-identical to the oracles, with the
-    same subspaces, quotients at the levels k, k - 1 and 1; every tuple
-    the oracles reject raises the same class."""
+    same subspaces, quotients at the levels k, k - 1 and 1; every sub
+    module valid; every tuple the oracles reject raises the same
+    class."""
     accepted = rejected = 0
     for name in DATA:
         datum = request.getfixturevalue(name)
@@ -87,12 +89,6 @@ def test_split_matches_reference(request):
         for k, p, r in MODULES:
             m = hmod.random_locally_free(datum, k, p, r, seed=(k, p))
             for u in _scan(m, rng, 12):
-                got = _outcome(hmod.submodule, m, u)
-                want = _outcome(reference_submodule, m, u)
-                if isinstance(want, type):
-                    assert got is want
-                else:
-                    assert _same_module(got, want[0])
                 for level in {m.k, m.k - 1, 1} - {0}:
                     assert _same_quotient(
                         _outcome(hmod.quotient, m, u, level),
@@ -104,6 +100,7 @@ def test_split_matches_reference(request):
                     rejected += 1
                     continue
                 assert _same_module(got.sub, want[0])
+                hmod.validate_module(got.sub)
                 assert _same_quotient(got.quotient, want[2])
                 accepted += 1
     assert accepted >= 600 and rejected >= 400
@@ -165,7 +162,7 @@ class TestChecks:
         wide = [Subspace.zero(d + 1, 3) for d in m.dims]
         short = [Subspace.zero(m.dims[0], 3)]
         for subs in (other_prime, wide, short):
-            for build in (hmod.quotient, hmod.sub_quotient, hmod.submodule):
+            for build in (hmod.quotient, hmod.sub_quotient):
                 with pytest.raises(ShapeMismatch):
                     build(m, subs)
 
@@ -207,16 +204,15 @@ class TestChecks:
         small, big = flag.layers
         for i, d in enumerate(m.dims):
             incl, proj = hmod._blocks("id", np.eye(d, dtype=np.int64),
-                                      small[i], big[i], True)
+                                      small[i], big[i])
             q_big, _ = quotient_map(d, big[i])
             _, s_small = quotient_map(d, small[i])
             assert _same(small[i].basis.T, (big[i].basis.T @ incl) % 3)
             assert _same(proj, (q_big @ s_small) % 3)
         assert big[1].dim > small[1].dim
-        for quotient in (False, True):
-            with pytest.raises(NotInvariant):
-                hmod._blocks("id", np.eye(m.dims[1], dtype=np.int64),
-                             big[1], small[1], quotient)
+        with pytest.raises(NotInvariant):
+            hmod._blocks("id", np.eye(m.dims[1], dtype=np.int64),
+                         big[1], small[1])
 
 
 # A2, B2 both ways and Kronecker
@@ -267,19 +263,15 @@ def test_blocks_match_quotient_maps(case):
     img = (x @ u_j.basis.T) % p
     invariant = not ((q_i @ img) % p).any()
     assert invariant == u_i.contains_rows(img.T)
-    for quotient in (False, True):
-        if not invariant:
-            with pytest.raises(NotInvariant):
-                hmod._blocks("x", x, u_j, u_i, quotient)
-            continue
-        sub, quot = hmod._blocks("x", x, u_j, u_i, quotient)
-        assert _same((u_i.basis.T @ sub) % p, img)
-        assert not sub.flags.writeable
-        if quotient:
-            assert _same(quot, ((q_i @ x) % p @ s_j) % p)
-            assert not quot.flags.writeable
-        else:
-            assert quot is None
+    if not invariant:
+        with pytest.raises(NotInvariant):
+            hmod._blocks("x", x, u_j, u_i)
+        return
+    sub, quot = hmod._blocks("x", x, u_j, u_i)
+    assert _same((u_i.basis.T @ sub) % p, img)
+    assert not sub.flags.writeable
+    assert _same(quot, ((q_i @ x) % p @ s_j) % p)
+    assert not quot.flags.writeable
 
 
 def test_flags_and_tangents_build_no_quotient_map(a2, b2):
