@@ -4,39 +4,42 @@ tangent spaces, and the fibers of the reduction map between levels.
 Enumeration works per vertex first: the free rank-e submodules of a free
 module over F_p[x]/(x^m) are generated directly from ring-echelon charts
 (pivot rows carry the identity, rows between pivots are constrained to
-higher x-degree), which hits every eps-invariant free-restriction subspace
-exactly once.  The charts of a vertex are split into blocks; one
-backtracking search, which iterates or counts, tests a block of candidates
-at a time for arrow closure across vertices, and builds each block (one
-stacked array of chart rows, with no elimination: the rows of a chart are
-the identity on its pivot columns, which is all a closure test needs) when
-it first reaches it; only the candidates a search yields are reduced to
-canonical subspaces, once per block.  Built blocks of keys up to a size
-limit are cached, so a search that stops early builds only the blocks it
-read.  A search refuses to start, with BudgetExceeded, when any vertex has
-more than VERTEX_CANDIDATE_BUDGET candidates; a count with no active arrow
-is a closed-form product and is never refused.  Flags recurse inside each
-closed top layer in the basis of its chart rows, where the submodule is
-valid by construction (`hmod._restrict`), so no inner layer is split,
-normalized, eliminated or validated.  Flags of length l are
-chains over the tensor algebra with the path algebra of a linear quiver
-on l-1 vertices, which gives their tangent spaces (one Hom solve).  One
-flag check, on the block pass of a split of the module along each layer
-(`hmod._split_blocks`), tests invariance, freeness and nesting; its
-blocks are both chains of the tangent Hom, solved without building a
-module.  Each flag object is checked once: a flag is a value (tuples of
-subspaces with read-only bases), so it keeps the read-only blocks of its
-check as long as it lives, and its tangent space, its reduction and the
-fiber over it reuse them.  The fiber of the reduction map over a fixed
-lower-level flag is one affine linear system on the layers: every lift
-of a base layer is Z + graph(phi) with Z = eps^(k-1) of its preimage and
-phi a linear map into (eps^(k-1) M) / Z, and each loop, arrow and
-identity between layers gives one affine equation in the phi, whose
-right-hand side is the residue of the map on the base flag's sub block.
-The fiber dimension is checked against the tangent dimension at the
-image of that flag in the level-1 shadow of the reduction.  The
-reduction of a module, its shadow and the blocks of eps^(k-1) are
-computed once per module and kept as long as the module lives.
+higher x-degree), which hits every eps-invariant free-restriction
+subspace exactly once.  Each key (loop order, rank, sub rank, p) has one
+cached entry, which alone fixes its chart count, its block size and
+whether its blocks are kept (up to a size limit); one backtracking
+search, which iterates or counts, tests a block of candidates at a time
+for arrow closure across vertices, and builds each block (one stacked
+array of chart rows, with no elimination: the rows of a chart are the
+identity on its pivot columns, which is all a closure test needs) when
+it first reaches it, so a search that stops early builds only the blocks
+it read; only the candidates a search yields are reduced to canonical
+subspaces, once per block.  A search refuses to start, with
+BudgetExceeded, when any vertex has more than VERTEX_CANDIDATE_BUDGET
+candidates; a count with no active arrow is a closed-form product and is
+never refused.  Flags recurse inside each closed top layer in the basis
+of its chart rows, where the submodule is valid by construction
+(`hmod._restrict`), so no inner layer is split, normalized, eliminated
+or validated.  Flags of length l are chains over the tensor algebra with
+the path algebra of a linear quiver on l-1 vertices, which gives their
+tangent spaces (one Hom solve).  One flag check, on the block pass of a
+split of the module along each layer (`hmod._split_blocks`, one block
+list in the order of the module's maps), tests invariance, freeness and
+nesting; its blocks, zipped with the maps, are both chains of the
+tangent Hom, solved without building a module.  Each flag object is
+checked once: a flag is a value (tuples of subspaces with read-only
+bases), so it keeps the read-only blocks of its check as long as it
+lives, and its tangent space, its reduction and the fiber over it reuse
+them.  The fiber of the reduction map over a fixed lower-level flag is
+one affine linear system on the layers: every lift of a base layer is
+Z + graph(phi) with Z = eps^(k-1) of its preimage and phi a linear map
+into (eps^(k-1) M) / Z, and each loop, arrow and identity between layers
+gives one affine equation in the phi, whose right-hand side is the
+residue of the map on the base flag's sub block.  The fiber dimension is
+checked against the tangent dimension at the image of that flag in the
+level-1 shadow of the reduction.  The reduction of a module, its shadow
+and the blocks of eps^(k-1) are computed once per module and kept as
+long as the module lives.
 """
 
 from __future__ import annotations
@@ -130,11 +133,6 @@ _CANDIDATE_CACHE_SIZE = 256      # keys kept; a `count` bench pass uses 116
 _BLOCK_CELLS = 1 << 17           # int64 cells of row matrices per block
 
 
-def _block_size(m_order: int, r: int, e: int) -> int:
-    """Charts per block: about _BLOCK_CELLS cells of row matrices."""
-    return max(1, _BLOCK_CELLS // max(1, e * r * m_order * m_order))
-
-
 @dataclass(frozen=True, eq=False)
 class _CandidateTable:
     """A run of consecutive candidate submodules of one (m_order, r, e, p)
@@ -169,65 +167,62 @@ class _CandidateTable:
 
 def _new_table(m_order: int, r: int, e: int, p: int, start: int,
                stop: int) -> _CandidateTable:
-    """Charts start, ..., stop - 1 as a table, a block of charts at a time
-    into preallocated arrays, with no elimination.  The pivot of ring
-    column col is its first row with a non-zero constant term (rows above
-    it start in degree 1); every chart's rows must be the identity on the
-    columns P this gives, which also makes their rank e*m (the chart spans
-    a free submodule)."""
+    """Charts start, ..., stop - 1 as one table, with no elimination.  The
+    pivot of ring column col is its first row with a non-zero constant
+    term (rows above it start in degree 1); every chart's rows must be the
+    identity on the columns P this gives, which also makes their rank e*m
+    (the chart spans a free submodule)."""
     d = e * m_order
+    # the kept array is allocated before the temporaries, which then leave
+    # no hole under it: a `count` pass peaks about 1 MB lower
     basis = np.empty((stop - start, d, r * m_order), dtype=np.int64)
-    pivots = np.empty((stop - start, d), dtype=np.int64)
-    step = _block_size(m_order, r, e)
-    for lo in range(start, stop, step):
-        hi = min(stop, lo + step)
-        charts = _chart_block(m_order, r, e, p, lo, hi)
-        rows = _chart_rows(charts, m_order)
-        lead = ((charts[..., 0] != 0).argmax(axis=1) if d
-                else np.zeros((hi - lo, 0), dtype=np.int64))
-        cols = (lead[:, :, None] * m_order + np.arange(m_order)).reshape(
-            hi - lo, d)
-        if (np.take_along_axis(rows, cols[:, None, :], axis=2)
-                != la.identity(d)).any():
-            raise InternalCheckError(
-                "a ring-echelon chart is not the identity on its pivot "
-                "columns")
-        basis[lo - start:hi - start] = rows
-        pivots[lo - start:hi - start] = cols
+    charts = _chart_block(m_order, r, e, p, start, stop)
+    basis[...] = _chart_rows(charts, m_order)
+    lead = ((charts[..., 0] != 0).argmax(axis=1) if d
+            else np.zeros((stop - start, 0), dtype=np.int64))
+    pivots = (lead[:, :, None] * m_order + np.arange(m_order)).reshape(
+        stop - start, d)
+    if (np.take_along_axis(basis, pivots[:, None, :], axis=2)
+            != la.identity(d)).any():
+        raise InternalCheckError(
+            "a ring-echelon chart is not the identity on its pivot columns")
     basis.setflags(write=False)
     pivots.setflags(write=False)
     return _CandidateTable(p, r * m_order, basis, pivots)
 
 
-class _KeyBlocks(list):
-    """The blocks of one key, None until `_candidate_blocks` first reaches
-    them (no block of a key over _CANDIDATE_CACHE_LIMIT charts is kept),
-    and the key's chart count `charts`."""
+class _KeyEntry(NamedTuple):
+    """What every search over one key reads: its chart count, its charts
+    per block, and its blocks, each None until a search first reaches it,
+    or None for a key over _CANDIDATE_CACHE_LIMIT charts, whose blocks are
+    never kept."""
 
     charts: int
+    step: int
+    blocks: Optional[list]
 
 
 @functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
-def _vertex_candidates(m_order: int, r: int, e: int, p: int) -> _KeyBlocks:
-    """The blocks and chart count of one key; the blocks are filled in
-    place, so every search over the key shares them, and every search
-    reads the count without recounting the charts."""
+def _vertex_candidates(m_order: int, r: int, e: int, p: int) -> _KeyEntry:
+    """The entry of one key: its chart count, its charts per block (about
+    _BLOCK_CELLS cells of row matrices) and, up to _CANDIDATE_CACHE_LIMIT
+    charts, its block list.  This is the one place that reads those
+    constants: every search over the key reads the entry, so a constant
+    changed later reaches only the keys built after it, and the blocks,
+    filled in place, are shared by every search."""
     count = chart_count(m_order, r, e, p)
-    kept = count <= _CANDIDATE_CACHE_LIMIT
-    blocks = _KeyBlocks(
-        [None] * (-(-count // _block_size(m_order, r, e)) if kept else 0))
-    blocks.charts = count
-    return blocks
-
-
-def _candidate_blocks(key: tuple[int, int, int, int], count: int,
-                      step: int) -> Iterator[_CandidateTable]:
-    """The candidates of one key (m_order, r, e, p), with `count` charts
-    in blocks of `step`, in chart order, a block at a time, each built when
-    it is first reached: kept in the key's cached block list, or (over
-    _CANDIDATE_CACHE_LIMIT charts) never kept."""
-    blocks = (_vertex_candidates(*key)
+    step = max(1, _BLOCK_CELLS // max(1, e * r * m_order * m_order))
+    blocks = ([None] * -(-count // step)
               if count <= _CANDIDATE_CACHE_LIMIT else None)
+    return _KeyEntry(count, step, blocks)
+
+
+def _candidate_blocks(key: tuple[int, int, int, int]
+                      ) -> Iterator[_CandidateTable]:
+    """The candidates of one key (m_order, r, e, p) in chart order, a block
+    of its entry at a time, each built when it is first reached and kept
+    in the entry's block list when it has one."""
+    count, step, blocks = _vertex_candidates(*key)
     for b, start in enumerate(range(0, count, step)):
         block = blocks[b] if blocks is not None else None
         if block is None:
@@ -252,14 +247,14 @@ def _active_arrows(m: HModule, rank: RankVector, e: RankVector):
     return active
 
 
-def _chart_counts(m: HModule, rank, e) -> list[int]:
-    """The candidate count of each vertex, kept with the key's blocks."""
-    return [_vertex_candidates(m.loop_order(i), rank[i], e[i], m.p).charts
+def _entries(m: HModule, rank, e) -> list[_KeyEntry]:
+    """The candidate entry of each vertex."""
+    return [_vertex_candidates(m.loop_order(i), rank[i], e[i], m.p)
             for i in range(m.n)]
 
 
-def _check_budgets(counts: Sequence[int]) -> None:
-    for i, count in enumerate(counts):
+def _check_budgets(entries: Sequence[_KeyEntry]) -> None:
+    for i, (count, _, _) in enumerate(entries):
         if count > VERTEX_CANDIDATE_BUDGET:
             raise BudgetExceeded(
                 f"vertex {i + 1} has {count} candidate submodules, above "
@@ -295,14 +290,13 @@ def _closed(block: _CandidateTable, v: int, tests, chosen: dict
 
 
 def _closure_search(m: HModule, rank: RankVector, e: RankVector,
-                    order: Sequence[int], counts: Sequence[int],
-                    count: bool):
+                    order: Sequence[int], count: bool):
     """Backtracking over the candidates of the vertices in `order`, a block
-    at a time: each block is tested at once against the active arrows to
-    the vertices already chosen.  `counts` holds each vertex's candidate
-    count.  Yields the closed tuples in chart order, each as the chosen
-    (table, chart) of every vertex of m, or with count=True, for each block
-    of the last vertex, the number of closed tuples it completes."""
+    at a time (`_candidate_blocks`): each block is tested at once against
+    the active arrows to the vertices already chosen.  Yields the closed
+    tuples in chart order, each as the chosen (table, chart) of every
+    vertex of m, or with count=True, for each block of the last vertex,
+    the number of closed tuples it completes."""
     active = _active_arrows(m, rank, e)
     levels = []
     placed: set[int] = set()
@@ -310,14 +304,13 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
         placed.add(v)
         tests = [(i, j, a) for i, j, a in active
                  if v in (i, j) and {i, j} <= placed]
-        key = (m.loop_order(v), rank[v], e[v], m.p)
-        levels.append((v, key, counts[v], _block_size(*key[:3]), tests))
+        levels.append((v, (m.loop_order(v), rank[v], e[v], m.p), tests))
     chosen: dict[int, tuple[_CandidateTable, int]] = {}
 
     def extend(idx: int):
-        v, key, size, step, tests = levels[idx]
+        v, key, tests = levels[idx]
         last = idx + 1 == len(levels)
-        for block in _candidate_blocks(key, size, step):
+        for block in _candidate_blocks(key):
             ok = _closed(block, v, tests, chosen)
             if last and count:
                 yield int(np.count_nonzero(ok))
@@ -345,9 +338,8 @@ def _charts(m: HModule, rank: RankVector, e: RankVector):
     """The closed tuples of free rank-e submodules of m, which is in
     standard form, as the (table, chart) of each vertex (`_closure_search`
     over every vertex, in vertex order)."""
-    counts = _chart_counts(m, rank, e)
-    _check_budgets(counts)
-    return _closure_search(m, rank, e, range(m.n), counts, count=False)
+    _check_budgets(_entries(m, rank, e))
+    return _closure_search(m, rank, e, range(m.n), count=False)
 
 
 def iter_locally_free_submodules(m: HModule, e
@@ -379,22 +371,23 @@ def count_locally_free_submodules(m: HModule, e) -> int:
 def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
     """The number of closed tuples of free rank-e submodules of m, which is
     in standard form, with the unconstrained vertices counted in closed
-    form; only vertices touched by an active arrow are enumerated, streamed
-    keys first (built once), then by ascending candidate count, so the last
-    vertex, tested a block at a time, has the most candidates."""
-    counts = _chart_counts(m, rank, e)
+    form; only vertices touched by an active arrow are enumerated, keys
+    whose blocks are not kept first (built once), then by ascending
+    candidate count, so the last vertex, tested a block at a time, has the
+    most candidates."""
+    entries = _entries(m, rank, e)
     coupled = {v for (i, j, _) in _active_arrows(m, rank, e)
                for v in (i, j)}
     free_factor = 1
     for i in range(m.n):
         if i not in coupled:
-            free_factor *= counts[i]
+            free_factor *= entries[i].charts
     if not coupled:
         return free_factor
-    _check_budgets(counts)
+    _check_budgets(entries)
     order = sorted(coupled, key=lambda v: (
-        counts[v] <= _CANDIDATE_CACHE_LIMIT, counts[v], v))
-    return free_factor * sum(_closure_search(m, rank, e, order, counts,
+        entries[v].blocks is not None, entries[v].charts, v))
+    return free_factor * sum(_closure_search(m, rank, e, order,
                                              count=True))
 
 
@@ -446,10 +439,12 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
     """The one flag check: `_check_steps`; per layer the block pass
     `hmod._split_blocks` of every loop and arrow (invariance), and per
     vertex the dimension and freeness (`hmod._not_free_rank` of the loop's
-    sub block); then the identity's blocks from each layer to the next,
-    which test nesting and are the connectors.  Returns (the block pass
-    per layer, as (its subspaces, its blocks per pair), the identity
-    blocks per vertex per adjacent pair)."""
+    sub block, `blocks[i][0]`, as the loops come first in
+    `maps_with_labels()`); then the identity's blocks from each layer to
+    the next, which test nesting and are the connectors.  Returns (the
+    block pass per layer, as (its subspaces, its blocks in the order of
+    `maps_with_labels()`), the identity blocks per vertex per adjacent
+    pair)."""
     _check_steps(m, brseq, layers)
     own = m.maps_with_labels()
     splits = []
@@ -457,19 +452,19 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
         maps = [(f"layer {t + 1} not closed under "
                  f"{'loop' if i == j else 'arrow'} {label}", x, i, j)
                 for label, x, i, j in own]
-        sides, pairs = hmod._split_blocks(m, layer, maps)
+        sides, blocks = hmod._split_blocks(m, layer, maps)
         for i in range(m.n):
             order = m.loop_order(i)
             dim = layer[i].dim
             if dim != order * sum(r[i] for r in brseq[:t + 1]):
                 raise ShapeMismatch(
                     f"layer {t + 1} has wrong dimension at vertex {i + 1}")
-            loop = pairs[(i, i)][0][0]
+            loop = blocks[i][0]
             if dim and hmod._not_free_rank(loop, hmod._jordan_order(loop),
                                            order, m.p) is not None:
                 raise NotLocallyFree(
                     f"layer {t + 1} not free at vertex {i + 1}")
-        splits.append((sides, pairs))
+        splits.append((sides, blocks))
     return splits, [
         [hmod._blocks(f"layers {t + 1} and {t + 2} are not nested: the "
                       f"inclusion at vertex {i + 1}", la.identity(d),
@@ -690,10 +685,9 @@ def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
     chains = []
     for h in (0, 1):
         slots = []
-        for _, pairs in splits:
-            blocks = {key: iter(b) for key, b in pairs.items()}
-            slots.append([(label, next(blocks[(i, j)])[h], i, j)
-                          for label, _, i, j in own])
+        for _, blocks in splits:
+            slots.append([(label, b[h], i, j)
+                          for (label, _, i, j), b in zip(own, blocks)])
         dims = tuple(u.ambient - u.dim if h else u.dim
                      for layer in flag.layers for u in layer)
         chains.append(_Chain(m.p, dims, _chain_maps(
@@ -861,10 +855,9 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     # each layer to the next, with their sub blocks c on the base flag
     own = m.maps_with_labels()
     maps = []
-    for t, (_, pairs) in enumerate(splits):
-        blocks = {key: iter(b) for key, b in pairs.items()}
-        maps += [(x, t * n + i, t * n + j, next(blocks[(i, j)])[0])
-                 for _, x, i, j in own]
+    for t, (_, blocks) in enumerate(splits):
+        maps += [(x, t * n + i, t * n + j, b[0])
+                 for (_, x, i, j), b in zip(own, blocks)]
     maps += [(la.identity(d), (t + 1) * n + i, t * n + i, c[i][0])
              for t, c in enumerate(conn) for i, d in enumerate(m.dims)]
     rows = [la.zeros(0, offsets[-1])]
@@ -958,7 +951,7 @@ def bundle_ratio_check(m: HModule, brseq, primes=(2, 3)
     rows = []
     for q in primes:
         mq = hmod.reduce_mod_p(m, q)
-        rigid = homext.is_rigid(mq) if hmod.is_locally_free(mq) else False
+        rigid = homext.is_rigid(mq)
         top = point_count(mq, seq)
         bottom = point_count(reduction.reduce(mq).module, seq)
         if d >= 0:

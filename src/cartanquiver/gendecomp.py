@@ -374,8 +374,8 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
     if _pair_exhaustive(datum, k, p, r, s):
         table = _call_table(datum, k, p) or _CallTable(datum, k, p, samples)
         pairs = ((mod_m, mod_n)
-                 for mod_m in table.space(r, PAIR_SPACE_BUDGET)
-                 for mod_n in table.space(s, PAIR_SPACE_BUDGET))
+                 for mod_m in table.space(r)
+                 for mod_n in table.space(s))
     else:
         pairs = ((hmod.random_locally_free(datum, k, p, r, (seed, "m", t)),
                   hmod.random_locally_free(datum, k, p, s, (seed, "n", t)))
@@ -453,13 +453,15 @@ class _CallTable:
                                           seed=seed)
         return self.known[key]
 
-    def space(self, r, budget: int) -> _Space:
-        """The shared modules of r, whose space has at most `budget` and at
-        most PAIR_SPACE_BUDGET points."""
+    def space(self, r) -> _Space:
+        """The shared modules of r, whose space the caller has found to
+        have at most PAIR_SPACE_BUDGET points: every point of
+        `hmod.iter_structure_matrices`, in its order."""
         r = tuple(r)
         if r not in self.spaces:
-            self.spaces[r] = _Space(hmod.structure_space(
-                self.datum, self.k, self.p, r, budget, 0, 0)[1])
+            self.spaces[r] = _Space(
+                hmod.from_structure_matrices(point) for point in
+                hmod.iter_structure_matrices(self.datum, self.k, self.p, r))
         return self.spaces[r]
 
     def structure_space(self, r, samples: int, seed):
@@ -470,7 +472,7 @@ class _CallTable:
         size = self.p ** hmod.structure_parameter_count(self.datum, self.k,
                                                         r)
         if size <= min(budget, PAIR_SPACE_BUDGET):
-            return True, self.space(r, budget)
+            return True, self.space(r)
         return hmod.structure_space(self.datum, self.k, self.p, r, budget,
                                     samples, seed)
 

@@ -546,23 +546,20 @@ def _blocks(label: str, x: np.ndarray, u_j: la.Subspace, u_i: la.Subspace
             _frozen(qx.take(u_j.off_pivots, 1)))
 
 
-def _split_blocks(m: HModule, subspaces, maps) -> tuple[list, dict]:
+def _split_blocks(m: HModule, subspaces, maps) -> tuple[list, list]:
     """The checked block pass of a split of m along per-vertex subspaces
-    U_i: the subspaces, and per pair (i, j) the `_blocks` of the maps
-    (label, X, i, j) of `maps` into that pair, in order.  Raises
-    ShapeMismatch for subspaces that do not fit m, NotInvariant at the
-    first map that does not preserve them."""
+    U_i: the subspaces, and the `_blocks` of each map (label, X, i, j) of
+    `maps`, one list in the order of `maps`, so a reader pairs it with the
+    maps by `zip`.  Raises ShapeMismatch for subspaces that do not fit m,
+    NotInvariant at the first map that does not preserve them."""
     subs = list(subspaces)
     if len(subs) != m.n:
         raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
     for i, u in enumerate(subs):
         if u.ambient != m.dims[i] or u.p != m.p:
             raise ShapeMismatch(f"subspace at vertex {i + 1} mismatched")
-    pairs = {}
-    for label, x, i, j in maps:
-        pairs.setdefault((i, j), []).append(
-            _blocks(label, x, subs[j], subs[i]))
-    return subs, pairs
+    return subs, [_blocks(label, x, subs[j], subs[i])
+                  for label, x, i, j in maps]
 
 
 def _restrict(m: HModule, bases, pivots) -> HModule:
@@ -593,14 +590,18 @@ def _restrict(m: HModule, bases, pivots) -> HModule:
 
 def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:
     """M/U along per-vertex invariant subspaces U_i: the quotient blocks of
-    the block pass `_split_blocks`, validated by `make_module` at level k
-    (by default the level of m).  Raises ShapeMismatch for subspaces that
-    do not fit m, NotInvariant when some loop or arrow does not descend
-    to the quotient."""
-    subs, pairs = _split_blocks(m, subspaces, m.maps_with_labels())
+    the block pass `_split_blocks` over `maps_with_labels()`, the loops
+    first and then the arrows, which are grouped by pair here, validated by
+    `make_module` at level k (by default the level of m).  Raises
+    ShapeMismatch for subspaces that do not fit m, NotInvariant when some
+    loop or arrow does not descend to the quotient."""
+    maps = m.maps_with_labels()
+    subs, blocks = _split_blocks(m, subspaces, maps)
+    arrows = {key: [] for key in m.arrows}
+    for (_, _, i, j), b in zip(maps[m.n:], blocks[m.n:]):
+        arrows[(i, j)].append(b[1])
     mod = make_module(m.datum, m.k if k is None else k, m.p,
-                      [pairs[(i, i)][0][1] for i in range(m.n)],
-                      {key: [b[1] for b in pairs[key]] for key in m.arrows})
+                      [b[1] for b in blocks[:m.n]], arrows)
     return Quotient(mod, tuple(subs))
 
 

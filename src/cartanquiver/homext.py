@@ -338,17 +338,17 @@ def _invertible_everywhere(f, p: int) -> bool:
 def are_isomorphic(m: HModule, n: HModule, seed=0) -> IsoResult:
     """Search Hom(m, n) for an invertible element.
 
-    Dimension vectors must match; then ISO_TRIALS random Hom elements are
-    tried, with a full scan of the Hom space when p^dim is at most
-    ISO_EXHAUSTIVE_BUDGET.  `certain` is False only for a negative answer
-    that rests on sampling alone.
+    Dimension vectors must match; literally equal modules are isomorphic
+    by the identity, with no search; otherwise ISO_TRIALS random Hom
+    elements are tried, with a full scan of the Hom space when p^dim is at
+    most ISO_EXHAUSTIVE_BUDGET.  `certain` is False only for a negative
+    answer that rests on sampling alone.
     """
     hmod._same_algebra(m, n)
     if m.dims != n.dims:
         return IsoResult(False, True)
-    if m.total_dim() == 0:
-        return IsoResult(True, True, tuple(la.identity(0)
-                                           for _ in range(m.n)))
+    if hmod.modules_equal(m, n):
+        return IsoResult(True, True, tuple(la.identity(d) for d in m.dims))
     basis = hom_space(m, n)
     if basis.dim == 0:
         return IsoResult(False, True)

@@ -68,8 +68,8 @@ def test_standard_loop_blocks_cost_no_rank(request, monkeypatch):
             for flag in flags:
                 ranked.clear()
                 splits, _ = flagvar._flag_blocks(m, flag.brseq, flag.layers)
-                loops = [(pairs[(i, i)][0][0], m.loop_order(i))
-                         for _, pairs in splits for i in range(m.n)]
+                loops = [(blocks[i][0], m.loop_order(i))
+                         for _, blocks in splits for i in range(m.n)]
                 want = [b for b, order in loops
                         if b.size and hmod._jordan_order(b) != order]
                 assert len(ranked) == len(want)

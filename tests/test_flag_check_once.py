@@ -102,8 +102,7 @@ def test_kept_blocks_are_read_only(a2):
     for (sides, _), layer in zip(splits, flag.layers, strict=True):
         assert len(sides) == len(layer)
         assert all(side is u for side, u in zip(sides, layer))
-    arrays = [a for sides, pairs in splits for blocks in pairs.values()
-              for b in blocks for a in b]
+    arrays = [a for sides, blocks in splits for b in blocks for a in b]
     arrays += [a for blocks in connectors for b in blocks for a in b]
     assert arrays and not any(a.flags.writeable for a in arrays)
 

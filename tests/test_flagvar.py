@@ -18,6 +18,7 @@ from cartanquiver.errors import (
     LengthMismatch,
     NonIntegerCoefficient,
     NotEnoughPrimes,
+    NotLocallyFree,
     OverdeterminedMismatch,
     RankTooLarge,
     ValidationError,
@@ -41,12 +42,6 @@ from conftest import (
 
 def brvec(seq):
     return tuple(RankVector(r) for r in seq)
-
-
-def candidate_blocks(key):
-    """`flagvar._candidate_blocks` of a key with its own count and step."""
-    return flagvar._candidate_blocks(key, flagvar.chart_count(*key),
-                                     flagvar._block_size(*key[:3]))
 
 
 def rigid_module(datum, k, p, r, seed=0):
@@ -167,8 +162,8 @@ class TestCandidateTables:
             assert len(produced) == len(charts), key
             for want, got in zip(charts, produced):
                 assert np.array_equal(want, got), key
-            blocks = list(candidate_blocks(key))
-            cached = flagvar._vertex_candidates(*key)
+            blocks = list(flagvar._candidate_blocks(key))
+            cached = flagvar._vertex_candidates(*key).blocks
             assert len(cached) == len(blocks), key
             assert all(a is b for a, b in zip(cached, blocks)), key
             got_subs = [block.subspace(t) for block in blocks
@@ -187,8 +182,8 @@ class TestCandidateTables:
         flagvar._vertex_candidates.cache_clear()
         try:
             key = (2, 2, 1, 3)
-            list(candidate_blocks(key))
-            blocks = flagvar._vertex_candidates(*key)
+            list(flagvar._candidate_blocks(key))
+            blocks = flagvar._vertex_candidates(*key).blocks
             assert len(blocks) > 1
             charts = ring_charts(*key)
             start = 0
@@ -222,7 +217,7 @@ class TestCandidateTables:
         flagvar._vertex_candidates.cache_clear()
         try:
             for q in primes[:size + 10]:
-                assert len(flagvar._vertex_candidates(1, 1, 1, q)) == 1
+                assert len(flagvar._vertex_candidates(1, 1, 1, q).blocks) == 1
                 info = flagvar._vertex_candidates.cache_info()
                 assert info.currsize <= size
             assert info.currsize == size
@@ -377,14 +372,16 @@ class TestStreamedCandidates:
                    [f.layers for f in flagvar.iter_flags(m, brseq)],
                    flagvar.point_count(m, brseq))
             assert got == want
-        # only the single-chart keys (zero and full layers) were cached
+        # every key has an entry, but only the single-chart keys (zero and
+        # full layers) keep blocks
         info = flagvar._vertex_candidates.cache_info()
         assert info.currsize == info.misses
         for key in [(2, 2, 1, 3), (4, 2, 1, 2), (2, 2, 1, 2)]:
             assert flagvar.chart_count(*key) > 1
             before = flagvar._vertex_candidates.cache_info().misses
-            blocks = list(candidate_blocks(key))
+            blocks = list(flagvar._candidate_blocks(key))
             assert flagvar._vertex_candidates.cache_info().misses == before
+            assert flagvar._vertex_candidates(*key).blocks is None
             assert sum(len(b) for b in blocks) == flagvar.chart_count(*key)
         flagvar._vertex_candidates.cache_clear()
 
@@ -399,13 +396,17 @@ class TestStreamedCandidates:
         monkeypatch.setattr(flagvar, "_CANDIDATE_CACHE_LIMIT", 1)
         monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
         monkeypatch.setattr(flagvar, "_chart_block", counting)
-        key = (2, 2, 1, 3)
-        step = flagvar._block_size(2, 2, 1)
-        assert step < flagvar.chart_count(*key)
-        stream = candidate_blocks(key)
-        first = next(stream)
-        stream.close()
-        assert len(first) == step and built == [step]
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            key = (2, 2, 1, 3)
+            step = flagvar._vertex_candidates(*key).step
+            assert step < flagvar.chart_count(*key)
+            stream = flagvar._candidate_blocks(key)
+            first = next(stream)
+            stream.close()
+            assert len(first) == step and built == [step]
+        finally:
+            flagvar._vertex_candidates.cache_clear()
 
 
 class TestLazyBlocks:
@@ -431,8 +432,8 @@ class TestLazyBlocks:
         flagvar._vertex_candidates.cache_clear()
 
     def _block_starts(self):
-        count = flagvar.chart_count(*self.KEY)
-        return list(range(0, count, flagvar._block_size(*self.KEY[:3])))
+        entry = flagvar._vertex_candidates(*self.KEY)
+        return list(range(0, entry.charts, entry.step))
 
     def test_early_stop_builds_reached_blocks(self, a2, built, monkeypatch):
         starts = self._block_starts()
@@ -440,8 +441,8 @@ class TestLazyBlocks:
         reached = []
         original = flagvar._candidate_blocks
 
-        def recording(key, count, step):
-            for b, block in enumerate(original(key, count, step)):
+        def recording(key):
+            for b, block in enumerate(original(key)):
                 reached.append((key, starts[b]))
                 yield block
 
@@ -452,7 +453,7 @@ class TestLazyBlocks:
         stream.close()
         assert sorted(set(reached)) == sorted(built)
         assert len(built) == len(set(built)) < len(starts)
-        blocks = flagvar._vertex_candidates(*self.KEY)
+        blocks = flagvar._vertex_candidates(*self.KEY).blocks
         assert [b is not None for b in blocks] == [
             (self.KEY, s) in built for s in starts]
         # a count over the key fills in the rest, building each block once
@@ -482,7 +483,7 @@ class TestLazyBlocks:
         assert sorted(built) == [(self.KEY, s) for s in self._block_starts()]
 
     def test_rank_check_on_lazy_blocks(self, a2, built, monkeypatch):
-        stream = candidate_blocks(self.KEY)
+        stream = flagvar._candidate_blocks(self.KEY)
         next(stream)
         stream.close()
         corrupt_last_pivot(monkeypatch)
@@ -490,6 +491,41 @@ class TestLazyBlocks:
         with pytest.raises(InternalCheckError):
             flagvar.count_locally_free_submodules(n_module(a2, 2, 3), (1, 1))
         assert built == [(self.KEY, 0), (self.KEY, self._block_starts()[1])]
+
+
+class TestEntryConstants:
+    """A key's chart count, block size and kept decision are read off the
+    constants once, when its entry is built: changing a constant while
+    entries are cached gives the answers of a cold-cache run."""
+
+    @staticmethod
+    def answers(modules):
+        return [(flagvar.count_locally_free_submodules(m, (1, 1)),
+                 flagvar.point_count(m, [(1, 0), (0, 1), (1, 1)]),
+                 [f.layers for f in flagvar.iter_flags(m, [(1, 1), (1, 1)])])
+                for m in modules]
+
+    @pytest.mark.parametrize("name, before, after", [
+        ("_BLOCK_CELLS", 40, 1 << 17),
+        ("_BLOCK_CELLS", 1 << 17, 40),
+        ("_CANDIDATE_CACHE_LIMIT", 1, 20000),
+    ])
+    def test_constant_changed_while_cached(self, a2, monkeypatch, name,
+                                           before, after):
+        modules = [rigid_module(a2, 2, 3, (2, 2)), n_module(a2, 2, 3)]
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            want = self.answers(modules)
+            assert [a[0] for a in want] == [12, 27]
+            monkeypatch.setattr(flagvar, name, before)
+            flagvar._vertex_candidates.cache_clear()
+            assert self.answers(modules) == want
+            monkeypatch.setattr(flagvar, name, after)
+            assert self.answers(modules) == want      # entries built before
+            flagvar._vertex_candidates.cache_clear()
+            assert self.answers(modules) == want      # entries built after
+        finally:
+            flagvar._vertex_candidates.cache_clear()
 
 
 class TestSubmoduleEnumeration:
@@ -1286,11 +1322,9 @@ def wrong_sub_block(monkeypatch, base):
         splits, conn = original(self)
         if self is not base:
             return splits, conn
-        sides, pairs = splits[0]
-        (sub, quot), *rest = pairs[(0, 0)]
+        sides, ((sub, quot), *rest) = splits[0]
         wrong = (sub + la.identity(sub.shape[0])) % self.module.p
-        return [(sides, {**pairs, (0, 0): [(wrong, quot), *rest]}),
-                *splits[1:]], conn
+        return [(sides, [(wrong, quot), *rest]), *splits[1:]], conn
 
     monkeypatch.setattr(flagvar.FlagOfSubmodules, "_check", check)
 
@@ -1450,6 +1484,18 @@ class TestBundleRatio:
         m = rigid_module(a2, 2, 2, (1, 1), seed=9)
         with pytest.raises(LengthMismatch):
             flagvar.bundle_ratio_check(m, brseq)
+
+    def test_reduction_not_locally_free_raises(self, a2):
+        # the loop 3 x is free over F_5 and zero mod 3: the module at q = 3
+        # is not locally free, which is an error, not a row of the report
+        free = hmod.free_module(a2, 2, 5, (1, 0))
+        m = hmod.make_module(a2, 2, 5, [(3 * free.eps[0]) % 5, free.eps[1]],
+                             free.arrows)
+        assert hmod.is_locally_free(m)
+        with pytest.raises(NotLocallyFree, match=(
+                r"^module is not locally free: vertex 1 has dim 2, loop "
+                r"order 2 and loop rank 0$")):
+            flagvar.bundle_ratio_check(m, [(1, 0)], primes=(2, 3))
 
 
 class TestCountingPolynomial:

@@ -195,6 +195,19 @@ class TestIsomorphism:
         res = homext.are_isomorphic(z1, z2)
         assert res.isomorphic and res.certain
 
+    def test_equal_modules_certain_without_a_search(self, a2, monkeypatch):
+        # a copy with the same matrices is isomorphic by the identity, with
+        # no trial and no exhaustive scan
+        monkeypatch.setattr(homext, "ISO_TRIALS", 0)
+        monkeypatch.setattr(homext, "ISO_EXHAUSTIVE_BUDGET", 0)
+        m = n_module(a2, 2, 3)
+        copy = hmod.make_module(m.datum, m.k, m.p, m.eps, m.arrows)
+        assert copy is not m and hmod.modules_equal(m, copy)
+        res = homext.are_isomorphic(m, copy)
+        assert res.isomorphic and res.certain
+        assert all(np.array_equal(fi, la.identity(d))
+                   for fi, d in zip(res.witness, m.dims, strict=True))
+
     def test_two_rigid_samples_isomorphic(self, a2):
         # over F_2 the rigid locus of rank (1, 1) is the single non-zero
         # structure scalar; sampled rigids must agree up to isomorphism

@@ -366,11 +366,9 @@ class TestPerBaseChecksWithWarmRecord:
             splits, conn = original(self)
             if not any(self is base for base in bases[:3]):
                 return splits, conn
-            sides, pairs = splits[0]
-            (sub, quot), *rest = pairs[(0, 0)]
+            sides, ((sub, quot), *rest) = splits[0]
             wrong = (sub + la.identity(sub.shape[0])) % m.p
-            return [(sides, {**pairs, (0, 0): [(wrong, quot), *rest]}),
-                    *splits[1:]], conn
+            return [(sides, [(wrong, quot), *rest]), *splits[1:]], conn
 
         monkeypatch.setattr(flagvar.FlagOfSubmodules, "_check", check)
         for base in bases[:3]:

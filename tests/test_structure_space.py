@@ -23,6 +23,7 @@ from conftest import (
     reference_parameter_estimate,
     reference_schur_scan,
     reference_structure_space,
+    scrambled,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -255,8 +256,11 @@ class TestEarlyStop:
         return m
 
     def test_are_isomorphic(self, module, digit_calls, monkeypatch):
+        # an isomorphic copy in another basis: equal modules need no scan
+        other = scrambled(module, np.random.default_rng(0))
+        assert not hmod.modules_equal(module, other)
         monkeypatch.setattr(homext, "ISO_TRIALS", 0)
-        res = homext.are_isomorphic(module, module)
+        res = homext.are_isomorphic(module, other)
         assert res.isomorphic and res.certain
         assert digit_calls == [la.DIGIT_CHUNK]   # codes 1, ..., 4096
 
@@ -341,20 +345,31 @@ def test_space_budget_reaches_nested_scans(b2, monkeypatch):
 
 def test_every_space_scan_reads_a_constant(b2, monkeypatch):
     """Each structure-space scan of a canonical decomposition, nested
-    ones included, is given one of the two space budgets as they stand at
-    the call."""
+    ones included, reads one of the two space budgets as they stand at
+    the call: `hmod.structure_space` is given STRUCTURE_SPACE_BUDGET, and
+    the call's shared spaces, which take no budget, are built only for
+    ranks whose spaces have at most PAIR_SPACE_BUDGET points."""
     budgets = []
+    shared = []
     original = hmod.structure_space
+    original_space = gendecomp._CallTable.space
 
     def recording(datum, k, p, r, budget, samples, seed):
         budgets.append(budget)
         return original(datum, k, p, r, budget, samples, seed)
 
+    def recording_space(table, r):
+        shared.append(2 ** hmod.structure_parameter_count(b2, 1, r))
+        return original_space(table, r)
+
     monkeypatch.setattr(hmod, "structure_space", recording)
+    monkeypatch.setattr(gendecomp._CallTable, "space", recording_space)
     monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", 2 ** 20 + 1)
-    monkeypatch.setattr(gendecomp, "PAIR_SPACE_BUDGET", 2 ** 10 + 1)
+    # (2, 1) has 16 points: above the pair budget, shared by no scan
+    monkeypatch.setattr(gendecomp, "PAIR_SPACE_BUDGET", 2 ** 3 + 1)
     gendecomp.canonical_decomposition(b2, 1, 2, (2, 1), samples=3)
-    assert set(budgets) == {2 ** 20 + 1, 2 ** 10 + 1}
+    assert set(budgets) == {2 ** 20 + 1}
+    assert shared and max(shared) <= 2 ** 3 + 1
 
 
 SAMPLED_ENTRY_POINTS = {
