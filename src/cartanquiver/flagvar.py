@@ -25,7 +25,7 @@ the path algebra of a linear quiver on l-1 vertices, which gives their
 tangent spaces (one Hom solve).  One flag check, on the block pass of a
 split of the module along each layer (`hmod._split_blocks`, one block
 list in the order of the module's maps), tests invariance, freeness and
-nesting; its blocks, zipped with the maps, are both chains of the
+nesting; each (sub, quotient) pair of its blocks is one relation of the
 tangent Hom, solved without building a module.  Each flag object is
 checked once: a flag is a value (tuples of subspaces with read-only
 bases), so it keeps the read-only blocks of its check as long as it
@@ -35,11 +35,12 @@ one affine linear system on the layers: every lift of a base layer is
 Z + graph(phi) with Z = eps^(k-1) of its preimage and phi a linear map
 into (eps^(k-1) M) / Z, and each loop, arrow and identity between layers
 gives one affine equation in the phi, whose right-hand side is the
-residue of the map on the base flag's sub block.  The fiber dimension is
-checked against the tangent dimension at the image of that flag in the
-level-1 shadow of the reduction.  The reduction of a module, its shadow
-and the blocks of eps^(k-1) are computed once per module and kept as
-long as the module lives.
+residue of the map on the base flag's sub block and whose linear part is
+a Hom relation (rows from `homext.intertwiner_rows`).  The fiber
+dimension is checked against the tangent dimension at the image of that
+flag in the level-1 shadow of the reduction.  The reduction of a module,
+its shadow and the blocks of eps^(k-1) are computed once per module and
+kept as long as the module lives.
 """
 
 from __future__ import annotations
@@ -661,38 +662,27 @@ def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
     return homext._hom_basis(x, y)
 
 
-class _Chain(NamedTuple):
-    """A side of the tangent Hom, as `homext._hom_basis` reads it."""
-    p: int
-    dims: tuple[int, ...]
-    maps: list
-
-    def maps_with_labels(self) -> list:
-        return self.maps
-
-
 def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
     """dim of the tangent space at a flag point: dim Hom from the sub chain
     iota(U) to the quotient chain M^(l)/iota(U), by one exact linear solve
-    (never through the Euler-form shortcut) on half 0 and half 1 of the
-    blocks of the flag check.  The chains are not checked again: the flag
-    check tested that the layers are invariant and nested, so restriction
-    and corestriction keep (H1) and (H2) and the identity's blocks are
-    homomorphisms.  Raises ValidationError when the flag does not fit m or
-    its layers are not a flag."""
+    (never through the Euler-form shortcut): each (sub, quotient) block
+    pair of the flag check, of a loop or arrow and of the identity between
+    layers, is one relation, at the vertices of `_chain_maps`.  The chains
+    are not checked again: the flag check tested that the layers are
+    invariant and nested, so restriction and corestriction keep (H1) and
+    (H2) and the identity's blocks are homomorphisms.  Raises
+    ValidationError when the flag does not fit m or its layers are not a
+    flag."""
     splits, conn = _checked_blocks(m, flag)
     own = m.maps_with_labels()
-    chains = []
-    for h in (0, 1):
-        slots = []
-        for _, blocks in splits:
-            slots.append([(label, b[h], i, j)
-                          for (label, _, i, j), b in zip(own, blocks)])
-        dims = tuple(u.ambient - u.dim if h else u.dim
-                     for layer in flag.layers for u in layer)
-        chains.append(_Chain(m.p, dims, _chain_maps(
-            m.n, slots, [[b[h] for b in c] for c in conn])))
-    return homext._hom_basis(*chains).dim
+    slots = [[(label, b, i, j) for (label, _, i, j), b in zip(own, blocks)]
+             for _, blocks in splits]
+    relations = [(label, sub, quot, i, j) for label, (sub, quot), i, j
+                 in _chain_maps(m.n, slots, conn)]
+    us = [u for layer in flag.layers for u in layer]
+    return len(homext._hom_kernel(
+        relations, tuple(u.dim for u in us),
+        tuple(u.ambient - u.dim for u in us), m.p)[0])
 
 
 # --- reduction of flags and its fibers ----------------------------------------
@@ -814,10 +804,11 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     -> (t, i) in each layer, and each identity from layer t to t + 1, maps
     lifts into lifts: with c the sub block of x on the base flag and the
     residue r = x w_j^T - w_i^T c in K, this is the affine equation
-    x~ phi_j - phi_i c = -[r] in K / Z, where x~ is the map x induces
-    from K / Z at the source to K / Z at the target.  All equations form
-    one system, solved once; its linear part is the level-1 Hom whose
-    dimension `_fiber_expected_dimension` cross-checks.
+    phi_i c - x~ phi_j = [r] in K / Z, where x~ is the map x induces
+    from K / Z at the source to K / Z at the target: the Hom relation
+    (label, c, x~, i, j) in the phi.  All equations form one system, with
+    rows from `homext.intertwiner_rows`, solved once; its linear part is
+    the level-1 Hom whose dimension `_fiber_expected_dimension` checks.
     """
     if m.k < 2:
         raise KTooSmall("fibers of reduction need k >= 2")
@@ -851,33 +842,30 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
             lifts.append(_Lift(w, z, kk.basis.take(z.off_pivots, 0)))
             offsets.append(offsets[-1] + (kk.dim - z.dim) * ubar.dim)
 
-    # the maps x: (t, j) -> (t, i) of each layer and the identities from
-    # each layer to the next, with their sub blocks c on the base flag
+    # each map and identity x with sub block c is one relation (c, x~);
+    # dense unknowns, as a ring layout would build a loop's relation in
+    # and drop its right-hand side [r]
     own = m.maps_with_labels()
-    maps = []
-    for t, (_, blocks) in enumerate(splits):
-        maps += [(x, t * n + i, t * n + j, b[0])
-                 for (_, x, i, j), b in zip(own, blocks)]
-    maps += [(la.identity(d), (t + 1) * n + i, t * n + i, c[i][0])
-             for t, c in enumerate(conn) for i, d in enumerate(m.dims)]
-    rows = [la.zeros(0, offsets[-1])]
+    slots = [[(label, (x, b[0]), i, j) for (label, x, i, j), b
+              in zip(own, blocks)] for _, blocks in splits]
+    identities = [[(la.identity(d), b[0]) for d, b in zip(m.dims, pairs)]
+                  for pairs in conn]
+    relations = []
     rhs = [np.zeros(0, dtype=np.int64)]
-    for x, ti, tj, c in maps:
+    for label, (x, c), ti, tj in _chain_maps(n, slots, identities):
         tgt, src = lifts[ti], lifts[tj]
         kk = ks[ti % n]
         r = (x @ src.w.T - tgt.w.T @ c) % p
         if kk.quotient_coords(r).any():
             raise FlagNotInReduction(
                 "base chain is not invariant under the algebra action")
-        block = la.zeros(tgt.t.shape[0] * src.w.shape[0], offsets[-1])
-        block[:, offsets[tj]:offsets[tj + 1]] += la.left_product_matrix(
-            tgt.z.quotient_coords((x @ src.t.T).take(kk.pivots, 0)),
-            src.w.shape[0])
-        block[:, offsets[ti]:offsets[ti + 1]] -= la.right_product_matrix(
-            c, tgt.t.shape[0])
-        rows.append(block % p)
-        rhs.append(-tgt.z.quotient_coords(r.take(kk.pivots, 0)).ravel())
-    solution = la.solve(np.concatenate(rows), np.concatenate(rhs), p)
+        relations.append((label, c, tgt.z.quotient_coords(
+            (x @ src.t.T).take(kk.pivots, 0)), ti, tj))
+        rhs.append(tgt.z.quotient_coords(r.take(kk.pivots, 0)).ravel())
+    layout = homext.Layout(tuple(offsets), (0,) * len(lifts), frozenset())
+    rows = homext.intertwiner_rows(relations, layout, p)
+    solution = la.solve(np.concatenate([la.zeros(0, layout.total), *rows]),
+                        np.concatenate(rhs), p)
     if solution is None:
         return FiberOfReduction(base, True, None, expected)
     particular_vec, kernel = solution

@@ -108,7 +108,8 @@ def _structure_constants(basis: homext.HomBasis, p: int) -> np.ndarray:
     """table[a, b]: the coordinates of basis element a after element b,
     all dim^2 products composed at once on per-vertex stacks and read off
     in one `coords_of`."""
-    stacks = homext._unflatten(basis.source, basis.target, basis.vec_basis)
+    stacks = homext._unflatten(basis.source.dims, basis.target.dims,
+                               basis.vec_basis)
     return basis.coords_of(homext.compose([x[:, None] for x in stacks],
                                           [x[None] for x in stacks], p))
 

@@ -1,10 +1,12 @@
 """Hom spaces by exact linear solve, Ext^1 via the Euler form, rigidity.
 
-Hom(M, N) is the kernel of one relation system, solved exactly over F_p:
-each structure map j -> i listed by `maps_with_labels()`, with matrix X
-on M and Y on N, gives f_i @ X == Y @ f_j.  A module lists its loops
-(i == j) and arrows; a chain over a linear quiver lists those of each slot
-and then the connectors (t, i) -> (t+1, i) (`flagvar._chain_maps`).
+A Hom system is a relation list: (label, X, Y, i, j) means f_i @ X ==
+Y @ f_j.  Hom(M, N) solves the list `_relations` pairs from the maps
+j -> i of `maps_with_labels()` on M and N (loops, arrows and, for chains,
+the connectors (t, i) -> (t+1, i) of `flagvar._chain_maps`); a tangent
+space reads its list off the flag check.  One solver, `_hom_kernel`,
+serves all of them exactly over F_p, and the reduction fibers take their
+rows from its assembler, `intertwiner_rows`.
 
 The unknowns are the images of the generators (Lux and Szőke, Exp. Math.
 12, 2003).  A vertex v is a ring vertex when some self-map pair at v has
@@ -86,11 +88,12 @@ class Layout:
         return slice(self.bounds[v], self.bounds[v + 1])
 
 
-def _layout(m, n, relations) -> Layout:
-    """The unknowns of Hom(m, n): ring unknowns at each vertex with a
-    self-map pair whose matrices are both Jordan of one block size (the
-    first such pair is built in), dense unknowns at the other vertices."""
-    orders = [0] * len(m.dims)
+def _layout(dims_m, dims_n, relations) -> Layout:
+    """The unknowns of a Hom system between modules of dims dims_m and
+    dims_n: ring unknowns at each vertex with a self-map pair whose
+    matrices are both Jordan of one block size (the first such pair is
+    built in), dense unknowns at the other vertices."""
+    orders = [0] * len(dims_m)
     built_in = set()
     for index, (_, x, y, i, j) in enumerate(relations):
         if i == j and not orders[i]:
@@ -99,7 +102,7 @@ def _layout(m, n, relations) -> Layout:
                 orders[i] = o
                 built_in.add(index)
     bounds = [0]
-    for dm, dn, o in zip(m.dims, n.dims, orders):
+    for dm, dn, o in zip(dims_m, dims_n, orders):
         bounds.append(bounds[-1] + (dn * dm // o if o else dn * dm))
     return Layout(tuple(bounds), tuple(orders), frozenset(built_in))
 
@@ -136,29 +139,30 @@ def _left_factor(y: np.ndarray, cols: int, o: int) -> np.ndarray:
     return out.reshape(h * r * o, s * r * o)
 
 
-def intertwiner_rows(m, n, layout: Layout) -> list[np.ndarray]:
-    """Equation blocks for Hom(m, n) over the unknowns of `layout`, one
-    per structure map that does not hold by construction."""
+def intertwiner_rows(relations, layout: Layout, p: int) -> list[np.ndarray]:
+    """The one assembler of Hom equations, for every solve and fiber: per
+    relation (label, X, Y, i, j) with rows that does not hold by
+    construction, the row-major vec of f_i @ X - Y @ f_j over the unknowns
+    of `layout`, of height Y.shape[0] * X.shape[1]."""
     rows = []
-    for index, (_, x, y, i, j) in enumerate(_relations(m, n)):
-        height = n.dims[i] * m.dims[j]
+    for index, (_, x, y, i, j) in enumerate(relations):
+        height = y.shape[0] * x.shape[1]
         if height == 0 or index in layout.built_in:
             continue
         block = np.zeros((height, layout.total), dtype=np.int64)
-        # row-major vec of f_i @ x - y @ f_j, by the unknowns of f_i and f_j
-        block[:, layout.columns(i)] = _right_factor(x, n.dims[i],
+        block[:, layout.columns(i)] = _right_factor(x, y.shape[0],
                                                     layout.orders[i])
-        block[:, layout.columns(j)] -= _left_factor(y, m.dims[j],
+        block[:, layout.columns(j)] -= _left_factor(y, x.shape[1],
                                                     layout.orders[j])
-        rows.append(block % m.p)
+        rows.append(block % p)
     return rows
 
 
-def _expand(m, n, layout: Layout, theta: np.ndarray) -> np.ndarray:
+def _expand(dims_m, dims_n, layout: Layout, theta) -> np.ndarray:
     """Dense vecs (the row-major f_v, vertex after vertex) of a stack of
     solutions over `layout`; ring vertices go through ring_to_matrix."""
     parts = []
-    for v, (dm, dn, o) in enumerate(zip(m.dims, n.dims, layout.orders)):
+    for v, (dm, dn, o) in enumerate(zip(dims_m, dims_n, layout.orders)):
         part = theta[:, layout.columns(v)]
         if o:
             ring = part.reshape(len(theta), dn // o, dm // o, o)[..., ::-1]
@@ -167,12 +171,12 @@ def _expand(m, n, layout: Layout, theta: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def _read_off(m, n, layout: Layout, columns) -> tuple[int, ...]:
+def _read_off(dims_m, dims_n, layout: Layout, columns) -> tuple[int, ...]:
     """For unknowns of `layout`, the dense vec indices that read them
     off: unknown (s, u, o-1-t) of a ring vertex is the last entry of its
     support, f_v[s*o + o-1, u*o + o-1-t].  The map is increasing."""
     starts = [0]
-    for dm, dn in zip(m.dims, n.dims):
+    for dm, dn in zip(dims_m, dims_n):
         starts.append(starts[-1] + dn * dm)
     out = []
     for c in columns:
@@ -180,8 +184,8 @@ def _read_off(m, n, layout: Layout, columns) -> tuple[int, ...]:
         c -= layout.bounds[v]
         o = layout.orders[v]
         if o:
-            s, rest = divmod(c, m.dims[v])     # r*o unknowns per s
-            c = (s * o + o - 1) * m.dims[v] + rest
+            s, rest = divmod(c, dims_m[v])     # r*o unknowns per s
+            c = (s * o + o - 1) * dims_m[v] + rest
         out.append(starts[v] + c)
     return tuple(out)
 
@@ -203,7 +207,7 @@ class HomBasis:
 
     @functools.cached_property
     def elements(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        return tuple(_unflatten(self.source, self.target, row)
+        return tuple(_unflatten(self.source.dims, self.target.dims, row)
                      for row in self.vec_basis)
 
     def element_from_coeffs(self, coeffs) -> tuple[np.ndarray, ...]:
@@ -211,7 +215,7 @@ class HomBasis:
         if coeffs.shape != (self.dim,):
             raise la.DimensionMismatch("wrong number of coefficients")
         vec = (coeffs @ self.vec_basis) % self.source.p
-        return _unflatten(self.source, self.target, vec)
+        return _unflatten(self.source.dims, self.target.dims, vec)
 
     def coords_of(self, f) -> np.ndarray:
         """The coordinates on this basis of the homomorphism f, given as
@@ -233,12 +237,12 @@ class HomBasis:
         return coords
 
 
-def _unflatten(m, n, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+def _unflatten(dims_m, dims_n, vec: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-vertex matrices of a flat vector, or for a stack of vectors,
     per-vertex stacks of matrices."""
     out = []
     pos = 0
-    for dm, dn in zip(m.dims, n.dims):
+    for dm, dn in zip(dims_m, dims_n):
         out.append(vec[..., pos:pos + dn * dm].reshape(
             vec.shape[:-1] + (dn, dm)))
         pos += dn * dm
@@ -265,26 +269,30 @@ def is_homomorphism(m: HModule, n: HModule, f) -> bool:
     return _failed_relation(_relations(m, n), f, m.p) is None
 
 
-def _hom_basis(m, n) -> HomBasis:
-    """Kernel of the relation system of m and n, solved over `_layout`.
-    All basis elements are expanded and re-checked by substitution into
-    every relation, built-in ones included; the modules only need `p`,
-    `dims` and `maps_with_labels()`."""
-    relations = _relations(m, n)
-    layout = _layout(m, n, relations)
-    blocks = intertwiner_rows(m, n, layout)
+def _hom_kernel(relations, dims_m, dims_n, p: int
+                ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The one solver of Hom systems (hom_space, hom_tensor, tangent
+    spaces): the dense basis vecs and support of the kernel of a relation
+    list between dims dims_m and dims_n, solved over `_layout`; every basis
+    element is re-checked by substitution into every relation."""
+    layout = _layout(dims_m, dims_n, relations)
+    blocks = intertwiner_rows(relations, layout, p)
     if layout.total == 0:
-        return HomBasis(m, n, la.zeros(0, 0), ())
-    system = (np.concatenate(blocks, axis=0) if blocks
-              else la.zeros(0, layout.total))
-    theta, free = la.kernel_basis_and_support(system, m.p)
-    basis = _expand(m, n, layout, theta)
-    support = _read_off(m, n, layout, free)
-    label = _failed_relation(relations, _unflatten(m, n, basis), m.p)
+        return la.zeros(0, 0), ()
+    system = np.concatenate([la.zeros(0, layout.total), *blocks])
+    theta, free = la.kernel_basis_and_support(system, p)
+    basis = _expand(dims_m, dims_n, layout, theta)
+    label = _failed_relation(relations, _unflatten(dims_m, dims_n, basis), p)
     if label is not None:
         raise InternalCheckError(
             f"Hom basis element breaks the relation of {label}")
-    return HomBasis(m, n, basis, support)
+    return basis, _read_off(dims_m, dims_n, layout, free)
+
+
+def _hom_basis(m, n) -> HomBasis:
+    """Hom(m, n) for modules that only need `p`, `dims` and
+    `maps_with_labels()`, by one `_hom_kernel` solve of their relations."""
+    return HomBasis(m, n, *_hom_kernel(_relations(m, n), m.dims, n.dims, m.p))
 
 
 def hom_space(m: HModule, n: HModule) -> HomBasis:

@@ -1252,6 +1252,42 @@ class TestFiberAssembly:
         assert {len(base.brseq) for _, base in cases} == {2, 3}
         assert kinds["empty"] > 0 and kinds["affine"] > 20
 
+    def test_rows_from_one_dense_assembly(self, a2, b2, a3, kronecker,
+                                          monkeypatch):
+        """Each fiber takes its rows from one `homext.intertwiner_rows`
+        call of its own, beside the solves of its Hom cross-check: on
+        dense unknowns (every order 0, no built-in relation, one phi per
+        layer and vertex), with one relation per loop and arrow of each
+        layer and per vertex of each identity between layers."""
+        calls = []
+        cross_checks = []
+        rows = homext.intertwiner_rows
+        expected = flagvar._fiber_expected_dimension
+
+        def recorded(relations, layout, p):
+            if not cross_checks:
+                calls.append((relations, layout))
+            return rows(relations, layout, p)
+
+        def cross_check(shadow, base):
+            cross_checks.append(base)
+            try:
+                return expected(shadow, base)
+            finally:
+                cross_checks.pop()
+
+        monkeypatch.setattr(homext, "intertwiner_rows", recorded)
+        monkeypatch.setattr(flagvar, "_fiber_expected_dimension", cross_check)
+        for m, base in _lift_cases(a2, b2, a3, kronecker):
+            del calls[:]
+            flagvar.fiber_of_reduction(m, base)
+            [(relations, layout)] = calls
+            layers = len(base.layers)
+            assert layout.orders == (0,) * (layers * m.n)
+            assert layout.built_in == frozenset()
+            assert len(relations) == (layers * len(m.maps_with_labels())
+                                      + (layers - 1) * m.n)
+
     def test_matches_reference_at_largest_prime(self, a2):
         """At MAX_PRIME, where no fiber can be listed: the same dimension
         and particular flag as the reference, and distinct coefficient

@@ -11,6 +11,7 @@ from cartanquiver import exactlinalg as la
 from cartanquiver import flagvar, hmod, homext
 from cartanquiver.cartan import RankVector
 from cartanquiver.errors import (
+    EntryDegreeOverflow,
     ModulusTooLarge,
     NotInvariant,
     NotLocallyFree,
@@ -275,6 +276,20 @@ class TestStructureMatrices:
                 back = hmod.to_structure_matrices(m)
                 for key in s.mats:
                     assert np.array_equal(back.mats[key], s.mats[key])
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_entries_not_truncated_at_loop_order(self, a2, length):
+        """Coefficient lists must be k*c_i long: at k = 2 an A2 entry of
+        length 1 or 3 is refused, one of length 2 is expanded."""
+        def structure(length):
+            mats = {(0, 1): np.ones((1, 1, length), dtype=np.int64)}
+            return hmod.StructureMatrices(a2, 2, 3, RankVector((1, 1)), mats)
+
+        with pytest.raises(EntryDegreeOverflow, match=(
+                r"entries for \(1,2\) must be truncated at degree 2")):
+            hmod.from_structure_matrices(structure(length))
+        m = hmod.from_structure_matrices(structure(2))
+        assert hmod.rank_vector(m) == (1, 1)
 
     def test_parameter_counts(self, a2, b2):
         assert hmod.structure_parameter_count(a2, 1, (1, 1)) == 1

@@ -20,6 +20,7 @@ from conftest import (
     golden_module,
     make_datum,
     n_module,
+    reference_flag_tensor_modules,
     unitriangular_conjugate,
 )
 
@@ -479,6 +480,32 @@ def jordan_pairs(draw):
     return m, n, expected
 
 
+def test_each_solve_derives_its_relations_once(a2, b2, monkeypatch):
+    """`hom_space` and `flagvar.hom_tensor` pair the maps of their two
+    sides into one relation list, once per solve, and hand that list to
+    the layout, the rows and the substitution check."""
+    calls = []
+    original = homext._relations
+
+    def counted(m, n):
+        calls.append((m, n))
+        return original(m, n)
+
+    monkeypatch.setattr(homext, "_relations", counted)
+    for datum in (a2, b2):
+        m = hmod.random_locally_free(datum, 2, 3, (2, 1), seed=3)
+        n = hmod.random_locally_free(datum, 2, 3, (1, 1), seed=4)
+        for a, b in ((m, n), (n, m), (m, m)):
+            del calls[:]
+            homext.hom_space(a, b)
+            assert calls == [(a, b)]
+        flag = next(flagvar.iter_flags(m, [(1, 0), (1, 1)]))
+        x, y = reference_flag_tensor_modules(m, flag)
+        del calls[:]
+        flagvar.hom_tensor(x, y)
+        assert calls == [(x, y)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(relation_pairs())
 def test_intertwiner_rows_match_kron_reference(pair):
@@ -501,7 +528,7 @@ def test_jordan_self_maps_match_kron_reference(case):
             if o and o == _block_size(y):
                 orders[i] = o
     assert all(o for o, want in zip(orders, expected) if want)
-    assert homext._layout(m, n, relations).orders == tuple(orders)
+    assert homext._layout(m.dims, n.dims, relations).orders == tuple(orders)
     assert_matches_dense(homext._hom_basis(m, n), m, n)
 
 

@@ -123,34 +123,34 @@ def _flag_modules(datum):
 
 @pytest.mark.parametrize("name", DATA)
 def test_connectors_match_reference(request, name, monkeypatch):
-    """The two chains that tangent_dimension hands to the Hom solve equal
-    the tensor modules assembled from coordinates and induced maps, map
-    for map: dims, labels, byte-identical matrices (slot maps and
-    connectors), vertex indices and order."""
+    """The relation list that tangent_dimension hands to the Hom solve
+    equals the relations of the tensor modules assembled from coordinates
+    and induced maps, map for map: labels, vertex indices, byte-identical
+    matrices (slot maps and connectors) and order, with their dims and
+    prime."""
     solved = []
-    original = homext._hom_basis
+    original = homext._hom_kernel
 
-    def recorded(x, y):
-        solved.append((x, y))
-        return original(x, y)
+    def recorded(relations, dims_m, dims_n, p):
+        solved.append((relations, dims_m, dims_n, p))
+        return original(relations, dims_m, dims_n, p)
 
-    monkeypatch.setattr(homext, "_hom_basis", recorded)
+    monkeypatch.setattr(homext, "_hom_kernel", recorded)
     flags = 0
     for m in _flag_modules(request.getfixturevalue(name)):
         for seq in SEQS:
             for flag in flagvar.iter_flags(m, seq):
                 del solved[:]
                 flagvar.tangent_dimension(m, flag)
-                [got] = solved
-                want = reference_flag_tensor_modules(m, flag)
-                for x, y in zip(got, want):
-                    assert (x.p, x.dims) == (y.p, y.dims)
-                    mine, theirs = x.maps_with_labels(), y.maps_with_labels()
-                    assert len(mine) == len(theirs)
-                    for (label, a, *ends), (other, b, *want_ends) in zip(
-                            mine, theirs):
-                        assert (label, ends) == (other, want_ends)
-                        assert _same(a, b)
+                [(mine, dims_m, dims_n, p)] = solved
+                x, y = reference_flag_tensor_modules(m, flag)
+                assert (p, dims_m, dims_n) == (x.p, x.dims, y.dims)
+                theirs = homext._relations(x, y)
+                assert len(mine) == len(theirs)
+                for (label, a, b, *ends), (other, c, d, *want_ends) in zip(
+                        mine, theirs):
+                    assert (label, ends) == (other, want_ends)
+                    assert _same(a, c) and _same(b, d)
                 flags += 1
     assert flags >= 60
 
