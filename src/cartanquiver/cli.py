@@ -72,7 +72,7 @@ def _load(args) -> tuple:
         if args.k < 0:
             raise ValidationError(f"--k must be >= 0, got {args.k}")
         k = args.k
-    if getattr(args, "p", None):
+    if getattr(args, "p", None) is not None:
         p = args.p
     la.check_prime(p)
     return datum, k, p, echo
@@ -177,7 +177,7 @@ def cmd_flag_count(args) -> int:
 def cmd_reduce(args) -> int:
     datum, k, p, echo = _load(args)
     module = _load_module(datum, args.module)
-    to_k = args.to_k or module.k - 1
+    to_k = module.k - 1 if args.to_k is None else args.to_k
     if not 1 <= to_k < module.k:
         raise ValidationError(
             f"--to-k must be in [1, {module.k - 1}], got {to_k}")
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_k:
             sp.add_argument("--k", type=int, default=0,
                             help="override the config's symmetrizer level")
-            sp.add_argument("--p", type=int, default=0,
+            sp.add_argument("--p", type=int, default=None,
                             help="override the config's prime")
 
     sp = sub.add_parser("algebra-check",
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reduce", help="apply the reduction functor")
     common(sp, with_k=False)
     sp.add_argument("--module", required=True)
-    sp.add_argument("--to-k", type=int, default=0, dest="to_k")
+    sp.add_argument("--to-k", type=int, default=None, dest="to_k")
     sp.add_argument("--module-out")
     sp.set_defaults(func=cmd_reduce)
 

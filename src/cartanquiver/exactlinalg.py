@@ -136,23 +136,6 @@ def digit_chunks(p: int, width: int, start: int = 0):
         yield digits(np.arange(lo, min(total, lo + DIGIT_CHUNK)), p, width)
 
 
-def left_product_matrix(a: np.ndarray, cols: int) -> np.ndarray:
-    """Matrix of X |-> a @ X on the row-major vec of X with `cols` columns,
-    that is kron(a, I_cols); a may be a stack (..., r, s) of matrices."""
-    r, s = a.shape[-2:]
-    out = a[..., :, None, :, None] * identity(cols)[:, None, :]
-    return out.reshape(a.shape[:-2] + (r * cols, s * cols))
-
-
-def right_product_matrix(b: np.ndarray, rows: int) -> np.ndarray:
-    """Matrix of X |-> X @ b on the row-major vec of X with `rows` rows,
-    that is kron(I_rows, b^T); b may be a stack (..., s, c) of matrices."""
-    s, c = b.shape[-2:]
-    out = (identity(rows)[:, None, :, None]
-           * np.swapaxes(b, -1, -2)[..., None, :, None, :])
-    return out.reshape(b.shape[:-2] + (rows * c, rows * s))
-
-
 def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a**e mod p (a fresh int64 array) by repeated squaring, reducing at
     every product: the result starts at the lowest power of two that e

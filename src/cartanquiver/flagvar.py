@@ -427,14 +427,6 @@ class FlagOfSubmodules:
     def _kept(self) -> tuple[list, list]:
         return _flag_blocks(self.module, self.brseq, self.layers)
 
-    def to_dict(self) -> dict:
-        return {
-            "brseq": [list(r) for r in self.brseq],
-            "layers": [[layer[i].basis.tolist()
-                        for i in range(self.module.n)]
-                       for layer in self.layers],
-        }
-
 
 def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
     """The one flag check: `_check_steps`; per layer the block pass
@@ -843,8 +835,8 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
             offsets.append(offsets[-1] + (kk.dim - z.dim) * ubar.dim)
 
     # each map and identity x with sub block c is one relation (c, x~);
-    # dense unknowns, as a ring layout would build a loop's relation in
-    # and drop its right-hand side [r]
+    # every unknown of order 1 and no relation built in, as a built-in
+    # loop relation would drop its right-hand side [r]
     own = m.maps_with_labels()
     slots = [[(label, (x, b[0]), i, j) for (label, x, i, j), b
               in zip(own, blocks)] for _, blocks in splits]
@@ -862,7 +854,7 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
         relations.append((label, c, tgt.z.quotient_coords(
             (x @ src.t.T).take(kk.pivots, 0)), ti, tj))
         rhs.append(tgt.z.quotient_coords(r.take(kk.pivots, 0)).ravel())
-    layout = homext.Layout(tuple(offsets), (0,) * len(lifts), frozenset())
+    layout = homext.Layout(tuple(offsets), (1,) * len(lifts), frozenset())
     rows = homext.intertwiner_rows(relations, layout, p)
     solution = la.solve(np.concatenate([la.zeros(0, layout.total), *rows]),
                         np.concatenate(rhs), p)

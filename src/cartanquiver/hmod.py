@@ -366,9 +366,13 @@ def ring_to_matrix(ring, mi: int, mj: int, fij: int = 1,
     of the image of eps_j^t g_u; higher powers of eps_j follow the
     rewriting rule, eps_j^(a*fij + t) g_u going to eps_i^(a*fji) times the
     image of eps_j^t g_u.  With fij = fji = 1 the input is a matrix over
-    F_p[eps]/(eps^m), an operator that commutes with the loop.
+    F_p[eps]/(eps^m), an operator that commutes with the loop; with mi =
+    mj = fij = 1 it is a matrix over F_p, and the result is a fresh copy of
+    it.
     """
     ring = np.asarray(ring, dtype=np.int64)
+    if mi == mj == fij == 1:
+        return ring[..., 0].copy()
     lead = ring.shape[:-3]
     ri, rj = ring.shape[-3], ring.shape[-2] // fij
     n = len(lead)

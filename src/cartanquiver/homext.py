@@ -9,15 +9,16 @@ serves all of them exactly over F_p, and the reduction fibers take their
 rows from its assembler, `intertwiner_rows`.
 
 The unknowns are the images of the generators (Lux and Szőke, Exp. Math.
-12, 2003).  A vertex v is a ring vertex when some self-map pair at v has
-both matrices generator-major nilpotent Jordan of one block size o (ones
-at [s*o + t + 1, s*o + t], zeros elsewhere), as in standard loop form;
-the first such pair in `maps_with_labels()` order is used.  Then f_v
-commutes with that pair exactly when f_v = hmod.ring_to_matrix(theta, o,
-o) for an s x r matrix theta over F_p[x]/(x^o).  The unknowns of f_v are
-theta, ordered (s, u, o-1-t): coefficient lists in descending degree; the
-pair holds by construction and gets no equation rows.  Every other
-vertex keeps the row-major entries of f_v as unknowns.
+12, 2003).  Every vertex v has an order o >= 1.  When some self-map pair
+at v has both matrices generator-major nilpotent Jordan of one block size
+(ones at [s*o + t + 1, s*o + t], zeros elsewhere), as in standard loop
+form, o is that block size for the first such pair in relation order, and
+f_v commutes with that pair exactly when f_v = hmod.ring_to_matrix(theta,
+o, o) for an s x r matrix theta over F_p[x]/(x^o); the pair holds by
+construction and gets no equation rows.  Every other vertex has o = 1 and
+nothing built in: theta over F_p[x]/(x) = F_p is f_v itself.  The
+unknowns of f_v are theta, ordered (s, u, o-1-t): coefficient lists in
+descending degree.
 
 Unknown (s, u, o-1-t) is the last entry of its support in the row-major
 f_v, at [s*o + o-1, u*o + o-1-t], and this read-off is increasing.  So the
@@ -70,11 +71,10 @@ def _relations(m, n) -> list:
 @dataclass(frozen=True)
 class Layout:
     """The unknowns of a Hom system, vertex after vertex: bounds[v] to
-    bounds[v+1] are those of f_v.  A ring vertex (orders[v] = o > 0)
-    holds the s x r matrix over F_p[x]/(x^o) of f_v, coefficient lists in
-    descending degree; a dense vertex (orders[v] = 0) holds the row-major
-    entries of f_v.  `built_in` indexes the relations that hold by
-    construction and get no equation rows."""
+    bounds[v+1] are those of f_v, the s x r matrix over F_p[x]/(x^o) of
+    f_v for o = orders[v] >= 1, coefficient lists in descending degree (at
+    o = 1 the row-major entries of f_v).  `built_in` indexes the relations
+    that hold by construction and get no equation rows."""
 
     bounds: tuple[int, ...]
     orders: tuple[int, ...]
@@ -90,52 +90,54 @@ class Layout:
 
 def _layout(dims_m, dims_n, relations) -> Layout:
     """The unknowns of a Hom system between modules of dims dims_m and
-    dims_n: ring unknowns at each vertex with a self-map pair whose
-    matrices are both Jordan of one block size (the first such pair is
-    built in), dense unknowns at the other vertices."""
-    orders = [0] * len(dims_m)
-    built_in = set()
+    dims_n: at each vertex with a self-map pair whose matrices are both
+    Jordan of one block size o, the first such pair is built in and the
+    vertex has order o; every other vertex has order 1."""
+    orders = [1] * len(dims_m)
+    built_in = {}                                        # vertex -> index
     for index, (_, x, y, i, j) in enumerate(relations):
-        if i == j and not orders[i]:
+        if i == j and i not in built_in:
             o = hmod._jordan_order(x)
-            if o and o == (o if y is x else hmod._jordan_order(y)):
+            if 0 < o == (o if y is x else hmod._jordan_order(y)):
                 orders[i] = o
-                built_in.add(index)
+                built_in[i] = index
     bounds = [0]
     for dm, dn, o in zip(dims_m, dims_n, orders):
-        bounds.append(bounds[-1] + (dn * dm // o if o else dn * dm))
-    return Layout(tuple(bounds), tuple(orders), frozenset(built_in))
+        bounds.append(bounds[-1] + dn * dm // o)
+    return Layout(tuple(bounds), tuple(orders), frozenset(built_in.values()))
 
 
 def _right_factor(x: np.ndarray, rows: int, o: int) -> np.ndarray:
-    """Matrix of the unknowns of f (with `rows` rows) to the row-major vec
-    of f @ x.  On a ring vertex, unknown (s, u, o-1-t) puts J^t @ x_u into
-    block row s, where x_u is the u-th block of o rows of x and J the
-    Jordan block."""
-    if not o:
-        return la.right_product_matrix(x, rows)
+    """Matrix of the unknowns of f (with `rows` > 0 rows) to the row-major
+    vec of f @ x: unknown (s, u, o-1-t) puts J^t @ x_u into block row s,
+    where x_u is the u-th block of o rows of x and J the Jordan block; at
+    o = 1, kron(I, x^T).  The s diagonal blocks are equal: the first is
+    written and copied to the others."""
     s, r, w = rows // o, x.shape[0] // o, x.shape[1]
     xr = x.reshape(r, o, w)
-    shifted = np.zeros((o, w, r, o), dtype=np.int64)    # (d, c, u, o-1-t)
+    out = np.zeros((s, o, w, s, r, o), dtype=np.int64)
+    block = out[0, :, :, 0]                              # (d, c, u, o-1-t)
     for t in range(o):
-        shifted[t:, :, :, o - 1 - t] = xr[:, :o - t, :].transpose(1, 2, 0)
-    out = la.identity(s)[:, None, None, :, None, None] * shifted[:, :, None]
+        block[t:, :, :, o - 1 - t] = xr[:, :o - t, :].transpose(1, 2, 0)
+    for a in range(1, s):
+        out[a, :, :, a] = block
     return out.reshape(s * o * w, s * r * o)
 
 
 def _left_factor(y: np.ndarray, cols: int, o: int) -> np.ndarray:
-    """Matrix of the unknowns of f (with `cols` columns) to the row-major
-    vec of y @ f.  On a ring vertex, unknown (s, u, o-1-t) puts y_s @ J^t
-    into block column u, where y_s is the s-th block of o columns of y."""
-    if not o:
-        return la.left_product_matrix(y, cols)
+    """Matrix of the unknowns of f (with `cols` > 0 columns) to the
+    row-major vec of y @ f: unknown (s, u, o-1-t) puts y_s @ J^t into block
+    column u, where y_s is the s-th block of o columns of y; at o = 1,
+    kron(y, I).  The r diagonal blocks are equal: the first is written and
+    copied to the others."""
     h, s, r = y.shape[0], y.shape[1] // o, cols // o
     yr = y.reshape(h, s, o)
-    shifted = np.zeros((h, o, s, o), dtype=np.int64)    # (a, e, s, o-1-t)
+    out = np.zeros((h, r, o, s, r, o), dtype=np.int64)
+    block = out[:, 0, :, :, 0]                           # (a, e, s, o-1-t)
     for t in range(o):
-        shifted[:, :o - t, :, o - 1 - t] = yr[:, :, t:].transpose(0, 2, 1)
-    out = (shifted[:, None, :, :, None, :]
-           * la.identity(r)[None, :, None, None, :, None])
+        block[:, :o - t, :, o - 1 - t] = yr[:, :, t:].transpose(0, 2, 1)
+    for b in range(1, r):
+        out[:, b, :, :, b] = block
     return out.reshape(h * r * o, s * r * o)
 
 
@@ -160,21 +162,21 @@ def intertwiner_rows(relations, layout: Layout, p: int) -> list[np.ndarray]:
 
 def _expand(dims_m, dims_n, layout: Layout, theta) -> np.ndarray:
     """Dense vecs (the row-major f_v, vertex after vertex) of a stack of
-    solutions over `layout`; ring vertices go through ring_to_matrix."""
+    solutions over `layout`, each vertex through ring_to_matrix."""
     parts = []
     for v, (dm, dn, o) in enumerate(zip(dims_m, dims_n, layout.orders)):
-        part = theta[:, layout.columns(v)]
-        if o:
-            ring = part.reshape(len(theta), dn // o, dm // o, o)[..., ::-1]
-            part = hmod.ring_to_matrix(ring, o, o)
-        parts.append(part.reshape(len(theta), dn * dm))
+        ring = theta[:, layout.columns(v)].reshape(
+            len(theta), dn // o, dm // o, o)[..., ::-1]
+        parts.append(hmod.ring_to_matrix(ring, o, o).reshape(len(theta),
+                                                             dn * dm))
     return np.concatenate(parts, axis=1)
 
 
 def _read_off(dims_m, dims_n, layout: Layout, columns) -> tuple[int, ...]:
     """For unknowns of `layout`, the dense vec indices that read them
-    off: unknown (s, u, o-1-t) of a ring vertex is the last entry of its
-    support, f_v[s*o + o-1, u*o + o-1-t].  The map is increasing."""
+    off: unknown (s, u, o-1-t) is the last entry of its support,
+    f_v[s*o + o-1, u*o + o-1-t] (at o = 1, the entry itself).  The map is
+    increasing."""
     starts = [0]
     for dm, dn in zip(dims_m, dims_n):
         starts.append(starts[-1] + dn * dm)
@@ -183,10 +185,8 @@ def _read_off(dims_m, dims_n, layout: Layout, columns) -> tuple[int, ...]:
         v = bisect.bisect_right(layout.bounds, c) - 1
         c -= layout.bounds[v]
         o = layout.orders[v]
-        if o:
-            s, rest = divmod(c, dims_m[v])     # r*o unknowns per s
-            c = (s * o + o - 1) * dims_m[v] + rest
-        out.append(starts[v] + c)
+        s, rest = divmod(c, dims_m[v])         # r*o unknowns per s
+        out.append(starts[v] + (s * o + o - 1) * dims_m[v] + rest)
     return tuple(out)
 
 

@@ -18,7 +18,11 @@ from cartanquiver.errors import (
     ValidationError,
 )
 
-from reference_linalg import quotient_map
+from reference_linalg import (
+    left_product_matrix,
+    quotient_map,
+    right_product_matrix,
+)
 
 
 def make_datum(c, d, omega):
@@ -808,8 +812,8 @@ def _reference_lift_parts(m, red, base):
     s0 = sbar[:, :, 0]
     left = (tm[..., 0] - s0 @ qm[..., 0]) % p
     right = (pm[..., 0] + qm[..., 0] @ s0) % p
-    system = ((la.left_product_matrix(left, z_total)
-               - la.right_product_matrix(right, len(other_rows))) % p
+    system = ((left_product_matrix(left, z_total)
+               - right_product_matrix(right, len(other_rows))) % p
               ).reshape(rhs.shape[0], len(other_rows) * z_total)
     return coords, offsets, sbar, pivot_rows, other_rows, system, rhs
 

@@ -4,7 +4,9 @@ checked against `exactlinalg.rref` matrix by matrix; and the projection
 onto a quotient space with a section of it as explicit matrices, which
 the library reads off the subspaces instead; and the kernel basis read off
 an RREF entry by entry, which the library fills with two index
-assignments."""
+assignments; and the matrices of X |-> a @ X and X |-> X @ b on row-major
+vecs, kron(a, I) and kron(I, b^T), which the library's Hom solver builds
+as its order-1 ring factors."""
 
 import numpy as np
 
@@ -101,3 +103,20 @@ def kernel_from_rref_loop(r: np.ndarray, pivots: tuple[int, ...], cols: int,
         for row, c in enumerate(pivots):
             basis[t, c] = (-r[row, f]) % p
     return basis, tuple(free)
+
+
+def left_product_matrix(a: np.ndarray, cols: int) -> np.ndarray:
+    """Matrix of X |-> a @ X on the row-major vec of X with `cols` columns,
+    that is kron(a, I_cols); a may be a stack (..., r, s) of matrices."""
+    r, s = a.shape[-2:]
+    out = a[..., :, None, :, None] * la.identity(cols)[:, None, :]
+    return out.reshape(a.shape[:-2] + (r * cols, s * cols))
+
+
+def right_product_matrix(b: np.ndarray, rows: int) -> np.ndarray:
+    """Matrix of X |-> X @ b on the row-major vec of X with `rows` rows,
+    that is kron(I_rows, b^T); b may be a stack (..., s, c) of matrices."""
+    s, c = b.shape[-2:]
+    out = (la.identity(rows)[:, None, :, None]
+           * np.swapaxes(b, -1, -2)[..., None, :, None, :])
+    return out.reshape(b.shape[:-2] + (rows * c, rows * s))

@@ -75,6 +75,22 @@ def test_unsupported_modulus_exits_2(config_path, capsys, p):
     assert "modulus" in capsys.readouterr().err
 
 
+def test_zero_modulus_exits_2(config_path, capsys):
+    """--p 0 is a modulus like any other, not "use the config's prime"."""
+    assert run(["algebra-check", "--config", config_path, "--p", "0"]) == 2
+    assert "modulus 0 is not prime" in capsys.readouterr().err
+
+
+def test_reduce_to_level_zero_exits_2(config_path, tmp_path, capsys):
+    """--to-k 0 is out of range, not "one level down"."""
+    module_path = _rigid_module_file(config_path, tmp_path)
+    reduced = tmp_path / "reduced.json"
+    assert run(["reduce", "--config", config_path, "--module", module_path,
+                "--to-k", "0", "--module-out", str(reduced)]) == 2
+    assert "--to-k must be in [1, 1], got 0" in capsys.readouterr().err
+    assert not reduced.exists()
+
+
 def test_threads_option_removed(config_path, capsys):
     with pytest.raises(SystemExit):
         run(["bundle-check", "--config", config_path, "--rank", "1,1",

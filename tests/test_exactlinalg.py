@@ -16,7 +16,13 @@ from cartanquiver.errors import (
 )
 
 from conftest import contains, coordinates_rows
-from reference_linalg import kernel_from_rref_loop, quotient_map, rref_stack
+from reference_linalg import (
+    kernel_from_rref_loop,
+    left_product_matrix,
+    quotient_map,
+    right_product_matrix,
+    rref_stack,
+)
 
 
 def test_check_prime():
@@ -421,8 +427,8 @@ def test_product_matrices_match_kron(seed):
     r, s, c = rng.integers(0, 4, size=3)
     a = rng.integers(0, 7, size=lead + (r, s))
     b = rng.integers(0, 7, size=lead + (s, c))
-    left = la.left_product_matrix(a, c)
-    right = la.right_product_matrix(b, r)
+    left = left_product_matrix(a, c)
+    right = right_product_matrix(b, r)
     for idx in np.ndindex(*lead):
         assert np.array_equal(left[idx], np.kron(a[idx], la.identity(c)))
         assert np.array_equal(right[idx],

@@ -1256,7 +1256,7 @@ class TestFiberAssembly:
                                           monkeypatch):
         """Each fiber takes its rows from one `homext.intertwiner_rows`
         call of its own, beside the solves of its Hom cross-check: on
-        dense unknowns (every order 0, no built-in relation, one phi per
+        dense unknowns (every order 1, no built-in relation, one phi per
         layer and vertex), with one relation per loop and arrow of each
         layer and per vertex of each identity between layers."""
         calls = []
@@ -1283,7 +1283,7 @@ class TestFiberAssembly:
             flagvar.fiber_of_reduction(m, base)
             [(relations, layout)] = calls
             layers = len(base.layers)
-            assert layout.orders == (0,) * (layers * m.n)
+            assert layout.orders == (1,) * (layers * m.n)
             assert layout.built_in == frozenset()
             assert len(relations) == (layers * len(m.maps_with_labels())
                                       + (layers - 1) * m.n)

@@ -518,18 +518,44 @@ def test_intertwiner_rows_match_kron_reference(pair):
 def test_jordan_self_maps_match_kron_reference(case):
     m, n, expected = case
     relations = homext._relations(m, n)
-    # the first self-map pair at a vertex whose matrices are Jordan of
-    # one block size (a random self-map that is zero on both sides is
-    # such a pair, with block size 1), found by brute force
-    orders = [0] * len(m.dims)
-    for _, x, y, i, j in relations:
-        if i == j and not orders[i]:
+    orders, built = _first_jordan_pairs(relations, len(m.dims))
+    assert all(v in built for v, want in enumerate(expected) if want)
+    assert homext._layout(m.dims, n.dims, relations).orders == tuple(orders)
+    assert_matches_dense(homext._hom_basis(m, n), m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(relation_pairs(), jordan_pairs().map(lambda c: c[:2])))
+def test_layout_has_one_unknown_form(pair):
+    """Every vertex has an order >= 1, and exactly the brute-force pairs
+    are built in; the bounds count dn * dm / o unknowns per vertex."""
+    m, n = pair
+    relations = homext._relations(m, n)
+    orders, built = _first_jordan_pairs(relations, len(m.dims))
+    layout = homext._layout(m.dims, n.dims, relations)
+    assert 0 not in layout.orders
+    assert layout.orders == tuple(orders)
+    assert layout.built_in == frozenset(built.values())
+    assert layout.bounds == tuple(itertools.accumulate(
+        (dn * dm // o for dm, dn, o in zip(m.dims, n.dims, orders)),
+        initial=0))
+
+
+def _first_jordan_pairs(relations, n_vertices):
+    """Per vertex, the order the layout must pick, and the index of the
+    relation it must build in: the first self-map pair at the vertex whose
+    matrices are Jordan of one block size (a random self-map that is zero
+    on both sides is such a pair, with block size 1), found by brute
+    force; order 1 and nothing built in where there is none."""
+    orders = [1] * n_vertices
+    built = {}
+    for index, (_, x, y, i, j) in enumerate(relations):
+        if i == j and i not in built:
             o = _block_size(x)
             if o and o == _block_size(y):
                 orders[i] = o
-    assert all(o for o, want in zip(orders, expected) if want)
-    assert homext._layout(m.dims, n.dims, relations).orders == tuple(orders)
-    assert_matches_dense(homext._hom_basis(m, n), m, n)
+                built[i] = index
+    return orders, built
 
 
 def _block_size(x):

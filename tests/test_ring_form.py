@@ -202,6 +202,21 @@ def test_matrix_to_ring_inverts_ring_to_matrix(case):
     assert np.array_equal(back, ring)
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 0)])
+@pytest.mark.parametrize("fji", [1, 2])
+def test_order_one_ring_is_a_fresh_matrix(lead, fji):
+    """At mi = mj = fij = 1 the ring matrices are the matrices themselves,
+    also for the reversed views the Hom solver hands in, and the result
+    never shares memory with the input."""
+    base = np.random.default_rng(len(lead)).integers(0, 5,
+                                                      size=lead + (2, 3, 1))
+    for ring in (base, base[..., ::-1], base.swapaxes(-3, -2)):
+        mats = hmod.ring_to_matrix(ring, 1, 1, 1, fji)
+        assert mats.dtype == np.int64
+        assert np.array_equal(mats, ring[..., 0])
+        assert not np.shares_memory(mats, ring)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 3), st.integers(1, 4), st.integers(0, 3),
        st.integers(0, 3), st.integers(0, 2 ** 16))
