@@ -209,9 +209,9 @@ def cmd_bundle_check(args) -> int:
     r = _parse_rank(args.rank)
     brseq = _parse_brseq(args.brseq)
     primes = _parse_ints(args.primes, "primes") if args.primes else (2, 3)
-    if args.kmax and args.kmax < 2:
-        raise ValidationError(f"--kmax must be >= 2, got {args.kmax}")
-    k_max = args.kmax or max(k, 2)
+    k_max = max(k, 2) if args.kmax is None else args.kmax
+    if k_max < 2:
+        raise ValidationError(f"--kmax must be >= 2, got {k_max}")
 
     def check_level(level: int):
         search = homext.find_rigid(datum, level, p, r, trials=args.trials,
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rank", "-r", required=True)
     sp.add_argument("--brseq", required=True)
     sp.add_argument("--primes", default="")
-    sp.add_argument("--kmax", type=int, default=0)
+    sp.add_argument("--kmax", type=int, default=None)
     sp.add_argument("--trials", type=int, default=200)
     sp.set_defaults(func=cmd_bundle_check)
     return parser

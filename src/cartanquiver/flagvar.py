@@ -349,23 +349,16 @@ def iter_locally_free_submodules(m: HModule, e
     under all arrows, exactly once each (charts are disjoint)."""
     rank = hmod.rank_vector(m)
     e = _sub_rank(rank, e)
-    std, ts = (m, None) if m.standard_form else hmod.normalize(m)
+    std, ts = hmod._standard(m)
     for pairs in _charts(std, rank, e):
-        tup = tuple(block.subspace(t) for block, t in pairs)
-        yield tup if ts is None else _image(tup, ts)
-
-
-def _image(layer, maps) -> tuple[Subspace, ...]:
-    """The images T_i U_i of subspaces U_i under per-vertex maps T_i."""
-    return tuple(Subspace.from_rows((u.basis @ t.T) % u.p, t.shape[0], u.p)
-                 for u, t in zip(layer, maps))
+        yield _chain_layers([pairs], ts, m.p)[0]
 
 
 def count_locally_free_submodules(m: HModule, e) -> int:
     """Grassmannian point count (`_count_charts`)."""
     rank = hmod.rank_vector(m)
     e = _sub_rank(rank, e)
-    std = m if m.standard_form else hmod.normalize(m)[0]
+    std, _ = hmod._standard(m)
     return _count_charts(std, rank, e)
 
 
@@ -578,7 +571,7 @@ def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
     seq = _checked_seq(m, brseq)
     if seq is None:
         return
-    std, ts = (m, None) if m.standard_form else hmod.normalize(m)
+    std, ts = hmod._standard(m)
     for chain in _layer_chains(std, seq, count=False):
         layers = _chain_layers(chain, ts, m.p) if chain else ()
         flag = FlagOfSubmodules(m, seq, layers)
@@ -592,7 +585,7 @@ def point_count(m: HModule, brseq) -> int:
     seq = _checked_seq(m, brseq)
     if seq is None:
         return 0
-    std = m if m.standard_form else hmod.normalize(m)[0]
+    std, _ = hmod._standard(m)
     return sum(_layer_chains(std, seq, count=True))
 
 
@@ -919,14 +912,17 @@ def bundle_ratio_check(m: HModule, brseq, primes=(2, 3)
                        ) -> BundleRatioReport:
     """Per prime: the level-k count must be q^d(brseq) times the count of
     the reduced flag variety at level k-1, exactly, whenever the ambient
-    module is rigid at that prime.  Violations are reported, not raised.
-    The module at q is `hmod.reduce_mod_p(m, q)`, m's entries read mod q;
-    entries that break the relations mod q raise RelationBrokenAtPrime."""
+    module is rigid at that prime.  Violations are reported, not raised;
+    a repeated prime raises ValidationError.  The module at q is
+    `hmod.reduce_mod_p(m, q)`, m's entries read mod q; entries that break
+    the relations mod q raise RelationBrokenAtPrime."""
     if m.k < 2:
         raise KTooSmall("bundle check compares level k with k - 1")
     seq = _rank_seq(brseq, m.n)
     if not primes:
         raise NotEnoughPrimes("bundle check needs at least one prime")
+    if len(set(primes)) != len(primes):
+        raise ValidationError(f"primes must be distinct, got {tuple(primes)}")
     d = flag_dimension(m.datum, seq)
     rows = []
     for q in primes:

@@ -5,13 +5,15 @@ M = ker(phi^N) + im(phi^N) is a direct decomposition, so any phi that is
 neither nilpotent nor invertible splits M.  Both pieces are restrictions
 of M to those invariant subspaces in their RREF bases (`hmod._restrict`),
 valid by construction since phi has passed the substitution check of a
-homomorphism, so no piece is validated again.  A module with one non-zero
-vertex whose loop is a single nilpotent Jordan block, as every rank-one
-piece E_i is, has End(M) = F_p[x]/(x^d), a local ring: it is
-indecomposable, with an exhaustive certificate at any budget, and no
-End(M) is solved for it (`_local_end`).  For every other module a split
-is searched in three steps, each run only when the one before it has not
-decided:
+homomorphism, so no piece is validated again.  The one claim of a split
+that is not true by construction, that im(phi^N) and ker(phi^N) are
+complementary, is checked at every vertex where the split is made
+(`_fitting_split`).  A module with one non-zero vertex whose loop is a
+single nilpotent Jordan block, as every rank-one piece E_i is, has
+End(M) = F_p[x]/(x^d), a local ring: it is indecomposable, with an
+exhaustive certificate at any budget, and no End(M) is solved for it
+(`_local_end`).  For every other module a split is searched in three
+steps, each run only when the one before it has not decided:
 
 1. Fitting splits along the End(M) basis elements, shifted by scalars.
    Each candidate f is raised to the Fitting power at all of its shifts
@@ -92,7 +94,8 @@ MONTE_CARLO = "monte_carlo"
 
 def _fitting_split(m: HModule, powers) -> Optional[tuple]:
     """Subspace pair (im, ker) of the Fitting powers f_i^N (one per vertex,
-    N >= dim M) when they split M non-trivially."""
+    N >= dim M) when they split M non-trivially; InternalCheckError unless
+    their RREF bases stack to rank d_i at every vertex (Fitting's lemma)."""
     p = m.p
     ims = tuple(Subspace.from_rows(fi.T, m.dims[i], p)
                 for i, fi in enumerate(powers))
@@ -101,6 +104,10 @@ def _fitting_split(m: HModule, powers) -> Optional[tuple]:
     kers = tuple(Subspace.from_rows(la.kernel_basis_matrix(fi, p),
                                     m.dims[i], p)
                  for i, fi in enumerate(powers))
+    for i, (u, v) in enumerate(zip(ims, kers)):
+        if la.rank(np.vstack([u.basis, v.basis]), p) != m.dims[i]:
+            raise InternalCheckError(
+                f"Fitting split: im, ker not complementary at vertex {i + 1}")
     return ims, kers
 
 
@@ -263,8 +270,8 @@ def is_indecomposable(m: HModule, seed=0) -> IndecomposabilityResult:
     exhaustive idempotent scan when p^dim End(M) <= IDEMPOTENT_BUDGET, and
     only past that budget along SPLIT_TRIALS random endomorphisms.  Within
     the budget a positive answer is exhaustive; past it, a positive answer
-    is Monte Carlo.  A negative answer is always exhaustive (it exhibits a
-    split).
+    is Monte Carlo.  A negative answer is always exhaustive: it exhibits a
+    split, checked at every vertex (`_fitting_split`).
     """
     if m.total_dim() == 0:
         return IndecomposabilityResult(False, EXHAUSTIVE)
@@ -292,8 +299,7 @@ class KrullSchmidtResult:
         return sum(mult for _, mult in self.parts)
 
 
-def krull_schmidt(m: HModule, seed=0, verify: bool = True
-                  ) -> KrullSchmidtResult:
+def krull_schmidt(m: HModule, seed=0) -> KrullSchmidtResult:
     """Split M into indecomposables and group them up to isomorphism.
 
     Each piece is split as in `is_indecomposable`: a piece with a local
@@ -301,13 +307,15 @@ def krull_schmidt(m: HModule, seed=0, verify: bool = True
     whole, exhaustively at any budget; the others along the End basis,
     then by the idempotent scan when p^dim End <= IDEMPOTENT_BUDGET, and
     only past that budget along SPLIT_TRIALS random endomorphisms, so
-    SPLIT_TRIALS matters only for pieces whose scan is over budget.  Both
-    Fitting pieces of a split are built by `hmod._restrict` with no
-    `make_module` or `validate_module` call (see there).  The rebuilt
-    direct sum is checked against M (invariant); certainty is the
-    weakest certificate among the returned parts.  Inside a decomposition
-    call, a piece equal to a piece decided before in the call reuses that
-    decision (`_find_split`).
+    SPLIT_TRIALS matters only for pieces whose scan is over budget.
+    Nothing is checked at the end, as every step is exact: each Fitting
+    split is checked where it is made (`_fitting_split`), with f a sum of
+    substitution-checked Hom basis elements, so im f^N and ker f^N are
+    invariant; each piece is `hmod._restrict`, valid by construction; and
+    a grouping "yes" of `homext.are_isomorphic` carries its invertible
+    homomorphism.  Certainty is the weakest certificate among the parts.
+    Inside a decomposition call, a piece equal to a piece decided before
+    in the call reuses that decision (`_find_split`).
     """
     pieces: list[HModule] = []
     certainty = EXHAUSTIVE
@@ -343,19 +351,7 @@ def krull_schmidt(m: HModule, seed=0, verify: bool = True
         else:
             groups.append([piece])
     parts = tuple((g[0], len(g)) for g in groups)
-    result = KrullSchmidtResult(parts, certainty, indecomposable)
-    if verify and m.total_dim() > 0:
-        rebuilt = None
-        for mod, mult in parts:
-            for _ in range(mult):
-                rebuilt = mod if rebuilt is None else hmod.direct_sum(
-                    rebuilt, mod)
-        if rebuilt.dims != m.dims:
-            raise InternalCheckError("krull_schmidt: dimension mismatch")
-        if not homext.are_isomorphic(rebuilt, m, seed=(seed, "verify")):
-            raise InternalCheckError(
-                "krull_schmidt: rebuilt sum not isomorphic to input")
-    return result
+    return KrullSchmidtResult(parts, certainty, indecomposable)
 
 
 # --- generic invariants of rank vectors --------------------------------------
@@ -679,8 +675,7 @@ def _decompose(table: _CallTable, r: RankVector, seed
     census = []
     for t, mod in enumerate(modules):
         ks = krull_schmidt(
-            mod, seed=(seed, t) if exhaustive else (seed, "ks", t),
-            verify=False)
+            mod, seed=(seed, t) if exhaustive else (seed, "ks", t))
         if ks.certainty == MONTE_CARLO:
             certainty = MONTE_CARLO
         counter[ks.rank_multiset()] += 1

@@ -287,6 +287,11 @@ def normalize(m: HModule) -> tuple[HModule, tuple[np.ndarray, ...]]:
     return make_module(m.datum, m.k, m.p, eps, arrows), tuple(ts)
 
 
+def _standard(m: HModule) -> tuple[HModule, Optional[tuple[np.ndarray, ...]]]:
+    """(m, None) for a module in standard form, else `normalize(m)`."""
+    return (m, None) if m.standard_form else normalize(m)
+
+
 def modules_equal(a: HModule, b: HModule) -> bool:
     """Literal equality of all matrices (not isomorphism)."""
     if (a.datum, a.k, a.p, a.dims) != (b.datum, b.k, b.p, b.dims):
@@ -430,8 +435,7 @@ def from_structure_matrices(s: StructureMatrices) -> HModule:
 
 def to_structure_matrices(m: HModule) -> StructureMatrices:
     """Inverse of from_structure_matrices on standard-form modules."""
-    if not m.standard_form:
-        m, _ = normalize(m)
+    m, _ = _standard(m)
     r = rank_vector(m)
     out = {}
     for (i, j), mats in m.arrows.items():

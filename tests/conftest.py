@@ -406,7 +406,7 @@ def reference_decomposition_scan(datum, k, p, r, samples, seed, budget):
         count = 0
         for s in reference_iter_structure_matrices(datum, k, p, r):
             ks = gendecomp.krull_schmidt(hmod.from_structure_matrices(s),
-                                         seed=(seed, count), verify=False)
+                                         seed=(seed, count))
             if ks.certainty == gendecomp.MONTE_CARLO:
                 certainty = gendecomp.MONTE_CARLO
             counter[ks.rank_multiset()] += 1
@@ -416,7 +416,7 @@ def reference_decomposition_scan(datum, k, p, r, samples, seed, budget):
         for t in range(samples):
             ks = gendecomp.krull_schmidt(
                 hmod.random_locally_free(datum, k, p, r, (seed, t)),
-                seed=(seed, "ks", t), verify=False)
+                seed=(seed, "ks", t))
             if ks.certainty == gendecomp.MONTE_CARLO:
                 certainty = gendecomp.MONTE_CARLO
             counter[ks.rank_multiset()] += 1
@@ -681,6 +681,13 @@ def reference_flag_check(flag):
 
 # --- the flag recursion by validated submodules -------------------------------
 
+def _image(layer, maps):
+    """The images T_i U_i of subspaces U_i under per-vertex maps T_i."""
+    return tuple(la.Subspace.from_rows((u.basis @ t.T) % u.p, t.shape[0],
+                                       u.p)
+                 for u, t in zip(layer, maps))
+
+
 def reference_layer_chains(m, seq, count):
     """flagvar._layer_chains before the chart basis: the top proper layer
     runs over the Grassmannian of m (normalized when m is not in standard
@@ -706,7 +713,7 @@ def reference_layer_chains(m, seq, count):
             if count:
                 yield chain
                 continue
-            yield [flagvar._image(layer, incl) for layer in chain] + [tup]
+            yield [_image(layer, incl) for layer in chain] + [tup]
 
 
 # --- the reduction fiber as a ring chart, computed again on every call -------

@@ -350,6 +350,21 @@ def test_bundle_check_kmax_below_2_exits_2(config_path, capsys):
                    "--kmax must be >= 2")
 
 
+def test_bundle_check_kmax_0_exits_2(config_path, capsys):
+    # before, --kmax 0 ran at the default max(k, 2) and exited 0
+    _expect_exit_2(["bundle-check", "--config", config_path, "--rank",
+                    "1,1", "--brseq", "1,0;0,1", "--kmax", "0"], capsys,
+                   "--kmax must be >= 2, got 0")
+
+
+def test_bundle_check_repeated_prime_exits_2(config_path, capsys):
+    # before, --primes 2,2 reported the q = 2 row twice, where
+    # flag-count --primes 3,3 exits 2
+    _expect_exit_2(["bundle-check", "--config", config_path, "--rank",
+                    "1,1", "--brseq", "1,0;0,1", "--p", "2", "--primes",
+                    "2,2"], capsys, "primes must be distinct")
+
+
 def test_flag_count_budget_exceeded_exits_3(config_path, tmp_path, capsys,
                                             monkeypatch):
     # free of rank (2,1): a middle layer of rank (1,1) has more than one

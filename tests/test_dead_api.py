@@ -169,6 +169,7 @@ REMOVED_KEYWORDS = [
     (gendecomp.is_indecomposable, "idempotent_budget"),
     (gendecomp.krull_schmidt, "trials"),
     (gendecomp.krull_schmidt, "idempotent_budget"),
+    (gendecomp.krull_schmidt, "verify"),
     (gendecomp.ext_generic, "pair_budget"),
     (gendecomp.is_schur_root, "space_budget"),
     (gendecomp.is_schur_root, "pair_budget"),
@@ -180,8 +181,9 @@ REMOVED_KEYWORDS = [
     "fn,keyword", REMOVED_KEYWORDS,
     ids=[f"{fn.__name__}-{kw}" for fn, kw in REMOVED_KEYWORDS])
 def test_removed_budget_keywords(a2, fn, keyword):
-    """The budgets and trial counts are module constants now; the old
-    keywords fail at the call."""
+    """The budgets and trial counts are module constants now, and the
+    Krull-Schmidt check is made at each split; the old keywords fail at
+    the call."""
     m = hmod.free_module(a2, 1, 2, (1, 0))
     args = {homext.are_isomorphic: (m, m),
             gendecomp.is_indecomposable: (m,),

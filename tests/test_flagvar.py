@@ -1515,6 +1515,12 @@ class TestBundleRatio:
         with pytest.raises(NotEnoughPrimes):
             flagvar.bundle_ratio_check(m, [(1, 0), (0, 1)], primes=())
 
+    def test_repeated_prime_rejected(self, a2):
+        # before, primes (2, 2) reported the q = 2 row twice
+        m = rigid_module(a2, 2, 2, (1, 1), seed=9)
+        with pytest.raises(ValidationError, match="primes must be distinct"):
+            flagvar.bundle_ratio_check(m, [(1, 0), (0, 1)], primes=(2, 2))
+
     @pytest.mark.parametrize("brseq", [[], [(1, 0, 0), (0, 1, 0)]])
     def test_malformed_brseq_rejected(self, a2, brseq):
         m = rigid_module(a2, 2, 2, (1, 1), seed=9)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cartanquiver import exactlinalg as la
 from cartanquiver import gendecomp, hmod, homext
 from cartanquiver.cartan import RankVector
+from cartanquiver.errors import InternalCheckError
 
 from conftest import (
     make_datum,
@@ -66,6 +68,20 @@ class TestKrullSchmidt:
         ks = gendecomp.krull_schmidt(double, seed=4)
         assert ks.rank_multiset() == ((1, 1), (1, 1))
         assert len(ks.parts) == 1 and ks.parts[0][1] == 2
+
+    def test_cubed_sum_never_raises(self, a2):
+        # P^3 + E_1^3 + E_2^3 at k = 1 over F_2 (dim End 45, past the
+        # exhaustive isomorphism budget): before, an uncertain "no" for the
+        # rebuilt sum raised InternalCheckError for 53 of these seeds
+        p = hmod.from_structure_matrices(hmod.structure_from_arrays(
+            a2, 1, 2, (1, 1), {(0, 1): np.array([[1]])}))
+        e1 = hmod.free_module(a2, 1, 2, (1, 0))
+        e2 = hmod.free_module(a2, 1, 2, (0, 1))
+        m = functools.reduce(hmod.direct_sum, [p] * 3 + [e1] * 3 + [e2] * 3)
+        want = ((0, 1),) * 3 + ((1, 0),) * 3 + ((1, 1),) * 3
+        for seed in range(200):
+            assert gendecomp.krull_schmidt(m, seed=seed).rank_multiset() \
+                == want, seed
 
 
 class TestIndecomposability:
@@ -160,7 +176,7 @@ class TestSplittingOracle:
                             lambda a, b: solved.append(a) or original(a, b))
         res = gendecomp.is_indecomposable(m)
         assert res and res.certainty == gendecomp.EXHAUSTIVE
-        ks = gendecomp.krull_schmidt(m, verify=False)
+        ks = gendecomp.krull_schmidt(m)
         assert ks.rank_multiset() == ((1, 0),)
         assert ks.certainty == gendecomp.EXHAUSTIVE
         assert solved == []
@@ -396,6 +412,22 @@ def test_stacked_search_matches_reference(case):
     got = gendecomp._fitting_search(m, candidates, shifts)
     want = reference_fitting_search(m, candidates, shifts)
     assert got == want
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_fitting_split_checks_each_vertex(a2, bad):
+    """Powers whose image and kernel meet at one vertex (a non-zero square-
+    zero block) raise there; powers that split every vertex pass."""
+    m = hmod.random_locally_free(a2, 2, 2, (1, 1), seed=0)
+    assert m.dims == (2, 2)
+    one, zero = la.identity(2), la.zeros(2, 2)
+    ims, kers = gendecomp._fitting_split(m, [one, zero])
+    assert [u.dim for u in ims] == [2, 0] and [v.dim for v in kers] == [0, 2]
+    powers = [one, one]
+    powers[bad] = np.array([[0, 1], [0, 0]])
+    with pytest.raises(InternalCheckError,
+                       match=f"not complementary at vertex {bad + 1}$"):
+        gendecomp._fitting_split(m, powers)
 
 
 def test_one_power_per_vertex_and_no_rank_for_ruled_out(kronecker,

@@ -108,6 +108,6 @@ def test_decomposition_builds_no_module(name, monkeypatch):
 
     for attr in ("make_module", "validate_module"):
         monkeypatch.setattr(hmod, attr, counted(attr, getattr(hmod, attr)))
-    result = gendecomp.krull_schmidt(m, verify=False)
+    result = gendecomp.krull_schmidt(m)
     assert result.summand_count() >= 2
     assert calls == []
