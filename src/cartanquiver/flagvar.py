@@ -14,23 +14,30 @@ array of chart rows, with no elimination: the rows of a chart are the
 identity on its pivot columns, which is all a closure test needs) when
 it first reaches it, so a search that stops early builds only the blocks
 it read; only the candidates a search yields are reduced to canonical
-subspaces, once per block.  A search refuses to start, with
-BudgetExceeded, when any vertex has more than VERTEX_CANDIDATE_BUDGET
-candidates; a count with no active arrow is a closed-form product and is
-never refused.  Flags recurse inside each closed top layer in the basis
-of its chart rows, where the submodule is valid by construction
-(`hmod._restrict`), so no inner layer is split, normalized, eliminated
-or validated.  Flags of length l are chains over the tensor algebra with
-the path algebra of a linear quiver on l-1 vertices, which gives their
-tangent spaces (one Hom solve).  One flag check, on the block pass of a
-split of the module along each layer (`hmod._split_blocks`, one block
-list in the order of the module's maps), tests invariance, freeness and
-nesting; each (sub, quotient) pair of its blocks is one relation of the
-tangent Hom, solved without building a module.  Each flag object is
-checked once: a flag is a value (tuples of subspaces with read-only
-bases), so it keeps the read-only blocks of its check as long as it
-lives, and its tangent space, its reduction and the fiber over it reuse
-them.  The fiber of the reduction map over a fixed lower-level flag is
+subspaces, once per block.  A count does not build its vertex with the
+most candidates when that has more than _BLOCK_TEST_CHARTS: within one
+pivot pattern the chart rows are affine in the pattern's free
+coefficients, and so are the closure residues, so per tuple of the other
+vertices one exact solve over F_p per pattern gives its closed charts,
+p^(slots - rank) or none; the identity and unit rows of the patterns are
+built once per key and kept in its entry.  A search refuses to start,
+with BudgetExceeded, when a vertex it enumerates has more than
+VERTEX_CANDIDATE_BUDGET candidates; a vertex a count takes in closed
+form (no active arrow) or solves is never refused.  Flags recurse inside
+each closed top layer in the basis of its chart rows, where the
+submodule is valid by construction (`hmod._restrict`), so no inner layer
+is split, normalized, eliminated or validated.  Flags of length l are
+chains over the tensor algebra with the path algebra of a linear quiver
+on l-1 vertices, which gives their tangent spaces (one Hom solve).  One
+flag check, on the block pass of a split of the module along each layer
+(`hmod._split_blocks`, one block list in the order of the module's
+maps), tests invariance, freeness and nesting; each (sub, quotient) pair
+of its blocks is one relation of the tangent Hom, solved without
+building a module.  Each flag object is checked once: a flag is a value
+(tuples of subspaces with read-only bases), so it keeps the read-only
+blocks of its check as long as it lives, and its tangent space, its
+reduction and the fiber over it reuse them.  The fiber of the reduction
+map over a fixed lower-level flag is
 one affine linear system on the layers: every lift of a base layer is
 Z + graph(phi) with Z = eps^(k-1) of its preimage and phi a linear map
 into (eps^(k-1) M) / Z, and each loop, arrow and identity between layers
@@ -132,6 +139,7 @@ def _chart_rows(charts: np.ndarray, m_order: int) -> np.ndarray:
 _CANDIDATE_CACHE_LIMIT = 20000   # charts of the largest key kept as a table
 _CANDIDATE_CACHE_SIZE = 256      # keys kept; a `count` bench pass uses 116
 _BLOCK_CELLS = 1 << 17           # int64 cells of row matrices per block
+_BLOCK_TEST_CHARTS = 256         # charts up to which a count block-tests
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,28 +202,31 @@ def _new_table(m_order: int, r: int, e: int, p: int, start: int,
 
 class _KeyEntry(NamedTuple):
     """What every search over one key reads: its chart count, its charts
-    per block, and its blocks, each None until a search first reaches it,
-    or None for a key over _CANDIDATE_CACHE_LIMIT charts, whose blocks are
-    never kept."""
+    per block, its blocks, each None until a search first reaches it, or
+    None for a key over _CANDIDATE_CACHE_LIMIT charts, whose blocks are
+    never kept, and its `_AffineCharts`, empty until a count first solves
+    the key."""
 
     charts: int
     step: int
     blocks: Optional[list]
+    affine: list
 
 
 @functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
 def _vertex_candidates(m_order: int, r: int, e: int, p: int) -> _KeyEntry:
     """The entry of one key: its chart count, its charts per block (about
-    _BLOCK_CELLS cells of row matrices) and, up to _CANDIDATE_CACHE_LIMIT
-    charts, its block list.  This is the one place that reads those
-    constants: every search over the key reads the entry, so a constant
-    changed later reaches only the keys built after it, and the blocks,
-    filled in place, are shared by every search."""
+    _BLOCK_CELLS cells of row matrices), up to _CANDIDATE_CACHE_LIMIT
+    charts its block list, and an empty list that `_affine_charts` fills
+    on first use.  This is the one place that reads those constants:
+    every search over the key reads the entry, so a constant changed
+    later reaches only the keys built after it, and the blocks, filled in
+    place, are shared by every search."""
     count = chart_count(m_order, r, e, p)
     step = max(1, _BLOCK_CELLS // max(1, e * r * m_order * m_order))
     blocks = ([None] * -(-count // step)
               if count <= _CANDIDATE_CACHE_LIMIT else None)
-    return _KeyEntry(count, step, blocks)
+    return _KeyEntry(count, step, blocks, [])
 
 
 def _candidate_blocks(key: tuple[int, int, int, int]
@@ -223,7 +234,7 @@ def _candidate_blocks(key: tuple[int, int, int, int]
     """The candidates of one key (m_order, r, e, p) in chart order, a block
     of its entry at a time, each built when it is first reached and kept
     in the entry's block list when it has one."""
-    count, step, blocks = _vertex_candidates(*key)
+    count, step, blocks, _ = _vertex_candidates(*key)
     for b, start in enumerate(range(0, count, step)):
         block = blocks[b] if blocks is not None else None
         if block is None:
@@ -231,6 +242,54 @@ def _candidate_blocks(key: tuple[int, int, int, int]
             if blocks is not None:
                 blocks[b] = block
         yield block
+
+
+class _AffineCharts(NamedTuple):
+    """The charts of one key as affine families, one per pivot pattern, in
+    one stack of read-only row matrices (T, e*m, r*m): per pattern its
+    identity rows B_0 (the chart whose free coefficients are all 0), then
+    the unit rows U_s of each of its free coefficients s (`slots` order),
+    so its chart with coefficients c has the rows B_0 + sum_s c_s U_s.
+    `pivots` (T, e*m) holds each row's pattern columns P, on which B_0 is
+    the identity and every U_s is zero; `starts` holds the index of each
+    pattern's B_0, and `bounds` the same with the stack's end appended."""
+
+    rows: np.ndarray
+    pivots: np.ndarray
+    starts: np.ndarray
+    bounds: tuple[int, ...]
+
+
+def _affine_charts(key: tuple[int, int, int, int]) -> _AffineCharts:
+    """The `_AffineCharts` of one key, built on first use and kept in its
+    entry."""
+    affine = _vertex_candidates(*key).affine
+    if not affine:
+        affine.append(_new_affine(*key))
+    return affine[0]
+
+
+def _new_affine(m_order: int, r: int, e: int, p: int) -> _AffineCharts:
+    """Per pattern, the ring matrices of B_0 (1 at (pivots[col], col) in
+    degree 0) and of each unit (1 at its slot (row, col, degree) alone)."""
+    charts, pivots, bounds = [], [], [0]
+    for piv, slots, _ in _chart_patterns(m_order, r, e, p):
+        ring = np.zeros((1 + len(slots), r, e, m_order), dtype=np.int64)
+        ring[0, list(piv), range(e), 0] = 1
+        rows, cols, degrees = np.array(slots, dtype=int).reshape(-1, 3).T
+        ring[range(1, 1 + len(slots)), rows, cols, degrees] = 1
+        charts.append(ring)
+        columns = (np.array(piv, dtype=np.int64)[:, None] * m_order
+                   + np.arange(m_order)).reshape(-1)
+        pivots.append(np.broadcast_to(columns, (len(ring), columns.size)))
+        bounds.append(bounds[-1] + len(ring))
+    rows = np.ascontiguousarray(
+        _chart_rows(np.concatenate(charts), m_order))
+    pivots = np.concatenate(pivots)
+    starts = np.array(bounds[:-1])
+    for a in (rows, pivots, starts):
+        a.setflags(write=False)
+    return _AffineCharts(rows, pivots, starts, tuple(bounds))
 
 
 # --- submodule and flag enumeration ------------------------------------------
@@ -254,12 +313,17 @@ def _entries(m: HModule, rank, e) -> list[_KeyEntry]:
             for i in range(m.n)]
 
 
-def _check_budgets(entries: Sequence[_KeyEntry]) -> None:
-    for i, (count, _, _) in enumerate(entries):
-        if count > VERTEX_CANDIDATE_BUDGET:
+def _check_budgets(entries: Sequence[_KeyEntry], vertices) -> None:
+    """Refuse a search that would enumerate one of `vertices` with more
+    than VERTEX_CANDIDATE_BUDGET candidates.  A vertex that a count does
+    not enumerate (one counted in closed form, or solved) is never
+    refused."""
+    for v in vertices:
+        if entries[v].charts > VERTEX_CANDIDATE_BUDGET:
             raise BudgetExceeded(
-                f"vertex {i + 1} has {count} candidate submodules, above "
-                f"flagvar.VERTEX_CANDIDATE_BUDGET = {VERTEX_CANDIDATE_BUDGET}")
+                f"vertex {v + 1} has {entries[v].charts} candidate "
+                f"submodules, above flagvar.VERTEX_CANDIDATE_BUDGET = "
+                f"{VERTEX_CANDIDATE_BUDGET}")
 
 
 def _closed(block: _CandidateTable, v: int, tests, chosen: dict
@@ -290,14 +354,64 @@ def _closed(block: _CandidateTable, v: int, tests, chosen: dict
     return ok
 
 
+def _solved_count(affine: _AffineCharts, p: int, v: int, tests,
+                  chosen: dict) -> int:
+    """The number of charts at vertex v closed under the given arrows to
+    the chosen (table, chart) of other vertices, with no chart built.
+    Within one pivot pattern the rows B(c) = B_0 + sum_s c_s U_s are
+    affine in the free coefficients c, and so are both residues of
+    `_closed`: img - img[:, P] @ B(c) against a chosen source and
+    B(c) @ reduced against a chosen target.  Stacked over the arrows, the
+    residue is b + A c, with b the residue of B_0 and column s of A the
+    linear part from U_s; the pattern's closed charts are the solutions of
+    A c = -b, p^(slots - rank A) of them, or none when [A | b] has a pivot
+    in its last column."""
+    rows, starts = affine.rows, affine.starts
+    parts = []
+    for i, j, a in tests:
+        if i == v:
+            other, s = chosen[j]
+            img = (other.basis[s] @ a.T) % p
+            resid = -(img[:, affine.pivots].transpose(1, 0, 2) @ rows)
+            resid[starts] += img
+        else:
+            other, s = chosen[i]
+            at = a.T
+            reduced = (at - at.take(other.pivots[s], 1) @ other.basis[s]) % p
+            resid = rows @ reduced
+        parts.append(resid.reshape(len(rows), -1))
+    # row t: the residue of stacked row t, one column per equation
+    residues = np.concatenate(parts, axis=1) % p
+    # per pattern, its equations with a non-zero b and with a non-zero
+    # linear part: one with only the first has no solution
+    nonzero = residues != 0
+    b = nonzero[starts]
+    nonzero[starts] = False
+    linear = np.logical_or.reduceat(nonzero, starts)
+    total = 0
+    for t, (lo, hi) in enumerate(zip(affine.bounds, affine.bounds[1:])):
+        if (b[t] & ~linear[t]).any():
+            continue
+        rk = 0
+        if linear[t].any():
+            eqs = residues[lo:hi, linear[t]]
+            _, rk, pivots = la.rref(np.concatenate([eqs[1:], eqs[:1]]).T, p)
+            if pivots[-1] == hi - lo - 1:
+                continue
+        total += p ** (hi - lo - 1 - rk)
+    return total
+
+
 def _closure_search(m: HModule, rank: RankVector, e: RankVector,
-                    order: Sequence[int], count: bool):
+                    order: Sequence[int], count: bool, solve: bool = False):
     """Backtracking over the candidates of the vertices in `order`, a block
     at a time (`_candidate_blocks`): each block is tested at once against
     the active arrows to the vertices already chosen.  Yields the closed
     tuples in chart order, each as the chosen (table, chart) of every
     vertex of m, or with count=True, for each block of the last vertex,
-    the number of closed tuples it completes."""
+    the number of closed tuples it completes; with solve=True too, the
+    last vertex is not enumerated, and for each closed tuple of the
+    others its number of closed charts is yielded (`_solved_count`)."""
     active = _active_arrows(m, rank, e)
     levels = []
     placed: set[int] = set()
@@ -307,10 +421,14 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
                  if v in (i, j) and {i, j} <= placed]
         levels.append((v, (m.loop_order(v), rank[v], e[v], m.p), tests))
     chosen: dict[int, tuple[_CandidateTable, int]] = {}
+    affine = _affine_charts(levels[-1][1]) if solve else None
 
     def extend(idx: int):
         v, key, tests = levels[idx]
         last = idx + 1 == len(levels)
+        if last and solve:
+            yield _solved_count(affine, m.p, v, tests, chosen)
+            return
         for block in _candidate_blocks(key):
             ok = _closed(block, v, tests, chosen)
             if last and count:
@@ -339,7 +457,7 @@ def _charts(m: HModule, rank: RankVector, e: RankVector):
     """The closed tuples of free rank-e submodules of m, which is in
     standard form, as the (table, chart) of each vertex (`_closure_search`
     over every vertex, in vertex order)."""
-    _check_budgets(_entries(m, rank, e))
+    _check_budgets(_entries(m, rank, e), range(m.n))
     return _closure_search(m, rank, e, range(m.n), count=False)
 
 
@@ -365,10 +483,13 @@ def count_locally_free_submodules(m: HModule, e) -> int:
 def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
     """The number of closed tuples of free rank-e submodules of m, which is
     in standard form, with the unconstrained vertices counted in closed
-    form; only vertices touched by an active arrow are enumerated, keys
+    form.  The vertices touched by an active arrow are enumerated, keys
     whose blocks are not kept first (built once), then by ascending
-    candidate count, so the last vertex, tested a block at a time, has the
-    most candidates."""
+    candidate count, except the one with the most candidates when it has
+    more than _BLOCK_TEST_CHARTS: that one comes last and is solved per
+    tuple of the others (`_solved_count`), never built or budgeted.  With
+    no vertex solved, the last one is tested a block at a time, which
+    costs less than a solve on small keys."""
     entries = _entries(m, rank, e)
     coupled = {v for (i, j, _) in _active_arrows(m, rank, e)
                for v in (i, j)}
@@ -378,11 +499,16 @@ def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
             free_factor *= entries[i].charts
     if not coupled:
         return free_factor
-    _check_budgets(entries)
     order = sorted(coupled, key=lambda v: (
         entries[v].blocks is not None, entries[v].charts, v))
-    return free_factor * sum(_closure_search(m, rank, e, order,
-                                             count=True))
+    top = max(coupled, key=lambda v: (entries[v].charts, v))
+    solve = entries[top].charts > _BLOCK_TEST_CHARTS
+    if solve:
+        order.remove(top)
+    _check_budgets(entries, order)
+    return free_factor * sum(_closure_search(
+        m, rank, e, order + [top] if solve else order, count=True,
+        solve=solve))
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,7 +707,10 @@ def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
 
 def point_count(m: HModule, brseq) -> int:
     """Number of flags, by the recursion of `iter_flags`; its innermost
-    two-step sequence is counted without enumerating the points."""
+    two-step sequence is counted without enumerating the points
+    (`_count_charts`).  VERTEX_CANDIDATE_BUDGET bounds only the vertices
+    that are enumerated: every vertex of the layers above the innermost
+    two steps, and in those the coupled vertices that are not solved."""
     seq = _checked_seq(m, brseq)
     if seq is None:
         return 0

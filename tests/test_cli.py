@@ -365,6 +365,21 @@ def test_bundle_check_repeated_prime_exits_2(config_path, capsys):
                     "2,2"], capsys, "primes must be distinct")
 
 
+@pytest.mark.parametrize("primes,needle", [
+    ("2,2", "primes must be distinct"), ("2,4", "modulus 4 is not prime")])
+def test_bundle_check_primes_refused_before_search(tmp_path, capsys, primes,
+                                                   needle):
+    # no rigid Kronecker module of rank (1,1) is found in 5 trials, so
+    # before, the repeated or non-prime modulus reached no check: exit 0
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps({"n": 2, "C": [[2, -2], [-2, 2]],
+                                "D": [1, 1], "omega": [[1, 2]], "k": 2,
+                                "p": 2}))
+    _expect_exit_2(["bundle-check", "--config", str(path), "--rank", "1,1",
+                    "--brseq", "1,0;0,1", "--primes", primes, "--trials",
+                    "5"], capsys, needle)
+
+
 def test_flag_count_budget_exceeded_exits_3(config_path, tmp_path, capsys,
                                             monkeypatch):
     # free of rank (2,1): a middle layer of rank (1,1) has more than one
