@@ -208,13 +208,10 @@ def cmd_bundle_check(args) -> int:
     datum, k, p, echo = _load(args)
     r = _parse_rank(args.rank)
     brseq = _parse_brseq(args.brseq)
-    primes = _parse_ints(args.primes, "primes") if args.primes else (2, 3)
     # refused before any search, as bundle_ratio_check refuses them only
     # on a rigid module the search found
-    for q in primes:
-        la.check_prime(q)
-    if len(set(primes)) != len(primes):
-        raise ValidationError(f"primes must be distinct, got {tuple(primes)}")
+    primes = flagvar.check_primes(
+        _parse_ints(args.primes, "primes") if args.primes else (2, 3))
     k_max = max(k, 2) if args.kmax is None else args.kmax
     if k_max < 2:
         raise ValidationError(f"--kmax must be >= 2, got {k_max}")

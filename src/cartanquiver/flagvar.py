@@ -7,21 +7,21 @@ module over F_p[x]/(x^m) are generated directly from ring-echelon charts
 higher x-degree), which hits every eps-invariant free-restriction
 subspace exactly once.  Each key (loop order, rank, sub rank, p) has one
 cached entry, which alone fixes its chart count, its block size and
-whether its blocks are kept (up to a size limit); one backtracking
-search, which iterates or counts, tests a block of candidates at a time
-for arrow closure across vertices, and builds each block (one stacked
-array of chart rows, with no elimination: the rows of a chart are the
-identity on its pivot columns, which is all a closure test needs) when
-it first reaches it, so a search that stops early builds only the blocks
-it read; only the candidates a search yields are reduced to canonical
-subspaces, once per block.  A count does not build its vertex with the
-most candidates when that has more than _BLOCK_TEST_CHARTS: within one
-pivot pattern the chart rows are affine in the pattern's free
-coefficients, and so are the closure residues, so per tuple of the other
-vertices one exact solve over F_p per pattern gives its closed charts,
-p^(slots - rank) or none; the identity and unit rows of the patterns are
-built once per key and kept in its entry.  A search refuses to start,
-with BudgetExceeded, when a vertex it enumerates has more than
+whether its blocks are kept (up to a size limit), and holds the one
+encoding of its charts: per pivot pattern, the rows B_0 + sum_s c_s U_s,
+affine in the pattern's free coefficients c.  One backtracking search,
+which iterates or counts, tests a block of candidates at a time for
+arrow closure across vertices, and evaluates each block from that stack
+(with no elimination: the rows of a chart are the identity on its pivot
+columns, which is all a closure test needs) when it first reaches it, so
+a search that stops early builds only the blocks it read; only the
+candidates a search yields are reduced to canonical subspaces, once per
+block.  One residue computation tests closure, on a block or on the
+stack, where it is affine in c: so a count does not build its vertex
+with the most candidates when that has more than _BLOCK_TEST_CHARTS, and
+per tuple of the other vertices one exact solve over F_p per pattern
+gives its closed charts, p^(slots - rank) or none.  A search refuses to
+start, with BudgetExceeded, when a vertex it enumerates has more than
 VERTEX_CANDIDATE_BUDGET candidates; a vertex a count takes in closed
 form (no active arrow) or solves is never refused.  Flags recurse inside
 each closed top layer in the basis of its chart rows, where the
@@ -109,25 +109,6 @@ def chart_count(m_order: int, r: int, e: int, p: int) -> int:
     return sum(size for _, _, size in _chart_patterns(m_order, r, e, p))
 
 
-def _chart_block(m_order: int, r: int, e: int, p: int, start: int,
-                  stop: int) -> np.ndarray:
-    """Charts start, ..., stop - 1 (in chart order) as ring matrices, one
-    (r, e, m_order) coefficient array per chart."""
-    out = np.zeros((stop - start, r, e, m_order), dtype=np.int64)
-    offset = 0
-    for pivots, slots, size in _chart_patterns(m_order, r, e, p):
-        lo, hi = max(start, offset), min(stop, offset + size)
-        if lo < hi:
-            part = out[lo - start:hi - start]
-            for col, piv in enumerate(pivots):
-                part[:, piv, col, 0] = 1
-            rows, cols, degrees = np.array(slots, dtype=int).reshape(-1, 3).T
-            codes = np.arange(lo - offset, hi - offset)
-            part[:, rows, cols, degrees] = la.digits(codes, p, len(slots))
-        offset += size
-    return out
-
-
 def _chart_rows(charts: np.ndarray, m_order: int) -> np.ndarray:
     """Row matrices of a stack of ring matrices: row col*m + shift is
     eps^shift times ring column col, in generator-major coordinates."""
@@ -142,18 +123,59 @@ _BLOCK_CELLS = 1 << 17           # int64 cells of row matrices per block
 _BLOCK_TEST_CHARTS = 256         # charts up to which a count block-tests
 
 
+class _AffineCharts(NamedTuple):
+    """The charts of one key as affine families, one per pivot pattern, in
+    one stack of read-only row matrices (T, e*m, r*m): per pattern its
+    identity rows B_0 (the chart whose free coefficients are all 0), then
+    the unit rows U_s of each of its free coefficients s (`slots` order),
+    so its chart with coefficients c has the rows B_0 + sum_s c_s U_s.
+    `pivots` (T, e*m) holds each row's pattern columns P, on which B_0 is
+    the identity and every U_s is zero; `starts` holds the index of each
+    pattern's B_0, and `bounds` the same with the stack's end appended."""
+
+    rows: np.ndarray
+    pivots: np.ndarray
+    starts: np.ndarray
+    bounds: tuple[int, ...]
+
+
+def _new_affine(m_order: int, r: int, e: int, p: int) -> _AffineCharts:
+    """Per pattern, the ring matrices of B_0 (1 at (pivots[col], col) in
+    degree 0) and of each unit (1 at its slot (row, col, degree) alone),
+    set in one assignment, and their rows."""
+    patterns = _chart_patterns(m_order, r, e, p)
+    sizes = [1 + len(slots) for _, slots, _ in patterns]
+    bounds = tuple(itertools.accumulate(sizes, initial=0))
+    ones = [(lo, q, col, 0) for lo, (piv, _, _) in zip(bounds, patterns)
+            for col, q in enumerate(piv)]
+    ones += [(lo + 1 + s, q, col, t)
+             for lo, (_, slots, _) in zip(bounds, patterns)
+             for s, (q, col, t) in enumerate(slots)]
+    ring = np.zeros((bounds[-1], r, e, m_order), dtype=np.int64)
+    ring[tuple(np.array(ones, dtype=np.int64).reshape(-1, 4).T)] = 1
+    rows = np.ascontiguousarray(_chart_rows(ring, m_order))
+    lead = np.array([piv for piv, _, _ in patterns], dtype=np.int64)
+    columns = (lead.reshape(len(patterns), e, 1) * m_order
+               + np.arange(m_order)).reshape(len(patterns), e * m_order)
+    pivots = np.repeat(columns, sizes, axis=0)
+    starts = np.array(bounds[:-1])
+    for a in (rows, pivots, starts):
+        a.setflags(write=False)
+    return _AffineCharts(rows, pivots, starts, bounds)
+
+
 @dataclass(frozen=True, eq=False)
 class _CandidateTable:
     """A run of consecutive candidate submodules of one (m_order, r, e, p)
-    key, in chart order: the read-only chart rows (N, e*m, r*m) of
-    `_chart_rows`, not reduced, and their identity columns (N, e*m).  Row
-    col*m + shift of a chart is eps^shift times ring column col, so it has
-    a 1 at generator pivots[col] in degree shift, column
-    pivots[col]*m + shift, and a 0 at every other such column: the rows
-    are the identity on those columns P.  A row vector v then lies in the
-    chart's span exactly when v - v[:, P] @ rows is zero, which is all the
-    closure tests need; a candidate is reduced to its canonical Subspace
-    only when a search yields it, once per table."""
+    key, in chart order: the read-only chart rows (N, e*m, r*m), not
+    reduced, and their identity columns (N, e*m).  Row col*m + shift of a
+    chart is eps^shift times ring column col, so it has a 1 at generator
+    pivots[col] in degree shift, column pivots[col]*m + shift, and a 0 at
+    every other such column: the rows are the identity on those columns P.
+    A row vector v then lies in the chart's span exactly when
+    v - v[:, P] @ rows is zero, which is all the closure tests need; a
+    candidate is reduced to its canonical Subspace only when a search
+    yields it, once per table."""
 
     p: int
     ambient: int
@@ -174,59 +196,69 @@ class _CandidateTable:
         return sub
 
 
-def _new_table(m_order: int, r: int, e: int, p: int, start: int,
+def _new_table(affine: _AffineCharts, p: int, start: int,
                stop: int) -> _CandidateTable:
-    """Charts start, ..., stop - 1 as one table, with no elimination.  The
-    pivot of ring column col is its first row with a non-zero constant
-    term (rows above it start in degree 1); every chart's rows must be the
-    identity on the columns P this gives, which also makes their rank e*m
-    (the chart spans a free submodule)."""
-    d = e * m_order
-    # the kept array is allocated before the temporaries, which then leave
-    # no hole under it: a `count` pass peaks about 1 MB lower
-    basis = np.empty((stop - start, d, r * m_order), dtype=np.int64)
-    charts = _chart_block(m_order, r, e, p, start, stop)
-    basis[...] = _chart_rows(charts, m_order)
-    lead = ((charts[..., 0] != 0).argmax(axis=1) if d
-            else np.zeros((stop - start, 0), dtype=np.int64))
-    pivots = (lead[:, :, None] * m_order + np.arange(m_order)).reshape(
-        stop - start, d)
+    """Charts start, ..., stop - 1 of a key as one table, evaluated from its
+    `_AffineCharts` with no elimination: chart code c of a pattern (counted
+    from the pattern's first chart) has the rows B_0 + sum_s digit_s(c) U_s,
+    with the base-p digits of c least significant first in `slots` order,
+    and the pattern's columns P.  The B_0 and U_s have disjoint supports,
+    so every entry is a digit or a 1.  Every chart's rows must be the
+    identity on P, which also makes their rank e*m (the chart spans a free
+    submodule)."""
+    rows = affine.rows
+    _, d, ambient = rows.shape
+    basis = np.empty((stop - start, d, ambient), dtype=np.int64)
+    pivots = np.empty((stop - start, d), dtype=np.int64)
+    offset = 0
+    for lo, hi in zip(affine.bounds, affine.bounds[1:]):
+        size = p ** (hi - lo - 1)
+        first, last = max(start, offset), min(stop, offset + size)
+        if first < last:
+            codes = la.digits(np.arange(first - offset, last - offset), p,
+                              hi - lo - 1)
+            part = basis[first - start:last - start]
+            np.matmul(codes, rows[lo + 1:hi].reshape(hi - lo - 1, d * ambient),
+                      out=part.reshape(last - first, d * ambient))
+            part += rows[lo]
+            pivots[first - start:last - start] = affine.pivots[lo]
+        offset += size
     if (np.take_along_axis(basis, pivots[:, None, :], axis=2)
             != la.identity(d)).any():
         raise InternalCheckError(
             "a ring-echelon chart is not the identity on its pivot columns")
     basis.setflags(write=False)
     pivots.setflags(write=False)
-    return _CandidateTable(p, r * m_order, basis, pivots)
+    return _CandidateTable(p, ambient, basis, pivots)
 
 
 class _KeyEntry(NamedTuple):
     """What every search over one key reads: its chart count, its charts
     per block, its blocks, each None until a search first reaches it, or
     None for a key over _CANDIDATE_CACHE_LIMIT charts, whose blocks are
-    never kept, and its `_AffineCharts`, empty until a count first solves
-    the key."""
+    never kept, and its `_AffineCharts`, the one encoding of its charts:
+    the blocks are evaluated from it, and a count solves on it."""
 
     charts: int
     step: int
     blocks: Optional[list]
-    affine: list
+    affine: _AffineCharts
 
 
 @functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
 def _vertex_candidates(m_order: int, r: int, e: int, p: int) -> _KeyEntry:
     """The entry of one key: its chart count, its charts per block (about
     _BLOCK_CELLS cells of row matrices), up to _CANDIDATE_CACHE_LIMIT
-    charts its block list, and an empty list that `_affine_charts` fills
-    on first use.  This is the one place that reads those constants:
-    every search over the key reads the entry, so a constant changed
-    later reaches only the keys built after it, and the blocks, filled in
-    place, are shared by every search."""
+    charts its block list, and its `_AffineCharts`, built with the entry.
+    This is the one place that reads those constants: every search over
+    the key reads the entry, so a constant changed later reaches only the
+    keys built after it, and the blocks, filled in place, are shared by
+    every search."""
     count = chart_count(m_order, r, e, p)
     step = max(1, _BLOCK_CELLS // max(1, e * r * m_order * m_order))
     blocks = ([None] * -(-count // step)
               if count <= _CANDIDATE_CACHE_LIMIT else None)
-    return _KeyEntry(count, step, blocks, [])
+    return _KeyEntry(count, step, blocks, _new_affine(m_order, r, e, p))
 
 
 def _candidate_blocks(key: tuple[int, int, int, int]
@@ -234,62 +266,15 @@ def _candidate_blocks(key: tuple[int, int, int, int]
     """The candidates of one key (m_order, r, e, p) in chart order, a block
     of its entry at a time, each built when it is first reached and kept
     in the entry's block list when it has one."""
-    count, step, blocks, _ = _vertex_candidates(*key)
+    count, step, blocks, affine = _vertex_candidates(*key)
     for b, start in enumerate(range(0, count, step)):
         block = blocks[b] if blocks is not None else None
         if block is None:
-            block = _new_table(*key, start, min(count, start + step))
+            block = _new_table(affine, key[3], start,
+                               min(count, start + step))
             if blocks is not None:
                 blocks[b] = block
         yield block
-
-
-class _AffineCharts(NamedTuple):
-    """The charts of one key as affine families, one per pivot pattern, in
-    one stack of read-only row matrices (T, e*m, r*m): per pattern its
-    identity rows B_0 (the chart whose free coefficients are all 0), then
-    the unit rows U_s of each of its free coefficients s (`slots` order),
-    so its chart with coefficients c has the rows B_0 + sum_s c_s U_s.
-    `pivots` (T, e*m) holds each row's pattern columns P, on which B_0 is
-    the identity and every U_s is zero; `starts` holds the index of each
-    pattern's B_0, and `bounds` the same with the stack's end appended."""
-
-    rows: np.ndarray
-    pivots: np.ndarray
-    starts: np.ndarray
-    bounds: tuple[int, ...]
-
-
-def _affine_charts(key: tuple[int, int, int, int]) -> _AffineCharts:
-    """The `_AffineCharts` of one key, built on first use and kept in its
-    entry."""
-    affine = _vertex_candidates(*key).affine
-    if not affine:
-        affine.append(_new_affine(*key))
-    return affine[0]
-
-
-def _new_affine(m_order: int, r: int, e: int, p: int) -> _AffineCharts:
-    """Per pattern, the ring matrices of B_0 (1 at (pivots[col], col) in
-    degree 0) and of each unit (1 at its slot (row, col, degree) alone)."""
-    charts, pivots, bounds = [], [], [0]
-    for piv, slots, _ in _chart_patterns(m_order, r, e, p):
-        ring = np.zeros((1 + len(slots), r, e, m_order), dtype=np.int64)
-        ring[0, list(piv), range(e), 0] = 1
-        rows, cols, degrees = np.array(slots, dtype=int).reshape(-1, 3).T
-        ring[range(1, 1 + len(slots)), rows, cols, degrees] = 1
-        charts.append(ring)
-        columns = (np.array(piv, dtype=np.int64)[:, None] * m_order
-                   + np.arange(m_order)).reshape(-1)
-        pivots.append(np.broadcast_to(columns, (len(ring), columns.size)))
-        bounds.append(bounds[-1] + len(ring))
-    rows = np.ascontiguousarray(
-        _chart_rows(np.concatenate(charts), m_order))
-    pivots = np.concatenate(pivots)
-    starts = np.array(bounds[:-1])
-    for a in (rows, pivots, starts):
-        a.setflags(write=False)
-    return _AffineCharts(rows, pivots, starts, tuple(bounds))
 
 
 # --- submodule and flag enumeration ------------------------------------------
@@ -326,30 +311,42 @@ def _check_budgets(entries: Sequence[_KeyEntry], vertices) -> None:
                 f"{VERTEX_CANDIDATE_BUDGET}")
 
 
-def _closed(block: _CandidateTable, v: int, tests, chosen: dict
-            ) -> np.ndarray:
-    """Mask of the candidates at vertex v closed under the given arrows to
-    the chosen (table, chart) of other vertices, by one residue
-    computation per arrow for the block.  The chart rows are the identity
-    on their columns P, so img lies in a chart's span exactly when
-    img - img[:, P] @ rows is zero: against a chosen chart the residue of
-    the rows of a.T is taken once, and a candidate U_j is closed when its
-    rows times that residue vanish."""
-    p = block.p
-    ok = np.ones(len(block), dtype=bool)
+def _residues(rows: np.ndarray, pivots: np.ndarray, img_at, p: int,
+              v: int, tests, chosen: dict) -> Iterator[np.ndarray]:
+    """Per arrow, the closure residues (mod p) of a stack of chart rows
+    (N, e*m, r*m) at vertex v, with their columns P (N, e*m), against the
+    chosen (table, chart) of the arrow's other vertex.  Chart rows are the
+    identity on P, so a row vector w lies in a chart's span exactly when
+    w - w[:, P] @ rows is zero.  At a chosen source the residue is
+    img - img[:, P] @ rows, with img the image of the chosen chart, which
+    is added only at the rows `img_at`; at a chosen target it is
+    rows @ reduced, with reduced the residue of the rows of a.T against
+    the chosen chart.  Both are linear in the rows, up to the img added."""
     for i, j, a in tests:
         if i == v:
-            # image of the chosen U_j against every candidate U_i
             other, s = chosen[j]
             img = (other.basis[s] @ a.T) % p
-            coeff = img[:, block.pivots].transpose(1, 0, 2)
-            resid = (img - coeff @ block.basis) % p
+            resid = img[:, pivots].transpose(1, 0, 2) @ rows
+            np.negative(resid, out=resid)
+            resid[img_at] += img
         else:
-            # image of every candidate U_j against the chosen U_i
             other, s = chosen[i]
             at = a.T
             reduced = (at - at.take(other.pivots[s], 1) @ other.basis[s]) % p
-            resid = (block.basis @ reduced) % p
+            resid = rows @ reduced
+        resid %= p
+        yield resid
+
+
+def _closed(block: _CandidateTable, v: int, tests, chosen: dict
+            ) -> np.ndarray:
+    """Mask of the candidates at vertex v closed under the given arrows to
+    the chosen (table, chart) of other vertices: a candidate is closed
+    when its `_residues`, with img added at every row, all vanish, one
+    residue computation per arrow for the whole block."""
+    ok = np.ones(len(block), dtype=bool)
+    for resid in _residues(block.basis, block.pivots, slice(None), block.p,
+                           v, tests, chosen):
         ok &= ~resid.any(axis=(1, 2))
     return ok
 
@@ -359,29 +356,17 @@ def _solved_count(affine: _AffineCharts, p: int, v: int, tests,
     """The number of charts at vertex v closed under the given arrows to
     the chosen (table, chart) of other vertices, with no chart built.
     Within one pivot pattern the rows B(c) = B_0 + sum_s c_s U_s are
-    affine in the free coefficients c, and so are both residues of
-    `_closed`: img - img[:, P] @ B(c) against a chosen source and
-    B(c) @ reduced against a chosen target.  Stacked over the arrows, the
-    residue is b + A c, with b the residue of B_0 and column s of A the
-    linear part from U_s; the pattern's closed charts are the solutions of
-    A c = -b, p^(slots - rank A) of them, or none when [A | b] has a pivot
-    in its last column."""
+    affine in the free coefficients c, and so are the `_residues` of B(c)
+    when img is added at B_0 alone.  Stacked over the arrows, the residue
+    is b + A c, with b the residue of B_0 and column s of A the residue
+    of U_s; the pattern's closed charts are the solutions of A c = -b,
+    p^(slots - rank A) of them, or none when [A | b] has a pivot in its
+    last column."""
     rows, starts = affine.rows, affine.starts
-    parts = []
-    for i, j, a in tests:
-        if i == v:
-            other, s = chosen[j]
-            img = (other.basis[s] @ a.T) % p
-            resid = -(img[:, affine.pivots].transpose(1, 0, 2) @ rows)
-            resid[starts] += img
-        else:
-            other, s = chosen[i]
-            at = a.T
-            reduced = (at - at.take(other.pivots[s], 1) @ other.basis[s]) % p
-            resid = rows @ reduced
-        parts.append(resid.reshape(len(rows), -1))
     # row t: the residue of stacked row t, one column per equation
-    residues = np.concatenate(parts, axis=1) % p
+    residues = np.concatenate([resid.reshape(len(rows), -1) for resid in
+                               _residues(rows, affine.pivots, starts, p, v,
+                                         tests, chosen)], axis=1)
     # per pattern, its equations with a non-zero b and with a non-zero
     # linear part: one with only the first has no solution
     nonzero = residues != 0
@@ -421,7 +406,7 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
                  if v in (i, j) and {i, j} <= placed]
         levels.append((v, (m.loop_order(v), rank[v], e[v], m.p), tests))
     chosen: dict[int, tuple[_CandidateTable, int]] = {}
-    affine = _affine_charts(levels[-1][1]) if solve else None
+    affine = _vertex_candidates(*levels[-1][1]).affine if solve else None
 
     def extend(idx: int):
         v, key, tests = levels[idx]
@@ -1021,6 +1006,17 @@ def _fiber_expected_dimension(shadow: hmod.Quotient,
 
 # --- point counting across primes ---------------------------------------------
 
+def check_primes(primes) -> tuple[int, ...]:
+    """primes as a tuple, each a supported prime (`la.check_prime`), with
+    no repeat: a count is refused before it starts, not after."""
+    primes = tuple(primes)
+    for q in primes:
+        la.check_prime(q)
+    if len(set(primes)) != len(primes):
+        raise ValidationError(f"primes must be distinct, got {primes}")
+    return primes
+
+
 @dataclass(frozen=True, eq=False)
 class BundleRatioReport:
     brseq: tuple[RankVector, ...]
@@ -1042,16 +1038,15 @@ def bundle_ratio_check(m: HModule, brseq, primes=(2, 3)
     """Per prime: the level-k count must be q^d(brseq) times the count of
     the reduced flag variety at level k-1, exactly, whenever the ambient
     module is rigid at that prime.  Violations are reported, not raised;
-    a repeated prime raises ValidationError.  The module at q is
-    `hmod.reduce_mod_p(m, q)`, m's entries read mod q; entries that break
-    the relations mod q raise RelationBrokenAtPrime."""
+    the primes are checked (`check_primes`) before any count.  The module
+    at q is `hmod.reduce_mod_p(m, q)`, m's entries read mod q; entries
+    that break the relations mod q raise RelationBrokenAtPrime."""
     if m.k < 2:
         raise KTooSmall("bundle check compares level k with k - 1")
     seq = _rank_seq(brseq, m.n)
     if not primes:
         raise NotEnoughPrimes("bundle check needs at least one prime")
-    if len(set(primes)) != len(primes):
-        raise ValidationError(f"primes must be distinct, got {tuple(primes)}")
+    primes = check_primes(primes)
     d = flag_dimension(m.datum, seq)
     rows = []
     for q in primes:
@@ -1107,21 +1102,23 @@ def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
     clamped at 0); one surplus prime is always counted so that a too-low
     bound is caught.  Failure to interpolate with integer coefficients, or
     a surplus-point mismatch, raises and means "no counting polynomial at
-    this degree bound" - a heuristic verdict, not a theorem.  Each prime q
-    counts `hmod.reduce_mod_p(m, q)`, m's entries read mod q.
+    this degree bound" - a heuristic verdict, not a theorem.  The primes
+    it counts are checked (`check_primes`), and a negative bound refused,
+    before any count.  Each prime q counts `hmod.reduce_mod_p(m, q)`, m's
+    entries read mod q.
     """
     seq = _rank_seq(brseq, m.n)
     d = flag_dimension(m.datum, seq)
     if degree_bound is None:
         degree_bound = max(m.k * d, 0)
+    if degree_bound < 0:
+        raise ValidationError(f"degree_bound must be >= 0, got {degree_bound}")
     needed = degree_bound + 2
     if len(primes) < needed:
         raise NotEnoughPrimes(
             f"need {needed} primes for degree bound {degree_bound}")
-    used = list(primes[:needed])
-    counts = {}
-    for q in used:
-        counts[q] = point_count(hmod.reduce_mod_p(m, q), seq)
+    used = check_primes(primes[:needed])
+    counts = {q: point_count(hmod.reduce_mod_p(m, q), seq) for q in used}
     coeffs = la.lagrange_interpolate(
         [(q, counts[q]) for q in used], degree_bound)
     return PointCountTable(seq, m.k, counts, degree_bound, coeffs,

@@ -6,11 +6,15 @@ the library reads off the subspaces instead; and the kernel basis read off
 an RREF entry by entry, which the library fills with two index
 assignments; and the matrices of X |-> a @ X and X |-> X @ b on row-major
 vecs, kron(a, I) and kron(I, b^T), which the library's Hom solver builds
-as its order-1 ring factors."""
+as its order-1 ring factors; and the candidate charts of a flag search
+filled as ring matrices from their digit codes, with the pivot columns
+found by searching each chart, which the library evaluates from one stack
+of affine chart families per key."""
 
 import numpy as np
 
 from cartanquiver import exactlinalg as la
+from cartanquiver import flagvar
 
 
 def _inverse_stack(x: np.ndarray, p: int) -> np.ndarray:
@@ -120,3 +124,41 @@ def right_product_matrix(b: np.ndarray, rows: int) -> np.ndarray:
     out = (la.identity(rows)[:, None, :, None]
            * np.swapaxes(b, -1, -2)[..., None, :, None, :])
     return out.reshape(b.shape[:-2] + (rows * c, rows * s))
+
+
+def chart_block(m_order: int, r: int, e: int, p: int, start: int,
+                stop: int) -> np.ndarray:
+    """Charts start, ..., stop - 1 (in chart order) of a key as ring
+    matrices, one (r, e, m_order) coefficient array per chart: per pivot
+    pattern of `flagvar._chart_patterns`, a 1 at each (pivot, col) in
+    degree 0 and the base-p digits of the chart's code within its pattern
+    at the pattern's slots, least significant first."""
+    out = np.zeros((stop - start, r, e, m_order), dtype=np.int64)
+    offset = 0
+    for pivots, slots, size in flagvar._chart_patterns(m_order, r, e, p):
+        lo, hi = max(start, offset), min(stop, offset + size)
+        if lo < hi:
+            part = out[lo - start:hi - start]
+            for col, piv in enumerate(pivots):
+                part[:, piv, col, 0] = 1
+            rows, cols, degrees = np.array(slots, dtype=int).reshape(-1, 3).T
+            codes = np.arange(lo - offset, hi - offset)
+            part[:, rows, cols, degrees] = la.digits(codes, p, len(slots))
+        offset += size
+    return out
+
+
+def chart_table(m_order: int, r: int, e: int, p: int, start: int,
+                stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row matrices (N, e*m, r*m) of `chart_block` (`flagvar._chart_rows`)
+    and their pivot columns (N, e*m): the pivot of ring column col is its
+    first row with a non-zero constant term, and row col*m + shift has its
+    pivot at column pivot*m + shift."""
+    d = e * m_order
+    charts = chart_block(m_order, r, e, p, start, stop)
+    rows = flagvar._chart_rows(charts, m_order)
+    lead = ((charts[..., 0] != 0).argmax(axis=1) if d
+            else np.zeros((stop - start, 0), dtype=np.int64))
+    pivots = (lead[:, :, None] * m_order + np.arange(m_order)).reshape(
+        stop - start, d)
+    return rows, pivots

@@ -365,6 +365,24 @@ def test_bundle_check_repeated_prime_exits_2(config_path, capsys):
                     "2,2"], capsys, "primes must be distinct")
 
 
+def test_flag_count_repeated_prime_exits_2(config_path, tmp_path, capsys,
+                                           monkeypatch):
+    # the counting polynomial of this flag has degree bound 0, so both
+    # primes are counted: before, it counted twice at q = 3 and then
+    # reported "interpolation points must be distinct"
+    module_path = tmp_path / "rigid.json"
+    assert run(["rigid", "--config", config_path, "--rank", "1,1",
+                "--module-out", str(module_path),
+                "--output", str(tmp_path / "r.json")]) == 0
+    counted = []
+    monkeypatch.setattr(flagvar, "point_count",
+                        lambda *args: counted.append(args))
+    _expect_exit_2(["flag-count", "--config", config_path, "--module",
+                    str(module_path), "--brseq", "1,0;0,1", "--primes",
+                    "3,3"], capsys, "primes must be distinct")
+    assert counted == []
+
+
 @pytest.mark.parametrize("primes,needle", [
     ("2,2", "primes must be distinct"), ("2,4", "modulus 4 is not prime")])
 def test_bundle_check_primes_refused_before_search(tmp_path, capsys, primes,

@@ -19,6 +19,7 @@ from cartanquiver.errors import (
     NonIntegerCoefficient,
     NotEnoughPrimes,
     NotLocallyFree,
+    NotPrime,
     OverdeterminedMismatch,
     RankTooLarge,
     ValidationError,
@@ -38,6 +39,7 @@ from conftest import (
     reference_total_blocks,
     scrambled,
 )
+from reference_linalg import chart_block, chart_table
 
 
 def brvec(seq):
@@ -52,8 +54,15 @@ def rigid_module(datum, k, p, r, seed=0):
 
 def ring_charts(m_order, r, e, p):
     """All charts of one key, in chart order, as ring matrices."""
-    return list(flagvar._chart_block(m_order, r, e, p, 0,
-                                     flagvar.chart_count(m_order, r, e, p)))
+    return list(chart_block(m_order, r, e, p, 0,
+                            flagvar.chart_count(m_order, r, e, p)))
+
+
+def new_table(key, start, stop):
+    """Charts start, ..., stop - 1 of a key as `flagvar._new_table`
+    evaluates them from the stack of the key's entry."""
+    return flagvar._new_table(flagvar._vertex_candidates(*key).affine,
+                              key[3], start, stop)
 
 
 def chart_subspace(ring_mat, m_order, r, p):
@@ -130,20 +139,23 @@ def reference_subspace(ring_mat, m_order, r, p):
     return la.Subspace.from_rows(rows, r * m_order, p)
 
 
-def corrupt_last_pivot(monkeypatch):
-    """Make `flagvar._chart_rows` return rows whose last chart has a 2, not
-    a 1, at the pivot of its first row: generator g, the first row of the
-    ring chart with a non-zero constant term, in degree 0."""
-    original = flagvar._chart_rows
+def corrupt_stack(monkeypatch):
+    """Make `flagvar._new_table` evaluate its charts from a copy of the
+    stack whose unit row of the first pattern's last free coefficient has
+    a 1 at the pattern's first pivot column, where every unit row is 0: a
+    chart of that pattern whose last digit is non-zero has 1 + that digit,
+    not a 1, at the pivot of its first row.  The copy keeps the stack's
+    pivots array."""
+    original = flagvar._new_table
 
-    def corrupted(charts, m_order):
-        rows = original(charts, m_order)
-        g = np.flatnonzero(charts[-1, :, 0, 0])[0]
-        assert rows[-1, 0, g * m_order] == 1
-        rows[-1, 0, g * m_order] = 2
-        return rows
+    def corrupted(affine, p, start, stop):
+        rows = affine.rows.copy()
+        unit = affine.bounds[1] - 1
+        assert unit > 0 and rows[unit, 0, affine.pivots[unit, 0]] == 0
+        rows[unit, 0, affine.pivots[unit, 0]] = 1
+        return original(affine._replace(rows=rows), p, start, stop)
 
-    monkeypatch.setattr(flagvar, "_chart_rows", corrupted)
+    monkeypatch.setattr(flagvar, "_new_table", corrupted)
 
 
 TABLE_KEYS = [(m_order, r, e, p)
@@ -176,6 +188,39 @@ class TestCandidateTables:
                 assert got.pivots == want.pivots, key
                 assert got.basis.dtype == want.basis.dtype, key
                 assert hash(got) == hash(want), key
+
+    @pytest.mark.parametrize("cells", [pytest.param(None, id="default"),
+                                       pytest.param(50, id="50")])
+    def test_blocks_match_chart_reference(self, monkeypatch, cells):
+        # every table the search reads, evaluated from the key's stack,
+        # holds the rows and pivot columns of the per-chart reference,
+        # byte for byte and read-only; at 50 cells, blocks that start
+        # inside one pivot pattern end inside another
+        if cells is not None:
+            monkeypatch.setattr(flagvar, "_BLOCK_CELLS", cells)
+        flagvar._vertex_candidates.cache_clear()
+        straddling = 0
+        try:
+            for key in TABLE_KEYS:
+                ends = set(itertools.accumulate(
+                    size for _, _, size in flagvar._chart_patterns(*key)))
+                start = 0
+                for block in flagvar._candidate_blocks(key):
+                    stop = start + len(block)
+                    want = chart_table(*key, start, stop)
+                    for got, ref in zip((block.basis, block.pivots), want):
+                        assert got.dtype == ref.dtype, key
+                        assert got.shape == ref.shape, key
+                        assert got.tobytes() == ref.tobytes(), key
+                        assert not got.flags.writeable, key
+                    straddling += start > 0 and any(
+                        start < end < stop for end in ends)
+                    start = stop
+                assert start == flagvar.chart_count(*key), key
+        finally:
+            flagvar._vertex_candidates.cache_clear()
+        if cells is not None:
+            assert straddling >= 10
 
     def test_table_is_read_only(self, monkeypatch):
         monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
@@ -262,16 +307,16 @@ class TestCandidateTables:
         counts = [flagvar.chart_count(*key) for key in keys]
         start = data.draw(st.integers(0, counts[v] - 1))
         stop = min(counts[v], start + data.draw(st.integers(1, 40)))
-        block = flagvar._new_table(*keys[v], start, stop)
+        block = new_table(keys[v], start, stop)
         s = data.draw(st.integers(0, counts[w] - 1))
-        other = flagvar._new_table(*keys[w], s, s + 1)
-        charts = flagvar._chart_block(*keys[v], start, stop)
+        other = new_table(keys[w], s, s + 1)
+        charts = chart_block(*keys[v], start, stop)
         subs = [reference_subspace(c, keys[v][0], r[v], p) for c in charts]
         assert [block.subspace(t) for t in range(len(block))] == subs
         assert all(block.subspace(t).pivots == sub.pivots
                    for t, sub in enumerate(subs))
         chosen = reference_subspace(
-            flagvar._chart_block(*keys[w], s, s + 1)[0], keys[w][0], r[w], p)
+            chart_block(*keys[w], s, s + 1)[0], keys[w][0], r[w], p)
         assert other.subspace(0) == chosen
         # the module's arrows between v and w, and (as closure under them
         # is rare) a map of rank <= 1 each way
@@ -290,9 +335,12 @@ class TestCandidateTables:
             assert got.tolist() == want
 
     def test_rank_check(self, monkeypatch):
-        corrupt_last_pivot(monkeypatch)
+        corrupt_stack(monkeypatch)
+        # charts 0-3 are codes 0-3 of the first pattern (two free
+        # coefficients over F_3): only code 3 has a non-zero last digit
+        new_table((2, 2, 1, 3), 0, 3)
         with pytest.raises(InternalCheckError):
-            flagvar._new_table(2, 2, 1, 3, 0, 4)
+            new_table((2, 2, 1, 3), 0, 4)
 
 
 def brute_force_submodules(m, e):
@@ -387,15 +435,15 @@ class TestStreamedCandidates:
 
     def test_early_stop_builds_one_block(self, monkeypatch):
         built = []
-        original = flagvar._chart_block
+        original = flagvar._new_table
 
-        def counting(m_order, r, e, p, start, stop):
+        def counting(affine, p, start, stop):
             built.append(stop - start)
-            return original(m_order, r, e, p, start, stop)
+            return original(affine, p, start, stop)
 
         monkeypatch.setattr(flagvar, "_CANDIDATE_CACHE_LIMIT", 1)
         monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
-        monkeypatch.setattr(flagvar, "_chart_block", counting)
+        monkeypatch.setattr(flagvar, "_new_table", counting)
         flagvar._vertex_candidates.cache_clear()
         try:
             key = (2, 2, 1, 3)
@@ -419,14 +467,17 @@ class TestLazyBlocks:
     def built(self, monkeypatch):
         """Small blocks and a record of the (key, start) of every build."""
         record = []
-        original = flagvar._chart_block
+        original = flagvar._new_table
 
-        def counting(m_order, r, e, p, start, stop):
-            record.append(((m_order, r, e, p), start))
-            return original(m_order, r, e, p, start, stop)
+        def counting(affine, p, start, stop):
+            # only KEY is searched; corrupt_stack's copies keep its pivots
+            entry = flagvar._vertex_candidates(*self.KEY)
+            assert affine.pivots is entry.affine.pivots and p == self.KEY[3]
+            record.append((self.KEY, start))
+            return original(affine, p, start, stop)
 
         monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
-        monkeypatch.setattr(flagvar, "_chart_block", counting)
+        monkeypatch.setattr(flagvar, "_new_table", counting)
         flagvar._vertex_candidates.cache_clear()
         yield record
         flagvar._vertex_candidates.cache_clear()
@@ -459,8 +510,7 @@ class TestLazyBlocks:
         # a count over the key fills in the rest, building each block once
         assert flagvar.count_locally_free_submodules(m, (1, 1)) == 27
         assert sorted(built) == [(self.KEY, s) for s in starts]
-        eager = flagvar._new_table(*self.KEY, 0,
-                                   flagvar.chart_count(*self.KEY))
+        eager = new_table(self.KEY, 0, flagvar.chart_count(*self.KEY))
         for name in ("basis", "pivots"):
             got = np.concatenate([getattr(b, name) for b in blocks])
             want = getattr(eager, name)
@@ -486,7 +536,7 @@ class TestLazyBlocks:
         stream = flagvar._candidate_blocks(self.KEY)
         next(stream)
         stream.close()
-        corrupt_last_pivot(monkeypatch)
+        corrupt_stack(monkeypatch)
         # block 0 is cached; the next block is built, and checked, now
         with pytest.raises(InternalCheckError):
             flagvar.count_locally_free_submodules(n_module(a2, 2, 3), (1, 1))
@@ -1585,6 +1635,63 @@ class TestCountingPolynomial:
         csv = table.to_csv()
         assert csv.startswith("q,count\n")
         assert "2,5" in csv
+
+
+class TestPrimesCheckedBeforeCounting:
+    """Bad primes and a negative degree bound are refused before the first
+    `point_count`; before, each was found only after counting."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = flagvar.point_count
+
+        def recording(m, brseq):
+            calls.append(m.p)
+            return original(m, brseq)
+
+        monkeypatch.setattr(flagvar, "point_count", recording)
+        return calls
+
+    @pytest.mark.parametrize("primes,error,needle", [
+        # counted at 3, 3, 5 and 7, then "interpolation points must be
+        # distinct"
+        ((3, 3, 5, 7, 11, 13), ValidationError, "primes must be distinct"),
+        # counted at 2 and 3, then NotPrime
+        ((2, 3, 4, 5, 7, 11), NotPrime, "modulus 4 is not prime"),
+    ])
+    def test_counting_polynomial_primes(self, a2, counted, primes, error,
+                                        needle):
+        n2 = n_module(a2, 2, 5)     # degree bound 2: primes 1-4 counted
+        with pytest.raises(error, match=needle):
+            flagvar.counting_polynomial(n2, [(1, 1), (1, 1)], primes=primes)
+        assert counted == []
+        # only the primes it counts are checked
+        flagvar.counting_polynomial(n2, [(1, 1), (1, 1)],
+                                    primes=(2, 3, 5, 7, 7, 4))
+        assert counted == [2, 3, 5, 7]
+
+    def test_negative_degree_bound(self, a2, counted):
+        # before, counted once, then "need 0 points"
+        with pytest.raises(ValidationError, match="degree_bound must be"):
+            flagvar.counting_polynomial(n_module(a2, 2, 5), [(1, 1), (1, 1)],
+                                        degree_bound=-1)
+        assert counted == []
+
+    @pytest.mark.parametrize("primes,error", [
+        ((3, 2, 3), ValidationError),
+        ((2, 4), NotPrime)])     # before, counted at 2, then NotPrime
+    def test_bundle_ratio_primes(self, a2, counted, primes, error):
+        m = rigid_module(a2, 2, 2, (1, 1), seed=9)
+        with pytest.raises(error):
+            flagvar.bundle_ratio_check(m, [(1, 0), (0, 1)], primes=primes)
+        assert counted == []
+
+    def test_check_primes(self):
+        assert flagvar.check_primes([5, 2]) == (5, 2)
+        assert flagvar.check_primes(()) == ()
+        with pytest.raises(ValidationError, match=r"got \(2, 3, 2\)"):
+            flagvar.check_primes([2, 3, 2])
 
 
 class TestCountMonotonicity:
