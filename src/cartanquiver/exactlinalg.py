@@ -2,7 +2,7 @@
 
 Matrices are numpy int64 arrays with entries in {0, ..., p-1}; they act on
 column vectors.  `rref`, `solve`, `matpow`, `digits`, `block_diag`,
-`Subspace`, `Subspace.from_rows`, `Subspace.reduce_rows` and
+`Subspace`, `Subspace.from_rows`, `Subspace.contains_rows` and
 `Subspace.quotient_coords` refuse entries that are not integers instead of
 truncating them.  Subspaces are stored through their unique reduced
 row-echelon basis, so two equal subspaces always compare (and hash) equal.
@@ -16,6 +16,7 @@ Every solve, rank, inverse and kernel goes through one elimination,
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -68,8 +69,12 @@ def check_prime(p: int) -> int:
 
     Raises ModulusTooLarge above MAX_PRIME = 46337, the largest prime with
     n (p-1)^2 < 2^63 for inner products of length n = 2^32 (see the note at
-    MAX_PRIME), and NotPrime for a non-prime modulus.
+    MAX_PRIME), and NotPrime for a modulus that is not an integer prime.
     """
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise NotPrime(f"modulus {p!r} is not an integer") from None
     if p in _PRIME_CACHE:
         return p
     if p > MAX_PRIME:
@@ -350,10 +355,6 @@ class Subspace:
     def zero(ambient: int, p: int) -> "Subspace":
         return Subspace.from_rows(zeros(0, ambient), ambient, p)
 
-    @staticmethod
-    def full(ambient: int, p: int) -> "Subspace":
-        return Subspace.from_rows(identity(ambient), ambient, p)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -367,19 +368,9 @@ class Subspace:
     def __hash__(self):
         return hash((self.p, self.ambient, self.basis.tobytes()))
 
-    def reduce_rows(self, vectors: np.ndarray) -> np.ndarray:
-        """Residue of row vectors after subtracting their projection onto
-        the subspace along the pivot coordinates."""
-        v = np.atleast_2d(integer_array(vectors)) % self.p
-        if v.shape[1] != self.ambient:
-            raise DimensionMismatch("wrong ambient dimension")
-        if self.dim == 0:
-            return v
-        coeff = v[:, list(self.pivots)]
-        return (v - coeff @ self.basis) % self.p
-
     def contains_rows(self, vectors) -> bool:
-        return not self.reduce_rows(vectors).any()
+        """Whether U holds every row: their `quotient_coords` are zero."""
+        return not self.quotient_coords(np.atleast_2d(vectors).T).any()
 
     @functools.cached_property
     def off_pivots(self) -> tuple[int, ...]:
@@ -393,8 +384,11 @@ class Subspace:
         onto F_p^n / U, whose coordinates are those off the pivots P: the
         residue cols - B^T cols[P] there, where it can be non-zero (B is
         the identity on P).  A column lies in U exactly when its image is
-        zero."""
+        zero.  Columns of another length raise DimensionMismatch."""
         cols = integer_array(cols) % self.p
+        if cols.shape[:1] != (self.ambient,):
+            raise DimensionMismatch(f"columns of shape {cols.shape} in "
+                                    f"ambient dimension {self.ambient}")
         off = self.off_pivots
         return (cols.take(off, 0) - self.basis.take(off, 1).T
                 @ cols.take(self.pivots, 0)) % self.p

@@ -86,12 +86,12 @@ VERTEX_CANDIDATE_BUDGET = 10 ** 7
 
 # --- free submodules of one truncated polynomial column ----------------------
 
-def _chart_patterns(m_order: int, r: int, e: int, p: int):
-    """Per pivot pattern, in chart order: (pivots, slots, charts).  Row q off
+def _chart_patterns(m_order: int, r: int, e: int):
+    """Per pivot pattern, in chart order: (pivots, slots).  Row q off
     the pivots has a free entry in every column, of degree >= 1 in the
     columns whose pivot lies below q.  A chart's index within its pattern,
-    written in base p, lists these free coefficients (row, col, degree) as
-    `slots` orders them, least significant first."""
+    written in base p over F_p, lists these free coefficients (row, col,
+    degree) as `slots` orders them, least significant first."""
     if e < 0 or e > r:
         return []
     out = []
@@ -100,13 +100,8 @@ def _chart_patterns(m_order: int, r: int, e: int, p: int):
                 for q in range(r) if q not in pivots for col in range(e)]
         slots = [(q, col, t) for q, col, mind in reversed(free)
                  for t in range(mind, m_order)]
-        out.append((pivots, slots, p ** len(slots)))
+        out.append((pivots, slots))
     return out
-
-
-def chart_count(m_order: int, r: int, e: int, p: int) -> int:
-    """Number of free rank-e submodules of a free rank-r column."""
-    return sum(size for _, _, size in _chart_patterns(m_order, r, e, p))
 
 
 def _chart_rows(charts: np.ndarray, m_order: int) -> np.ndarray:
@@ -139,22 +134,22 @@ class _AffineCharts(NamedTuple):
     bounds: tuple[int, ...]
 
 
-def _new_affine(m_order: int, r: int, e: int, p: int) -> _AffineCharts:
+def _new_affine(m_order: int, r: int, e: int) -> _AffineCharts:
     """Per pattern, the ring matrices of B_0 (1 at (pivots[col], col) in
     degree 0) and of each unit (1 at its slot (row, col, degree) alone),
     set in one assignment, and their rows."""
-    patterns = _chart_patterns(m_order, r, e, p)
-    sizes = [1 + len(slots) for _, slots, _ in patterns]
+    patterns = _chart_patterns(m_order, r, e)
+    sizes = [1 + len(slots) for _, slots in patterns]
     bounds = tuple(itertools.accumulate(sizes, initial=0))
-    ones = [(lo, q, col, 0) for lo, (piv, _, _) in zip(bounds, patterns)
+    ones = [(lo, q, col, 0) for lo, (piv, _) in zip(bounds, patterns)
             for col, q in enumerate(piv)]
     ones += [(lo + 1 + s, q, col, t)
-             for lo, (_, slots, _) in zip(bounds, patterns)
+             for lo, (_, slots) in zip(bounds, patterns)
              for s, (q, col, t) in enumerate(slots)]
     ring = np.zeros((bounds[-1], r, e, m_order), dtype=np.int64)
     ring[tuple(np.array(ones, dtype=np.int64).reshape(-1, 4).T)] = 1
     rows = np.ascontiguousarray(_chart_rows(ring, m_order))
-    lead = np.array([piv for piv, _, _ in patterns], dtype=np.int64)
+    lead = np.array([piv for piv, _ in patterns], dtype=np.int64)
     columns = (lead.reshape(len(patterns), e, 1) * m_order
                + np.arange(m_order)).reshape(len(patterns), e * m_order)
     pivots = np.repeat(columns, sizes, axis=0)
@@ -247,18 +242,21 @@ class _KeyEntry(NamedTuple):
 
 @functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
 def _vertex_candidates(m_order: int, r: int, e: int, p: int) -> _KeyEntry:
-    """The entry of one key: its chart count, its charts per block (about
-    _BLOCK_CELLS cells of row matrices), up to _CANDIDATE_CACHE_LIMIT
-    charts its block list, and its `_AffineCharts`, built with the entry.
-    This is the one place that reads those constants: every search over
-    the key reads the entry, so a constant changed later reaches only the
-    keys built after it, and the blocks, filled in place, are shared by
-    every search."""
-    count = chart_count(m_order, r, e, p)
+    """The entry of one key: its `_AffineCharts`, built with the entry, its
+    chart count, read off that stack (p^(hi-lo-1) charts per pattern, so
+    `_chart_patterns` is walked once per key), its charts per block (about
+    _BLOCK_CELLS cells of row matrices) and, up to _CANDIDATE_CACHE_LIMIT
+    charts, its block list.  This is the one place that reads those
+    constants: every search over the key reads the entry, so a constant
+    changed later reaches only the keys built after it, and the blocks,
+    filled in place, are shared by every search."""
+    affine = _new_affine(m_order, r, e)
+    count = sum(p ** (hi - lo - 1)
+                for lo, hi in zip(affine.bounds, affine.bounds[1:]))
     step = max(1, _BLOCK_CELLS // max(1, e * r * m_order * m_order))
     blocks = ([None] * -(-count // step)
               if count <= _CANDIDATE_CACHE_LIMIT else None)
-    return _KeyEntry(count, step, blocks, _new_affine(m_order, r, e, p))
+    return _KeyEntry(count, step, blocks, affine)
 
 
 def _candidate_blocks(key: tuple[int, int, int, int]

@@ -68,6 +68,7 @@ import collections
 import contextlib
 import contextvars
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,7 +76,7 @@ import numpy as np
 
 from . import exactlinalg as la
 from . import hmod, homext
-from .cartan import CartanDatum, RankVector
+from .cartan import CartanDatum, RankVector, read_value
 from .errors import InternalCheckError, ValidationError
 from .exactlinalg import Subspace
 from .hmod import HModule
@@ -204,8 +205,8 @@ def _find_split(m: HModule, seed, keep: bool = False):
     seed.
 
     Inside a decomposition call the result is first looked up in the
-    call's table under the matrices of M.  With `keep` (a piece that came
-    out of a split) it is stored there when the whole result, split
+    call's table under the `content` key of M.  With `keep` (a piece that
+    came out of a split) it is stored there when the whole result, split
     included, is the same for every seed: within the budget, when every
     shift is tried (p <= ALL_SHIFTS) or no split exists.
     """
@@ -214,7 +215,7 @@ def _find_split(m: HModule, seed, keep: bool = False):
     table = _call_table(m.datum, m.k, m.p)
     if table is None:
         return _search_split(m, seed)
-    key = _content(m)
+    key = m.content
     found = table.splits.get(key)
     if found is None:
         found = _search_split(m, seed)
@@ -222,13 +223,6 @@ def _find_split(m: HModule, seed, keep: bool = False):
         if keep and seed_free and (m.p <= ALL_SHIFTS or split is None):
             table.splits[key] = found
     return found
-
-
-def _content(m: HModule) -> tuple:
-    """The dimensions and matrices of M: equal for two modules of one
-    (datum, k, p) exactly when their loops and arrows are equal."""
-    arrows = (a for mats in m.arrows.values() for a in mats)
-    return m.dims, b"".join(x.tobytes() for x in (*m.eps, *arrows))
 
 
 def _search_split(m: HModule, seed):
@@ -431,7 +425,7 @@ class _CallTable:
     scans, the Krull-Schmidt scan and the Schur scans.
 
     `splits`: the `_find_split` results of the pieces split off in the
-    call that are the same for every seed, under the pieces' matrices."""
+    call that are the same for every seed, under the pieces' `content`."""
 
     datum: CartanDatum
     k: int
@@ -778,6 +772,7 @@ def k_independence_check(datum: CartanDatum, p: int, r, k_max: int,
                          samples: int = DEFAULT_SAMPLES, seed=0
                          ) -> KIndependenceReport:
     """Canonical decompositions for k = 1..k_max must agree as multisets."""
+    k_max = read_value(operator.index, k_max, "bad k_max")
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     reports = tuple(

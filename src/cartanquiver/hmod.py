@@ -78,8 +78,9 @@ class HModule:
     data derived from it may be kept while it lives (as
     `flagvar._reduction_data` does).  Everything else is read off these
     matrices: `standard_form` and local freeness off the Jordan orders of
-    the loops, read once per module (`jordan_orders`), and the integer
-    lift of `reduce_mod_p` is the entries read as integers in 0..p-1.
+    the loops, read once per module (`jordan_orders`), literal equality
+    off one key (`content`), and the integer lift of `reduce_mod_p` is
+    the entries read as integers in 0..p-1.
     """
 
     datum: CartanDatum
@@ -103,6 +104,14 @@ class HModule:
     def jordan_orders(self) -> tuple[int, ...]:
         """`_jordan_order` of each loop, kept while the module lives."""
         return tuple(map(_jordan_order, self.eps))
+
+    @property
+    def content(self) -> tuple:
+        """The dims and the bytes of the loops and arrows in map order:
+        equal for two modules of one (datum, k, p) exactly when they are
+        literally equal."""
+        arrows = (a for key in sorted(self.arrows) for a in self.arrows[key])
+        return self.dims, b"".join(x.tobytes() for x in (*self.eps, *arrows))
 
     @property
     def standard_form(self) -> bool:
@@ -138,6 +147,7 @@ def _jordan_order(x: np.ndarray) -> int:
 def make_module(datum: CartanDatum, k: int, p: int, eps, arrows) -> HModule:
     """Assemble and validate a module from raw matrices."""
     la.check_prime(p)
+    k = read_value(operator.index, k, "bad level k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     eps_t = tuple(_frozen(la.integer_array(e) % p) for e in eps)
@@ -293,16 +303,10 @@ def _standard(m: HModule) -> tuple[HModule, Optional[tuple[np.ndarray, ...]]]:
 
 
 def modules_equal(a: HModule, b: HModule) -> bool:
-    """Literal equality of all matrices (not isomorphism)."""
-    if (a.datum, a.k, a.p, a.dims) != (b.datum, b.k, b.p, b.dims):
-        return False
-    if any(not np.array_equal(x, y) for x, y in zip(a.eps, b.eps)):
-        return False
-    for key in a.arrows:
-        if any(not np.array_equal(x, y)
-               for x, y in zip(a.arrows[key], b.arrows[key])):
-            return False
-    return True
+    """Literal equality of all matrices (not isomorphism): one (datum, k,
+    p) and one `content` key."""
+    return ((a.datum, a.k, a.p) == (b.datum, b.k, b.p)
+            and a.content == b.content)
 
 
 # --- structure matrices ------------------------------------------------------
@@ -328,6 +332,7 @@ def _structure_shapes(datum: CartanDatum, k: int, r: RankVector) -> dict:
     """Per oriented pair, the shape of its structure matrix."""
     if len(r) != datum.n:
         raise ShapeMismatch(f"rank vector length {len(r)} != {datum.n}")
+    k = read_value(operator.index, k, "bad level k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return {(i, j): (r[i], abs(datum.c[i][j]) * r[j], k * datum.d[i])

@@ -41,6 +41,7 @@ import bisect
 import collections
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import exactlinalg as la
 from . import hmod
-from .cartan import euler_form
+from .cartan import euler_form, read_value
 from .errors import (
     InternalCheckError,
     NotAHomomorphism,
@@ -403,6 +404,7 @@ def find_rigid(datum, k: int, p: int, r, trials: int = 200, seed=0
     which case a negative answer means no rigid module of this rank exists
     over F_p; otherwise absence is only "none found".
     """
+    trials = read_value(operator.index, trials, "bad trials")
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
     # budget 0: the trials are samples (seed, t); then the full scan, or

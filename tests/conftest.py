@@ -515,7 +515,7 @@ def coordinates_rows(u, vectors):
     """Coefficients of row vectors in the RREF basis of u; the vectors must
     lie in u."""
     v = np.atleast_2d(np.asarray(vectors, dtype=np.int64)) % u.p
-    if u.reduce_rows(v).any():
+    if not u.contains_rows(v):
         raise DimensionMismatch("vector not in subspace")
     if u.dim == 0:
         return la.zeros(v.shape[0], 0)

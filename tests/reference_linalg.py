@@ -126,6 +126,13 @@ def right_product_matrix(b: np.ndarray, rows: int) -> np.ndarray:
     return out.reshape(b.shape[:-2] + (rows * c, rows * s))
 
 
+def chart_count(m_order: int, r: int, e: int, p: int) -> int:
+    """The number of charts of a key, p^len(slots) per pivot pattern of
+    `flagvar._chart_patterns`, without the candidate cache."""
+    return sum(p ** len(slots)
+               for _, slots in flagvar._chart_patterns(m_order, r, e))
+
+
 def chart_block(m_order: int, r: int, e: int, p: int, start: int,
                 stop: int) -> np.ndarray:
     """Charts start, ..., stop - 1 (in chart order) of a key as ring
@@ -135,7 +142,8 @@ def chart_block(m_order: int, r: int, e: int, p: int, start: int,
     at the pattern's slots, least significant first."""
     out = np.zeros((stop - start, r, e, m_order), dtype=np.int64)
     offset = 0
-    for pivots, slots, size in flagvar._chart_patterns(m_order, r, e, p):
+    for pivots, slots in flagvar._chart_patterns(m_order, r, e):
+        size = p ** len(slots)
         lo, hi = max(start, offset), min(stop, offset + size)
         if lo < hi:
             part = out[lo - start:hi - start]

@@ -20,6 +20,7 @@ from cartanquiver.errors import NotInvariant
 from cartanquiver.exactlinalg import Subspace
 
 from conftest import make_datum, reference_layer_chains, scrambled
+from reference_linalg import chart_count
 
 DATA = {
     "a2": make_datum([[2, -1], [-1, 2]], [1, 1], [(0, 1)]),
@@ -41,7 +42,7 @@ def free_flag_bound(datum, k, p, seq) -> int:
     for i in range(datum.n):
         acc = list(itertools.accumulate(r[i] for r in seq))
         for lower, upper in zip(acc, acc[1:]):
-            total *= flagvar.chart_count(k * datum.d[i], upper, lower, p)
+            total *= chart_count(k * datum.d[i], upper, lower, p)
     return total
 
 

@@ -2,9 +2,11 @@
 method or property of such a class, has a caller.
 
 A name counts as called when it is referenced in `src/cartanquiver`
-outside its own definition (as a name or as an attribute), imported by the
-package `__init__`, named in a benchmark script `perfbench/*.py`, or listed
-in ALLOWED with the reason it stays.
+outside its own definition (a function or class as a name or as an
+attribute, a method or property only as an attribute: a local variable
+of the same name calls nothing), imported by the package `__init__`,
+named in a benchmark script `perfbench/*.py`, or listed in ALLOWED with
+the reason it stays.
 
 No function binds a budget or trial-count constant (a name ending in
 _BUDGET or _TRIALS) as a parameter default, and the keywords those
@@ -37,26 +39,30 @@ ALLOWED = {
 
 
 def _references(node) -> collections.Counter:
+    """References by (kind, name), kind "name" for a bare name and "attr"
+    for an attribute."""
     out = collections.Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+            out["name", sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out[sub.attr] += 1
+            out["attr", sub.attr] += 1
     return out
 
 
 def _definitions(tree):
-    """(qualified suffix, name, node) of the top-level functions and
-    classes and of the public methods and properties of those classes."""
+    """(qualified suffix, name, node, kinds) of the top-level functions and
+    classes, referenced by name or attribute, and of the public methods and
+    properties of those classes, referenced by attribute only."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name, node
+            yield node.name, node.name, node, ("name", "attr")
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if (isinstance(sub, ast.FunctionDef)
                         and not sub.name.startswith("_")):
-                    yield f"{node.name}.{sub.name}", sub.name, sub
+                    yield (f"{node.name}.{sub.name}", sub.name, sub,
+                           ("attr",))
 
 
 def uncalled(modules: dict, init_source: str, bench_text: str,
@@ -72,9 +78,11 @@ def uncalled(modules: dict, init_source: str, bench_text: str,
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     out = []
     for module, tree in sorted(trees.items()):
-        for suffix, name, node in _definitions(tree):
+        for suffix, name, node, kinds in _definitions(tree):
             qualified = f"{module}.{suffix}"
-            if (total[name] > _references(node)[name]
+            own = _references(node)
+            calls = sum(total[kind, name] - own[kind, name] for kind in kinds)
+            if (calls > 0
                     or name in exported
                     or re.search(rf"\b{re.escape(name)}\b", bench_text)
                     or qualified in allowed):
@@ -93,19 +101,20 @@ def test_guard_sees_uncalled_names():
               "class Report:\n"
               "    @property\n    def ok(self):\n        return used()\n"
               "    def dead(self):\n        return self.dead()\n"
+              "    def shadowed(self):\n        pass\n"
               "    def _private(self):\n        pass\n"),
-        "b": "from .a import Report\nx = Report().ok\n",
+        "b": "from .a import Report\nshadowed = Report().ok\n",
     }
     found = uncalled(modules, "from .a import exported\n",
                      "wrap('a.benched')\n", {"a.allowed"})
-    assert found == ["a.Report.dead", "a.recursive"]
+    assert found == ["a.Report.dead", "a.Report.shadowed", "a.recursive"]
 
 
 def test_allowlist_names_exist():
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     for qualified in ALLOWED:
         module, *path = qualified.split(".")
-        names = {suffix for suffix, _, _ in
+        names = {suffix for suffix, _, _, _ in
                  _definitions(ast.parse(modules[module]))}
         assert ".".join(path) in names, qualified
 
@@ -198,8 +207,10 @@ def test_removed_budget_keywords(a2, fn, keyword):
 # list(iter_*) replaced, the error only the chain lift raised, the
 # submodule builder that `hmod._restrict` replaced, the product matrices
 # that the order-1 ring factors of the Hom solver replaced (the tests keep
-# them as a reference), and a flag serialisation nothing called (the guard
-# above matches names only, and other classes define `to_dict`)
+# them as a reference), a flag serialisation nothing called (the guard
+# above matches names only, and other classes define `to_dict`), and the
+# second rules of module equality, subspace residue and a key's chart
+# count, with the full-space constructor nothing called
 REMOVED_NAMES = [
     (cartanquiver, "lift"),
     (cartanquiver, "lift_chain"),
@@ -218,6 +229,10 @@ REMOVED_NAMES = [
     (la, "left_product_matrix"),
     (la, "right_product_matrix"),
     (flagvar.FlagOfSubmodules, "to_dict"),
+    (gendecomp, "_content"),
+    (la.Subspace, "reduce_rows"),
+    (la.Subspace, "full"),
+    (flagvar, "chart_count"),
 ]
 
 

@@ -253,12 +253,12 @@ def test_powers_digits_and_residues_reject_non_integer_entries():
         la.matpow([[1.5, 0], [0, 1]], 2, 5)
     with pytest.raises(ValidationError):
         la.digits([2.9], 2, 3)
-    for call in (u.reduce_rows, u.contains_rows):
+    for call in (u.quotient_coords, u.contains_rows):
         with pytest.raises(ValidationError):
             call([[0.5, 1]])
     assert la.matpow([[1, 1], [0, 1]], 3, 5).tolist() == [[1, 3], [0, 1]]
     assert la.digits([5, True], 2, 3).tolist() == [[1, 0, 1], [1, 0, 0]]
-    assert u.reduce_rows([[1, 3]]).tolist() == [[0, 1]]
+    assert u.quotient_coords([[1], [3]]).tolist() == [[1]]
     assert u.contains_rows(np.array([[2, 4]], dtype=np.uint8))
 
 
@@ -777,3 +777,17 @@ def test_kernel_basis_subspace():
     ker = la.Subspace.from_rows(la.kernel_basis_matrix(a, 2), 3, 2)
     assert ker.dim == 1
     assert ker.contains_rows(np.array([[1, 1, 0]]))
+
+
+def test_quotient_coords_checks_column_length():
+    """A column of another length than the ambient dimension is refused:
+    a length-4 column read as a member, a length-2 one hit an IndexError."""
+    u = la.Subspace.from_rows([[1, 1, 0]], 3, 5)
+    for cols in ([[1], [1], [0], [4]], [[1], [1]], [1, 1, 0, 4], 3):
+        with pytest.raises(DimensionMismatch):
+            u.quotient_coords(cols)
+    with pytest.raises(DimensionMismatch):
+        u.contains_rows([[1, 1, 0, 4]])
+    assert u.quotient_coords([[1], [1], [0]]).tolist() == [[0], [0]]
+    assert u.quotient_coords([2, 1, 3]).tolist() == [4, 3]
+    assert u.contains_rows([[2, 2, 0]]) and not u.contains_rows([2, 1, 3])

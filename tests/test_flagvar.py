@@ -39,7 +39,7 @@ from conftest import (
     reference_total_blocks,
     scrambled,
 )
-from reference_linalg import chart_block, chart_table
+from reference_linalg import chart_block, chart_count, chart_table
 
 
 def brvec(seq):
@@ -55,7 +55,7 @@ def rigid_module(datum, k, p, r, seed=0):
 def ring_charts(m_order, r, e, p):
     """All charts of one key, in chart order, as ring matrices."""
     return list(chart_block(m_order, r, e, p, 0,
-                            flagvar.chart_count(m_order, r, e, p)))
+                            chart_count(m_order, r, e, p)))
 
 
 def new_table(key, start, stop):
@@ -82,7 +82,8 @@ class TestChartEnumeration:
         produced = len(ring_charts(m_order, r, e, p))
         closed = (la.gaussian_binomial(r, e, p)
                   * p ** ((m_order - 1) * e * (r - e)))
-        assert produced == closed == flagvar.chart_count(m_order, r, e, p)
+        assert produced == closed == flagvar._vertex_candidates(
+            m_order, r, e, p).charts
 
     def test_charts_distinct_as_subspaces(self):
         subs = [chart_subspace(mat, 2, 2, 2)
@@ -161,7 +162,7 @@ def corrupt_stack(monkeypatch):
 TABLE_KEYS = [(m_order, r, e, p)
               for m_order in range(1, 5) for r in range(4)
               for e in range(r + 1) for p in (2, 3, 5)
-              if flagvar.chart_count(m_order, r, e, p) <= 2000]
+              if chart_count(m_order, r, e, p) <= 2000]
 
 
 class TestCandidateTables:
@@ -169,7 +170,7 @@ class TestCandidateTables:
         for key in TABLE_KEYS:
             m_order, r, e, p = key
             charts = list(reference_charts(*key))
-            assert len(charts) == flagvar.chart_count(*key), key
+            assert len(charts) == flagvar._vertex_candidates(*key).charts, key
             produced = ring_charts(*key)
             assert len(produced) == len(charts), key
             for want, got in zip(charts, produced):
@@ -203,7 +204,8 @@ class TestCandidateTables:
         try:
             for key in TABLE_KEYS:
                 ends = set(itertools.accumulate(
-                    size for _, _, size in flagvar._chart_patterns(*key)))
+                    key[3] ** len(slots)
+                    for _, slots in flagvar._chart_patterns(*key[:3])))
                 start = 0
                 for block in flagvar._candidate_blocks(key):
                     stop = start + len(block)
@@ -216,7 +218,7 @@ class TestCandidateTables:
                     straddling += start > 0 and any(
                         start < end < stop for end in ends)
                     start = stop
-                assert start == flagvar.chart_count(*key), key
+                assert start == flagvar._vertex_candidates(*key).charts, key
         finally:
             flagvar._vertex_candidates.cache_clear()
         if cells is not None:
@@ -249,6 +251,48 @@ class TestCandidateTables:
                         with pytest.raises(ValueError):
                             arr[...] = 0
                 start = stop
+        finally:
+            flagvar._vertex_candidates.cache_clear()
+
+    def test_chart_counts_match_closed_form(self):
+        # every key's count, read off its affine stack, is the number of
+        # free rank-e submodules of a free rank-r column over
+        # F_q[x]/(x^m): q^((m-1) e (r-e)) times the Gaussian binomial
+        keys = [(m_order, r, e, q) for m_order in range(1, 7)
+                for r in range(5) for e in range(r + 1) for q in (2, 3, 5)]
+        assert len(keys) == 270
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            for m_order, r, e, q in keys:
+                closed = (q ** ((m_order - 1) * e * (r - e))
+                          * la.gaussian_binomial(r, e, q))
+                entry = flagvar._vertex_candidates(m_order, r, e, q)
+                assert entry.charts == closed, (m_order, r, e, q)
+        finally:
+            flagvar._vertex_candidates.cache_clear()
+
+    def test_one_pattern_walk_per_entry(self, monkeypatch, a2, b2):
+        # a key's pivot patterns are walked once, where its entry is
+        # built, and its count is read off the stack of that walk
+        calls = []
+        original = flagvar._chart_patterns
+
+        def counting(*key):
+            calls.append(key)
+            return original(*key)
+
+        monkeypatch.setattr(flagvar, "_chart_patterns", counting)
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            m = rigid_module(b2, 2, 3, (2, 1))
+            flagvar.point_count(m, [(1, 0), (1, 1)])
+            list(flagvar.iter_flags(n_module(a2, 2, 3), [(1, 1), (0, 1)]))
+            for key in [(2, 2, 1, 3), (4, 3, 1, 2), (1, 1, 1, 2)] * 2:
+                flagvar._vertex_candidates(*key)
+            info = flagvar._vertex_candidates.cache_info()
+            assert info.misses > 3 and info.hits > 0
+            assert len(calls) == info.misses
+            assert len(set(calls)) == len(calls)
         finally:
             flagvar._vertex_candidates.cache_clear()
 
@@ -304,7 +348,7 @@ class TestCandidateTables:
         assume(all(key[0] <= 4 for key in keys))
         v = data.draw(st.integers(0, 1))
         w = 1 - v
-        counts = [flagvar.chart_count(*key) for key in keys]
+        counts = [chart_count(*key) for key in keys]
         start = data.draw(st.integers(0, counts[v] - 1))
         stop = min(counts[v], start + data.draw(st.integers(1, 40)))
         block = new_table(keys[v], start, stop)
@@ -425,12 +469,13 @@ class TestStreamedCandidates:
         info = flagvar._vertex_candidates.cache_info()
         assert info.currsize == info.misses
         for key in [(2, 2, 1, 3), (4, 2, 1, 2), (2, 2, 1, 2)]:
-            assert flagvar.chart_count(*key) > 1
             before = flagvar._vertex_candidates.cache_info().misses
+            assert chart_count(*key) > 1
             blocks = list(flagvar._candidate_blocks(key))
             assert flagvar._vertex_candidates.cache_info().misses == before
             assert flagvar._vertex_candidates(*key).blocks is None
-            assert sum(len(b) for b in blocks) == flagvar.chart_count(*key)
+            assert (sum(len(b) for b in blocks)
+                    == flagvar._vertex_candidates(*key).charts)
         flagvar._vertex_candidates.cache_clear()
 
     def test_early_stop_builds_one_block(self, monkeypatch):
@@ -448,7 +493,7 @@ class TestStreamedCandidates:
         try:
             key = (2, 2, 1, 3)
             step = flagvar._vertex_candidates(*key).step
-            assert step < flagvar.chart_count(*key)
+            assert step < flagvar._vertex_candidates(*key).charts
             stream = flagvar._candidate_blocks(key)
             first = next(stream)
             stream.close()
@@ -510,7 +555,8 @@ class TestLazyBlocks:
         # a count over the key fills in the rest, building each block once
         assert flagvar.count_locally_free_submodules(m, (1, 1)) == 27
         assert sorted(built) == [(self.KEY, s) for s in starts]
-        eager = new_table(self.KEY, 0, flagvar.chart_count(*self.KEY))
+        eager = new_table(self.KEY, 0,
+                          flagvar._vertex_candidates(*self.KEY).charts)
         for name in ("basis", "pivots"):
             got = np.concatenate([getattr(b, name) for b in blocks])
             want = getattr(eager, name)
@@ -671,8 +717,7 @@ class TestFactorizedCounting:
         # free module: every arrow inactive, the count is a pure product
         e = hmod.free_module(a2, 2, 3, (2, 1))
         assert (flagvar.count_locally_free_submodules(e, (1, 1))
-                == flagvar.chart_count(2, 2, 1, 3)
-                * flagvar.chart_count(2, 1, 1, 3))
+                == chart_count(2, 2, 1, 3) * chart_count(2, 1, 1, 3))
 
     def test_point_count_matches_enumeration_three_layers(self, a2, b2,
                                                           a3):
@@ -1490,7 +1535,8 @@ class TestFiberChecks:
     def test_invalid_base_rejected(self, a2):
         m, bases = _fiber_case(a2)
         bar = bases[0].module
-        full = tuple(la.Subspace.full(d, bar.p) for d in bar.dims)
+        full = tuple(la.Subspace.from_rows(la.identity(d), d, bar.p)
+                     for d in bar.dims)
         broken = flagvar.FlagOfSubmodules(bar, bases[0].brseq,
                                           (full,) + bases[0].layers[1:])
         with pytest.raises(FlagNotInReduction, match="base flag invalid"):

@@ -670,3 +670,56 @@ class TestTwistedStructure:
                                           (a @ blocks[j]) % 5)
             assert not any(
                 la.matpow(blocks[i], k, 5).any() for i in range(m.n))
+
+
+class TestContentKey:
+    """Literal equality has one rule: one (datum, k, p) and one `content`
+    key, the dims and the bytes of the loops and arrows in map order."""
+
+    def routes(self, m):
+        """m rebuilt along routes that share no code with its own."""
+        whole = [Subspace.from_rows(la.identity(d), d, m.p) for d in m.dims]
+        zero = [Subspace.zero(d, m.p) for d in m.dims]
+        yield hmod.from_structure_matrices(hmod.to_structure_matrices(m))
+        yield hmod.module_from_dict(m.datum, hmod.module_to_dict(m))
+        yield hmod.reduce_mod_p(m, m.p)
+        yield hmod.quotient(m, zero).module
+        yield hmod.sub_quotient(m, whole).sub
+        yield hmod.make_module(m.datum, m.k, m.p,
+                               [e.copy() for e in m.eps],
+                               {key: [a.T.copy().T for a in mats]
+                                for key, mats in reversed(m.arrows.items())})
+
+    def test_equal_routes_share_the_key(self, a2, b2_rev, kronecker):
+        for datum in (a2, b2_rev, kronecker):
+            m = hmod.random_locally_free(datum, 2, 3, (2, 1), seed=5)
+            for other in self.routes(m):
+                assert other is not m
+                assert other.content == m.content
+                assert hmod.modules_equal(other, m)
+                assert hmod.modules_equal(m, other)
+
+    def test_one_entry_k_or_p_differs(self, a2, b2_rev):
+        for datum in (a2, b2_rev):
+            s = hmod.random_structure(datum, 2, 3, (1, 2), seed=2)
+            m = hmod.from_structure_matrices(s)
+            for key, arr in s.mats.items():
+                for index in itertools.product(*map(range, arr.shape)):
+                    mats = {k: v.copy() for k, v in s.mats.items()}
+                    mats[key][index] = (mats[key][index] + 1) % 3
+                    other = hmod.from_structure_matrices(
+                        hmod.structure_from_arrays(datum, 2, 3, s.rank,
+                                                   mats))
+                    assert other.content != m.content
+                    assert not hmod.modules_equal(other, m)
+        # zero loops hold at every level; entries 0 and 1 at every prime
+        low = hmod.make_module(a2, 1, 2, [la.zeros(1, 1)] * 2,
+                               {(0, 1): [[[1]]]})
+        for other in (hmod.make_module(a2, 2, 2, low.eps, low.arrows),
+                      hmod.reduce_mod_p(low, 3)):
+            assert other.content == low.content
+            assert not hmod.modules_equal(other, low)
+            assert not hmod.modules_equal(low, other)
+        assert not hmod.modules_equal(
+            hmod.free_module(a2, 1, 2, (1, 0)),
+            hmod.free_module(a2, 1, 2, (0, 1)))

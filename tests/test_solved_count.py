@@ -18,6 +18,7 @@ from cartanquiver import flagvar, hmod, homext
 from cartanquiver.errors import BudgetExceeded
 
 from conftest import make_datum
+from reference_linalg import chart_count
 
 # every orientation reversed, as a second A3
 A3_REV = make_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1],
@@ -43,7 +44,7 @@ def forced(threshold, fn, *args):
 def largest_charts(m, i):
     """The most charts any sub rank has at vertex i of m."""
     r = m.dims[i] // m.loop_order(i)
-    return max(flagvar.chart_count(m.loop_order(i), r, e, m.p)
+    return max(chart_count(m.loop_order(i), r, e, m.p)
                for e in range(r + 1))
 
 

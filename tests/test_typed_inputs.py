@@ -6,13 +6,14 @@ and integers read from outside that are not integers."""
 import numpy as np
 import pytest
 
-from cartanquiver import cartan, flagvar, hmod, homext, reduction
+from cartanquiver import cartan, flagvar, gendecomp, hmod, homext, reduction
 from cartanquiver import exactlinalg as la
 from cartanquiver.cartan import RankVector
 from cartanquiver.errors import (
     DatumMismatch,
     LengthMismatch,
     NotAHomomorphism,
+    NotPrime,
     ValidationError,
 )
 
@@ -223,3 +224,48 @@ class TestIntegerReaders:
                      {**dims, "arrows": {"1,2.0": arrows}}):
             with pytest.raises(ValidationError):
                 hmod.module_from_dict(a2, data)
+
+
+def test_check_prime_reads_integers(a2):
+    """The modulus is read with operator.index: 5.5 and 2.0 were returned
+    as they came, and a module over F_5.5 was built."""
+    assert la.check_prime(np.int64(5)) == 5 and la.check_prime(7) == 7
+    for bad in (5.5, 2.0, 5.0, np.float64(3), "5", None):
+        with pytest.raises(NotPrime):
+            la.check_prime(bad)
+    with pytest.raises(NotPrime):
+        hmod.free_module(a2, 1, 5.5, (1, 1))
+    m = hmod.free_module(a2, 1, 5, (1, 1))
+    with pytest.raises(NotPrime):
+        hmod.reduce_mod_p(m, 5.0)
+    assert hmod.modules_equal(hmod.reduce_mod_p(m, np.int64(5)), m)
+
+
+INTEGER_PARAMETERS = {
+    "make_module-k": lambda a2, v: hmod.make_module(
+        a2, v, 3, [la.zeros(1, 1)] * 2, {}),
+    "_structure_shapes-k": lambda a2, v: hmod._structure_shapes(
+        a2, v, RankVector((1, 1))),
+    "module_at_level-k_new": lambda a2, v: reduction.module_at_level(
+        hmod.free_module(a2, 1, 3, (1, 1)), v),
+    "find_rigid-trials": lambda a2, v: homext.find_rigid(
+        a2, 1, 2, (1, 0), trials=v),
+    "rigid_transfer_check-k_max": lambda a2, v:
+        reduction.rigid_transfer_check(a2, 2, (1, 0), k_max=v, trials=2),
+    "k_independence_check-k_max": lambda a2, v:
+        gendecomp.k_independence_check(a2, 2, (1, 0), k_max=v),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_PARAMETERS.values(),
+                         ids=INTEGER_PARAMETERS.keys())
+def test_integer_parameters_read_with_index(a2, call):
+    """Levels, level bounds and trial counts are read with operator.index:
+    a float raises ValidationError where it raised a bare TypeError (or,
+    for the structure shapes, gave float shapes), and integral values of
+    any integer type still work."""
+    for bad in (1.5, 2.0, "2"):
+        with pytest.raises(ValidationError):
+            call(a2, bad)
+    assert call(a2, 2) is not None
+    assert call(a2, np.int64(2)) is not None
