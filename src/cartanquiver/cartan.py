@@ -220,6 +220,7 @@ class Quiver:
 
 
 def build_quiver(datum: CartanDatum, k: int) -> Quiver:
+    k = read_value(operator.index, k, "bad level k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     arrows = []

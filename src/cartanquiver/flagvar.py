@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -63,7 +64,7 @@ import numpy as np
 from . import exactlinalg as la
 from . import hmod, homext
 from . import reduction
-from .cartan import CartanDatum, RankVector, flag_dimension
+from .cartan import CartanDatum, RankVector, flag_dimension, read_value
 from .errors import (
     BudgetExceeded,
     FlagNotInReduction,
@@ -102,6 +103,15 @@ def _chart_patterns(m_order: int, r: int, e: int):
                  for t in range(mind, m_order)]
         out.append((pivots, slots))
     return out
+
+
+def _free_submodule_count(m_order: int, r: int, e: int, q: int) -> int:
+    """The chart count of a key: the number of free rank-e submodules of a
+    free rank-r module over F_q[x]/(x^m), q^((m-1) e (r-e)) times the
+    Gaussian binomial [r, e]_q, and 0 when e is not in 0..r."""
+    if e < 0 or e > r:
+        return 0
+    return q ** ((m_order - 1) * e * (r - e)) * la.gaussian_binomial(r, e, q)
 
 
 def _chart_rows(charts: np.ndarray, m_order: int) -> np.ndarray:
@@ -243,16 +253,14 @@ class _KeyEntry(NamedTuple):
 @functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
 def _vertex_candidates(m_order: int, r: int, e: int, p: int) -> _KeyEntry:
     """The entry of one key: its `_AffineCharts`, built with the entry, its
-    chart count, read off that stack (p^(hi-lo-1) charts per pattern, so
-    `_chart_patterns` is walked once per key), its charts per block (about
+    chart count (`_free_submodule_count`), its charts per block (about
     _BLOCK_CELLS cells of row matrices) and, up to _CANDIDATE_CACHE_LIMIT
     charts, its block list.  This is the one place that reads those
     constants: every search over the key reads the entry, so a constant
     changed later reaches only the keys built after it, and the blocks,
     filled in place, are shared by every search."""
     affine = _new_affine(m_order, r, e)
-    count = sum(p ** (hi - lo - 1)
-                for lo, hi in zip(affine.bounds, affine.bounds[1:]))
+    count = _free_submodule_count(m_order, r, e, p)
     step = max(1, _BLOCK_CELLS // max(1, e * r * m_order * m_order))
     blocks = ([None] * -(-count // step)
               if count <= _CANDIDATE_CACHE_LIMIT else None)
@@ -290,13 +298,13 @@ def _active_arrows(m: HModule, rank: RankVector, e: RankVector):
     return active
 
 
-def _entries(m: HModule, rank, e) -> list[_KeyEntry]:
-    """The candidate entry of each vertex."""
-    return [_vertex_candidates(m.loop_order(i), rank[i], e[i], m.p)
-            for i in range(m.n)]
+def _entries(m: HModule, rank, e, vertices) -> dict[int, _KeyEntry]:
+    """The candidate entry of each of `vertices`."""
+    return {v: _vertex_candidates(m.loop_order(v), rank[v], e[v], m.p)
+            for v in vertices}
 
 
-def _check_budgets(entries: Sequence[_KeyEntry], vertices) -> None:
+def _check_budgets(entries: dict[int, _KeyEntry], vertices) -> None:
     """Refuse a search that would enumerate one of `vertices` with more
     than VERTEX_CANDIDATE_BUDGET candidates.  A vertex that a count does
     not enumerate (one counted in closed form, or solved) is never
@@ -440,7 +448,7 @@ def _charts(m: HModule, rank: RankVector, e: RankVector):
     """The closed tuples of free rank-e submodules of m, which is in
     standard form, as the (table, chart) of each vertex (`_closure_search`
     over every vertex, in vertex order)."""
-    _check_budgets(_entries(m, rank, e), range(m.n))
+    _check_budgets(_entries(m, rank, e, range(m.n)), range(m.n))
     return _closure_search(m, rank, e, range(m.n), count=False)
 
 
@@ -466,22 +474,24 @@ def count_locally_free_submodules(m: HModule, e) -> int:
 def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
     """The number of closed tuples of free rank-e submodules of m, which is
     in standard form, with the unconstrained vertices counted in closed
-    form.  The vertices touched by an active arrow are enumerated, keys
-    whose blocks are not kept first (built once), then by ascending
+    form (`_free_submodule_count`), their entries never built.  The
+    vertices touched by an active arrow are enumerated, keys whose blocks
+    are not kept first (built once), then by ascending
     candidate count, except the one with the most candidates when it has
     more than _BLOCK_TEST_CHARTS: that one comes last and is solved per
     tuple of the others (`_solved_count`), never built or budgeted.  With
     no vertex solved, the last one is tested a block at a time, which
     costs less than a solve on small keys."""
-    entries = _entries(m, rank, e)
     coupled = {v for (i, j, _) in _active_arrows(m, rank, e)
                for v in (i, j)}
     free_factor = 1
     for i in range(m.n):
         if i not in coupled:
-            free_factor *= entries[i].charts
+            free_factor *= _free_submodule_count(m.loop_order(i), rank[i],
+                                                 e[i], m.p)
     if not coupled:
         return free_factor
+    entries = _entries(m, rank, e, coupled)
     order = sorted(coupled, key=lambda v: (
         entries[v].blocks is not None, entries[v].charts, v))
     top = max(coupled, key=lambda v: (entries[v].charts, v))
@@ -779,7 +789,7 @@ def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
     us = [u for layer in flag.layers for u in layer]
     return len(homext._hom_kernel(
         relations, tuple(u.dim for u in us),
-        tuple(u.ambient - u.dim for u in us), m.p)[0])
+        tuple(u.ambient - u.dim for u in us), m.p))
 
 
 # --- reduction of flags and its fibers ----------------------------------------
@@ -904,8 +914,10 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     phi_i c - x~ phi_j = [r] in K / Z, where x~ is the map x induces
     from K / Z at the source to K / Z at the target: the Hom relation
     (label, c, x~, i, j) in the phi.  All equations form one system, with
-    rows from `homext.intertwiner_rows`, solved once; its linear part is
-    the level-1 Hom whose dimension `_fiber_expected_dimension` checks.
+    rows from `homext.intertwiner_rows` over `homext.Layout.of` with every
+    phi of order 1, solved once, and each lift reads its phi at the
+    layout's columns; its linear part is the level-1 Hom whose dimension
+    `_fiber_expected_dimension` checks.
     """
     if m.k < 2:
         raise KTooSmall("fibers of reduction need k >= 2")
@@ -923,10 +935,8 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     expected = _fiber_expected_dimension(data.shadow, base)
     p, n = m.p, m.n
     ks = red.subspaces
-    # one lift per layer t and vertex i, at index t*n + i, and the
-    # offsets of their unknowns phi
+    # one lift per layer t and vertex i, at index t*n + i
     lifts = []
-    offsets = [0]
     for layer in base.layers:
         for i, (ubar, kk) in enumerate(zip(layer, ks)):
             w = la.zeros(ubar.dim, m.dims[i])
@@ -937,7 +947,6 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
                 raise FlagNotInReduction(
                     "base chain is not free over the center")
             lifts.append(_Lift(w, z, kk.basis.take(z.off_pivots, 0)))
-            offsets.append(offsets[-1] + (kk.dim - z.dim) * ubar.dim)
 
     # each map and identity x with sub block c is one relation (c, x~);
     # every unknown of order 1 and no relation built in, as a built-in
@@ -959,7 +968,9 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
         relations.append((label, c, tgt.z.quotient_coords(
             (x @ src.t.T).take(kk.pivots, 0)), ti, tj))
         rhs.append(tgt.z.quotient_coords(r.take(kk.pivots, 0)).ravel())
-    layout = homext.Layout(tuple(offsets), (1,) * len(lifts), frozenset())
+    layout = homext.Layout.of([lift.w.shape[0] for lift in lifts],
+                              [lift.t.shape[0] for lift in lifts],
+                              (1,) * len(lifts), ())
     rows = homext.intertwiner_rows(relations, layout, p)
     solution = la.solve(np.concatenate([la.zeros(0, layout.total), *rows]),
                         np.concatenate(rhs), p)
@@ -976,8 +987,8 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
         vec = (particular_vec + (coeffs @ kernel if dimension else 0)) % p
         subs = []
         for s, lift in enumerate(lifts):
-            phi = vec[offsets[s]:offsets[s + 1]].reshape(
-                lift.t.shape[0], lift.w.shape[0])
+            phi = vec[layout.columns(s)].reshape(lift.t.shape[0],
+                                                 lift.w.shape[0])
             subs.append(Subspace.from_rows(np.concatenate(
                 [lift.z.basis @ ks[s % n].basis, lift.w + phi.T @ lift.t]),
                 m.dims[s % n], p))
@@ -1107,8 +1118,8 @@ def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
     """
     seq = _rank_seq(brseq, m.n)
     d = flag_dimension(m.datum, seq)
-    if degree_bound is None:
-        degree_bound = max(m.k * d, 0)
+    degree_bound = (max(m.k * d, 0) if degree_bound is None else read_value(
+        operator.index, degree_bound, "bad degree_bound"))
     if degree_bound < 0:
         raise ValidationError(f"degree_bound must be >= 0, got {degree_bound}")
     needed = degree_bound + 2
@@ -1125,11 +1136,15 @@ def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
 
 def closed_form_flag_count_no_arrows(datum: CartanDatum, k: int, q: int,
                                      brseq) -> int:
-    """Exact count for data without arrows: per vertex, the classical flag
-    count times q^((k*c_i - 1) * d_i) with d_i the sum of products of
-    distinct layer ranks at that vertex."""
+    """Exact count for data without arrows: per vertex, the product over
+    the layers of the free submodules of each layer's rank in what the
+    layers before it leave (`_free_submodule_count`), which is the
+    classical flag count times q^((k*c_i - 1) * d_i) with d_i the sum of
+    products of distinct layer ranks at that vertex."""
     if datum.oriented_pairs():
         raise ValidationError("closed form only applies without arrows")
+    k = read_value(operator.index, k, "bad level k")
+    q = read_value(operator.index, q, "bad field size q")
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
     if q < 2:
@@ -1137,15 +1152,8 @@ def closed_form_flag_count_no_arrows(datum: CartanDatum, k: int, q: int,
     seq = _rank_seq(brseq, datum.n)
     total = 1
     for i in range(datum.n):
-        ranks = [r[i] for r in seq]
-        msum = sum(ranks)
-        classical = 1
-        remaining = msum
-        for r in ranks:
-            classical *= la.gaussian_binomial(remaining, r, q)
-            remaining -= r
-        d_i = sum(ranks[a] * ranks[b]
-                  for a in range(len(ranks))
-                  for b in range(a + 1, len(ranks)))
-        total *= classical * q ** ((k * datum.d[i] - 1) * d_i)
+        remaining = sum(r[i] for r in seq)
+        for r in seq:
+            total *= _free_submodule_count(k * datum.d[i], remaining, r[i], q)
+            remaining -= r[i]
     return total

@@ -360,6 +360,7 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
     exact."""
     r = RankVector(r)
     s = RankVector(s)
+    samples = read_value(operator.index, samples, "bad samples")
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if _pair_exhaustive(datum, k, p, r, s):
@@ -560,6 +561,7 @@ def is_schur_root(datum: CartanDatum, k: int, p: int, r,
     over sampled (or, for small spaces, all) modules is still reported.
     """
     r = RankVector(r)
+    samples = read_value(operator.index, samples, "bad samples")
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     table = _CallTable(datum, k, p, samples)
@@ -649,6 +651,7 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
     structure points, which can take a while near the limit.
     """
     r = RankVector(r)
+    samples = read_value(operator.index, samples, "bad samples")
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     table = _CallTable(datum, k, p, samples)

@@ -18,15 +18,18 @@ o, o) for an s x r matrix theta over F_p[x]/(x^o); the pair holds by
 construction and gets no equation rows.  Every other vertex has o = 1 and
 nothing built in: theta over F_p[x]/(x) = F_p is f_v itself.  The
 unknowns of f_v are theta, ordered (s, u, o-1-t): coefficient lists in
-descending degree.
+descending degree.  Where each one lands in f_v is one rule, the label
+matrices of `Layout.of` (ring_to_matrix of the unknowns' columns): the
+equation rows place X, and Y transposed, by them, and the expansion
+gathers by them.
 
 Unknown (s, u, o-1-t) is the last entry of its support in the row-major
-f_v, at [s*o + o-1, u*o + o-1-t], and this read-off is increasing.  So the
-kernel's free columns, mapped through it, and the kernel basis, expanded
-to the f_v, are exactly the support and the basis of the same kernel
-solved over all entries, with no further elimination.  Every expanded
-basis element is substituted into every relation, the built-in ones
-included.
+f_v, at [s*o + o-1, u*o + o-1-t], and this map is increasing.  So the
+kernel basis, expanded to the f_v, is exactly the echelon basis of the
+same kernel solved over all entries, with no further elimination, and the
+last non-zero column of each of its rows is that row's free column there:
+`HomBasis.support`, where coordinates are read off.  Every expanded basis
+element is substituted into every relation, the built-in ones included.
 
 For locally free modules the Euler form computes dim Hom - dim Ext^1 on
 rank vectors, and by projective dimension <= 1 there is nothing above
@@ -37,7 +40,6 @@ Non-locally-free inputs are rejected where Ext is involved.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import functools
 import itertools
@@ -69,17 +71,35 @@ def _relations(m, n) -> list:
             in zip(m.maps_with_labels(), n.maps_with_labels())]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layout:
     """The unknowns of a Hom system, vertex after vertex: bounds[v] to
     bounds[v+1] are those of f_v, the s x r matrix over F_p[x]/(x^o) of
     f_v for o = orders[v] >= 1, coefficient lists in descending degree (at
-    o = 1 the row-major entries of f_v).  `built_in` indexes the relations
-    that hold by construction and get no equation rows."""
+    o = 1 the row-major entries of f_v).  labels[v] is f_v with each entry
+    replaced by the 1-based column of the unknown it reads, and 0 where f_v
+    is 0: hmod.ring_to_matrix of the unknowns' columns, the one rule for
+    where an unknown lands.  No two entries in one row or one column read
+    the same unknown.  `built_in` indexes the relations that hold by
+    construction and get no equation rows."""
 
     bounds: tuple[int, ...]
     orders: tuple[int, ...]
     built_in: frozenset[int]
+    labels: tuple[np.ndarray, ...] = field(repr=False)
+
+    @classmethod
+    def of(cls, dims_m, dims_n, orders, built_in) -> Layout:
+        """dn * dm / o unknowns per vertex, labelled by ring_to_matrix."""
+        bounds, labels = [0], []
+        for dm, dn, o in zip(dims_m, dims_n, orders):
+            start = bounds[-1]
+            bounds.append(start + dn * dm // o)
+            columns = np.arange(start + 1, bounds[-1] + 1)
+            labels.append(hmod.ring_to_matrix(
+                columns.reshape(dn // o, dm // o, o)[..., ::-1], o, o))
+        return cls(tuple(bounds), tuple(orders), frozenset(built_in),
+                   tuple(labels))
 
     @property
     def total(self) -> int:
@@ -102,109 +122,67 @@ def _layout(dims_m, dims_n, relations) -> Layout:
             if 0 < o == (o if y is x else hmod._jordan_order(y)):
                 orders[i] = o
                 built_in[i] = index
-    bounds = [0]
-    for dm, dn, o in zip(dims_m, dims_n, orders):
-        bounds.append(bounds[-1] + dn * dm // o)
-    return Layout(tuple(bounds), tuple(orders), frozenset(built_in.values()))
+    return Layout.of(dims_m, dims_n, orders, built_in.values())
 
 
-def _right_factor(x: np.ndarray, rows: int, o: int) -> np.ndarray:
-    """Matrix of the unknowns of f (with `rows` > 0 rows) to the row-major
-    vec of f @ x: unknown (s, u, o-1-t) puts J^t @ x_u into block row s,
-    where x_u is the u-th block of o rows of x and J the Jordan block; at
-    o = 1, kron(I, x^T).  The s diagonal blocks are equal: the first is
-    written and copied to the others."""
-    s, r, w = rows // o, x.shape[0] // o, x.shape[1]
-    xr = x.reshape(r, o, w)
-    out = np.zeros((s, o, w, s, r, o), dtype=np.int64)
-    block = out[0, :, :, 0]                              # (d, c, u, o-1-t)
-    for t in range(o):
-        block[t:, :, :, o - 1 - t] = xr[:, :o - t, :].transpose(1, 2, 0)
-    for a in range(1, s):
-        out[a, :, :, a] = block
-    return out.reshape(s * o * w, s * r * o)
-
-
-def _left_factor(y: np.ndarray, cols: int, o: int) -> np.ndarray:
-    """Matrix of the unknowns of f (with `cols` > 0 columns) to the
-    row-major vec of y @ f: unknown (s, u, o-1-t) puts y_s @ J^t into block
-    column u, where y_s is the s-th block of o columns of y; at o = 1,
-    kron(y, I).  The r diagonal blocks are equal: the first is written and
-    copied to the others."""
-    h, s, r = y.shape[0], y.shape[1] // o, cols // o
-    yr = y.reshape(h, s, o)
-    out = np.zeros((h, r, o, s, r, o), dtype=np.int64)
-    block = out[:, 0, :, :, 0]                           # (a, e, s, o-1-t)
-    for t in range(o):
-        block[:, :o - t, :, o - 1 - t] = yr[:, :, t:].transpose(0, 2, 1)
-    for b in range(1, r):
-        out[:, b, :, :, b] = block
-    return out.reshape(h * r * o, s * r * o)
+def _placed(labels: np.ndarray, x: np.ndarray, total: int) -> np.ndarray:
+    """The matrix of f -> f @ x on the unknowns, as (rows of f, columns of
+    x, total): entry [a, b] of f reads unknown labels[a, b], which meets
+    row b of x in row a of f @ x, so row b of x is written at [a, :,
+    labels[a, b]].  No two entries of a row of f read one unknown, so the
+    writes never collide but on label 0, whose column is dropped."""
+    out = np.zeros((labels.shape[0], x.shape[1], total + 1), dtype=np.int64)
+    out[np.arange(labels.shape[0])[:, None], :, labels] = x
+    return out[..., 1:]
 
 
 def intertwiner_rows(relations, layout: Layout, p: int) -> list[np.ndarray]:
     """The one assembler of Hom equations, for every solve and fiber: per
     relation (label, X, Y, i, j) with rows that does not hold by
     construction, the row-major vec of f_i @ X - Y @ f_j over the unknowns
-    of `layout`, of height Y.shape[0] * X.shape[1]."""
+    of `layout`, of height Y.shape[0] * X.shape[1].  Both terms are placed
+    by the labels: Y @ f_j as (f_j^T @ Y^T)^T, its rows put back in
+    row-major order."""
     rows = []
     for index, (_, x, y, i, j) in enumerate(relations):
         height = y.shape[0] * x.shape[1]
         if height == 0 or index in layout.built_in:
             continue
-        block = np.zeros((height, layout.total), dtype=np.int64)
-        block[:, layout.columns(i)] = _right_factor(x, y.shape[0],
-                                                    layout.orders[i])
-        block[:, layout.columns(j)] -= _left_factor(y, x.shape[1],
-                                                    layout.orders[j])
-        rows.append(block % p)
+        block = (_placed(layout.labels[i], x, layout.total)
+                 - _placed(layout.labels[j].T, y.T,
+                           layout.total).transpose(1, 0, 2))
+        rows.append(block.reshape(height, layout.total) % p)
     return rows
 
 
-def _expand(dims_m, dims_n, layout: Layout, theta) -> np.ndarray:
+def _expand(layout: Layout, theta) -> np.ndarray:
     """Dense vecs (the row-major f_v, vertex after vertex) of a stack of
-    solutions over `layout`, each vertex through ring_to_matrix."""
-    parts = []
-    for v, (dm, dn, o) in enumerate(zip(dims_m, dims_n, layout.orders)):
-        ring = theta[:, layout.columns(v)].reshape(
-            len(theta), dn // o, dm // o, o)[..., ::-1]
-        parts.append(hmod.ring_to_matrix(ring, o, o).reshape(len(theta),
-                                                             dn * dm))
-    return np.concatenate(parts, axis=1)
-
-
-def _read_off(dims_m, dims_n, layout: Layout, columns) -> tuple[int, ...]:
-    """For unknowns of `layout`, the dense vec indices that read them
-    off: unknown (s, u, o-1-t) is the last entry of its support,
-    f_v[s*o + o-1, u*o + o-1-t] (at o = 1, the entry itself).  The map is
-    increasing."""
-    starts = [0]
-    for dm, dn in zip(dims_m, dims_n):
-        starts.append(starts[-1] + dn * dm)
-    out = []
-    for c in columns:
-        v = bisect.bisect_right(layout.bounds, c) - 1
-        c -= layout.bounds[v]
-        o = layout.orders[v]
-        s, rest = divmod(c, dims_m[v])         # r*o unknowns per s
-        out.append(starts[v] + (s * o + o - 1) * dims_m[v] + rest)
-    return tuple(out)
+    solutions over `layout`: [0 | theta] gathered by the labels."""
+    padded = np.concatenate([la.zeros(len(theta), 1), theta], axis=1)
+    return padded[:, _flatten(layout.labels)]
 
 
 @dataclass(frozen=True, eq=False)
 class HomBasis:
-    """A basis of Hom(source, target): the rows of vec_basis; elements are
-    the same rows as per-vertex matrix tuples (for tensor modules, vertex
-    (t, i) at index t*n + i), built on first access."""
+    """A basis of Hom(source, target): the rows of vec_basis, the echelon
+    kernel basis over all entries, so an element's coordinates are its
+    entries at `support`; elements are the same rows as per-vertex matrix
+    tuples (for tensor modules, vertex (t, i) at index t*n + i), built on
+    first access."""
 
     source: HModule
     target: HModule
     vec_basis: np.ndarray = field(repr=False)
-    support: tuple[int, ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.vec_basis.shape[0]
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The last non-zero column of each row: its free column in the
+        echelon kernel basis, 1 there and 0 in the other rows."""
+        return tuple(int(np.flatnonzero(row)[-1]) for row in self.vec_basis)
 
     @functools.cached_property
     def elements(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -270,30 +248,28 @@ def is_homomorphism(m: HModule, n: HModule, f) -> bool:
     return _failed_relation(_relations(m, n), f, m.p) is None
 
 
-def _hom_kernel(relations, dims_m, dims_n, p: int
-                ) -> tuple[np.ndarray, tuple[int, ...]]:
+def _hom_kernel(relations, dims_m, dims_n, p: int) -> np.ndarray:
     """The one solver of Hom systems (hom_space, hom_tensor, tangent
-    spaces): the dense basis vecs and support of the kernel of a relation
-    list between dims dims_m and dims_n, solved over `_layout`; every basis
-    element is re-checked by substitution into every relation."""
+    spaces): the dense basis vecs of the kernel of a relation list between
+    dims dims_m and dims_n, solved over `_layout`; every basis element is
+    re-checked by substitution into every relation."""
     layout = _layout(dims_m, dims_n, relations)
     blocks = intertwiner_rows(relations, layout, p)
     if layout.total == 0:
-        return la.zeros(0, 0), ()
+        return la.zeros(0, 0)
     system = np.concatenate([la.zeros(0, layout.total), *blocks])
-    theta, free = la.kernel_basis_and_support(system, p)
-    basis = _expand(dims_m, dims_n, layout, theta)
+    basis = _expand(layout, la.kernel_basis_matrix(system, p))
     label = _failed_relation(relations, _unflatten(dims_m, dims_n, basis), p)
     if label is not None:
         raise InternalCheckError(
             f"Hom basis element breaks the relation of {label}")
-    return basis, _read_off(dims_m, dims_n, layout, free)
+    return basis
 
 
 def _hom_basis(m, n) -> HomBasis:
     """Hom(m, n) for modules that only need `p`, `dims` and
     `maps_with_labels()`, by one `_hom_kernel` solve of their relations."""
-    return HomBasis(m, n, *_hom_kernel(_relations(m, n), m.dims, n.dims, m.p))
+    return HomBasis(m, n, _hom_kernel(_relations(m, n), m.dims, n.dims, m.p))
 
 
 def hom_space(m: HModule, n: HModule) -> HomBasis:
@@ -441,6 +417,7 @@ class ParameterEstimate:
 
 def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0
                        ) -> ParameterEstimate:
+    samples = read_value(operator.index, samples, "bad samples")
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     exhaustive, modules = hmod.structure_space(

@@ -233,6 +233,9 @@ REMOVED_NAMES = [
     (la.Subspace, "reduce_rows"),
     (la.Subspace, "full"),
     (flagvar, "chart_count"),
+    (homext, "_right_factor"),
+    (homext, "_left_factor"),
+    (homext, "_read_off"),
 ]
 
 

@@ -271,9 +271,41 @@ class TestCandidateTables:
         finally:
             flagvar._vertex_candidates.cache_clear()
 
+    def test_stack_holds_every_chart(self):
+        # the affine stack of a key holds p^(slots) charts per pattern,
+        # as many in all as the key's closed-form count
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            keys = [(m_order, r, e, q) for m_order in range(1, 5)
+                    for r in range(4) for e in range(r + 1) for q in (2, 3)]
+            for m_order, r, e, q in keys:
+                entry = flagvar._vertex_candidates(m_order, r, e, q)
+                bounds = entry.affine.bounds
+                assert entry.charts == sum(
+                    q ** (hi - lo - 1) for lo, hi in zip(bounds, bounds[1:]))
+        finally:
+            flagvar._vertex_candidates.cache_clear()
+
+    def test_uncoupled_vertex_builds_no_entry(self, a3):
+        # arrow 2 -> 3 is inactive (layer 2 is full), so vertex 3 is
+        # counted in closed form, and its key (2, 3, 1, 3) gets no entry
+        m = hmod.random_locally_free(a3, 2, 3, (2, 1, 3), seed=1)
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            count = flagvar.count_locally_free_submodules(m, (1, 1, 1))
+            misses = flagvar._vertex_candidates.cache_info().misses
+            flagvar._vertex_candidates(2, 3, 1, 3)
+            assert flagvar._vertex_candidates.cache_info().misses == (
+                misses + 1)
+            assert count == len(list(
+                flagvar.iter_locally_free_submodules(m, (1, 1, 1))))
+        finally:
+            flagvar._vertex_candidates.cache_clear()
+
     def test_one_pattern_walk_per_entry(self, monkeypatch, a2, b2):
         # a key's pivot patterns are walked once, where its entry is
-        # built, and its count is read off the stack of that walk
+        # built; the count's first layer (1, 1) keeps its arrow active, so
+        # the count builds entries (an uncoupled vertex builds none)
         calls = []
         original = flagvar._chart_patterns
 
@@ -285,7 +317,7 @@ class TestCandidateTables:
         flagvar._vertex_candidates.cache_clear()
         try:
             m = rigid_module(b2, 2, 3, (2, 1))
-            flagvar.point_count(m, [(1, 0), (1, 1)])
+            flagvar.point_count(m, [(1, 1), (1, 0)])
             list(flagvar.iter_flags(n_module(a2, 2, 3), [(1, 1), (0, 1)]))
             for key in [(2, 2, 1, 3), (4, 3, 1, 2), (1, 1, 1, 2)] * 2:
                 flagvar._vertex_candidates(*key)

@@ -269,3 +269,40 @@ def test_integer_parameters_read_with_index(a2, call):
             call(a2, bad)
     assert call(a2, 2) is not None
     assert call(a2, np.int64(2)) is not None
+
+
+COUNT_AND_SAMPLE_PARAMETERS = {
+    "closed_form-k": lambda a2, no_arrows, v:
+        flagvar.closed_form_flag_count_no_arrows(no_arrows, v, 3,
+                                                 [(1, 1), (1, 1)]),
+    "closed_form-q": lambda a2, no_arrows, v:
+        flagvar.closed_form_flag_count_no_arrows(no_arrows, 1, v,
+                                                 [(1, 1), (1, 1)]),
+    "build_quiver-k": lambda a2, no_arrows, v: cartan.build_quiver(a2, v),
+    "counting_polynomial-degree_bound": lambda a2, no_arrows, v:
+        flagvar.counting_polynomial(hmod.free_module(a2, 1, 2, (1, 1)),
+                                    [(1, 0), (0, 1)], degree_bound=v),
+    "ext_generic-samples": lambda a2, no_arrows, v: gendecomp.ext_generic(
+        a2, 1, 2, (1, 0), (0, 1), samples=v),
+    "is_schur_root-samples": lambda a2, no_arrows, v:
+        gendecomp.is_schur_root(a2, 1, 2, (1, 1), samples=v),
+    "canonical_decomposition-samples": lambda a2, no_arrows, v:
+        gendecomp.canonical_decomposition(a2, 1, 2, (1, 1), samples=v),
+    "parameter_estimate-samples": lambda a2, no_arrows, v:
+        homext.parameter_estimate(a2, 1, 2, (1, 0), samples=v),
+}
+
+
+@pytest.mark.parametrize("call", COUNT_AND_SAMPLE_PARAMETERS.values(),
+                         ids=COUNT_AND_SAMPLE_PARAMETERS.keys())
+def test_counts_and_samples_read_with_index(a2, no_arrows, call):
+    """Levels and field sizes of the closed-form count, degree bounds and
+    sample counts are read with operator.index: a float raises
+    ValidationError where it was used as it came (k = 1.5 gave a float
+    count) or raised a bare TypeError, and integral values of any integer
+    type still work."""
+    for bad in (1.5, 2.0, "2"):
+        with pytest.raises(ValidationError):
+            call(a2, no_arrows, bad)
+    assert call(a2, no_arrows, 2) is not None
+    assert call(a2, no_arrows, np.int64(2)) is not None
