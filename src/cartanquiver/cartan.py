@@ -14,6 +14,7 @@ code.
 
 from __future__ import annotations
 
+import graphlib
 import json
 import math
 import operator
@@ -178,30 +179,17 @@ def _pairs(omega) -> list[tuple[int, int]]:
 
 
 def _check_acyclic(n: int, pairs: frozenset[tuple[int, int]]):
-    # DFS on the directed graph of oriented pairs; loops are not part of it.
-    succ = {v: [] for v in range(n)}
+    """Raise CycleInOrientation, naming a vertex of the cycle, when the
+    oriented pairs have a directed cycle (`graphlib` finds it)."""
+    preds = {v: set() for v in range(n)}
     for i, j in pairs:
-        succ[i].append(j)
-    color = [0] * n
-    for start in range(n):
-        if color[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            v, it = stack[-1]
-            for w in it:
-                if color[w] == 1:
-                    raise CycleInOrientation(
-                        f"orientation contains a directed cycle through "
-                        f"vertex {w + 1}")
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, iter(succ[w])))
-                    break
-            else:
-                color[v] = 2
-                stack.pop()
+        preds[j].add(i)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError as exc:
+        raise CycleInOrientation(
+            f"orientation contains a directed cycle through vertex "
+            f"{exc.args[1][0] + 1}") from None
 
 
 def suggest_orientation(datum: CartanDatum) -> frozenset[tuple[int, int]]:

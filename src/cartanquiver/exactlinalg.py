@@ -179,7 +179,8 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     Returns (R, rank, pivot_columns); R is a fresh array that owns its
     memory, the input is not modified.  The RREF is the canonical
     representative of the row space.  Raises ValidationError for entries
-    that are not integers.
+    that are not integers and the errors of `check_prime` for p, which
+    every solve, rank, inverse, kernel and image inherits.
 
     Gauss-Jordan on the rows as lists of Python ints: the library's
     systems are small and sparse, where numpy's calls per pivot cost more
@@ -187,6 +188,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     other pivot columns, so each elimination touches only its non-zero
     entries right of the pivot.
     """
+    p = check_prime(p)
     m = integer_array(a) % p
     rows, cols = m.shape
     a = m.tolist()
@@ -339,13 +341,15 @@ class Subspace:
     def from_rows(rows, ambient: int, p: int) -> "Subspace":
         """The span of the given rows of length `ambient` (a stack of rows
         is read row by row).  Raises ValidationError for entries that are
-        not integers, DimensionMismatch for rows of another length."""
-        if ambient == 0:
-            return Subspace(p, 0, zeros(0, 0), ())
+        not integers, DimensionMismatch for rows of another length, and
+        the errors of `check_prime` for the modulus, at every ambient
+        dimension."""
         m = integer_array(rows)
         if m.size and m.shape[-1:] != (ambient,):
             raise DimensionMismatch(
                 f"rows of shape {m.shape} in ambient dimension {ambient}")
+        if ambient == 0:
+            return Subspace(check_prime(p), 0, zeros(0, 0), ())
         r, rk, piv = rref(m.reshape(-1, ambient), p)
         # R owns its memory, so the read-only basis aliases nothing
         r.setflags(write=False)
@@ -404,7 +408,16 @@ class Subspace:
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
-    """Number of d-dimensional subspaces of F_q^n (exact integer)."""
+    """Number of d-dimensional subspaces of F_q^n (exact integer).  Raises
+    ValidationError for n, d or q that are not integers and for a field
+    size q < 2."""
+    try:
+        n, d, q = map(operator.index, (n, d, q))
+    except TypeError:
+        raise ValidationError(
+            f"gaussian_binomial needs integers, got {(n, d, q)!r}") from None
+    if q < 2:
+        raise ValidationError(f"field size must be >= 2, got {q}")
     if d < 0 or d > n:
         return 0
     num = 1

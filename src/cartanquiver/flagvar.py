@@ -541,16 +541,21 @@ class FlagOfSubmodules:
 
 
 def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
-    """The one flag check: `_check_steps`; per layer the block pass
-    `hmod._split_blocks` of every loop and arrow (invariance), and per
-    vertex the dimension and freeness (`hmod._not_free_rank` of the loop's
-    sub block, `blocks[i][0]`, as the loops come first in
-    `maps_with_labels()`); then the identity's blocks from each layer to
-    the next, which test nesting and are the connectors.  Returns (the
-    block pass per layer, as (its subspaces, its blocks in the order of
-    `maps_with_labels()`), the identity blocks per vertex per adjacent
-    pair)."""
-    _check_steps(m, brseq, layers)
+    """The one flag check: the partial sums of brseq (a `_rank_seq`) give
+    the layer count and, times the loop orders, the dims of m (the last)
+    and of each layer; per layer the block pass `hmod._split_blocks` of
+    every loop and arrow (invariance), and per vertex the dimension and
+    freeness (`hmod._not_free_rank` of the loop's sub block,
+    `blocks[i][0]`, as the loops come first in `maps_with_labels()`);
+    then the identity's blocks from each layer to the next, which test
+    nesting and are the connectors.  Returns (the block pass per layer,
+    as (its subspaces, its blocks in the order of `maps_with_labels()`),
+    the identity blocks per vertex per adjacent pair)."""
+    sums = tuple(itertools.accumulate(_rank_seq(brseq, m.n)))
+    if len(layers) != len(sums) - 1:
+        raise ShapeMismatch("layer count does not match brseq length")
+    if tuple(r * m.loop_order(i) for i, r in enumerate(sums[-1])) != m.dims:
+        raise ShapeMismatch("brseq does not sum to the ambient rank")
     own = m.maps_with_labels()
     splits = []
     for t, layer in enumerate(layers):
@@ -561,7 +566,7 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
         for i in range(m.n):
             order = m.loop_order(i)
             dim = layer[i].dim
-            if dim != order * sum(r[i] for r in brseq[:t + 1]):
+            if dim != order * sums[t][i]:
                 raise ShapeMismatch(
                     f"layer {t + 1} has wrong dimension at vertex {i + 1}")
             loop = blocks[i][0]
@@ -584,17 +589,6 @@ def _checked_blocks(m: HModule, flag: FlagOfSubmodules) -> tuple[list, list]:
     if flag.module is m:
         return flag._check()
     return _flag_blocks(m, flag.brseq, flag.layers)
-
-
-def _check_steps(m: HModule, brseq, layers) -> None:
-    """brseq is a `_rank_seq`, has one more step than there are layers,
-    and sums to the rank of m: its dims over the loop orders."""
-    _rank_seq(brseq, m.n)
-    if len(layers) != len(brseq) - 1:
-        raise ShapeMismatch("layer count does not match brseq length")
-    if tuple(sum(r[i] for r in brseq) * m.loop_order(i)
-             for i in range(m.n)) != m.dims:
-        raise ShapeMismatch("brseq does not sum to the ambient rank")
 
 
 def _rank_seq(brseq, n: int) -> tuple[RankVector, ...]:

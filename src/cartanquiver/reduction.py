@@ -3,9 +3,10 @@
 With eps = sum_i eps_i^(c_i) central and eps^k = 0, reduction sends a
 level-k module M to M / eps^(k-1) M; at vertex i this quotients M_i by the
 image of Eps_i^((k-1)*c_i).  On locally free modules it preserves rank
-vectors, and the quotient basis is chosen as the coordinates of loop degree
-< (k-1)*c_i inside the standard Jordan basis, so reducing a free module in
-standard form gives literally the standard free module one level down.
+vectors.  `hmod.quotient` cuts along eps^(k-1) M, which for a module in
+standard form is spanned by unit vectors of the standard Jordan basis, so
+reducing a free module in standard form gives literally the standard free
+module one level down.
 
 The functor has one direction.  A module is read at another level by its
 structure entries, cut or zero-padded to the new truncated polynomial ring
@@ -26,7 +27,6 @@ from .cartan import CartanDatum, RankVector, read_value
 from .errors import (
     KTooSmall,
     InternalCheckError,
-    NotInvariant,
     NotLocallyFree,
     ValidationError,
 )
@@ -40,13 +40,10 @@ def reduce(m: HModule) -> hmod.Quotient:
 
     When m is in standard form, eps^(k-1) M_i is spanned by the unit
     vectors of loop degree >= (k-1)*c_i, a submodule because eps is
-    central.  So the quotient coordinates are those of loop degree
-    < (k-1)*c_i, each map descends exactly when its slice from the kept
-    coordinates to the cut ones is zero (tested for every loop and arrow),
-    and its block is its slice on the kept coordinates: the reduction is
-    in standard form too and its entries are m's entries at those
-    coordinates, with no power, elimination or split.  It is validated at
-    level k-1, the functor's own claim.
+    central.  Along them `hmod.quotient` keeps the coordinates of lower
+    degree, and each block is its map's slice on those: the reduction is
+    in standard form too, with m's entries at those coordinates.  It is
+    validated at level k-1, the functor's own claim.
     """
     if m.k < 2:
         raise KTooSmall("reduction needs k >= 2")
@@ -60,35 +57,21 @@ def _eps_powers(m: HModule, a: int) -> tuple[np.ndarray, ...]:
 
 
 def _quotient_at_level(m: HModule, a: int) -> hmod.Quotient:
-    """M / eps^a M (1 <= a <= k), validated by `make_module` at level a:
-    for a module in standard form by its coordinates O_i of loop degree
-    < a*c_i, cut along the unit rows P_i of the others (the rule of
-    `reduce`), and for any other by `hmod.quotient` along the images of
+    """M / eps^a M (1 <= a <= k), cut by `hmod.quotient` at level a along
+    eps^a M: for a module in standard form the unit rows of loop degree
+    >= a*c_i (the rule of `reduce`), for any other the images of
     `_eps_powers`."""
     if not m.standard_form:
         return hmod.quotient(
             m, [la.image(x, m.p) for x in _eps_powers(m, a)], a)
-    keep, subs = [], []
+    subs = []
     for i, d in enumerate(m.dims):
-        coords = np.arange(d)
-        low = coords % m.loop_order(i) < a * m.datum.d[i]
-        keep.append(coords[low])
-        pivots = coords[~low]
+        pivots = np.flatnonzero(
+            np.arange(d) % m.loop_order(i) >= a * m.datum.d[i])
         basis = la.identity(d).take(pivots, 0)
         basis.setflags(write=False)
         subs.append(Subspace(m.p, d, basis, tuple(pivots.tolist())))
-    blocks = {}
-    for label, x, i, j in m.maps_with_labels():
-        rows = x.take(keep[i], 0)
-        if rows.take(subs[j].pivots, 1).any():
-            raise NotInvariant(f"{label}: the subspace is not mapped into "
-                               f"the target subspace")
-        blocks.setdefault((i, j), []).append(rows.take(keep[j], 1))
-    return hmod.Quotient(
-        hmod.make_module(m.datum, a, m.p,
-                         [blocks[(i, i)][0] for i in range(m.n)],
-                         {key: blocks[key] for key in m.arrows}),
-        tuple(subs))
+    return hmod.quotient(m, subs, a)
 
 
 def module_at_level(m: HModule, k_new: int) -> HModule:

@@ -10,7 +10,8 @@ columns are the blocks at the unit cocycles (a single entry of a single
 h_x equal to 1).  Two cocycles give equivalent extensions when they
 differ by a coboundary, the change of basis [[1, g], [0, 1]], which adds
 N_x g_j - g_i M_x to h_x: B^1 is the image of g -> (N_x g_j - g_i M_x)_x,
-g_v: M_v -> N_v.  So dim Ext^1(M, N) = dim Z^1 - rank B^1.
+g_v: M_v -> N_v.  So dim Ext^1(M, N) = dim Z^1 - rank B^1.  The same
+map's kernel is Hom(M, N): the g with N_x g_j = g_i M_x for every x.
 """
 
 import numpy as np
@@ -66,6 +67,19 @@ def ext1_dim(m, n) -> int:
     cocycles = (np.stack(columns, axis=1) if columns
                 else np.zeros((0, 0), dtype=np.int64))
     z1 = unknowns - la.rank(cocycles, p)
+    return z1 - la.rank(_coboundaries(m, n), p)
+
+
+def hom_dim(m, n) -> int:
+    """dim Hom(M, N): the kernel of g -> (N_x g_j - g_i M_x)_x."""
+    unknowns = sum(a * b for a, b in zip(n.dims, m.dims))
+    return unknowns - la.rank(_coboundaries(m, n), m.p)
+
+
+def _coboundaries(m, n) -> np.ndarray:
+    """The matrix of g -> (N_x g_j - g_i M_x)_x, one column per entry of
+    one g_v, and no column when there is no g."""
+    p = m.p
     images = []
     for v in range(m.n):
         for s in range(n.dims[v] * m.dims[v]):
@@ -75,5 +89,5 @@ def ext1_dim(m, n) -> int:
                 ((y @ g if j == v else 0) - (g @ x if i == v else 0)
                  + np.zeros((n.dims[i], m.dims[j]), dtype=np.int64)
                  ).ravel() % p for x, y, i, j in _maps(m, n)]))
-    b1 = la.rank(np.stack(images, axis=1), p) if images else 0
-    return z1 - b1
+    return (np.stack(images, axis=1) if images
+            else np.zeros((0, 0), dtype=np.int64))

@@ -236,6 +236,7 @@ REMOVED_NAMES = [
     (homext, "_right_factor"),
     (homext, "_left_factor"),
     (homext, "_read_off"),
+    (flagvar, "_check_steps"),
 ]
 
 

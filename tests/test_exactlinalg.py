@@ -43,6 +43,22 @@ def test_check_prime_modulus_bound():
             la.check_prime(p)
 
 
+@pytest.mark.parametrize("p,error", [(4, NotPrime),
+                                     (46349, ModulusTooLarge)])
+@pytest.mark.parametrize("call", [
+    lambda p: la.rref(np.array([[2, 1]]), p),
+    lambda p: la.solve(np.array([[2]]), np.array([1]), p),
+    lambda p: la.rank(np.array([[2, 1]]), p),
+    lambda p: la.Subspace.from_rows([[2, 1]], 2, p),
+], ids=["rref", "solve", "rank", "from_rows"])
+def test_eliminations_refuse_a_bad_modulus(call, p, error):
+    """The elimination reads its modulus through check_prime: mod 4 it
+    returned a rank-1 "RREF" [[0, 0]] of [[2, 1]], and solve raised
+    InternalCheckError."""
+    with pytest.raises(error):
+        call(p)
+
+
 def test_rref_identity_and_zero():
     eye = la.identity(3)
     r, rank, piv = la.rref(eye, 5)
@@ -548,6 +564,19 @@ class TestSubspace:
         # another integer dtype is stored as a read-only int64 copy
         u = la.Subspace(5, 2, np.array([[1, 3]], dtype=np.int32), (0,))
         assert u.basis.dtype == np.int64 and not u.basis.flags.writeable
+
+    def test_from_rows_checks_its_input_at_ambient_zero(self):
+        """Rows, entries and modulus are checked before the ambient-0
+        return, which took [[1, 2]], [[1.5]] and p = 4 as the zero
+        subspace of F_p^0."""
+        with pytest.raises(DimensionMismatch):
+            la.Subspace.from_rows([[1, 2]], 0, 3)
+        with pytest.raises(ValidationError):
+            la.Subspace.from_rows([[1.5]], 0, 3)
+        with pytest.raises(NotPrime):
+            la.Subspace.from_rows(la.zeros(0, 0), 0, 4)
+        u = la.Subspace.from_rows(la.zeros(0, 0), 0, 3)
+        assert u == la.Subspace.zero(0, 3) and u.dim == 0
 
     def test_from_rows_keeps_its_rref_uncopied(self, monkeypatch):
         """The basis is a read-only slice of the frozen RREF array

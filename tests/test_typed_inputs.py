@@ -306,3 +306,15 @@ def test_counts_and_samples_read_with_index(a2, no_arrows, call):
             call(a2, no_arrows, bad)
     assert call(a2, no_arrows, 2) is not None
     assert call(a2, no_arrows, np.int64(2)) is not None
+
+
+@pytest.mark.parametrize("args", [
+    (3, 1, 1), (3, 1, 0), (3, 1, -3), (3, 1, 2.5), (3, 1.0, 2), (3.0, 1, 2),
+], ids=["q=1", "q=0", "q=-3", "q=2.5", "d=1.0", "n=3.0"])
+def test_gaussian_binomial_needs_a_field_size(args):
+    """n, d and q are integers and q >= 2: q = 1 raised a bare
+    ZeroDivisionError, q = 0 gave 1 and q = -3 gave -2, q = 2.5 raised
+    InternalCheckError and d = 1.0 a bare TypeError."""
+    with pytest.raises(ValidationError):
+        la.gaussian_binomial(*args)
+    assert la.gaussian_binomial(np.int64(3), 1, 2) == 7
