@@ -10,6 +10,11 @@ symmetrizer takes k separately and applies k*D on the fly.
 
 Vertices are 1-indexed in all file I/O and error messages, 0-indexed in
 code.
+
+The readers of outside input live here: `integers` and `read_value` for
+entries, `read_int` for every integer parameter with a lower bound (a
+level below 1 raises KTooSmall), and `rank_seq` for every rank sequence
+brseq (a negative entry raises ValidationError).
 """
 
 from __future__ import annotations
@@ -17,14 +22,15 @@ from __future__ import annotations
 import graphlib
 import json
 import math
-import operator
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BothDirections,
     CycleInOrientation,
     DiagonalNotTwo,
+    KTooSmall,
     LengthMismatch,
     MissingPair,
     NonPositiveSymmetrizer,
@@ -112,7 +118,7 @@ class CartanDatum:
 def integers(values) -> tuple[int, ...]:
     """The entries as ints by operator.index, the one integer reader: 1.5
     or "2" raises TypeError (ValidationError under read_value)."""
-    return tuple(map(operator.index, values))
+    return tuple(map(index, values))
 
 
 def read_value(convert, value, what: str):
@@ -122,6 +128,34 @@ def read_value(convert, value, what: str):
         return convert(value)
     except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ValidationError(f"{what}: {exc}") from exc
+
+
+def read_int(value, what: str, least: int, error=ValidationError) -> int:
+    """value as an int by operator.index, the one reader of an integer
+    parameter with a lower bound: a non-integer (1.5, 2.0, "2") raises
+    ValidationError("bad {what}: ..."), and a value below least raises
+    error("{what} must be >= {least}, got {value}"), KTooSmall for a
+    level."""
+    try:
+        value = index(value)
+    except TypeError as exc:
+        raise ValidationError(f"bad {what}: {exc}") from exc
+    if value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def rank_seq(brseq, n: int) -> tuple[RankVector, ...]:
+    """brseq as a non-empty sequence of rank vectors of length n, the one
+    reader of a rank sequence: a negative or non-integer entry raises
+    ValidationError, an empty sequence or a vector of another length
+    LengthMismatch."""
+    seq = tuple(RankVector(r) for r in brseq)
+    if not seq:
+        raise LengthMismatch("brseq must be non-empty")
+    if any(len(r) != n for r in seq):
+        raise LengthMismatch(f"brseq needs rank vectors of length {n}")
+    return seq
 
 
 def validate_cartan(c, d) -> CartanDatum:
@@ -208,9 +242,7 @@ class Quiver:
 
 
 def build_quiver(datum: CartanDatum, k: int) -> Quiver:
-    k = read_value(operator.index, k, "bad level k")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = read_int(k, "k", 1, KTooSmall)
     arrows = []
     for i, j in datum.oriented_pairs():
         for g in range(datum.g(i, j)):
@@ -245,11 +277,9 @@ def flag_dimension(datum: CartanDatum, brseq: Sequence) -> int:
 
     The flag variety with subquotient ranks brseq has dimension k*d(brseq)
     (when non-empty), and d(brseq) is the fiber dimension of the reduction
-    map between levels k and k-1.
+    map between levels k and k-1.  brseq is read by `rank_seq`.
     """
-    seq = [_vec(datum, r) for r in brseq]
-    if len(seq) < 1:
-        raise LengthMismatch("flag rank sequence must be non-empty")
+    seq = rank_seq(brseq, datum.n)
     total = 0
     for s in range(len(seq)):
         for t in range(s + 1, len(seq)):
@@ -275,7 +305,7 @@ def datum_from_dict(cfg: dict) -> tuple[CartanDatum, int, int]:
     if not isinstance(cfg, dict):
         raise ValidationError("config must hold a mapping")
     try:
-        n = read_value(operator.index, cfg["n"], "bad n")
+        n = read_value(index, cfg["n"], "bad n")
         c = cfg["C"]
         d = cfg["D"]
         omega_raw = cfg["omega"]
@@ -287,10 +317,8 @@ def datum_from_dict(cfg: dict) -> tuple[CartanDatum, int, int]:
     omega = [(i - 1, j - 1)
              for i, j in read_value(_pairs, omega_raw, "bad omega")]
     datum = validate_orientation(datum, omega)
-    k = read_value(operator.index, cfg.get("k", 1), "bad k")
-    p = read_value(operator.index, cfg.get("p", 5), "bad p")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = read_int(cfg.get("k", 1), "k", 1, KTooSmall)
+    p = read_value(index, cfg.get("p", 5), "bad p")
     return datum, k, p
 
 

@@ -21,6 +21,7 @@ from .errors import (
     BudgetExceeded,
     CartanQuiverError,
     InternalCheckError,
+    KTooSmall,
     NonIntegerCoefficient,
     OverdeterminedMismatch,
     ValidationError,
@@ -69,9 +70,7 @@ def _load(args) -> tuple:
     echo = (_read_json(args.config, "config")
             if args.config.endswith(".json") else None)
     if getattr(args, "k", None):
-        if args.k < 0:
-            raise ValidationError(f"--k must be >= 0, got {args.k}")
-        k = args.k
+        k = cartan.read_int(args.k, "--k", 0, KTooSmall)
     if getattr(args, "p", None) is not None:
         p = args.p
     la.check_prime(p)
@@ -212,9 +211,8 @@ def cmd_bundle_check(args) -> int:
     # on a rigid module the search found
     primes = flagvar.check_primes(
         _parse_ints(args.primes, "primes") if args.primes else (2, 3))
-    k_max = max(k, 2) if args.kmax is None else args.kmax
-    if k_max < 2:
-        raise ValidationError(f"--kmax must be >= 2, got {k_max}")
+    k_max = cartan.read_int(max(k, 2) if args.kmax is None else args.kmax,
+                            "--kmax", 2)
 
     def check_level(level: int):
         search = homext.find_rigid(datum, level, p, r, trials=args.trials,

@@ -286,6 +286,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     [a | b] serves both: when the system is consistent, its left block is
     the RREF of a.
     """
+    a = integer_array(a) % p
     b = integer_array(b) % p
     single = b.ndim == 1
     bc = b.reshape(-1, 1) if single else b
@@ -293,7 +294,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
         raise DimensionMismatch(
             f"solve: {a.shape} vs right-hand side {bc.shape}"
         )
-    aug = np.concatenate([a % p, bc], axis=1)
+    aug = np.concatenate([a, bc], axis=1)
     r, rk, pivots = rref(aug, p)
     ncols = a.shape[1]
     if any(c >= ncols for c in pivots):

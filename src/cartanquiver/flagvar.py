@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -64,13 +63,18 @@ import numpy as np
 from . import exactlinalg as la
 from . import hmod, homext
 from . import reduction
-from .cartan import CartanDatum, RankVector, flag_dimension, read_value
+from .cartan import (
+    CartanDatum,
+    RankVector,
+    flag_dimension,
+    rank_seq,
+    read_int,
+)
 from .errors import (
     BudgetExceeded,
     FlagNotInReduction,
     InternalCheckError,
     KTooSmall,
-    LengthMismatch,
     NotEnoughPrimes,
     NotLocallyFree,
     RankTooLarge,
@@ -541,7 +545,7 @@ class FlagOfSubmodules:
 
 
 def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
-    """The one flag check: the partial sums of brseq (a `_rank_seq`) give
+    """The one flag check: the partial sums of brseq (read by `rank_seq`) give
     the layer count and, times the loop orders, the dims of m (the last)
     and of each layer; per layer the block pass `hmod._split_blocks` of
     every loop and arrow (invariance), and per vertex the dimension and
@@ -551,7 +555,7 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
     nesting and are the connectors.  Returns (the block pass per layer,
     as (its subspaces, its blocks in the order of `maps_with_labels()`),
     the identity blocks per vertex per adjacent pair)."""
-    sums = tuple(itertools.accumulate(_rank_seq(brseq, m.n)))
+    sums = tuple(itertools.accumulate(rank_seq(brseq, m.n)))
     if len(layers) != len(sums) - 1:
         raise ShapeMismatch("layer count does not match brseq length")
     if tuple(r * m.loop_order(i) for i, r in enumerate(sums[-1])) != m.dims:
@@ -591,20 +595,10 @@ def _checked_blocks(m: HModule, flag: FlagOfSubmodules) -> tuple[list, list]:
     return _flag_blocks(m, flag.brseq, flag.layers)
 
 
-def _rank_seq(brseq, n: int) -> tuple[RankVector, ...]:
-    """brseq as a non-empty sequence of rank vectors of length n."""
-    seq = tuple(RankVector(r) for r in brseq)
-    if not seq:
-        raise LengthMismatch("brseq must be non-empty")
-    if any(len(r) != n for r in seq):
-        raise LengthMismatch(f"brseq needs rank vectors of length {n}")
-    return seq
-
-
 def _checked_seq(m: HModule, brseq):
     """brseq as rank vectors, or None when it does not sum to the rank of
     m."""
-    seq = _rank_seq(brseq, m.n)
+    seq = rank_seq(brseq, m.n)
     rank = hmod.rank_vector(m)
     if tuple(sum(r[i] for r in seq) for i in range(m.n)) != tuple(rank):
         return None
@@ -921,7 +915,7 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     if base.module is not mbar and not hmod.modules_equal(base.module, mbar):
         raise FlagNotInReduction(
             "base flag does not live in the reduction of the module")
-    seq = _rank_seq(base.brseq, m.n)
+    seq = rank_seq(base.brseq, m.n)
     try:
         splits, conn = base._check()
     except ValidationError as exc:
@@ -1046,7 +1040,7 @@ def bundle_ratio_check(m: HModule, brseq, primes=(2, 3)
     that break the relations mod q raise RelationBrokenAtPrime."""
     if m.k < 2:
         raise KTooSmall("bundle check compares level k with k - 1")
-    seq = _rank_seq(brseq, m.n)
+    seq = rank_seq(brseq, m.n)
     if not primes:
         raise NotEnoughPrimes("bundle check needs at least one prime")
     primes = check_primes(primes)
@@ -1110,12 +1104,10 @@ def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
     before any count.  Each prime q counts `hmod.reduce_mod_p(m, q)`, m's
     entries read mod q.
     """
-    seq = _rank_seq(brseq, m.n)
+    seq = rank_seq(brseq, m.n)
     d = flag_dimension(m.datum, seq)
-    degree_bound = (max(m.k * d, 0) if degree_bound is None else read_value(
-        operator.index, degree_bound, "bad degree_bound"))
-    if degree_bound < 0:
-        raise ValidationError(f"degree_bound must be >= 0, got {degree_bound}")
+    degree_bound = (max(m.k * d, 0) if degree_bound is None else
+                    read_int(degree_bound, "degree_bound", 0))
     needed = degree_bound + 2
     if len(primes) < needed:
         raise NotEnoughPrimes(
@@ -1137,13 +1129,9 @@ def closed_form_flag_count_no_arrows(datum: CartanDatum, k: int, q: int,
     products of distinct layer ranks at that vertex."""
     if datum.oriented_pairs():
         raise ValidationError("closed form only applies without arrows")
-    k = read_value(operator.index, k, "bad level k")
-    q = read_value(operator.index, q, "bad field size q")
-    if k < 1:
-        raise KTooSmall(f"k must be >= 1, got {k}")
-    if q < 2:
-        raise ValidationError(f"q must be >= 2, got {q}")
-    seq = _rank_seq(brseq, datum.n)
+    k = read_int(k, "k", 1, KTooSmall)
+    q = read_int(q, "q", 2)
+    seq = rank_seq(brseq, datum.n)
     total = 1
     for i in range(datum.n):
         remaining = sum(r[i] for r in seq)

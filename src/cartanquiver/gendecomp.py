@@ -68,7 +68,6 @@ import collections
 import contextlib
 import contextvars
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,8 +75,8 @@ import numpy as np
 
 from . import exactlinalg as la
 from . import hmod, homext
-from .cartan import CartanDatum, RankVector, read_value
-from .errors import InternalCheckError, ValidationError
+from .cartan import CartanDatum, RankVector, read_int
+from .errors import InternalCheckError
 from .exactlinalg import Subspace
 from .hmod import HModule
 
@@ -360,9 +359,7 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
     exact."""
     r = RankVector(r)
     s = RankVector(s)
-    samples = read_value(operator.index, samples, "bad samples")
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = read_int(samples, "samples", 1)
     if _pair_exhaustive(datum, k, p, r, s):
         table = _call_table(datum, k, p) or _CallTable(datum, k, p, samples)
         pairs = ((mod_m, mod_n)
@@ -561,9 +558,7 @@ def is_schur_root(datum: CartanDatum, k: int, p: int, r,
     over sampled (or, for small spaces, all) modules is still reported.
     """
     r = RankVector(r)
-    samples = read_value(operator.index, samples, "bad samples")
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = read_int(samples, "samples", 1)
     table = _CallTable(datum, k, p, samples)
     with table.active():
         return _schur_root(table, r, seed)
@@ -651,9 +646,7 @@ def canonical_decomposition(datum: CartanDatum, k: int, p: int, r,
     structure points, which can take a while near the limit.
     """
     r = RankVector(r)
-    samples = read_value(operator.index, samples, "bad samples")
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = read_int(samples, "samples", 1)
     table = _CallTable(datum, k, p, samples)
     with table.active():
         return _decompose(table, r, seed)
@@ -775,9 +768,7 @@ def k_independence_check(datum: CartanDatum, p: int, r, k_max: int,
                          samples: int = DEFAULT_SAMPLES, seed=0
                          ) -> KIndependenceReport:
     """Canonical decompositions for k = 1..k_max must agree as multisets."""
-    k_max = read_value(operator.index, k_max, "bad k_max")
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    k_max = read_int(k_max, "k_max", 1)
     reports = tuple(
         canonical_decomposition(datum, k, p, r, samples=samples,
                                 seed=(seed, k))

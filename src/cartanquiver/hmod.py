@@ -47,11 +47,12 @@ from typing import Iterator, Mapping, Optional
 import numpy as np
 
 from . import exactlinalg as la
-from .cartan import CartanDatum, RankVector, integers, read_value
+from .cartan import CartanDatum, RankVector, integers, read_int, read_value
 from .errors import (
     DatumMismatch,
     EntryDegreeOverflow,
     InternalCheckError,
+    KTooSmall,
     NotInvariant,
     NotLocallyFree,
     RelationBrokenAtPrime,
@@ -147,9 +148,7 @@ def _jordan_order(x: np.ndarray) -> int:
 def make_module(datum: CartanDatum, k: int, p: int, eps, arrows) -> HModule:
     """Assemble and validate a module from raw matrices."""
     la.check_prime(p)
-    k = read_value(operator.index, k, "bad level k")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = read_int(k, "k", 1, KTooSmall)
     eps_t = tuple(_frozen(la.integer_array(e) % p) for e in eps)
     if len(eps_t) != datum.n:
         raise ShapeMismatch(
@@ -332,9 +331,7 @@ def _structure_shapes(datum: CartanDatum, k: int, r: RankVector) -> dict:
     """Per oriented pair, the shape of its structure matrix."""
     if len(r) != datum.n:
         raise ShapeMismatch(f"rank vector length {len(r)} != {datum.n}")
-    k = read_value(operator.index, k, "bad level k")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = read_int(k, "k", 1, KTooSmall)
     return {(i, j): (r[i], abs(datum.c[i][j]) * r[j], k * datum.d[i])
             for i, j in datum.oriented_pairs()}
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,12 +50,8 @@ import numpy as np
 
 from . import exactlinalg as la
 from . import hmod
-from .cartan import euler_form, read_value
-from .errors import (
-    InternalCheckError,
-    NotAHomomorphism,
-    ValidationError,
-)
+from .cartan import euler_form, read_int
+from .errors import InternalCheckError, NotAHomomorphism
 from .hmod import HModule
 
 # read by are_isomorphic at each call, not bound as defaults
@@ -380,9 +375,7 @@ def find_rigid(datum, k: int, p: int, r, trials: int = 200, seed=0
     which case a negative answer means no rigid module of this rank exists
     over F_p; otherwise absence is only "none found".
     """
-    trials = read_value(operator.index, trials, "bad trials")
-    if trials < 0:
-        raise ValidationError(f"trials must be >= 0, got {trials}")
+    trials = read_int(trials, "trials", 0)
     # budget 0: the trials are samples (seed, t); then the full scan, or
     # nothing past the budget
     _, trial_modules = hmod.structure_space(datum, k, p, r, 0, trials, seed)
@@ -417,9 +410,7 @@ class ParameterEstimate:
 
 def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0
                        ) -> ParameterEstimate:
-    samples = read_value(operator.index, samples, "bad samples")
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = read_int(samples, "samples", 1)
     exhaustive, modules = hmod.structure_space(
         datum, k, p, r, hmod.STRUCTURE_SPACE_BUDGET, samples, seed)
     q = euler_form(datum, r, r, k=k)

@@ -16,19 +16,17 @@ structure entries, cut or zero-padded to the new truncated polynomial ring
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exactlinalg as la
 from . import hmod, homext
-from .cartan import CartanDatum, RankVector, read_value
+from .cartan import CartanDatum, RankVector, read_int
 from .errors import (
     KTooSmall,
     InternalCheckError,
     NotLocallyFree,
-    ValidationError,
 )
 from .exactlinalg import Subspace
 from .hmod import HModule
@@ -84,9 +82,7 @@ def module_at_level(m: HModule, k_new: int) -> HModule:
     vertex span a submodule of m, they span one of the padded module too,
     a point of `flagvar.fiber_of_reduction` over the flag they give below.
     """
-    k_new = read_value(operator.index, k_new, "bad level k_new")
-    if k_new < 1:
-        raise KTooSmall(f"level must be >= 1, got {k_new}")
+    k_new = read_int(k_new, "k_new", 1, KTooSmall)
     s = hmod.to_structure_matrices(m)
     mats = {}
     for (i, j), arr in s.mats.items():
@@ -133,9 +129,7 @@ def rigid_transfer_check(datum: CartanDatum, p: int, r, k_max: int,
     """Search rigids at k = 1..k_max; reductions of upper-level rigids must
     be rigid and isomorphic to the rigid found one level down, and the
     existence pattern must not depend on k."""
-    k_max = read_value(operator.index, k_max, "bad k_max")
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    k_max = read_int(k_max, "k_max", 1)
     r = RankVector(r)
     found = {k: homext.find_rigid(datum, k, p, r, trials=trials,
                                   seed=(seed, k))

@@ -198,6 +198,11 @@ class TestForms:
         with pytest.raises(LengthMismatch):
             cartan.euler_form(a2, (1, 1, 1), (1, 1))
 
+    def test_flag_dimension_refuses_a_negative_rank(self, a2):
+        # before, the flag dimension of this sequence was -2
+        with pytest.raises(ValidationError, match="rank vector must be >= 0"):
+            cartan.flag_dimension(a2, [(-1, 0), (2, 1)])
+
 
 class TestRankVector:
     def test_ops(self):

@@ -237,6 +237,7 @@ REMOVED_NAMES = [
     (homext, "_left_factor"),
     (homext, "_read_off"),
     (flagvar, "_check_steps"),
+    (flagvar, "_rank_seq"),
 ]
 
 

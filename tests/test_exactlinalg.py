@@ -316,6 +316,15 @@ def test_solve_inconsistent():
     assert la.solve(a, np.array([1, 0]), 5) is None
 
 
+def test_solve_reads_its_matrix():
+    """a is read like b: a nested list is solved where it raised a bare
+    AttributeError, and a non-integer entry raises ValidationError."""
+    part, ker = la.solve([[2]], [1], 3)
+    assert part.tolist() == [2] and ker.shape[0] == 0
+    with pytest.raises(ValidationError):
+        la.solve([[1.5]], [1], 3)
+
+
 def test_solve_verified_by_substitution():
     rng = np.random.default_rng(11)
     for p in (2, 3, 5):

@@ -1,7 +1,10 @@
 """`homext.ext1_dim` (one Hom solve and the Euler form) and
 `homext.hom_space` against an oracle that builds the cocycles and
 coboundaries of the extensions explicitly (`reference_ext`), on random
-pairs of locally free modules."""
+pairs of locally free modules and on the rigid modules the acceptance
+criteria find."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ from cartanquiver import exactlinalg as la
 from cartanquiver import hmod, homext
 from cartanquiver.errors import NotLocallyFree
 
-from conftest import make_datum
+from conftest import SMALL_RANKS, make_datum
 import reference_ext
+from test_acceptance import GRID_KS, GRID_PS, cached_rigid
 
 DATA = {
     "A2": ([[2, -1], [-1, 2]], [1, 1], [(0, 1)]),
@@ -90,3 +94,21 @@ def test_ext1_refuses_a_module_that_is_not_locally_free():
         homext.ext1_dim(simple, simple)
     assert reference_ext.hom_dim(simple, simple) == 1
     assert reference_ext.ext1_dim(simple, simple) == 1
+
+
+def test_acceptance_witnesses_are_rigid_for_the_oracle(a2, b2):
+    # criterion 3's grid, with its seeds, holds the searches of criteria 4
+    # and 10; the library called each found module rigid by its own Hom
+    # solve and Euler form, the oracle by the cocycles of its extensions
+    found = 0
+    for datum, p, r, k in itertools.product(
+            (a2, b2), GRID_PS, [(0, 0)] + SMALL_RANKS, GRID_KS):
+        search = cached_rigid(datum, k, p, r)
+        if not search.found():
+            continue
+        m = search.module
+        found += 1
+        assert reference_ext.ext1_dim(m, m) == 0, (k, p, r)
+        assert (reference_ext.hom_dim(m, m)
+                == homext.hom_space(m, m).dim), (k, p, r)
+    assert found

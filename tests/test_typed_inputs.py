@@ -11,6 +11,7 @@ from cartanquiver import exactlinalg as la
 from cartanquiver.cartan import RankVector
 from cartanquiver.errors import (
     DatumMismatch,
+    KTooSmall,
     LengthMismatch,
     NotAHomomorphism,
     NotPrime,
@@ -241,71 +242,77 @@ def test_check_prime_reads_integers(a2):
     assert hmod.modules_equal(hmod.reduce_mod_p(m, np.int64(5)), m)
 
 
+# site -> (call(a2, no_arrows, value), least accepted value, error type
+# below it: KTooSmall for a level)
 INTEGER_PARAMETERS = {
-    "make_module-k": lambda a2, v: hmod.make_module(
-        a2, v, 3, [la.zeros(1, 1)] * 2, {}),
-    "_structure_shapes-k": lambda a2, v: hmod._structure_shapes(
-        a2, v, RankVector((1, 1))),
-    "module_at_level-k_new": lambda a2, v: reduction.module_at_level(
-        hmod.free_module(a2, 1, 3, (1, 1)), v),
-    "find_rigid-trials": lambda a2, v: homext.find_rigid(
-        a2, 1, 2, (1, 0), trials=v),
-    "rigid_transfer_check-k_max": lambda a2, v:
-        reduction.rigid_transfer_check(a2, 2, (1, 0), k_max=v, trials=2),
-    "k_independence_check-k_max": lambda a2, v:
-        gendecomp.k_independence_check(a2, 2, (1, 0), k_max=v),
+    "build_quiver-k": (
+        lambda a2, no_arrows, v: cartan.build_quiver(a2, v), 1, KTooSmall),
+    "datum_from_dict-k": (
+        lambda a2, no_arrows, v: cartan.datum_from_dict(
+            dict(TestIntegerReaders.CONFIG, k=v)), 1, KTooSmall),
+    "make_module-k": (
+        lambda a2, no_arrows, v: hmod.make_module(
+            a2, v, 3, [la.zeros(1, 1)] * 2, {}), 1, KTooSmall),
+    "_structure_shapes-k": (
+        lambda a2, no_arrows, v: hmod._structure_shapes(
+            a2, v, RankVector((1, 1))), 1, KTooSmall),
+    "module_at_level-k_new": (
+        lambda a2, no_arrows, v: reduction.module_at_level(
+            hmod.free_module(a2, 1, 3, (1, 1)), v), 1, KTooSmall),
+    "closed_form-k": (
+        lambda a2, no_arrows, v: flagvar.closed_form_flag_count_no_arrows(
+            no_arrows, v, 3, [(1, 1), (1, 1)]), 1, KTooSmall),
+    "closed_form-q": (
+        lambda a2, no_arrows, v: flagvar.closed_form_flag_count_no_arrows(
+            no_arrows, 1, v, [(1, 1), (1, 1)]), 2, ValidationError),
+    "find_rigid-trials": (
+        lambda a2, no_arrows, v: homext.find_rigid(
+            a2, 1, 2, (1, 0), trials=v), 0, ValidationError),
+    "rigid_transfer_check-k_max": (
+        lambda a2, no_arrows, v: reduction.rigid_transfer_check(
+            a2, 2, (1, 0), k_max=v, trials=2), 1, ValidationError),
+    "k_independence_check-k_max": (
+        lambda a2, no_arrows, v: gendecomp.k_independence_check(
+            a2, 2, (1, 0), k_max=v), 1, ValidationError),
+    "counting_polynomial-degree_bound": (
+        lambda a2, no_arrows, v: flagvar.counting_polynomial(
+            hmod.free_module(a2, 1, 2, (1, 1)), [(1, 0), (0, 1)],
+            degree_bound=v), 0, ValidationError),
+    "ext_generic-samples": (
+        lambda a2, no_arrows, v: gendecomp.ext_generic(
+            a2, 1, 2, (1, 0), (0, 1), samples=v), 1, ValidationError),
+    "is_schur_root-samples": (
+        lambda a2, no_arrows, v: gendecomp.is_schur_root(
+            a2, 1, 2, (1, 1), samples=v), 1, ValidationError),
+    "canonical_decomposition-samples": (
+        lambda a2, no_arrows, v: gendecomp.canonical_decomposition(
+            a2, 1, 2, (1, 1), samples=v), 1, ValidationError),
+    "parameter_estimate-samples": (
+        lambda a2, no_arrows, v: homext.parameter_estimate(
+            a2, 1, 2, (1, 0), samples=v), 1, ValidationError),
 }
 
 
-@pytest.mark.parametrize("call", INTEGER_PARAMETERS.values(),
+@pytest.mark.parametrize("call,least,error", INTEGER_PARAMETERS.values(),
                          ids=INTEGER_PARAMETERS.keys())
-def test_integer_parameters_read_with_index(a2, call):
-    """Levels, level bounds and trial counts are read with operator.index:
-    a float raises ValidationError where it raised a bare TypeError (or,
-    for the structure shapes, gave float shapes), and integral values of
-    any integer type still work."""
-    for bad in (1.5, 2.0, "2"):
-        with pytest.raises(ValidationError):
-            call(a2, bad)
-    assert call(a2, 2) is not None
-    assert call(a2, np.int64(2)) is not None
-
-
-COUNT_AND_SAMPLE_PARAMETERS = {
-    "closed_form-k": lambda a2, no_arrows, v:
-        flagvar.closed_form_flag_count_no_arrows(no_arrows, v, 3,
-                                                 [(1, 1), (1, 1)]),
-    "closed_form-q": lambda a2, no_arrows, v:
-        flagvar.closed_form_flag_count_no_arrows(no_arrows, 1, v,
-                                                 [(1, 1), (1, 1)]),
-    "build_quiver-k": lambda a2, no_arrows, v: cartan.build_quiver(a2, v),
-    "counting_polynomial-degree_bound": lambda a2, no_arrows, v:
-        flagvar.counting_polynomial(hmod.free_module(a2, 1, 2, (1, 1)),
-                                    [(1, 0), (0, 1)], degree_bound=v),
-    "ext_generic-samples": lambda a2, no_arrows, v: gendecomp.ext_generic(
-        a2, 1, 2, (1, 0), (0, 1), samples=v),
-    "is_schur_root-samples": lambda a2, no_arrows, v:
-        gendecomp.is_schur_root(a2, 1, 2, (1, 1), samples=v),
-    "canonical_decomposition-samples": lambda a2, no_arrows, v:
-        gendecomp.canonical_decomposition(a2, 1, 2, (1, 1), samples=v),
-    "parameter_estimate-samples": lambda a2, no_arrows, v:
-        homext.parameter_estimate(a2, 1, 2, (1, 0), samples=v),
-}
-
-
-@pytest.mark.parametrize("call", COUNT_AND_SAMPLE_PARAMETERS.values(),
-                         ids=COUNT_AND_SAMPLE_PARAMETERS.keys())
-def test_counts_and_samples_read_with_index(a2, no_arrows, call):
-    """Levels and field sizes of the closed-form count, degree bounds and
-    sample counts are read with operator.index: a float raises
-    ValidationError where it was used as it came (k = 1.5 gave a float
-    count) or raised a bare TypeError, and integral values of any integer
-    type still work."""
+def test_integer_parameters_read_with_index(a2, no_arrows, call, least,
+                                            error):
+    """Levels, level bounds, field sizes, degree bounds, trial and sample
+    counts are read with operator.index by one reader: a float raises
+    ValidationError where it raised a bare TypeError or was used as it came
+    (k = 1.5 gave a float count, float shapes for the structure shapes),
+    least - 1 raises exactly the documented type (a level below 1 raised
+    plain ValidationError at four sites), and least and integral values of
+    any integer type are accepted."""
     for bad in (1.5, 2.0, "2"):
         with pytest.raises(ValidationError):
             call(a2, no_arrows, bad)
-    assert call(a2, no_arrows, 2) is not None
-    assert call(a2, no_arrows, np.int64(2)) is not None
+    with pytest.raises(ValidationError) as excinfo:
+        call(a2, no_arrows, least - 1)
+    assert excinfo.type is error
+    assert f"must be >= {least}, got {least - 1}" in str(excinfo.value)
+    for good in (least, 2, np.int64(2)):
+        assert call(a2, no_arrows, good) is not None
 
 
 @pytest.mark.parametrize("args", [
