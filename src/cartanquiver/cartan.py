@@ -14,7 +14,7 @@ code.
 The readers of outside input live here: `integers` and `read_value` for
 entries, `read_int` for every integer parameter with a lower bound (a
 level below 1 raises KTooSmall), and `rank_seq` for every rank sequence
-brseq (a negative entry raises ValidationError).
+brseq (a non-sequence or a negative entry raises ValidationError).
 """
 
 from __future__ import annotations
@@ -147,10 +147,10 @@ def read_int(value, what: str, least: int, error=ValidationError) -> int:
 
 def rank_seq(brseq, n: int) -> tuple[RankVector, ...]:
     """brseq as a non-empty sequence of rank vectors of length n, the one
-    reader of a rank sequence: a negative or non-integer entry raises
-    ValidationError, an empty sequence or a vector of another length
-    LengthMismatch."""
-    seq = tuple(RankVector(r) for r in brseq)
+    reader of a rank sequence: a brseq that is not a sequence, or a
+    negative or non-integer entry, raises ValidationError, and an empty
+    sequence or a vector of another length LengthMismatch."""
+    seq = tuple(RankVector(r) for r in read_value(tuple, brseq, "bad brseq"))
     if not seq:
         raise LengthMismatch("brseq must be non-empty")
     if any(len(r) != n for r in seq):

@@ -1,13 +1,13 @@
 """Exact linear algebra over prime fields F_p.
 
 Matrices are numpy int64 arrays with entries in {0, ..., p-1}; they act on
-column vectors.  `rref`, `solve`, `matpow`, `digits`, `block_diag`,
-`Subspace`, `Subspace.from_rows`, `Subspace.contains_rows` and
-`Subspace.quotient_coords` refuse entries that are not integers instead of
-truncating them.  Subspaces are stored through their unique reduced
-row-echelon basis, so two equal subspaces always compare (and hash) equal.
-The module also provides Gaussian binomials and exact Lagrange
-interpolation over the integers.
+column vectors.  A matrix, vector or basis with entries that are not
+integers raises ValidationError instead of being truncated, and a matrix
+argument that is not 2-D (`matpow` also takes stacks) DimensionMismatch.
+A subspace is made only by `Subspace.from_rows` or `Subspace.coordinate`
+and stored through its unique reduced row-echelon basis, so two equal
+subspaces always compare (and hash) equal.  The module also provides
+Gaussian binomials and exact Lagrange interpolation over the integers.
 
 Every solve, rank, inverse and kernel goes through one elimination,
 `rref`.
@@ -98,6 +98,14 @@ def integer_array(a) -> np.ndarray:
     return m.astype(np.int64, copy=False)
 
 
+def _matrix(a) -> np.ndarray:
+    """`integer_array` of a matrix: DimensionMismatch unless a is 2-D."""
+    m = integer_array(a)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
+    return m
+
+
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 
@@ -169,10 +177,6 @@ def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def inv_mod(x: int, p: int) -> int:
-    return pow(int(x), p - 2, p)
-
-
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """Reduced row echelon form of a mod p.
 
@@ -189,7 +193,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     entries right of the pivot.
     """
     p = check_prime(p)
-    m = integer_array(a) % p
+    m = _matrix(a) % p
     rows, cols = m.shape
     a = m.tolist()
     pivots = []
@@ -207,7 +211,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
         a[r] = row
         piv = row[c]
         if piv != 1:
-            s = inv_mod(piv, p)
+            s = pow(piv, p - 2, p)
             for j in range(c, cols):
                 if row[j]:
                     row[j] = row[j] * s % p
@@ -231,10 +235,11 @@ def rank(a: np.ndarray, p: int) -> int:
 
 def inv(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix mod p; raises if singular."""
+    a = _matrix(a) % p
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch(f"inv: matrix {a.shape} is not square")
-    r, rk, _ = rref(np.concatenate([a % p, identity(n)], axis=1), p)
+    r, rk, _ = rref(np.concatenate([a, identity(n)], axis=1), p)
     if rk < n or not np.array_equal(r[:, :n], identity(n)):
         raise DimensionMismatch("inv: matrix is singular")
     return r[:, n:]
@@ -247,6 +252,7 @@ def kernel_basis_and_support(a: np.ndarray, p: int
     columns, so the coefficients of any kernel vector are its values at
     the support columns.  A system with no equations has the identity as
     its kernel basis and every column free, with no elimination."""
+    a = _matrix(a)
     if a.shape[0] == 0:
         return identity(a.shape[1]), tuple(range(a.shape[1]))
     r, _, pivots = rref(a, p)
@@ -275,6 +281,7 @@ def kernel_basis_matrix(a: np.ndarray, p: int) -> np.ndarray:
 
 def image(a: np.ndarray, p: int) -> "Subspace":
     """Column space of a as a canonical subspace."""
+    a = _matrix(a)
     return Subspace.from_rows(a.T, a.shape[0], p)
 
 
@@ -286,14 +293,13 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     [a | b] serves both: when the system is consistent, its left block is
     the RREF of a.
     """
-    a = integer_array(a) % p
+    a = _matrix(a) % p
     b = integer_array(b) % p
     single = b.ndim == 1
     bc = b.reshape(-1, 1) if single else b
-    if bc.shape[0] != a.shape[0]:
+    if bc.ndim != 2 or bc.shape[0] != a.shape[0]:
         raise DimensionMismatch(
-            f"solve: {a.shape} vs right-hand side {bc.shape}"
-        )
+            f"solve: {a.shape} vs right-hand side {bc.shape}")
     aug = np.concatenate([a, bc], axis=1)
     r, rk, pivots = rref(aug, p)
     ncols = a.shape[1]
@@ -308,35 +314,24 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     return part, _kernel_from_rref(r, pivots, ncols, p)[0]
 
 
-def _frozen_int64(a) -> bool:
-    """Whether a is a read-only int64 array whose memory no writable array
-    owns."""
-    if (not isinstance(a, np.ndarray) or a.dtype != np.int64
-            or a.flags.writeable):
-        return False
-    return a.base is None or (isinstance(a.base, np.ndarray)
-                              and not a.base.flags.writeable)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subspace:
-    """A subspace of F_p^n, canonically represented by its RREF basis rows.
-    The basis is a read-only int64 array, and the array that owns its
-    memory is read-only too: any other basis (a writable array, a read-only
-    view of a writable one, another integer dtype, an array-like) is stored
-    as a read-only int64 copy, so a subspace never changes, nor its hash.
-    A basis with entries that are not integers raises ValidationError."""
+    """A subspace of F_p^n, canonically represented by its RREF basis rows
+    (the identity on the pivot columns), made only by `from_rows` and
+    `coordinate`, which each establish that form: there is no public
+    `__init__`.  The basis is a read-only int64 array the constructor has
+    just made, so a subspace never changes, nor its hash."""
 
     p: int
     ambient: int
     basis: np.ndarray = field(compare=False)
-    pivots: tuple[int, ...] = field(compare=False, default=())
+    pivots: tuple[int, ...] = field(compare=False)
 
-    def __post_init__(self):
-        if not _frozen_int64(self.basis):
-            basis = np.array(integer_array(self.basis))
-            basis.setflags(write=False)
-            object.__setattr__(self, "basis", basis)
+    @staticmethod
+    def _of(p, ambient, basis, pivots) -> "Subspace":
+        u = object.__new__(Subspace)
+        vars(u).update(p=p, ambient=ambient, basis=basis, pivots=pivots)
+        return u
 
     @staticmethod
     def from_rows(rows, ambient: int, p: int) -> "Subspace":
@@ -350,15 +345,33 @@ class Subspace:
             raise DimensionMismatch(
                 f"rows of shape {m.shape} in ambient dimension {ambient}")
         if ambient == 0:
-            return Subspace(check_prime(p), 0, zeros(0, 0), ())
+            return Subspace.coordinate((), 0, p)
         r, rk, piv = rref(m.reshape(-1, ambient), p)
         # R owns its memory, so the read-only basis aliases nothing
         r.setflags(write=False)
-        return Subspace(p, ambient, r[:rk], piv)
+        return Subspace._of(p, ambient, r[:rk], piv)
+
+    @staticmethod
+    def coordinate(columns, ambient: int, p: int) -> "Subspace":
+        """The span of the unit vectors at the given columns, with no
+        elimination: its basis is those identity rows, its pivots those
+        columns.  Raises ValidationError unless the columns are integers
+        strictly increasing in range(ambient), and the errors of
+        `check_prime` for the modulus."""
+        try:
+            pivots = tuple(map(operator.index, columns))
+        except TypeError as exc:
+            raise ValidationError(f"bad columns: {exc}") from None
+        if not all(map(operator.lt, (-1,) + pivots, pivots + (ambient,))):
+            raise ValidationError(f"columns {pivots} are not strictly "
+                                  f"increasing in range({ambient})")
+        basis = identity(ambient).take(pivots, 0)
+        basis.setflags(write=False)
+        return Subspace._of(check_prime(p), ambient, basis, pivots)
 
     @staticmethod
     def zero(ambient: int, p: int) -> "Subspace":
-        return Subspace.from_rows(zeros(0, ambient), ambient, p)
+        return Subspace.coordinate((), ambient, p)
 
     @property
     def dim(self) -> int:
@@ -399,13 +412,10 @@ class Subspace:
                 @ cols.take(self.pivots, 0)) % self.p
 
     def __add__(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace.from_rows(
-            np.concatenate([self.basis, other.basis]), self.ambient, self.p)
-
-    def _check(self, other: "Subspace"):
         if self.p != other.p or self.ambient != other.ambient:
             raise DimensionMismatch("subspaces live in different spaces")
+        return Subspace.from_rows(
+            np.concatenate([self.basis, other.basis]), self.ambient, self.p)
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:

@@ -97,8 +97,7 @@ def _fitting_split(m: HModule, powers) -> Optional[tuple]:
     N >= dim M) when they split M non-trivially; InternalCheckError unless
     their RREF bases stack to rank d_i at every vertex (Fitting's lemma)."""
     p = m.p
-    ims = tuple(Subspace.from_rows(fi.T, m.dims[i], p)
-                for i, fi in enumerate(powers))
+    ims = tuple(la.image(fi, p) for fi in powers)
     if sum(u.dim for u in ims) in (0, m.total_dim()):
         return None
     kers = tuple(Subspace.from_rows(la.kernel_basis_matrix(fi, p),

@@ -28,21 +28,14 @@ from .errors import (
     InternalCheckError,
     NotLocallyFree,
 )
-from .exactlinalg import Subspace
 from .hmod import HModule
 
 
 def reduce(m: HModule) -> hmod.Quotient:
-    """Quotient by eps^(k-1) M, validated over the level-(k-1) algebra
-    (`_quotient_at_level` at a = k - 1).
-
-    When m is in standard form, eps^(k-1) M_i is spanned by the unit
-    vectors of loop degree >= (k-1)*c_i, a submodule because eps is
-    central.  Along them `hmod.quotient` keeps the coordinates of lower
-    degree, and each block is its map's slice on those: the reduction is
-    in standard form too, with m's entries at those coordinates.  It is
-    validated at level k-1, the functor's own claim.
-    """
+    """Quotient by eps^(k-1) M, validated over the level-(k-1) algebra,
+    the functor's own claim (`_quotient_at_level` at a = k - 1).  When m
+    is in standard form, so is its reduction, with m's entries at the
+    coordinates of loop degree below (k-1)*c_i."""
     if m.k < 2:
         raise KTooSmall("reduction needs k >= 2")
     return _quotient_at_level(m, m.k - 1)
@@ -56,20 +49,18 @@ def _eps_powers(m: HModule, a: int) -> tuple[np.ndarray, ...]:
 
 def _quotient_at_level(m: HModule, a: int) -> hmod.Quotient:
     """M / eps^a M (1 <= a <= k), cut by `hmod.quotient` at level a along
-    eps^a M: for a module in standard form the unit rows of loop degree
-    >= a*c_i (the rule of `reduce`), for any other the images of
-    `_eps_powers`."""
+    eps^a M.  For a module in standard form, eps^a M_i is the coordinate
+    subspace of loop degree >= a*c_i (a submodule because eps is central),
+    and each block is its map's slice on the lower degrees; for any other
+    module it is the image of `_eps_powers`."""
     if not m.standard_form:
         return hmod.quotient(
             m, [la.image(x, m.p) for x in _eps_powers(m, a)], a)
-    subs = []
-    for i, d in enumerate(m.dims):
-        pivots = np.flatnonzero(
-            np.arange(d) % m.loop_order(i) >= a * m.datum.d[i])
-        basis = la.identity(d).take(pivots, 0)
-        basis.setflags(write=False)
-        subs.append(Subspace(m.p, d, basis, tuple(pivots.tolist())))
-    return hmod.quotient(m, subs, a)
+    return hmod.quotient(m, [
+        la.Subspace.coordinate([c for c in range(d)
+                                if c % m.loop_order(i) >= a * m.datum.d[i]],
+                               d, m.p)
+        for i, d in enumerate(m.dims)], a)
 
 
 def module_at_level(m: HModule, k_new: int) -> HModule:

@@ -210,7 +210,9 @@ def test_removed_budget_keywords(a2, fn, keyword):
 # them as a reference), a flag serialisation nothing called (the guard
 # above matches names only, and other classes define `to_dict`), and the
 # second rules of module equality, subspace residue and a key's chart
-# count, with the full-space constructor nothing called
+# count, with the full-space constructor nothing called, the
+# copy-or-alias test of a basis that a public constructor took on trust,
+# and the modular inverse that `rref` inlines
 REMOVED_NAMES = [
     (cartanquiver, "lift"),
     (cartanquiver, "lift_chain"),
@@ -238,6 +240,9 @@ REMOVED_NAMES = [
     (homext, "_read_off"),
     (flagvar, "_check_steps"),
     (flagvar, "_rank_seq"),
+    (la, "_frozen_int64"),
+    (la.Subspace, "__post_init__"),
+    (la, "inv_mod"),
 ]
 
 

@@ -325,6 +325,33 @@ def test_solve_reads_its_matrix():
         la.solve([[1.5]], [1], 3)
 
 
+MATRIX_READERS = {
+    "rref": lambda a: la.rref(a, 3),
+    "rank": lambda a: la.rank(a, 3),
+    "inv": lambda a: la.inv(a, 3),
+    "kernel_basis_and_support": lambda a: la.kernel_basis_and_support(a, 3),
+    "kernel_basis_matrix": lambda a: la.kernel_basis_matrix(a, 3),
+    "image": lambda a: la.image(a, 3),
+    "solve": lambda a: la.solve(a, [1, 0], 3),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_READERS)
+def test_matrix_arguments_are_read_as_matrices(name):
+    """Every function of a matrix reads it with `integer_array` and one
+    2-D check: a list of lists gives what its array gives, and an array
+    of another dimension raises DimensionMismatch, where `inv`, the
+    kernels and `image` raised a bare AttributeError on a list, and a 1-D
+    array reached `rref` as a ValueError and `solve` as a numpy
+    AxisError."""
+    call = MATRIX_READERS[name]
+    rows = [[2, 1], [1, 1]]
+    assert repr(call(rows)) == repr(call(np.array(rows)))
+    for bad in (np.array([1, 0]), np.ones((2, 2, 2), dtype=np.int64)):
+        with pytest.raises(DimensionMismatch):
+            call(bad)
+
+
 def test_solve_verified_by_substitution():
     rng = np.random.default_rng(11)
     for p in (2, 3, 5):
@@ -557,7 +584,7 @@ class TestSubspace:
         b = np.array(la.Subspace.from_rows([[1, 0, 1]], 3, 2).basis)
         view = b.view()
         view.setflags(write=False)
-        u = la.Subspace(2, 3, view, (0,))
+        u = la.Subspace.from_rows(view, 3, 2)
         before, members = hash(u), {u}
         b[0, 2] = 0
         assert hash(u) == before and u in members
@@ -569,9 +596,9 @@ class TestSubspace:
         frozen.setflags(write=False)
         for basis in ([[1, 0.5]], np.array([[1.5, 0.0]]), frozen):
             with pytest.raises(ValidationError):
-                la.Subspace(5, 2, basis, (0,))
+                la.Subspace.from_rows(basis, 2, 5)
         # another integer dtype is stored as a read-only int64 copy
-        u = la.Subspace(5, 2, np.array([[1, 3]], dtype=np.int32), (0,))
+        u = la.Subspace.from_rows(np.array([[1, 3]], dtype=np.int32), 2, 5)
         assert u.basis.dtype == np.int64 and not u.basis.flags.writeable
 
     def test_from_rows_checks_its_input_at_ambient_zero(self):
@@ -614,6 +641,56 @@ class TestSubspace:
         # one row given flat, and no rows of any dtype
         assert la.Subspace.from_rows([1, 2], 2, 5).basis.tolist() == [[1, 2]]
         assert la.Subspace.from_rows(np.zeros((0, 2)), 2, 5).dim == 0
+
+    def test_no_basis_and_pivots_are_taken_on_trust(self):
+        """A subspace is made only by its constructors: the records that
+        a public constructor took on trust (a pivot that is not the basis
+        row's, a non-prime modulus, pivots left at a default) raise, and
+        the constructors make the right ones or refuse the modulus."""
+        for args in ((3, 2, [[0, 1]], (0,)), (4, 2, [[1, 0]], (0,)),
+                     (3, 2, [[1, 0]])):
+            with pytest.raises(TypeError):
+                la.Subspace(*args)
+        u = la.Subspace.from_rows([[0, 1]], 2, 3)
+        assert u.pivots == (1,) and u.contains_rows([[0, 1]])
+        assert la.Subspace.coordinate([1], 2, 3) == u
+        assert la.Subspace.from_rows([[1, 0]], 2, 3).pivots == (0,)
+        with pytest.raises(NotPrime):
+            la.Subspace.from_rows([[1, 0]], 2, 4)
+        with pytest.raises(NotPrime):
+            la.Subspace.coordinate([0], 2, 4)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_coordinate_subspaces_equal_their_spans(self, p, monkeypatch):
+        """On every column subset of F_p^n, n <= 6, the coordinate
+        subspace equals the span of the same unit rows, with the same
+        hash, basis and pivots, and makes no `rref` call."""
+        cases = [(n, cols) for n in range(7) for size in range(n + 1)
+                 for cols in itertools.combinations(range(n), size)]
+        want = [la.Subspace.from_rows(la.identity(n).take(cols, 0), n, p)
+                for n, cols in cases]
+        calls = []
+        original = la.rref
+        monkeypatch.setattr(la, "rref",
+                            lambda a, p: calls.append(a) or original(a, p))
+        for (n, cols), w in zip(cases, want):
+            u = la.Subspace.coordinate(cols, n, p)
+            assert u == w and hash(u) == hash(w)
+            assert u.pivots == w.pivots == cols
+            assert u.basis.tolist() == w.basis.tolist()
+            assert u.basis.dtype == np.int64 and not u.basis.flags.writeable
+        assert calls == []
+
+    @pytest.mark.parametrize("cols, n, p", [
+        ((0, 0), 2, 3), ((1, 0), 2, 3), ((2,), 2, 3), ((-1,), 2, 3),
+        ((0.5,), 2, 3), (("0",), 2, 3), ([[0]], 2, 3), (0, 2, 3),
+        ((), -1, 3), ((0,), 2, 4), ((), 2, 1), ((0,), 2, 2.0)], ids=[
+        "repeated", "decreasing", "out-of-range", "negative", "float",
+        "string", "nested", "scalar", "negative-ambient", "p=4", "p=1",
+        "p=2.0"])
+    def test_coordinate_refuses_bad_columns_and_moduli(self, cols, n, p):
+        with pytest.raises(ValidationError):
+            la.Subspace.coordinate(cols, n, p)
 
     def test_sum_and_intersection_self(self):
         u = la.Subspace.from_rows([[1, 0, 1], [0, 1, 0]], 3, 2)

@@ -115,7 +115,7 @@ def test_writes_to_the_callers_arrays_do_not_reach_a_flag(a2):
     flag = next(flagvar.iter_flags(m, SEQS[0]))
     arrays = [[u.basis.copy() for u in layer] for layer in flag.layers]
     built = flagvar.FlagOfSubmodules(m, flag.brseq, tuple(
-        tuple(Subspace(u.p, u.ambient, b, u.pivots)
+        tuple(Subspace.from_rows(b, u.ambient, u.p)
               for u, b in zip(layer, row))
         for layer, row in zip(flag.layers, arrays)))
     subs = [u for layer in built.layers for u in layer]

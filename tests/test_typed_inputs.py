@@ -65,6 +65,15 @@ def test_closed_form_count_checks_lengths(no_arrows, brseq):
         flagvar.closed_form_flag_count_no_arrows(no_arrows, 1, 2, brseq)
 
 
+def test_brseq_must_be_a_sequence(a2):
+    """A brseq that is not a sequence raises ValidationError in its one
+    reader, where iterating it raised a bare TypeError."""
+    with pytest.raises(ValidationError, match="bad brseq"):
+        cartan.flag_dimension(a2, 5)
+    with pytest.raises(ValidationError, match="bad brseq"):
+        flagvar.point_count(hmod.free_module(a2, 1, 2, (1, 1)), 3)
+
+
 def test_closed_form_count_still_counts(no_arrows):
     # the Grassmannian of lines in F_2^2 at vertex 1, a point at vertex 2
     assert flagvar.closed_form_flag_count_no_arrows(
