@@ -254,11 +254,11 @@ def build_quiver(datum: CartanDatum, k: int) -> Quiver:
 def euler_form(datum: CartanDatum, a, b, k: int = 1) -> int:
     """<a,b> = sum_i k*c_i*a_i*b_i + sum_{(i,j) in Omega} k*c_i*c_ij*a_j*b_i.
 
-    On rank vectors of locally free modules this equals
-    dim Hom - dim Ext^1 for the algebra with symmetrizer k*D.
+    On rank vectors of locally free modules this equals dim Hom - dim Ext^1
+    for the algebra with symmetrizer k*D; k is read as in `symmetrizer_form`.
     """
-    a = _vec(datum, a)
-    b = _vec(datum, b)
+    k = read_int(k, "k", 1, KTooSmall)
+    a, b = _vec(datum, a), _vec(datum, b)
     total = sum(k * c * x * y for c, x, y in zip(datum.d, a, b))
     for i, j in datum.oriented_pairs():
         total += k * datum.d[i] * datum.c[i][j] * a[j] * b[i]
@@ -266,9 +266,10 @@ def euler_form(datum: CartanDatum, a, b, k: int = 1) -> int:
 
 
 def symmetrizer_form(datum: CartanDatum, a, b, k: int = 1) -> int:
-    """The symmetric form of diag(k*c_1, ..., k*c_n); no arrow terms."""
-    a = _vec(datum, a)
-    b = _vec(datum, b)
+    """The symmetric form of diag(k*c_1, ..., k*c_n); no arrow terms.  k is
+    read by `read_int` (a level below 1 raises KTooSmall)."""
+    k = read_int(k, "k", 1, KTooSmall)
+    a, b = _vec(datum, a), _vec(datum, b)
     return sum(k * c * x * y for c, x, y in zip(datum.d, a, b))
 
 

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cartan import integers, read_int, read_value
 from .errors import (
     DimensionMismatch,
     InternalCheckError,
@@ -117,8 +118,9 @@ def identity(n: int) -> np.ndarray:
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
     """The block-diagonal matrix of the given blocks, in order; a block may
     have no rows or no columns.  Raises ValidationError for a block with
-    entries that are not integers."""
-    blocks = [integer_array(b) for b in blocks]
+    entries that are not integers, DimensionMismatch for one that is not
+    2-D."""
+    blocks = [_matrix(b) for b in blocks]
     out = zeros(sum(b.shape[0] for b in blocks),
                 sum(b.shape[1] for b in blocks))
     row = col = 0
@@ -155,13 +157,12 @@ def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     needs, and squaring stops at its highest.  a may be a stack
     (..., n, n) of matrices, each raised to the power e.  Raises
     DimensionMismatch for matrices that are not square, ValidationError
-    for e < 0."""
+    for an exponent e that is not an integer >= 0 (`read_int`)."""
     a = integer_array(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"matpow needs square matrices, got shape "
                                 f"{a.shape}")
-    if e < 0:
-        raise ValidationError(f"matpow needs an exponent >= 0, got {e}")
+    e = read_int(e, "exponent", 0)
     if e == 0:
         return np.broadcast_to(identity(a.shape[-1]), a.shape).copy()
     base = a % p
@@ -337,9 +338,10 @@ class Subspace:
     def from_rows(rows, ambient: int, p: int) -> "Subspace":
         """The span of the given rows of length `ambient` (a stack of rows
         is read row by row).  Raises ValidationError for entries that are
-        not integers, DimensionMismatch for rows of another length, and
-        the errors of `check_prime` for the modulus, at every ambient
-        dimension."""
+        not integers or an ambient that is not an integer >= 0,
+        DimensionMismatch for rows of another length, and the errors of
+        `check_prime` for the modulus, at every ambient dimension."""
+        ambient = read_int(ambient, "ambient", 0)
         m = integer_array(rows)
         if m.size and m.shape[-1:] != (ambient,):
             raise DimensionMismatch(
@@ -355,13 +357,11 @@ class Subspace:
     def coordinate(columns, ambient: int, p: int) -> "Subspace":
         """The span of the unit vectors at the given columns, with no
         elimination: its basis is those identity rows, its pivots those
-        columns.  Raises ValidationError unless the columns are integers
-        strictly increasing in range(ambient), and the errors of
-        `check_prime` for the modulus."""
-        try:
-            pivots = tuple(map(operator.index, columns))
-        except TypeError as exc:
-            raise ValidationError(f"bad columns: {exc}") from None
+        columns.  Raises ValidationError unless the ambient is an integer
+        >= 0 and the columns are integers strictly increasing in
+        range(ambient), and the errors of `check_prime` for the modulus."""
+        ambient = read_int(ambient, "ambient", 0)
+        pivots = read_value(integers, columns, "bad columns")
         if not all(map(operator.lt, (-1,) + pivots, pivots + (ambient,))):
             raise ValidationError(f"columns {pivots} are not strictly "
                                   f"increasing in range({ambient})")
@@ -385,6 +385,10 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.p, self.ambient, self.basis.tobytes()))
+
+    def __reduce__(self):
+        """A copy or pickle is rebuilt by `from_rows` (read-only basis)."""
+        return Subspace.from_rows, (self.basis, self.ambient, self.p)
 
     def contains_rows(self, vectors) -> bool:
         """Whether U holds every row: their `quotient_coords` are zero."""
@@ -422,13 +426,8 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     """Number of d-dimensional subspaces of F_q^n (exact integer).  Raises
     ValidationError for n, d or q that are not integers and for a field
     size q < 2."""
-    try:
-        n, d, q = map(operator.index, (n, d, q))
-    except TypeError:
-        raise ValidationError(
-            f"gaussian_binomial needs integers, got {(n, d, q)!r}") from None
-    if q < 2:
-        raise ValidationError(f"field size must be >= 2, got {q}")
+    n, d = read_value(integers, (n, d), "bad n or d")
+    q = read_int(q, "q", 2)
     if d < 0 or d > n:
         return 0
     num = 1

@@ -69,6 +69,7 @@ from .cartan import (
     flag_dimension,
     rank_seq,
     read_int,
+    read_value,
 )
 from .errors import (
     BudgetExceeded,
@@ -440,39 +441,32 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
     yield from extend(0)
 
 
-def _sub_rank(rank: RankVector, e) -> RankVector:
-    """e as a rank vector of submodules of a module of rank `rank`."""
+def _grassmannian(m: HModule, e, count: bool):
+    """The free rank-e submodules of m as the two-step flags (e, rank - e)
+    of `_layer_chains` on the standard form of m, with its change of basis
+    (`hmod._standard`).  Raises RankTooLarge unless e <= rank."""
+    rank = hmod.rank_vector(m)
     e = RankVector(e)
     if not (e <= rank):
         raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
-    return e
-
-
-def _charts(m: HModule, rank: RankVector, e: RankVector):
-    """The closed tuples of free rank-e submodules of m, which is in
-    standard form, as the (table, chart) of each vertex (`_closure_search`
-    over every vertex, in vertex order)."""
-    _check_budgets(_entries(m, rank, e, range(m.n)), range(m.n))
-    return _closure_search(m, rank, e, range(m.n), count=False)
+    std, ts = hmod._standard(m)
+    return _layer_chains(std, (e, rank - e), count), ts
 
 
 def iter_locally_free_submodules(m: HModule, e
                                  ) -> Iterator[tuple[Subspace, ...]]:
     """Stream every tuple of per-vertex free submodules of rank e closed
-    under all arrows, exactly once each (charts are disjoint)."""
-    rank = hmod.rank_vector(m)
-    e = _sub_rank(rank, e)
-    std, ts = hmod._standard(m)
-    for pairs in _charts(std, rank, e):
-        yield _chain_layers([pairs], ts, m.p)[0]
+    under all arrows, exactly once each (charts are disjoint): the bottom
+    layers of the two-step flags (e, rank - e)."""
+    chains, ts = _grassmannian(m, e, count=False)
+    for chain in chains:
+        yield _chain_layers(chain, ts, m.p)[0]
 
 
 def count_locally_free_submodules(m: HModule, e) -> int:
-    """Grassmannian point count (`_count_charts`)."""
-    rank = hmod.rank_vector(m)
-    e = _sub_rank(rank, e)
-    std, _ = hmod._standard(m)
-    return _count_charts(std, rank, e)
+    """Grassmannian point count: the number of two-step flags
+    (e, rank - e), counted without enumerating them where it can be."""
+    return sum(_grassmannian(m, e, count=True)[0])
 
 
 def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
@@ -526,7 +520,8 @@ class FlagOfSubmodules:
             value = getattr(self, name)
             if not (isinstance(value, tuple)
                     and all(isinstance(v, tuple) for v in value)):
-                object.__setattr__(self, name, tuple(map(tuple, value)))
+                object.__setattr__(self, name, read_value(
+                    lambda v: tuple(map(tuple, v)), value, f"bad {name}"))
 
     def validate(self) -> None:
         hmod.rank_vector(self.module)   # raises NotLocallyFree
@@ -608,10 +603,10 @@ def _checked_seq(m: HModule, brseq):
 def _layer_chains(m: HModule, seq, count: bool):
     """Depth first over the flags of m, which is in standard form, with
     subquotient ranks seq (which sum to the rank of m): the top proper
-    layer runs over the closed charts of the Grassmannian, and the rest
-    recurses inside the `hmod._restrict` of m to each, in the basis of its
-    chart rows B_i, with no split, normalization, elimination or
-    validation.
+    layer runs over the closed charts of the Grassmannian (`_closure_search`
+    over every vertex, each budgeted), and the rest recurses inside the
+    `hmod._restrict` of m to each, in the basis of its chart rows B_i, with
+    no split, normalization, elimination or validation.
 
     That record is valid by construction (see `hmod._restrict`): the
     chart rows are the identity on their pivot columns P_i and span an
@@ -628,8 +623,8 @@ def _layer_chains(m: HModule, seq, count: bool):
     Yields each flag as its layers' (table, chart) pairs per vertex,
     bottom first, each in the chart basis of the layer above it (the top
     one in the coordinates of m), or with count=True, numbers of flags
-    that sum to the total; a two-step sequence is counted in closed form
-    where it can be."""
+    that sum to the total; a two-step sequence, the Grassmannian of its
+    first rank, is counted in closed form where it can be."""
     if len(seq) == 1:
         yield 1 if count else []
         return
@@ -638,7 +633,8 @@ def _layer_chains(m: HModule, seq, count: bool):
     if len(seq) == 2 and count:
         yield _count_charts(m, rank, top_rank)
         return
-    for pairs in _charts(m, rank, top_rank):
+    _check_budgets(_entries(m, rank, top_rank, range(m.n)), range(m.n))
+    for pairs in _closure_search(m, rank, top_rank, range(m.n), count=False):
         if len(seq) == 2:
             yield [pairs]
             continue
@@ -835,7 +831,7 @@ def _reduction_data(m: HModule) -> _ReductionData:
         mbar = red.module
         hmod.rank_vector(mbar)
         shadow = reduction._quotient_at_level(mbar, 1)
-        blocks = tuple(map(hmod._frozen, reduction._eps_powers(m, m.k - 1)))
+        blocks = tuple(map(hmod._frozen, hmod.epsilon_blocks(m, m.k - 1)))
         data = _ReductionData(red, shadow, blocks)
         _REDUCTION_DATA[m] = data
     return data
@@ -1005,8 +1001,9 @@ def _fiber_expected_dimension(shadow: hmod.Quotient,
 
 def check_primes(primes) -> tuple[int, ...]:
     """primes as a tuple, each a supported prime (`la.check_prime`), with
-    no repeat: a count is refused before it starts, not after."""
-    primes = tuple(primes)
+    no repeat: a count is refused before it starts, not after.  primes
+    that are not a sequence raise ValidationError."""
+    primes = read_value(tuple, primes, "bad primes")
     for q in primes:
         la.check_prime(q)
     if len(set(primes)) != len(primes):
@@ -1041,9 +1038,9 @@ def bundle_ratio_check(m: HModule, brseq, primes=(2, 3)
     if m.k < 2:
         raise KTooSmall("bundle check compares level k with k - 1")
     seq = rank_seq(brseq, m.n)
+    primes = check_primes(primes)
     if not primes:
         raise NotEnoughPrimes("bundle check needs at least one prime")
-    primes = check_primes(primes)
     d = flag_dimension(m.datum, seq)
     rows = []
     for q in primes:
@@ -1109,6 +1106,7 @@ def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
     degree_bound = (max(m.k * d, 0) if degree_bound is None else
                     read_int(degree_bound, "degree_bound", 0))
     needed = degree_bound + 2
+    primes = read_value(tuple, primes, "bad primes")
     if len(primes) < needed:
         raise NotEnoughPrimes(
             f"need {needed} primes for degree bound {degree_bound}")

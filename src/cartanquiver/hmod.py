@@ -42,7 +42,8 @@ import math
 import operator
 import types
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from collections.abc import Iterator, Mapping
+from typing import Optional
 
 import numpy as np
 
@@ -146,35 +147,42 @@ def _jordan_order(x: np.ndarray) -> int:
 
 
 def make_module(datum: CartanDatum, k: int, p: int, eps, arrows) -> HModule:
-    """Assemble and validate a module from raw matrices."""
+    """Assemble and validate a module from a sequence of loop matrices and a
+    mapping (or None) from oriented pairs to sequences of arrow matrices."""
     la.check_prime(p)
     k = read_int(k, "k", 1, KTooSmall)
-    eps_t = tuple(_frozen(la.integer_array(e) % p) for e in eps)
+    eps_t = tuple(_frozen(la.integer_array(e) % p)
+                  for e in read_value(tuple, eps, "bad loop matrices"))
     if len(eps_t) != datum.n:
         raise ShapeMismatch(
             f"need {datum.n} loop matrices, got {len(eps_t)}")
     dims = tuple(e.shape[0] for e in eps_t)
+    arrows = {} if arrows is None else arrows
+    _check_pairs(arrows, datum.oriented_pairs(), "arrow matrices")
     arr = {}
     for i, j in datum.oriented_pairs():
-        mats = arrows.get((i, j), None) if arrows else None
+        mats = arrows.get((i, j))
         g_count = datum.g(i, j)
         if mats is None:
             mats = [la.zeros(dims[i], dims[j]) for _ in range(g_count)]
+        mats = read_value(tuple, mats, f"bad arrows ({i + 1},{j + 1})")
         if len(mats) != g_count:
             raise ShapeMismatch(
                 f"pair ({i + 1},{j + 1}) needs {g_count} arrow matrices")
         arr[(i, j)] = tuple(
             _frozen(la.integer_array(a) % p) for a in mats)
-    _check_pairs(arrows or {}, arr, "arrow matrices")
     mod = HModule(datum, k, p, dims, eps_t, types.MappingProxyType(arr))
     validate_module(mod)
     return mod
 
 
-def _check_pairs(given: dict, pairs: dict, what: str) -> None:
-    """Raise ShapeMismatch for keys of `given` that are not keys of
-    `pairs`, the oriented pairs."""
-    extra = given.keys() - pairs.keys()
+def _check_pairs(given, pairs, what: str) -> None:
+    """Raise ValidationError unless `given` is a mapping, and ShapeMismatch
+    for its keys that are not among `pairs`, the oriented pairs."""
+    if not isinstance(given, Mapping):
+        raise ValidationError(f"{what} must map oriented pairs, got "
+                              f"{type(given).__name__}")
+    extra = given.keys() - set(pairs)
     if extra:
         names = ", ".join(f"({i + 1},{j + 1})" for i, j in sorted(extra))
         raise ShapeMismatch(
@@ -253,12 +261,9 @@ def _standard_loop(order: int, r: int) -> np.ndarray:
 
 
 def free_module(datum: CartanDatum, k: int, p: int, r) -> HModule:
-    """E^r: rank r_i free column at each vertex, all arrow matrices zero."""
-    r = RankVector(r)
-    if len(r) != datum.n:
-        raise ShapeMismatch(f"rank vector length {len(r)} != {datum.n}")
-    eps = [_standard_loop(k * datum.d[i], r[i]) for i in range(datum.n)]
-    return make_module(datum, k, p, eps, {})
+    """E^r, rank r_i free at each vertex with all arrows zero: the module of
+    the zero structure, read and checked by `structure_from_arrays`."""
+    return from_structure_matrices(structure_from_arrays(datum, k, p, r, {}))
 
 
 def free_basis(nil: np.ndarray, order: int, p: int) -> np.ndarray:
@@ -288,7 +293,7 @@ def normalize(m: HModule) -> tuple[HModule, tuple[np.ndarray, ...]]:
     if not is_locally_free(m):
         raise NotLocallyFree("cannot normalize a non-free loop action")
     ts = [free_basis(m.eps[i], m.loop_order(i), m.p) for i in range(m.n)]
-    tinv = [la.inv(t, m.p) if t.size else t.reshape(0, 0) for t in ts]
+    tinv = [la.inv(t, m.p) for t in ts]
     eps = [((tinv[i] @ m.eps[i]) % m.p @ ts[i]) % m.p for i in range(m.n)]
     arrows = {key: tuple(((tinv[key[0]] @ a) % m.p @ ts[key[1]]) % m.p
                          for a in mats)
@@ -344,6 +349,9 @@ def structure_parameter_count(datum: CartanDatum, k: int, r) -> int:
 
 def structure_from_arrays(datum: CartanDatum, k: int, p: int, r,
                           mats) -> StructureMatrices:
+    """The structure of rank r with the given ring matrices per oriented
+    pair (zero for a pair left out), read mod p once p is checked."""
+    la.check_prime(p)
     r = RankVector(r)
     shapes = _structure_shapes(datum, k, r)
     _check_pairs(mats, shapes, "structure matrix")
@@ -452,6 +460,7 @@ def to_structure_matrices(m: HModule) -> StructureMatrices:
 
 def random_structure(datum: CartanDatum, k: int, p: int, r,
                      seed) -> StructureMatrices:
+    la.check_prime(p)
     rng = la.rng_from(seed)
     r = RankVector(r)
     mats = {key: rng.integers(0, p, size=shape)
@@ -469,6 +478,7 @@ def iter_structure_matrices(datum: CartanDatum, k: int, p: int, r
                             ) -> Iterator[StructureMatrices]:
     """All points of the structure-matrix space, in lexicographic order:
     the digits of point c, least significant first, in sorted pair order."""
+    la.check_prime(p)
     r = RankVector(r)
     shapes = _structure_shapes(datum, k, r)
     keys = sorted(shapes)
@@ -633,13 +643,14 @@ def sub_quotient(m: HModule, subspaces) -> SubQuotient:
 
 # --- the central nilpotent and reduction mod other primes -------------------
 
-def epsilon_blocks(m: HModule) -> tuple[np.ndarray, ...]:
-    """Per-vertex action of the central nilpotent: Eps_i ** c_i.
+def epsilon_blocks(m: HModule, a: int = 1) -> tuple[np.ndarray, ...]:
+    """Per-vertex action of eps^a, the a-th power of the central nilpotent
+    eps = sum_i eps_i^(c_i): Eps_i ** (a*c_i), one `matpow` per vertex.
 
-    The block-diagonal of these commutes with every structure map and its
-    k-th power vanishes.
+    The block-diagonal of these commutes with every structure map and
+    vanishes for a >= k.
     """
-    return tuple(la.matpow(m.eps[i], m.datum.d[i], m.p) for i in range(m.n))
+    return tuple(la.matpow(x, a * c, m.p) for x, c in zip(m.eps, m.datum.d))
 
 
 def reduce_mod_p(m: HModule, p_new: int) -> HModule:

@@ -328,7 +328,7 @@ def are_isomorphic(m: HModule, n: HModule, seed=0) -> IsoResult:
     if m.dims != n.dims:
         return IsoResult(False, True)
     if hmod.modules_equal(m, n):
-        return IsoResult(True, True, tuple(la.identity(d) for d in m.dims))
+        return IsoResult(True, True, identity_hom(m))
     basis = hom_space(m, n)
     if basis.dim == 0:
         return IsoResult(False, True)

@@ -41,21 +41,15 @@ def reduce(m: HModule) -> hmod.Quotient:
     return _quotient_at_level(m, m.k - 1)
 
 
-def _eps_powers(m: HModule, a: int) -> tuple[np.ndarray, ...]:
-    """The blocks Eps_i^(a*c_i) of eps^a, the a-th powers of
-    `hmod.epsilon_blocks`."""
-    return tuple(la.matpow(b, a, m.p) for b in hmod.epsilon_blocks(m))
-
-
 def _quotient_at_level(m: HModule, a: int) -> hmod.Quotient:
     """M / eps^a M (1 <= a <= k), cut by `hmod.quotient` at level a along
     eps^a M.  For a module in standard form, eps^a M_i is the coordinate
     subspace of loop degree >= a*c_i (a submodule because eps is central),
     and each block is its map's slice on the lower degrees; for any other
-    module it is the image of `_eps_powers`."""
+    module it is the image of `hmod.epsilon_blocks(m, a)`."""
     if not m.standard_form:
         return hmod.quotient(
-            m, [la.image(x, m.p) for x in _eps_powers(m, a)], a)
+            m, [la.image(x, m.p) for x in hmod.epsilon_blocks(m, a)], a)
     return hmod.quotient(m, [
         la.Subspace.coordinate([c for c in range(d)
                                 if c % m.loop_order(i) >= a * m.datum.d[i]],
@@ -162,11 +156,8 @@ def epsilon_filtration_check(m: HModule) -> EpsilonFiltrationReport:
     dimension vector and eps maps each onto the next bijectively."""
     if not hmod.is_locally_free(m):
         raise NotLocallyFree("filtration check needs a locally free module")
-    blocks = hmod.epsilon_blocks(m)
-    ranks = []
-    for j in range(m.k + 1):
-        ranks.append([la.rank(la.matpow(blocks[i], j, m.p), m.p)
-                      for i in range(m.n)])
+    ranks = [[la.rank(x, m.p) for x in hmod.epsilon_blocks(m, j)]
+             for j in range(m.k + 1)]
     layer_dims = tuple(
         tuple(ranks[j][i] - ranks[j + 1][i] for i in range(m.n))
         for j in range(m.k))

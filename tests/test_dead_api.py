@@ -243,6 +243,9 @@ REMOVED_NAMES = [
     (la, "_frozen_int64"),
     (la.Subspace, "__post_init__"),
     (la, "inv_mod"),
+    (reduction, "_eps_powers"),
+    (flagvar, "_charts"),
+    (flagvar, "_sub_rank"),
 ]
 
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -725,6 +727,20 @@ class TestSubspace:
         assert np.array_equal(coords[0], [2, 1])
         with pytest.raises(DimensionMismatch):
             coordinates_rows(u, np.array([0, 0, 1]))
+
+    def test_copies_keep_a_read_only_basis(self):
+        """A deep copy and a pickle round trip rebuild the subspace through
+        `from_rows`: equal, with the same hash and pivots, and a read-only
+        basis, so a write cannot change the copy's hash."""
+        for u in (la.Subspace.from_rows([[1, 2, 0], [0, 0, 1]], 3, 5),
+                  la.Subspace.coordinate((1,), 3, 5), la.Subspace.zero(0, 2)):
+            for v in (copy.deepcopy(u), copy.copy(u),
+                      pickle.loads(pickle.dumps(u))):
+                assert v == u and hash(v) == hash(u) and v.pivots == u.pivots
+                assert not v.basis.flags.writeable
+                if v.basis.size:
+                    with pytest.raises(ValueError):
+                        v.basis[0, 0] = 3
 
 
 def brute_span(rows, p):

@@ -1737,6 +1737,8 @@ class TestPrimesCheckedBeforeCounting:
         ((3, 3, 5, 7, 11, 13), ValidationError, "primes must be distinct"),
         # counted at 2 and 3, then NotPrime
         ((2, 3, 4, 5, 7, 11), NotPrime, "modulus 4 is not prime"),
+        # before, a bare TypeError ("has no len()")
+        (5, ValidationError, "bad primes"),
     ])
     def test_counting_polynomial_primes(self, a2, counted, primes, error,
                                         needle):
@@ -1758,7 +1760,8 @@ class TestPrimesCheckedBeforeCounting:
 
     @pytest.mark.parametrize("primes,error", [
         ((3, 2, 3), ValidationError),
-        ((2, 4), NotPrime)])     # before, counted at 2, then NotPrime
+        ((2, 4), NotPrime),      # before, counted at 2, then NotPrime
+        (5, ValidationError)])   # before, a bare TypeError
     def test_bundle_ratio_primes(self, a2, counted, primes, error):
         m = rigid_module(a2, 2, 2, (1, 1), seed=9)
         with pytest.raises(error):
@@ -1770,6 +1773,20 @@ class TestPrimesCheckedBeforeCounting:
         assert flagvar.check_primes(()) == ()
         with pytest.raises(ValidationError, match=r"got \(2, 3, 2\)"):
             flagvar.check_primes([2, 3, 2])
+
+    def test_primes_may_be_an_iterator(self, a2):
+        """An iterator of primes is read as the tuple it yields: before,
+        counting_polynomial raised a bare TypeError ("has no len()")."""
+        m = n_module(a2, 2, 5)
+        seq = [(1, 1), (1, 1)]
+        primes = (2, 3, 5, 7, 11, 13)
+        assert (flagvar.counting_polynomial(m, seq, primes=iter(primes))
+                .counts == flagvar.counting_polynomial(m, seq).counts)
+        m = rigid_module(a2, 2, 2, (1, 1), seed=9)
+        assert (flagvar.bundle_ratio_check(m, seq, primes=iter((2, 3))).rows
+                == flagvar.bundle_ratio_check(m, seq, primes=(2, 3)).rows)
+        with pytest.raises(NotEnoughPrimes):
+            flagvar.bundle_ratio_check(m, seq, primes=iter(()))
 
 
 class TestCountMonotonicity:

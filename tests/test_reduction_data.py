@@ -276,10 +276,10 @@ class TestMemo:
                                        SEQS[0]))
         original = hmod.epsilon_blocks
 
-        def broken(mod):
+        def broken(mod, a=1):
             if mod is m:
                 raise InternalCheckError("no blocks")
-            return original(mod)
+            return original(mod, a)
 
         monkeypatch.setattr(hmod, "epsilon_blocks", broken)
         for _ in range(2):
@@ -299,9 +299,9 @@ class TestMemo:
         base = next(flagvar.iter_flags(reduction.reduce(m).module,
                                        SEQS[0]))
         original = hmod.epsilon_blocks
-        monkeypatch.setattr(hmod, "epsilon_blocks", lambda mod: tuple(
-            np.zeros_like(b) for b in original(mod)) if mod is m
-            else original(mod))
+        monkeypatch.setattr(hmod, "epsilon_blocks", lambda mod, a=1: tuple(
+            np.zeros_like(b) for b in original(mod, a)) if mod is m
+            else original(mod, a))
         for _ in range(2):
             with pytest.raises(FlagNotInReduction,
                                match="free over the center"):

@@ -11,10 +11,12 @@ from cartanquiver import exactlinalg as la
 from cartanquiver.cartan import RankVector
 from cartanquiver.errors import (
     DatumMismatch,
+    DimensionMismatch,
     KTooSmall,
     LengthMismatch,
     NotAHomomorphism,
     NotPrime,
+    ShapeMismatch,
     ValidationError,
 )
 
@@ -299,6 +301,27 @@ INTEGER_PARAMETERS = {
     "parameter_estimate-samples": (
         lambda a2, no_arrows, v: homext.parameter_estimate(
             a2, 1, 2, (1, 0), samples=v), 1, ValidationError),
+    "euler_form-k": (
+        lambda a2, no_arrows, v: cartan.euler_form(a2, (1, 1), (1, 1), k=v),
+        1, KTooSmall),
+    "symmetrizer_form-k": (
+        lambda a2, no_arrows, v: cartan.symmetrizer_form(
+            a2, (1, 1), (1, 1), k=v), 1, KTooSmall),
+    "free_module-k": (
+        lambda a2, no_arrows, v: hmod.free_module(a2, v, 3, (1, 1)), 1,
+        KTooSmall),
+    "matpow-exponent": (
+        lambda a2, no_arrows, v: la.matpow(la.identity(2), v, 3), 0,
+        ValidationError),
+    "from_rows-ambient": (
+        lambda a2, no_arrows, v: la.Subspace.from_rows(la.zeros(0, 0), v, 3),
+        0, ValidationError),
+    "coordinate-ambient": (
+        lambda a2, no_arrows, v: la.Subspace.coordinate((), v, 3), 0,
+        ValidationError),
+    "gaussian_binomial-q": (
+        lambda a2, no_arrows, v: la.gaussian_binomial(3, 1, v), 2,
+        ValidationError),
 }
 
 
@@ -334,3 +357,51 @@ def test_gaussian_binomial_needs_a_field_size(args):
     with pytest.raises(ValidationError):
         la.gaussian_binomial(*args)
     assert la.gaussian_binomial(np.int64(3), 1, 2) == 7
+
+
+READERS = {
+    "make_module-loops-not-a-sequence": (
+        lambda a2: hmod.make_module(a2, 1, 3, 5, {}), ValidationError),
+    "make_module-arrows-not-a-mapping": (
+        lambda a2: hmod.make_module(a2, 1, 3, [la.zeros(1, 1)] * 2,
+                                    [[la.zeros(1, 1)]]), ValidationError),
+    "make_module-arrows-an-array": (
+        lambda a2: hmod.make_module(a2, 1, 3, [la.zeros(1, 1)] * 2,
+                                    np.zeros((1, 1, 1))), ValidationError),
+    "make_module-arrows-an-empty-list": (
+        lambda a2: hmod.make_module(a2, 1, 3, [la.zeros(1, 1)] * 2, []),
+        ValidationError),
+    "make_module-arrow-list-not-a-sequence": (
+        lambda a2: hmod.make_module(a2, 1, 3, [la.zeros(1, 1)] * 2,
+                                    {(0, 1): 5}), ValidationError),
+    "structure_from_arrays-not-a-mapping": (
+        lambda a2: hmod.structure_from_arrays(a2, 1, 3, (1, 1), [1]),
+        ValidationError),
+    "random_locally_free-modulus": (
+        lambda a2: hmod.random_locally_free(a2, 1, "x", (1, 1), 0), NotPrime),
+    "iter_structure_matrices-modulus": (
+        lambda a2: next(hmod.iter_structure_matrices(a2, 1, "x", (1, 1))),
+        NotPrime),
+    "free_module-modulus": (
+        lambda a2: hmod.free_module(a2, 1, "x", (1, 1)), NotPrime),
+    "free_module-rank-length": (
+        lambda a2: hmod.free_module(a2, 1, 3, (1, 1, 1)), ShapeMismatch),
+    "block_diag-not-a-matrix": (
+        lambda a2: la.block_diag([1, 2]), DimensionMismatch),
+    "flag-layers-not-a-sequence": (
+        lambda a2: flagvar.FlagOfSubmodules(
+            hmod.free_module(a2, 1, 3, (1, 1)), ((1, 0), (0, 1)), None),
+        ValidationError),
+}
+
+
+@pytest.mark.parametrize("call,error", READERS.values(), ids=READERS.keys())
+def test_readers_check_containers_and_modulus_first(a2, call, error):
+    """Module and structure readers check their containers and modulus
+    before they use them: each input but the two `free_module` ones raised
+    a bare TypeError, ValueError, AttributeError or IndexError, or (an empty
+    list of arrows) no error, where the documented type is due;
+    `free_module` keeps the errors it raised."""
+    with pytest.raises(ValidationError) as excinfo:
+        call(a2)
+    assert excinfo.type is error
