@@ -91,8 +91,11 @@ def check_prime(p: int) -> int:
 def integer_array(a) -> np.ndarray:
     """a as an int64 array.  Raises ValidationError when its entries are not
     integers (bool counts as integer; an empty array of any dtype is
-    accepted), where a cast would truncate them."""
-    m = np.asarray(a)
+    accepted), where a cast would truncate them, or when a is ragged."""
+    try:
+        m = np.asarray(a)
+    except ValueError as exc:
+        raise ValidationError(f"expected an integer array: {exc}") from exc
     if m.dtype.kind not in "biu" and m.size:
         raise ValidationError(
             f"expected integer entries, got dtype {m.dtype}")
@@ -448,15 +451,20 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]],
     """Integer-coefficient polynomial through (q, value) points.
 
     Interpolates on the first degree_bound + 1 points and checks the rest;
-    raises NonIntegerCoefficient when the unique interpolant is not an
-    integer polynomial, OverdeterminedMismatch when a surplus point
+    raises ValidationError for points that are not integer pairs or a
+    bound below 0, NonIntegerCoefficient when the unique interpolant is not
+    an integer polynomial, OverdeterminedMismatch when a surplus point
     disagrees.  Coefficients are returned in ascending degree.
     """
+    points = read_value(lambda ps: [(q, v) for q, v in map(integers, ps)],
+                        points, "bad points")
     qs = [q for q, _ in points]
     if len(set(qs)) != len(qs):
         raise DimensionMismatch("interpolation points must be distinct")
     if degree_bound is None:
         degree_bound = len(points) - 1
+    else:
+        degree_bound = read_int(degree_bound, "degree_bound", 0)
     if degree_bound < 0 or len(points) < degree_bound + 1:
         raise DimensionMismatch(
             f"need {degree_bound + 1} points, got {len(points)}")

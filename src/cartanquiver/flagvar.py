@@ -10,20 +10,21 @@ cached entry, which alone fixes its chart count, its block size and
 whether its blocks are kept (up to a size limit), and holds the one
 encoding of its charts: per pivot pattern, the rows B_0 + sum_s c_s U_s,
 affine in the pattern's free coefficients c.  One backtracking search,
-which iterates or counts, tests a block of candidates at a time for
-arrow closure across vertices, and evaluates each block from that stack
-(with no elimination: the rows of a chart are the identity on its pivot
+which only iterates, tests a block of candidates at a time for arrow
+closure across vertices, and evaluates each block from that stack (with
+no elimination: the rows of a chart are the identity on its pivot
 columns, which is all a closure test needs) when it first reaches it, so
 a search that stops early builds only the blocks it read; only the
-candidates a search yields are reduced to canonical subspaces, once per
+candidates a stream yields are reduced to canonical subspaces, once per
 block.  One residue computation tests closure, on a block or on the
-stack, where it is affine in c: so a count does not build its vertex
-with the most candidates when that has more than _BLOCK_TEST_CHARTS, and
-per tuple of the other vertices one exact solve over F_p per pattern
-gives its closed charts, p^(slots - rank) or none.  A search refuses to
-start, with BudgetExceeded, when a vertex it enumerates has more than
-VERTEX_CANDIDATE_BUDGET candidates; a vertex a count takes in closed
-form (no active arrow) or solves is never refused.  Flags recurse inside
+stack, where it is affine in c.  A count searches its coupled vertices
+but the one with the most candidates, and per closed tuple counts that
+one's closed charts, by its blocks or, above _BLOCK_TEST_CHARTS, unbuilt,
+by one exact solve over F_p per pattern: p^(slots - rank) or none.  A
+search refuses to start, with BudgetExceeded, when a vertex it
+enumerates has more than VERTEX_CANDIDATE_BUDGET candidates; a vertex a
+count takes in closed form (no active arrow) or solves is never
+refused.  Flags recurse inside
 each closed top layer in the basis of its chart rows, where the
 submodule is valid by construction (`hmod._restrict`), so no inner layer
 is split, normalized, eliminated or validated.  Flags of length l are
@@ -399,15 +400,12 @@ def _solved_count(affine: _AffineCharts, p: int, v: int, tests,
 
 
 def _closure_search(m: HModule, rank: RankVector, e: RankVector,
-                    order: Sequence[int], count: bool, solve: bool = False):
+                    order: Sequence[int]):
     """Backtracking over the candidates of the vertices in `order`, a block
     at a time (`_candidate_blocks`): each block is tested at once against
     the active arrows to the vertices already chosen.  Yields the closed
-    tuples in chart order, each as the chosen (table, chart) of every
-    vertex of m, or with count=True, for each block of the last vertex,
-    the number of closed tuples it completes; with solve=True too, the
-    last vertex is not enumerated, and for each closed tuple of the
-    others its number of closed charts is yielded (`_solved_count`)."""
+    tuples in chart order, each as a dict of the chosen (table, chart) of
+    every vertex in `order`, in that order, which `_residues` reads."""
     active = _active_arrows(m, rank, e)
     levels = []
     placed: set[int] = set()
@@ -417,23 +415,15 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
                  if v in (i, j) and {i, j} <= placed]
         levels.append((v, (m.loop_order(v), rank[v], e[v], m.p), tests))
     chosen: dict[int, tuple[_CandidateTable, int]] = {}
-    affine = _vertex_candidates(*levels[-1][1]).affine if solve else None
 
     def extend(idx: int):
         v, key, tests = levels[idx]
         last = idx + 1 == len(levels)
-        if last and solve:
-            yield _solved_count(affine, m.p, v, tests, chosen)
-            return
         for block in _candidate_blocks(key):
-            ok = _closed(block, v, tests, chosen)
-            if last and count:
-                yield int(np.count_nonzero(ok))
-                continue
-            for t in np.flatnonzero(ok).tolist():
+            for t in np.flatnonzero(_closed(block, v, tests, chosen)).tolist():
                 chosen[v] = block, t
                 if last:
-                    yield tuple(chosen[u] for u in range(m.n))
+                    yield dict(chosen)
                 else:
                     yield from extend(idx + 1)
         chosen.pop(v, None)
@@ -471,17 +461,17 @@ def count_locally_free_submodules(m: HModule, e) -> int:
 
 def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
     """The number of closed tuples of free rank-e submodules of m, which is
-    in standard form, with the unconstrained vertices counted in closed
-    form (`_free_submodule_count`), their entries never built.  The
-    vertices touched by an active arrow are enumerated, keys whose blocks
-    are not kept first (built once), then by ascending
-    candidate count, except the one with the most candidates when it has
-    more than _BLOCK_TEST_CHARTS: that one comes last and is solved per
-    tuple of the others (`_solved_count`), never built or budgeted.  With
-    no vertex solved, the last one is tested a block at a time, which
-    costs less than a solve on small keys."""
-    coupled = {v for (i, j, _) in _active_arrows(m, rank, e)
-               for v in (i, j)}
+    in standard form, the one place that counts: the unconstrained
+    vertices in closed form (`_free_submodule_count`), their entries never
+    built; the other vertices touched by an active arrow but the one with
+    the most candidates, `top`, by `_closure_search`, keys whose blocks are
+    not kept first (built once), then by ascending candidate count; and
+    per closed tuple of those, the closed charts of `top`.  Above
+    _BLOCK_TEST_CHARTS these are solved (`_solved_count`), and `top` is
+    never built or budgeted; else its blocks are tested, which costs less
+    than a solve on small keys."""
+    active = _active_arrows(m, rank, e)
+    coupled = {v for (i, j, _) in active for v in (i, j)}
     free_factor = 1
     for i in range(m.n):
         if i not in coupled:
@@ -490,16 +480,22 @@ def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
     if not coupled:
         return free_factor
     entries = _entries(m, rank, e, coupled)
-    order = sorted(coupled, key=lambda v: (
-        entries[v].blocks is not None, entries[v].charts, v))
     top = max(coupled, key=lambda v: (entries[v].charts, v))
+    order = sorted(coupled - {top}, key=lambda v: (
+        entries[v].blocks is not None, entries[v].charts, v))
     solve = entries[top].charts > _BLOCK_TEST_CHARTS
-    if solve:
-        order.remove(top)
-    _check_budgets(entries, order)
-    return free_factor * sum(_closure_search(
-        m, rank, e, order + [top] if solve else order, count=True,
-        solve=solve))
+    _check_budgets(entries, order if solve else order + [top])
+    key = (m.loop_order(top), rank[top], e[top], m.p)
+    tests = [(i, j, a) for i, j, a in active if top in (i, j)]
+    total = 0
+    for chosen in _closure_search(m, rank, e, order):
+        if solve:
+            total += _solved_count(entries[top].affine, m.p, top, tests,
+                                   chosen)
+            continue
+        for block in _candidate_blocks(key):
+            total += int(np.count_nonzero(_closed(block, top, tests, chosen)))
+    return free_factor * total
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,11 +616,11 @@ def _layer_chains(m: HModule, seq, count: bool):
     the standard Jordan matrix, and the record is a locally free module in
     standard form, of the rank of the top layer.
 
-    Yields each flag as its layers' (table, chart) pairs per vertex,
-    bottom first, each in the chart basis of the layer above it (the top
-    one in the coordinates of m), or with count=True, numbers of flags
-    that sum to the total; a two-step sequence, the Grassmannian of its
-    first rank, is counted in closed form where it can be."""
+    Yields each flag as its layers' (table, chart) pairs per vertex (the
+    top one's read off the tuple the search yields), bottom first, each in
+    the chart basis of the layer above it (the top one in the coordinates
+    of m), or with count=True, numbers of flags that sum to the total, a
+    two-step sequence counted by `_count_charts`."""
     if len(seq) == 1:
         yield 1 if count else []
         return
@@ -634,7 +630,8 @@ def _layer_chains(m: HModule, seq, count: bool):
         yield _count_charts(m, rank, top_rank)
         return
     _check_budgets(_entries(m, rank, top_rank, range(m.n)), range(m.n))
-    for pairs in _closure_search(m, rank, top_rank, range(m.n), count=False):
+    for chosen in _closure_search(m, rank, top_rank, range(m.n)):
+        pairs = tuple(chosen.values())
         if len(seq) == 2:
             yield [pairs]
             continue
@@ -684,10 +681,10 @@ def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
 
 def point_count(m: HModule, brseq) -> int:
     """Number of flags, by the recursion of `iter_flags`; its innermost
-    two-step sequence is counted without enumerating the points
-    (`_count_charts`).  VERTEX_CANDIDATE_BUDGET bounds only the vertices
-    that are enumerated: every vertex of the layers above the innermost
-    two steps, and in those the coupled vertices that are not solved."""
+    two-step sequence is counted by `_count_charts`, without enumerating
+    the points.  VERTEX_CANDIDATE_BUDGET bounds only the vertices that are
+    enumerated: every vertex of the layers above the innermost two steps,
+    and in those the coupled vertices that are not solved."""
     seq = _checked_seq(m, brseq)
     if seq is None:
         return 0

@@ -452,17 +452,16 @@ class _CallTable:
                 hmod.iter_structure_matrices(self.datum, self.k, self.p, r))
         return self.spaces[r]
 
-    def structure_space(self, r, samples: int, seed):
-        """hmod.structure_space of r at hmod.STRUCTURE_SPACE_BUDGET, with
-        the shared modules when the space has at most PAIR_SPACE_BUDGET
-        points."""
-        budget = hmod.STRUCTURE_SPACE_BUDGET
+    def structure_space(self, r, seed):
+        """hmod.structure_space of r with the call's samples, or the shared
+        modules when the space has at most PAIR_SPACE_BUDGET points and
+        hmod.STRUCTURE_SPACE_BUDGET."""
         size = self.p ** hmod.structure_parameter_count(self.datum, self.k,
                                                         r)
-        if size <= min(budget, PAIR_SPACE_BUDGET):
+        if size <= min(hmod.STRUCTURE_SPACE_BUDGET, PAIR_SPACE_BUDGET):
             return True, self.space(r)
-        return hmod.structure_space(self.datum, self.k, self.p, r, budget,
-                                    samples, seed)
+        return hmod.structure_space(self.datum, self.k, self.p, r,
+                                    self.samples, seed)
 
     def undecided(self, r, census):
         """Per point of the exhaustive space of r, in scan order: its module
@@ -575,7 +574,7 @@ def _schur_root(table: _CallTable, r: RankVector, seed, census=None
     built (or read off the table) and decided, with the seeds of the
     scan."""
     if census is None:
-        exhaustive, modules = table.structure_space(r, table.samples, seed)
+        exhaustive, modules = table.structure_space(r, seed)
         census = itertools.repeat(None)
     else:
         exhaustive, modules = True, table.undecided(r, census)
@@ -655,8 +654,8 @@ def _decompose(table: _CallTable, r: RankVector, seed
                ) -> DecompositionReport:
     """`canonical_decomposition` of r; one table serves the scan, the Schur
     checks, the Ext checks and the splitting recursion of the call."""
-    datum, k, p, samples = table.datum, table.k, table.p, table.samples
-    exhaustive, modules = table.structure_space(r, samples, seed)
+    datum, k, p = table.datum, table.k, table.p
+    exhaustive, modules = table.structure_space(r, seed)
     if r.total() == 0:
         return DecompositionReport(r, (), p, k, 0, True, 1.0, seed)
     counter: collections.Counter = collections.Counter()

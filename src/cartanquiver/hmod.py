@@ -496,12 +496,12 @@ def iter_structure_matrices(datum: CartanDatum, k: int, p: int, r
 STRUCTURE_SPACE_BUDGET = 2 ** 22
 
 
-def structure_space(datum: CartanDatum, k: int, p: int, r, budget: int,
-                    samples: int, seed) -> tuple[bool, Iterator[HModule]]:
-    """(exhaustive, modules): a generator of every point of the space in
-    iter_structure_matrices order when it has at most `budget` points,
-    else of the `samples` modules random_locally_free(..., (seed, t))."""
-    if p ** structure_parameter_count(datum, k, r) > budget:
+def structure_space(datum: CartanDatum, k: int, p: int, r, samples: int,
+                    seed) -> tuple[bool, Iterator[HModule]]:
+    """(exhaustive, modules): a generator of the points of the space in
+    iter_structure_matrices order if at most STRUCTURE_SPACE_BUDGET, else
+    of the modules random_locally_free(..., (seed, t)) for t < samples."""
+    if p ** structure_parameter_count(datum, k, r) > STRUCTURE_SPACE_BUDGET:
         return False, (random_locally_free(datum, k, p, r, (seed, t))
                        for t in range(samples))
     return True, (from_structure_matrices(s)
@@ -521,6 +521,8 @@ def direct_sum(a: HModule, b: HModule) -> HModule:
 
 
 def _same_algebra(a: HModule, b: HModule):
+    if not (isinstance(a, HModule) and isinstance(b, HModule)):
+        raise ValidationError("expected two modules (HModule)")
     if a.datum != b.datum or a.k != b.k or a.p != b.p:
         raise DatumMismatch("modules live over different algebras")
 
@@ -566,16 +568,19 @@ def _blocks(label: str, x: np.ndarray, u_j: la.Subspace, u_i: la.Subspace
             _frozen(qx.take(u_j.off_pivots, 1)))
 
 
-def _split_blocks(m: HModule, subspaces, maps) -> tuple[list, list]:
+def _split_blocks(m: HModule, subspaces, maps) -> tuple[tuple, list]:
     """The checked block pass of a split of m along per-vertex subspaces
     U_i: the subspaces, and the `_blocks` of each map (label, X, i, j) of
     `maps`, one list in the order of `maps`, so a reader pairs it with the
-    maps by `zip`.  Raises ShapeMismatch for subspaces that do not fit m,
+    maps by `zip`.  Raises ValidationError unless subspaces is a sequence
+    of Subspace, ShapeMismatch for subspaces that do not fit m,
     NotInvariant at the first map that does not preserve them."""
-    subs = list(subspaces)
+    subs = read_value(tuple, subspaces, "bad subspaces")
     if len(subs) != m.n:
         raise ShapeMismatch(f"need {m.n} subspaces, got {len(subs)}")
     for i, u in enumerate(subs):
+        if not isinstance(u, la.Subspace):
+            raise ValidationError(f"not a Subspace at vertex {i + 1}")
         if u.ambient != m.dims[i] or u.p != m.p:
             raise ShapeMismatch(f"subspace at vertex {i + 1} mismatched")
     return subs, [_blocks(label, x, subs[j], subs[i])
@@ -622,7 +627,7 @@ def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:
         arrows[(i, j)].append(b[1])
     mod = make_module(m.datum, m.k if k is None else k, m.p,
                       [b[1] for b in blocks[:m.n]], arrows)
-    return Quotient(mod, tuple(subs))
+    return Quotient(mod, subs)
 
 
 @dataclass(frozen=True, eq=False)

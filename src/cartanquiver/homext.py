@@ -376,11 +376,11 @@ def find_rigid(datum, k: int, p: int, r, trials: int = 200, seed=0
     over F_p; otherwise absence is only "none found".
     """
     trials = read_int(trials, "trials", 0)
-    # budget 0: the trials are samples (seed, t); then the full scan, or
-    # nothing past the budget
-    _, trial_modules = hmod.structure_space(datum, k, p, r, 0, trials, seed)
-    exhaustive, points = hmod.structure_space(
-        datum, k, p, r, hmod.STRUCTURE_SPACE_BUDGET, 0, seed)
+    # the trials are samples (seed, t); then the full scan, or nothing past
+    # the budget
+    exhaustive, points = hmod.structure_space(datum, k, p, r, 0, seed)
+    trial_modules = (hmod.random_locally_free(datum, k, p, r, (seed, t))
+                     for t in range(trials))
     used = 0
     for used, mod in enumerate(itertools.chain(trial_modules, points), 1):
         if is_rigid(mod):
@@ -411,8 +411,8 @@ class ParameterEstimate:
 def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0
                        ) -> ParameterEstimate:
     samples = read_int(samples, "samples", 1)
-    exhaustive, modules = hmod.structure_space(
-        datum, k, p, r, hmod.STRUCTURE_SPACE_BUDGET, samples, seed)
+    exhaustive, modules = hmod.structure_space(datum, k, p, r, samples,
+                                               seed)
     q = euler_form(datum, r, r, k=k)
     dims = collections.Counter(hom_space(mod, mod).dim for mod in modules)
     best = min(dims)

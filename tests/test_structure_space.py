@@ -110,10 +110,12 @@ def _record_seeds(monkeypatch, name: str) -> list:
 @pytest.mark.parametrize("branch", BRANCHES)
 @pytest.mark.parametrize("name,k,p,r", SPACES, ids=SPACE_IDS)
 class TestAgainstReference:
-    def test_structure_space(self, request, name, k, p, r, branch):
+    def test_structure_space(self, request, monkeypatch, name, k, p, r,
+                             branch):
         datum, budget = _space(request, name, k, p, r, branch)
-        exhaustive, modules = hmod.structure_space(datum, k, p, r, budget,
-                                                   5, (3, "s"))
+        monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", budget)
+        exhaustive, modules = hmod.structure_space(datum, k, p, r, 5,
+                                                   (3, "s"))
         assert isinstance(modules, types.GeneratorType)
         want_exhaustive, want = reference_structure_space(
             datum, k, p, r, budget, 5, (3, "s"))
@@ -275,11 +277,12 @@ class TestRankLength:
     entry point (A2 has two vertices)."""
 
     @pytest.mark.parametrize("r", [(1, 1, 1), (1,), (0, 0, 0)])
-    def test_structure_space_entry_points(self, a2, r):
+    def test_structure_space_entry_points(self, a2, monkeypatch, r):
+        monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", 10)
         with pytest.raises(ShapeMismatch):
             hmod.structure_parameter_count(a2, 1, r)
         with pytest.raises(ShapeMismatch):
-            hmod.structure_space(a2, 1, 2, r, 10, 2, 0)
+            hmod.structure_space(a2, 1, 2, r, 2, 0)
         with pytest.raises(ShapeMismatch):
             next(hmod.iter_structure_matrices(a2, 1, 2, r))
         with pytest.raises(ShapeMismatch):
@@ -317,11 +320,12 @@ class TestRankLength:
         with pytest.raises(ShapeMismatch):
             gendecomp.is_schur_root(a2, 1, 2, r)
 
-    def test_level_below_one(self, a2):
+    def test_level_below_one(self, a2, monkeypatch):
+        monkeypatch.setattr(hmod, "STRUCTURE_SPACE_BUDGET", 10)
         with pytest.raises(ValidationError):
             hmod.structure_parameter_count(a2, 0, (1, 1))
         with pytest.raises(ValidationError):
-            hmod.structure_space(a2, -1, 2, (1, 1), 10, 2, 0)
+            hmod.structure_space(a2, -1, 2, (1, 1), 2, 0)
 
 
 def test_k_independence_check_needs_a_level(a2):
@@ -346,7 +350,7 @@ def test_space_budget_reaches_nested_scans(b2, monkeypatch):
 def test_every_space_scan_reads_a_constant(b2, monkeypatch):
     """Each structure-space scan of a canonical decomposition, nested
     ones included, reads one of the two space budgets as they stand at
-    the call: `hmod.structure_space` is given STRUCTURE_SPACE_BUDGET, and
+    the call: `hmod.structure_space` reads STRUCTURE_SPACE_BUDGET, and
     the call's shared spaces, which take no budget, are built only for
     ranks whose spaces have at most PAIR_SPACE_BUDGET points."""
     budgets = []
@@ -354,9 +358,9 @@ def test_every_space_scan_reads_a_constant(b2, monkeypatch):
     original = hmod.structure_space
     original_space = gendecomp._CallTable.space
 
-    def recording(datum, k, p, r, budget, samples, seed):
-        budgets.append(budget)
-        return original(datum, k, p, r, budget, samples, seed)
+    def recording(datum, k, p, r, samples, seed):
+        budgets.append(hmod.STRUCTURE_SPACE_BUDGET)
+        return original(datum, k, p, r, samples, seed)
 
     def recording_space(table, r):
         shared.append(2 ** hmod.structure_parameter_count(b2, 1, r))

@@ -392,6 +392,14 @@ READERS = {
         lambda a2: flagvar.FlagOfSubmodules(
             hmod.free_module(a2, 1, 3, (1, 1)), ((1, 0), (0, 1)), None),
         ValidationError),
+    "make_module-ragged-loop": (
+        lambda a2: hmod.make_module(a2, 1, 3, [[[0], [0, 0]], [[0]]], {}),
+        ValidationError),
+    "from_rows-ragged-rows": (
+        lambda a2: la.Subspace.from_rows([[1, 0], [1]], 2, 3),
+        ValidationError),
+    "integer_array-ragged": (
+        lambda a2: la.integer_array([[1, 0], [1]]), ValidationError),
 }
 
 
@@ -401,7 +409,46 @@ def test_readers_check_containers_and_modulus_first(a2, call, error):
     before they use them: each input but the two `free_module` ones raised
     a bare TypeError, ValueError, AttributeError or IndexError, or (an empty
     list of arrows) no error, where the documented type is due;
-    `free_module` keeps the errors it raised."""
+    `free_module` keeps the errors it raised.  A ragged nested list raised
+    numpy's bare ValueError."""
     with pytest.raises(ValidationError) as excinfo:
         call(a2)
     assert excinfo.type is error
+
+
+# construction -> call(m) with a container argument of the wrong kind
+CONSTRUCTIONS = {
+    "quotient-subspaces-none": lambda m: hmod.quotient(m, None),
+    "sub_quotient-subspaces-an-int": lambda m: hmod.sub_quotient(m, 5),
+    "quotient-subspaces-not-subspaces": lambda m: hmod.quotient(m, [1, 2]),
+    "direct_sum-not-a-module": lambda m: hmod.direct_sum(m, 5),
+    "hom_space-not-a-module": lambda m: homext.hom_space(m, 5),
+    "hom_space-source-none": lambda m: homext.hom_space(None, m),
+    "are_isomorphic-not-a-module": lambda m: homext.are_isomorphic(m, None),
+}
+
+
+@pytest.mark.parametrize("call", CONSTRUCTIONS.values(),
+                         ids=CONSTRUCTIONS.keys())
+def test_constructions_read_their_arguments(a2, call):
+    """Module constructions refuse subspaces that are not a sequence of
+    Subspace, and modules that are not an HModule, with ValidationError:
+    each raised a bare TypeError or AttributeError."""
+    with pytest.raises(ValidationError):
+        call(hmod.random_locally_free(a2, 2, 3, (1, 1), seed=1))
+
+
+@pytest.mark.parametrize("points,degree_bound", [
+    ([(1.5, 2), (2, 3)], None), ([(1, 2), (2, 3)], 0.5), (5, None),
+    ([(1, 2.5), (2, 3)], None), ([(1, 2, 3), (2, 3)], None),
+    ([(1, 2), (2, 3)], -1),
+], ids=["float-q", "float-bound", "not-a-sequence", "float-value",
+        "triple", "negative-bound"])
+def test_lagrange_interpolate_reads_its_inputs(points, degree_bound):
+    """Points are integer pairs and the degree bound an integer >= 0: a
+    float q raised a bare AttributeError, a float bound or a bare int a
+    TypeError, and a float value NonIntegerCoefficient, the verdict that
+    no counting polynomial exists."""
+    with pytest.raises(ValidationError):
+        la.lagrange_interpolate(points, degree_bound)
+    assert la.lagrange_interpolate([(np.int64(2), 5), (3, 7)]) == (1, 2)
