@@ -6,26 +6,24 @@ module over F_p[x]/(x^m) are generated directly from ring-echelon charts
 (pivot rows carry the identity, rows between pivots are constrained to
 higher x-degree), which hits every eps-invariant free-restriction
 subspace exactly once.  Each key (loop order, rank, sub rank, p) has one
-cached entry, which alone fixes its chart count, its block size and
-whether its blocks are kept (up to a size limit), and holds the one
-encoding of its charts: per pivot pattern, the rows B_0 + sum_s c_s U_s,
-affine in the pattern's free coefficients c.  One backtracking search,
-which only iterates, tests a block of candidates at a time for arrow
-closure across vertices, and evaluates each block from that stack (with
-no elimination: the rows of a chart are the identity on its pivot
-columns, which is all a closure test needs) when it first reaches it, so
-a search that stops early builds only the blocks it read; only the
-candidates a stream yields are reduced to canonical subspaces, once per
-block.  One residue computation tests closure, on a block or on the
-stack, where it is affine in c.  A count searches its coupled vertices
-but the one with the most candidates, and per closed tuple counts that
-one's closed charts, by its blocks or, above _BLOCK_TEST_CHARTS, unbuilt,
-by one exact solve over F_p per pattern: p^(slots - rank) or none.  A
-search refuses to start, with BudgetExceeded, when a vertex it
-enumerates has more than VERTEX_CANDIDATE_BUDGET candidates; a vertex a
-count takes in closed form (no active arrow) or solves is never
-refused.  Flags recurse inside
-each closed top layer in the basis of its chart rows, where the
+cached entry, which holds its chart count, the one encoding of its
+charts (per pivot pattern the rows B_0 + sum_s c_s U_s, affine in the
+pattern's free coefficients c) and, up to _BLOCK_TEST_CHARTS charts, the
+table of every chart evaluated from it.  One backtracking search, which
+only iterates, visits the vertices by ascending chart count, and one
+rule gives each level the charts closed under the arrows to the vertices
+already chosen: a table is tested at once, with no elimination (the rows
+of a chart are the identity on its pivot columns, which is all a closure
+test needs); a larger key is solved, one exact solve over F_p per
+pattern, whose closed charts are built a few at a time.  One residue
+computation serves both.  A count searches its coupled vertices but the
+one with the most candidates, and per closed tuple counts that one's
+closed charts, p^nullity per solved pattern, without building them.  A
+level with no closure test is visited in full, so a search refuses to
+start, with BudgetExceeded, when such a level has more than
+VERTEX_CANDIDATE_BUDGET candidates; a solved level or a vertex a count
+takes in closed form (no active arrow) is never refused.  Flags recurse
+inside each closed top layer in the basis of its chart rows, where the
 submodule is valid by construction (`hmod._restrict`), so no inner layer
 is split, normalized, eliminated or validated.  Flags of length l are
 chains over the tensor algebra with the path algebra of a linear quiver
@@ -57,7 +55,7 @@ import functools
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,7 +85,7 @@ from .exactlinalg import Subspace
 from .hmod import HModule
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
-# read by `_check_budgets` at each call, not bound as a default
+# read by `_closure_search` at each call, not bound as a default
 VERTEX_CANDIDATE_BUDGET = 10 ** 7
 
 
@@ -128,10 +126,8 @@ def _chart_rows(charts: np.ndarray, m_order: int) -> np.ndarray:
 
 # --- per-vertex candidate tables ----------------------------------------------
 
-_CANDIDATE_CACHE_LIMIT = 20000   # charts of the largest key kept as a table
 _CANDIDATE_CACHE_SIZE = 256      # keys kept; a `count` bench pass uses 116
-_BLOCK_CELLS = 1 << 17           # int64 cells of row matrices per block
-_BLOCK_TEST_CHARTS = 256         # charts up to which a count block-tests
+_BLOCK_TEST_CHARTS = 256         # charts up to which a key keeps its table
 
 
 class _AffineCharts(NamedTuple):
@@ -175,27 +171,32 @@ def _new_affine(m_order: int, r: int, e: int) -> _AffineCharts:
     return _AffineCharts(rows, pivots, starts, bounds)
 
 
+def _pattern_rows(affine: _AffineCharts, lo: int, hi: int,
+                  coeffs: np.ndarray) -> np.ndarray:
+    """The rows B_0 + sum_s c_s U_s (N, e*m, r*m) of the pattern whose
+    stack rows are lo, ..., hi - 1, at each row c of coeffs (N, slots)."""
+    _, d, ambient = affine.rows.shape
+    units = affine.rows[lo + 1:hi].reshape(hi - lo - 1, d * ambient)
+    return (coeffs @ units).reshape(len(coeffs), d, ambient) + affine.rows[lo]
+
+
 @dataclass(frozen=True, eq=False)
 class _CandidateTable:
-    """A run of consecutive candidate submodules of one (m_order, r, e, p)
-    key, in chart order: the read-only chart rows (N, e*m, r*m), not
-    reduced, and their identity columns (N, e*m).  Row col*m + shift of a
-    chart is eps^shift times ring column col, so it has a 1 at generator
-    pivots[col] in degree shift, column pivots[col]*m + shift, and a 0 at
-    every other such column: the rows are the identity on those columns P.
-    A row vector v then lies in the chart's span exactly when
-    v - v[:, P] @ rows is zero, which is all the closure tests need; a
-    candidate is reduced to its canonical Subspace only when a search
-    yields it, once per table."""
+    """Every candidate submodule of one (m_order, r, e, p) key, in chart
+    order: the read-only chart rows (N, e*m, r*m), not reduced, and their
+    identity columns (N, e*m).  Row col*m + shift of a chart is eps^shift
+    times ring column col, so it has a 1 at generator pivots[col] in
+    degree shift, column pivots[col]*m + shift, and a 0 at every other
+    such column: the rows are the identity on those columns P.  A row
+    vector v then lies in the chart's span exactly when v - v[:, P] @ rows
+    is zero, which is all the closure tests need; a candidate is reduced
+    to its canonical Subspace only when a search yields it, once per
+    table."""
 
     p: int
-    ambient: int
     basis: np.ndarray
     pivots: np.ndarray
     _reduced: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __len__(self) -> int:
-        return self.basis.shape[0]
 
     def subspace(self, t: int) -> Subspace:
         """Candidate t as its canonical Subspace, reduced on first use and
@@ -203,93 +204,69 @@ class _CandidateTable:
         sub = self._reduced.get(t)
         if sub is None:
             sub = self._reduced[t] = Subspace.from_rows(
-                self.basis[t], self.ambient, self.p)
+                self.basis[t], self.basis.shape[2], self.p)
         return sub
 
 
-def _new_table(affine: _AffineCharts, p: int, start: int,
-               stop: int) -> _CandidateTable:
-    """Charts start, ..., stop - 1 of a key as one table, evaluated from its
-    `_AffineCharts` with no elimination: chart code c of a pattern (counted
-    from the pattern's first chart) has the rows B_0 + sum_s digit_s(c) U_s,
-    with the base-p digits of c least significant first in `slots` order,
-    and the pattern's columns P.  The B_0 and U_s have disjoint supports,
-    so every entry is a digit or a 1.  Every chart's rows must be the
-    identity on P, which also makes their rank e*m (the chart spans a free
-    submodule)."""
-    rows = affine.rows
-    _, d, ambient = rows.shape
-    basis = np.empty((stop - start, d, ambient), dtype=np.int64)
-    pivots = np.empty((stop - start, d), dtype=np.int64)
-    offset = 0
-    for lo, hi in zip(affine.bounds, affine.bounds[1:]):
-        size = p ** (hi - lo - 1)
-        first, last = max(start, offset), min(stop, offset + size)
-        if first < last:
-            codes = la.digits(np.arange(first - offset, last - offset), p,
-                              hi - lo - 1)
-            part = basis[first - start:last - start]
-            np.matmul(codes, rows[lo + 1:hi].reshape(hi - lo - 1, d * ambient),
-                      out=part.reshape(last - first, d * ambient))
-            part += rows[lo]
-            pivots[first - start:last - start] = affine.pivots[lo]
-        offset += size
+def _new_table(affine: _AffineCharts, p: int) -> _CandidateTable:
+    """Every chart of a key, evaluated from its `_AffineCharts` with no
+    elimination: chart code c of a pattern has the rows B(digits of c),
+    least significant first in `slots` order, and the pattern's columns P.
+    Every chart's rows must be the identity on P, which also makes their
+    rank e*m (the chart spans a free submodule)."""
+    spans = list(zip(affine.bounds, affine.bounds[1:]))
+    basis = np.concatenate([_pattern_rows(affine, lo, hi, la.digits(
+        np.arange(p ** (hi - lo - 1)), p, hi - lo - 1)) for lo, hi in spans])
+    pivots = np.repeat(affine.pivots[affine.starts],
+                       [p ** (hi - lo - 1) for lo, hi in spans], axis=0)
     if (np.take_along_axis(basis, pivots[:, None, :], axis=2)
-            != la.identity(d)).any():
+            != la.identity(basis.shape[1])).any():
         raise InternalCheckError(
             "a ring-echelon chart is not the identity on its pivot columns")
     basis.setflags(write=False)
     pivots.setflags(write=False)
-    return _CandidateTable(p, ambient, basis, pivots)
+    return _CandidateTable(p, basis, pivots)
 
 
 class _KeyEntry(NamedTuple):
-    """What every search over one key reads: its chart count, its charts
-    per block, its blocks, each None until a search first reaches it, or
-    None for a key over _CANDIDATE_CACHE_LIMIT charts, whose blocks are
-    never kept, and its `_AffineCharts`, the one encoding of its charts:
-    the blocks are evaluated from it, and a count solves on it."""
+    """What every search over one key reads: its chart count, its table,
+    or None above _BLOCK_TEST_CHARTS charts, where searches solve, and its
+    `_AffineCharts`, the one encoding of its charts."""
 
     charts: int
-    step: int
-    blocks: Optional[list]
+    table: Optional[_CandidateTable]
     affine: _AffineCharts
 
 
 @functools.lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
 def _vertex_candidates(m_order: int, r: int, e: int, p: int) -> _KeyEntry:
-    """The entry of one key: its `_AffineCharts`, built with the entry, its
-    chart count (`_free_submodule_count`), its charts per block (about
-    _BLOCK_CELLS cells of row matrices) and, up to _CANDIDATE_CACHE_LIMIT
-    charts, its block list.  This is the one place that reads those
-    constants: every search over the key reads the entry, so a constant
-    changed later reaches only the keys built after it, and the blocks,
-    filled in place, are shared by every search."""
+    """The entry of one key: its `_AffineCharts`, its chart count
+    (`_free_submodule_count`) and, up to _BLOCK_TEST_CHARTS charts, its
+    table.  This is the one place that reads that constant: every search
+    over the key reads the entry, so a constant changed later reaches
+    only the keys built after it."""
     affine = _new_affine(m_order, r, e)
     count = _free_submodule_count(m_order, r, e, p)
-    step = max(1, _BLOCK_CELLS // max(1, e * r * m_order * m_order))
-    blocks = ([None] * -(-count // step)
-              if count <= _CANDIDATE_CACHE_LIMIT else None)
-    return _KeyEntry(count, step, blocks, affine)
+    table = _new_table(affine, p) if count <= _BLOCK_TEST_CHARTS else None
+    return _KeyEntry(count, table, affine)
 
 
-def _candidate_blocks(key: tuple[int, int, int, int]
-                      ) -> Iterator[_CandidateTable]:
-    """The candidates of one key (m_order, r, e, p) in chart order, a block
-    of its entry at a time, each built when it is first reached and kept
-    in the entry's block list when it has one."""
-    count, step, blocks, affine = _vertex_candidates(*key)
-    for b, start in enumerate(range(0, count, step)):
-        block = blocks[b] if blocks is not None else None
-        if block is None:
-            block = _new_table(affine, key[3], start,
-                               min(count, start + step))
-            if blocks is not None:
-                blocks[b] = block
-        yield block
+def _entry(m: HModule, rank: RankVector, e: RankVector, v: int) -> _KeyEntry:
+    return _vertex_candidates(m.loop_order(v), rank[v], e[v], m.p)
 
 
 # --- submodule and flag enumeration ------------------------------------------
+
+class _Chart(NamedTuple):
+    """A chosen chart: its rows (e*m, r*m), the identity on its columns
+    `pivots`, and, when it was read off a table, that table and its index
+    there, so that the table's reduced subspace serves it."""
+
+    rows: np.ndarray
+    pivots: np.ndarray
+    table: Optional[_CandidateTable] = None
+    index: int = 0
+
 
 def _active_arrows(m: HModule, rank: RankVector, e: RankVector):
     """Arrows whose closure condition actually constrains the choice: the
@@ -304,30 +281,11 @@ def _active_arrows(m: HModule, rank: RankVector, e: RankVector):
     return active
 
 
-def _entries(m: HModule, rank, e, vertices) -> dict[int, _KeyEntry]:
-    """The candidate entry of each of `vertices`."""
-    return {v: _vertex_candidates(m.loop_order(v), rank[v], e[v], m.p)
-            for v in vertices}
-
-
-def _check_budgets(entries: dict[int, _KeyEntry], vertices) -> None:
-    """Refuse a search that would enumerate one of `vertices` with more
-    than VERTEX_CANDIDATE_BUDGET candidates.  A vertex that a count does
-    not enumerate (one counted in closed form, or solved) is never
-    refused."""
-    for v in vertices:
-        if entries[v].charts > VERTEX_CANDIDATE_BUDGET:
-            raise BudgetExceeded(
-                f"vertex {v + 1} has {entries[v].charts} candidate "
-                f"submodules, above flagvar.VERTEX_CANDIDATE_BUDGET = "
-                f"{VERTEX_CANDIDATE_BUDGET}")
-
-
 def _residues(rows: np.ndarray, pivots: np.ndarray, img_at, p: int,
               v: int, tests, chosen: dict) -> Iterator[np.ndarray]:
     """Per arrow, the closure residues (mod p) of a stack of chart rows
     (N, e*m, r*m) at vertex v, with their columns P (N, e*m), against the
-    chosen (table, chart) of the arrow's other vertex.  Chart rows are the
+    chosen `_Chart` of the arrow's other vertex.  Chart rows are the
     identity on P, so a row vector w lies in a chart's span exactly when
     w - w[:, P] @ rows is zero.  At a chosen source the residue is
     img - img[:, P] @ rows, with img the image of the chosen chart, which
@@ -336,96 +294,137 @@ def _residues(rows: np.ndarray, pivots: np.ndarray, img_at, p: int,
     the chosen chart.  Both are linear in the rows, up to the img added."""
     for i, j, a in tests:
         if i == v:
-            other, s = chosen[j]
-            img = (other.basis[s] @ a.T) % p
+            img = (chosen[j].rows @ a.T) % p
             resid = img[:, pivots].transpose(1, 0, 2) @ rows
             np.negative(resid, out=resid)
             resid[img_at] += img
         else:
-            other, s = chosen[i]
+            other = chosen[i]
             at = a.T
-            reduced = (at - at.take(other.pivots[s], 1) @ other.basis[s]) % p
+            reduced = (at - at.take(other.pivots, 1) @ other.rows) % p
             resid = rows @ reduced
         resid %= p
         yield resid
 
 
-def _closed(block: _CandidateTable, v: int, tests, chosen: dict
+def _closed(table: _CandidateTable, v: int, tests, chosen: dict
             ) -> np.ndarray:
     """Mask of the candidates at vertex v closed under the given arrows to
-    the chosen (table, chart) of other vertices: a candidate is closed
-    when its `_residues`, with img added at every row, all vanish, one
-    residue computation per arrow for the whole block."""
-    ok = np.ones(len(block), dtype=bool)
-    for resid in _residues(block.basis, block.pivots, slice(None), block.p,
+    the chosen charts of other vertices: a candidate is closed when its
+    `_residues`, with img added at every row, all vanish, one residue
+    computation per arrow for the whole table."""
+    ok = np.ones(len(table.basis), dtype=bool)
+    for resid in _residues(table.basis, table.pivots, slice(None), table.p,
                            v, tests, chosen):
         ok &= ~resid.any(axis=(1, 2))
     return ok
 
 
-def _solved_count(affine: _AffineCharts, p: int, v: int, tests,
-                  chosen: dict) -> int:
-    """The number of charts at vertex v closed under the given arrows to
-    the chosen (table, chart) of other vertices, with no chart built.
-    Within one pivot pattern the rows B(c) = B_0 + sum_s c_s U_s are
-    affine in the free coefficients c, and so are the `_residues` of B(c)
-    when img is added at B_0 alone.  Stacked over the arrows, the residue
-    is b + A c, with b the residue of B_0 and column s of A the residue
-    of U_s; the pattern's closed charts are the solutions of A c = -b,
-    p^(slots - rank A) of them, or none when [A | b] has a pivot in its
-    last column."""
+def _solutions(affine: _AffineCharts, p: int, v: int, tests, chosen: dict
+               ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Per pivot pattern with a chart at vertex v closed under the given
+    arrows to the chosen charts of other vertices, (lo, hi, c0, U): the
+    pattern's stack rows are lo, ..., hi - 1, and its closed charts are
+    B(c0 + x U) for x in F_p^nullity, with no chart built to find them.
+    Within one pattern the rows B(c) = B_0 + sum_s c_s U_s are affine in
+    the free coefficients c, and so are the `_residues` of B(c) when img
+    is added at B_0 alone.  Stacked over the arrows, the residue is
+    b + A c, with b the residue of B_0 and column s of A the residue of
+    U_s; the closed charts are the solutions of A c = -b, one `la.solve`,
+    and there are none when b is non-zero where A has a zero row."""
     rows, starts = affine.rows, affine.starts
     # row t: the residue of stacked row t, one column per equation
-    residues = np.concatenate([resid.reshape(len(rows), -1) for resid in
-                               _residues(rows, affine.pivots, starts, p, v,
-                                         tests, chosen)], axis=1)
+    residues = np.concatenate(
+        [la.zeros(len(rows), 0)] + [resid.reshape(len(rows), -1) for resid in
+                                    _residues(rows, affine.pivots, starts, p,
+                                              v, tests, chosen)], axis=1)
     # per pattern, its equations with a non-zero b and with a non-zero
     # linear part: one with only the first has no solution
     nonzero = residues != 0
     b = nonzero[starts]
     nonzero[starts] = False
     linear = np.logical_or.reduceat(nonzero, starts)
-    total = 0
     for t, (lo, hi) in enumerate(zip(affine.bounds, affine.bounds[1:])):
         if (b[t] & ~linear[t]).any():
             continue
-        rk = 0
+        solution = (np.zeros(hi - lo - 1, dtype=np.int64),
+                    la.identity(hi - lo - 1))
         if linear[t].any():
             eqs = residues[lo:hi, linear[t]]
-            _, rk, pivots = la.rref(np.concatenate([eqs[1:], eqs[:1]]).T, p)
-            if pivots[-1] == hi - lo - 1:
+            solution = la.solve(eqs[1:].T, -eqs[0], p)
+            if solution is None:
                 continue
-        total += p ** (hi - lo - 1 - rk)
-    return total
+        yield lo, hi, *solution
+
+
+def _closed_charts(entry: _KeyEntry, p: int, v: int, tests, chosen: dict
+                   ) -> Iterator[_Chart]:
+    """The charts at vertex v closed under the given arrows to the chosen
+    charts of other vertices, the one rule of every level of a search: a
+    table is tested at once (`_closed`); a key without one is solved
+    (`_solutions`), and its closed charts are built 64 at a time."""
+    table = entry.table
+    if table is not None:
+        for t in np.flatnonzero(_closed(table, v, tests, chosen)).tolist():
+            yield _Chart(table.basis[t], table.pivots[t], table, t)
+        return
+    affine = entry.affine
+    for lo, hi, c0, kernel in _solutions(affine, p, v, tests, chosen):
+        total = p ** len(kernel)
+        for start in range(0, total, 64):
+            codes = la.digits(np.arange(start, min(total, start + 64)), p,
+                              len(kernel))
+            for rows in _pattern_rows(affine, lo, hi,
+                                      (c0 + codes @ kernel) % p):
+                yield _Chart(rows, affine.pivots[lo])
+
+
+def _solved_count(entry: _KeyEntry, p: int, v: int, tests, chosen: dict
+                  ) -> int:
+    """The number of charts `_closed_charts` yields, none of them built:
+    the closed charts of the table, or p^nullity per solved pattern."""
+    if entry.table is not None:
+        return int(np.count_nonzero(_closed(entry.table, v, tests, chosen)))
+    return sum(p ** len(kernel) for *_, kernel in
+               _solutions(entry.affine, p, v, tests, chosen))
 
 
 def _closure_search(m: HModule, rank: RankVector, e: RankVector,
-                    order: Sequence[int]):
-    """Backtracking over the candidates of the vertices in `order`, a block
-    at a time (`_candidate_blocks`): each block is tested at once against
-    the active arrows to the vertices already chosen.  Yields the closed
-    tuples in chart order, each as a dict of the chosen (table, chart) of
-    every vertex in `order`, in that order, which `_residues` reads."""
+                    vertices):
+    """Backtracking over `vertices` by ascending chart count, then by
+    vertex, so that a large vertex comes after the vertices that constrain
+    it: each level takes the closed charts of its vertex against the
+    active arrows to the vertices already chosen (`_closed_charts`).
+    Yields the closed tuples, each as a dict of the chosen `_Chart` of
+    every vertex in search order, which `_residues` reads.  A level with
+    no closure test is visited in full, so one over VERTEX_CANDIDATE_BUDGET
+    charts refuses the search before its first tuple."""
     active = _active_arrows(m, rank, e)
+    entries = {v: _entry(m, rank, e, v) for v in vertices}
     levels = []
     placed: set[int] = set()
-    for v in order:
+    for v in sorted(entries, key=lambda v: (entries[v].charts, v)):
         placed.add(v)
         tests = [(i, j, a) for i, j, a in active
                  if v in (i, j) and {i, j} <= placed]
-        levels.append((v, (m.loop_order(v), rank[v], e[v], m.p), tests))
-    chosen: dict[int, tuple[_CandidateTable, int]] = {}
+        entry = entries[v]
+        if not tests and entry.charts > VERTEX_CANDIDATE_BUDGET:
+            raise BudgetExceeded(
+                f"vertex {v + 1} has {entry.charts} candidate "
+                f"submodules, above flagvar.VERTEX_CANDIDATE_BUDGET = "
+                f"{VERTEX_CANDIDATE_BUDGET}")
+        levels.append((v, entry, tests))
+    chosen: dict[int, _Chart] = {}
 
     def extend(idx: int):
-        v, key, tests = levels[idx]
+        v, entry, tests = levels[idx]
         last = idx + 1 == len(levels)
-        for block in _candidate_blocks(key):
-            for t in np.flatnonzero(_closed(block, v, tests, chosen)).tolist():
-                chosen[v] = block, t
-                if last:
-                    yield dict(chosen)
-                else:
-                    yield from extend(idx + 1)
+        for chart in _closed_charts(entry, m.p, v, tests, chosen):
+            chosen[v] = chart
+            if last:
+                yield dict(chosen)
+            else:
+                yield from extend(idx + 1)
         chosen.pop(v, None)
 
     yield from extend(0)
@@ -463,13 +462,9 @@ def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
     """The number of closed tuples of free rank-e submodules of m, which is
     in standard form, the one place that counts: the unconstrained
     vertices in closed form (`_free_submodule_count`), their entries never
-    built; the other vertices touched by an active arrow but the one with
-    the most candidates, `top`, by `_closure_search`, keys whose blocks are
-    not kept first (built once), then by ascending candidate count; and
-    per closed tuple of those, the closed charts of `top`.  Above
-    _BLOCK_TEST_CHARTS these are solved (`_solved_count`), and `top` is
-    never built or budgeted; else its blocks are tested, which costs less
-    than a solve on small keys."""
+    built; the other coupled vertices but the one with the most charts,
+    `top`, by `_closure_search`; and per closed tuple of those, the closed
+    charts of `top`, never built (`_solved_count`)."""
     active = _active_arrows(m, rank, e)
     coupled = {v for (i, j, _) in active for v in (i, j)}
     free_factor = 1
@@ -479,23 +474,12 @@ def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
                                                  e[i], m.p)
     if not coupled:
         return free_factor
-    entries = _entries(m, rank, e, coupled)
-    top = max(coupled, key=lambda v: (entries[v].charts, v))
-    order = sorted(coupled - {top}, key=lambda v: (
-        entries[v].blocks is not None, entries[v].charts, v))
-    solve = entries[top].charts > _BLOCK_TEST_CHARTS
-    _check_budgets(entries, order if solve else order + [top])
-    key = (m.loop_order(top), rank[top], e[top], m.p)
+    top = max(coupled, key=lambda v: (_entry(m, rank, e, v).charts, v))
+    entry = _entry(m, rank, e, top)
     tests = [(i, j, a) for i, j, a in active if top in (i, j)]
-    total = 0
-    for chosen in _closure_search(m, rank, e, order):
-        if solve:
-            total += _solved_count(entries[top].affine, m.p, top, tests,
-                                   chosen)
-            continue
-        for block in _candidate_blocks(key):
-            total += int(np.count_nonzero(_closed(block, top, tests, chosen)))
-    return free_factor * total
+    return free_factor * sum(
+        _solved_count(entry, m.p, top, tests, chosen)
+        for chosen in _closure_search(m, rank, e, coupled - {top}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,11 +561,18 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
         for t, (src, tgt) in enumerate(zip(layers, layers[1:]))]
 
 
+def _read_flag(flag) -> FlagOfSubmodules:
+    if not isinstance(flag, FlagOfSubmodules):
+        raise ValidationError(f"expected a flag (FlagOfSubmodules), got "
+                              f"{type(flag).__name__}")
+    return flag
+
+
 def _checked_blocks(m: HModule, flag: FlagOfSubmodules) -> tuple[list, list]:
     """The blocks of the flag check of `flag` as a flag of m: the flag's
     own (kept) check when m is its module, else `_flag_blocks` against
     m."""
-    if flag.module is m:
+    if _read_flag(flag).module is m:
         return flag._check()
     return _flag_blocks(m, flag.brseq, flag.layers)
 
@@ -589,7 +580,7 @@ def _checked_blocks(m: HModule, flag: FlagOfSubmodules) -> tuple[list, list]:
 def _checked_seq(m: HModule, brseq):
     """brseq as rank vectors, or None when it does not sum to the rank of
     m."""
-    seq = rank_seq(brseq, m.n)
+    seq = rank_seq(brseq, hmod.read_module(m).n)
     rank = hmod.rank_vector(m)
     if tuple(sum(r[i] for r in seq) for i in range(m.n)) != tuple(rank):
         return None
@@ -600,24 +591,24 @@ def _layer_chains(m: HModule, seq, count: bool):
     """Depth first over the flags of m, which is in standard form, with
     subquotient ranks seq (which sum to the rank of m): the top proper
     layer runs over the closed charts of the Grassmannian (`_closure_search`
-    over every vertex, each budgeted), and the rest recurses inside the
+    over every vertex), and the rest recurses inside the
     `hmod._restrict` of m to each, in the basis of its chart rows B_i, with
     no split, normalization, elimination or validation.
 
     That record is valid by construction (see `hmod._restrict`): the
     chart rows are the identity on their pivot columns P_i and span an
     invariant subspace.  Every active arrow maps the chart at j into the
-    chart at i, since `_closed` found the residue a B_j^T - B_i^T X zero
-    at X = (a B_j^T)[P_i]; an inactive arrow is zero, has a zero source
-    layer (an empty block), or has a full target layer, whose one chart is
-    the identity.  Row col*m + shift of a chart is eps^shift times ring
-    column col, and m is in standard form, so the loop takes it to the
-    next row of its column (to 0 past the last): the restricted loop is
-    the standard Jordan matrix, and the record is a locally free module in
-    standard form, of the rank of the top layer.
+    chart at i, since the search found its residue a B_j^T - B_i^T X
+    (`_residues`) zero at X = (a B_j^T)[P_i]; an inactive arrow is zero,
+    has a zero source layer (an empty block), or has a full target layer,
+    whose one chart is the identity.  Row col*m + shift of a chart is
+    eps^shift times ring column col, and m is in standard form, so the
+    loop takes it to the next row of its column (to 0 past the last): the
+    restricted loop is the standard Jordan matrix, and the record is a
+    locally free module in standard form, of the rank of the top layer.
 
-    Yields each flag as its layers' (table, chart) pairs per vertex (the
-    top one's read off the tuple the search yields), bottom first, each in
+    Yields each flag as its layers' `_Chart`s in vertex order (the top
+    one's read off the tuple the search yields), bottom first, each in
     the chart basis of the layer above it (the top one in the coordinates
     of m), or with count=True, numbers of flags that sum to the total, a
     two-step sequence counted by `_count_charts`."""
@@ -629,16 +620,15 @@ def _layer_chains(m: HModule, seq, count: bool):
     if len(seq) == 2 and count:
         yield _count_charts(m, rank, top_rank)
         return
-    _check_budgets(_entries(m, rank, top_rank, range(m.n)), range(m.n))
     for chosen in _closure_search(m, rank, top_rank, range(m.n)):
-        pairs = tuple(chosen.values())
+        charts = tuple(chosen[v] for v in range(m.n))
         if len(seq) == 2:
-            yield [pairs]
+            yield [charts]
             continue
-        inner = hmod._restrict(m, [block.basis[t] for block, t in pairs],
-                               [block.pivots[t] for block, t in pairs])
+        inner = hmod._restrict(m, [c.rows for c in charts],
+                               [c.pivots for c in charts])
         for chain in _layer_chains(inner, seq[:-1], count):
-            yield chain if count else chain + [pairs]
+            yield chain if count else chain + [charts]
 
 
 def _chain_layers(chain, ts, p: int) -> tuple[tuple[Subspace, ...], ...]:
@@ -646,16 +636,17 @@ def _chain_layers(chain, ts, p: int) -> tuple[tuple[Subspace, ...], ...]:
     each layer's chart rows composed with the rows of every layer above
     it and, when given, with the change of basis ts of `hmod.normalize`
     (row v in standard coordinates is v T_i^T in the module's).  Without
-    ts the top layer is its tables' subspace."""
+    ts a top chart read off a table is the table's subspace."""
     top = chain[-1]
     if ts is None:
-        rows = [block.basis[t] for block, t in top]
-        layers = [tuple(block.subspace(t) for block, t in top)]
+        rows = [c.rows for c in top]
+        layers = [tuple(_span([c.rows], p)[0] if c.table is None
+                        else c.table.subspace(c.index) for c in top)]
     else:
-        rows = [(block.basis[t] @ x.T) % p for (block, t), x in zip(top, ts)]
+        rows = [(c.rows @ x.T) % p for c, x in zip(top, ts)]
         layers = [_span(rows, p)]
-    for pairs in reversed(chain[:-1]):
-        rows = [(block.basis[t] @ r) % p for (block, t), r in zip(pairs, rows)]
+    for charts in reversed(chain[:-1]):
+        rows = [(c.rows @ r) % p for c, r in zip(charts, rows)]
         layers.append(_span(rows, p))
     return tuple(reversed(layers))
 
@@ -682,9 +673,8 @@ def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
 def point_count(m: HModule, brseq) -> int:
     """Number of flags, by the recursion of `iter_flags`; its innermost
     two-step sequence is counted by `_count_charts`, without enumerating
-    the points.  VERTEX_CANDIDATE_BUDGET bounds only the vertices that are
-    enumerated: every vertex of the layers above the innermost two steps,
-    and in those the coupled vertices that are not solved."""
+    the points.  VERTEX_CANDIDATE_BUDGET bounds only the vertices that a
+    search visits in full: those with no closure test at their level."""
     seq = _checked_seq(m, brseq)
     if seq is None:
         return 0
@@ -905,7 +895,8 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     data = _reduction_data(m)
     red = data.red
     mbar = red.module
-    if base.module is not mbar and not hmod.modules_equal(base.module, mbar):
+    if (_read_flag(base).module is not mbar
+            and not hmod.modules_equal(base.module, mbar)):
         raise FlagNotInReduction(
             "base flag does not live in the reduction of the module")
     seq = rank_seq(base.brseq, m.n)
@@ -1032,7 +1023,7 @@ def bundle_ratio_check(m: HModule, brseq, primes=(2, 3)
     the primes are checked (`check_primes`) before any count.  The module
     at q is `hmod.reduce_mod_p(m, q)`, m's entries read mod q; entries
     that break the relations mod q raise RelationBrokenAtPrime."""
-    if m.k < 2:
+    if hmod.read_module(m).k < 2:
         raise KTooSmall("bundle check compares level k with k - 1")
     seq = rank_seq(brseq, m.n)
     primes = check_primes(primes)

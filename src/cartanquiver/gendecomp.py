@@ -312,7 +312,7 @@ def krull_schmidt(m: HModule, seed=0) -> KrullSchmidtResult:
     pieces: list[HModule] = []
     certainty = EXHAUSTIVE
     indecomposable = None
-    stack = [m]
+    stack = [hmod.read_module(m)]
     depth = 0
     while stack:
         cur = stack.pop()

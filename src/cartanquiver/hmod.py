@@ -243,8 +243,17 @@ def is_locally_free(m: HModule) -> bool:
     return _not_free_at(m) is None
 
 
+def read_module(m) -> HModule:
+    """m, the one reader of a module argument: ValidationError unless it
+    is an HModule."""
+    if not isinstance(m, HModule):
+        raise ValidationError(
+            f"expected a module (HModule), got {type(m).__name__}")
+    return m
+
+
 def rank_vector(m: HModule) -> RankVector:
-    where = _not_free_at(m)
+    where = _not_free_at(read_module(m))
     if where is not None:
         raise NotLocallyFree(f"module is not locally free: {where}")
     return RankVector(m.dims[i] // m.loop_order(i) for i in range(m.n))
@@ -290,7 +299,7 @@ def normalize(m: HModule) -> tuple[HModule, tuple[np.ndarray, ...]]:
     T_i are the new basis in old coordinates and new maps are
     T_i^{-1} X T_j.
     """
-    if not is_locally_free(m):
+    if not is_locally_free(read_module(m)):
         raise NotLocallyFree("cannot normalize a non-free loop action")
     ts = [free_basis(m.eps[i], m.loop_order(i), m.p) for i in range(m.n)]
     tinv = [la.inv(t, m.p) for t in ts]
@@ -309,6 +318,7 @@ def _standard(m: HModule) -> tuple[HModule, Optional[tuple[np.ndarray, ...]]]:
 def modules_equal(a: HModule, b: HModule) -> bool:
     """Literal equality of all matrices (not isomorphism): one (datum, k,
     p) and one `content` key."""
+    read_module(a), read_module(b)
     return ((a.datum, a.k, a.p) == (b.datum, b.k, b.p)
             and a.content == b.content)
 
@@ -521,8 +531,7 @@ def direct_sum(a: HModule, b: HModule) -> HModule:
 
 
 def _same_algebra(a: HModule, b: HModule):
-    if not (isinstance(a, HModule) and isinstance(b, HModule)):
-        raise ValidationError("expected two modules (HModule)")
+    read_module(a), read_module(b)
     if a.datum != b.datum or a.k != b.k or a.p != b.p:
         raise DatumMismatch("modules live over different algebras")
 
@@ -664,6 +673,7 @@ def reduce_mod_p(m: HModule, p_new: int) -> HModule:
     again.  Raises RelationBrokenAtPrime when they break (H1) or (H2) mod
     p_new."""
     la.check_prime(p_new)
+    read_module(m)
     try:
         return make_module(m.datum, m.k, p_new, m.eps, m.arrows)
     except ValidationError as exc:
@@ -679,7 +689,8 @@ MODULE_FORMAT_VERSION = 1
 def module_to_dict(m: HModule) -> dict:
     """The module file of m: rank with structure when its loops are in
     standard form, else dims with eps and arrows."""
-    out = {"format_version": MODULE_FORMAT_VERSION, "k": m.k, "p": m.p}
+    out = {"format_version": MODULE_FORMAT_VERSION, "k": read_module(m).k,
+           "p": m.p}
     if m.standard_form:
         s = to_structure_matrices(m)
         out["rank"] = list(s.rank)

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import exactlinalg as la
 from . import hmod
-from .cartan import euler_form, read_int
+from .cartan import euler_form, read_int, read_value
 from .errors import InternalCheckError, NotAHomomorphism
 from .hmod import HModule
 
@@ -423,7 +423,8 @@ def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0
 def check_homomorphism(m: HModule, n: HModule, f) -> tuple[np.ndarray, ...]:
     """Coerce and verify a per-vertex matrix tuple as a homomorphism."""
     hmod._same_algebra(m, n)
-    f = tuple(la.integer_array(fi) % m.p for fi in f)
+    f = tuple(la.integer_array(fi) % m.p
+              for fi in read_value(tuple, f, "bad homomorphism"))
     if len(f) != m.n or any(fi.shape != (n.dims[i], m.dims[i])
                             for i, fi in enumerate(f)):
         raise NotAHomomorphism("component shapes do not match")

@@ -36,7 +36,7 @@ def reduce(m: HModule) -> hmod.Quotient:
     the functor's own claim (`_quotient_at_level` at a = k - 1).  When m
     is in standard form, so is its reduction, with m's entries at the
     coordinates of loop degree below (k-1)*c_i."""
-    if m.k < 2:
+    if hmod.read_module(m).k < 2:
         raise KTooSmall("reduction needs k >= 2")
     return _quotient_at_level(m, m.k - 1)
 

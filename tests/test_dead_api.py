@@ -212,7 +212,10 @@ def test_removed_budget_keywords(a2, fn, keyword):
 # second rules of module equality, subspace residue and a key's chart
 # count, with the full-space constructor nothing called, the
 # copy-or-alias test of a basis that a public constructor took on trust,
-# and the modular inverse that `rref` inlines
+# and the modular inverse that `rref` inlines; and the block stepping of
+# the candidate tables (a key keeps one table up to _BLOCK_TEST_CHARTS
+# charts and is solved above it) with the budget check that each search
+# now makes at its levels with no closure test
 REMOVED_NAMES = [
     (cartanquiver, "lift"),
     (cartanquiver, "lift_chain"),
@@ -246,6 +249,14 @@ REMOVED_NAMES = [
     (reduction, "_eps_powers"),
     (flagvar, "_charts"),
     (flagvar, "_sub_rank"),
+    (flagvar, "_CANDIDATE_CACHE_LIMIT"),
+    (flagvar, "_BLOCK_CELLS"),
+    (flagvar, "_candidate_blocks"),
+    (flagvar, "_check_budgets"),
+    (flagvar, "_entries"),
+    (flagvar._KeyEntry, "step"),
+    (flagvar._KeyEntry, "blocks"),
+    (flagvar._CandidateTable, "__len__"),
 ]
 
 

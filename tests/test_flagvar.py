@@ -59,10 +59,9 @@ def ring_charts(m_order, r, e, p):
 
 
 def new_table(key, start, stop):
-    """Charts start, ..., stop - 1 of a key as `flagvar._new_table`
-    evaluates them from the stack of the key's entry."""
-    return flagvar._new_table(flagvar._vertex_candidates(*key).affine,
-                              key[3], start, stop)
+    """Charts start, ..., stop - 1 of a key as a `flagvar._CandidateTable`
+    of the reference rows and pivot columns (`chart_table`)."""
+    return flagvar._CandidateTable(key[3], *chart_table(*key, start, stop))
 
 
 def chart_subspace(ring_mat, m_order, r, p):
@@ -140,23 +139,17 @@ def reference_subspace(ring_mat, m_order, r, p):
     return la.Subspace.from_rows(rows, r * m_order, p)
 
 
-def corrupt_stack(monkeypatch):
-    """Make `flagvar._new_table` evaluate its charts from a copy of the
-    stack whose unit row of the first pattern's last free coefficient has
-    a 1 at the pattern's first pivot column, where every unit row is 0: a
-    chart of that pattern whose last digit is non-zero has 1 + that digit,
-    not a 1, at the pivot of its first row.  The copy keeps the stack's
-    pivots array."""
-    original = flagvar._new_table
-
-    def corrupted(affine, p, start, stop):
-        rows = affine.rows.copy()
-        unit = affine.bounds[1] - 1
-        assert unit > 0 and rows[unit, 0, affine.pivots[unit, 0]] == 0
-        rows[unit, 0, affine.pivots[unit, 0]] = 1
-        return original(affine._replace(rows=rows), p, start, stop)
-
-    monkeypatch.setattr(flagvar, "_new_table", corrupted)
+def corrupt_stack(affine):
+    """A copy of a key's stack whose unit row of the first pattern's last
+    free coefficient has a 1 at the pattern's first pivot column, where
+    every unit row is 0: a chart of that pattern whose last digit is
+    non-zero has 1 + that digit, not a 1, at the pivot of its first row.
+    The copy keeps the stack's pivots array."""
+    rows = affine.rows.copy()
+    unit = affine.bounds[1] - 1
+    assert unit > 0 and rows[unit, 0, affine.pivots[unit, 0]] == 0
+    rows[unit, 0, affine.pivots[unit, 0]] = 1
+    return affine._replace(rows=rows)
 
 
 TABLE_KEYS = [(m_order, r, e, p)
@@ -175,12 +168,13 @@ class TestCandidateTables:
             assert len(produced) == len(charts), key
             for want, got in zip(charts, produced):
                 assert np.array_equal(want, got), key
-            blocks = list(flagvar._candidate_blocks(key))
-            cached = flagvar._vertex_candidates(*key).blocks
-            assert len(cached) == len(blocks), key
-            assert all(a is b for a, b in zip(cached, blocks)), key
-            got_subs = [block.subspace(t) for block in blocks
-                        for t in range(len(block))]
+            # the entry keeps its table up to _BLOCK_TEST_CHARTS charts
+            entry = flagvar._vertex_candidates(*key)
+            assert (entry.table is None) == (
+                len(charts) > flagvar._BLOCK_TEST_CHARTS), key
+            table = (entry.table if entry.table is not None
+                     else flagvar._new_table(entry.affine, p))
+            got_subs = [table.subspace(t) for t in range(len(table.basis))]
             assert len(got_subs) == len(charts), key
             for mat, got in zip(charts, got_subs):
                 want = reference_subspace(mat, m_order, r, p)
@@ -190,69 +184,52 @@ class TestCandidateTables:
                 assert got.basis.dtype == want.basis.dtype, key
                 assert hash(got) == hash(want), key
 
-    @pytest.mark.parametrize("cells", [pytest.param(None, id="default"),
-                                       pytest.param(50, id="50")])
-    def test_blocks_match_chart_reference(self, monkeypatch, cells):
-        # every table the search reads, evaluated from the key's stack,
-        # holds the rows and pivot columns of the per-chart reference,
-        # byte for byte and read-only; at 50 cells, blocks that start
-        # inside one pivot pattern end inside another
-        if cells is not None:
-            monkeypatch.setattr(flagvar, "_BLOCK_CELLS", cells)
+    @pytest.mark.parametrize("threshold", [pytest.param(None, id="default"),
+                                           pytest.param(50, id="50")])
+    def test_blocks_match_chart_reference(self, monkeypatch, threshold):
+        # every table the search reads (a key's one block), evaluated from
+        # the key's stack, holds the rows and pivot columns of the
+        # per-chart reference, byte for byte and read-only; a key over
+        # _BLOCK_TEST_CHARTS (default or 50) keeps no table
+        if threshold is not None:
+            monkeypatch.setattr(flagvar, "_BLOCK_TEST_CHARTS", threshold)
         flagvar._vertex_candidates.cache_clear()
-        straddling = 0
+        kept = 0
         try:
             for key in TABLE_KEYS:
-                ends = set(itertools.accumulate(
-                    key[3] ** len(slots)
-                    for _, slots in flagvar._chart_patterns(*key[:3])))
-                start = 0
-                for block in flagvar._candidate_blocks(key):
-                    stop = start + len(block)
-                    want = chart_table(*key, start, stop)
-                    for got, ref in zip((block.basis, block.pivots), want):
-                        assert got.dtype == ref.dtype, key
-                        assert got.shape == ref.shape, key
-                        assert got.tobytes() == ref.tobytes(), key
-                        assert not got.flags.writeable, key
-                    straddling += start > 0 and any(
-                        start < end < stop for end in ends)
-                    start = stop
-                assert start == flagvar._vertex_candidates(*key).charts, key
+                entry = flagvar._vertex_candidates(*key)
+                if entry.table is None:
+                    assert entry.charts > flagvar._BLOCK_TEST_CHARTS, key
+                    continue
+                kept += 1
+                want = chart_table(*key, 0, entry.charts)
+                for got, ref in zip((entry.table.basis, entry.table.pivots),
+                                    want):
+                    assert got.dtype == ref.dtype, key
+                    assert got.shape == ref.shape, key
+                    assert got.tobytes() == ref.tobytes(), key
+                    assert not got.flags.writeable, key
         finally:
             flagvar._vertex_candidates.cache_clear()
-        if cells is not None:
-            assert straddling >= 10
+        assert 0 < kept < len(TABLE_KEYS)
 
-    def test_table_is_read_only(self, monkeypatch):
-        monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
-        flagvar._vertex_candidates.cache_clear()
-        try:
-            key = (2, 2, 1, 3)
-            list(flagvar._candidate_blocks(key))
-            blocks = flagvar._vertex_candidates(*key).blocks
-            assert len(blocks) > 1
-            charts = ring_charts(*key)
-            start = 0
-            for block in blocks:
-                # the table holds the chart rows themselves, unreduced
-                stop = start + len(block)
-                want_rows = flagvar._chart_rows(
-                    np.array(charts[start:stop]), key[0])
-                assert np.array_equal(block.basis, want_rows)
-                for t in range(len(block)):
-                    sub = block.subspace(t)
-                    # reduced on first use, canonical, and kept
-                    assert block.subspace(t) is sub
-                    want = reference_subspace(charts[start + t], 2, 2, 3)
-                    assert sub == want and sub.pivots == want.pivots
-                    assert np.array_equal(sub.basis, want.basis)
-                    for arr in (block.basis, block.pivots, sub.basis):
-                        with pytest.raises(ValueError):
-                            arr[...] = 0
-                start = stop
-        finally:
-            flagvar._vertex_candidates.cache_clear()
+    def test_table_is_read_only(self):
+        key = (2, 2, 1, 3)
+        table = flagvar._vertex_candidates(*key).table
+        charts = ring_charts(*key)
+        # the table holds the chart rows themselves, unreduced
+        assert np.array_equal(table.basis,
+                              flagvar._chart_rows(np.array(charts), key[0]))
+        for t, chart in enumerate(charts):
+            sub = table.subspace(t)
+            # reduced on first use, canonical, and kept
+            assert table.subspace(t) is sub
+            want = reference_subspace(chart, 2, 2, 3)
+            assert sub == want and sub.pivots == want.pivots
+            assert np.array_equal(sub.basis, want.basis)
+            for arr in (table.basis, table.pivots, sub.basis):
+                with pytest.raises(ValueError):
+                    arr[...] = 0
 
     def test_chart_counts_match_closed_form(self):
         # every key's count, read off its affine stack, is the number of
@@ -338,7 +315,8 @@ class TestCandidateTables:
         flagvar._vertex_candidates.cache_clear()
         try:
             for q in primes[:size + 10]:
-                assert len(flagvar._vertex_candidates(1, 1, 1, q).blocks) == 1
+                table = flagvar._vertex_candidates(1, 1, 1, q).table
+                assert len(table.basis) == 1
                 info = flagvar._vertex_candidates.cache_info()
                 assert info.currsize <= size
             assert info.currsize == size
@@ -388,7 +366,7 @@ class TestCandidateTables:
         other = new_table(keys[w], s, s + 1)
         charts = chart_block(*keys[v], start, stop)
         subs = [reference_subspace(c, keys[v][0], r[v], p) for c in charts]
-        assert [block.subspace(t) for t in range(len(block))] == subs
+        assert [block.subspace(t) for t in range(len(block.basis))] == subs
         assert all(block.subspace(t).pivots == sub.pivots
                    for t, sub in enumerate(subs))
         chosen = reference_subspace(
@@ -404,19 +382,20 @@ class TestCandidateTables:
                  @ rng.integers(0, p, (1, m.dims[j]))) % p
             tests.append((i, j, a))
         for part in [[test] for test in tests] + [tests]:
-            got = flagvar._closed(block, v, part, {w: (other, 0)})
+            got = flagvar._closed(block, v, part, {w: flagvar._Chart(
+                other.basis[0], other.pivots[0])})
             want = [all((sub if i == v else chosen).contains_rows(
                             (a @ (chosen if i == v else sub).basis.T).T)
                         for i, j, a in part) for sub in subs]
             assert got.tolist() == want
 
-    def test_rank_check(self, monkeypatch):
-        corrupt_stack(monkeypatch)
-        # charts 0-3 are codes 0-3 of the first pattern (two free
-        # coefficients over F_3): only code 3 has a non-zero last digit
-        new_table((2, 2, 1, 3), 0, 3)
+    def test_rank_check(self):
+        # charts 0-8 are codes 0-8 of the first pattern (two free
+        # coefficients over F_3): codes 3 and on have a non-zero last digit
+        affine = flagvar._vertex_candidates(2, 2, 1, 3).affine
+        flagvar._new_table(affine, 3)
         with pytest.raises(InternalCheckError):
-            new_table((2, 2, 1, 3), 0, 4)
+            flagvar._new_table(corrupt_stack(affine), 3)
 
 
 def brute_force_submodules(m, e):
@@ -447,6 +426,22 @@ def _search_cases(datum, ranks, ks=(1, 2), ps=(2, 3), samples=2):
                         yield m, e
 
 
+def sorted_tuples(tuples):
+    """Tuples of subspaces in one fixed order: the search visits vertices
+    by chart count and solves large keys, so it does not yield in the
+    product order of the reference."""
+    return sorted(tuples, key=lambda tup: [(s.pivots, s.basis.tobytes())
+                                           for s in tup])
+
+
+def assert_same_submodules(m, e):
+    want = brute_force_submodules(m, e)
+    got = list(flagvar.iter_locally_free_submodules(m, e))
+    assert len(got) == len(want), (m.dims, e)
+    assert sorted_tuples(got) == sorted_tuples(want), (m.dims, e)
+    assert flagvar.count_locally_free_submodules(m, e) == len(want)
+
+
 class TestClosureSearchOracle:
     @pytest.mark.parametrize("name", ["a2", "b2", "b2_rev", "kronecker"])
     def test_two_vertex_modules(self, request, name):
@@ -454,175 +449,98 @@ class TestClosureSearchOracle:
         ranks = [(2, 1), (1, 2), (2, 2)]
         ps = (2, 3) if name != "b2" else (2,)
         for m, e in _search_cases(datum, ranks, ps=ps):
-            want = brute_force_submodules(m, e)
-            got = list(flagvar.iter_locally_free_submodules(m, e))
-            assert got == want, (m.dims, e)
-            assert flagvar.count_locally_free_submodules(m, e) == len(want)
+            assert_same_submodules(m, e)
 
     def test_three_vertex_modules(self, a3):
-        for m, e in _search_cases(a3, [(1, 1, 1), (1, 2, 1), (2, 1, 1)],
-                                  ps=(2,)):
-            want = brute_force_submodules(m, e)
-            got = list(flagvar.iter_locally_free_submodules(m, e))
-            assert got == want, (m.dims, e)
-            assert flagvar.count_locally_free_submodules(m, e) == len(want)
+        # at (2, 2, 2) the search places the adjacent vertices 1 and 2
+        # before vertex 3, whose level must not test their arrow again
+        for m, e in _search_cases(a3, [(1, 1, 1), (1, 2, 1), (2, 1, 1),
+                                       (2, 2, 2)], ps=(2,)):
+            assert_same_submodules(m, e)
 
 
 class TestStreamedCandidates:
-    """Keys over the cache limit are streamed block by block, never cached,
-    with the same order, counts and flags as the cached tables."""
+    """Keys over _BLOCK_TEST_CHARTS keep no table: their closed charts are
+    solved per pivot pattern and built a batch at a time, with the same
+    counts and the same sets of submodules and flags as the tables."""
 
-    @pytest.mark.parametrize("cells", [1, 40, None])
-    def test_streamed_matches_cached(self, a2, b2, monkeypatch, cells):
+    @staticmethod
+    def answers(cases):
+        return [(collections.Counter(
+                     flagvar.iter_locally_free_submodules(m, e)),
+                 flagvar.count_locally_free_submodules(m, e),
+                 collections.Counter(f.layers
+                                     for f in flagvar.iter_flags(m, brseq)),
+                 flagvar.point_count(m, brseq))
+                for m, e, brseq in cases]
+
+    @pytest.mark.parametrize("threshold", [0, 1, 40])
+    def test_streamed_matches_cached(self, a2, b2, monkeypatch, threshold):
         cases = [(n_module(a2, 2, 3), (1, 1), [(1, 1), (1, 1)]),
                  (rigid_module(b2, 2, 2, (2, 1), seed=5), (1, 1),
                   [(1, 0), (1, 1)]),
                  (rigid_module(a2, 2, 2, (2, 1), seed=6), (1, 0),
-                  [(1, 0), (1, 0), (0, 1)])]
-        cached = []
-        for m, e, brseq in cases:
-            cached.append((list(flagvar.iter_locally_free_submodules(m, e)),
-                           flagvar.count_locally_free_submodules(m, e),
-                           [f.layers for f in flagvar.iter_flags(
-                               m, brseq)],
-                           flagvar.point_count(m, brseq)))
-        monkeypatch.setattr(flagvar, "_CANDIDATE_CACHE_LIMIT", 1)
-        if cells is not None:
-            monkeypatch.setattr(flagvar, "_BLOCK_CELLS", cells)
-        flagvar._vertex_candidates.cache_clear()
-        for (m, e, brseq), want in zip(cases, cached):
-            got = (list(flagvar.iter_locally_free_submodules(m, e)),
-                   flagvar.count_locally_free_submodules(m, e),
-                   [f.layers for f in flagvar.iter_flags(m, brseq)],
-                   flagvar.point_count(m, brseq))
-            assert got == want
-        # every key has an entry, but only the single-chart keys (zero and
-        # full layers) keep blocks
-        info = flagvar._vertex_candidates.cache_info()
-        assert info.currsize == info.misses
-        for key in [(2, 2, 1, 3), (4, 2, 1, 2), (2, 2, 1, 2)]:
-            before = flagvar._vertex_candidates.cache_info().misses
-            assert chart_count(*key) > 1
-            blocks = list(flagvar._candidate_blocks(key))
-            assert flagvar._vertex_candidates.cache_info().misses == before
-            assert flagvar._vertex_candidates(*key).blocks is None
-            assert (sum(len(b) for b in blocks)
-                    == flagvar._vertex_candidates(*key).charts)
-        flagvar._vertex_candidates.cache_clear()
-
-    def test_early_stop_builds_one_block(self, monkeypatch):
-        built = []
-        original = flagvar._new_table
-
-        def counting(affine, p, start, stop):
-            built.append(stop - start)
-            return original(affine, p, start, stop)
-
-        monkeypatch.setattr(flagvar, "_CANDIDATE_CACHE_LIMIT", 1)
-        monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
-        monkeypatch.setattr(flagvar, "_new_table", counting)
+                  [(1, 0), (1, 0), (0, 1)]),
+                 (rigid_module(b2, 3, 2, (2, 1), seed=5), (1, 1),
+                  [(1, 0), (1, 1)])]
         flagvar._vertex_candidates.cache_clear()
         try:
-            key = (2, 2, 1, 3)
-            step = flagvar._vertex_candidates(*key).step
-            assert step < flagvar._vertex_candidates(*key).charts
-            stream = flagvar._candidate_blocks(key)
-            first = next(stream)
+            cached = self.answers(cases)
+            monkeypatch.setattr(flagvar, "_BLOCK_TEST_CHARTS", threshold)
+            flagvar._vertex_candidates.cache_clear()
+            got = self.answers(cases)
+            for want, have in zip(cached, got):
+                assert have == want
+                # no submodule or flag is yielded twice
+                assert all(n == 1 for n in have[0].values())
+                assert all(n == 1 for n in have[2].values())
+            # a key keeps its table up to the threshold: at 1 only the
+            # single-chart keys (zero and full layers) do, and the 96
+            # charts of vertex 1 of the B2 module at k = 3 are streamed
+            # at every threshold
+            for key in [(2, 2, 1, 3), (4, 2, 1, 2), (2, 2, 1, 2),
+                        (6, 2, 1, 2)]:
+                entry = flagvar._vertex_candidates(*key)
+                assert (entry.table is None) == (
+                    chart_count(*key) > threshold), key
+            assert cached[3][3] == 96
+        finally:
+            flagvar._vertex_candidates.cache_clear()
+
+    def test_early_stop_builds_one_block(self, a2, monkeypatch):
+        # vertex 1 of the free module has 392 charts (its first pattern
+        # 343), none closure-tested: a stream stopped after its first
+        # chart has built one batch of 64, and a full one batches of at
+        # most 64 covering every chart once
+        built = []
+        original = flagvar._pattern_rows
+
+        def counting(affine, lo, hi, coeffs):
+            built.append(len(coeffs))
+            return original(affine, lo, hi, coeffs)
+
+        monkeypatch.setattr(flagvar, "_pattern_rows", counting)
+        m = hmod.free_module(a2, 3, 7, (2, 1))
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            # both entries built first: vertex 2's table of one chart
+            assert flagvar._vertex_candidates(3, 2, 1, 7).table is None
+            assert len(flagvar._vertex_candidates(3, 1, 0, 7).table.basis) == 1
+            built.clear()
+            stream = flagvar.iter_locally_free_submodules(m, (1, 0))
+            next(stream)
             stream.close()
-            assert len(first) == step and built == [step]
+            assert built == [64]
+            built.clear()
+            subs = list(flagvar.iter_locally_free_submodules(m, (1, 0)))
+            assert len(subs) == len(set(subs)) == sum(built) == 392
+            assert max(built) == 64
         finally:
             flagvar._vertex_candidates.cache_clear()
 
 
-class TestLazyBlocks:
-    """Blocks of cached keys are built when a search first reaches them,
-    once each, and kept in the key's block list for every later search."""
-
-    KEY = (2, 2, 1, 3)      # both vertices of n_module(a2, 2, 3) at e=(1, 1)
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """Small blocks and a record of the (key, start) of every build."""
-        record = []
-        original = flagvar._new_table
-
-        def counting(affine, p, start, stop):
-            # only KEY is searched; corrupt_stack's copies keep its pivots
-            entry = flagvar._vertex_candidates(*self.KEY)
-            assert affine.pivots is entry.affine.pivots and p == self.KEY[3]
-            record.append((self.KEY, start))
-            return original(affine, p, start, stop)
-
-        monkeypatch.setattr(flagvar, "_BLOCK_CELLS", 40)
-        monkeypatch.setattr(flagvar, "_new_table", counting)
-        flagvar._vertex_candidates.cache_clear()
-        yield record
-        flagvar._vertex_candidates.cache_clear()
-
-    def _block_starts(self):
-        entry = flagvar._vertex_candidates(*self.KEY)
-        return list(range(0, entry.charts, entry.step))
-
-    def test_early_stop_builds_reached_blocks(self, a2, built, monkeypatch):
-        starts = self._block_starts()
-        assert len(starts) > 2
-        reached = []
-        original = flagvar._candidate_blocks
-
-        def recording(key):
-            for b, block in enumerate(original(key)):
-                reached.append((key, starts[b]))
-                yield block
-
-        monkeypatch.setattr(flagvar, "_candidate_blocks", recording)
-        m = n_module(a2, 2, 3)
-        stream = flagvar.iter_flags(m, [(1, 1), (1, 1)])
-        first = next(stream)
-        stream.close()
-        assert sorted(set(reached)) == sorted(built)
-        assert len(built) == len(set(built)) < len(starts)
-        blocks = flagvar._vertex_candidates(*self.KEY).blocks
-        assert [b is not None for b in blocks] == [
-            (self.KEY, s) in built for s in starts]
-        # a count over the key fills in the rest, building each block once
-        assert flagvar.count_locally_free_submodules(m, (1, 1)) == 27
-        assert sorted(built) == [(self.KEY, s) for s in starts]
-        eager = new_table(self.KEY, 0,
-                          flagvar._vertex_candidates(*self.KEY).charts)
-        for name in ("basis", "pivots"):
-            got = np.concatenate([getattr(b, name) for b in blocks])
-            want = getattr(eager, name)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-        assert first.layers == list(flagvar.iter_flags(
-            m, [(1, 1), (1, 1)]))[0].layers
-
-    def test_interleaved_searches_share_blocks(self, a2, built):
-        m = n_module(a2, 2, 3)
-        seq = [(1, 1), (1, 1)]
-        suspended = flagvar.iter_flags(m, seq)
-        head = [next(suspended)]
-        # the second search builds the later blocks while the first one is
-        # suspended inside the key; the first must read them, not rebuild
-        every = list(flagvar.iter_flags(m, seq))
-        head += list(suspended)
-        assert [f.layers for f in head] == [f.layers for f in every]
-        assert len(every) == 27
-        assert sorted(built) == [(self.KEY, s) for s in self._block_starts()]
-
-    def test_rank_check_on_lazy_blocks(self, a2, built, monkeypatch):
-        stream = flagvar._candidate_blocks(self.KEY)
-        next(stream)
-        stream.close()
-        corrupt_stack(monkeypatch)
-        # block 0 is cached; the next block is built, and checked, now
-        with pytest.raises(InternalCheckError):
-            flagvar.count_locally_free_submodules(n_module(a2, 2, 3), (1, 1))
-        assert built == [(self.KEY, 0), (self.KEY, self._block_starts()[1])]
-
-
 class TestEntryConstants:
-    """A key's chart count, block size and kept decision are read off the
+    """A key's chart count and whether it keeps a table are read off the
     constants once, when its entry is built: changing a constant while
     entries are cached gives the answers of a cold-cache run."""
 
@@ -630,13 +548,13 @@ class TestEntryConstants:
     def answers(modules):
         return [(flagvar.count_locally_free_submodules(m, (1, 1)),
                  flagvar.point_count(m, [(1, 0), (0, 1), (1, 1)]),
-                 [f.layers for f in flagvar.iter_flags(m, [(1, 1), (1, 1)])])
+                 collections.Counter(f.layers for f in flagvar.iter_flags(
+                     m, [(1, 1), (1, 1)])))
                 for m in modules]
 
     @pytest.mark.parametrize("name, before, after", [
-        ("_BLOCK_CELLS", 40, 1 << 17),
-        ("_BLOCK_CELLS", 1 << 17, 40),
-        ("_CANDIDATE_CACHE_LIMIT", 1, 20000),
+        ("_BLOCK_TEST_CHARTS", 0, 10 ** 18),
+        ("_BLOCK_TEST_CHARTS", 10 ** 18, 0),
     ])
     def test_constant_changed_while_cached(self, a2, monkeypatch, name,
                                            before, after):

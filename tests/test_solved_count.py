@@ -1,10 +1,11 @@
-"""Counts that solve their vertex with the most charts.
+"""Searches that solve their vertices above `flagvar._BLOCK_TEST_CHARTS`.
 
-Above `flagvar._BLOCK_TEST_CHARTS` charts, a count does not build the
-charts of its last vertex: per pivot pattern the closure residues are
-affine in the free coefficients, and one exact solve over F_p per pattern
-counts the closed charts.  The block test it replaces, forced through the
-constant, is the oracle, and on small cases so is the enumeration.
+A key over that many charts keeps no table: per pivot pattern the closure
+residues are affine in the free coefficients, and one exact solve over
+F_p per pattern gives the closed charts, which a count counts without
+building them and a stream builds a batch at a time.  The table test,
+forced through the constant, is the oracle, and on small cases so is the
+enumeration.
 """
 
 import math
@@ -34,11 +35,37 @@ NEVER_SOLVE = 10 ** 18
 
 
 def forced(threshold, fn, *args):
-    """fn(*args) with `_BLOCK_TEST_CHARTS` set to threshold: 0 solves the
-    last vertex of every count, NEVER_SOLVE block-tests it."""
+    """fn(*args) with `_BLOCK_TEST_CHARTS` set to threshold and every entry
+    built under it (the entries read it once, when they are built): 0
+    solves every level of every search, NEVER_SOLVE table-tests it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flagvar, "_BLOCK_TEST_CHARTS", threshold)
-        return fn(*args)
+        flagvar._vertex_candidates.cache_clear()
+        try:
+            return fn(*args)
+        finally:
+            flagvar._vertex_candidates.cache_clear()
+
+
+def searched(m, brseq):
+    """The flag count of m and the count of its submodules of rank
+    brseq[0] and, on cases small enough to iterate, the sets of those
+    submodules and flags, each checked free of repeats and as large as
+    its count."""
+    e = brseq[0]
+    counts = (flagvar.point_count(m, brseq),
+              flagvar.count_locally_free_submodules(m, e))
+    if math.prod(largest_charts(m, i) for i in range(m.n)) > 3000:
+        return counts, None
+    found = []
+    for count, stream in zip(counts, (
+            lambda: [f.layers for f in flagvar.iter_flags(m, brseq)],
+            lambda: list(flagvar.iter_locally_free_submodules(m, e)))):
+        if count <= 100:
+            items = stream()
+            assert len(items) == len(set(items)) == count
+            found.append(set(items))
+    return counts, found
 
 
 def largest_charts(m, i):
@@ -79,16 +106,11 @@ def counted_cases(draw, datums):
 def test_solve_matches_block_test(a2, b2, b2_rev, g2, kronecker, a3, data):
     m, brseq = data.draw(counted_cases(
         [a2, b2, b2_rev, g2, kronecker, a3, A3_REV]))
-    want = forced(NEVER_SOLVE, flagvar.point_count, m, brseq)
-    assert forced(ALWAYS_SOLVE, flagvar.point_count, m, brseq) == want
-    assert flagvar.point_count(m, brseq) == want
-    e = brseq[0]
-    count = forced(ALWAYS_SOLVE, flagvar.count_locally_free_submodules, m, e)
-    assert count == forced(NEVER_SOLVE,
-                           flagvar.count_locally_free_submodules, m, e)
-    if math.prod(largest_charts(m, i) for i in range(m.n)) <= 3000:
-        assert count == len(list(
-            flagvar.iter_locally_free_submodules(m, e)))
+    # counts, and on small cases the sets of submodules and flags that
+    # iteration yields, the same with every level solved or table-tested
+    want = forced(NEVER_SOLVE, searched, m, brseq)
+    assert forced(ALWAYS_SOLVE, searched, m, brseq) == want
+    assert flagvar.point_count(m, brseq) == want[0][0]
 
 
 @pytest.mark.parametrize("name, k, p, r, e", [
@@ -153,11 +175,34 @@ class TestPaperScale:
         enumerated = len(list(flagvar.iter_locally_free_submodules(
             m, G2_BRSEQ[0])))
         assert enumerated == 576
-        # vertex 1 (7,168 charts) is solved, vertex 2 (6) is enumerated
+        # vertex 2 (6 charts) comes first and is visited in full; vertex 1
+        # (7,168) is solved against it, in a count and in a stream
         monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 6)
         assert flagvar.point_count(m, G2_BRSEQ) == enumerated
-        with pytest.raises(BudgetExceeded, match="vertex 1 has 7168"):
-            next(flagvar.iter_flags(m, G2_BRSEQ))
+        next(flagvar.iter_flags(m, G2_BRSEQ)).validate()
         monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 5)
         with pytest.raises(BudgetExceeded, match="vertex 2 has 6"):
             flagvar.point_count(m, G2_BRSEQ)
+        with pytest.raises(BudgetExceeded, match="vertex 2 has 6"):
+            next(flagvar.iter_flags(m, G2_BRSEQ))
+
+    def test_three_step_count_at_three(self):
+        # the top layer (2, 1): vertex 2 is visited, vertex 1 solved and
+        # streamed, and each closed top layer counted inside; the
+        # table-test search gave 11,337,408 = q^11 (q+1)^3 in 25 s
+        m = g2_module(3)
+        start = time.perf_counter()
+        assert flagvar.point_count(m, ((1, 0), (1, 1), (1, 1))) == 11337408
+        assert time.perf_counter() - start < 5.0
+
+    def test_first_submodule_at_five_within_a_second(self):
+        # vertex 1 has 302,734,375 charts at q = 5, solved and streamed,
+        # never visited in full
+        m = g2_module(5)
+        start = time.perf_counter()
+        first = next(flagvar.iter_locally_free_submodules(m, (2, 1)))
+        assert time.perf_counter() - start < 1.0
+        assert [u.dim for u in first] == [12, 2]
+        assert all(u.contains_rows((a @ first[j].basis.T).T)
+                   for (i, j), mats in m.arrows.items() for a in mats
+                   for u in [first[i]])

@@ -438,6 +438,52 @@ def test_constructions_read_their_arguments(a2, call):
         call(hmod.random_locally_free(a2, 2, 3, (1, 1), seed=1))
 
 
+# entry point -> call(m) with a module, flag or map argument of the wrong
+# kind
+ENTRY_POINTS = {
+    "point_count-not-a-module":
+        lambda m: flagvar.point_count(5, [(1, 0), (0, 1)]),
+    "iter_flags-module-none":
+        lambda m: next(flagvar.iter_flags(None, [(1, 0), (0, 1)])),
+    "bundle_ratio_check-not-a-module":
+        lambda m: flagvar.bundle_ratio_check(5, [(1, 0), (0, 1)]),
+    "reduce-not-a-module": lambda m: reduction.reduce(5),
+    "krull_schmidt-not-a-module": lambda m: gendecomp.krull_schmidt(5),
+    "rank_vector-not-a-module": lambda m: hmod.rank_vector(5),
+    "normalize-not-a-module": lambda m: hmod.normalize(5),
+    "reduce_mod_p-not-a-module": lambda m: hmod.reduce_mod_p(5, 2),
+    "module_to_dict-not-a-module": lambda m: hmod.module_to_dict(5),
+    "modules_equal-not-a-module": lambda m: hmod.modules_equal(m, 5),
+    "tangent_dimension-flag-none":
+        lambda m: flagvar.tangent_dimension(m, None),
+    "reduce_flag-flag-an-int": lambda m: flagvar.reduce_flag(m, 5),
+    "fiber_of_reduction-base-an-int":
+        lambda m: flagvar.fiber_of_reduction(m, 5),
+    "check_homomorphism-map-an-int":
+        lambda m: homext.check_homomorphism(m, m, 5),
+    "reduce_hom-map-none": lambda m: reduction.reduce_hom(m, m, None),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(),
+                         ids=ENTRY_POINTS.keys())
+def test_entry_points_read_their_arguments(a2, call):
+    """One-module entry points refuse what is not an HModule
+    (`hmod.read_module`), the flag entry points what is not a
+    FlagOfSubmodules, and the homomorphism readers a map that is not a
+    sequence, with ValidationError: each raised a bare AttributeError or
+    TypeError."""
+    m = hmod.random_locally_free(a2, 2, 3, (1, 1), seed=1)
+    with pytest.raises(ValidationError):
+        call(m)
+    # the same entry points still take a module, a flag and a map
+    flag = next(flagvar.iter_flags(m, [(1, 0), (0, 1)]), None)
+    if flag is not None:
+        assert flagvar.tangent_dimension(m, flag) >= 0
+    assert hmod.modules_equal(m, m)
+    homext.check_homomorphism(m, m, homext.identity_hom(m))
+
+
 @pytest.mark.parametrize("points,degree_bound", [
     ([(1.5, 2), (2, 3)], None), ([(1, 2), (2, 3)], 0.5), (5, None),
     ([(1, 2.5), (2, 3)], None), ([(1, 2, 3), (2, 3)], None),
