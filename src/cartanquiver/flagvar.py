@@ -21,8 +21,9 @@ one with the most candidates, and per closed tuple counts that one's
 closed charts, p^nullity per solved pattern, without building them.  A
 level with no closure test is visited in full, so a search refuses to
 start, with BudgetExceeded, when such a level has more than
-VERTEX_CANDIDATE_BUDGET candidates; a solved level or a vertex a count
-takes in closed form (no active arrow) is never refused.  Flags recurse
+VERTEX_CANDIDATE_BUDGET candidates, and refuses a solved level that would
+build more closed charts than that; the vertex a count counts and one it
+takes in closed form (no active arrow) are never refused.  Flags recurse
 inside each closed top layer in the basis of its chart rows, where the
 submodule is valid by construction (`hmod._restrict`), so no inner layer
 is split, normalized, eliminated or validated.  Flags of length l are
@@ -362,14 +363,17 @@ def _closed_charts(entry: _KeyEntry, p: int, v: int, tests, chosen: dict
     """The charts at vertex v closed under the given arrows to the chosen
     charts of other vertices, the one rule of every level of a search: a
     table is tested at once (`_closed`); a key without one is solved
-    (`_solutions`), and its closed charts are built 64 at a time."""
+    (`_solutions`), and its closed charts are built 64 at a time, once
+    their number, which the level visits, is within the budget."""
     table = entry.table
     if table is not None:
         for t in np.flatnonzero(_closed(table, v, tests, chosen)).tolist():
             yield _Chart(table.basis[t], table.pivots[t], table, t)
         return
     affine = entry.affine
-    for lo, hi, c0, kernel in _solutions(affine, p, v, tests, chosen):
+    solutions = list(_solutions(affine, p, v, tests, chosen))
+    _refuse_over_budget(v, sum(p ** len(kernel) for *_, kernel in solutions))
+    for lo, hi, c0, kernel in solutions:
         total = p ** len(kernel)
         for start in range(0, total, 64):
             codes = la.digits(np.arange(start, min(total, start + 64)), p,
@@ -389,6 +393,14 @@ def _solved_count(entry: _KeyEntry, p: int, v: int, tests, chosen: dict
                _solutions(entry.affine, p, v, tests, chosen))
 
 
+def _refuse_over_budget(v: int, visited: int) -> None:
+    """Refuse a level that would visit too many charts at vertex v."""
+    if visited > VERTEX_CANDIDATE_BUDGET:
+        raise BudgetExceeded(
+            f"vertex {v + 1} has {visited} candidate submodules, above "
+            f"flagvar.VERTEX_CANDIDATE_BUDGET = {VERTEX_CANDIDATE_BUDGET}")
+
+
 def _closure_search(m: HModule, rank: RankVector, e: RankVector,
                     vertices):
     """Backtracking over `vertices` by ascending chart count, then by
@@ -398,7 +410,8 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
     Yields the closed tuples, each as a dict of the chosen `_Chart` of
     every vertex in search order, which `_residues` reads.  A level with
     no closure test is visited in full, so one over VERTEX_CANDIDATE_BUDGET
-    charts refuses the search before its first tuple."""
+    charts refuses the search before its first tuple; a solved level is
+    refused when it reaches more closed charts than that."""
     active = _active_arrows(m, rank, e)
     entries = {v: _entry(m, rank, e, v) for v in vertices}
     levels = []
@@ -407,13 +420,9 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
         placed.add(v)
         tests = [(i, j, a) for i, j, a in active
                  if v in (i, j) and {i, j} <= placed]
-        entry = entries[v]
-        if not tests and entry.charts > VERTEX_CANDIDATE_BUDGET:
-            raise BudgetExceeded(
-                f"vertex {v + 1} has {entry.charts} candidate "
-                f"submodules, above flagvar.VERTEX_CANDIDATE_BUDGET = "
-                f"{VERTEX_CANDIDATE_BUDGET}")
-        levels.append((v, entry, tests))
+        if not tests:
+            _refuse_over_budget(v, entries[v].charts)
+        levels.append((v, entries[v], tests))
     chosen: dict[int, _Chart] = {}
 
     def extend(idx: int):
@@ -673,8 +682,10 @@ def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
 def point_count(m: HModule, brseq) -> int:
     """Number of flags, by the recursion of `iter_flags`; its innermost
     two-step sequence is counted by `_count_charts`, without enumerating
-    the points.  VERTEX_CANDIDATE_BUDGET bounds only the vertices that a
-    search visits in full: those with no closure test at their level."""
+    the points.  VERTEX_CANDIDATE_BUDGET bounds the charts that each level
+    of a search visits: all of them at a level with no closure test, the
+    closed ones at a solved level.  The vertex a count counts per closed
+    tuple is never visited, so never refused."""
     seq = _checked_seq(m, brseq)
     if seq is None:
         return 0

@@ -11,6 +11,7 @@ enumeration.
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -49,9 +50,9 @@ def forced(threshold, fn, *args):
 
 def searched(m, brseq):
     """The flag count of m and the count of its submodules of rank
-    brseq[0] and, on cases small enough to iterate, the sets of those
-    submodules and flags, each checked free of repeats and as large as
-    its count."""
+    brseq[0] and, on cases small enough to iterate and with at most 100
+    points, the sets of those submodules and flags, each checked free of
+    repeats and as large as its count."""
     e = brseq[0]
     counts = (flagvar.point_count(m, brseq),
               flagvar.count_locally_free_submodules(m, e))
@@ -110,7 +111,14 @@ def test_solve_matches_block_test(a2, b2, b2_rev, g2, kronecker, a3, data):
     # iteration yields, the same with every level solved or table-tested
     want = forced(NEVER_SOLVE, searched, m, brseq)
     assert forced(ALWAYS_SOLVE, searched, m, brseq) == want
-    assert flagvar.point_count(m, brseq) == want[0][0]
+    e = brseq[0]
+    count = flagvar.count_locally_free_submodules(m, e)
+    assert (flagvar.point_count(m, brseq), count) == want[0]
+    # at the default threshold, the stream of every case small enough to
+    # iterate is as long as its count
+    if math.prod(largest_charts(m, i) for i in range(m.n)) <= 3000:
+        assert count == len(list(
+            flagvar.iter_locally_free_submodules(m, e)))
 
 
 @pytest.mark.parametrize("name, k, p, r, e", [
@@ -131,6 +139,31 @@ def test_solve_matches_block_test_on_fixed_modules(request, name, k, p, r,
         assert forced(ALWAYS_SOLVE, flagvar.count_locally_free_submodules,
                       m, e) == want
         assert flagvar.count_locally_free_submodules(m, e) == want
+
+
+def test_budget_bounds_a_vacuous_solved_level(a2, monkeypatch):
+    # A2 at k = 1 over F_2, rank (4, 2), sub rank (2, 1), one arrow
+    # 2 -> 1 taking the first basis vector to the first and the second to
+    # zero.  Vertex 2 (3 lines) is visited in full; vertex 1 (35 planes,
+    # solved) has 7 closed planes over the lines the arrow moves and all
+    # 35 over the line it kills, where the solve constrains nothing
+    a = np.zeros((4, 2), dtype=np.int64)
+    a[0, 0] = 1
+    m = hmod.make_module(a2, 1, 2, [np.zeros((4, 4), dtype=np.int64),
+                                    np.zeros((2, 2), dtype=np.int64)],
+                         {(0, 1): [a]})
+    e = (2, 1)
+    monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 34)
+    for threshold in (ALWAYS_SOLVE, NEVER_SOLVE):
+        # a count counts vertex 1 per line and never visits it
+        assert forced(threshold, flagvar.count_locally_free_submodules,
+                      m, e) == 7 + 7 + 35
+    with pytest.raises(BudgetExceeded, match="vertex 1 has 35"):
+        forced(ALWAYS_SOLVE, list,
+               flagvar.iter_locally_free_submodules(m, e))
+    monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 35)
+    assert len(forced(ALWAYS_SOLVE, list,
+                      flagvar.iter_locally_free_submodules(m, e))) == 49
 
 
 def g2_module(q):
@@ -176,10 +209,14 @@ class TestPaperScale:
             m, G2_BRSEQ[0])))
         assert enumerated == 576
         # vertex 2 (6 charts) comes first and is visited in full; vertex 1
-        # (7,168) is solved against it, in a count and in a stream
+        # (7,168) is solved against it, 96 closed charts per chart of
+        # vertex 2, which a stream builds and a count only counts
         monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 6)
         assert flagvar.point_count(m, G2_BRSEQ) == enumerated
-        next(flagvar.iter_flags(m, G2_BRSEQ)).validate()
+        with pytest.raises(BudgetExceeded, match="vertex 1 has 96"):
+            next(flagvar.iter_flags(m, G2_BRSEQ))
+        monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 96)
+        assert len(list(flagvar.iter_flags(m, G2_BRSEQ))) == enumerated
         monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 5)
         with pytest.raises(BudgetExceeded, match="vertex 2 has 6"):
             flagvar.point_count(m, G2_BRSEQ)
