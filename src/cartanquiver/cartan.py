@@ -259,10 +259,9 @@ def euler_form(datum: CartanDatum, a, b, k: int = 1) -> int:
     """
     k = read_int(k, "k", 1, KTooSmall)
     a, b = _vec(datum, a), _vec(datum, b)
-    total = sum(k * c * x * y for c, x, y in zip(datum.d, a, b))
-    for i, j in datum.oriented_pairs():
-        total += k * datum.d[i] * datum.c[i][j] * a[j] * b[i]
-    return total
+    return symmetrizer_form(datum, a, b, k) + k * sum(
+        datum.d[i] * datum.c[i][j] * a[j] * b[i]
+        for i, j in datum.oriented_pairs())
 
 
 def symmetrizer_form(datum: CartanDatum, a, b, k: int = 1) -> int:

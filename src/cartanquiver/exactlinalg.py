@@ -138,7 +138,9 @@ DIGIT_CHUNK = 4096   # codes per block of digit_chunks
 
 
 def digits(codes, p: int, width: int) -> np.ndarray:
-    """Base-p digits (..., width) of int64 codes, least significant first."""
+    """Base-p digits (..., width) of int64 codes, least significant first.
+    A base p that is not an integer >= 2 raises ValidationError."""
+    p = read_int(p, "base", 2)
     rest = integer_array(codes)
     out = np.empty(rest.shape + (width,), dtype=np.int64)
     for t in range(width):
@@ -148,8 +150,9 @@ def digits(codes, p: int, width: int) -> np.ndarray:
 
 def digit_chunks(p: int, width: int, start: int = 0):
     """Digits of the codes start, ..., p**width - 1, in blocks of at most
-    DIGIT_CHUNK rows, each computed when reached."""
-    total = p ** width
+    DIGIT_CHUNK rows, each computed when reached; the base is read as in
+    `digits`."""
+    total = read_int(p, "base", 2) ** width
     for lo in range(start, total, DIGIT_CHUNK):
         yield digits(np.arange(lo, min(total, lo + DIGIT_CHUNK)), p, width)
 
@@ -419,6 +422,9 @@ class Subspace:
                 @ cols.take(self.pivots, 0)) % self.p
 
     def __add__(self, other: "Subspace") -> "Subspace":
+        if not isinstance(other, Subspace):
+            raise ValidationError(f"expected a Subspace, got "
+                                  f"{type(other).__name__}")
         if self.p != other.p or self.ambient != other.ambient:
             raise DimensionMismatch("subspaces live in different spaces")
         return Subspace.from_rows(

@@ -16,30 +16,32 @@ already chosen: a table is tested at once, with no elimination (the rows
 of a chart are the identity on its pivot columns, which is all a closure
 test needs); a larger key is solved, one exact solve over F_p per
 pattern, whose closed charts are built a few at a time.  One residue
-computation serves both.  A count searches its coupled vertices but the
-one with the most candidates, and per closed tuple counts that one's
-closed charts, p^nullity per solved pattern, without building them.  A
-level with no closure test is visited in full, so a search refuses to
-start, with BudgetExceeded, when such a level has more than
-VERTEX_CANDIDATE_BUDGET candidates, and refuses a solved level that would
-build more closed charts than that; the vertex a count counts and one it
-takes in closed form (no active arrow) are never refused.  Flags recurse
-inside each closed top layer in the basis of its chart rows, where the
-submodule is valid by construction (`hmod._restrict`), so no inner layer
-is split, normalized, eliminated or validated.  Flags of length l are
-chains over the tensor algebra with the path algebra of a linear quiver
-on l-1 vertices, which gives their tangent spaces (one Hom solve).  One
-flag check, on the block pass of a split of the module along each layer
-(`hmod._split_blocks`, one block list in the order of the module's
-maps), tests invariance, freeness and nesting; each (sub, quotient) pair
-of its blocks is one relation of the tangent Hom, solved without
-building a module.  Each flag object is checked once: a flag is a value
-(tuples of subspaces with read-only bases), so it keeps the read-only
-blocks of its check as long as it lives, and its tangent space, its
-reduction and the fiber over it reuse them.  The fiber of the reduction
-map over a fixed lower-level flag is
-one affine linear system on the layers: every lift of a base layer is
-Z + graph(phi) with Z = eps^(k-1) of its preimage and phi a linear map
+computation serves both.  Flags recurse inside each closed top layer in
+the basis of its chart rows, where the submodule is valid by
+construction (`hmod._restrict`), so no inner layer is split, normalized,
+eliminated or validated.  One function counts flags of every length, in
+closed form at each layer and vertex no active arrow touches, so it
+recurses only where an arrow can constrain a lower layer; it searches
+the top layer's coupled vertices but the one with the most candidates,
+and per closed tuple counts that one's closed charts, p^nullity per
+solved pattern, without building them.  A level with no closure test is
+visited in full, so a search refuses to start, with BudgetExceeded, when
+such a level has more than VERTEX_CANDIDATE_BUDGET candidates, and
+refuses a solved level that would build more closed charts than that;
+what a count takes in closed form or counts per closed tuple is never
+refused.  Flags of length l are chains over the tensor algebra with the
+path algebra of a linear quiver on l-1 vertices, which gives their
+tangent spaces (one Hom solve).  One flag check, on the block pass of a
+split of the module along each layer (`hmod._split_blocks`, one block
+list in the order of the module's maps), tests invariance, freeness and
+nesting; each (sub, quotient) pair of its blocks is one relation of the
+tangent Hom, solved without building a module.  Each flag object is
+checked once: a flag is a value (tuples of subspaces with read-only
+bases), so it keeps the read-only blocks of its check as long as it
+lives, and its tangent space, its reduction and the fiber over it reuse
+them.  The fiber of the reduction map over a fixed lower-level flag is
+one affine linear system on the layers: every lift of a base layer
+is Z + graph(phi) with Z = eps^(k-1) of its preimage and phi a linear map
 into (eps^(k-1) M) / Z, and each loop, arrow and identity between layers
 gives one affine equation in the phi, whose right-hand side is the
 residue of the map on the base flag's sub block and whose linear part is
@@ -439,16 +441,15 @@ def _closure_search(m: HModule, rank: RankVector, e: RankVector,
     yield from extend(0)
 
 
-def _grassmannian(m: HModule, e, count: bool):
-    """The free rank-e submodules of m as the two-step flags (e, rank - e)
-    of `_layer_chains` on the standard form of m, with its change of basis
-    (`hmod._standard`).  Raises RankTooLarge unless e <= rank."""
+def _grassmannian(m: HModule, e):
+    """The standard form of m (`hmod._standard`), its change of basis and
+    the two-step sequence (e, rank - e) whose flags are the free rank-e
+    submodules of m.  Raises RankTooLarge unless e <= rank."""
     rank = hmod.rank_vector(m)
     e = RankVector(e)
     if not (e <= rank):
         raise RankTooLarge(f"requested rank {tuple(e)} exceeds {tuple(rank)}")
-    std, ts = hmod._standard(m)
-    return _layer_chains(std, (e, rank - e), count), ts
+    return *hmod._standard(m), (e, rank - e)
 
 
 def iter_locally_free_submodules(m: HModule, e
@@ -456,31 +457,46 @@ def iter_locally_free_submodules(m: HModule, e
     """Stream every tuple of per-vertex free submodules of rank e closed
     under all arrows, exactly once each (charts are disjoint): the bottom
     layers of the two-step flags (e, rank - e)."""
-    chains, ts = _grassmannian(m, e, count=False)
-    for chain in chains:
+    std, ts, seq = _grassmannian(m, e)
+    for chain in _layer_chains(std, seq):
         yield _chain_layers(chain, ts, m.p)[0]
 
 
 def count_locally_free_submodules(m: HModule, e) -> int:
     """Grassmannian point count: the number of two-step flags
-    (e, rank - e), counted without enumerating them where it can be."""
-    return sum(_grassmannian(m, e, count=True)[0])
+    (e, rank - e), counted by `_count_charts`."""
+    std, _, seq = _grassmannian(m, e)
+    return _count_charts(std, seq)
 
 
-def _count_charts(m: HModule, rank: RankVector, e: RankVector) -> int:
-    """The number of closed tuples of free rank-e submodules of m, which is
-    in standard form, the one place that counts: the unconstrained
-    vertices in closed form (`_free_submodule_count`), their entries never
-    built; the other coupled vertices but the one with the most charts,
-    `top`, by `_closure_search`; and per closed tuple of those, the closed
-    charts of `top`, never built (`_solved_count`)."""
+def _count_charts(m: HModule, seq) -> int:
+    """The number of flags of m, which is in standard form, with subquotient
+    ranks seq (which sum to the rank of m; one step is the flag (rank)), the
+    one place that counts.  Where an arrow is active (`_active_arrows`) at a
+    step below the top proper layer e (a zero arrow of m is zero in every
+    record), it sums the counts inside the `hmod._restrict` record of each
+    closed top layer, as `_layer_chains` recurses.  Else it multiplies the
+    closed forms (`_free_submodule_count`) of the lower steps and of the
+    vertices of e no active arrow touches, their entries never built, by the
+    count of the others: all but the one with the most charts, `top`, by
+    `_closure_search`, and per closed tuple the closed charts of `top`,
+    never built (`_solved_count`)."""
+    *sums, rank = itertools.accumulate(seq)
+    e = sums[-1] if sums else rank
+    lower = list(zip(sums, sums[1:]))
+    if any(_active_arrows(m, r, s) for s, r in lower):
+        return sum(_count_charts(hmod._restrict(
+            m, [chosen[v].rows for v in range(m.n)],
+            [chosen[v].pivots for v in range(m.n)]), seq[:-1])
+            for chosen in _closure_search(m, rank, e, range(m.n)))
     active = _active_arrows(m, rank, e)
     coupled = {v for (i, j, _) in active for v in (i, j)}
     free_factor = 1
-    for i in range(m.n):
-        if i not in coupled:
-            free_factor *= _free_submodule_count(m.loop_order(i), rank[i],
-                                                 e[i], m.p)
+    for s, r, skip in [(e, rank, coupled)] + [(s, r, ()) for s, r in lower]:
+        for i in range(m.n):
+            if 0 < s[i] < r[i] and i not in skip:
+                free_factor *= _free_submodule_count(m.loop_order(i), r[i],
+                                                     s[i], m.p)
     if not coupled:
         return free_factor
     top = max(coupled, key=lambda v: (_entry(m, rank, e, v).charts, v))
@@ -596,7 +612,7 @@ def _checked_seq(m: HModule, brseq):
     return seq
 
 
-def _layer_chains(m: HModule, seq, count: bool):
+def _layer_chains(m: HModule, seq):
     """Depth first over the flags of m, which is in standard form, with
     subquotient ranks seq (which sum to the rank of m): the top proper
     layer runs over the closed charts of the Grassmannian (`_closure_search`
@@ -619,25 +635,21 @@ def _layer_chains(m: HModule, seq, count: bool):
     Yields each flag as its layers' `_Chart`s in vertex order (the top
     one's read off the tuple the search yields), bottom first, each in
     the chart basis of the layer above it (the top one in the coordinates
-    of m), or with count=True, numbers of flags that sum to the total, a
-    two-step sequence counted by `_count_charts`."""
+    of m); `_count_charts` counts them, recursing only where it must."""
     if len(seq) == 1:
-        yield 1 if count else []
+        yield []
         return
     top_rank = sum(seq[1:-1], seq[0])
-    rank = top_rank + seq[-1]
-    if len(seq) == 2 and count:
-        yield _count_charts(m, rank, top_rank)
-        return
-    for chosen in _closure_search(m, rank, top_rank, range(m.n)):
+    for chosen in _closure_search(m, top_rank + seq[-1], top_rank,
+                                  range(m.n)):
         charts = tuple(chosen[v] for v in range(m.n))
         if len(seq) == 2:
             yield [charts]
             continue
         inner = hmod._restrict(m, [c.rows for c in charts],
                                [c.pivots for c in charts])
-        for chain in _layer_chains(inner, seq[:-1], count):
-            yield chain if count else chain + [charts]
+        for chain in _layer_chains(inner, seq[:-1]):
+            yield chain + [charts]
 
 
 def _chain_layers(chain, ts, p: int) -> tuple[tuple[Subspace, ...], ...]:
@@ -672,7 +684,7 @@ def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
     if seq is None:
         return
     std, ts = hmod._standard(m)
-    for chain in _layer_chains(std, seq, count=False):
+    for chain in _layer_chains(std, seq):
         layers = _chain_layers(chain, ts, m.p) if chain else ()
         flag = FlagOfSubmodules(m, seq, layers)
         flag._check()
@@ -680,17 +692,15 @@ def iter_flags(m: HModule, brseq) -> Iterator[FlagOfSubmodules]:
 
 
 def point_count(m: HModule, brseq) -> int:
-    """Number of flags, by the recursion of `iter_flags`; its innermost
-    two-step sequence is counted by `_count_charts`, without enumerating
-    the points.  VERTEX_CANDIDATE_BUDGET bounds the charts that each level
-    of a search visits: all of them at a level with no closure test, the
-    closed ones at a solved level.  The vertex a count counts per closed
-    tuple is never visited, so never refused."""
+    """Number of flags, by `_count_charts` on the standard form of m.
+    VERTEX_CANDIDATE_BUDGET bounds the charts that each level of a search
+    visits: all of them at a level with no closure test, the closed ones
+    at a solved level.  What a count takes in closed form or counts per
+    closed tuple, it never visits, so never refuses."""
     seq = _checked_seq(m, brseq)
     if seq is None:
         return 0
-    std, _ = hmod._standard(m)
-    return sum(_layer_chains(std, seq, count=True))
+    return _count_charts(hmod._standard(m)[0], seq)
 
 
 # --- tensor modules over the linear-quiver extension --------------------------

@@ -265,7 +265,7 @@ def is_indecomposable(m: HModule, seed=0) -> IndecomposabilityResult:
     is Monte Carlo.  A negative answer is always exhaustive: it exhibits a
     split, checked at every vertex (`_fitting_split`).
     """
-    if m.total_dim() == 0:
+    if hmod.read_module(m).total_dim() == 0:
         return IndecomposabilityResult(False, EXHAUSTIVE)
     split, certainty, _ = _find_split(m, seed)
     if split is not None:

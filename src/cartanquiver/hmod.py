@@ -191,6 +191,7 @@ def _check_pairs(given, pairs, what: str) -> None:
 
 def validate_module(m: HModule) -> None:
     """Check shapes and the defining relations (H1) and (H2) exactly."""
+    read_module(m)
     for i in range(m.n):
         e = m.eps[i]
         if e.shape != (m.dims[i], m.dims[i]):
@@ -240,7 +241,7 @@ def _not_free_at(m: HModule) -> Optional[str]:
 
 
 def is_locally_free(m: HModule) -> bool:
-    return _not_free_at(m) is None
+    return _not_free_at(read_module(m)) is None
 
 
 def read_module(m) -> HModule:
@@ -455,7 +456,7 @@ def from_structure_matrices(s: StructureMatrices) -> HModule:
 
 def to_structure_matrices(m: HModule) -> StructureMatrices:
     """Inverse of from_structure_matrices on standard-form modules."""
-    m, _ = _standard(m)
+    m, _ = _standard(read_module(m))
     r = rank_vector(m)
     out = {}
     for (i, j), mats in m.arrows.items():
@@ -662,9 +663,11 @@ def epsilon_blocks(m: HModule, a: int = 1) -> tuple[np.ndarray, ...]:
     eps = sum_i eps_i^(c_i): Eps_i ** (a*c_i), one `matpow` per vertex.
 
     The block-diagonal of these commutes with every structure map and
-    vanishes for a >= k.
+    vanishes for a >= k; a is read by `read_int`.
     """
-    return tuple(la.matpow(x, a * c, m.p) for x, c in zip(m.eps, m.datum.d))
+    a = read_int(a, "eps power", 0)
+    return tuple(la.matpow(x, a * c, m.p)
+                 for x, c in zip(read_module(m).eps, m.datum.d))
 
 
 def reduce_mod_p(m: HModule, p_new: int) -> HModule:

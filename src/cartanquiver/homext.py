@@ -198,7 +198,8 @@ class HomBasis:
         NotAHomomorphism when f has the wrong number or shapes of
         components, or lies outside the span of the basis."""
         p = self.source.p
-        f = [la.integer_array(fi) for fi in f]
+        f = [la.integer_array(fi)
+             for fi in read_value(tuple, f, "bad homomorphism")]
         lead = f[0].shape[:-2] if f else ()
         if len(f) != len(self.source.dims) or any(
                 fi.shape != lead + (dn, dm) for fi, dm, dn
@@ -240,6 +241,8 @@ def _failed_relation(relations, f, p: int) -> Optional[str]:
 
 
 def is_homomorphism(m: HModule, n: HModule, f) -> bool:
+    hmod._same_algebra(m, n)
+    f = read_value(tuple, f, "bad homomorphism")
     return _failed_relation(_relations(m, n), f, m.p) is None
 
 
@@ -275,11 +278,13 @@ def hom_space(m: HModule, n: HModule) -> HomBasis:
 
 def compose(f, g, p: int) -> tuple[np.ndarray, ...]:
     """f after g, per vertex."""
-    return tuple((fi @ gi) % p for fi, gi in zip(f, g))
+    return tuple((fi @ gi) % p for fi, gi in zip(
+        read_value(tuple, f, "bad homomorphism"),
+        read_value(tuple, g, "bad homomorphism")))
 
 
 def identity_hom(m: HModule) -> tuple[np.ndarray, ...]:
-    return tuple(la.identity(d) for d in m.dims)
+    return tuple(la.identity(d) for d in hmod.read_module(m).dims)
 
 
 def ext1_dim(m: HModule, n: HModule) -> int:

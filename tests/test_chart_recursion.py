@@ -175,14 +175,26 @@ def _counting(patch, owner, name, calls, static=False):
     patch.setattr(owner, name, staticmethod(counted) if static else counted)
 
 
+def constrained_below_top(m, seq) -> bool:
+    """Whether some arrow of m can constrain a step below the top proper
+    layer of seq: a non-zero arrow j -> i, a step whose sub layer is not
+    zero at j and does not fill its ambient layer at i."""
+    sums = list(itertools.accumulate(np.array(r) for r in seq))
+    return any(a.any() and sub[j] > 0 and sub[i] < ambient[i]
+               for sub, ambient in zip(sums[:-2], sums[1:-1])
+               for (i, j), mats in m.arrows.items() for a in mats)
+
+
 @pytest.mark.parametrize("name, k, p, seq, scramble",
                          [case for case in GRID if not case[-1]])
 def test_inner_layers_build_no_module(name, k, p, seq, scramble):
     """On a checked module in standard form, a point count of three or
-    more steps builds, validates, splits, normalizes and eliminates
-    nothing for its inner layers, and an enumeration builds, validates,
-    splits and normalizes nothing (it eliminates only to yield the
-    layers)."""
+    more steps builds a record of a closed top layer exactly where an
+    arrow can constrain a step below it, and builds, validates, splits,
+    normalizes and eliminates nothing else for its inner layers; an
+    enumeration builds a record of every closed top layer, and builds,
+    validates, splits and normalizes nothing else (it eliminates only to
+    yield the layers)."""
     datum = DATA[name]
     m = flagged_module(datum, k, p, seq, (31, name))
     want = sum(reference_layer_chains(m, seq, True))
@@ -196,10 +208,11 @@ def test_inner_layers_build_no_module(name, k, p, seq, scramble):
         assert flagvar.point_count(m, seq) == want
         # the records' own check in checked_records validates them
         assert calls == ["validate_module"] * len(records)
-        assert records
+        assert bool(records) == constrained_below_top(m, seq)
         calls.clear()
         records.clear()
         assert len(list(flagvar.iter_flags(m, seq))) == want
+        assert records
         assert set(calls) <= {"from_rows", "validate_module"}
         assert calls.count("validate_module") == len(records)
 

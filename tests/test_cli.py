@@ -400,14 +400,21 @@ def test_bundle_check_primes_refused_before_search(tmp_path, capsys, primes,
 
 def test_flag_count_budget_exceeded_exits_3(config_path, tmp_path, capsys,
                                             monkeypatch):
-    # free of rank (2,1): a middle layer of rank (1,1) has more than one
-    # candidate at vertex 1
-    module_path = tmp_path / "free.json"
+    # rank (2,2) with a non-zero arrow, which can constrain the bottom
+    # layer (0,1) inside the top layer (1,1): the count searches the top
+    # layer, whose first vertex has more than one candidate and no
+    # closure test (a count whose lower layers no arrow can constrain
+    # takes them in closed form and is never refused)
+    module_path = tmp_path / "arrow.json"
     module_path.write_text(json.dumps(
-        {"k": 2, "p": 5, "rank": [2, 1], "structure": {}}))
+        {"k": 2, "p": 5, "rank": [2, 2],
+         "structure": {"1,2": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}))
+    args = ["flag-count", "--config", config_path, "--module",
+            str(module_path), "--brseq", "0,1;1,0;1,1"]
+    assert run(args) == 0
+    capsys.readouterr()
     monkeypatch.setattr(flagvar, "VERTEX_CANDIDATE_BUDGET", 1)
-    assert run(["flag-count", "--config", config_path, "--module",
-                str(module_path), "--brseq", "1,0;0,1;1,0"]) == 3
+    assert run(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: vertex 1 has ")
     assert "VERTEX_CANDIDATE_BUDGET = 1" in err

@@ -280,6 +280,18 @@ def test_powers_digits_and_residues_reject_non_integer_entries():
     assert u.contains_rows(np.array([[2, 4]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("base", [0, 1, -2, 2.0, None])
+def test_digits_reject_a_base_below_two(base):
+    """A base 0 only warned of a division by zero and returned an array,
+    and a base 1 returned all zeros; digit_chunks reads its base the same
+    way (it yielded nothing at base 0)."""
+    with pytest.raises(ValidationError):
+        la.digits([5], base, 3)
+    with pytest.raises(ValidationError):
+        next(la.digit_chunks(base, 1))
+    assert la.digits([5], 3, 3).tolist() == [[2, 1, 0]]
+
+
 def test_kernel_rank_nullity():
     rng = np.random.default_rng(3)
     for p in (2, 5):

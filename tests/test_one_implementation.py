@@ -1,11 +1,16 @@
 """Each object of the library has one implementation: the free module is
-the module of the zero structure, eps^a is one power per vertex, and the
-quiver Grassmannian is the two-step case of the flag recursion.  These
-tests pin that the special cases give what the general functions give."""
+the module of the zero structure, eps^a is one power per vertex, the
+quiver Grassmannian is the two-step case of the flag recursion, flags of
+every length have one count, and the Euler form is the symmetrizer form
+plus its arrow terms.  These tests pin that the special cases give what
+the general functions give."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+from cartanquiver import cartan
 from cartanquiver import exactlinalg as la
 from cartanquiver import flagvar, hmod, homext
 from cartanquiver.cartan import RankVector
@@ -84,3 +89,41 @@ def test_grassmannian_of_a_module_not_in_standard_form(a2):
         stream = list(flagvar.iter_locally_free_submodules(m, e))
         assert stream == [f.layers[0] for f in flagvar.iter_flags(m, seq)]
         assert len(stream) == flagvar.count_locally_free_submodules(m, e)
+
+
+def test_every_flag_count_is_one_count(a2, monkeypatch):
+    """point_count and count_locally_free_submodules return
+    `_count_charts` of the standard form, for two steps and for three;
+    the recursions that enumerate take no count mode."""
+    m = hmod.random_locally_free(a2, 2, 3, (2, 1), 5)
+    seen = []
+
+    def counted(mod, seq):
+        seen.append(mod)
+        return tuple(map(tuple, seq))
+
+    monkeypatch.setattr(flagvar, "_count_charts", counted)
+    three = ((1, 0), (0, 1), (1, 0))
+    assert flagvar.point_count(m, three) == three
+    assert flagvar.count_locally_free_submodules(m, (1, 1)) == (
+        (1, 1), (1, 0))
+    assert seen == [m, m] and m.standard_form
+    for fn in (flagvar._layer_chains, flagvar._grassmannian):
+        assert "count" not in inspect.signature(fn).parameters
+
+
+def test_euler_form_is_the_symmetrizer_form_plus_arrow_terms(b2,
+                                                            monkeypatch):
+    """euler_form calls symmetrizer_form once for its diagonal terms and
+    adds k*c_i*c_ij*a_j*b_i for each arrow: on B2 at k = 2,
+    <(1,1),(1,1)> = 2*(2 + 1) + 2*2*(-1)."""
+    calls = []
+    original = cartan.symmetrizer_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cartan, "symmetrizer_form", counted)
+    assert cartan.euler_form(b2, (1, 1), (1, 1), k=2) == 2
+    assert len(calls) == 1

@@ -462,6 +462,21 @@ ENTRY_POINTS = {
     "check_homomorphism-map-an-int":
         lambda m: homext.check_homomorphism(m, m, 5),
     "reduce_hom-map-none": lambda m: reduction.reduce_hom(m, m, None),
+    "is_locally_free-not-a-module": lambda m: hmod.is_locally_free(5),
+    "validate_module-not-a-module": lambda m: hmod.validate_module(5),
+    "to_structure_matrices-not-a-module":
+        lambda m: hmod.to_structure_matrices(5),
+    "is_indecomposable-not-a-module":
+        lambda m: gendecomp.is_indecomposable(5),
+    "identity_hom-not-a-module": lambda m: homext.identity_hom(5),
+    "epsilon_filtration_check-not-a-module":
+        lambda m: reduction.epsilon_filtration_check(5),
+    "subspace-sum-with-an-int": lambda m: la.Subspace.zero(2, 3) + 5,
+    "epsilon_blocks-power-none": lambda m: hmod.epsilon_blocks(m, None),
+    "coords_of-map-an-int": lambda m: homext.hom_space(m, m).coords_of(5),
+    "coords_of-map-none": lambda m: homext.hom_space(m, m).coords_of(None),
+    "compose-maps-none": lambda m: homext.compose(None, None, 3),
+    "is_homomorphism-map-an-int": lambda m: homext.is_homomorphism(m, m, 5),
 }
 
 
@@ -470,9 +485,10 @@ ENTRY_POINTS = {
 def test_entry_points_read_their_arguments(a2, call):
     """One-module entry points refuse what is not an HModule
     (`hmod.read_module`), the flag entry points what is not a
-    FlagOfSubmodules, and the homomorphism readers a map that is not a
-    sequence, with ValidationError: each raised a bare AttributeError or
-    TypeError."""
+    FlagOfSubmodules, the homomorphism readers a map that is not a
+    sequence, `epsilon_blocks` a power that is not an integer and a
+    subspace sum what is not a Subspace, with ValidationError: each raised
+    a bare AttributeError or TypeError."""
     m = hmod.random_locally_free(a2, 2, 3, (1, 1), seed=1)
     with pytest.raises(ValidationError):
         call(m)
@@ -481,7 +497,11 @@ def test_entry_points_read_their_arguments(a2, call):
     if flag is not None:
         assert flagvar.tangent_dimension(m, flag) >= 0
     assert hmod.modules_equal(m, m)
-    homext.check_homomorphism(m, m, homext.identity_hom(m))
+    one = homext.check_homomorphism(m, m, homext.identity_hom(m))
+    assert homext.is_homomorphism(m, m, homext.compose(one, one, m.p))
+    assert homext.hom_space(m, m).coords_of(one).shape == (
+        homext.hom_space(m, m).dim,)
+    assert hmod.is_locally_free(m) and len(hmod.epsilon_blocks(m, 1)) == 2
 
 
 @pytest.mark.parametrize("points,degree_bound", [
