@@ -13,8 +13,9 @@ code.
 
 The readers of outside input live here: `integers` and `read_value` for
 entries, `read_int` for every integer parameter with a lower bound (a
-level below 1 raises KTooSmall), and `rank_seq` for every rank sequence
-brseq (a non-sequence or a negative entry raises ValidationError).
+level below 1 raises KTooSmall), `rank_seq` for every rank sequence
+brseq (a non-sequence or a negative entry raises ValidationError) and
+`read_datum` for every datum.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class RankVector(tuple):
     def total(self) -> int:
         return sum(self)
 
-    def dims(self, datum: "CartanDatum", k: int) -> tuple[int, ...]:
-        """Dimension vector (k * c_i * r_i)."""
-        return tuple(k * c * r for c, r in zip(datum.d, self))
-
     @staticmethod
     def unit(n: int, i: int) -> "RankVector":
         return RankVector(1 if t == i else 0 for t in range(n))
@@ -119,6 +116,15 @@ def integers(values) -> tuple[int, ...]:
     """The entries as ints by operator.index, the one integer reader: 1.5
     or "2" raises TypeError (ValidationError under read_value)."""
     return tuple(map(index, values))
+
+
+def read_datum(datum) -> CartanDatum:
+    """datum, the one reader of a datum argument: ValidationError unless it
+    is a CartanDatum (as `validate_cartan` makes)."""
+    if not isinstance(datum, CartanDatum):
+        raise ValidationError(
+            f"expected a datum (CartanDatum), got {type(datum).__name__}")
+    return datum
 
 
 def read_value(convert, value, what: str):
@@ -190,6 +196,7 @@ def validate_cartan(c, d) -> CartanDatum:
 def validate_orientation(datum: CartanDatum, omega) -> CartanDatum:
     """Attach an orientation: one direction per negative pair, no cycles.
     Entries that are not integer pairs raise ValidationError."""
+    read_datum(datum)
     pairs = frozenset(read_value(_pairs, omega, "bad orientation"))
     for i, j in pairs:
         if not (0 <= i < datum.n and 0 <= j < datum.n) or i == j:
@@ -228,7 +235,7 @@ def _check_acyclic(n: int, pairs: frozenset[tuple[int, int]]):
 
 def suggest_orientation(datum: CartanDatum) -> frozenset[tuple[int, int]]:
     """An orientation that always validates: direct every edge upward."""
-    return frozenset((i, j) for i, j in datum.edges)
+    return frozenset((i, j) for i, j in read_datum(datum).edges)
 
 
 @dataclass(frozen=True)
@@ -244,7 +251,7 @@ class Quiver:
 def build_quiver(datum: CartanDatum, k: int) -> Quiver:
     k = read_int(k, "k", 1, KTooSmall)
     arrows = []
-    for i, j in datum.oriented_pairs():
+    for i, j in read_datum(datum).oriented_pairs():
         for g in range(datum.g(i, j)):
             arrows.append((i, j, g))
     orders = tuple(k * c for c in datum.d)
@@ -279,7 +286,7 @@ def flag_dimension(datum: CartanDatum, brseq: Sequence) -> int:
     (when non-empty), and d(brseq) is the fiber dimension of the reduction
     map between levels k and k-1.  brseq is read by `rank_seq`.
     """
-    seq = rank_seq(brseq, datum.n)
+    seq = rank_seq(brseq, read_datum(datum).n)
     total = 0
     for s in range(len(seq)):
         for t in range(s + 1, len(seq)):
@@ -289,7 +296,7 @@ def flag_dimension(datum: CartanDatum, brseq: Sequence) -> int:
 
 def _vec(datum: CartanDatum, r) -> tuple[int, ...]:
     v = read_value(integers, r, "bad vector")
-    if len(v) != datum.n:
+    if len(v) != read_datum(datum).n:
         raise LengthMismatch(f"vector length {len(v)} != {datum.n}")
     return v
 
@@ -323,9 +330,11 @@ def datum_from_dict(cfg: dict) -> tuple[CartanDatum, int, int]:
 
 
 def load_config(path: str) -> tuple[CartanDatum, int, int]:
-    """Read a JSON or TOML config file (TOML needs Python >= 3.11); a file
-    that cannot be read or parsed raises ValidationError."""
+    """Read a JSON or TOML config file (TOML needs Python >= 3.11); a bad
+    path, or a file that cannot be read or parsed, raises ValidationError."""
     load = json.load
+    if not isinstance(path, str):
+        raise ValidationError(f"bad config path {path!r}")
     if path.endswith(".toml"):
         try:
             from tomllib import load

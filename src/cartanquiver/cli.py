@@ -66,9 +66,11 @@ def _write(path: str, text: str, what: str) -> None:
 
 
 def _load(args) -> tuple:
-    datum, k, p = cartan.load_config(args.config)
-    echo = (_read_json(args.config, "config")
-            if args.config.endswith(".json") else None)
+    toml = args.config.endswith(".toml")
+    cfg = None if toml else _read_json(args.config, "config")
+    datum, k, p = (cartan.load_config(args.config) if toml
+                   else cartan.datum_from_dict(cfg))
+    echo = cfg if args.config.endswith(".json") else None
     if getattr(args, "k", None):
         k = cartan.read_int(args.k, "--k", 0, KTooSmall)
     if getattr(args, "p", None) is not None:

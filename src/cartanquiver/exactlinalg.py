@@ -98,7 +98,7 @@ def integer_array(a) -> np.ndarray:
         raise ValidationError(f"expected an integer array: {exc}") from exc
     if m.dtype.kind not in "biu" and m.size:
         raise ValidationError(
-            f"expected integer entries, got dtype {m.dtype}")
+            f"expected an integer array, got dtype {m.dtype}")
     return m.astype(np.int64, copy=False)
 
 
@@ -169,9 +169,9 @@ def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
         raise DimensionMismatch(f"matpow needs square matrices, got shape "
                                 f"{a.shape}")
     e = read_int(e, "exponent", 0)
+    base = a % check_prime(p)
     if e == 0:
         return np.broadcast_to(identity(a.shape[-1]), a.shape).copy()
-    base = a % p
     while not e & 1:
         base = (base @ base) % p
         e >>= 1
@@ -242,7 +242,7 @@ def rank(a: np.ndarray, p: int) -> int:
 
 def inv(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix mod p; raises if singular."""
-    a = _matrix(a) % p
+    a = _matrix(a) % check_prime(p)
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch(f"inv: matrix {a.shape} is not square")
@@ -293,32 +293,28 @@ def image(a: np.ndarray, p: int) -> "Subspace":
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int):
-    """Solve a @ x = b mod p for a column vector (or stacked columns) b.
+    """Solve a @ x = b mod p for one right-hand-side vector b.
 
-    Returns (particular, kernel_rows) or None when inconsistent.  Every
-    returned solution is verified by substitution.  One elimination of
-    [a | b] serves both: when the system is consistent, its left block is
-    the RREF of a.
+    Returns (particular, kernel_rows) or None when inconsistent; a b that
+    is not a vector of one entry per row of a raises DimensionMismatch.
+    The particular solution is verified by substitution.  One elimination
+    of [a | b] serves both: when the system is consistent, its left block
+    is the RREF of a.
     """
-    a = _matrix(a) % p
+    a = _matrix(a) % check_prime(p)
     b = integer_array(b) % p
-    single = b.ndim == 1
-    bc = b.reshape(-1, 1) if single else b
-    if bc.ndim != 2 or bc.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"solve: {a.shape} vs right-hand side {bc.shape}")
-    aug = np.concatenate([a, bc], axis=1)
-    r, rk, pivots = rref(aug, p)
+    if b.shape != a.shape[:1]:
+        raise DimensionMismatch(f"solve: {a.shape} vs right-hand side "
+                                f"{b.shape}")
+    r, rk, pivots = rref(np.concatenate([a, b[:, None]], axis=1), p)
     ncols = a.shape[1]
     if any(c >= ncols for c in pivots):
         return None
-    x = zeros(ncols, bc.shape[1])
-    for row, c in enumerate(pivots):
-        x[c] = r[row, ncols:]
-    if ((a @ x - bc) % p).any():
+    x = np.zeros(ncols, dtype=np.int64)
+    x[list(pivots)] = r[:len(pivots), ncols]
+    if ((a @ x - b) % p).any():
         raise InternalCheckError("solve: substitution check failed")
-    part = x[:, 0] if single else x
-    return part, _kernel_from_rref(r, pivots, ncols, p)[0]
+    return x, _kernel_from_rref(r, pivots, ncols, p)[0]
 
 
 @dataclass(frozen=True, init=False)

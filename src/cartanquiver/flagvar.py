@@ -70,6 +70,7 @@ from .cartan import (
     RankVector,
     flag_dimension,
     rank_seq,
+    read_datum,
     read_int,
     read_value,
 )
@@ -78,6 +79,7 @@ from .errors import (
     FlagNotInReduction,
     InternalCheckError,
     KTooSmall,
+    LengthMismatch,
     NotEnoughPrimes,
     NotLocallyFree,
     RankTooLarge,
@@ -586,18 +588,15 @@ def _flag_blocks(m: HModule, brseq, layers) -> tuple[list, list]:
         for t, (src, tgt) in enumerate(zip(layers, layers[1:]))]
 
 
-def _read_flag(flag) -> FlagOfSubmodules:
+def _read_flag(m: HModule, flag) -> tuple[list, list]:
+    """The one reader of a flag argument: ValidationError unless flag is a
+    FlagOfSubmodules and m a module, then the blocks of the flag check of
+    `flag` as a flag of m: the flag's own (kept) check when m is its
+    module, else `_flag_blocks` against m."""
     if not isinstance(flag, FlagOfSubmodules):
         raise ValidationError(f"expected a flag (FlagOfSubmodules), got "
                               f"{type(flag).__name__}")
-    return flag
-
-
-def _checked_blocks(m: HModule, flag: FlagOfSubmodules) -> tuple[list, list]:
-    """The blocks of the flag check of `flag` as a flag of m: the flag's
-    own (kept) check when m is its module, else `_flag_blocks` against
-    m."""
-    if _read_flag(flag).module is m:
+    if flag.module is hmod.read_module(m):
         return flag._check()
     return _flag_blocks(m, flag.brseq, flag.layers)
 
@@ -719,8 +718,7 @@ class TensorModule:
     def __post_init__(self):
         if not self.slots:
             raise ShapeMismatch("tensor module needs at least one slot")
-        for slot in self.slots[1:]:
-            hmod._same_algebra(self.slots[0], slot)
+        hmod.read_module(*self.slots)
         if len(self.connectors) != len(self.slots) - 1:
             raise ShapeMismatch("need one connector between adjacent slots")
         for t, mu in enumerate(self.connectors):
@@ -755,9 +753,11 @@ def hom_tensor(x: TensorModule, y: TensorModule) -> homext.HomBasis:
     """Basis of Hom between tensor modules: one kernel of the slot
     intertwiners and the commuting squares with the connectors, solved and
     re-checked like `homext.hom_space`."""
+    if not (isinstance(x, TensorModule) and isinstance(y, TensorModule)):
+        raise ValidationError("hom_tensor takes two TensorModule")
     if len(x.slots) != len(y.slots):
         raise ShapeMismatch("tensor modules of different length")
-    hmod._same_algebra(x.slots[0], y.slots[0])
+    hmod.read_module(x.slots[0], y.slots[0])
     return homext._hom_basis(x, y)
 
 
@@ -772,7 +772,7 @@ def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
     (H2) and the identity's blocks are homomorphisms.  Raises
     ValidationError when the flag does not fit m or its layers are not a
     flag."""
-    splits, conn = _checked_blocks(m, flag)
+    splits, conn = _read_flag(m, flag)
     own = m.maps_with_labels()
     slots = [[(label, b, i, j) for (label, _, i, j), b in zip(own, blocks)]
              for _, blocks in splits]
@@ -789,10 +789,10 @@ def tangent_dimension(m: HModule, flag: FlagOfSubmodules) -> int:
 def reduce_flag(m: HModule, flag: FlagOfSubmodules) -> FlagOfSubmodules:
     """Image of a flag of m under the projections onto M / eps^(k-1) M.
     Raises ValidationError when the layers are not a flag of m."""
-    if m.k < 2:
+    if hmod.read_module(m).k < 2:
         raise KTooSmall("flag reduction needs k >= 2")
     data = _reduction_data(m)
-    _checked_blocks(m, flag)
+    _read_flag(m, flag)
     out = _reduced_flag(data.red, flag)
     out._check()
     return out
@@ -863,13 +863,10 @@ class FiberOfReduction:
         (taken mod p) on the kernel basis."""
         if self.empty:
             raise ValidationError("fiber is empty")
-        coeffs = np.asarray(coeffs)
-        if coeffs.size and coeffs.dtype.kind not in "iu":
-            raise ValidationError(f"fiber coefficients must be an integer "
-                                  f"array, got dtype {coeffs.dtype}")
+        coeffs = la.integer_array(coeffs)
         if coeffs.shape != (self.dimension,):
             raise ShapeMismatch(f"need {self.dimension} coefficients")
-        return self._builder((coeffs % self.base.module.p).astype(np.int64))
+        return self._builder(coeffs % self.base.module.p)
 
     def point_count(self) -> int:
         if self.empty:
@@ -909,22 +906,24 @@ def fiber_of_reduction(m: HModule, base: FlagOfSubmodules
     rows from `homext.intertwiner_rows` over `homext.Layout.of` with every
     phi of order 1, solved once, and each lift reads its phi at the
     layout's columns; its linear part is the level-1 Hom whose dimension
-    `_fiber_expected_dimension` checks.
+    `_fiber_expected_dimension` checks.  The base is read as a flag of its
+    own module (its kept check), which must equal the reduction of M.
     """
-    if m.k < 2:
+    if hmod.read_module(m).k < 2:
         raise KTooSmall("fibers of reduction need k >= 2")
     data = _reduction_data(m)
     red = data.red
     mbar = red.module
-    if (_read_flag(base).module is not mbar
-            and not hmod.modules_equal(base.module, mbar)):
+    try:
+        splits, conn = _read_flag(getattr(base, "module", mbar), base)
+    except LengthMismatch:          # a brseq of the wrong length, as it is
+        raise
+    except ValidationError as exc:
+        raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
+    if base.module is not mbar and not hmod.modules_equal(base.module, mbar):
         raise FlagNotInReduction(
             "base flag does not live in the reduction of the module")
     seq = rank_seq(base.brseq, m.n)
-    try:
-        splits, conn = base._check()
-    except ValidationError as exc:
-        raise FlagNotInReduction(f"base flag invalid: {exc}") from exc
     expected = _fiber_expected_dimension(data.shadow, base)
     p, n = m.p, m.n
     ks = red.subspaces
@@ -1110,7 +1109,7 @@ def counting_polynomial(m: HModule, brseq, primes=DEFAULT_PRIMES,
     before any count.  Each prime q counts `hmod.reduce_mod_p(m, q)`, m's
     entries read mod q.
     """
-    seq = rank_seq(brseq, m.n)
+    seq = rank_seq(brseq, hmod.read_module(m).n)
     d = flag_dimension(m.datum, seq)
     degree_bound = (max(m.k * d, 0) if degree_bound is None else
                     read_int(degree_bound, "degree_bound", 0))
@@ -1134,7 +1133,7 @@ def closed_form_flag_count_no_arrows(datum: CartanDatum, k: int, q: int,
     layers before it leave (`_free_submodule_count`), which is the
     classical flag count times q^((k*c_i - 1) * d_i) with d_i the sum of
     products of distinct layer ranks at that vertex."""
-    if datum.oriented_pairs():
+    if read_datum(datum).oriented_pairs():
         raise ValidationError("closed form only applies without arrows")
     k = read_int(k, "k", 1, KTooSmall)
     q = read_int(q, "q", 2)

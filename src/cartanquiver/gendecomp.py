@@ -380,9 +380,9 @@ def ext_generic(datum: CartanDatum, k: int, p: int, r, s,
 def _pair_exhaustive(datum: CartanDatum, k: int, p: int, r, s) -> bool:
     """Whether ext_generic scans every pair of (r, s): their joint
     parameter space has at most PAIR_SPACE_BUDGET points."""
-    return p ** (hmod.structure_parameter_count(datum, k, r)
-                 + hmod.structure_parameter_count(datum, k, s)
-                 ) <= PAIR_SPACE_BUDGET
+    return la.check_prime(p) ** (
+        hmod.structure_parameter_count(datum, k, r)
+        + hmod.structure_parameter_count(datum, k, s)) <= PAIR_SPACE_BUDGET
 
 
 class _Space:
@@ -456,8 +456,8 @@ class _CallTable:
         """hmod.structure_space of r with the call's samples, or the shared
         modules when the space has at most PAIR_SPACE_BUDGET points and
         hmod.STRUCTURE_SPACE_BUDGET."""
-        size = self.p ** hmod.structure_parameter_count(self.datum, self.k,
-                                                        r)
+        size = la.check_prime(self.p) ** hmod.structure_parameter_count(
+            self.datum, self.k, r)
         if size <= min(hmod.STRUCTURE_SPACE_BUDGET, PAIR_SPACE_BUDGET):
             return True, self.space(r)
         return hmod.structure_space(self.datum, self.k, self.p, r,
@@ -712,7 +712,7 @@ def _decompose(table: _CallTable, r: RankVector, seed
         ranked = ranked + [(recursed, 0)]
     evaluated = []
     for parts, hits in ranked:
-        if tuple(_multiset_sum(parts, datum.n)) != tuple(r):
+        if sum(map(RankVector, parts), RankVector.zero(datum.n)) != r:
             raise InternalCheckError(
                 "decomposition parts do not sum to input")
         evaluated.append((parts, hits, *evaluate(parts)))
@@ -723,13 +723,6 @@ def _decompose(table: _CallTable, r: RankVector, seed
     return DecompositionReport(
         r, parts, p, k, count, exhaustive, hits / max(count, 1), seed,
         schur_checks, ext_checks, ok, certainty)
-
-
-def _multiset_sum(parts, n: int) -> RankVector:
-    total = RankVector.zero(n)
-    for part in parts:
-        total = total + RankVector(part)
-    return total
 
 
 def _splitting_decomposition(table: _CallTable, r: RankVector, seed

@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import types
 from dataclasses import dataclass
 from collections.abc import Iterator, Mapping
@@ -48,7 +47,8 @@ from typing import Optional
 import numpy as np
 
 from . import exactlinalg as la
-from .cartan import CartanDatum, RankVector, integers, read_int, read_value
+from .cartan import (CartanDatum, RankVector, integers, read_datum,
+                     read_int, read_value)
 from .errors import (
     DatumMismatch,
     EntryDegreeOverflow,
@@ -153,7 +153,7 @@ def make_module(datum: CartanDatum, k: int, p: int, eps, arrows) -> HModule:
     k = read_int(k, "k", 1, KTooSmall)
     eps_t = tuple(_frozen(la.integer_array(e) % p)
                   for e in read_value(tuple, eps, "bad loop matrices"))
-    if len(eps_t) != datum.n:
+    if len(eps_t) != read_datum(datum).n:
         raise ShapeMismatch(
             f"need {datum.n} loop matrices, got {len(eps_t)}")
     dims = tuple(e.shape[0] for e in eps_t)
@@ -244,12 +244,16 @@ def is_locally_free(m: HModule) -> bool:
     return _not_free_at(read_module(m)) is None
 
 
-def read_module(m) -> HModule:
-    """m, the one reader of a module argument: ValidationError unless it
-    is an HModule."""
+def read_module(m, *others) -> HModule:
+    """m, the one reader of module arguments: ValidationError unless m and
+    each of others is an HModule, DatumMismatch unless the others live
+    over the algebra of m (one datum, k and p)."""
     if not isinstance(m, HModule):
         raise ValidationError(
             f"expected a module (HModule), got {type(m).__name__}")
+    for x in others:
+        if (read_module(x).datum, x.k, x.p) != (m.datum, m.k, m.p):
+            raise DatumMismatch("modules live over different algebras")
     return m
 
 
@@ -345,7 +349,7 @@ class StructureMatrices:
 
 def _structure_shapes(datum: CartanDatum, k: int, r: RankVector) -> dict:
     """Per oriented pair, the shape of its structure matrix."""
-    if len(r) != datum.n:
+    if len(r) != read_datum(datum).n:
         raise ShapeMismatch(f"rank vector length {len(r)} != {datum.n}")
     k = read_int(k, "k", 1, KTooSmall)
     return {(i, j): (r[i], abs(datum.c[i][j]) * r[j], k * datum.d[i])
@@ -434,8 +438,12 @@ def from_structure_matrices(s: StructureMatrices) -> HModule:
     The loops come out in standard Jordan form; arrow columns at twisted
     source degrees are filled in through the rewriting rule, so (H2) holds
     by construction.  The result is locally free of rank s.rank; its
-    integer lift is its entries, as for every module.
+    integer lift is its entries, as for every module.  Raises
+    ValidationError unless s is a StructureMatrices.
     """
+    if not isinstance(s, StructureMatrices):
+        raise ValidationError(f"expected StructureMatrices, got "
+                              f"{type(s).__name__}")
     datum, k, p, r = s.datum, s.k, s.p, s.rank
     eps = [_standard_loop(k * datum.d[i], r[i]) for i in range(datum.n)]
     arrows = {}
@@ -512,7 +520,9 @@ def structure_space(datum: CartanDatum, k: int, p: int, r, samples: int,
     """(exhaustive, modules): a generator of the points of the space in
     iter_structure_matrices order if at most STRUCTURE_SPACE_BUDGET, else
     of the modules random_locally_free(..., (seed, t)) for t < samples."""
-    if p ** structure_parameter_count(datum, k, r) > STRUCTURE_SPACE_BUDGET:
+    samples = read_int(samples, "samples", 0)
+    if (la.check_prime(p) ** structure_parameter_count(datum, k, r)
+            > STRUCTURE_SPACE_BUDGET):
         return False, (random_locally_free(datum, k, p, r, (seed, t))
                        for t in range(samples))
     return True, (from_structure_matrices(s)
@@ -522,19 +532,13 @@ def structure_space(datum: CartanDatum, k: int, p: int, r, samples: int,
 # --- constructions -----------------------------------------------------------
 
 def direct_sum(a: HModule, b: HModule) -> HModule:
-    _same_algebra(a, b)
+    read_module(a, b)
     eps = [la.block_diag(a.eps[i], b.eps[i]) for i in range(a.n)]
     arrows = {}
     for key in a.arrows:
         arrows[key] = [la.block_diag(x, y)
                        for x, y in zip(a.arrows[key], b.arrows[key])]
     return make_module(a.datum, a.k, a.p, eps, arrows)
-
-
-def _same_algebra(a: HModule, b: HModule):
-    read_module(a), read_module(b)
-    if a.datum != b.datum or a.k != b.k or a.p != b.p:
-        raise DatumMismatch("modules live over different algebras")
 
 
 @dataclass(frozen=True, eq=False)
@@ -630,7 +634,7 @@ def quotient(m: HModule, subspaces, k: Optional[int] = None) -> Quotient:
     `make_module` at level k (by default the level of m).  Raises
     ShapeMismatch for subspaces that do not fit m, NotInvariant when some
     loop or arrow does not descend to the quotient."""
-    maps = m.maps_with_labels()
+    maps = read_module(m).maps_with_labels()
     subs, blocks = _split_blocks(m, subspaces, maps)
     arrows = {key: [] for key in m.arrows}
     for (_, _, i, j), b in zip(maps[m.n:], blocks[m.n:]):
@@ -738,18 +742,15 @@ def module_from_dict(datum: CartanDatum, data: dict) -> HModule:
         raise ValidationError(
             f"module file lacks {', '.join(missing)}: it needs k, p and "
             f"either rank with structure or dims with eps")
-    k = read_value(operator.index, data["k"], "module file: bad k")
-    p = read_value(operator.index, data["p"], "module file: bad p")
+    k, p = data["k"], data["p"]        # read where the module is built
     if "structure" in data:
-        rank = read_value(RankVector, data["rank"],
-                          "module file: bad rank")
         mats = _pair_dict(data["structure"], "structure", la.integer_array)
-        s = structure_from_arrays(datum, k, p, rank, mats)
-        return from_structure_matrices(s)
+        return from_structure_matrices(
+            structure_from_arrays(datum, k, p, data["rank"], mats))
     dims = read_value(integers, data["dims"], "module file: bad dims")
     eps = read_value(lambda v: [la.integer_array(e) for e in v], data["eps"],
                      "module file: bad eps")
-    if len(dims) != datum.n or len(eps) != datum.n:
+    if len(dims) != read_datum(datum).n or len(eps) != datum.n:
         raise ShapeMismatch(
             f"dims and eps need {datum.n} entries, got {len(dims)} and "
             f"{len(eps)}")

@@ -192,20 +192,11 @@ class HomBasis:
         return _unflatten(self.source.dims, self.target.dims, vec)
 
     def coords_of(self, f) -> np.ndarray:
-        """The coordinates on this basis of the homomorphism f, given as
-        per-vertex matrices (entries read mod p), or of each one in
-        per-vertex stacks (..., rows, cols) of them.  Raises
-        NotAHomomorphism when f has the wrong number or shapes of
-        components, or lies outside the span of the basis."""
+        """The coordinates on this basis of the homomorphism f, or of each
+        one in per-vertex stacks, read by `_read_hom`.  Raises
+        NotAHomomorphism when f lies outside the span of the basis."""
         p = self.source.p
-        f = [la.integer_array(fi)
-             for fi in read_value(tuple, f, "bad homomorphism")]
-        lead = f[0].shape[:-2] if f else ()
-        if len(f) != len(self.source.dims) or any(
-                fi.shape != lead + (dn, dm) for fi, dm, dn
-                in zip(f, self.source.dims, self.target.dims)):
-            raise NotAHomomorphism("component shapes do not match")
-        vec = _flatten(f) % p
+        vec = _flatten(_read_hom(self.source, self.target, f))
         coords = vec[..., list(self.support)]
         if ((coords @ self.vec_basis - vec) % p).any():
             raise NotAHomomorphism("not in the span of the Hom basis")
@@ -240,9 +231,23 @@ def _failed_relation(relations, f, p: int) -> Optional[str]:
     return None
 
 
+def _read_hom(m, n, f) -> tuple[np.ndarray, ...]:
+    """f as a map from m to n, the one reader of a homomorphism argument:
+    per vertex an integer matrix (dim n_i, dim m_i), or per-vertex stacks
+    of them with one leading shape, entries read mod p.  ValidationError
+    unless f is a sequence of integer arrays, NotAHomomorphism when it has
+    the wrong number or shapes of components."""
+    f = read_value(lambda f: [np.asarray(fi) for fi in f], f,
+                   "bad homomorphism")
+    lead = f[0].shape[:-2] if f else ()
+    if len(f) != len(m.dims) or any(fi.shape != lead + (dn, dm) for fi, dm,
+                                     dn in zip(f, m.dims, n.dims)):
+        raise NotAHomomorphism("component shapes do not match")
+    return tuple(la.integer_array(fi) % m.p for fi in f)
+
+
 def is_homomorphism(m: HModule, n: HModule, f) -> bool:
-    hmod._same_algebra(m, n)
-    f = read_value(tuple, f, "bad homomorphism")
+    f = _read_hom(hmod.read_module(m, n), n, f)
     return _failed_relation(_relations(m, n), f, m.p) is None
 
 
@@ -272,15 +277,17 @@ def _hom_basis(m, n) -> HomBasis:
 
 def hom_space(m: HModule, n: HModule) -> HomBasis:
     """Basis of Hom(m, n); every basis element is re-checked by substitution."""
-    hmod._same_algebra(m, n)
-    return _hom_basis(m, n)
+    return _hom_basis(hmod.read_module(m, n), n)
 
 
 def compose(f, g, p: int) -> tuple[np.ndarray, ...]:
-    """f after g, per vertex."""
-    return tuple((fi @ gi) % p for fi, gi in zip(
-        read_value(tuple, f, "bad homomorphism"),
-        read_value(tuple, g, "bad homomorphism")))
+    """f after g, per vertex, each component read by `la.integer_array`
+    and p by `la.check_prime`; maps that do not compose raise
+    ValidationError."""
+    p = la.check_prime(p)
+    return read_value(lambda fg: tuple(
+        (la.integer_array(fi) @ la.integer_array(gi)) % p
+        for fi, gi in zip(*fg, strict=True)), (f, g), "maps do not compose")
 
 
 def identity_hom(m: HModule) -> tuple[np.ndarray, ...]:
@@ -289,8 +296,7 @@ def identity_hom(m: HModule) -> tuple[np.ndarray, ...]:
 
 def ext1_dim(m: HModule, n: HModule) -> int:
     """dim Ext^1 = dim Hom - <rk m, rk n> for locally free modules."""
-    hmod._same_algebra(m, n)
-    rm = hmod.rank_vector(m)
+    rm = hmod.rank_vector(hmod.read_module(m, n))
     rn = rm if n is m else hmod.rank_vector(n)
     value = hom_space(m, n).dim - euler_form(m.datum, rm, rn, k=m.k)
     if value < 0:
@@ -329,8 +335,7 @@ def are_isomorphic(m: HModule, n: HModule, seed=0) -> IsoResult:
     most ISO_EXHAUSTIVE_BUDGET.  `certain` is False only for a negative
     answer that rests on sampling alone.
     """
-    hmod._same_algebra(m, n)
-    if m.dims != n.dims:
+    if hmod.read_module(m, n).dims != n.dims:
         return IsoResult(False, True)
     if hmod.modules_equal(m, n):
         return IsoResult(True, True, identity_hom(m))
@@ -426,13 +431,8 @@ def parameter_estimate(datum, k: int, p: int, r, samples: int = 200, seed=0
 
 
 def check_homomorphism(m: HModule, n: HModule, f) -> tuple[np.ndarray, ...]:
-    """Coerce and verify a per-vertex matrix tuple as a homomorphism."""
-    hmod._same_algebra(m, n)
-    f = tuple(la.integer_array(fi) % m.p
-              for fi in read_value(tuple, f, "bad homomorphism"))
-    if len(f) != m.n or any(fi.shape != (n.dims[i], m.dims[i])
-                            for i, fi in enumerate(f)):
-        raise NotAHomomorphism("component shapes do not match")
-    if not is_homomorphism(m, n, f):
+    """f read by `_read_hom` and verified as a homomorphism."""
+    f = _read_hom(hmod.read_module(m, n), n, f)
+    if _failed_relation(_relations(m, n), f, m.p) is not None:
         raise NotAHomomorphism("intertwiner equations fail")
     return f

@@ -218,9 +218,6 @@ class TestRankVector:
         with pytest.raises(Exception):
             RankVector((1, -1))
 
-    def test_dims(self, b2):
-        assert RankVector((1, 2)).dims(b2, 3) == (6, 6)
-
 
 def test_config_roundtrip(tmp_path, a2):
     cfg = {"n": 2, "C": [[2, -1], [-1, 2]], "D": [1, 1],

@@ -3,10 +3,12 @@ method or property of such a class, has a caller.
 
 A name counts as called when it is referenced in `src/cartanquiver`
 outside its own definition (a function or class as a name or as an
-attribute, a method or property only as an attribute: a local variable
-of the same name calls nothing), imported by the package `__init__`,
-named in a benchmark script `perfbench/*.py`, or listed in ALLOWED with
-the reason it stays.
+attribute, a property only as an attribute, a method only as an
+attribute that is called: a local variable of the same name calls
+nothing, and neither does a read of a field of the same name, as
+`m.dims` of a module does not call a method `dims`), imported by the
+package `__init__`, named in a benchmark script `perfbench/*.py`, or
+listed in ALLOWED with the reason it stays.
 
 No function binds a budget or trial-count constant (a name ending in
 _BUDGET or _TRIALS) as a parameter default, and the keywords those
@@ -39,21 +41,31 @@ ALLOWED = {
 
 
 def _references(node) -> collections.Counter:
-    """References by (kind, name), kind "name" for a bare name and "attr"
-    for an attribute."""
+    """References by (kind, name), kind "name" for a bare name, "attr" for
+    an attribute and "call" for an attribute that is called."""
     out = collections.Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out["name", sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             out["attr", sub.attr] += 1
+        elif (isinstance(sub, ast.Call)
+              and isinstance(sub.func, ast.Attribute)):
+            out["call", sub.func.attr] += 1
     return out
+
+
+def _is_property(node) -> bool:
+    return any(getattr(d, "id", getattr(d, "attr", None))
+               in ("property", "cached_property")
+               for d in node.decorator_list)
 
 
 def _definitions(tree):
     """(qualified suffix, name, node, kinds) of the top-level functions and
     classes, referenced by name or attribute, and of the public methods and
-    properties of those classes, referenced by attribute only."""
+    properties of those classes: a property referenced by attribute, a
+    method by an attribute that is called."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name, node, ("name", "attr")
@@ -62,7 +74,7 @@ def _definitions(tree):
                 if (isinstance(sub, ast.FunctionDef)
                         and not sub.name.startswith("_")):
                     yield (f"{node.name}.{sub.name}", sub.name, sub,
-                           ("attr",))
+                           ("attr",) if _is_property(sub) else ("call",))
 
 
 def uncalled(modules: dict, init_source: str, bench_text: str,
@@ -82,9 +94,12 @@ def uncalled(modules: dict, init_source: str, bench_text: str,
             qualified = f"{module}.{suffix}"
             own = _references(node)
             calls = sum(total[kind, name] - own[kind, name] for kind in kinds)
+            # a benchmark names a method by calling it or by its class
+            named = (rf"\.{re.escape(name)}\(|\b{re.escape(suffix)}\b"
+                     if kinds == ("call",) else rf"\b{re.escape(name)}\b")
             if (calls > 0
                     or name in exported
-                    or re.search(rf"\b{re.escape(name)}\b", bench_text)
+                    or re.search(named, bench_text)
                     or qualified in allowed):
                 continue
             out.append(qualified)
@@ -102,12 +117,19 @@ def test_guard_sees_uncalled_names():
               "    @property\n    def ok(self):\n        return used()\n"
               "    def dead(self):\n        return self.dead()\n"
               "    def shadowed(self):\n        pass\n"
+              "    def dims(self, k):\n        return k\n"
+              "    def width(self):\n        return 1\n"
               "    def _private(self):\n        pass\n"),
-        "b": "from .a import Report\nshadowed = Report().ok\n",
+        "b": ("from .a import Report\nshadowed = Report().ok\n"
+              "size = len(Report().dims) + Report().width()\n"),
     }
     found = uncalled(modules, "from .a import exported\n",
-                     "wrap('a.benched')\n", {"a.allowed"})
-    assert found == ["a.Report.dead", "a.Report.shadowed", "a.recursive"]
+                     "wrap('a.benched')\nsize = m.dims\n", {"a.allowed"})
+    assert found == ["a.Report.dead", "a.Report.dims", "a.Report.shadowed",
+                     "a.recursive"]
+    assert uncalled(modules, "", "m.dims(2)\nReport.shadowed\n",
+                    {"a.allowed"}) == [
+        "a.Report.dead", "a.benched", "a.exported", "a.recursive"]
 
 
 def test_allowlist_names_exist():

@@ -477,20 +477,32 @@ ENTRY_POINTS = {
     "coords_of-map-none": lambda m: homext.hom_space(m, m).coords_of(None),
     "compose-maps-none": lambda m: homext.compose(None, None, 3),
     "is_homomorphism-map-an-int": lambda m: homext.is_homomorphism(m, m, 5),
+    "is_homomorphism-blocks-of-the-wrong-shape":
+        lambda m: homext.is_homomorphism(
+            m, m, (np.zeros((1, 1)), np.zeros((1, 1)))),
+    "compose-prime-none": lambda m: homext.compose(
+        homext.identity_hom(m), homext.identity_hom(m), None),
+}
+
+# entry point -> the ValidationError subclass it raises
+ENTRY_POINT_ERRORS = {
+    "is_homomorphism-blocks-of-the-wrong-shape": NotAHomomorphism,
 }
 
 
-@pytest.mark.parametrize("call", ENTRY_POINTS.values(),
+@pytest.mark.parametrize("name,call", ENTRY_POINTS.items(),
                          ids=ENTRY_POINTS.keys())
-def test_entry_points_read_their_arguments(a2, call):
+def test_entry_points_read_their_arguments(a2, name, call):
     """One-module entry points refuse what is not an HModule
     (`hmod.read_module`), the flag entry points what is not a
     FlagOfSubmodules, the homomorphism readers a map that is not a
-    sequence, `epsilon_blocks` a power that is not an integer and a
-    subspace sum what is not a Subspace, with ValidationError: each raised
-    a bare AttributeError or TypeError."""
+    sequence, or (NotAHomomorphism) blocks of the wrong shape, before
+    their entries, `compose` a modulus that is not a prime,
+    `epsilon_blocks` a power that is not an integer and a subspace sum
+    what is not a Subspace, with ValidationError: each raised a bare
+    AttributeError, TypeError or numpy ValueError."""
     m = hmod.random_locally_free(a2, 2, 3, (1, 1), seed=1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ENTRY_POINT_ERRORS.get(name, ValidationError)):
         call(m)
     # the same entry points still take a module, a flag and a map
     flag = next(flagvar.iter_flags(m, [(1, 0), (0, 1)]), None)
